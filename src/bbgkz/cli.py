@@ -4,7 +4,8 @@ A problem file describes the group, the degree-one vectors, beta, the base
 point policy, and a task list.  The runner validates the data, executes the
 requested analyses, and writes a report whose cross-check booleans drive the
 exit code: 0 when everything passes, 2 for invalid input, 3 for a failing
-cross-check.
+cross-check.  A task that stops on an error the theory rules out is recorded
+as a failed `<task>_completed` check.
 """
 
 from __future__ import annotations
@@ -23,15 +24,16 @@ import jsonschema
 
 from .abelian import AbelianGroup, NoDegreeFunctional, NotSpanning
 from .linalg import GaussianRational
-from .polyhedral import GradedSemigroup, build_semigroup, k_prim, normalized_volume
+from .polyhedral import (GradedSemigroup, KPrimGuardError, build_semigroup, k_prim,
+                         normalized_volume)
 from .ring import (FVector, NondegeneracyRetriesExhausted, dual_kernel_dims,
                    hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
                    jacobian_dims, r1_dims, random_rational_x)
-from .solver import (check_residuals, filtration_dims, restricted_solution_rank,
-                     solve_recursion)
-from .torsion import (LogModulusBox, ResidualTooLarge, build_quotient,
-                      find_common_basepoint, independence_count, lift_and_verify,
-                      p_rho)
+from .solver import (InconsistentSystem, check_residuals, filtration_dims,
+                     restricted_solution_rank, solve_recursion)
+from .torsion import (LogModulusBox, RegionTooTight, ResidualTooLarge,
+                      build_quotient, find_common_basepoint, independence_count,
+                      lift_and_verify, p_rho)
 
 SCHEMA_VERSION = 1
 ALL_TASKS = ("analyze", "solve", "restrict", "lift", "residuals")
@@ -353,6 +355,8 @@ def run(problem_path, tasks=None, seed=None, truncation=None,
             times[task] = round(time.monotonic() - t0, 4)
     except ResidualTooLarge as e:
         _check(checks, "torsion_lift_residual", False, error=str(e))
+    except (InconsistentSystem, RegionTooTight, KPrimGuardError) as e:
+        _check(checks, f"{task}_completed", False, error=f"{type(e).__name__}: {e}")
     report["checks"] = checks
     report["all_passed"] = all(c["passed"] for c in checks)
     if timings:

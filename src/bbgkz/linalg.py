@@ -2,9 +2,9 @@
 
 Everything here is field-generic: the routines only use +, -, *, / and
 truthiness of entries, so they work for Fraction, GaussianRational, or any
-other exact field type.  Dense routines (rref, nullspace, solve) are used for
-the degree-by-degree systems, which stay small; the sparse RowSpace is used
-for the larger filtration-truncated rank computations.
+other exact field type.  Matrices are lists of sparse rows (dicts column ->
+value) reduced by RowSpace; `solve_sparse` reads solutions and kernels of a
+system from one such reduction.
 """
 
 from __future__ import annotations
@@ -190,135 +190,6 @@ QQI_ONE = GaussianRational(1)
 QQI_I = GaussianRational(0, 1)
 
 
-def rref(rows):
-    """Reduced row echelon form of a dense matrix (list of row lists).
-
-    Returns (new_rows, pivot_cols).  The input is not modified.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv != 1:
-            inv = 1 / piv if not isinstance(piv, GaussianRational) else QQI_ONE / piv
-            rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [vi - f * vr for vi, vr in zip(ri, rr)]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivot_cols
-
-
-def rank(rows):
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
-
-
-def nullspace(rows, ncols, one=1):
-    """Basis of the right kernel of the matrix, one vector per free column.
-
-    Vector k has `one` in its free column and the pivot columns filled by back
-    substitution; ordering follows ascending free column, which is what makes
-    downstream bases reproducible.
-    """
-    if not rows:
-        return [_unit(ncols, k, one) for k in range(ncols)]
-    red, pivot_cols = rref(rows)
-    pivset = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivset]
-    zero = one * 0
-    basis = []
-    for fc in free_cols:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivot_cols):
-            if red[r][fc]:
-                vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def _unit(n, k, one):
-    zero = one * 0
-    vec = [zero] * n
-    vec[k] = one
-    return vec
-
-
-def solve_multi(rows, ncols, rhs_list, one=1):
-    """Solve A x = b for several right-hand sides at once, exactly.
-
-    rows: dense rows of A (length ncols each); rhs_list: list of vectors of
-    length len(rows).  Returns a list with, per rhs, the particular solution
-    obtained by setting all free variables to zero, or None if inconsistent.
-    """
-    nrhs = len(rhs_list)
-    aug = [list(row) + [rhs[i] for rhs in rhs_list] for i, row in enumerate(rows)]
-    if not aug:
-        zero = one * 0
-        return [[zero] * ncols for _ in range(nrhs)]
-    red = aug
-    # eliminate, but only pick pivots among the first ncols columns
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(red)):
-            if red[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        red[r], red[pr] = red[pr], red[r]
-        piv = red[r][c]
-        if piv != 1:
-            inv = 1 / piv if not isinstance(piv, GaussianRational) else QQI_ONE / piv
-            red[r] = [v * inv for v in red[r]]
-        for i in range(len(red)):
-            if i != r and red[i][c]:
-                f = red[i][c]
-                ri, rr = red[i], red[r]
-                red[i] = [vi - f * vr for vi, vr in zip(ri, rr)]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(red):
-            break
-    zero = one * 0
-    out = []
-    for k in range(nrhs):
-        bad = False
-        for i in range(r, len(red)):
-            if red[i][ncols + k]:
-                bad = True
-                break
-        if bad:
-            out.append(None)
-            continue
-        sol = [zero] * ncols
-        for row_idx, pc in enumerate(pivot_cols):
-            sol[pc] = red[row_idx][ncols + k]
-        out.append(sol)
-    return out
-
-
 class RowSpace:
     """Incrementally built row space kept in reduced echelon form.
 
@@ -383,3 +254,50 @@ class RowSpace:
 
     def contains(self, vec):
         return not self.reduce(vec)
+
+
+def solve_sparse(rows, ncols, rhs_list, one=1):
+    """Solve A x = b exactly for several right-hand sides, plus the kernel of A.
+
+    rows: sparse rows of A (dicts over columns 0..ncols-1); rhs_list: one
+    vector of length len(rows) per right-hand side.  Right-hand side t is
+    appended to the rows as column ncols + t, after every unknown, and the
+    augmented matrix is reduced once; its reduced row echelon form is unique
+    for this column order.  Returns (solutions, kernel):
+
+    - solutions[t] is None if b_t is not in the column space of A, else the
+      particular solution with every free variable zero;
+    - kernel has one vector per free column of A, in ascending free-column
+      order, with `one` in that column and pivot columns by back substitution.
+
+    Vectors are sparse dicts holding nonzero entries in ascending column order.
+    """
+    space = RowSpace()
+    for i, row in enumerate(rows):
+        aug = dict(row)
+        for t, rhs in enumerate(rhs_list):
+            if rhs[i]:
+                aug[ncols + t] = rhs[i]
+        space.add(aug)
+    pivots = sorted(space.rows)
+    unknown_pivots = [p for p in pivots if p < ncols]
+    # b_t is inconsistent iff a row pivoting on a right-hand side column
+    # reaches column ncols + t; that column need not be a pivot itself.
+    bad = {c for p in pivots if p >= ncols for c in space.rows[p]}
+    solutions = []
+    for t in range(len(rhs_list)):
+        col = ncols + t
+        if col in bad:
+            solutions.append(None)
+        else:
+            solutions.append({p: space.rows[p][col] for p in unknown_pivots
+                              if col in space.rows[p]})
+    kernel = []
+    for fc in range(ncols):
+        if fc in space.rows:
+            continue
+        vec = {p: -space.rows[p][fc] for p in unknown_pivots
+               if fc in space.rows[p]}
+        vec[fc] = one
+        kernel.append(vec)
+    return solutions, kernel

@@ -10,7 +10,6 @@ what makes these direct methods exact and fast enough.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -226,7 +225,6 @@ class GradedSemigroup:
         self._gen_coords = [self._to_kernel_coords(
             tuple(a - b for a, b in zip(v.free, self._base))) for v in self.A]
         self._layers = {}
-        self._lock = threading.Lock()
 
     @property
     def rank(self):
@@ -265,15 +263,11 @@ class GradedSemigroup:
         got = self._layers.get(key)
         if got is not None:
             return got
-        with self._lock:
-            got = self._layers.get(key)
-            if got is not None:
-                return got
-            tors = [t.torsion for t in self.group.torsion_elements()]
-            elems = tuple(self.group.element(w, t)
-                          for w in self.free_layer(k, region) for t in tors)
-            self._layers[key] = elems
-            return elems
+        tors = [t.torsion for t in self.group.torsion_elements()]
+        elems = tuple(self.group.element(w, t)
+                      for w in self.free_layer(k, region) for t in tors)
+        self._layers[key] = elems
+        return elems
 
 
 def build_semigroup(N: AbelianGroup, A) -> GradedSemigroup:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import GaussianRational, RowSpace, nullspace
+from .linalg import GaussianRational, RowSpace, solve_sparse
 from .polyhedral import GradedSemigroup, normalized_volume
 
 Scalar = GaussianRational
@@ -156,30 +156,16 @@ def dual_kernel_dims(f: FVector, S: GradedSemigroup, max_degree, region="full") 
     """Per-degree solution counts of the homogeneous adjoint system.
 
     Degree k counts the coefficient vectors on layer k annihilated by
-    sum_i x_i lambda_{c+v_i} v_i = 0 for every c in layer k-1; computed as an
-    explicit nullspace, independent of the image-rank route.
+    sum_i x_i lambda_{c+v_i} v_i = 0 for every c in layer k-1: the kernel
+    of the same sparse rows `_image_rows` feeds to `jacobian_dims`, so the
+    two agree by construction rather than by an independent route.
     """
-    r = S.rank
+    one = GaussianRational(1)
     dims = []
     for k in range(max_degree + 1):
-        layer = S.layer(k, region)
-        if k == 0:
-            dims.append(len(layer))
-            continue
-        prev = S.layer(k - 1, region)
-        idx = _layer_index(layer)
-        rows = []
-        for c in prev:
-            data = [{} for _ in range(r)]
-            for i, v in enumerate(S.A):
-                col = idx[c + v]
-                for j in range(r):
-                    if v.free[j]:
-                        data[j][col] = data[j].get(col, GaussianRational(0)) + f[i] * v.free[j]
-            for j in range(r):
-                rows.append([data[j].get(col, GaussianRational(0))
-                             for col in range(len(layer))])
-        dims.append(len(nullspace(rows, len(layer), one=GaussianRational(1))))
+        ncols = len(S.layer(k, region))
+        _, kernel = solve_sparse(_image_rows(f, S, k, region), ncols, [], one)
+        dims.append(len(kernel))
     return DimReport.of(dims)
 
 

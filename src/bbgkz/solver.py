@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abelian import GroupElement, pair
-from .linalg import GaussianRational, RowSpace, nullspace, solve_multi
+from .linalg import GaussianRational, RowSpace, solve_sparse
 from .polyhedral import GradedSemigroup, k_prim
-from .ring import DimReport, FVector, as_scalar
+from .ring import DimReport, FVector, _image_rows, as_scalar
 
 
 class InconsistentSystem(RuntimeError):
@@ -56,22 +56,12 @@ class SolutionBasis:
         return len(self.tables)
 
 
-def _recursion_matrix(S, f, k, exact):
-    """Dense matrix of the layer-(k+1) unknowns against the layer-k equations."""
+def _recursion_matrix(S, f, k):
+    """Float matrix of the layer-(k+1) unknowns against the layer-k equations."""
     src = S.layer(k)
     dst = S.layer(k + 1)
     idx = {c: i for i, c in enumerate(dst)}
     r = S.rank
-    if exact:
-        zero = GaussianRational(0)
-        rows = [[zero] * len(dst) for _ in range(r * len(src))]
-        for a, c in enumerate(src):
-            for i, v in enumerate(S.A):
-                col = idx[c + v]
-                for j in range(r):
-                    if v.free[j]:
-                        rows[a * r + j][col] = rows[a * r + j][col] + f[i] * v.free[j]
-        return rows, src, dst
     mat = np.zeros((r * len(src), len(dst)), dtype=complex)
     for a, c in enumerate(src):
         for i, v in enumerate(S.A):
@@ -79,7 +69,7 @@ def _recursion_matrix(S, f, k, exact):
             for j in range(r):
                 if v.free[j]:
                     mat[a * r + j, col] += f[i] * v.free[j]
-    return mat, src, dst
+    return mat
 
 
 def _rhs_for_table(S, beta, table_entries, src, exact):
@@ -106,6 +96,11 @@ def _float_nullspace(mat, ncols, tol=1e-9):
     return [vh[-(i + 1)].conj() for i in range(null_dim)][::-1]
 
 
+def _nonzero(vec):
+    """Sparse form of a dense float vector: column -> nonzero entry."""
+    return {col: val for col, val in enumerate(vec) if val}
+
+
 def _float_solve_multi(mat, rhs_list, tol=1e-9):
     out = []
     for b in rhs_list:
@@ -129,7 +124,8 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None,
 
     New basis directions at degree k + 1 are the echelonized kernel of the
     step matrix; existing germs are extended by the particular solution with
-    free variables zero, so results are reproducible.  Raises
+    free variables zero, so results are reproducible.  The exact backend reads
+    both from one sparse reduction of the step (linalg.solve_sparse).  Raises
     InconsistentSystem if a degree step is unsolvable.
     """
     r = S.rank
@@ -152,28 +148,23 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None,
     tables = [({c: one}, 0) for c in S.layer(0)]
 
     for k in range(D):
-        mat, src, dst = _recursion_matrix(S, f, k, exact)
+        src = S.layer(k)
+        dst = S.layer(k + 1)
         rhs = [_rhs_for_table(S, beta, entries, src, exact) for entries, _ in tables]
         if exact:
-            sols = solve_multi(mat, len(dst), rhs, one=GaussianRational(1))
+            sols, kernel = solve_sparse(_image_rows(f, S, k + 1), len(dst), rhs, one)
         else:
-            sols = _float_solve_multi(mat, rhs)
+            mat = _recursion_matrix(S, f, k)
+            sols = [None if sol is None else _nonzero(sol)
+                    for sol in _float_solve_multi(mat, rhs)]
+            kernel = [_nonzero(vec) for vec in _float_nullspace(mat, len(dst))]
         for (entries, _), sol in zip(tables, sols):
             if sol is None:
                 raise InconsistentSystem(
                     f"no extension at degree {k + 1}; nondegeneracy certificate wrong?")
-            for c, valv in zip(dst, sol):
-                if (valv if not exact else bool(valv)):
-                    entries[c] = valv
-        if exact:
-            kernel = nullspace(mat, len(dst), one=GaussianRational(1))
-        else:
-            kernel = _float_nullspace(np.asarray(mat, dtype=complex) if not isinstance(mat, np.ndarray) else mat, len(dst))
-        for vec in kernel:
-            entries = {c: valv for c, valv in zip(dst, vec)
-                       if (bool(valv) if exact else abs(valv) > 0)}
-            if entries:
-                tables.append((entries, k + 1))
+            entries.update((dst[col], val) for col, val in sol.items())
+        tables.extend(({dst[col]: val for col, val in vec.items()}, k + 1)
+                      for vec in kernel)
 
     out = [LambdaTable(S, x, beta, D, entries, lead) for entries, lead in tables]
     out.sort(key=lambda t: t.leading_degree)

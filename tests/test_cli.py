@@ -6,6 +6,9 @@ import jsonschema
 import pytest
 
 from bbgkz import cli
+from bbgkz.polyhedral import KPrimGuardError
+from bbgkz.solver import InconsistentSystem
+from bbgkz.torsion import RegionTooTight
 
 
 def read(path):
@@ -153,6 +156,29 @@ class TestValidationErrors:
     def test_truncation_too_small(self):
         report, code = cli.run(cli.fixture_path("p1"), truncation=1)
         assert code == 2
+
+
+class TestFailedComputation:
+    """Errors the theory rules out are failed checks with exit code 3."""
+
+    @pytest.mark.parametrize("error, target, fixture, task", [
+        (InconsistentSystem, "solve_recursion", "ex51", "solve"),
+        (RegionTooTight, "find_common_basepoint", "g3_torsion", "lift"),
+        (KPrimGuardError, "k_prim", "ex51", "analyze"),
+    ])
+    def test_exit_code_three(self, tmp_path, monkeypatch, error, target, fixture, task):
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, target, fail)
+        out = str(tmp_path / "r.json")
+        report, code = cli.run(cli.fixture_path(fixture), tasks=[task],
+                               timings=False, out_path=out)
+        assert code == 3
+        assert not report["all_passed"]
+        assert report["checks"][-1] == {"name": f"{task}_completed", "passed": False,
+                                        "error": f"{error.__name__}: injected"}
+        jsonschema.validate(read(out), cli._load_schema("report.schema.json"))
 
 
 class TestMain:

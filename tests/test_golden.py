@@ -1,0 +1,39 @@
+"""Fresh fixture reports against the reports stored in tests/golden.
+
+Each golden file is the `--no-timings` report of a bundled fixture.  The
+`max_residual` fields are dropped on both sides before comparing: they are
+the only floats in a report and may differ in the last digits by platform.
+Everything else, including key order and formatting, must match exactly.
+"""
+
+import json
+import os
+
+import pytest
+
+from bbgkz import cli
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+FIXTURES = ["z2_example", "ex51", "ex52", "p1", "p2", "square_z2", "repeated",
+            "g3_torsion"]
+
+
+def _without_floats(obj):
+    if isinstance(obj, dict):
+        return {k: _without_floats(v) for k, v in obj.items() if k != "max_residual"}
+    if isinstance(obj, list):
+        return [_without_floats(v) for v in obj]
+    return obj
+
+
+def _text(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.dumps(_without_floats(json.load(fh)), indent=2)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_report_matches_golden(name, tmp_path):
+    out = str(tmp_path / f"{name}.json")
+    _, code = cli.run(cli.fixture_path(name), timings=False, out_path=out)
+    assert code == 0
+    assert _text(out) == _text(os.path.join(GOLDEN, f"{name}.json"))

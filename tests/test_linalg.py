@@ -2,17 +2,18 @@
 
 The Gaussian-rational scalar is cross-checked against Python's complex and
 Fraction arithmetic; the matrix routines are checked by direct substitution
-(A x = b, A v = 0) and against each other (dense rank vs sparse RowSpace).
+(A x = b, A v = 0) and against numpy's floating-point rank.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bbgkz.linalg import (GaussianRational, QQI_I, QQI_ONE, QQI_ZERO, RowSpace,
-                          nullspace, rank, rref, solve_multi)
+                          solve_sparse)
 
 small_int = st.integers(-20, 20)
 nonzero_den = st.integers(1, 12)
@@ -90,60 +91,70 @@ def random_matrix(rng, m, n):
             for _ in range(m)]
 
 
-class TestDenseRoutines:
-    def test_rref_known(self):
-        rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        red, pivots = rref(rows)
-        assert pivots == [0]
-        assert red[0] == [Fraction(1), Fraction(2)]
-        assert red[1] == [Fraction(0), Fraction(0)]
+def sparse(A):
+    return [{j: v for j, v in enumerate(row) if v} for row in A]
 
-    def test_nullspace_vectors_are_in_kernel(self):
+
+def numeric_rank(A):
+    """Independent reference: numpy's rank of the complex matrix."""
+    return int(np.linalg.matrix_rank(np.array([[complex(v) for v in row] for row in A])))
+
+
+def apply(A, vec):
+    """A times a sparse vector, as a dense list."""
+    out = []
+    for row in A:
+        s = QQI_ZERO
+        for j, x in vec.items():
+            s = s + row[j] * x
+        out.append(s)
+    return out
+
+
+class TestSolveSparse:
+    def test_known_kernel(self):
+        rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
+        sols, kernel = solve_sparse(rows, 2, [[Fraction(3), Fraction(6)]])
+        assert sols == [{0: Fraction(3)}]
+        assert kernel == [{0: Fraction(-2), 1: 1}]
+
+    def test_kernel_vectors_are_in_kernel(self):
         rng = random.Random(7)
         for _ in range(25):
             m, n = rng.randint(1, 5), rng.randint(1, 6)
             A = random_matrix(rng, m, n)
-            basis = nullspace(A, n, one=QQI_ONE)
-            assert len(basis) == n - rank(A)
-            for v in basis:
-                for row in A:
-                    s = QQI_ZERO
-                    for a, x in zip(row, v):
-                        s = s + a * x
-                    assert not s
+            _, kernel = solve_sparse(sparse(A), n, [], one=QQI_ONE)
+            assert len(kernel) == n - numeric_rank(A)
+            for v in kernel:
+                assert not any(apply(A, v))
+                assert list(v) == sorted(v)
 
-    def test_nullspace_empty_matrix(self):
-        basis = nullspace([], 3)
-        assert len(basis) == 3
-        assert basis[0][0] == 1 and basis[1][1] == 1 and basis[2][2] == 1
+    def test_empty_matrix(self):
+        sols, kernel = solve_sparse([], 3, [[]])
+        assert sols == [{}]
+        assert kernel == [{0: 1}, {1: 1}, {2: 1}]
 
-    def test_solve_multi_substitution(self):
+    def test_substitution(self):
         rng = random.Random(11)
         for _ in range(25):
             m, n = rng.randint(1, 5), rng.randint(1, 5)
             A = random_matrix(rng, m, n)
-            xs = [GaussianRational(rng.randint(-3, 3)) for _ in range(n)]
-            b = []
-            for row in A:
-                s = QQI_ZERO
-                for a, x in zip(row, xs):
-                    s = s + a * x
-                b.append(s)
-            sols = solve_multi(A, n, [b], one=QQI_ONE)
+            xs = {j: GaussianRational(rng.randint(-3, 3)) for j in range(n)}
+            b = apply(A, xs)
+            sols, _ = solve_sparse(sparse(A), n, [b], one=QQI_ONE)
             assert sols[0] is not None
-            for row, bi in zip(A, b):
-                s = QQI_ZERO
-                for a, x in zip(row, sols[0]):
-                    s = s + a * x
-                assert s == bi
+            assert apply(A, sols[0]) == b
 
-    def test_solve_multi_inconsistent(self):
-        A = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
+    def test_mixed_consistency(self):
+        """A right-hand side that is a multiple of an earlier inconsistent one
+        is inconsistent too, although its column is no pivot."""
+        A = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
         good = [Fraction(2), Fraction(2)]
         bad = [Fraction(2), Fraction(3)]
-        sols = solve_multi(A, 2, [good, bad])
-        assert sols[0] is not None
-        assert sols[1] is None
+        worse = [Fraction(4), Fraction(6)]
+        sols, kernel = solve_sparse(A, 2, [good, bad, worse, good])
+        assert sols == [{0: Fraction(2)}, None, None, {0: Fraction(2)}]
+        assert kernel == [{0: Fraction(-1), 1: 1}]
 
 
 class TestRowSpace:
@@ -155,7 +166,7 @@ class TestRowSpace:
             space = RowSpace()
             for row in A:
                 space.add({j: v for j, v in enumerate(row) if v})
-            assert space.rank == rank(A)
+            assert space.rank == numeric_rank(A)
 
     def test_contains(self):
         space = RowSpace()

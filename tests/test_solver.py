@@ -9,9 +9,9 @@ from bbgkz.abelian import AbelianGroup
 from bbgkz.linalg import GaussianRational
 from bbgkz.polyhedral import build_semigroup, normalized_volume
 from bbgkz.ring import FVector, jacobian_dims, r1_dims
-from bbgkz.solver import (check_residuals, comparison_radius, evaluate_series,
-                          filtration_dims, restricted_solution_rank,
-                          solve_recursion)
+from bbgkz.solver import (InconsistentSystem, check_residuals, comparison_radius,
+                          evaluate_series, filtration_dims,
+                          restricted_solution_rank, solve_recursion)
 from conftest import make_problem
 
 
@@ -102,6 +102,16 @@ class TestDimensions:
         S, f, beta = make_problem("p1")
         with pytest.raises(ValueError):
             solve_recursion(f, beta, S, truncation=S.rank)
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_degenerate_point_is_inconsistent(self, backend):
+        """At x = (1, 1) the Z/2 problem is degenerate (x1 - x2 = 0): both
+        degree-0 equations have the same left side, so a germ must take equal
+        values at the two degree-0 points, which the unit germs do not."""
+        S, _, _ = make_problem("z2")
+        with pytest.raises(InconsistentSystem, match="degree 1"):
+            solve_recursion((Fraction(1), Fraction(1)), (Fraction(3, 2),), S,
+                            truncation=3, backend=backend)
 
 
 class TestRestriction:
