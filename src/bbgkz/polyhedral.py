@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from .abelian import (AbelianGroup, DualElement, GroupElement,
                       NoDegreeFunctional, pair, smith_normal_form, _det_sign)
 
@@ -208,9 +210,9 @@ def _degree_kernel_basis(deg_covector):
 class GradedSemigroup:
     """The preimage of the cone in the group, graded by the degree covector.
 
-    Layers (degree slices of K or of its relative interior) are enumerated on
-    demand and cached; construction of a layer happens under a lock, reads of
-    built layers are lock-free and safe.
+    Layers (degree slices of K or of its relative interior) and the integer
+    shift tables between consecutive layers are built on first use and
+    cached on the instance.
     """
 
     def __init__(self, group: AbelianGroup, A, deg: DualElement):
@@ -225,6 +227,7 @@ class GradedSemigroup:
         self._gen_coords = [self._to_kernel_coords(
             tuple(a - b for a, b in zip(v.free, self._base))) for v in self.A]
         self._layers = {}
+        self._shifts = {}
 
     @property
     def rank(self):
@@ -268,6 +271,19 @@ class GradedSemigroup:
                       for w in self.free_layer(k, region) for t in tors)
         self._layers[key] = elems
         return elems
+
+    def shift(self, k, region="full"):
+        """Int array whose entry [p, i] is the index of layer(k)[p] + A[i] in
+        layer(k + 1); a generator keeps the cone and its interior, so both
+        regions close."""
+        key = (k, region)
+        got = self._shifts.get(key)
+        if got is None:
+            idx = {c: q for q, c in enumerate(self.layer(k + 1, region))}
+            got = np.array([[idx[c + v] for v in self.A] for c in self.layer(k, region)],
+                           dtype=np.intp).reshape(-1, len(self.A))
+            self._shifts[key] = got
+        return got
 
 
 def build_semigroup(N: AbelianGroup, A) -> GradedSemigroup:

@@ -59,51 +59,24 @@ class DimReport:
         return iter(self.per_degree)
 
 
-def _layer_index(layer):
-    return {c: i for i, c in enumerate(layer)}
-
-
-def log_derivative_matrices(f: FVector, S: GradedSemigroup, k, region="full"):
-    """Matrices of the r log-derivative multiplications from layer k to k+1.
-
-    Matrix j sends [c] to sum_i x_i * mu_j(v_i) * [c + v_i], with mu_j the
-    j-th coordinate covector; rows follow the layer k+1 order, columns the
-    layer k order.
-    """
-    src = S.layer(k, region)
-    dst = S.layer(k + 1, region)
-    idx = _layer_index(dst)
-    r = S.rank
-    zero = GaussianRational(0)
-    mats = [[[zero] * len(src) for _ in range(len(dst))] for _ in range(r)]
-    for col, c in enumerate(src):
-        for i, v in enumerate(S.A):
-            d = idx[c + v]
-            xi = f[i]
-            for j in range(r):
-                coeff = v.free[j]
-                if coeff:
-                    mats[j][d][col] = mats[j][d][col] + xi * coeff
-    return mats
-
-
 def _image_rows(f, S, k, region="full"):
-    """Sparse generators of (I C[S])_k: the columns f_j * [c], c in layer k-1."""
+    """Sparse generators of (I C[S])_k: the columns f_j * [c], c in layer k-1.
+
+    Row r * p + j is sum_i x_i * mu_j(v_i) * [c + v_i] for c = layer(k-1)[p],
+    over the layer-k index; the coefficients may be exact or complex.
+    """
     if k == 0:
         return []
-    src = S.layer(k - 1, region)
-    dst_idx = _layer_index(S.layer(k, region))
-    r = S.rank
+    terms = [[(i, f[i] * v.free[j]) for i, v in enumerate(S.A) if v.free[j]]
+             for j in range(S.rank)]
     rows = []
-    for c in src:
-        cols = [{} for _ in range(r)]
-        for i, v in enumerate(S.A):
-            d = dst_idx[c + v]
-            xi = f[i]
-            for j in range(r):
-                if v.free[j]:
-                    cols[j][d] = cols[j].get(d, GaussianRational(0)) + xi * v.free[j]
-        rows.extend(cols)
+    for targets in S.shift(k - 1, region).tolist():
+        for row_terms in terms:
+            row = {}
+            for i, coeff in row_terms:
+                d = targets[i]
+                row[d] = row[d] + coeff if d in row else coeff
+            rows.append(row)
     return rows
 
 
@@ -172,44 +145,25 @@ def dual_kernel_dims(f: FVector, S: GradedSemigroup, max_degree, region="full") 
 def _hat_rows(f, beta, S, region, max_src_degree):
     """Sparse rows mu_j . hat[n] over the point index of degrees 0..D.
 
-    Point indices follow the (degree, lex) order of `_point_index`.
+    Points are indexed in (degree, layer) order; the shift part of each row
+    is the `_image_rows` row of n, moved to the next layer's indices.
     """
-    index, points = _point_index(S, region, max_src_degree + 1)
-    r = S.rank
+    points = [c for k in range(max_src_degree + 2) for c in S.layer(k, region)]
     rows = []
-    for n in points:
-        deg_n = sum(m * a for m, a in zip(S.deg.free_covector, n.free))
-        if deg_n > max_src_degree:
-            continue
-        base = index[n]
-        shifted = [index[n + v] for v in S.A]
-        for j in range(r):
-            row = {}
-            for i, v in enumerate(S.A):
-                if v.free[j]:
-                    col = shifted[i]
-                    row[col] = row.get(col, GaussianRational(0)) + f[i] * v.free[j]
-            diag = as_scalar(n.free[j]) - beta[j]
-            if diag:
-                row[base] = row.get(base, GaussianRational(0)) + diag
-            row = {c: v for c, v in row.items() if v}
-            if row:
-                rows.append(row)
-            else:
-                rows.append({})
-    return rows, index, points
-
-
-def _point_index(S, region, D):
-    """Deterministic index of the layer points of degrees 0..D."""
-    points = []
-    degrees = []
-    for k in range(D + 1):
-        for c in S.layer(k, region):
-            points.append(c)
-            degrees.append(k)
-    index = {c: i for i, c in enumerate(points)}
-    return index, points
+    start = 0
+    for k in range(max_src_degree + 1):
+        layer = S.layer(k, region)
+        up = start + len(layer)
+        image = iter(_image_rows(f, S, k + 1, region))
+        for p, n in enumerate(layer):
+            for j in range(S.rank):
+                row = {up + d: v for d, v in next(image).items()}
+                diag = as_scalar(n.free[j]) - beta[j]
+                if diag:
+                    row[start + p] = diag
+                rows.append({c: v for c, v in row.items() if v})
+        start = up
+    return rows, {c: i for i, c in enumerate(points)}, points
 
 
 def hat_quotient_dims(f: FVector, beta, S: GradedSemigroup, region="full",
@@ -267,7 +221,7 @@ def r1_dims(f: FVector, S: GradedSemigroup, max_degree=None) -> DimReport:
         for row in _image_rows(f, S, k, "full"):
             space.add(row)
         base_rank = space.rank
-        idx = _layer_index(S.layer(k, "full"))
+        idx = {c: i for i, c in enumerate(S.layer(k, "full"))}
         added = 0
         for c in S.layer(k, "interior"):
             if space.add({idx[c]: one}):

@@ -19,7 +19,7 @@ import numpy as np
 from .abelian import AbelianGroup, Character, GroupElement, char_value
 from .linalg import GaussianRational, QQI_I, QQI_ONE, RowSpace
 from .polyhedral import GradedSemigroup, build_semigroup
-from .solver import LambdaTable
+from .solver import LambdaTable, recursion_defects
 
 
 class RegionTooTight(ValueError):
@@ -174,7 +174,10 @@ def lift_and_verify(psi: LambdaTable, rho: Character, x, S: GradedSemigroup,
     psi must be a solution germ of the quotient problem at base p_rho(x).
     Returns (lifted LambdaTable over S, max relative residual).  The lifted
     table is re-verified against the recursion equations of the original
-    problem; raises ResidualTooLarge above `tol`.
+    problem with solver.recursion_defects: on the exact lane every defect
+    must vanish, otherwise the largest defect relative to the largest entry
+    is the residual.  Raises ResidualTooLarge on a nonzero exact defect or a
+    residual above `tol`.
     """
     Q_lattice = psi.semigroup.group
     exact = (all(isinstance(v, GaussianRational) for v in x)
@@ -213,27 +216,15 @@ def lift_and_verify(psi: LambdaTable, rho: Character, x, S: GradedSemigroup,
     table = LambdaTable(S, xs, beta, D, entries, lead)
 
     # residual of the recursion equation for the original problem
-    r = S.rank
     worst = 0.0
     scale = max((abs(complex(v)) for v in entries.values()), default=1.0)
-    for k in range(D):
-        for c in S.layer(k):
-            lam = entries.get(c, 0)
-            for j in range(r):
-                lhs = 0
-                for i, v in enumerate(S.A):
-                    if v.free[j]:
-                        nb = entries.get(c + v)
-                        if nb is not None:
-                            lhs = lhs + xs[i] * nb * v.free[j]
-                rhs = lam * (beta[j] - c.free[j]) if lam else 0
-                diff = lhs - rhs
-                if exact:
-                    if diff:
-                        raise ResidualTooLarge(
-                            f"exact lift residual nonzero at {c}, coordinate {j}")
-                else:
-                    worst = max(worst, abs(complex(diff)) / scale)
+    for c, j, diff in recursion_defects(table):
+        if exact:
+            if diff:
+                raise ResidualTooLarge(
+                    f"exact lift residual nonzero at {c}, coordinate {j}")
+        else:
+            worst = max(worst, abs(complex(diff)) / scale)
     if worst > tol:
         raise ResidualTooLarge(f"relative residual {worst:.2e} exceeds {tol}")
     return table, worst

@@ -1,6 +1,7 @@
 """Fresh fixture reports against the reports stored in tests/golden.
 
-Each golden file is the `--no-timings` report of a bundled fixture.  The
+Each golden file is the `--no-timings` report of a bundled fixture, or of
+the hexagon problem stored beside it (solve and residuals at truncation 5).  The
 `max_residual` fields are dropped on both sides before comparing: they are
 the only floats in a report and may differ in the last digits by platform.
 Everything else, including key order and formatting, must match exactly.
@@ -31,9 +32,13 @@ def _text(path):
         return json.dumps(_without_floats(json.load(fh)), indent=2)
 
 
-@pytest.mark.parametrize("name", FIXTURES)
+PROBLEMS = {name: cli.fixture_path(name) for name in FIXTURES}
+PROBLEMS["hexagon"] = os.path.join(GOLDEN, "hexagon.problem.json")
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_report_matches_golden(name, tmp_path):
     out = str(tmp_path / f"{name}.json")
-    _, code = cli.run(cli.fixture_path(name), timings=False, out_path=out)
+    _, code = cli.run(PROBLEMS[name], timings=False, out_path=out)
     assert code == 0
     assert _text(out) == _text(os.path.join(GOLDEN, f"{name}.json"))

@@ -16,7 +16,7 @@ from bbgkz.polyhedral import normalized_volume
 from bbgkz.ring import (FVector, NondegeneracyRetriesExhausted,
                         dual_kernel_dims, hat_quotient_dims,
                         hat_restriction_rank, is_nondegenerate, jacobian_dims,
-                        log_derivative_matrices, r1_dims, random_rational_x)
+                        r1_dims, random_rational_x, _image_rows)
 from conftest import make_problem
 
 # per-degree dimensions of C[K]_k modulo the log-derivative image,
@@ -53,22 +53,18 @@ R1_PER_DEGREE = {
 }
 
 
-class TestLogDerivativeMatrices:
-    def test_z2_degree_zero_matrix(self):
+class TestImageRows:
+    def test_z2_degree_one_rows(self):
         S, f, _ = make_problem("z2")
-        mats = log_derivative_matrices(f, S, 0)
-        assert len(mats) == 1
-        m = [[GaussianRational(x) for x in row] for row in
-             [[2, 1], [1, 2]]]
-        assert mats[0] == m
+        rows = _image_rows(f, S, 1)
+        assert rows == [{0: GaussianRational(2), 1: GaussianRational(1)},
+                        {0: GaussianRational(1), 1: GaussianRational(2)}]
 
     def test_shape_follows_layers(self):
         S, f, _ = make_problem("ex52")
-        mats = log_derivative_matrices(f, S, 1)
-        assert len(mats) == 3
-        for m in mats:
-            assert len(m) == len(S.layer(2))
-            assert len(m[0]) == len(S.layer(1))
+        rows = _image_rows(f, S, 2)
+        assert len(rows) == S.rank * len(S.layer(1))
+        assert all(0 <= col < len(S.layer(2)) for row in rows for col in row)
 
 
 class TestJacobianDims:

@@ -5,14 +5,47 @@ from fractions import Fraction
 
 import pytest
 
+from bbgkz import cli
 from bbgkz.abelian import AbelianGroup
 from bbgkz.linalg import GaussianRational
 from bbgkz.polyhedral import build_semigroup, normalized_volume
-from bbgkz.ring import FVector, jacobian_dims, r1_dims
+from bbgkz.ring import FVector, is_nondegenerate, jacobian_dims, r1_dims
 from bbgkz.solver import (InconsistentSystem, check_residuals, comparison_radius,
                           evaluate_series, filtration_dims,
-                          restricted_solution_rank, solve_recursion)
+                          restricted_solution_rank, series_values,
+                          solve_recursion)
 from conftest import make_problem
+
+
+def reference_series(table, c, z):
+    """Recursive multi-index sum over group elements: the reference for
+    series_values, which must reproduce it bit for bit."""
+    S = table.semigroup
+    dz = [zz - complex(xx) for zz, xx in zip(z, table.base_x)]
+    total = 0.0 + 0.0j
+
+    def rec(i, elem, coeff, remaining):
+        nonlocal total
+        if i == len(dz):
+            lam = table.entries.get(elem)
+            if lam is not None:
+                total += complex(lam) * coeff
+            return
+        for l in range(remaining + 1):
+            rec(i + 1, elem, coeff, remaining - l)
+            elem = elem + S.A[i]
+            coeff = coeff * dz[i] / (l + 1)
+
+    rec(0, c, 1.0 + 0.0j, table.truncation - table.degree(c))
+    return total
+
+
+def fixture_basis(name, seed):
+    """Germs of a bundled fixture at the base point drawn with `seed`."""
+    spec = cli.load_problem(cli.fixture_path(name))
+    S = build_semigroup(spec.group, spec.vectors)
+    f, _ = spec.resolve_x(S, seed_override=seed)
+    return solve_recursion(f, spec.beta, S, truncation=spec.truncation)
 
 
 class TestClosedForms:
@@ -66,6 +99,26 @@ class TestClosedForms:
                 want = alpha * (z[0] + z[1]) ** bf + gamma * (z[0] - z[1]) ** bf
                 got = evaluate_series(t, c0, z)
                 assert abs(got - want) < 1e-9
+
+
+class TestSeriesValues:
+    @pytest.mark.parametrize("name", ["z2", "ex51", "p1", "repeated", "g3"])
+    def test_matches_recursive_sum(self, name):
+        S, f, beta = make_problem(name)
+        basis = solve_recursion(f, beta, S, truncation=S.rank + 3)
+        x = [complex(v) for v in f.x]
+        points = [c for k in range(3) for c in S.layer(k)]
+        for h in (0.01, -0.003 + 0.002j):
+            z = [xi + h * (i + 1) for i, xi in enumerate(x)]
+            want = [[reference_series(t, c, z) for c in points] for t in basis.tables]
+            assert series_values(basis.tables, points, z).tolist() == want
+            assert evaluate_series(basis.tables[-1], points[-1], z) == want[-1][-1]
+
+    def test_rejects_point_above_truncation(self):
+        S, f, beta = make_problem("ex51")
+        basis = solve_recursion(f, beta, S, truncation=2)
+        with pytest.raises(ValueError):
+            evaluate_series(basis.tables[0], S.group.element((3,)), (3.0,))
 
 
 class TestDimensions:
@@ -135,6 +188,43 @@ class TestResiduals:
 
     def test_comparison_radius(self):
         assert comparison_radius((2.0, 1.0)) == 1.0 / 8
+        assert comparison_radius((0.0, 2.0)) == 2.0 / 8
+        with pytest.raises(ValueError):
+            comparison_radius((0, 0))
+
+    def test_zero_coordinate_is_not_vacuous(self):
+        """x = (0, 1, 2, 3) is nondegenerate for p2; the zero coordinate
+        must not make the step size, and with it every residual, zero."""
+        S, _, beta = make_problem("p2")
+        f = FVector((0, 1, 2, 3))
+        assert is_nondegenerate(f, S)[0]
+        basis = solve_recursion(f, beta, S, truncation=6)
+        report = check_residuals(basis)
+        assert report.all_passed
+        assert len(report.checks) == 45
+        assert sum(1 for c in report.checks if c.orders) == 41
+        with pytest.raises(ValueError):
+            check_residuals(basis, h0=0.0)
+
+    @pytest.mark.parametrize("name,seed", [("p2", 9), ("p2", 45),
+                                           ("square_z2", 5), ("ex52", 63)])
+    def test_roundoff_floor_is_no_failure(self, name, seed):
+        """A pair whose smaller-step residual is under the roundoff floor has
+        no meaningful order and only has to decrease; at these seeds the
+        order test alone would fail on that noise."""
+        report = check_residuals(fixture_basis(name, seed))
+        assert report.all_passed
+        assert any(c.orders and min(c.residuals) < 1e-13 for c in report.checks)
+
+    def test_corrupted_entry_fails_despite_floor(self):
+        basis = fixture_basis("p2", 9)
+        S = basis.semigroup
+        t = basis.tables[0]
+        c = next(c for c in S.layer(1) if c in t.entries)
+        t.entries[c] = t.entries[c] * GaussianRational(1001, 0, 1000)
+        report = check_residuals(basis)
+        assert not report.shift_identity_exact
+        assert any(not c.passed for c in report.checks)
 
     def test_corrupted_table_fails(self):
         S, f, beta = make_problem("z2")
