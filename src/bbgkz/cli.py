@@ -11,6 +11,7 @@ as a failed `<task>_completed` check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from fractions import Fraction
 from importlib import resources
 
 import jsonschema
+from jsonschema.exceptions import best_match
 
 from .abelian import AbelianGroup, NoDegreeFunctional, NotSpanning
 from .linalg import GaussianRational
@@ -46,6 +48,15 @@ class ProblemError(ValueError):
 def _load_schema(name):
     ref = resources.files("bbgkz.schemas").joinpath(name)
     return json.loads(ref.read_text(encoding="utf-8"))
+
+
+@functools.cache
+def _validator(name):
+    """jsonschema's validator for a bundled schema, checked once per process."""
+    schema = _load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
@@ -136,11 +147,9 @@ def load_problem(path) -> ProblemSpec:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ProblemError(f"cannot read problem file: {e}")
-    schema = _load_schema("problem.schema.json")
-    try:
-        jsonschema.validate(data, schema)
-    except jsonschema.ValidationError as e:
-        raise ProblemError(f"schema violation: {e.message}")
+    error = best_match(_validator("problem.schema.json").iter_errors(data))
+    if error is not None:
+        raise ProblemError(f"schema violation: {error.message}")
     if data["schema_version"] != SCHEMA_VERSION:
         raise ProblemError(f"unsupported schema_version {data['schema_version']}")
     return ProblemSpec(data)
@@ -369,8 +378,9 @@ def run(problem_path, tasks=None, seed=None, truncation=None,
 
 def write_report(report, path):
     """Serialize atomically so a crash cannot leave a partial report."""
-    schema = _load_schema("report.schema.json")
-    jsonschema.validate(report, schema)
+    error = best_match(_validator("report.schema.json").iter_errors(report))
+    if error is not None:
+        raise error
     text = json.dumps(report, indent=2, sort_keys=False) + "\n"
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:

@@ -5,70 +5,44 @@ truthiness of entries, so they work for Fraction, GaussianRational, or any
 other exact field type.  Matrices are lists of sparse rows (dicts column ->
 value) reduced by RowSpace; `solve_sparse` reads solutions and kernels of a
 system from one such reduction.
+
+GaussianRational results are canonical (gcd(a, b, d) == 1, d > 0) after at
+most one gcd, none at d == 1.  Zero tests of many values at once
+(solver.recursion_defects) run on integer numerators over a common
+denominator instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-
-def _gcd3(a, b, c):
-    return gcd(gcd(abs(a), abs(b)), abs(c))
+from math import gcd, lcm
 
 
 class GaussianRational:
     """Exact complex number (a + b*i)/d with integer a, b and d > 0.
 
-    Normalized so that gcd(a, b, d) == 1.  Supports mixed arithmetic with
-    int and Fraction.
+    Always canonical: gcd(a, b, d) == 1 and d > 0, so equal values have equal
+    (a, b, d).  Supports mixed arithmetic with int and Fraction.
     """
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a=0, b=0, d=1):
+    def __new__(cls, a=0, b=0, d=1):
         if isinstance(a, GaussianRational):
-            a, b, d = a.a, a.b, a.d
-        elif isinstance(a, Fraction):
-            if isinstance(b, Fraction) or b:
-                bf = Fraction(b)
-                den = a.denominator * bf.denominator // gcd(a.denominator, bf.denominator)
-                a, b, d = a.numerator * (den // a.denominator), bf.numerator * (den // bf.denominator), den
-            else:
-                a, b, d = a.numerator, 0, a.denominator
-        if d < 0:
-            a, b, d = -a, -b, -d
+            return a
+        if isinstance(a, Fraction) or isinstance(b, Fraction):
+            a, b = Fraction(a), Fraction(b)
+            d = lcm(a.denominator, b.denominator)
+            a, b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
         if d == 0:
             raise ZeroDivisionError("zero denominator")
-        g = _gcd3(a, b, d)
-        if g > 1:
-            a //= g
-            b //= g
-            d //= g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-
-    @classmethod
-    def _raw(cls, a, b, d):
-        self = object.__new__(cls)
         if d < 0:
             a, b, d = -a, -b, -d
-        g = _gcd3(a, b, d)
-        if g > 1:
-            a //= g
-            b //= g
-            d //= g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-        return self
+        return _raw(a, b, d)
 
     @classmethod
     def from_fractions(cls, re, im=0):
-        re = Fraction(re)
-        im = Fraction(im)
-        return cls(re, im)
+        return cls(Fraction(re), Fraction(im))
 
     @property
     def real(self):
@@ -82,70 +56,54 @@ class GaussianRational:
         return self.b == 0
 
     def conjugate(self):
-        return GaussianRational._raw(self.a, -self.b, self.d)
+        return _raw(self.a, -self.b, self.d)
 
-    def _coerce(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, int):
-            return GaussianRational._raw(other, 0, 1)
-        if isinstance(other, Fraction):
-            return GaussianRational._raw(other.numerator, 0, other.denominator)
-        return None
-
-    def __add__(self, other):
-        o = GaussianRational._coerce(other)
-        if o is None:
+    def __add__(self, o):
+        if type(o) is not GaussianRational and (o := _coerce(o)) is None:
             return NotImplemented
-        return GaussianRational._raw(self.a * o.d + o.a * self.d,
-                                     self.b * o.d + o.b * self.d,
-                                     self.d * o.d)
+        if self.d == o.d:
+            return _raw(self.a + o.a, self.b + o.b, self.d)
+        return _raw(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = GaussianRational._coerce(other)
-        if o is None:
+    def __sub__(self, o):
+        if type(o) is not GaussianRational and (o := _coerce(o)) is None:
             return NotImplemented
-        return GaussianRational._raw(self.a * o.d - o.a * self.d,
-                                     self.b * o.d - o.b * self.d,
-                                     self.d * o.d)
+        if self.d == o.d:
+            return _raw(self.a - o.a, self.b - o.b, self.d)
+        return _raw(self.a * o.d - o.a * self.d, self.b * o.d - o.b * self.d, self.d * o.d)
 
     def __rsub__(self, other):
-        o = GaussianRational._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        o = _coerce(other)
+        return NotImplemented if o is None else o - self
 
-    def __mul__(self, other):
-        o = GaussianRational._coerce(other)
-        if o is None:
+    def __mul__(self, o):
+        if type(o) is not GaussianRational and (o := _coerce(o)) is None:
             return NotImplemented
-        return GaussianRational._raw(self.a * o.a - self.b * o.b,
-                                     self.a * o.b + self.b * o.a,
-                                     self.d * o.d)
+        if not self.b and not o.b:
+            return _raw(self.a * o.a, 0, self.d * o.d)
+        return _raw(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = GaussianRational._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         n = o.a * o.a + o.b * o.b
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational._raw((self.a * o.a + self.b * o.b) * o.d,
-                                     (self.b * o.a - self.a * o.b) * o.d,
-                                     self.d * n)
+        return _raw((self.a * o.a + self.b * o.b) * o.d,
+                    (self.b * o.a - self.a * o.b) * o.d,
+                    self.d * n)
 
     def __rtruediv__(self, other):
-        o = GaussianRational._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        o = _coerce(other)
+        return NotImplemented if o is None else o / self
 
     def __neg__(self):
-        return GaussianRational._raw(-self.a, -self.b, self.d)
+        return _raw(-self.a, -self.b, self.d)
 
     def __pos__(self):
         return self
@@ -153,7 +111,7 @@ class GaussianRational:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = GaussianRational._raw(1, 0, 1)
+        out = _raw(1, 0, 1)
         base = self
         while k:
             if k & 1:
@@ -166,7 +124,7 @@ class GaussianRational:
         return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
-        o = GaussianRational._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self.a == o.a and self.b == o.b and self.d == o.d
@@ -185,6 +143,32 @@ class GaussianRational:
         return f"({Fraction(self.a, self.d)}{'+' if self.b >= 0 else '-'}{abs(Fraction(self.b, self.d))}i)"
 
 
+_new = object.__new__
+
+
+def _raw(a, b, d):
+    """Canonical (a + b*i)/d for d > 0: one gcd, none when d == 1."""
+    self = _new(GaussianRational)
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    self.a = a
+    self.b = b
+    self.d = d
+    return self
+
+
+def _coerce(other):
+    if isinstance(other, GaussianRational):
+        return other
+    if isinstance(other, (int, Fraction)):
+        return _raw(other.numerator, 0, other.denominator)
+    return None
+
+
 QQI_ZERO = GaussianRational(0)
 QQI_ONE = GaussianRational(1)
 QQI_I = GaussianRational(0, 1)
@@ -199,7 +183,7 @@ class RowSpace:
     """
 
     def __init__(self, key=None):
-        self.key = key if key is not None else (lambda c: c)
+        self.key = key
         self.rows = {}  # pivot column -> sparse row with row[pivot] == 1
 
     @property
@@ -207,53 +191,52 @@ class RowSpace:
         return len(self.rows)
 
     def reduce(self, vec):
-        """Return a copy of vec forward-reduced against the stored rows."""
+        """Return a copy of vec reduced against the stored rows.
+
+        Stored rows vanish on each other's pivots, so eliminating one pivot
+        column never brings back another and the order does not matter.
+        """
         vec = {c: v for c, v in vec.items() if v}
         rows = self.rows
-        key = self.key
-        while True:
-            c = None
-            for col in vec:
-                if col in rows and (c is None or key(col) < key(c)):
-                    c = col
-            if c is None:
-                return vec
-            f = vec.pop(c)
-            for col, v in rows[c].items():
-                if col == c:
-                    continue
-                nv = vec.get(col, 0) - f * v
-                if nv:
-                    vec[col] = nv
-                elif col in vec:
-                    del vec[col]
+        for c in [c for c in vec if c in rows]:
+            _eliminate(vec, c, rows[c])
+        return vec
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the space."""
         red = self.reduce(vec)
         if not red:
             return False
-        key = self.key
-        p = min(red, key=key)
+        p = min(red) if self.key is None else min(red, key=self.key)
         piv = red[p]
         if piv != 1:
             inv = 1 / piv if not isinstance(piv, GaussianRational) else QQI_ONE / piv
             red = {c: v * inv for c, v in red.items()}
         # back-eliminate p from existing rows to keep full reduction
-        for q, row in self.rows.items():
+        for row in self.rows.values():
             if p in row:
-                f = row[p]
-                for c, v in red.items():
-                    nv = row.get(c, 0) - f * v
-                    if nv:
-                        row[c] = nv
-                    elif c in row:
-                        del row[c]
+                _eliminate(row, p, red)
         self.rows[p] = red
         return True
 
     def contains(self, vec):
         return not self.reduce(vec)
+
+
+def _eliminate(vec, col, row):
+    """vec -= vec[col] * row in place, where row[col] == 1; drops cancelled entries."""
+    nf = -vec.pop(col)
+    for c, v in row.items():
+        if c != col:
+            old = vec.get(c)
+            if old is None:
+                vec[c] = nf * v
+            else:
+                nv = old + nf * v
+                if nv:
+                    vec[c] = nv
+                else:
+                    del vec[c]
 
 
 def solve_sparse(rows, ncols, rhs_list, one=1):

@@ -11,6 +11,7 @@ exists for quotient problems at irrational base points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
@@ -53,19 +54,11 @@ class SolutionBasis:
         return len(self.tables)
 
 
-def _rhs_for_table(S, beta, table_entries, src, exact):
+def _rhs_for_table(beta, table_entries, src, exact):
     """Right-hand side lambda_c (beta - c), flattened in (c, coordinate) order."""
-    r = S.rank
-    out = []
-    for c in src:
-        lam = table_entries.get(c)
-        for j in range(r):
-            coeff = beta[j] - c.free[j]
-            if lam is None:
-                out.append(GaussianRational(0) if exact else 0j)
-            else:
-                out.append(lam * coeff)
-    return out
+    zero = GaussianRational(0) if exact else 0j
+    return [table_entries[c] * (b - cj) if c in table_entries else zero
+            for c in src for b, cj in zip(beta, c.free)]
 
 
 def _float_nullspace(mat, ncols, tol=1e-9):
@@ -131,7 +124,7 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None,
     for k in range(D):
         src = S.layer(k)
         dst = S.layer(k + 1)
-        rhs = [_rhs_for_table(S, beta, entries, src, exact) for entries, _ in tables]
+        rhs = [_rhs_for_table(beta, entries, src, exact) for entries, _ in tables]
         rows = _image_rows(f, S, k + 1)
         if exact:
             sols, kernel = solve_sparse(rows, len(dst), rhs, one)
@@ -251,30 +244,49 @@ class ResidualReport:
         return self.shift_identity_exact and all(ch.passed for ch in self.checks)
 
 
+def _parts(values, exact):
+    """Real parts, imaginary parts and denominator of values: float arrays over
+    1, or Python-int numerators over the lcm of the denominators."""
+    if not exact:
+        z = np.array(values, dtype=complex)
+        return z.real, z.imag, 1
+    values = [GaussianRational(v) for v in values]
+    den = lcm(*(v.d for v in values))
+    return (np.array([v.a * (den // v.d) for v in values], dtype=object),
+            np.array([v.b * (den // v.d) for v in values], dtype=object), den)
+
+
 def recursion_defects(table: LambdaTable):
-    """Yield (c, j, lhs - rhs) of the recursion identity
-    sum_i x_i v_i[j] lambda_{c + v_i} = lambda_c (beta_j - c_j) at every c of
-    degree below the truncation.  Exact terms use x_i v_i[j] formed once;
-    float terms (complex base point) keep the order x_i * lambda * v_i[j].
+    """Yield (k, defect) for each degree k below the truncation; defect[p, j]
+    tests sum_i x_i v_i[j] lambda_{c + v_i} = lambda_c (beta_j - c_j) at
+    c = layer(k)[p], reading c + v_i from the shift tables.  Float tables
+    (complex base point) give |lhs - rhs|, forming x_i * lambda * v_i[j] in
+    real arithmetic as Python's complex type does.  Exact tables scale both
+    sides by one positive integer and give True where the Gaussian-integer
+    difference is nonzero.
     """
     S = table.semigroup
-    xs, beta, entries = table.base_x, table.beta, table.entries
-    exact = not isinstance(xs[0], complex)
-    terms = [[(i, xs[i] * v.free[j] if exact else v.free[j])
-              for i, v in enumerate(S.A) if v.free[j]] for j in range(S.rank)]
+    exact = not isinstance(table.base_x[0], complex)
+    xr, xi, ex = _parts(table.base_x, exact)
+    br, bi, fb = _parts(table.beta, exact)
+    re0, im0, den0 = _parts([table.entries.get(c, 0) for c in S.layer(0)], exact)
     for k in range(table.truncation):
-        up = S.layer(k + 1)
-        for c, targets in zip(S.layer(k), S.shift(k).tolist()):
-            lam = entries.get(c, 0)
-            nbs = [entries.get(up[q]) for q in targets]
-            for j, row in enumerate(terms):
-                lhs = 0
-                for i, coeff in row:
-                    nb = nbs[i]
-                    if nb is not None:
-                        lhs = lhs + (coeff * nb if exact else xs[i] * nb * coeff)
-                rhs = lam * (beta[j] - c.free[j]) if lam else 0
-                yield c, j, lhs - rhs
+        re1, im1, den1 = _parts([table.entries.get(c, 0) for c in S.layer(k + 1)], exact)
+        free = np.array([c.free for c in S.layer(k)], dtype=re0.dtype)
+        re, im = np.empty_like(free), np.empty_like(free)
+        for j in range(S.rank):
+            lr = li = 0
+            for i, v in enumerate(S.A):
+                if v.free[j]:
+                    q = S.shift(k)[:, i]
+                    ar, ai = xr[i] * fb * den0, xi[i] * fb * den0
+                    lr = lr + (ar * re1[q] - ai * im1[q]) * v.free[j]
+                    li = li + (ar * im1[q] + ai * re1[q]) * v.free[j]
+            gr, gi = (br[j] * ex - ex * fb * free[:, j]) * den1, bi[j] * ex * den1
+            re[:, j] = lr - (re0 * gr - im0 * gi)
+            im[:, j] = li - (re0 * gi + im0 * gr)
+        yield k, (re != 0) | (im != 0) if exact else np.hypot(re, im)
+        re0, im0, den0 = re1, im1, den1
 
 
 def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport:
@@ -291,8 +303,8 @@ def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport
     D = basis.truncation
     x = [complex(v) for v in basis.tables[0].base_x]
 
-    exact_ok = not any(abs(diff) > 1e-12 if isinstance(diff, complex) else diff
-                       for t in basis.tables for _, _, diff in recursion_defects(t))
+    exact_ok = not any((defect > 1e-12).any()
+                       for t in basis.tables for _, defect in recursion_defects(t))
 
     if h0 is None:
         h0 = comparison_radius(x)

@@ -68,15 +68,9 @@ def build_quotient(N: AbelianGroup, A) -> QuotientProblem:
 
 def _exact_char_value(t: Fraction):
     """Exact Gaussian-rational value of exp(2 pi i t), or None if irrational."""
-    if t == 0:
-        return QQI_ONE
-    if 2 * t == 1:
-        return -QQI_ONE
-    if 4 * t == 1:
-        return QQI_I
-    if 4 * t == 3:
-        return -QQI_I
-    return None
+    if (4 * t).denominator != 1:
+        return None
+    return (QQI_ONE, QQI_I, -QQI_ONE, -QQI_I)[int(4 * t) % 4]
 
 
 def p_rho(rho: Character, x, Q: QuotientProblem):
@@ -179,7 +173,6 @@ def lift_and_verify(psi: LambdaTable, rho: Character, x, S: GradedSemigroup,
     is the residual.  Raises ResidualTooLarge on a nonzero exact defect or a
     residual above `tol`.
     """
-    Q_lattice = psi.semigroup.group
     exact = (all(isinstance(v, GaussianRational) for v in x)
              and all(isinstance(v, GaussianRational) for v in psi.entries.values()))
     Q = build_quotient(S.group, S.A)
@@ -189,15 +182,19 @@ def lift_and_verify(psi: LambdaTable, rho: Character, x, S: GradedSemigroup,
         if abs(complex(zb) - complex(zx)) > 1e-12:
             raise ValueError("psi base point does not match p_rho(x)")
     D = psi.truncation
+    by_free = {pc.free: val for pc, val in psi.entries.items()}
+    chars = {}  # torsion residue -> (exact value or None, complex value)
     entries = {}
+    lead = D
     for k in range(D + 1):
         for c in S.layer(k):
-            t, zval = char_value(rho, c)
-            pc = Q_lattice.element(c.free)
-            val = psi.entries.get(pc)
+            val = by_free.get(c.free)
             if val is None:
                 continue
-            ev = _exact_char_value(t)
+            if c.torsion not in chars:
+                t, zval = char_value(rho, c)
+                chars[c.torsion] = (_exact_char_value(t), zval)
+            ev, zval = chars[c.torsion]
             if exact and ev is not None:
                 lifted = ev * val
             else:
@@ -205,26 +202,23 @@ def lift_and_verify(psi: LambdaTable, rho: Character, x, S: GradedSemigroup,
                 lifted = zval * complex(val)
             if lifted:
                 entries[c] = lifted
+                lead = min(lead, k)
     if not exact:
         entries = {c: complex(v) for c, v in entries.items()}
-        xs = tuple(complex(v) for v in x)
-    else:
-        xs = tuple(x)
-    beta = psi.beta
-    lead = min((k for k in range(D + 1)
-                for c in S.layer(k) if c in entries), default=D)
-    table = LambdaTable(S, xs, beta, D, entries, lead)
+    xs = tuple(x) if exact else tuple(complex(v) for v in x)
+    table = LambdaTable(S, xs, psi.beta, D, entries, lead)
 
     # residual of the recursion equation for the original problem
     worst = 0.0
-    scale = max((abs(complex(v)) for v in entries.values()), default=1.0)
-    for c, j, diff in recursion_defects(table):
-        if exact:
-            if diff:
-                raise ResidualTooLarge(
-                    f"exact lift residual nonzero at {c}, coordinate {j}")
-        else:
-            worst = max(worst, abs(complex(diff)) / scale)
+    for k, defect in recursion_defects(table):
+        if exact and defect.any():
+            p, j = np.argwhere(defect)[0]
+            raise ResidualTooLarge(
+                f"exact lift residual nonzero at {S.layer(k)[p]}, coordinate {j}")
+        if not exact:
+            worst = max(worst, float(defect.max(initial=0.0)))
+    if not exact:
+        worst /= max((abs(v) for v in entries.values()), default=1.0)
     if worst > tol:
         raise ResidualTooLarge(f"relative residual {worst:.2e} exceeds {tol}")
     return table, worst

@@ -122,6 +122,31 @@ class TestValidationErrors:
         assert code == 2
         assert "schema violation" in report["error"]
 
+    @pytest.mark.parametrize("data", [
+        {"vectors": []},
+        dict(BASE_PROBLEM, beta=[3]),
+        dict(BASE_PROBLEM, x_policy={"mode": "explicit"}),
+    ])
+    def test_schema_message_matches_jsonschema(self, tmp_path, data):
+        with pytest.raises(jsonschema.ValidationError) as err:
+            jsonschema.validate(data, cli._load_schema("problem.schema.json"))
+        report, code = cli.run(write_problem(tmp_path, data))
+        assert code == 2
+        assert report["error"] == f"ProblemError: schema violation: {err.value.message}"
+
+    def test_each_schema_checked_once(self, tmp_path, monkeypatch):
+        cls = jsonschema.validators.validator_for(cli._load_schema("report.schema.json"))
+        check = cls.check_schema
+        checked = []
+        monkeypatch.setattr(cls, "check_schema",
+                            lambda schema: checked.append(schema["title"]) or check(schema))
+        cli._validator.cache_clear()
+        for name in ("ex51", "p1", "z2_example"):
+            _, code = cli.run(cli.fixture_path(name), tasks=["analyze"],
+                              out_path=str(tmp_path / f"{name}.json"))
+            assert code == 0
+        assert checked == ["Problem file", "Report file"]
+
     def test_not_spanning(self, tmp_path):
         data = dict(BASE_PROBLEM)
         data["group"] = {"rank": 2}

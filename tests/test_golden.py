@@ -1,7 +1,8 @@
 """Fresh fixture reports against the reports stored in tests/golden.
 
 Each golden file is the `--no-timings` report of a bundled fixture, or of
-the hexagon problem stored beside it (solve and residuals at truncation 5).  The
+a problem stored beside it: the hexagon (solve and residuals at truncation 5)
+and p2_z4 (exact lift through Z/4 characters, whose values include +-i).  The
 `max_residual` fields are dropped on both sides before comparing: they are
 the only floats in a report and may differ in the last digits by platform.
 Everything else, including key order and formatting, must match exactly.
@@ -33,7 +34,8 @@ def _text(path):
 
 
 PROBLEMS = {name: cli.fixture_path(name) for name in FIXTURES}
-PROBLEMS["hexagon"] = os.path.join(GOLDEN, "hexagon.problem.json")
+PROBLEMS.update({name: os.path.join(GOLDEN, f"{name}.problem.json")
+                 for name in ("hexagon", "p2_z4")})
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))

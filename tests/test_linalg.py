@@ -7,6 +7,7 @@ Fraction arithmetic; the matrix routines are checked by direct substitution
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -53,6 +54,23 @@ class TestGaussianRational:
             n = yr * yr + yi * yi
             assert to_frac(x / y) == ((xr * yr + xi * yi) / n,
                                       (xi * yr - xr * yi) / n)
+
+    @given(gaussian_rationals(),
+           st.one_of(gaussian_rationals(), small_int,
+                     st.fractions(max_denominator=12).filter(lambda q: abs(q) <= 20)))
+    def test_results_are_canonical(self, x, y):
+        """Every result has gcd(a, b, d) == 1 and d > 0, also where a fast
+        path (equal denominators, d == 1, real factors) skips the gcd."""
+        def canonical(z):
+            return (isinstance(z, GaussianRational) and z.d > 0
+                    and gcd(z.a, z.b, z.d) == 1)
+
+        results = [x + y, y + x, x - y, y - x, x * y, y * x, -x, x.conjugate(), x ** 3]
+        if y:
+            results.append(x / y)
+        if x:
+            results.append(y / x)
+        assert all(canonical(z) for z in results)
 
     @given(gaussian_rationals())
     def test_field_identities(self, x):

@@ -1,16 +1,21 @@
 """Quotient construction, base points, and character lifting."""
 
 import cmath
+import dataclasses
 import math
+import os
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from bbgkz import cli
 from bbgkz.abelian import AbelianGroup, char_value
-from bbgkz.linalg import GaussianRational
+from bbgkz.linalg import QQI_I, GaussianRational
 from bbgkz.polyhedral import build_semigroup, normalized_volume
 from bbgkz.ring import FVector, is_nondegenerate
-from bbgkz.solver import solve_recursion
+from bbgkz.solver import recursion_defects, solve_recursion
 from bbgkz.torsion import (LogModulusBox, RegionTooTight, ResidualTooLarge,
                            build_quotient, exact_rank, find_common_basepoint,
                            independence_count, lift_and_verify, p_rho)
@@ -242,3 +247,119 @@ class TestIndependenceCount:
 
     def test_empty(self):
         assert independence_count([]) == 0
+
+
+def reference_defects(table):
+    """The per-term loop that recursion_defects replaced, kept as its
+    reference: (c, j, lhs - rhs) in GaussianRational arithmetic, reading
+    c + v_i by group addition."""
+    S = table.semigroup
+    xs, beta, entries = table.base_x, table.beta, table.entries
+    for k in range(table.truncation):
+        for c in S.layer(k):
+            lam = entries.get(c, 0)
+            for j in range(S.rank):
+                lhs = 0
+                for x, v in zip(xs, S.A):
+                    if v.free[j] and (c + v) in entries:
+                        lhs = lhs + x * v.free[j] * entries[c + v]
+                yield c, j, lhs - (lam * (beta[j] - c.free[j]) if lam else 0)
+
+
+def first_reference_defect(table):
+    return next(((c, j) for c, j, diff in reference_defects(table) if diff), None)
+
+
+def first_defect(table):
+    for k, defect in recursion_defects(table):
+        for p, j in np.argwhere(defect)[:1]:
+            return table.semigroup.layer(k)[p], j
+    return None
+
+
+def spec_problem(path):
+    spec = cli.load_problem(path)
+    S = build_semigroup(spec.group, spec.vectors)
+    f, _ = spec.resolve_x(S)
+    return spec, S, f
+
+
+def exact_lifts(path):
+    """(rho, quotient germ, lifted table) for every exact lift of a problem."""
+    spec, S, f = spec_problem(path)
+    Q = build_quotient(S.group, S.A)
+    x = tuple(f.x)
+    out = []
+    for rho in S.group.characters():
+        qb = solve_recursion(FVector(p_rho(rho, x, Q)), spec.beta, Q.semigroup,
+                             truncation=spec.truncation)
+        for psi in qb.tables:
+            table, resid = lift_and_verify(psi, rho, x, S)
+            assert resid == 0.0
+            out.append((rho, psi, table))
+    return S, x, out
+
+
+def sample(entries, count):
+    """`count` entries spread over the table in a fixed order."""
+    keys = sorted(entries, key=lambda c: c.sort_key())
+    return keys[::max(1, len(keys) // count)][:count]
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+LIFT_PROBLEMS = {
+    "z2_example": cli.fixture_path("z2_example"),
+    "p2_z4": os.path.join(GOLDEN, "p2_z4.problem.json"),
+}
+
+
+class TestExactRecursionCheck:
+    """Single-entry corruptions of exact tables, lifted and quotient germs:
+    recursion_defects must report the first (c, j) that the per-term reference
+    reports, and lift_and_verify must name it."""
+
+    @pytest.mark.parametrize("name", sorted(LIFT_PROBLEMS))
+    def test_lifted_entry_corruptions(self, name):
+        S, _, lifts = exact_lifts(LIFT_PROBLEMS[name])
+        if name == "p2_z4":
+            assert any(v.b for _, _, t in lifts for v in t.entries.values())
+            assert any(z.b for _, psi, _ in lifts for z in psi.base_x)
+        # the quotient germs too: under +-i characters their base point is complex
+        for table in [t for _, psi, lifted in lifts[::2] for t in (lifted, psi)]:
+            assert first_defect(table) is None
+            assert first_reference_defect(table) is None
+            for c in sample(table.entries, 3):
+                for delta in (1, QQI_I):
+                    bad = dataclasses.replace(
+                        table, entries={**table.entries, c: table.entries[c] + delta})
+                    want = first_reference_defect(bad)
+                    assert want is not None
+                    assert first_defect(bad) == want
+
+    @pytest.mark.parametrize("name", sorted(LIFT_PROBLEMS))
+    def test_lift_and_verify_names_first_defect(self, name):
+        S, x, lifts = exact_lifts(LIFT_PROBLEMS[name])
+        for rho, psi, table in lifts[::3]:
+            for pc in sample(psi.entries, 2):
+                # doubling psi at pc doubles every lifted entry above pc
+                bad_psi = dataclasses.replace(
+                    psi, entries={**psi.entries, pc: 2 * psi.entries[pc]})
+                bad = dataclasses.replace(table, entries={
+                    c: 2 * v if c.free == pc.free else v for c, v in table.entries.items()})
+                c, j = first_reference_defect(bad)
+                assert first_defect(bad) == (c, j)
+                with pytest.raises(ResidualTooLarge,
+                                   match=rf"at {re.escape(str(c))}, coordinate {j}$"):
+                    lift_and_verify(bad_psi, rho, x, S)
+
+    def test_hexagon_germ_corruptions(self):
+        spec, S, f = spec_problem(os.path.join(GOLDEN, "hexagon.problem.json"))
+        basis = solve_recursion(f, spec.beta, S, truncation=spec.truncation)
+        for table in basis.tables[::2]:
+            assert first_defect(table) is None
+            for c in sample(table.entries, 4):
+                bad = dataclasses.replace(
+                    table, entries={**table.entries, c: table.entries[c] * 3})
+                want = first_reference_defect(bad)
+                assert want is not None
+                assert first_defect(bad) == want
