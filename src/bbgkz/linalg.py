@@ -56,7 +56,7 @@ class GaussianRational:
         return self.b == 0
 
     def conjugate(self):
-        return _raw(self.a, -self.b, self.d)
+        return _canonical(self.a, -self.b, self.d)
 
     def __add__(self, o):
         if type(o) is not GaussianRational and (o := _coerce(o)) is None:
@@ -103,7 +103,7 @@ class GaussianRational:
         return NotImplemented if o is None else o / self
 
     def __neg__(self):
-        return _raw(-self.a, -self.b, self.d)
+        return _canonical(-self.a, -self.b, self.d)
 
     def __pos__(self):
         return self
@@ -148,13 +148,18 @@ _new = object.__new__
 
 def _raw(a, b, d):
     """Canonical (a + b*i)/d for d > 0: one gcd, none when d == 1."""
-    self = _new(GaussianRational)
     if d != 1:
         g = gcd(a, b, d)
         if g != 1:
             a //= g
             b //= g
             d //= g
+    return _canonical(a, b, d)
+
+
+def _canonical(a, b, d):
+    """(a + b*i)/d from fields that are already canonical."""
+    self = _new(GaussianRational)
     self.a = a
     self.b = b
     self.d = d
@@ -177,26 +182,34 @@ QQI_I = GaussianRational(0, 1)
 class RowSpace:
     """Incrementally built row space kept in reduced echelon form.
 
-    Rows are sparse dicts column -> value.  `key` orders the columns for
-    pivot selection; picking pivots on the highest-degree monomials first
-    keeps fill-in low for the filtration-truncated module matrices.
+    Entries given to `add` may be int, Fraction or GaussianRational.  Rows
+    are stored fraction-free: sparse dicts column -> Gaussian integer
+    (re, im), each divided by the gcd of all its components.  Row p has an
+    unnormalised nonzero entry at its pivot column p and none at any other
+    pivot column.  `key` orders the columns for pivot selection; picking
+    pivots on the highest-degree monomials first keeps fill-in low for the
+    filtration-truncated module matrices.
     """
 
     def __init__(self, key=None):
         self.key = key
-        self.rows = {}  # pivot column -> sparse row with row[pivot] == 1
+        self.rows = {}  # pivot column -> numerator row
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        """Return a copy of vec reduced against the stored rows.
+    def copy(self):
+        """An independent space with the same rows."""
+        out = RowSpace(self.key)
+        out.rows = {p: dict(row) for p, row in self.rows.items()}
+        return out
 
-        Stored rows vanish on each other's pivots, so eliminating one pivot
-        column never brings back another and the order does not matter.
-        """
-        vec = {c: v for c, v in vec.items() if v}
+    def _reduce(self, vec):
+        """Numerators of vec reduced against the stored rows, over some
+        positive integer.  Stored rows vanish on each other's pivots, so
+        eliminating one pivot column never brings back another."""
+        vec = _numerators(vec)
         rows = self.rows
         for c in [c for c in vec if c in rows]:
             _eliminate(vec, c, rows[c])
@@ -204,39 +217,77 @@ class RowSpace:
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the space."""
-        red = self.reduce(vec)
+        red = self._reduce(vec)
         if not red:
             return False
         p = min(red) if self.key is None else min(red, key=self.key)
-        piv = red[p]
-        if piv != 1:
-            inv = 1 / piv if not isinstance(piv, GaussianRational) else QQI_ONE / piv
-            red = {c: v * inv for c, v in red.items()}
+        _primitive(red)
         # back-eliminate p from existing rows to keep full reduction
         for row in self.rows.values():
             if p in row:
                 _eliminate(row, p, red)
+                _primitive(row)
         self.rows[p] = red
         return True
 
     def contains(self, vec):
-        return not self.reduce(vec)
+        return not self._reduce(vec)
+
+
+def _numerators(vec):
+    """Gaussian-integer numerators (re, im) of the nonzero entries of vec
+    over their least common denominator."""
+    vals = {c: v if type(v) is GaussianRational else _coerce(v)
+            for c, v in vec.items() if v}
+    den = lcm(*(v.d for v in vals.values()))
+    return {c: (v.a * (den // v.d), v.b * (den // v.d)) for c, v in vals.items()}
+
+
+def _quotient(x, p):
+    """x / p for Gaussian integers (re, im), as (re, im, d) in lowest terms
+    with d > 0: the fields of a canonical GaussianRational."""
+    (a, b), (c, d) = x, p
+    re, im, d = a * c + b * d, b * c - a * d, c * c + d * d
+    g = gcd(re, im, d)
+    return re // g, im // g, d // g
 
 
 def _eliminate(vec, col, row):
-    """vec -= vec[col] * row in place, where row[col] == 1; drops cancelled entries."""
-    nf = -vec.pop(col)
-    for c, v in row.items():
-        if c != col:
-            old = vec.get(c)
-            if old is None:
-                vec[c] = nf * v
-            else:
-                nv = old + nf * v
-                if nv:
-                    vec[c] = nv
-                else:
-                    del vec[c]
+    """vec := d * vec - n * row in place, where vec[col] / row[col] = n / d
+    in lowest terms; column col cancels and is dropped with the others that
+    do."""
+    re, im, d = _quotient(vec[col], row[col])
+    if d != 1:
+        for c, (a, b) in vec.items():
+            vec[c] = (a * d, b * d)
+    _add_multiple(vec, (-re, -im), row)
+
+
+def _add_multiple(vec, m, row):
+    """vec += m * row in place, multiplying Gaussian integers (re, im)."""
+    mr, mi = m
+    for c, (a, b) in row.items():
+        re, im = mr * a - mi * b, mr * b + mi * a
+        old = vec.get(c)
+        if old is not None:
+            re += old[0]
+            im += old[1]
+            if not (re or im):
+                del vec[c]
+                continue
+        vec[c] = (re, im)
+
+
+def _primitive(vec):
+    """Divide vec in place by the gcd of all its components, found
+    incrementally and stopping at 1."""
+    g = 0
+    for a, b in vec.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return
+    for c, (a, b) in vec.items():
+        vec[c] = (a // g, b // g)
 
 
 def solve_sparse(rows, ncols, rhs_list, one=1):
@@ -273,14 +324,14 @@ def solve_sparse(rows, ncols, rhs_list, one=1):
         if col in bad:
             solutions.append(None)
         else:
-            solutions.append({p: space.rows[p][col] for p in unknown_pivots
-                              if col in space.rows[p]})
+            solutions.append({p: _canonical(*_quotient(space.rows[p][col], space.rows[p][p]))
+                              for p in unknown_pivots if col in space.rows[p]})
     kernel = []
     for fc in range(ncols):
         if fc in space.rows:
             continue
-        vec = {p: -space.rows[p][fc] for p in unknown_pivots
-               if fc in space.rows[p]}
+        vec = {p: -_canonical(*_quotient(space.rows[p][fc], space.rows[p][p]))
+               for p in unknown_pivots if fc in space.rows[p]}
         vec[fc] = one
         kernel.append(vec)
     return solutions, kernel

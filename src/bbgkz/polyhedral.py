@@ -10,6 +10,7 @@ what makes these direct methods exact and fast enough.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -212,7 +213,9 @@ class GradedSemigroup:
 
     Layers (degree slices of K or of its relative interior) and the integer
     shift tables between consecutive layers are built on first use and
-    cached on the instance.
+    cached on the instance; so are the reduced operator images of `ring`.
+    Geometry runs on int64 arrays while a bound on every value computed
+    stays below 2**62, and on Python ints (dtype object) beyond it.
     """
 
     def __init__(self, group: AbelianGroup, A, deg: DualElement):
@@ -223,42 +226,48 @@ class GradedSemigroup:
             raise ValueError("every generator must have degree 1")
         self.cone = facets_and_faces([v.free for v in self.A])
         self._base = self.A[0].free
-        self._kernel_basis, self._to_kernel_coords = _degree_kernel_basis(deg.free_covector)
-        self._gen_coords = [self._to_kernel_coords(
-            tuple(a - b for a, b in zip(v.free, self._base))) for v in self.A]
+        self._kernel_basis, to_coords = _degree_kernel_basis(deg.free_covector)
+        gen_coords = [to_coords(tuple(a - b for a, b in zip(v.free, self._base)))
+                      for v in self.A]
+        # kernel coordinates of degree-k points lie in k times this box
+        self._box = [(min(t[j] for t in gen_coords), max(t[j] for t in gen_coords))
+                     for j in range(self.rank - 1)]
+        # |coordinate| of a degree-k point is at most k * _coord
+        self._coord = max(abs(b) + sum(max(-lo, hi) * abs(v[i])
+                                       for (lo, hi), v in zip(self._box, self._kernel_basis))
+                          for i, b in enumerate(self._base))
+        self._facet_sum = max(sum(map(abs, h)) for h in self.cone.facet_normals)
+        self._free = {}
         self._layers = {}
         self._shifts = {}
+        self._images = {}
 
     @property
     def rank(self):
         return self.group.rank
 
-    def contains_free(self, w, region="full"):
-        if region == "full":
-            return self.cone.contains(w)
-        return self.cone.strictly_contains(w)
-
-    def contains(self, c: GroupElement, region="full"):
-        return self.contains_free(c.free, region)
+    def _dtype(self, k):
+        """int64 if coordinates, facet values and shift codes of degrees up
+        to k + 1 stay below 2**62 in magnitude, else object (Python ints)."""
+        span = 2 * (k + 1) * self._coord + 1
+        return np.int64 if span ** self.rank * self._facet_sum < 2 ** 62 else object
 
     def free_layer(self, k, region="full"):
-        """Free-lattice points of the degree-k slice, lexicographically sorted."""
-        r = self.rank
-        d = r - 1
-        base = tuple(k * x for x in self._base)
-        if d == 0:
-            pts = [base] if self.contains_free(base, region) else []
-            return pts
-        lows = [min(k * t[i] for t in self._gen_coords) for i in range(d)]
-        highs = [max(k * t[i] for t in self._gen_coords) for i in range(d)]
-        B = self._kernel_basis
-        pts = []
-        for y in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-            w = tuple(base[i] + sum(y[j] * B[j][i] for j in range(d)) for i in range(r))
-            if self.contains_free(w, region):
-                pts.append(w)
-        pts.sort()
-        return pts
+        """Free-lattice points of the degree-k slice as the rows of an integer
+        array, lexicographically sorted."""
+        key = (k, region)
+        got = self._free.get(key)
+        if got is None:
+            r, dtype = self.rank, self._dtype(k)
+            shape = [k * (hi - lo) + 1 for lo, hi in self._box]
+            grid = np.indices(shape).reshape(r - 1, -1 if shape else 1).T.astype(dtype)
+            basis = np.array(self._kernel_basis, dtype=dtype).reshape(r - 1, r)
+            w = (grid + np.array([k * lo for lo, _ in self._box], dtype=dtype)) @ basis
+            w += np.array([k * x for x in self._base], dtype=dtype)
+            values = w @ np.array(self.cone.facet_normals, dtype=dtype).T
+            w = w[(values >= 0 if region == "full" else values > 0).all(axis=1)]
+            got = self._free[key] = w[np.lexsort(w.T[::-1])]
+        return got
 
     def layer(self, k, region="full"):
         """Ordered group elements of degree k in K (or its interior)."""
@@ -267,8 +276,8 @@ class GradedSemigroup:
         if got is not None:
             return got
         tors = [t.torsion for t in self.group.torsion_elements()]
-        elems = tuple(self.group.element(w, t)
-                      for w in self.free_layer(k, region) for t in tors)
+        elems = tuple(GroupElement(self.group, w, t)
+                      for w in map(tuple, self.free_layer(k, region).tolist()) for t in tors)
         self._layers[key] = elems
         return elems
 
@@ -279,13 +288,22 @@ class GradedSemigroup:
         key = (k, region)
         got = self._shifts.get(key)
         if got is None:
-            idx = {c: q for q, c in enumerate(self.layer(k + 1, region))}
-            got = np.array([[idx[c + v] for v in self.A] for c in self.layer(k, region)],
-                           dtype=np.intp).reshape(-1, len(self.A))
+            dtype = self._dtype(k)
+            src = self.free_layer(k, region).astype(dtype)
+            dst = self.free_layer(k + 1, region).astype(dtype)
+            lo = dst.min(axis=0, initial=0)
+            spans = (dst.max(axis=0, initial=0) - lo + 1).tolist()
+            # mixed-radix codes: increasing along the sorted points of dst
+            radix = np.array([math.prod(spans[j + 1:]) for j in range(len(spans))], dtype=dtype)
+            gens = np.array([v.free for v in self.A], dtype=dtype)
+            pos = np.searchsorted((dst - lo) @ radix, (src[:, None] + gens - lo) @ radix)
+            tors = self.group.torsion_elements()
+            index = {t.torsion: s for s, t in enumerate(tors)}
+            offset = np.array([[index[(t + v).torsion] for v in self.A] for t in tors],
+                              dtype=np.intp)
+            got = (pos[:, None] * len(tors) + offset).reshape(-1, len(self.A))
             self._shifts[key] = got
         return got
-
-
 def build_semigroup(N: AbelianGroup, A) -> GradedSemigroup:
     """Validate (N, A) and assemble the graded semigroup."""
     from .abelian import validate_data
@@ -307,19 +325,20 @@ def k_prim(S: GradedSemigroup, A=None, guard_degrees=2):
     finiteness bound assumption fails.
     """
     A = S.A if A is None else tuple(A)
-
-    def primitive(c):
-        return all(not S.contains_free(tuple(a - b for a, b in zip(c.free, v.free)))
-                   for v in A)
-
     found = []
-    for k in range(S.rank + 1):
-        found.extend(c for c in S.layer(k) if primitive(c))
-    for k in range(S.rank + 1, S.rank + 1 + guard_degrees):
-        extra = [c for c in S.layer(k) if primitive(c)]
-        if extra:
+    for k in range(S.rank + 1 + guard_degrees):
+        dtype = S._dtype(k)
+        normals = np.array(S.cone.facet_normals, dtype=dtype).T
+        layer = S.layer(k)
+        at_c = np.array([c.free for c in layer], dtype=dtype).reshape(-1, S.rank) @ normals
+        at_v = np.array([v.free for v in A], dtype=dtype) @ normals
+        # c - v_i lies in K iff no facet value of c falls below that of v_i
+        reducible = (at_c[:, None] >= at_v).all(axis=2).any(axis=1)
+        primitive = [c for c, red in zip(layer, reducible.tolist()) if not red]
+        if k > S.rank and primitive:
             raise KPrimGuardError(
-                f"primitive elements at degree {k} exceed the degree bound: {extra}")
+                f"primitive elements at degree {k} exceed the degree bound: {primitive}")
+        found.extend(primitive)
     return found
 
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import GaussianRational, RowSpace, solve_sparse
+from .linalg import GaussianRational, RowSpace
 from .polyhedral import GradedSemigroup, normalized_volume
 
 Scalar = GaussianRational
@@ -80,15 +80,22 @@ def _image_rows(f, S, k, region="full"):
     return rows
 
 
-def jacobian_dims(f: FVector, S: GradedSemigroup, max_degree, region="full") -> DimReport:
-    """Graded dimensions of C[S]_k modulo the log-derivative image."""
-    dims = []
-    for k in range(max_degree + 1):
-        space = RowSpace()
+def _image_space(f, S, k, region="full"):
+    """The RowSpace of `_image_rows(f, S, k, region)`, reduced once per
+    (x, k, region) and cached on S."""
+    key = (f.x, k, region)
+    space = S._images.get(key)
+    if space is None:
+        space = S._images[key] = RowSpace()
         for row in _image_rows(f, S, k, region):
             space.add(row)
-        dims.append(len(S.layer(k, region)) - space.rank)
-    return DimReport.of(dims)
+    return space
+
+
+def jacobian_dims(f: FVector, S: GradedSemigroup, max_degree, region="full") -> DimReport:
+    """Graded dimensions of C[S]_k modulo the log-derivative image."""
+    return DimReport.of(len(S.layer(k, region)) - _image_space(f, S, k, region).rank
+                        for k in range(max_degree + 1))
 
 
 @dataclass(frozen=True)
@@ -131,15 +138,11 @@ def dual_kernel_dims(f: FVector, S: GradedSemigroup, max_degree, region="full") 
     Degree k counts the coefficient vectors on layer k annihilated by
     sum_i x_i lambda_{c+v_i} v_i = 0 for every c in layer k-1: the kernel
     of the same sparse rows `_image_rows` feeds to `jacobian_dims`, so the
-    two agree by construction rather than by an independent route.
+    two agree by construction rather than by an independent route: the
+    kernel dimension is read off the shared reduction as ncols - rank.
     """
-    one = GaussianRational(1)
-    dims = []
-    for k in range(max_degree + 1):
-        ncols = len(S.layer(k, region))
-        _, kernel = solve_sparse(_image_rows(f, S, k, region), ncols, [], one)
-        dims.append(len(kernel))
-    return DimReport.of(dims)
+    return DimReport.of(len(S.layer(k, region)) - _image_space(f, S, k, region).rank
+                        for k in range(max_degree + 1))
 
 
 def _hat_rows(f, beta, S, region, max_src_degree):
@@ -217,10 +220,7 @@ def r1_dims(f: FVector, S: GradedSemigroup, max_degree=None) -> DimReport:
     one = GaussianRational(1)
     dims = []
     for k in range(max_degree + 1):
-        space = RowSpace()
-        for row in _image_rows(f, S, k, "full"):
-            space.add(row)
-        base_rank = space.rank
+        space = _image_space(f, S, k).copy()
         idx = {c: i for i, c in enumerate(S.layer(k, "full"))}
         added = 0
         for c in S.layer(k, "interior"):

@@ -54,13 +54,6 @@ class SolutionBasis:
         return len(self.tables)
 
 
-def _rhs_for_table(beta, table_entries, src, exact):
-    """Right-hand side lambda_c (beta - c), flattened in (c, coordinate) order."""
-    zero = GaussianRational(0) if exact else 0j
-    return [table_entries[c] * (b - cj) if c in table_entries else zero
-            for c in src for b, cj in zip(beta, c.free)]
-
-
 def _float_nullspace(mat, ncols, tol=1e-9):
     if mat.shape[0] == 0:
         return [np.eye(ncols, dtype=complex)[i] for i in range(ncols)]
@@ -124,7 +117,10 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None,
     for k in range(D):
         src = S.layer(k)
         dst = S.layer(k + 1)
-        rhs = [_rhs_for_table(beta, entries, src, exact) for entries, _ in tables]
+        # right-hand sides lambda_c (beta_j - c_j), flattened in (c, j) order
+        twists = [(c, b - cj) for c in src for b, cj in zip(beta, c.free)]
+        rhs = [[entries[c] * t if c in entries else 0 for c, t in twists]
+               for entries, _ in tables]
         rows = _image_rows(f, S, k + 1)
         if exact:
             sols, kernel = solve_sparse(rows, len(dst), rhs, one)

@@ -46,24 +46,21 @@ class QuotientProblem:
     source_vectors: tuple
 
 
+def _project(N: AbelianGroup, A):
+    """The free quotient lattice, the distinct images of A in it (in order of
+    first occurrence) and the index set of each image."""
+    lattice = AbelianGroup(N.rank)
+    index_sets = {}
+    for i, v in enumerate(A):
+        index_sets.setdefault(lattice.element(v.free), []).append(i)
+    return lattice, tuple(index_sets), tuple(tuple(s) for s in index_sets.values())
+
+
 def build_quotient(N: AbelianGroup, A) -> QuotientProblem:
     """Project the problem data to the free quotient, merging equal images."""
-    lattice = AbelianGroup(N.rank)
-    images = []
-    index_sets = []
-    seen = {}
-    for i, v in enumerate(A):
-        w = lattice.element(v.free)
-        if w in seen:
-            index_sets[seen[w]].append(i)
-        else:
-            seen[w] = len(images)
-            images.append(w)
-            index_sets.append([i])
-    S = build_semigroup(lattice, tuple(images))
-    return QuotientProblem(lattice, tuple(images),
-                           tuple(tuple(s) for s in index_sets),
-                           S, N, tuple(A))
+    lattice, images, index_sets = _project(N, A)
+    return QuotientProblem(lattice, images, index_sets,
+                           build_semigroup(lattice, images), N, tuple(A))
 
 
 def _exact_char_value(t: Fraction):
@@ -175,9 +172,10 @@ def lift_and_verify(psi: LambdaTable, rho: Character, x, S: GradedSemigroup,
     """
     exact = (all(isinstance(v, GaussianRational) for v in x)
              and all(isinstance(v, GaussianRational) for v in psi.entries.values()))
-    Q = build_quotient(S.group, S.A)
-    if Q.images != tuple(psi.semigroup.A):
+    lattice, images, index_sets = _project(S.group, S.A)
+    if images != tuple(psi.semigroup.A):
         raise ValueError("psi was solved on a different quotient problem")
+    Q = QuotientProblem(lattice, images, index_sets, psi.semigroup, S.group, S.A)
     for zb, zx in zip(psi.base_x, p_rho(rho, x, Q)):
         if abs(complex(zb) - complex(zx)) > 1e-12:
             raise ValueError("psi base point does not match p_rho(x)")

@@ -5,6 +5,7 @@ Fraction arithmetic; the matrix routines are checked by direct substitution
 (A x = b, A v = 0) and against numpy's floating-point rank.
 """
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -198,3 +199,93 @@ class TestRowSpace:
         space.add({0: Fraction(1), 5: Fraction(1)})
         assert 5 in space.rows
         assert space.rank == 1
+
+
+class ReferenceRowSpace:
+    """The field RowSpace that the fraction-free one replaced, kept as its
+    reference: GaussianRational rows normalised to 1 at their pivot."""
+
+    def __init__(self, key=None):
+        self.key = key
+        self.rows = {}
+
+    def add(self, vec):
+        vec = {c: GaussianRational(v) for c, v in vec.items() if v}
+        for c in [c for c in vec if c in self.rows]:
+            self._eliminate(vec, c, self.rows[c])
+        if not vec:
+            return False
+        p = min(vec, key=self.key)
+        inv = QQI_ONE / vec[p]
+        vec = {c: v * inv for c, v in vec.items()}
+        for row in self.rows.values():
+            if p in row:
+                self._eliminate(row, p, vec)
+        self.rows[p] = vec
+        return True
+
+    @staticmethod
+    def _eliminate(vec, col, row):
+        f = vec.pop(col)
+        for c, v in row.items():
+            if c != col:
+                vec[c] = vec.get(c, QQI_ZERO) - f * v
+                if not vec[c]:
+                    del vec[c]
+
+
+def reference_solve(rows, ncols, rhs_list):
+    """solve_sparse read off the reference space."""
+    space = ReferenceRowSpace()
+    for i, row in enumerate(rows):
+        aug = dict(row)
+        aug.update((ncols + t, rhs[i]) for t, rhs in enumerate(rhs_list) if rhs[i])
+        space.add(aug)
+    R = space.rows
+    bad = {c for p in R if p >= ncols for c in R[p]}
+    pivots = sorted(p for p in R if p < ncols)
+    sols = [None if ncols + t in bad else
+            {p: R[p][ncols + t] for p in pivots if ncols + t in R[p]}
+            for t in range(len(rhs_list))]
+    kernel = []
+    for fc in range(ncols):
+        if fc not in R:
+            kernel.append({p: -R[p][fc] for p in pivots if fc in R[p]})
+            kernel[-1][fc] = QQI_ONE
+    return sols, kernel
+
+
+entries = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    st.builds(GaussianRational, st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 6)))
+
+
+@st.composite
+def systems(draw):
+    """Sparse rows over n columns (zeros included) and right-hand sides, one
+    of them consistent when there are rows."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(1, 6))
+    rows = [{j: draw(entries) for j in range(n) if draw(st.booleans())} for _ in range(m)]
+    rhs = [[draw(entries) for _ in range(m)] for _ in range(draw(st.integers(0, 2)))]
+    x = {j: GaussianRational(draw(entries)) for j in range(n)}
+    rhs.append([sum((GaussianRational(v) * x[j] for j, v in row.items()), QQI_ZERO)
+                for row in rows])
+    return rows, n, rhs
+
+
+class TestFractionFree:
+    @given(systems(), st.booleans())
+    def test_matches_reference(self, system, reverse):
+        rows, n, rhs = system
+        key = (lambda c: -c) if reverse else None
+        space, ref = RowSpace(key), ReferenceRowSpace(key)
+        for row in rows:
+            assert space.add(row) == ref.add(row)
+        assert sorted(space.rows) == sorted(ref.rows)
+        for p, row in space.rows.items():
+            assert math.gcd(*(x for pair in row.values() for x in pair)) == 1
+            assert row.keys() == ref.rows[p].keys()
+            assert all(GaussianRational(*row[c]) / GaussianRational(*row[p]) == v
+                       for c, v in ref.rows[p].items())
+        assert solve_sparse(rows, n, rhs, QQI_ONE) == reference_solve(rows, n, rhs)

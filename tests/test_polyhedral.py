@@ -2,14 +2,19 @@
 
 Layer counts are cross-checked against hand-counted lattice points and an
 Ehrhart polynomial fit, which independently recovers the normalized volume
-from nothing but the layer sizes.
+from nothing but the layer sizes.  Layers, shift tables and K_prim are
+compared with a walk over integer boxes in Python ints.
 """
 
+import itertools
 import math
+import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from bbgkz import cli
 from bbgkz.abelian import AbelianGroup
 from bbgkz.polyhedral import (DegeneratePolytope, GradedSemigroup,
                               KPrimGuardError, NotPointed, build_semigroup,
@@ -119,6 +124,88 @@ class TestLayers:
         S, _, _ = make_problem("square_z2")
         for k in range(4):
             assert len(S.layer(k)) == 2 * (k + 1) ** 2
+
+
+def reference_free_layer(S, k, region="full"):
+    """The box walk the array enumeration replaced, kept as its reference:
+    every integer point w of degree k with k * min_i v_i[j] <= w_j <=
+    k * max_i v_i[j], tested facet by facet in Python ints, sorted as tuples."""
+    inside = S.cone.contains if region == "full" else S.cone.strictly_contains
+    box = [range(k * min(v.free[j] for v in S.A), k * max(v.free[j] for v in S.A) + 1)
+           for j in range(S.rank)]
+    deg = S.deg.free_covector
+    return sorted(w for w in itertools.product(*box)
+                  if sum(a * b for a, b in zip(deg, w)) == k and inside(w))
+
+
+def reference_layer(S, k, region="full"):
+    return [S.group.element(w, t.torsion) for w in reference_free_layer(S, k, region)
+            for t in S.group.torsion_elements()]
+
+
+def reference_k_prim(S):
+    return [c for k in range(S.rank + 1) for c in reference_layer(S, k)
+            if not any(S.cone.contains(tuple(a - b for a, b in zip(c.free, v.free)))
+                       for v in S.A)]
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+GEOMETRY = {name: cli.fixture_path(name) for name in
+            ["z2_example", "ex51", "ex52", "p1", "p2", "square_z2", "repeated",
+             "g3_torsion"]}
+GEOMETRY.update({name: os.path.join(GOLDEN, f"{name}.problem.json")
+                 for name in ("p3", "hexagon_z2", "p2_z4")})
+
+
+def seg5_z3():
+    """The segment [-2, 2] with Z/3 labels."""
+    N = AbelianGroup(2, (3,))
+    return build_semigroup(N, tuple(N.element((a, 1), (a % 3,)) for a in range(-2, 3)))
+
+
+def far_segment(a):
+    """A unimodular segment with coordinates near a and facet normals as
+    large.  At a = 2**40 products of the two pass 2**63; at a = 2**62 the
+    coordinates of degree 2 pass it too."""
+    N = AbelianGroup(2)
+    return build_semigroup(N, (N.element((a + 1, a)), N.element((a, a - 1))))
+
+
+def geometry_problem(name):
+    if name == "seg5_z3":
+        return seg5_z3()
+    if name.startswith("far_segment"):
+        return far_segment(2 ** int(name[-2:]) + 3)
+    spec = cli.load_problem(GEOMETRY[name])
+    return build_semigroup(spec.group, spec.vectors)
+
+
+class TestAgainstBoxWalk:
+    @pytest.mark.parametrize("name", sorted(GEOMETRY) + ["seg5_z3", "far_segment_40",
+                                                         "far_segment_62"])
+    def test_layers_shifts_k_prim(self, name):
+        """Degrees 0..rank+3 of both regions, including rank-one groups and
+        the empty interior layer of degree 0; shifts read through group
+        addition."""
+        S = geometry_problem(name)
+        for region in ("full", "interior"):
+            layers = [reference_layer(S, k, region) for k in range(S.rank + 5)]
+            assert not layers[0] or region == "full"
+            for k in range(S.rank + 4):
+                assert list(S.layer(k, region)) == layers[k]
+                assert all(type(x) is int for c in layers[k] for x in c.free)
+                index = {c: q for q, c in enumerate(layers[k + 1])}
+                want = [[index[c + v] for v in S.A] for c in layers[k]]
+                assert S.shift(k, region).tolist() == want
+        assert k_prim(S) == reference_k_prim(S)
+
+    @pytest.mark.parametrize("a", [2 ** 40 + 3, 2 ** 62 + 3])
+    def test_object_dtype_past_int64(self, a):
+        S = far_segment(a)
+        assert S.free_layer(3).dtype == object
+        assert S.free_layer(3).tolist() == [[3 * a + i, 3 * a - 3 + i] for i in range(4)]
+        # small coordinates stay on int64
+        assert geometry_problem("p3").free_layer(3).dtype == np.int64
 
 
 class TestKPrim:
