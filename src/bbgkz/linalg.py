@@ -1,15 +1,13 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Everything here is field-generic: the routines only use +, -, *, / and
-truthiness of entries, so they work for Fraction, GaussianRational, or any
-other exact field type.  Matrices are lists of sparse rows (dicts column ->
-value) reduced by RowSpace; `solve_sparse` reads solutions and kernels of a
-system from one such reduction.
-
 GaussianRational results are canonical (gcd(a, b, d) == 1, d > 0) after at
-most one gcd, none at d == 1.  Zero tests of many values at once
-(solver.recursion_defects) run on integer numerators over a common
-denominator instead.
+most one gcd, none at d == 1.  RowSpace is the one elimination kernel.  It
+is not field-generic: it takes int, Fraction or GaussianRational entries
+and reduces their Gaussian-integer numerators fraction-free, with one
+content gcd per row.  `solve_sparse` reads the solutions and kernel of a
+system from one such reduction and divides by a pivot only there.  Zero
+tests of many values at once (solver.recursion_defects) also run on
+integer numerators over a common denominator.
 """
 
 from __future__ import annotations
@@ -304,7 +302,8 @@ def solve_sparse(rows, ncols, rhs_list, one=1):
     - kernel has one vector per free column of A, in ascending free-column
       order, with `one` in that column and pivot columns by back substitution.
 
-    Vectors are sparse dicts holding nonzero entries in ascending column order.
+    Vectors are sparse dicts holding nonzero GaussianRational entries (and
+    `one`) in ascending column order.
     """
     space = RowSpace()
     for i, row in enumerate(rows):

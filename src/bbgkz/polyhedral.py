@@ -19,6 +19,7 @@ import numpy as np
 
 from .abelian import (AbelianGroup, DualElement, GroupElement,
                       NoDegreeFunctional, pair, smith_normal_form, _det_sign)
+from .linalg import RowSpace, solve_sparse
 
 
 class NotPointed(ValueError):
@@ -58,27 +59,10 @@ def _dot(u, v):
 
 def _vec_rank(vectors):
     """Rank of a list of integer/rational vectors (exact elimination)."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / rows[rank][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    space = RowSpace()
+    for v in vectors:
+        space.add(dict(enumerate(v)))
+    return space.rank
 
 
 def _primitive(vec):
@@ -174,20 +158,10 @@ def facets_and_faces(generators) -> Cone:
 def _integer_inverse(M):
     """Exact inverse of a unimodular integer matrix, as integer rows."""
     n = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        f = aug[c][c]
-        aug[c] = [x / f for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                g = aug[i][c]
-                aug[i] = [x - g * y for x, y in zip(aug[i], aug[c])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in inv for x in row)
-    return [[int(x) for x in row] for row in inv]
+    cols, _ = solve_sparse([dict(enumerate(row)) for row in M], n,
+                           [[int(i == j) for i in range(n)] for j in range(n)])
+    assert all(v.d == 1 for col in cols for v in col.values())
+    return [[cols[j][i].a if i in cols[j] else 0 for j in range(n)] for i in range(n)]
 
 
 def _degree_kernel_basis(deg_covector):
@@ -304,6 +278,8 @@ class GradedSemigroup:
             got = (pos[:, None] * len(tors) + offset).reshape(-1, len(self.A))
             self._shifts[key] = got
         return got
+
+
 def build_semigroup(N: AbelianGroup, A) -> GradedSemigroup:
     """Validate (N, A) and assemble the graded semigroup."""
     from .abelian import validate_data

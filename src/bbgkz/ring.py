@@ -139,10 +139,9 @@ def dual_kernel_dims(f: FVector, S: GradedSemigroup, max_degree, region="full") 
     sum_i x_i lambda_{c+v_i} v_i = 0 for every c in layer k-1: the kernel
     of the same sparse rows `_image_rows` feeds to `jacobian_dims`, so the
     two agree by construction rather than by an independent route: the
-    kernel dimension is read off the shared reduction as ncols - rank.
+    kernel dimension is ncols - rank of the one shared reduction.
     """
-    return DimReport.of(len(S.layer(k, region)) - _image_space(f, S, k, region).rank
-                        for k in range(max_degree + 1))
+    return jacobian_dims(f, S, max_degree, region)
 
 
 def _hat_rows(f, beta, S, region, max_src_degree):
@@ -191,7 +190,6 @@ def hat_quotient_dims(f: FVector, beta, S: GradedSemigroup, region="full",
         if row:
             space.add(row)
     base_rank = space.rank
-    one = GaussianRational(1)
     dims_le = []
     added = 0
     pos = 0
@@ -199,7 +197,7 @@ def hat_quotient_dims(f: FVector, beta, S: GradedSemigroup, region="full",
     for k in range(D + 1):
         layer_len = len(S.layer(k, region))
         for _ in range(layer_len):
-            if space.add({pos: one}):
+            if space.add({pos: 1}):
                 added += 1
             pos += 1
         dims_le.append(added)
@@ -217,14 +215,13 @@ def r1_dims(f: FVector, S: GradedSemigroup, max_degree=None) -> DimReport:
     r = S.rank
     if max_degree is None:
         max_degree = r + 1
-    one = GaussianRational(1)
     dims = []
     for k in range(max_degree + 1):
         space = _image_space(f, S, k).copy()
         idx = {c: i for i, c in enumerate(S.layer(k, "full"))}
         added = 0
         for c in S.layer(k, "interior"):
-            if space.add({idx[c]: one}):
+            if space.add({idx[c]: 1}):
                 added += 1
         dims.append(added)
     return DimReport.of(dims)
@@ -243,11 +240,10 @@ def hat_restriction_rank(f: FVector, S: GradedSemigroup, filtration_bound=None) 
         if row:
             space.add(row)
     base_rank = space.rank
-    one = GaussianRational(1)
     added = 0
     for k in range(D + 1):
         for c in S.layer(k, "interior"):
-            if space.add({index[c]: one}):
+            if space.add({index[c]: 1}):
                 added += 1
     return added
 
