@@ -4,10 +4,10 @@ GaussianRational results are canonical (gcd(a, b, d) == 1, d > 0) after at
 most one gcd, none at d == 1.  RowSpace is the one elimination kernel.  It
 is not field-generic: it takes int, Fraction or GaussianRational entries
 and reduces their Gaussian-integer numerators fraction-free, with one
-content gcd per row.  `solve_sparse` reads the solutions and kernel of a
-system from one such reduction and divides by a pivot only there.  Zero
-tests of many values at once (solver.recursion_defects) also run on
-integer numerators over a common denominator.
+content pass per row update.  `solve_sparse` reads the solutions and the
+kernel of a system from one such reduction and divides by a pivot only
+there.  Zero tests of many values at once (solver.recursion_defects) also
+run on integer numerators over a common denominator.
 """
 
 from __future__ import annotations

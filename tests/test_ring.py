@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+from bbgkz import ring
 from bbgkz.linalg import GaussianRational
-from bbgkz.polyhedral import normalized_volume
+from bbgkz.polyhedral import build_semigroup, normalized_volume
 from bbgkz.ring import (FVector, NondegeneracyRetriesExhausted,
                         dual_kernel_dims, hat_quotient_dims,
                         hat_restriction_rank, is_nondegenerate, jacobian_dims,
@@ -93,6 +94,25 @@ class TestJacobianDims:
         r = S.rank
         for k in range(r + 1):
             assert inner.per_degree[k] == full.per_degree[r - k]
+
+
+class TestImageCache:
+    def test_each_image_reduced_once(self, monkeypatch):
+        """is_nondegenerate, jacobian_dims, dual_kernel_dims and r1_dims
+        share one reduction per (x, degree, region); r1_dims extends a
+        copy, so the shared one stays as it was."""
+        S, f, _ = make_problem("p2")
+        S, r = build_semigroup(S.group, S.A), S.rank
+        calls = []
+        build = ring._image_rows
+        monkeypatch.setattr(ring, "_image_rows",
+                            lambda *args: calls.append(args[2:]) or build(*args))
+        assert is_nondegenerate(f, S)[0]
+        jac = jacobian_dims(f, S, r + 1)
+        assert dual_kernel_dims(f, S, r + 1) == jac
+        assert r1_dims(f, S) == r1_dims(f, S)
+        assert jacobian_dims(f, S, r + 1) == jac
+        assert sorted(calls) == [(k, "full") for k in range(r + 2)]
 
 
 class TestNondegeneracy:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bbgkz import cli
+from bbgkz import cli, torsion
 from bbgkz.abelian import AbelianGroup, char_value
 from bbgkz.linalg import QQI_I, GaussianRational
 from bbgkz.polyhedral import build_semigroup, normalized_volume
@@ -228,6 +228,22 @@ class TestLifting:
         psi.entries[c] = psi.entries[c] + 1
         with pytest.raises(ResidualTooLarge):
             lift_and_verify(psi, rho, x, S)
+
+    def test_lift_builds_no_semigroup(self, monkeypatch):
+        """lift_and_verify projects the data and reuses psi's semigroup, the
+        quotient's, instead of building it again for every germ."""
+        S, f, beta = make_problem("square_z2")
+        Q = build_quotient(S.group, S.A)
+        rho = S.group.characters()[1]
+        x = tuple(f.x)
+        psi = solve_recursion(FVector(p_rho(rho, x, Q)), beta, Q.semigroup,
+                              truncation=4).tables[0]
+
+        def refuse(*args):
+            raise AssertionError("build_semigroup called")
+        monkeypatch.setattr(torsion, "build_semigroup", refuse)
+        table, resid = lift_and_verify(psi, rho, x, S)
+        assert resid == 0.0 and table.entries
 
     def test_base_point_mismatch_rejected(self):
         S, f, beta = make_problem("z2")
