@@ -228,7 +228,7 @@ class GradedSemigroup:
 
     def free_layer(self, k, region="full"):
         """Free-lattice points of the degree-k slice as the rows of an integer
-        array, lexicographically sorted."""
+        array (dtype from `_dtype`), lexicographically sorted."""
         key = (k, region)
         got = self._free.get(key)
         if got is None:
