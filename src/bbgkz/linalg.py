@@ -244,8 +244,8 @@ def _numerators(vec):
 def _quotient(x, p):
     """x / p for Gaussian integers (re, im), as (re, im, d) in lowest terms
     with d > 0: the fields of a canonical GaussianRational."""
-    (a, b), (c, d) = x, p
-    re, im, d = a * c + b * d, b * c - a * d, c * c + d * d
+    (a, b), (pr, pi) = x, p
+    re, im, d = a * pr + b * pi, b * pr - a * pi, pr * pr + pi * pi
     g = gcd(re, im, d)
     return re // g, im // g, d // g
 
