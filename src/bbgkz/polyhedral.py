@@ -206,7 +206,7 @@ class GradedSemigroup:
         # kernel coordinates of degree-k points lie in k times this box
         self._box = [(min(t[j] for t in gen_coords), max(t[j] for t in gen_coords))
                      for j in range(self.rank - 1)]
-        # |coordinate| of a degree-k point is at most k * _coord
+        # |coordinate| of a point of the degree-k box is at most k * _coord
         self._coord = max(abs(b) + sum(max(-lo, hi) * abs(v[i])
                                        for (lo, hi), v in zip(self._box, self._kernel_basis))
                           for i, b in enumerate(self._base))
