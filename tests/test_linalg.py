@@ -5,7 +5,6 @@ Fraction arithmetic; the matrix routines are checked by direct substitution
 (A x = b, A v = 0) and against numpy's floating-point rank.
 """
 
-import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -284,7 +283,7 @@ class TestFractionFree:
             assert space.add(row) == ref.add(row)
         assert sorted(space.rows) == sorted(ref.rows)
         for p, row in space.rows.items():
-            assert math.gcd(*(x for pair in row.values() for x in pair)) == 1
+            assert gcd(*(x for pair in row.values() for x in pair)) == 1
             assert row.keys() == ref.rows[p].keys()
             assert all(GaussianRational(*row[c]) / GaussianRational(*row[p]) == v
                        for c, v in ref.rows[p].items())
