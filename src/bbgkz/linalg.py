@@ -237,7 +237,9 @@ def _numerators(vec):
     over their least common denominator."""
     vals = {c: v if type(v) is GaussianRational else _coerce(v)
             for c, v in vec.items() if v}
-    den = lcm(*(v.d for v in vals.values()))
+    den = 1
+    for v in vals.values():
+        den = lcm(den, v.d)
     return {c: (v.a * (den // v.d), v.b * (den // v.d)) for c, v in vals.items()}
 
 
