@@ -18,7 +18,7 @@ from .ring import (DimReport, FVector, NondegeneracyCertificate,
                    NondegeneracyRetriesExhausted, dual_kernel_dims,
                    hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
                    jacobian_dims, r1_dims, random_rational_x)
-from .solver import (InconsistentSystem, LambdaTable, ResidualReport,
+from .solver import (GermStack, InconsistentSystem, LambdaTable, ResidualReport,
                      SolutionBasis, check_residuals, evaluate_series,
                      filtration_dims, restricted_solution_rank,
                      series_values, solve_recursion)

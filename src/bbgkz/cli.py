@@ -26,16 +26,15 @@ from jsonschema.exceptions import best_match
 
 from .abelian import AbelianGroup, NoDegreeFunctional, NotSpanning
 from .linalg import GaussianRational
-from .polyhedral import (GradedSemigroup, KPrimGuardError, build_semigroup, k_prim,
-                         normalized_volume)
+from .polyhedral import GradedSemigroup, KPrimGuardError, build_semigroup, k_prim
 from .ring import (FVector, NondegeneracyRetriesExhausted, dual_kernel_dims,
                    hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
                    jacobian_dims, r1_dims, random_rational_x)
 from .solver import (InconsistentSystem, check_residuals, filtration_dims,
                      restricted_solution_rank, solve_recursion)
 from .torsion import (LogModulusBox, RegionTooTight, ResidualTooLarge,
-                      build_quotient, find_common_basepoint, independence_count,
-                      lift_and_verify, p_rho)
+                      build_quotient, exact_rank, find_common_basepoint,
+                      independence_count, lift_and_verify, p_rho)
 
 SCHEMA_VERSION = 1
 ALL_TASKS = ("analyze", "solve", "restrict", "lift", "residuals")
@@ -164,7 +163,7 @@ def _check(checks, name, passed, **details):
 
 def _task_analyze(spec, S, f, D, report, checks):
     r = S.rank
-    vol = normalized_volume(S.A)
+    vol = S.volume
     tors = S.group.torsion_order
     report["volume"] = vol
     report["torsion_order"] = tors
@@ -201,7 +200,7 @@ def _task_analyze(spec, S, f, D, report, checks):
 def _task_solve(spec, S, f, D, report, checks, jac):
     basis = solve_recursion(f, spec.beta, S, truncation=D)
     filt = filtration_dims(basis)
-    vol = report.get("volume", normalized_volume(S.A))
+    vol = S.volume
     tors = S.group.torsion_order
     tables = []
     for t in basis.tables:
@@ -240,52 +239,51 @@ def _task_restrict(spec, S, f, D, report, checks):
            solution=sol_rank, hat=hat_rank, r1=r1_total)
 
 
+def _exact_lifts(spec, S, Q, f, D):
+    """lift_and_verify per character at the problem's x, or None if a quotient
+    point has a zero coordinate or is degenerate.  The quotient solve's kernel
+    counts are the dims `is_nondegenerate` reads: its filtration to degree
+    rank + 1 is the certificate."""
+    lifts = []
+    for rho in S.group.characters():
+        z = p_rho(rho, f.x, Q)
+        try:
+            qbasis = solve_recursion(FVector(z), spec.beta, Q.semigroup, truncation=D)
+        except InconsistentSystem:
+            return None
+        cert = filtration_dims(qbasis).per_degree[:S.rank + 2]
+        if not all(z) or sum(cert) != Q.semigroup.volume or cert[-1]:
+            return None
+        lifts.append(lift_and_verify(qbasis, rho, f.x, S))
+    return lifts
+
+
 def _task_lift(spec, S, f, D, report, checks):
-    tors = S.group.torsion_order
-    vol = report.get("volume", normalized_volume(S.A))
+    tors, vol = S.group.torsion_order, S.volume
     if tors == 1:
         report["torsion_lift"] = {"skipped": "torsion order 1"}
         return
     Q = build_quotient(S.group, S.A)
     exact_lane = all(d in (2, 4) for d in S.group.torsion_invariants)
-    lifted = []
-    worst = 0.0
-    if exact_lane:
-        x = tuple(f.x)
-        for rho in S.group.characters():
-            z = p_rho(rho, x, Q)
-            if not all(z):
-                exact_lane = False
-                break
-            fz = FVector(z)
-            ok, _ = is_nondegenerate(fz, Q.semigroup)
-            if not ok:
-                exact_lane = False
-                break
-            qbasis = solve_recursion(fz, spec.beta, Q.semigroup, truncation=D)
-            for psi in qbasis.tables:
-                table, resid = lift_and_verify(psi, rho, x, S)
-                worst = max(worst, resid)
-                lifted.append(table)
-    if not exact_lane:
-        lifted = []
-        worst = 0.0
+    lifts = _exact_lifts(spec, S, Q, f, D) if exact_lane else None
+    if lifts is None:
+        exact_lane = False
         m = len(Q.images)
         region = LogModulusBox((math.log(0.5),) * m, (math.log(2.0),) * m)
         x = find_common_basepoint(Q, region)
         beta_f = tuple(complex(b) for b in spec.beta)
+        lifts = []
         for rho in S.group.characters():
             z = p_rho(rho, x, Q)
             qbasis = solve_recursion(z, beta_f, Q.semigroup, truncation=D,
                                      backend="float")
-            for psi in qbasis.tables:
-                table, resid = lift_and_verify(psi, rho, x, S)
-                worst = max(worst, resid)
-                lifted.append(table)
-    rank = independence_count(lifted)
+            lifts.append(lift_and_verify(qbasis, rho, x, S))
+    stacks = [stack for stack, _ in lifts]
+    worst = max((resid for _, resid in lifts), default=0.0)
+    rank = exact_rank(stacks) if exact_lane else independence_count(stacks)
     report["torsion_lift"] = {
         "mode": "exact" if exact_lane else "float",
-        "lifted_tables": len(lifted),
+        "lifted_tables": sum(len(stack) for stack in stacks),
         "rank": rank,
         "expected": vol * tors,
         "max_residual": worst,

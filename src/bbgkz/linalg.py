@@ -204,10 +204,8 @@ class RowSpace:
         return out
 
     def _reduce(self, vec):
-        """Numerators of vec reduced against the stored rows, over some
-        positive integer.  Stored rows vanish on each other's pivots, so
-        eliminating one pivot column never brings back another."""
-        vec = _numerators(vec)
+        """Numerators vec reduced in place against the stored rows, which
+        vanish on each other's pivots, so no elimination brings one back."""
         rows = self.rows
         for c in [c for c in vec if c in rows]:
             _eliminate(vec, c, rows[c])
@@ -215,6 +213,10 @@ class RowSpace:
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the space."""
+        return self.add_numerators(_numerators(vec))
+
+    def add_numerators(self, vec):
+        """`add` for a vector given as `_numerators` gives it; consumes vec."""
         red = self._reduce(vec)
         if not red:
             return False
@@ -229,7 +231,7 @@ class RowSpace:
         return True
 
     def contains(self, vec):
-        return not self._reduce(vec)
+        return not self._reduce(_numerators(vec))
 
 
 def _numerators(vec):

@@ -9,6 +9,7 @@ what makes these direct methods exact and fast enough.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -187,7 +188,7 @@ class GradedSemigroup:
 
     Layers (degree slices of K or of its relative interior) and the integer
     shift tables between consecutive layers are built on first use and
-    cached on the instance; so are the reduced operator images of `ring`.
+    cached on the instance; so are the volume and the images of `ring`.
     Geometry runs on int64 arrays while a bound on every value computed
     stays below 2**62, and on Python ints (dtype object) beyond it.
     """
@@ -219,6 +220,11 @@ class GradedSemigroup:
     @property
     def rank(self):
         return self.group.rank
+
+    @functools.cached_property
+    def volume(self):
+        """`normalized_volume(A)`, computed once."""
+        return normalized_volume(self.A)
 
     def _dtype(self, k):
         """int64 if coordinates, facet values and shift codes of degrees up

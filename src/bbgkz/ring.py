@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import GaussianRational, RowSpace
-from .polyhedral import GradedSemigroup, normalized_volume
+from .polyhedral import GradedSemigroup
 
 Scalar = GaussianRational
 
@@ -126,7 +126,7 @@ def is_nondegenerate(f: FVector, S: GradedSemigroup, max_degree=None):
     if max_degree < r + 1:
         raise ValueError("max_degree must be at least rank + 1")
     dims = jacobian_dims(f, S, max_degree)
-    expected = normalized_volume(S.A) * S.group.torsion_order
+    expected = S.volume * S.group.torsion_order
     tail_zero = all(d == 0 for d in dims.per_degree[r + 1:])
     cert = NondegeneracyCertificate(dims.total, expected, dims.per_degree, tail_zero)
     return cert.ok, cert
@@ -150,7 +150,6 @@ def _hat_rows(f, beta, S, region, max_src_degree):
     Points are indexed in (degree, layer) order; the shift part of each row
     is the `_image_rows` row of n, moved to the next layer's indices.
     """
-    points = [c for k in range(max_src_degree + 2) for c in S.layer(k, region)]
     rows = []
     start = 0
     for k in range(max_src_degree + 1):
@@ -165,7 +164,23 @@ def _hat_rows(f, beta, S, region, max_src_degree):
                     row[start + p] = diag
                 rows.append({c: v for c, v in row.items() if v})
         start = up
-    return rows, {c: i for i, c in enumerate(points)}, points
+    return rows
+
+
+def _hat_space(f, beta, S, region, D):
+    """A fresh RowSpace of the `_hat_rows` generators with deg n <= D - 1,
+    pivoting on the highest-degree (largest-index) coordinate first.  At
+    beta = 0 on the full cone it is reduced once per (x, D), cached on S."""
+    key = (f.x, D, "hat")
+    cached = region == "full" and not any(beta)
+    if cached and key in S._images:
+        return S._images[key].copy()
+    space = RowSpace(key=lambda c: -c)
+    for row in _hat_rows(f, beta, S, region, D - 1):
+        space.add(row)
+    if cached:
+        S._images[key] = space.copy()
+    return space
 
 
 def hat_quotient_dims(f: FVector, beta, S: GradedSemigroup, region="full",
@@ -182,28 +197,14 @@ def hat_quotient_dims(f: FVector, beta, S: GradedSemigroup, region="full",
     if D < r + 1:
         raise ValueError("filtration bound must be at least rank + 1")
     beta = tuple(as_scalar(b) for b in beta)
-    rows, index, points = _hat_rows(f, beta, S, region, D - 1)
-    npts = len(points)
-    # pivot on the highest-degree (largest-index) coordinate first
-    space = RowSpace(key=lambda c: -c)
-    for row in rows:
-        if row:
-            space.add(row)
-    base_rank = space.rank
-    dims_le = []
-    added = 0
-    pos = 0
-    deg_of = []
+    space = _hat_space(f, beta, S, region, D)
+    base_rank, pos, per_degree = space.rank, 0, []
     for k in range(D + 1):
-        layer_len = len(S.layer(k, region))
-        for _ in range(layer_len):
-            if space.add({pos: 1}):
-                added += 1
-            pos += 1
-        dims_le.append(added)
-    per_degree = [dims_le[0]] + [dims_le[k] - dims_le[k - 1] for k in range(1, D + 1)]
+        n = len(S.layer(k, region))
+        per_degree.append(sum(space.add({c: 1}) for c in range(pos, pos + n)))
+        pos += n
     report = DimReport.of(per_degree)
-    assert report.total == npts - base_rank
+    assert report.total == pos - base_rank
     return report
 
 
@@ -233,19 +234,9 @@ def hat_restriction_rank(f: FVector, S: GradedSemigroup, filtration_bound=None) 
     D = filtration_bound if filtration_bound is not None else r + 1
     if D < r + 1:
         raise ValueError("filtration bound must be at least rank + 1")
-    beta = tuple(GaussianRational(0) for _ in range(r))
-    rows, index, points = _hat_rows(f, beta, S, "full", D - 1)
-    space = RowSpace(key=lambda c: -c)
-    for row in rows:
-        if row:
-            space.add(row)
-    base_rank = space.rank
-    added = 0
-    for k in range(D + 1):
-        for c in S.layer(k, "interior"):
-            if space.add({index[c]: 1}):
-                added += 1
-    return added
+    space = _hat_space(f, (0,) * r, S, "full", D)
+    index = {c: i for i, c in enumerate(c for k in range(D + 1) for c in S.layer(k))}
+    return sum(space.add({index[c]: 1}) for k in range(D + 1) for c in S.layer(k, "interior"))
 
 
 def random_rational_x(S: GradedSemigroup, seed=0, denominator_bound=4, max_retries=16):

@@ -252,37 +252,68 @@ def _parts(values, exact):
             np.array([v.b * (den // v.d) for v in values], dtype=object), den)
 
 
-def recursion_defects(table: LambdaTable):
-    """Yield (k, defect) for each degree k below the truncation; defect[p, j]
-    tests sum_i x_i v_i[j] lambda_{c + v_i} = lambda_c (beta_j - c_j) at
-    c = layer(k)[p], reading c + v_i from the shift tables.  Float tables
-    (complex base point) give |lhs - rhs|, forming x_i * lambda * v_i[j] in
-    real arithmetic as Python's complex type does.  Exact tables scale both
-    sides by one positive integer and give True where the Gaussian-integer
-    difference is nonzero.
+@dataclass
+class GermStack:
+    """Germs sharing a semigroup, base point, beta and truncation, on arrays.
+
+    layers[k] is (re, im, den) in the layout of `_parts`: germ t has the
+    value (re[t, p] + i im[t, p]) / den at layer(k)[p].  A complex base
+    point marks a float stack.
     """
-    S = table.semigroup
-    exact = not isinstance(table.base_x[0], complex)
-    xr, xi, ex = _parts(table.base_x, exact)
-    br, bi, fb = _parts(table.beta, exact)
-    re0, im0, den0 = _parts([table.entries.get(c, 0) for c in S.layer(0)], exact)
-    for k in range(table.truncation):
-        re1, im1, den1 = _parts([table.entries.get(c, 0) for c in S.layer(k + 1)], exact)
-        free = np.array([c.free for c in S.layer(k)], dtype=re0.dtype)
-        re, im = np.empty_like(free), np.empty_like(free)
+    semigroup: GradedSemigroup
+    base_x: tuple
+    beta: tuple
+    truncation: int
+    layers: list
+
+    @classmethod
+    def of(cls, tables):
+        """The stack of LambdaTables that share their data."""
+        first, n = tables[0], len(tables)
+        S, exact = first.semigroup, not isinstance(first.base_x[0], complex)
+        layers = []
+        for k in range(first.truncation + 1):
+            re, im, den = _parts([t.entries.get(c, 0) for t in tables for c in S.layer(k)], exact)
+            layers.append((re.reshape(n, -1), im.reshape(n, -1), den))
+        return cls(S, first.base_x, first.beta, first.truncation, layers)
+
+    @property
+    def exact(self):
+        return not isinstance(self.base_x[0], complex)
+
+    def __len__(self):
+        return len(self.layers[0][0])
+
+
+def recursion_defects(stack: GermStack):
+    """Yield (k, defect) for each degree k below the truncation; defect[t, p, j]
+    tests sum_i x_i v_i[j] lambda_{c + v_i} = lambda_c (beta_j - c_j) for germ
+    t at c = layer(k)[p], reading c + v_i from the shift tables.  Float stacks
+    give |lhs - rhs|, forming x_i * lambda once per i and then its product
+    with v_i[j], in real arithmetic as Python's complex type does.  Exact
+    stacks scale both sides by one positive integer and give True where the
+    Gaussian-integer difference is nonzero.
+    """
+    S, exact = stack.semigroup, stack.exact
+    xr, xi, ex = _parts(stack.base_x, exact)
+    br, bi, fb = _parts(stack.beta, exact)
+    for k, ((re0, im0, den0), (re1, im1, den1)) in enumerate(zip(stack.layers, stack.layers[1:])):
+        free = np.repeat(S.free_layer(k), S.group.torsion_order, axis=0).astype(re0.dtype)
+        terms = []
+        for i, q in enumerate(S.shift(k).T):
+            ar, ai = xr[i] * fb * den0, xi[i] * fb * den0
+            terms.append((ar * re1[:, q] - ai * im1[:, q], ar * im1[:, q] + ai * re1[:, q]))
+        re, im = np.empty((2, *re0.shape, S.rank), dtype=re0.dtype)
         for j in range(S.rank):
             lr = li = 0
-            for i, v in enumerate(S.A):
+            for v, (pr, pi) in zip(S.A, terms):
                 if v.free[j]:
-                    q = S.shift(k)[:, i]
-                    ar, ai = xr[i] * fb * den0, xi[i] * fb * den0
-                    lr = lr + (ar * re1[q] - ai * im1[q]) * v.free[j]
-                    li = li + (ar * im1[q] + ai * re1[q]) * v.free[j]
+                    lr = lr + pr * v.free[j]
+                    li = li + pi * v.free[j]
             gr, gi = (br[j] * ex - ex * fb * free[:, j]) * den1, bi[j] * ex * den1
-            re[:, j] = lr - (re0 * gr - im0 * gi)
-            im[:, j] = li - (re0 * gi + im0 * gr)
+            re[..., j] = lr - (re0 * gr - im0 * gi)
+            im[..., j] = li - (re0 * gi + im0 * gr)
         yield k, (re != 0) | (im != 0) if exact else np.hypot(re, im)
-        re0, im0, den0 = re1, im1, den1
 
 
 def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport:
@@ -300,7 +331,7 @@ def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport
     x = [complex(v) for v in basis.tables[0].base_x]
 
     exact_ok = not any((defect > 1e-12).any()
-                       for t in basis.tables for _, defect in recursion_defects(t))
+                       for _, defect in recursion_defects(GermStack.of(basis.tables)))
 
     if h0 is None:
         h0 = comparison_radius(x)
@@ -342,33 +373,15 @@ def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport
 
 
 def restricted_solution_rank(basis: SolutionBasis) -> int:
-    """Rank of the germs restricted to interior points of degree <= rank.
+    """Exact rank of the germs restricted to interior points of degree <= rank.
 
     Only meaningful at beta = 0, where it matches the interior image
     dimension of the Jacobian quotient.
     """
     S = basis.semigroup
-    r = S.rank
-    cols = []
-    for k in range(r + 1):
-        cols.extend(S.layer(k, "interior"))
+    cols = (c for k in range(S.rank + 1) for c in S.layer(k, "interior"))
     idx = {c: i for i, c in enumerate(cols)}
-    exact = all(isinstance(v, GaussianRational)
-                for t in basis.tables for v in list(t.entries.values())[:1])
-    if exact:
-        space = RowSpace()
-        for t in basis.tables:
-            row = {idx[c]: v for c, v in t.entries.items() if c in idx and v}
-            space.add(row)
-        return space.rank
-    mat = np.zeros((len(basis.tables), len(cols)), dtype=complex)
-    for i, t in enumerate(basis.tables):
-        for c, v in t.entries.items():
-            if c in idx:
-                mat[i, idx[c]] = complex(v)
-    if not cols or not basis.tables:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if len(s) == 0 or s[0] == 0:
-        return 0
-    return int((s > 1e-9 * s[0]).sum())
+    space = RowSpace()
+    for t in basis.tables:
+        space.add({idx[c]: v for c, v in t.entries.items() if c in idx and v})
+    return space.rank

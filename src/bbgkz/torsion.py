@@ -13,13 +13,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from .abelian import AbelianGroup, Character, GroupElement, char_value
+from .abelian import AbelianGroup, Character, char_value
 from .linalg import GaussianRational, QQI_I, QQI_ONE, RowSpace
 from .polyhedral import GradedSemigroup, build_semigroup
-from .solver import LambdaTable, recursion_defects
+from .solver import GermStack, SolutionBasis, recursion_defects
 
 
 class RegionTooTight(ValueError):
@@ -158,95 +159,99 @@ def find_common_basepoint(Q: QuotientProblem, region: LogModulusBox):
     return x
 
 
-def lift_and_verify(psi: LambdaTable, rho: Character, x, S: GradedSemigroup,
+def _times_character(layer, chars, exact):
+    """A quotient layer (re, im, den) [germ, point], repeated over the torsion
+    residues innermost and times the character's value on each (chars: the
+    char_value (t, z) per residue).  On the exact lane every t is a quarter
+    turn, which swaps or negates (re, im)."""
+    re, im, den = layer
+    if exact:
+        rot = np.stack([re, im, -re, -im])  # (re + i im) i^e = rot[-e] + i rot[1 - e]
+        lre, lim = (rot[[(s - int(4 * t)) % 4 for t, _ in chars]].transpose(1, 2, 0)
+                    for s in (0, 1))
+    else:
+        z = np.array([z for _, z in chars])
+        vr, vi = (np.asarray(a / den, dtype=float)[..., None] for a in (re, im))
+        # Python's complex product term by term, so that no multiply-add is fused
+        lre, lim, den = z.real * vr - z.imag * vi, z.real * vi + z.imag * vr, 1
+    return lre.reshape(len(re), -1), lim.reshape(len(re), -1), den
+
+
+def lift_and_verify(basis: SolutionBasis, rho: Character, x, S: GradedSemigroup,
                     tol=1e-9):
-    """Lift a quotient germ through a character: lambda_c = rho(c) psi_{pi(c)}.
+    """Lift a quotient basis through a character: lambda_c = rho(c) psi_{pi(c)}.
 
-    psi must be a solution germ of the quotient problem at base p_rho(x).
-    Returns (lifted LambdaTable over S, max relative residual).  The lifted
-    table is re-verified against the recursion equations of the original
-    problem with solver.recursion_defects: on the exact lane every defect
-    must vanish, otherwise the largest defect relative to the largest entry
-    is the residual.  Raises ResidualTooLarge on a nonzero exact defect or a
-    residual above `tol`.
+    basis holds solution germs of the quotient problem at base p_rho(x).
+    Layer k of S is the quotient's layer k with the torsion index innermost,
+    so lifted layers are quotient layers times rho.  Returns (lifted
+    GermStack over S, max relative residual) after one recursion_defects
+    pass on the original problem: exact defects must vanish, and a float
+    germ's residual is its largest defect over its largest entry.  Raises
+    ResidualTooLarge for the first failing germ, on a nonzero exact defect
+    or a residual above `tol`.
     """
-    exact = (all(isinstance(v, GaussianRational) for v in x)
-             and all(isinstance(v, GaussianRational) for v in psi.entries.values()))
     lattice, images, index_sets = _project(S.group, S.A)
-    if images != tuple(psi.semigroup.A):
+    if images != tuple(basis.semigroup.A):
         raise ValueError("psi was solved on a different quotient problem")
-    Q = QuotientProblem(lattice, images, index_sets, psi.semigroup, S.group, S.A)
-    for zb, zx in zip(psi.base_x, p_rho(rho, x, Q)):
-        if abs(complex(zb) - complex(zx)) > 1e-12:
-            raise ValueError("psi base point does not match p_rho(x)")
-    D = psi.truncation
-    by_free = {pc.free: val for pc, val in psi.entries.items()}
-    chars = {}  # torsion residue -> (exact value or None, complex value)
-    entries = {}
-    lead = D
-    for k in range(D + 1):
-        for c in S.layer(k):
-            val = by_free.get(c.free)
-            if val is None:
-                continue
-            if c.torsion not in chars:
-                t, zval = char_value(rho, c)
-                chars[c.torsion] = (_exact_char_value(t), zval)
-            ev, zval = chars[c.torsion]
-            if exact and ev is not None:
-                lifted = ev * val
-            else:
-                exact = False
-                lifted = zval * complex(val)
-            if lifted:
-                entries[c] = lifted
-                lead = min(lead, k)
-    if not exact:
-        entries = {c: complex(v) for c, v in entries.items()}
+    Q = QuotientProblem(lattice, images, index_sets, basis.semigroup, S.group, S.A)
+    psi = GermStack.of(basis.tables)
+    if any(abs(complex(a) - complex(b)) > 1e-12 for a, b in zip(psi.base_x, p_rho(rho, x, Q))):
+        raise ValueError("psi base point does not match p_rho(x)")
+    chars = [char_value(rho, t) for t in S.group.torsion_elements()]
+    exact = (psi.exact and all(isinstance(v, GaussianRational) for v in x)
+             and all((4 * t).denominator == 1 for t, _ in chars))
+    layers = []
+    for k, layer in enumerate(psi.layers):
+        if not np.array_equal(Q.semigroup.free_layer(k), S.free_layer(k)):
+            raise ValueError(f"quotient layer {k} is not the free part of layer {k}")
+        layers.append(_times_character(layer, chars, exact))
     xs = tuple(x) if exact else tuple(complex(v) for v in x)
-    table = LambdaTable(S, xs, psi.beta, D, entries, lead)
+    lift = GermStack(S, xs, psi.beta, psi.truncation, layers)
 
-    # residual of the recursion equation for the original problem
-    worst = 0.0
-    for k, defect in recursion_defects(table):
-        if exact and defect.any():
-            p, j = np.argwhere(defect)[0]
-            raise ResidualTooLarge(
-                f"exact lift residual nonzero at {S.layer(k)[p]}, coordinate {j}")
-        if not exact:
-            worst = max(worst, float(defect.max(initial=0.0)))
-    if not exact:
-        worst /= max((abs(v) for v in entries.values()), default=1.0)
-    if worst > tol:
-        raise ResidualTooLarge(f"relative residual {worst:.2e} exceeds {tol}")
-    return table, worst
+    first = {}  # exact lane: germ -> its first defect (k, p, j)
+    worst = np.zeros(len(lift))
+    for k, defect in recursion_defects(lift):
+        if exact:
+            for t in np.flatnonzero(defect.any(axis=(1, 2))):
+                first.setdefault(t, (k, *np.argwhere(defect[t])[0]))
+        else:
+            worst = np.maximum(worst, defect.max(axis=(1, 2), initial=0.0))
+    if first:
+        k, p, j = first[min(first)]
+        raise ResidualTooLarge(
+            f"exact lift residual nonzero at {S.layer(k)[p]}, coordinate {j}")
+    if exact:
+        return lift, 0.0
+    peak = np.max([np.hypot(re, im).max(axis=1, initial=0.0) for re, im, _ in layers], axis=0)
+    worst /= np.where(peak > 0, peak, 1.0)
+    for w in worst:
+        if w > tol:
+            raise ResidualTooLarge(f"relative residual {w:.2e} exceeds {tol}")
+    return lift, float(worst.max(initial=0.0))
 
 
-def independence_count(tables, tol=1e-9) -> int:
-    """Numeric rank of the matrix of table entries.
-
-    Columns run over the union of all indexing group elements in a
-    deterministic order; rank counts singular values above tol * largest.
-    """
-    cols = sorted({c for t in tables for c in t.entries}, key=lambda c: c.sort_key())
-    if not cols or not tables:
+def independence_count(stacks, tol=1e-9) -> int:
+    """Numeric rank of the germs of float GermStacks on one semigroup and
+    truncation: singular values of [germ, entry] above tol * the largest."""
+    if not stacks:
         return 0
-    idx = {c: i for i, c in enumerate(cols)}
-    mat = np.zeros((len(tables), len(cols)), dtype=complex)
-    for i, t in enumerate(tables):
-        for c, v in t.entries.items():
-            mat[i, idx[c]] = complex(v)
+    mat = np.vstack([np.hstack([re + 1j * im for re, im, _ in s.layers]) for s in stacks])
     s = np.linalg.svd(mat, compute_uv=False)
-    if len(s) == 0 or s[0] == 0:
-        return 0
     return int((s > tol * s[0]).sum())
 
 
-def exact_rank(tables) -> int:
-    """Exact rank of tables whose entries are Gaussian rationals."""
-    cols = sorted({c for t in tables for c in t.entries}, key=lambda c: c.sort_key())
-    idx = {c: i for i, c in enumerate(cols)}
+def exact_rank(stacks) -> int:
+    """Exact rank of the germs of exact GermStacks on one semigroup and
+    truncation.  Columns go into a RowSpace degree by degree until the rank
+    is the germ count, which bounds it from above."""
+    rows = sum(len(s) for s in stacks)
     space = RowSpace()
-    for t in tables:
-        space.add({idx[c]: v for c, v in t.entries.items() if v})
+    for layers in zip(*(s.layers for s in stacks)):
+        den = lcm(*(d for _, _, d in layers))
+        re, im = (np.concatenate([a[n] * (den // a[2]) for a in layers]).T.tolist()
+                  for n in (0, 1))
+        for col in zip(re, im):
+            space.add_numerators({t: z for t, z in enumerate(zip(*col)) if z != (0, 0)})
+            if space.rank == rows:
+                return rows
     return space.rank

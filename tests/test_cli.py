@@ -1,12 +1,16 @@
 """Problem parsing, report generation, exit codes, and determinism."""
 
 import json
+import os
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
-from bbgkz import cli
-from bbgkz.polyhedral import KPrimGuardError
+from bbgkz import cli, polyhedral, ring
+from bbgkz.abelian import AbelianGroup
+from bbgkz.polyhedral import KPrimGuardError, build_semigroup
+from bbgkz.ring import DimReport, FVector
 from bbgkz.solver import InconsistentSystem
 from bbgkz.torsion import RegionTooTight
 
@@ -204,6 +208,87 @@ class TestFailedComputation:
         assert report["checks"][-1] == {"name": f"{task}_completed", "passed": False,
                                         "error": f"{error.__name__}: injected"}
         jsonschema.validate(read(out), cli._load_schema("report.schema.json"))
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+class TestLiftLanes:
+    """The exact lane reads its rank from RowSpace and its quotient
+    certificate from the quotient solve; a quotient point that is degenerate
+    or has a zero coordinate sends the lift to the float lane."""
+
+    @pytest.mark.parametrize("name", ["p2_z4", "hexagon_z2"])
+    def test_exact_lane_uses_no_float_rank_or_quotient_check(self, name, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("independence_count called")
+
+        def problem_only(f, S, *args):
+            assert S.group.torsion_order > 1, "is_nondegenerate called on the quotient"
+            return check(f, S, *args)
+
+        check = ring.is_nondegenerate
+        monkeypatch.setattr(cli, "independence_count", refuse)
+        monkeypatch.setattr(cli, "is_nondegenerate", problem_only)
+        monkeypatch.setattr(ring, "is_nondegenerate", problem_only)
+        report, code = cli.run(os.path.join(GOLDEN, f"{name}.problem.json"), timings=False)
+        assert code == 0
+        lift = report["torsion_lift"]
+        assert lift["mode"] == "exact" and lift["rank"] == lift["expected"]
+
+    @staticmethod
+    def lift_block(spec, S, f, D=5):
+        report, checks = {}, []
+        cli._task_lift(spec, S, f, D, report, checks)
+        assert all(c["passed"] for c in checks)
+        return report["torsion_lift"]
+
+    def test_degenerate_quotient_point_takes_float_lane(self):
+        """P^1 with Z/2 on one end point: at x = (1, 2, -1) the trivial
+        character's quotient point is nondegenerate and the other one's,
+        (-1, 2, -1), has discriminant 0, so its quotient solve fails and
+        the float lane lifts instead."""
+        N = AbelianGroup(2, (2,))
+        S = build_semigroup(N, (N.element((-1, 1), (1,)), N.element((0, 1), (0,)),
+                                N.element((1, 1), (0,))))
+        spec = type("Spec", (), {"beta": (Fraction(1, 2), Fraction(-1, 3))})
+        block = self.lift_block(spec, S, FVector((1, 2, -1)))
+        assert block.pop("max_residual") <= 1e-9
+        assert block == {"mode": "float", "lifted_tables": 4, "rank": 4, "expected": 4}
+        assert self.lift_block(spec, S, FVector((1, 2, 3)))["mode"] == "exact"
+
+    @pytest.mark.parametrize("fault", ["tail", "total"])
+    def test_failed_certificate_takes_float_lane(self, fault, monkeypatch):
+        spec = cli.load_problem(cli.fixture_path("z2_example"))
+        S = build_semigroup(spec.group, spec.vectors)
+        f, _ = spec.resolve_x(S)
+        assert self.lift_block(spec, S, f)["mode"] == "exact"
+        dims = cli.filtration_dims
+
+        def off(basis):
+            counts = list(dims(basis).per_degree)
+            counts[S.rank + 1 if fault == "tail" else 0] += 1
+            return DimReport.of(counts)
+
+        monkeypatch.setattr(cli, "filtration_dims", off)
+        block = self.lift_block(spec, S, f)
+        assert block["mode"] == "float" and block["rank"] == block["expected"] == 2
+
+
+class TestSharedWork:
+    def test_p3_one_volume_and_one_hat_base(self, monkeypatch):
+        """One triangulation per run, and analyze and restrict share the
+        beta = 0 hat base."""
+        triangulations, hat_bases = [], []
+        triangulate, rows = polyhedral.triangulate_polytope, ring._hat_rows
+        monkeypatch.setattr(polyhedral, "triangulate_polytope",
+                            lambda *a: triangulations.append(1) or triangulate(*a))
+        monkeypatch.setattr(ring, "_hat_rows",
+                            lambda f, beta, *a: (hat_bases.append(1) if not any(beta) else None)
+                            or rows(f, beta, *a))
+        report, code = cli.run(os.path.join(GOLDEN, "p3.problem.json"), timings=False)
+        assert code == 0 and report["volume"] == 4
+        assert len(triangulations) == 1 and len(hat_bases) == 1
 
 
 class TestMain:

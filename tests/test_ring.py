@@ -114,6 +114,29 @@ class TestImageCache:
         assert jacobian_dims(f, S, r + 1) == jac
         assert sorted(calls) == [(k, "full") for k in range(r + 2)]
 
+    @pytest.mark.parametrize("name", ["p2", "square_z2"])
+    def test_hat_base_reduced_once(self, name, monkeypatch):
+        """hat_quotient_dims at beta = 0 and hat_restriction_rank share one
+        reduction of the beta = 0 hat rows per (x, D) and extend copies, so
+        repeated calls agree with a fresh semigroup; beta != 0 and the
+        interior are not cached."""
+        S0, f, beta = make_problem(name)
+        fresh = build_semigroup(S0.group, S0.A)
+        want = (hat_quotient_dims(f, (0,) * S0.rank, fresh, filtration_bound=S0.rank + 2),
+                hat_restriction_rank(f, fresh, filtration_bound=S0.rank + 2))
+        S, r = build_semigroup(S0.group, S0.A), S0.rank
+        calls = []
+        build = ring._hat_rows
+        monkeypatch.setattr(ring, "_hat_rows",
+                            lambda *args: calls.append((any(args[1]), args[3])) or build(*args))
+        for _ in range(2):
+            assert hat_quotient_dims(f, (0,) * r, S, filtration_bound=r + 2) == want[0]
+            assert hat_restriction_rank(f, S, filtration_bound=r + 2) == want[1]
+            hat_quotient_dims(f, beta, S, filtration_bound=r + 2)
+            hat_quotient_dims(f, (0,) * r, S, region="interior", filtration_bound=r + 2)
+        assert sorted(calls) == sorted([(False, "full")] + 2 * [(True, "full"),
+                                                                (False, "interior")])
+
 
 class TestNondegeneracy:
     def test_z2_good_and_bad_points(self):

@@ -6,16 +6,17 @@ import math
 import os
 import re
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 
 from bbgkz import cli, torsion
 from bbgkz.abelian import AbelianGroup, char_value
-from bbgkz.linalg import QQI_I, GaussianRational
+from bbgkz.linalg import QQI_I, GaussianRational, RowSpace
 from bbgkz.polyhedral import build_semigroup, normalized_volume
-from bbgkz.ring import FVector, is_nondegenerate
-from bbgkz.solver import recursion_defects, solve_recursion
+from bbgkz.ring import FVector
+from bbgkz.solver import GermStack, LambdaTable, recursion_defects, solve_recursion
 from bbgkz.torsion import (LogModulusBox, RegionTooTight, ResidualTooLarge,
                            build_quotient, exact_rank, find_common_basepoint,
                            independence_count, lift_and_verify, p_rho)
@@ -120,38 +121,100 @@ class TestBasepoint:
             LogModulusBox((1.0,), (0.0,))
 
 
+def quotient_bases(S, x, beta, truncation):
+    """(rho, quotient basis at p_rho(x)) for every character: exact at an
+    exact x, else on the float backend."""
+    Q = build_quotient(S.group, S.A)
+    exact = isinstance(x[0], GaussianRational)
+    out = []
+    for rho in S.group.characters():
+        z = p_rho(rho, x, Q)
+        if exact:
+            out.append((rho, solve_recursion(FVector(z), beta, Q.semigroup,
+                                             truncation=truncation)))
+        else:
+            out.append((rho, solve_recursion(z, tuple(complex(b) for b in beta),
+                                             Q.semigroup, truncation=truncation,
+                                             backend="float")))
+    return out
+
+
+def lane_x(S, f):
+    """The lift's base point: the problem's x on the exact lane (torsion
+    invariants 2 and 4), a common base point on the float lane."""
+    if all(d in (2, 4) for d in S.group.torsion_invariants):
+        return tuple(f.x)
+    Q = build_quotient(S.group, S.A)
+    m = len(Q.images)
+    return find_common_basepoint(Q, LogModulusBox((math.log(0.5),) * m, (math.log(2.0),) * m))
+
+
 def lift_full_basis(name, beta=None, truncation=5):
-    """All quotient germs lifted through all characters of the fixture."""
+    """One lifted GermStack per character of the fixture, and the worst
+    residual."""
     S, f, fixture_beta = make_problem(name)
     beta = beta if beta is not None else fixture_beta
-    Q = build_quotient(S.group, S.A)
-    exact = all(d in (2, 4) for d in S.group.torsion_invariants)
-    lifted = []
+    x = lane_x(S, f)
+    stacks = []
     worst = 0.0
-    if exact:
-        x = tuple(f.x)
-        for rho in S.group.characters():
-            z = p_rho(rho, x, Q)
-            qb = solve_recursion(FVector(z), beta, Q.semigroup,
-                                 truncation=truncation)
-            for psi in qb.tables:
-                table, resid = lift_and_verify(psi, rho, x, S)
-                lifted.append(table)
-                worst = max(worst, resid)
-    else:
-        m = len(Q.images)
-        region = LogModulusBox((math.log(0.5),) * m, (math.log(2.0),) * m)
-        x = find_common_basepoint(Q, region)
-        bf = tuple(complex(b) for b in beta)
-        for rho in S.group.characters():
-            z = p_rho(rho, x, Q)
-            qb = solve_recursion(z, bf, Q.semigroup, truncation=truncation,
-                                 backend="float")
-            for psi in qb.tables:
-                table, resid = lift_and_verify(psi, rho, x, S)
-                lifted.append(table)
-                worst = max(worst, resid)
-    return S, lifted, worst
+    for rho, qb in quotient_bases(S, x, beta, truncation):
+        stack, resid = lift_and_verify(qb, rho, x, S)
+        stacks.append(stack)
+        worst = max(worst, resid)
+    return S, stacks, worst
+
+
+def stack_values(stack):
+    """Per germ, the nonzero entries of a stack as {c: value}:
+    GaussianRational on the exact lane, complex on the float lane."""
+    out = [{} for _ in range(len(stack))]
+    for k, (re, im, den) in enumerate(stack.layers):
+        layer = stack.semigroup.layer(k)
+        for t, p in zip(*np.nonzero((re != 0) | (im != 0))):
+            out[t][layer[p]] = (GaussianRational(re[t, p], im[t, p], den) if stack.exact
+                                else complex(re[t, p], im[t, p]))
+    return out
+
+
+def reference_lift(psi, rho, x, S):
+    """The per-germ dict lift that the array lift replaced, kept as its
+    reference: lambda_c = rho(c) psi_{pi(c)} entry by entry over S's layers,
+    exact where x, psi and the character value are, else in Python complex
+    arithmetic."""
+    exact = (all(isinstance(v, GaussianRational) for v in x)
+             and all(isinstance(v, GaussianRational) for v in psi.entries.values()))
+    by_free = {pc.free: val for pc, val in psi.entries.items()}
+    entries = {}
+    lead = psi.truncation
+    for k in range(psi.truncation + 1):
+        for c in S.layer(k):
+            val = by_free.get(c.free)
+            if val is None:
+                continue
+            t, zval = char_value(rho, c)
+            ev = torsion._exact_char_value(t)
+            if exact and ev is not None:
+                lifted = ev * val
+            else:
+                exact = False
+                lifted = zval * complex(val)
+            if lifted:
+                entries[c] = lifted
+                lead = min(lead, k)
+    if not exact:
+        entries = {c: complex(v) for c, v in entries.items()}
+    xs = tuple(x) if exact else tuple(complex(v) for v in x)
+    return LambdaTable(S, xs, psi.beta, psi.truncation, entries, lead)
+
+
+def reference_rank(tables):
+    """Exact rank of LambdaTables over all their columns at once."""
+    cols = sorted({c for t in tables for c in t.entries}, key=lambda c: c.sort_key())
+    idx = {c: i for i, c in enumerate(cols)}
+    space = RowSpace()
+    for t in tables:
+        space.add({idx[c]: v for c, v in t.entries.items() if v})
+    return space.rank
 
 
 class TestLifting:
@@ -164,27 +227,28 @@ class TestLifting:
         z = p_rho(rho, x, Q)
         assert z == x
         basis = solve_recursion(FVector(z), beta, Q.semigroup, truncation=4)
-        for psi in basis.tables:
-            table, resid = lift_and_verify(psi, rho, x, S)
-            assert resid == 0.0
-            assert {c.free: v for c, v in table.entries.items()} == \
+        stack, resid = lift_and_verify(basis, rho, x, S)
+        assert resid == 0.0
+        for values, psi in zip(stack_values(stack), basis.tables):
+            assert {c.free: v for c, v in values.items()} == \
                 {c.free: v for c, v in psi.entries.items()}
 
     def test_z2_exact_lift_rank_two(self):
         S, lifted, worst = lift_full_basis("z2", beta=(Fraction(3, 2),))
         assert worst == 0.0
-        assert len(lifted) == 2
+        assert all(s.exact for s in lifted)
+        assert sum(len(s) for s in lifted) == 2
         assert exact_rank(lifted) == 2
-        assert independence_count(lifted) == 2
 
     def test_z2_lift_reproduces_power_germs(self):
         """The two lifts are the germs of (x1+x2)^b and (x1-x2)^b."""
         beta = Fraction(3, 2)
         S, lifted, _ = lift_full_basis("z2", beta=(beta,))
         x1, x2 = Fraction(2), Fraction(1)
-        for table, base in zip(lifted, (x1 + x2, x1 - x2)):
+        tables = [values for s in lifted for values in stack_values(s)]
+        for entries, base in zip(tables, (x1 + x2, x1 - x2)):
             def g(k, c):
-                return table.entries.get(S.group.element((k,), (c,)), 0)
+                return entries.get(S.group.element((k,), (c,)), 0)
             for k in range(5):
                 assert base * g(k + 1, 0) == g(k, 0) * (beta - k)
             # character sign pattern on the torsion bit
@@ -196,13 +260,42 @@ class TestLifting:
         S, lifted, worst = lift_full_basis("square_z2")
         expect = normalized_volume(S.A) * S.group.torsion_order
         assert worst == 0.0
-        assert len(lifted) == expect
+        assert sum(len(s) for s in lifted) == expect
         assert exact_rank(lifted) == expect
 
     def test_g3_float_lane(self):
         S, lifted, worst = lift_full_basis("g3")
         assert worst <= 1e-9
+        assert not any(s.exact for s in lifted)
         assert independence_count(lifted) == 3
+
+    def test_float_lane_residual(self):
+        """On the float lane a germ's residual is its largest recursion defect
+        over its largest entry: roundoff on the true germs, past tol on a
+        corrupted one, and the error names the first failing germ."""
+        spec, S, f = spec_problem(os.path.join(GOLDEN, "seg5_z3.problem.json"))
+        x = lane_x(S, f)
+        rho, basis = quotient_bases(S, x, spec.beta, spec.truncation)[1]
+        assert len(basis) == 4
+        _, resid = lift_and_verify(basis, rho, x, S)
+        assert 0 < resid <= 1e-9
+
+        def corrupt(t, factor):
+            psi = basis.tables[t]
+            c = sample(psi.entries, 2)[1]
+            return dataclasses.replace(psi, entries={**psi.entries, c: psi.entries[c] * factor})
+
+        one = dataclasses.replace(basis, tables=[basis.tables[0], corrupt(1, 1.001),
+                                                 *basis.tables[2:]])
+        both = dataclasses.replace(basis, tables=[basis.tables[0], corrupt(1, 1.001),
+                                                  corrupt(2, 10.0), basis.tables[3]])
+        with pytest.raises(ResidualTooLarge,
+                           match=r"^relative residual \S+ exceeds 1e-09$") as first:
+            lift_and_verify(one, rho, x, S)
+        with pytest.raises(ResidualTooLarge) as second:
+            lift_and_verify(both, rho, x, S)
+        assert str(second.value) == str(first.value)
+        assert lift_and_verify(both, rho, x, S, tol=1e9)[1] > float(str(first.value).split()[2])
 
     def test_zero_table_lifts_to_zero(self):
         S, f, beta = make_problem("z2")
@@ -210,11 +303,10 @@ class TestLifting:
         rho = S.group.characters()[1]
         x = tuple(f.x)
         z = p_rho(rho, x, Q)
-        psi = solve_recursion(FVector(z), beta, Q.semigroup,
-                              truncation=4).tables[0]
-        psi.entries.clear()
-        table, resid = lift_and_verify(psi, rho, x, S)
-        assert table.entries == {} and resid == 0.0
+        basis = solve_recursion(FVector(z), beta, Q.semigroup, truncation=4)
+        basis.tables[0].entries.clear()
+        stack, resid = lift_and_verify(basis, rho, x, S)
+        assert stack_values(stack) == [{}] and resid == 0.0
 
     def test_corrupted_lift_raises(self):
         S, f, beta = make_problem("z2")
@@ -222,44 +314,128 @@ class TestLifting:
         rho = S.group.characters()[1]
         x = tuple(f.x)
         z = p_rho(rho, x, Q)
-        psi = solve_recursion(FVector(z), beta, Q.semigroup,
-                              truncation=4).tables[0]
+        basis = solve_recursion(FVector(z), beta, Q.semigroup, truncation=4)
+        psi = basis.tables[0]
         c = psi.semigroup.group.element((1,))
         psi.entries[c] = psi.entries[c] + 1
-        with pytest.raises(ResidualTooLarge):
-            lift_and_verify(psi, rho, x, S)
+        c, j = first_reference_defect(reference_lift(psi, rho, x, S))
+        with pytest.raises(ResidualTooLarge,
+                           match=rf"^exact lift residual nonzero at {re.escape(str(c))}, "
+                                 rf"coordinate {j}$"):
+            lift_and_verify(basis, rho, x, S)
 
     def test_lift_builds_no_semigroup(self, monkeypatch):
-        """lift_and_verify projects the data and reuses psi's semigroup, the
-        quotient's, instead of building it again for every germ."""
+        """lift_and_verify projects the data and reuses the basis' semigroup,
+        the quotient's, instead of building it again."""
         S, f, beta = make_problem("square_z2")
         Q = build_quotient(S.group, S.A)
         rho = S.group.characters()[1]
         x = tuple(f.x)
-        psi = solve_recursion(FVector(p_rho(rho, x, Q)), beta, Q.semigroup,
-                              truncation=4).tables[0]
+        basis = solve_recursion(FVector(p_rho(rho, x, Q)), beta, Q.semigroup,
+                                truncation=4)
 
         def refuse(*args):
             raise AssertionError("build_semigroup called")
         monkeypatch.setattr(torsion, "build_semigroup", refuse)
-        table, resid = lift_and_verify(psi, rho, x, S)
-        assert resid == 0.0 and table.entries
+        stack, resid = lift_and_verify(basis, rho, x, S)
+        assert resid == 0.0 and any(stack_values(stack))
 
     def test_base_point_mismatch_rejected(self):
         S, f, beta = make_problem("z2")
         Q = build_quotient(S.group, S.A)
         rho = S.group.characters()[0]
         z = (GaussianRational(5),)
-        psi = solve_recursion(FVector(z), beta, Q.semigroup,
-                              truncation=4).tables[0]
+        basis = solve_recursion(FVector(z), beta, Q.semigroup, truncation=4)
         with pytest.raises(ValueError):
-            lift_and_verify(psi, rho, tuple(f.x), S)
+            lift_and_verify(basis, rho, tuple(f.x), S)
+
+    def test_quotient_layers_must_match(self, monkeypatch):
+        """A quotient semigroup whose layers are not the free slices of S's
+        is refused rather than lifted onto the wrong points."""
+        S, f, beta = make_problem("z2")
+        Q = build_quotient(S.group, S.A)
+        rho = S.group.characters()[1]
+        x = tuple(f.x)
+        basis = solve_recursion(FVector(p_rho(rho, x, Q)), beta, Q.semigroup,
+                                truncation=4)
+        layer = Q.semigroup.free_layer(2)
+        monkeypatch.setitem(Q.semigroup._free, (2, "full"), layer + 1)
+        with pytest.raises(ValueError, match="quotient layer 2"):
+            lift_and_verify(basis, rho, x, S)
+
+
+def problem_path(name):
+    """A problem stored beside the goldens, or else a bundled fixture."""
+    path = os.path.join(GOLDEN, f"{name}.problem.json")
+    return path if os.path.exists(path) else cli.fixture_path(name)
+
+
+class TestArrayLift:
+    """The array lift against the per-germ dict lift it replaced."""
+
+    @pytest.mark.parametrize("name", ["z2_example", "square_z2", "p2_z4", "hexagon_z2",
+                                      "g3_torsion", "seg5_z3"])
+    def test_matches_reference_lift(self, name):
+        spec, S, f = spec_problem(problem_path(name))
+        x = lane_x(S, f)
+        exact = isinstance(x[0], GaussianRational)
+        assert exact == (name not in ("g3_torsion", "seg5_z3"))
+        for rho, basis in quotient_bases(S, x, spec.beta, spec.truncation):
+            stack, _ = lift_and_verify(basis, rho, x, S)
+            assert stack.exact == exact
+            refs = [reference_lift(psi, rho, x, S) for psi in basis.tables]
+            assert stack.base_x == refs[0].base_x and stack.beta == refs[0].beta
+            assert stack_values(stack) == [ref.entries for ref in refs]
+            if not exact:
+                # bitwise: every nonzero part has the reference's bits
+                for k, (re_, im_, _) in enumerate(stack.layers):
+                    want = np.array([[complex(ref.entries.get(c, 0)) for c in S.layer(k)]
+                                     for ref in refs])
+                    for got, ref in ((re_, want.real), (im_, want.imag)):
+                        assert np.array_equal(got, ref)
+                        nz = ref != 0
+                        assert (got[nz].view(np.uint64) == ref[nz].view(np.uint64)).all()
+
+
+class TestExactRank:
+    """exact_rank stops adding columns once the rank is the germ count."""
+
+    @pytest.mark.parametrize("name", ["z2_example", "square_z2", "p2_z4", "hexagon_z2"])
+    def test_prefix_rank_is_full_rank(self, name):
+        spec, S, f = spec_problem(problem_path(name))
+        x = tuple(f.x)
+        stacks, refs = [], []
+        for rho, basis in quotient_bases(S, x, spec.beta, spec.truncation):
+            stacks.append(lift_and_verify(basis, rho, x, S)[0])
+            refs.extend(reference_lift(psi, rho, x, S) for psi in basis.tables)
+        full = reference_rank(refs)
+        assert full == normalized_volume(S.A) * S.group.torsion_order
+        assert exact_rank(stacks) == full
+        # replacing germ 0 of one stack by a copy of the last germ of another,
+        # or by zero, lowers the rank by one
+        for src, dst in ((0, -1), (-1, 0)):
+            for duplicate in (True, False):
+                layers = []
+                for (re_, im_, d), (sre, sim, sd) in zip(stacks[dst].layers,
+                                                         stacks[src].layers):
+                    den = lcm(d, sd)
+                    re_, im_ = re_ * (den // d), im_ * (den // d)
+                    re_[0], im_[0] = ((sre[-1] * (den // sd), sim[-1] * (den // sd))
+                                      if duplicate else (0, 0))
+                    layers.append((re_, im_, den))
+                bad = list(stacks)
+                bad[dst] = dataclasses.replace(stacks[dst], layers=layers)
+                assert exact_rank(bad) == full - 1
+
+    def test_empty(self):
+        assert exact_rank([]) == 0
 
 
 class TestIndependenceCount:
     def test_duplicates_do_not_raise_rank(self):
-        S, lifted, _ = lift_full_basis("z2", beta=(Fraction(3, 2),))
-        assert independence_count(lifted + [lifted[0]]) == 2
+        S, lifted, _ = lift_full_basis("g3")
+        assert independence_count(lifted + [lifted[0]]) == 3
+        assert independence_count(lifted[1:] + [lifted[1]]) == 2
 
     def test_empty(self):
         assert independence_count([]) == 0
@@ -286,11 +462,15 @@ def first_reference_defect(table):
     return next(((c, j) for c, j, diff in reference_defects(table) if diff), None)
 
 
-def first_defect(table):
-    for k, defect in recursion_defects(table):
-        for p, j in np.argwhere(defect)[:1]:
-            return table.semigroup.layer(k)[p], j
-    return None
+def first_defects(stack):
+    """Per germ of a stack, the first (c, j) that recursion_defects reports,
+    or None."""
+    out = [None] * len(stack)
+    for k, defect in recursion_defects(stack):
+        for t, p, j in np.argwhere(defect):
+            if out[t] is None:
+                out[t] = (stack.semigroup.layer(k)[p], j)
+    return out
 
 
 def spec_problem(path):
@@ -301,18 +481,15 @@ def spec_problem(path):
 
 
 def exact_lifts(path):
-    """(rho, quotient germ, lifted table) for every exact lift of a problem."""
+    """(rho, quotient basis, lifted stack, reference lifts of its germs) for
+    every character of an exact-lane problem."""
     spec, S, f = spec_problem(path)
-    Q = build_quotient(S.group, S.A)
     x = tuple(f.x)
     out = []
-    for rho in S.group.characters():
-        qb = solve_recursion(FVector(p_rho(rho, x, Q)), spec.beta, Q.semigroup,
-                             truncation=spec.truncation)
-        for psi in qb.tables:
-            table, resid = lift_and_verify(psi, rho, x, S)
-            assert resid == 0.0
-            out.append((rho, psi, table))
+    for rho, basis in quotient_bases(S, x, spec.beta, spec.truncation):
+        stack, resid = lift_and_verify(basis, rho, x, S)
+        assert resid == 0.0
+        out.append((rho, basis, stack, [reference_lift(psi, rho, x, S) for psi in basis.tables]))
     return S, x, out
 
 
@@ -330,52 +507,65 @@ LIFT_PROBLEMS = {
 
 
 class TestExactRecursionCheck:
-    """Single-entry corruptions of exact tables, lifted and quotient germs:
-    recursion_defects must report the first (c, j) that the per-term reference
+    """Single-entry corruptions of exact germs, lifted and quotient, in
+    stacks of all germs of one character: recursion_defects must report, for
+    the corrupted germ only, the first (c, j) that the per-term reference
     reports, and lift_and_verify must name it."""
 
     @pytest.mark.parametrize("name", sorted(LIFT_PROBLEMS))
     def test_lifted_entry_corruptions(self, name):
         S, _, lifts = exact_lifts(LIFT_PROBLEMS[name])
         if name == "p2_z4":
-            assert any(v.b for _, _, t in lifts for v in t.entries.values())
-            assert any(z.b for _, psi, _ in lifts for z in psi.base_x)
+            assert any(v.b for *_, refs in lifts for t in refs for v in t.entries.values())
+            assert any(z.b for _, basis, *_ in lifts for z in basis.tables[0].base_x)
         # the quotient germs too: under +-i characters their base point is complex
-        for table in [t for _, psi, lifted in lifts[::2] for t in (lifted, psi)]:
-            assert first_defect(table) is None
-            assert first_reference_defect(table) is None
-            for c in sample(table.entries, 3):
-                for delta in (1, QQI_I):
-                    bad = dataclasses.replace(
-                        table, entries={**table.entries, c: table.entries[c] + delta})
-                    want = first_reference_defect(bad)
-                    assert want is not None
-                    assert first_defect(bad) == want
+        for _, basis, stack, refs in lifts:
+            for tables in (refs, basis.tables):
+                assert first_defects(GermStack.of(tables)) == [None] * len(tables)
+                for t, table in list(enumerate(tables))[::2]:
+                    assert first_reference_defect(table) is None
+                    for c in sample(table.entries, 3):
+                        for delta in (1, QQI_I):
+                            bad = dataclasses.replace(
+                                table, entries={**table.entries, c: table.entries[c] + delta})
+                            want = first_reference_defect(bad)
+                            assert want is not None
+                            got = first_defects(GermStack.of(tables[:t] + [bad] + tables[t + 1:]))
+                            assert got == [want if u == t else None for u in range(len(tables))]
 
     @pytest.mark.parametrize("name", sorted(LIFT_PROBLEMS))
     def test_lift_and_verify_names_first_defect(self, name):
         S, x, lifts = exact_lifts(LIFT_PROBLEMS[name])
-        for rho, psi, table in lifts[::3]:
-            for pc in sample(psi.entries, 2):
-                # doubling psi at pc doubles every lifted entry above pc
-                bad_psi = dataclasses.replace(
-                    psi, entries={**psi.entries, pc: 2 * psi.entries[pc]})
-                bad = dataclasses.replace(table, entries={
-                    c: 2 * v if c.free == pc.free else v for c, v in table.entries.items()})
-                c, j = first_reference_defect(bad)
-                assert first_defect(bad) == (c, j)
-                with pytest.raises(ResidualTooLarge,
-                                   match=rf"at {re.escape(str(c))}, coordinate {j}$"):
-                    lift_and_verify(bad_psi, rho, x, S)
+        for rho, basis, _, refs in lifts[::3]:
+            for t in range(len(basis.tables))[::-2]:
+                psi = basis.tables[t]
+                for pc in sample(psi.entries, 2):
+                    # doubling psi at pc doubles every lifted entry above pc
+                    bad_psi = dataclasses.replace(
+                        psi, entries={**psi.entries, pc: 2 * psi.entries[pc]})
+                    bad = dataclasses.replace(refs[t], entries={
+                        c: 2 * v if c.free == pc.free else v for c, v in refs[t].entries.items()})
+                    assert reference_lift(bad_psi, rho, x, S).entries == bad.entries
+                    c, j = first_reference_defect(bad)
+                    assert first_defects(GermStack.of([bad]))[0] == (c, j)
+                    # germ t is the first failing one: later germs fail too
+                    tables = basis.tables[:t] + [bad_psi] + [
+                        dataclasses.replace(p, entries={**p.entries, k: 2 * p.entries[k]})
+                        for p in basis.tables[t + 1:] for k in sample(p.entries, 1)]
+                    with pytest.raises(ResidualTooLarge,
+                                       match=rf"at {re.escape(str(c))}, coordinate {j}$"):
+                        lift_and_verify(dataclasses.replace(basis, tables=tables), rho, x, S)
 
     def test_hexagon_germ_corruptions(self):
         spec, S, f = spec_problem(os.path.join(GOLDEN, "hexagon.problem.json"))
         basis = solve_recursion(f, spec.beta, S, truncation=spec.truncation)
-        for table in basis.tables[::2]:
-            assert first_defect(table) is None
+        assert first_defects(GermStack.of(basis.tables)) == [None] * len(basis)
+        for t, table in list(enumerate(basis.tables))[::2]:
             for c in sample(table.entries, 4):
                 bad = dataclasses.replace(
                     table, entries={**table.entries, c: table.entries[c] * 3})
                 want = first_reference_defect(bad)
                 assert want is not None
-                assert first_defect(bad) == want
+                tables = basis.tables[:t] + [bad] + basis.tables[t + 1:]
+                assert first_defects(GermStack.of(tables)) == \
+                    [want if u == t else None for u in range(len(tables))]
