@@ -27,9 +27,9 @@ from jsonschema.exceptions import best_match
 from .abelian import AbelianGroup, NoDegreeFunctional, NotSpanning
 from .linalg import GaussianRational
 from .polyhedral import GradedSemigroup, KPrimGuardError, build_semigroup, k_prim
-from .ring import (FVector, NondegeneracyRetriesExhausted, dual_kernel_dims,
-                   hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
-                   jacobian_dims, r1_dims, random_rational_x)
+from .ring import (FVector, NondegeneracyCertificate, NondegeneracyRetriesExhausted,
+                   dual_kernel_dims, hat_quotient_dims, hat_restriction_rank,
+                   is_nondegenerate, jacobian_dims, r1_dims, random_rational_x)
 from .solver import (InconsistentSystem, check_residuals, filtration_dims,
                      restricted_solution_rank, solve_recursion)
 from .torsion import (LogModulusBox, RegionTooTight, ResidualTooLarge,
@@ -240,19 +240,18 @@ def _task_restrict(spec, S, f, D, report, checks):
 
 
 def _exact_lifts(spec, S, Q, f, D):
-    """lift_and_verify per character at the problem's x, or None if a quotient
-    point has a zero coordinate or is degenerate.  The quotient solve's kernel
-    counts are the dims `is_nondegenerate` reads: its filtration to degree
-    rank + 1 is the certificate."""
+    """lift_and_verify per character at the problem's x, or None if a quotient point
+    has a zero coordinate or is degenerate (certified from its solve's filtration)."""
     lifts = []
     for rho in S.group.characters():
         z = p_rho(rho, f.x, Q)
+        if not all(z):
+            return None
         try:
             qbasis = solve_recursion(FVector(z), spec.beta, Q.semigroup, truncation=D)
         except InconsistentSystem:
             return None
-        cert = filtration_dims(qbasis).per_degree[:S.rank + 2]
-        if not all(z) or sum(cert) != Q.semigroup.volume or cert[-1]:
+        if not NondegeneracyCertificate.of(filtration_dims(qbasis).per_degree, Q.semigroup):
             return None
         lifts.append(lift_and_verify(qbasis, rho, f.x, S))
     return lifts

@@ -105,6 +105,13 @@ class NondegeneracyCertificate:
     per_degree: tuple
     tail_degrees_zero: bool
 
+    @classmethod
+    def of(cls, per_degree, S: GradedSemigroup, max_degree=None):
+        """Certificate of the quotient dims of degrees 0..max_degree (default rank + 1)."""
+        dims = DimReport.of(per_degree[:(S.rank + 1 if max_degree is None else max_degree) + 1])
+        return cls(dims.total, S.volume * S.group.torsion_order, dims.per_degree,
+                   not any(dims.per_degree[S.rank + 1:]))
+
     @property
     def ok(self):
         return self.total == self.expected_total and self.tail_degrees_zero
@@ -120,15 +127,10 @@ def is_nondegenerate(f: FVector, S: GradedSemigroup, max_degree=None):
     graded pieces vanish strictly above degree rank(N).  Returns the boolean
     together with a certificate recording both facts.
     """
-    r = S.rank
-    if max_degree is None:
-        max_degree = r + 1
-    if max_degree < r + 1:
+    max_degree = S.rank + 1 if max_degree is None else max_degree
+    if max_degree < S.rank + 1:
         raise ValueError("max_degree must be at least rank + 1")
-    dims = jacobian_dims(f, S, max_degree)
-    expected = S.volume * S.group.torsion_order
-    tail_zero = all(d == 0 for d in dims.per_degree[r + 1:])
-    cert = NondegeneracyCertificate(dims.total, expected, dims.per_degree, tail_zero)
+    cert = NondegeneracyCertificate.of(jacobian_dims(f, S, max_degree).per_degree, S, max_degree)
     return cert.ok, cert
 
 

@@ -224,9 +224,8 @@ def lift_and_verify(basis: SolutionBasis, rho: Character, x, S: GradedSemigroup,
         return lift, 0.0
     peak = np.max([np.hypot(re, im).max(axis=1, initial=0.0) for re, im, _ in layers], axis=0)
     worst /= np.where(peak > 0, peak, 1.0)
-    for w in worst:
-        if w > tol:
-            raise ResidualTooLarge(f"relative residual {w:.2e} exceeds {tol}")
+    if (worst > tol).any():
+        raise ResidualTooLarge(f"relative residual {worst[worst > tol][0]:.2e} exceeds {tol}")
     return lift, float(worst.max(initial=0.0))
 
 

@@ -12,7 +12,7 @@ from bbgkz.abelian import AbelianGroup
 from bbgkz.polyhedral import KPrimGuardError, build_semigroup
 from bbgkz.ring import DimReport, FVector
 from bbgkz.solver import InconsistentSystem
-from bbgkz.torsion import RegionTooTight
+from bbgkz.torsion import RegionTooTight, p_rho
 
 
 def read(path):
@@ -256,6 +256,19 @@ class TestLiftLanes:
         assert block.pop("max_residual") <= 1e-9
         assert block == {"mode": "float", "lifted_tables": 4, "rank": 4, "expected": 4}
         assert self.lift_block(spec, S, FVector((1, 2, 3)))["mode"] == "exact"
+
+    def test_zero_coordinate_skips_the_quotient_solve(self, monkeypatch):
+        spec = cli.load_problem(cli.fixture_path("z2_example"))
+        S = build_semigroup(spec.group, spec.vectors)
+        f, _ = spec.resolve_x(S)
+        Q = cli.build_quotient(S.group, S.A)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quotient solved at a point with a zero coordinate")
+
+        monkeypatch.setattr(cli, "p_rho", lambda rho, x, Q: (0, *p_rho(rho, x, Q)[1:]))
+        monkeypatch.setattr(cli, "solve_recursion", refuse)
+        assert cli._exact_lifts(spec, S, Q, f, 5) is None
 
     @pytest.mark.parametrize("fault", ["tail", "total"])
     def test_failed_certificate_takes_float_lane(self, fault, monkeypatch):

@@ -14,10 +14,11 @@ import pytest
 from bbgkz import ring
 from bbgkz.linalg import GaussianRational
 from bbgkz.polyhedral import build_semigroup, normalized_volume
-from bbgkz.ring import (FVector, NondegeneracyRetriesExhausted,
+from bbgkz.ring import (FVector, NondegeneracyCertificate, NondegeneracyRetriesExhausted,
                         dual_kernel_dims, hat_quotient_dims,
                         hat_restriction_rank, is_nondegenerate, jacobian_dims,
                         r1_dims, random_rational_x, _image_rows)
+from bbgkz.solver import filtration_dims, solve_recursion
 from conftest import make_problem
 
 # per-degree dimensions of C[K]_k modulo the log-derivative image,
@@ -152,6 +153,15 @@ class TestNondegeneracy:
         S, f, _ = make_problem("p1")
         ok, cert = is_nondegenerate(f, S)
         assert ok and cert.tail_degrees_zero
+
+    def test_certificate_of_solve_filtration(self, named_problem):
+        """A solve's kernel counts are the quotient dims, so its filtration,
+        cut at rank + 1, gives is_nondegenerate's certificate."""
+        _, S, f, beta = named_problem
+        basis = solve_recursion(f, beta, S, truncation=S.rank + 3)
+        cert = NondegeneracyCertificate.of(filtration_dims(basis).per_degree, S)
+        assert cert == is_nondegenerate(f, S)[1]
+        assert cert.ok and len(cert.per_degree) == S.rank + 2
 
     def test_zero_vector_degenerate(self, named_problem):
         _, S, _, _ = named_problem

@@ -1,12 +1,11 @@
 """Snapshot the `--no-timings` reports of every benchmark problem.
 
     python3 tools/report_snapshot.py OUT_DIR [--seeds 0 1 3] [--root CHECKOUT]
-                                     [--own-only NAME ...]
 
 For each problem in `<CHECKOUT>/perfbench/problems` and each seed, the
 command line `bbgkz` runs twice in a fresh interpreter on the sources of
 `<CHECKOUT>/src`: once with the problem's own tasks and once with all tasks
-(skipped for the problems named by `--own-only`).  Each run writes one file,
+(skipped for the problems in OWN_ONLY).  Each run writes one file,
 `<name>-seed<N>-<own|all>.txt`, holding the exit code, stderr and the
 report.  Snapshots of two checkouts, taken into two directories, are
 byte-identical exactly when `diff -r` between the directories is empty.
@@ -22,9 +21,10 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALL_TASKS = "analyze,solve,restrict,lift,residuals"
+OWN_ONLY = {"p3"}  # problems snapshotted with their own tasks only
 
 
-def snapshot(root, out_dir, seeds, own_only):
+def snapshot(root, out_dir, seeds):
     os.makedirs(out_dir, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -34,7 +34,7 @@ def snapshot(root, out_dir, seeds, own_only):
         name = os.path.basename(path)[:-len(".json")]
         for seed in seeds:
             for label, tasks in (("own", []), ("all", ["--tasks", ALL_TASKS])):
-                if label == "all" and name in own_only:
+                if label == "all" and name in OWN_ONLY:
                     continue
                 proc = subprocess.run(
                     [sys.executable, "-m", "bbgkz.cli", path, "--no-timings",
@@ -53,10 +53,8 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 3])
     parser.add_argument("--root", default=ROOT,
                         help="checkout whose src/ and perfbench/problems/ are used")
-    parser.add_argument("--own-only", nargs="*", default=[],
-                        help="problems run with their own tasks only")
     args = parser.parse_args(argv)
-    snapshot(os.path.abspath(args.root), args.out_dir, args.seeds, set(args.own_only))
+    snapshot(os.path.abspath(args.root), args.out_dir, args.seeds)
 
 
 if __name__ == "__main__":
