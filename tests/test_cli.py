@@ -279,8 +279,13 @@ class TestLiftLanes:
         dims = cli.filtration_dims
 
         def off(basis):
+            """One more count at degree 0 or, with the total kept, one moved
+            from degree 0 to rank + 1."""
             counts = list(dims(basis).per_degree)
-            counts[S.rank + 1 if fault == "tail" else 0] += 1
+            counts[0] += 1
+            if fault == "tail":
+                counts[0] -= 2
+                counts[S.rank + 1] += 1
             return DimReport.of(counts)
 
         monkeypatch.setattr(cli, "filtration_dims", off)
