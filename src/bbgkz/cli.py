@@ -225,9 +225,10 @@ def _task_solve(spec, S, f, D, report, checks, jac):
 def _task_restrict(spec, S, f, D, report, checks):
     r = S.rank
     beta0 = (GaussianRational(0),) * r
+    # first, so that the solve below reads its germs off the reduced hat space
+    hat_rank = hat_restriction_rank(f, S, filtration_bound=min(D, r + 3))
     basis0 = solve_recursion(f, beta0, S, truncation=max(D, r + 1))
     sol_rank = restricted_solution_rank(basis0)
-    hat_rank = hat_restriction_rank(f, S, filtration_bound=min(D, r + 3))
     r1_total = r1_dims(f, S).total
     report["restriction_ranks"] = {
         "solution_side": sol_rank,

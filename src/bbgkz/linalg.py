@@ -233,6 +233,21 @@ class RowSpace:
     def contains(self, vec):
         return not self._reduce(_numerators(vec))
 
+    def kernel(self, ncols, one):
+        """Kernel of the rows cut to columns 0..ncols-1, as {fc: vector} over
+        the free columns fc, ascending: `one` at fc, -row_p[fc] / row_p[p]
+        at each pivot p < ncols, in ascending column order."""
+        vecs = {c: {} for c in range(ncols) if c not in self.rows}
+        for c in range(ncols):
+            row = self.rows.get(c)
+            if row is None:
+                vecs[c][c] = one
+                continue
+            for fc, v in row.items():
+                if fc != c and fc < ncols:
+                    vecs[fc][c] = -_canonical(*_quotient(v, row[c]))
+        return vecs
+
 
 def _numerators(vec):
     """Gaussian-integer numerators (re, im) of the nonzero entries of vec
@@ -316,25 +331,12 @@ def solve_sparse(rows, ncols, rhs_list, one=1):
             if rhs[i]:
                 aug[ncols + t] = rhs[i]
         space.add(aug)
-    pivots = sorted(space.rows)
-    unknown_pivots = [p for p in pivots if p < ncols]
+    unknown_pivots = sorted(p for p in space.rows if p < ncols)
     # b_t is inconsistent iff a row pivoting on a right-hand side column
     # reaches column ncols + t; that column need not be a pivot itself.
-    bad = {c for p in pivots if p >= ncols for c in space.rows[p]}
-    solutions = []
-    for t in range(len(rhs_list)):
-        col = ncols + t
-        if col in bad:
-            solutions.append(None)
-        else:
-            solutions.append({p: _canonical(*_quotient(space.rows[p][col], space.rows[p][p]))
-                              for p in unknown_pivots if col in space.rows[p]})
-    kernel = []
-    for fc in range(ncols):
-        if fc in space.rows:
-            continue
-        vec = {p: -_canonical(*_quotient(space.rows[p][fc], space.rows[p][p]))
-               for p in unknown_pivots if fc in space.rows[p]}
-        vec[fc] = one
-        kernel.append(vec)
-    return solutions, kernel
+    bad = {c for p, row in space.rows.items() if p >= ncols for c in row}
+    solutions = [None if col in bad else
+                 {p: _canonical(*_quotient(space.rows[p][col], space.rows[p][p]))
+                  for p in unknown_pivots if col in space.rows[p]}
+                 for col in range(ncols, ncols + len(rhs_list))]
+    return solutions, list(space.kernel(ncols, one).values())

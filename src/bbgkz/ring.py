@@ -9,6 +9,7 @@ Gaussian rationals.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,7 +162,7 @@ def _hat_rows(f, beta, S, region, max_src_degree):
         for p, n in enumerate(layer):
             for j in range(S.rank):
                 row = {up + d: v for d, v in next(image).items()}
-                diag = as_scalar(n.free[j]) - beta[j]
+                diag = n.free[j] - beta[j]
                 if diag:
                     row[start + p] = diag
                 rows.append({c: v for c, v in row.items() if v})
@@ -169,20 +170,35 @@ def _hat_rows(f, beta, S, region, max_src_degree):
     return rows
 
 
+def _hat_key(f, beta, region, D):
+    """Where the hat space of (x, beta, region, D) is kept on S._images."""
+    return ("hat", f.x, tuple(beta), region, D)
+
+
 def _hat_space(f, beta, S, region, D):
-    """A fresh RowSpace of the `_hat_rows` generators with deg n <= D - 1,
-    pivoting on the highest-degree (largest-index) coordinate first.  At
-    beta = 0 on the full cone it is reduced once per (x, D), cached on S."""
-    key = (f.x, D, "hat")
-    cached = region == "full" and not any(beta)
-    if cached and key in S._images:
-        return S._images[key].copy()
-    space = RowSpace(key=lambda c: -c)
-    for row in _hat_rows(f, beta, S, region, D - 1):
-        space.add(row)
-    if cached:
-        S._images[key] = space.copy()
+    """The RowSpace of the `_hat_rows` generators with deg n <= D - 1, kept on
+    S until a solve takes it (extend a copy).  Pivots: highest degree, then
+    lowest index; rows go in from the last leading column (less fill-in)."""
+    key = _hat_key(f, beta, region, D)
+    space = S._images.get(key)
+    if space is None:
+        degree = [k for k in range(D + 1) for _ in S.layer(k, region)]
+        order = [(D - k) * len(degree) + c for c, k in enumerate(degree)].__getitem__
+        space = S._images[key] = RowSpace(key=order)
+        rows = [row for row in _hat_rows(f, beta, S, region, D - 1) if row]
+        for row in sorted(rows, key=lambda row: order(min(row, key=order)), reverse=True):
+            space.add(row)
     return space
+
+
+def _hat_free_counts(space, S, region, D):
+    """|layer k| minus the pivots of a hat space in degree k, for k = 0..D."""
+    pivots, counts, start = sorted(space.rows), [], 0
+    for k in range(D + 1):
+        stop = start + len(S.layer(k, region))
+        counts.append(stop - start - bisect_left(pivots, stop) + bisect_left(pivots, start))
+        start = stop
+    return tuple(counts)
 
 
 def hat_quotient_dims(f: FVector, beta, S: GradedSemigroup, region="full",
@@ -192,42 +208,33 @@ def hat_quotient_dims(f: FVector, beta, S: GradedSemigroup, region="full",
     beta: tuple of Scalars, coordinates in the free part.  The quotient is
     computed at filtration bound D as dim C[S]_{<=D} minus the rank of the
     generators mu_j . hat[n] with deg n <= D - 1; the reported per-degree
-    numbers are the jumps of the induced filtration.
+    numbers are the jumps of the induced filtration: as each row pivots on
+    its highest degree, the jump at k is |layer k| minus the pivots there.
     """
     r = S.rank
     D = filtration_bound if filtration_bound is not None else r + 1
     if D < r + 1:
         raise ValueError("filtration bound must be at least rank + 1")
     beta = tuple(as_scalar(b) for b in beta)
-    space = _hat_space(f, beta, S, region, D)
-    base_rank, pos, per_degree = space.rank, 0, []
-    for k in range(D + 1):
-        n = len(S.layer(k, region))
-        per_degree.append(sum(space.add({c: 1}) for c in range(pos, pos + n)))
-        pos += n
-    report = DimReport.of(per_degree)
-    assert report.total == pos - base_rank
-    return report
+    return DimReport.of(_hat_free_counts(_hat_space(f, beta, S, region, D), S, region, D))
 
 
 def r1_dims(f: FVector, S: GradedSemigroup, max_degree=None) -> DimReport:
     """Graded dimensions of the interior image inside the Jacobian quotient.
 
-    Degree k is dim (C[K°]_k + (I C[K])_k) / (I C[K])_k.
+    Degree k is dim (C[K°]_k + (I C[K])_k) / (I C[K])_k.  Computed once per
+    (x, max_degree) and cached on S.
     """
-    r = S.rank
-    if max_degree is None:
-        max_degree = r + 1
-    dims = []
-    for k in range(max_degree + 1):
-        space = _image_space(f, S, k).copy()
-        idx = {c: i for i, c in enumerate(S.layer(k, "full"))}
-        added = 0
-        for c in S.layer(k, "interior"):
-            if space.add({idx[c]: 1}):
-                added += 1
-        dims.append(added)
-    return DimReport.of(dims)
+    max_degree = S.rank + 1 if max_degree is None else max_degree
+    key = ("r1", f.x, max_degree)
+    if key not in S._images:
+        dims = []
+        for k in range(max_degree + 1):
+            space = _image_space(f, S, k).copy()
+            idx = {c: i for i, c in enumerate(S.layer(k, "full"))}
+            dims.append(sum(space.add({idx[c]: 1}) for c in S.layer(k, "interior")))
+        S._images[key] = DimReport.of(dims)
+    return S._images[key]
 
 
 def hat_restriction_rank(f: FVector, S: GradedSemigroup, filtration_bound=None) -> int:
@@ -236,7 +243,7 @@ def hat_restriction_rank(f: FVector, S: GradedSemigroup, filtration_bound=None) 
     D = filtration_bound if filtration_bound is not None else r + 1
     if D < r + 1:
         raise ValueError("filtration bound must be at least rank + 1")
-    space = _hat_space(f, (0,) * r, S, "full", D)
+    space = _hat_space(f, (as_scalar(0),) * r, S, "full", D).copy()
     index = {c: i for i, c in enumerate(c for k in range(D + 1) for c in S.layer(k))}
     return sum(space.add({index[c]: 1}) for k in range(D + 1) for c in S.layer(k, "interior"))
 

@@ -2,10 +2,20 @@
 
 A solution germ is stored as its lambda table: the values of all unknown
 functions (and hence, after re-indexing, all their Taylor coefficients) at
-the base point.  The recursion solves the layer-(k+1) linear system whose
-right-hand side comes from layer k, asserting solvability at every step.
-Exact Gaussian-rational arithmetic is the default; a complex-float backend
-exists for quotient problems at irrational base points.
+the base point.  Two routes give the same germs.  The step route solves the
+layer-(k+1) linear system whose right-hand side comes from layer k,
+asserting solvability at every step.  The kernel route reads them off the
+hat space `ring.hat_quotient_dims` reduced for the same (x, beta, D) and
+takes it off the semigroup, as no later task reads it.  That kernel is the
+truncated solution space: a hat row mu_j . hat[n] paired with a table is
+the recursion identity at (n, j).  The pivots go to the highest degree,
+then the lowest index, so the germ of a free column fc is zero below deg fc
+and, there, lives on fc and pivots of lower index: fc is its last nonzero
+entry in (degree, index) order, as for the step route's germ born at fc.
+So both routes have the same free columns, and both bases are the one that
+is 1 at one free column and 0 at the others.  Exact Gaussian-rational
+arithmetic is the default; a complex-float backend exists for quotient
+problems at irrational base points.
 """
 
 from __future__ import annotations
@@ -18,7 +28,8 @@ import numpy as np
 from .abelian import GroupElement, pair
 from .linalg import GaussianRational, RowSpace, solve_sparse
 from .polyhedral import GradedSemigroup, k_prim
-from .ring import DimReport, FVector, _image_rows, as_scalar
+from .ring import (DimReport, FVector, _hat_free_counts, _hat_key, _image_rows, as_scalar,
+                   jacobian_dims)
 
 
 class InconsistentSystem(RuntimeError):
@@ -85,6 +96,18 @@ def _float_solve_multi(mat, rhs_list, tol=1e-9):
     return out
 
 
+def _hat_kernel_tables(f, beta, S, D, one):
+    """(entries, leading degree) of the germs off the kernel of the hat space
+    of (x, beta, "full", D), taken off S, or None if none is cached or its
+    free columns per degree differ from the step kernels'."""
+    space = S._images.pop(_hat_key(f, beta, "full", D), None)
+    if space is None or _hat_free_counts(space, S, "full", D) != jacobian_dims(f, S, D).per_degree:
+        return None
+    points = [c for k in range(D + 1) for c in S.layer(k)]
+    return [({points[c]: v for c, v in vec.items()}, pair(S.deg, points[fc]))
+            for fc, vec in space.kernel(len(points), one).items()]
+
+
 def solve_recursion(f, beta, S: GradedSemigroup, truncation=None,
                     backend="exact") -> SolutionBasis:
     """Basis of truncated solution germs at the base point f.
@@ -93,7 +116,11 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None,
     step matrix; existing germs are extended by the particular solution with
     free variables zero, so results are reproducible.  The exact backend reads
     both from one sparse reduction of the step (linalg.solve_sparse).  Raises
-    InconsistentSystem if a degree step is unsolvable.
+    InconsistentSystem if a degree step is unsolvable.  That is the step
+    route; the exact backend takes the kernel route (see the module) if the
+    hat space of (x, beta, "full", D) is cached on S and each degree m has
+    |layer m| - rank `_image_rows(f, S, m)` free columns, as it does exactly
+    when no step is inconsistent.
     """
     r = S.rank
     D = truncation if truncation is not None else r + 3
@@ -111,10 +138,13 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None,
         beta = tuple(complex(b) for b in beta)
 
     one = GaussianRational(1) if exact else (1 + 0j)
-    # one unit germ per degree-0 layer element
-    tables = [({c: one}, 0) for c in S.layer(0)]
+    tables = _hat_kernel_tables(f, beta, S, D, one) if exact else None
+    steps = D if tables is None else 0
+    if tables is None:
+        # one unit germ per degree-0 layer element
+        tables = [({c: one}, 0) for c in S.layer(0)]
 
-    for k in range(D):
+    for k in range(steps):
         src = S.layer(k)
         dst = S.layer(k + 1)
         # right-hand sides lambda_c (beta_j - c_j), flattened in (c, j) order

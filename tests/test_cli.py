@@ -7,7 +7,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from bbgkz import cli, polyhedral, ring
+from bbgkz import cli, polyhedral, ring, solver
 from bbgkz.abelian import AbelianGroup
 from bbgkz.polyhedral import KPrimGuardError, build_semigroup
 from bbgkz.ring import DimReport, FVector
@@ -295,18 +295,36 @@ class TestLiftLanes:
 
 class TestSharedWork:
     def test_p3_one_volume_and_one_hat_base(self, monkeypatch):
-        """One triangulation per run, and analyze and restrict share the
-        beta = 0 hat base."""
-        triangulations, hat_bases = [], []
+        """One triangulation per run; each hat base (beta and beta = 0) is
+        reduced once, and both solves read their germs off it, so no step
+        is eliminated."""
+        triangulations, hat_bases, steps = [], [], []
         triangulate, rows = polyhedral.triangulate_polytope, ring._hat_rows
         monkeypatch.setattr(polyhedral, "triangulate_polytope",
                             lambda *a: triangulations.append(1) or triangulate(*a))
         monkeypatch.setattr(ring, "_hat_rows",
-                            lambda f, beta, *a: (hat_bases.append(1) if not any(beta) else None)
-                            or rows(f, beta, *a))
+                            lambda f, beta, *a: hat_bases.append(any(beta)) or rows(f, beta, *a))
+        monkeypatch.setattr(solver, "solve_sparse", lambda *a: steps.append(1))
         report, code = cli.run(os.path.join(GOLDEN, "p3.problem.json"), timings=False)
         assert code == 0 and report["volume"] == 4
-        assert len(triangulations) == 1 and len(hat_bases) == 1
+        assert len(triangulations) == 1 and sorted(hat_bases) == [False, True]
+        assert steps == []
+
+    def test_restrict_alone_solves_off_its_hat_space(self, monkeypatch):
+        """Without analyze, restrict reduces the beta = 0 hat space before its
+        solve, which then eliminates no step."""
+        monkeypatch.setattr(solver, "solve_sparse", None)
+        report, code = cli.run(os.path.join(GOLDEN, "p3.problem.json"), tasks=["restrict"],
+                               timings=False)
+        assert code == 0 and report["restriction_ranks"]["solution_side"] == 3
+
+    def test_r1_dims_once_per_run(self, monkeypatch):
+        """analyze and restrict get the one r1_dims report cached on S."""
+        calls = []
+        r1 = ring.r1_dims
+        monkeypatch.setattr(cli, "r1_dims", lambda *a: calls.append(r1(*a)) or calls[-1])
+        report, code = cli.run(os.path.join(GOLDEN, "p3.problem.json"), timings=False)
+        assert code == 0 and len(calls) == 2 and calls[0] is calls[1]
 
 
 class TestMain:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from bbgkz import ring
-from bbgkz.linalg import GaussianRational
+from bbgkz.linalg import GaussianRational, RowSpace
 from bbgkz.polyhedral import build_semigroup, normalized_volume
 from bbgkz.ring import (FVector, NondegeneracyCertificate, NondegeneracyRetriesExhausted,
                         dual_kernel_dims, hat_quotient_dims,
@@ -117,26 +117,28 @@ class TestImageCache:
 
     @pytest.mark.parametrize("name", ["p2", "square_z2"])
     def test_hat_base_reduced_once(self, name, monkeypatch):
-        """hat_quotient_dims at beta = 0 and hat_restriction_rank share one
-        reduction of the beta = 0 hat rows per (x, D) and extend copies, so
-        repeated calls agree with a fresh semigroup; beta != 0 and the
-        interior are not cached."""
+        """Each (x, beta, region, D) hat space is reduced once and cached;
+        hat_restriction_rank extends a copy, so repeated calls agree with a
+        fresh semigroup."""
         S0, f, beta = make_problem(name)
+        r = S0.rank
         fresh = build_semigroup(S0.group, S0.A)
-        want = (hat_quotient_dims(f, (0,) * S0.rank, fresh, filtration_bound=S0.rank + 2),
-                hat_restriction_rank(f, fresh, filtration_bound=S0.rank + 2))
-        S, r = build_semigroup(S0.group, S0.A), S0.rank
+        want = (hat_quotient_dims(f, (0,) * r, fresh, filtration_bound=r + 2),
+                hat_restriction_rank(f, fresh, filtration_bound=r + 2),
+                hat_quotient_dims(f, beta, fresh, filtration_bound=r + 2),
+                hat_quotient_dims(f, (0,) * r, fresh, region="interior", filtration_bound=r + 2))
+        S = build_semigroup(S0.group, S0.A)
         calls = []
         build = ring._hat_rows
         monkeypatch.setattr(ring, "_hat_rows",
                             lambda *args: calls.append((any(args[1]), args[3])) or build(*args))
         for _ in range(2):
-            assert hat_quotient_dims(f, (0,) * r, S, filtration_bound=r + 2) == want[0]
-            assert hat_restriction_rank(f, S, filtration_bound=r + 2) == want[1]
-            hat_quotient_dims(f, beta, S, filtration_bound=r + 2)
-            hat_quotient_dims(f, (0,) * r, S, region="interior", filtration_bound=r + 2)
-        assert sorted(calls) == sorted([(False, "full")] + 2 * [(True, "full"),
-                                                                (False, "interior")])
+            assert (hat_quotient_dims(f, (0,) * r, S, filtration_bound=r + 2),
+                    hat_restriction_rank(f, S, filtration_bound=r + 2),
+                    hat_quotient_dims(f, beta, S, filtration_bound=r + 2),
+                    hat_quotient_dims(f, (0,) * r, S, region="interior",
+                                      filtration_bound=r + 2)) == want
+        assert sorted(calls) == [(False, "full"), (False, "interior"), (True, "full")]
 
 
 class TestNondegeneracy:
@@ -214,6 +216,31 @@ class TestHatQuotient:
         S, f, beta = make_problem("p1")
         with pytest.raises(ValueError):
             hat_quotient_dims(f, beta, S, filtration_bound=S.rank)
+
+
+def reference_hat_dims(f, beta, S, region, D):
+    """The old count: jumps of the rank as the unit vectors of each degree,
+    lowest first, join the hat rows."""
+    space = RowSpace(key=lambda c: -c)
+    for row in ring._hat_rows(f, tuple(map(ring.as_scalar, beta)), S, region, D - 1):
+        space.add(row)
+    pos, per_degree = 0, []
+    for k in range(D + 1):
+        n = len(S.layer(k, region))
+        per_degree.append(sum(space.add({c: 1}) for c in range(pos, pos + n)))
+        pos += n
+    return tuple(per_degree)
+
+
+class TestHatDimsFromPivots:
+    @pytest.mark.parametrize("region", ["full", "interior"])
+    @pytest.mark.parametrize("offset", [1, 3])
+    def test_matches_unit_vector_count(self, named_problem, region, offset):
+        _, S, f, beta = named_problem
+        D = S.rank + offset
+        for b in (beta, (0,) * S.rank):
+            assert hat_quotient_dims(f, b, S, region, filtration_bound=D).per_degree \
+                == reference_hat_dims(f, b, S, region, D)
 
 
 class TestR1:

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from bbgkz import cli
+from bbgkz import cli, ring, solver
 from bbgkz.abelian import AbelianGroup
 from bbgkz.linalg import GaussianRational
 from bbgkz.polyhedral import build_semigroup, normalized_volume
-from bbgkz.ring import FVector, is_nondegenerate, jacobian_dims, r1_dims
+from bbgkz.ring import (FVector, hat_quotient_dims, is_nondegenerate, jacobian_dims,
+                        r1_dims)
 from bbgkz.solver import (GermStack, InconsistentSystem, check_residuals,
                           comparison_radius, evaluate_series, filtration_dims,
                           restricted_solution_rank, series_values,
@@ -166,6 +167,40 @@ class TestDimensions:
         with pytest.raises(InconsistentSystem, match="degree 1"):
             solve_recursion((Fraction(1), Fraction(1)), (Fraction(3, 2),), S,
                             truncation=3, backend=backend)
+
+
+class TestKernelRoute:
+    """Germs read off a reduced hat space against the step recursion."""
+
+    @pytest.mark.parametrize("offset", [1, 2, 3])
+    @pytest.mark.parametrize("at_zero", [False, True])
+    def test_equals_step_route(self, named_problem, offset, at_zero, monkeypatch):
+        """Once hat_quotient_dims has reduced the space, solve_recursion
+        eliminates no step, returns the step route's tables, entry for
+        entry and in the same order, and takes the space off S."""
+        _, S, f, beta = named_problem
+        r, D = S.rank, S.rank + offset
+        if at_zero:
+            beta = (Fraction(0),) * r
+        step = solve_recursion(f, beta, build_semigroup(S.group, S.A), truncation=D)
+        hat_quotient_dims(f, beta, S, filtration_bound=D)
+        monkeypatch.setattr(solver, "solve_sparse", None)
+        kernel = solve_recursion(f, beta, S, truncation=D)
+        assert ring._hat_key(f, kernel.beta, "full", D) not in S._images
+        assert len(kernel) == len(step)
+        for a, b in zip(kernel.tables, step.tables):
+            assert a.leading_degree == b.leading_degree
+            assert list(a.entries.items()) == list(b.entries.items())
+
+    def test_degenerate_point_with_cached_space(self):
+        """At the degenerate z2 point the cached hat space has fewer free
+        columns than the step kernels, so the step route runs and raises."""
+        S, _, _ = make_problem("z2")
+        f, beta = FVector((Fraction(1), Fraction(1))), (Fraction(3, 2),)
+        hat_quotient_dims(f, beta, S, filtration_bound=3)
+        assert ring._hat_key(f, tuple(map(ring.as_scalar, beta)), "full", 3) in S._images
+        with pytest.raises(InconsistentSystem, match="degree 1"):
+            solve_recursion(f, beta, S, truncation=3)
 
 
 class TestRestriction:

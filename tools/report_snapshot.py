@@ -3,12 +3,14 @@
     python3 tools/report_snapshot.py OUT_DIR [--seeds 0 1 3] [--root CHECKOUT]
 
 For each problem in `<CHECKOUT>/perfbench/problems` and each seed, the
-command line `bbgkz` runs twice in a fresh interpreter on the sources of
-`<CHECKOUT>/src`: once with the problem's own tasks and once with all tasks
-(skipped for the problems in OWN_ONLY).  Each run writes one file,
-`<name>-seed<N>-<own|all>.txt`, holding the exit code, stderr and the
-report.  Snapshots of two checkouts, taken into two directories, are
-byte-identical exactly when `diff -r` between the directories is empty.
+command line `bbgkz` runs three times in a fresh interpreter on the sources
+of `<CHECKOUT>/src`: with the problem's own tasks, with all tasks (skipped
+for the problems in OWN_ONLY) and with `solve,restrict`, a run in which no
+`analyze` reduces a hat space first.  Each run writes one file,
+`<name>-seed<N>-<own|all|solve-restrict>.txt`, holding the exit code,
+stderr and the report.  Snapshots of two checkouts, taken into two
+directories, are byte-identical exactly when `diff -r` between the
+directories is empty.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALL_TASKS = "analyze,solve,restrict,lift,residuals"
-OWN_ONLY = {"p3"}  # problems snapshotted with their own tasks only
+TASK_LISTS = (("own", []), ("all", ["--tasks", ALL_TASKS]),
+              ("solve-restrict", ["--tasks", "solve,restrict"]))
+OWN_ONLY = {"p3"}  # problems snapshotted without the all-tasks run
 
 
 def snapshot(root, out_dir, seeds):
@@ -33,7 +37,7 @@ def snapshot(root, out_dir, seeds):
     for path in problems:
         name = os.path.basename(path)[:-len(".json")]
         for seed in seeds:
-            for label, tasks in (("own", []), ("all", ["--tasks", ALL_TASKS])):
+            for label, tasks in TASK_LISTS:
                 if label == "all" and name in OWN_ONLY:
                     continue
                 proc = subprocess.run(
