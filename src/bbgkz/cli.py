@@ -18,6 +18,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -240,18 +241,34 @@ def _task_restrict(spec, S, f, D, report, checks):
            solution=sol_rank, hat=hat_rank, r1=r1_total)
 
 
+def _conjugate(basis, x):
+    """The basis with every table entry conjugated, at the base point x."""
+    return replace(basis, tables=[
+        replace(t, base_x=x, entries={c: v.conjugate() for c, v in t.entries.items()})
+        for t in basis.tables])
+
+
 def _exact_lifts(spec, S, Q, f, D):
     """lift_and_verify per character at the problem's x, or None if a quotient point
-    has a zero coordinate or is degenerate (certified from its solve's filtration)."""
-    lifts = []
+    has a zero coordinate or is degenerate (certified from its solve's filtration).
+    With x and beta real, the conjugate of an earlier quotient point takes that
+    solve's tables conjugated: the ones a direct solve gives, as conjugation is
+    a field automorphism that keeps the column order."""
+    real = all(GaussianRational(v).is_real() for v in (*f.x, *spec.beta))
+    pending, lifts = {}, []  # pending: non-real quotient point -> its basis
     for rho in S.group.characters():
         z = p_rho(rho, f.x, Q)
         if not all(z):
             return None
+        conj = tuple(v.conjugate() for v in z)
+        twin = pending.pop(conj, None)
         try:
-            qbasis = solve_recursion(FVector(z), spec.beta, Q.semigroup, truncation=D)
+            qbasis = (_conjugate(twin, z) if twin is not None else
+                      solve_recursion(FVector(z), spec.beta, Q.semigroup, truncation=D))
         except InconsistentSystem:
             return None
+        if real and twin is None and conj != z:
+            pending[z] = qbasis
         if not NondegeneracyCertificate.of(filtration_dims(qbasis).per_degree, Q.semigroup):
             return None
         lifts.append(lift_and_verify(qbasis, rho, f.x, S))

@@ -2,18 +2,19 @@
 
 GaussianRational results are canonical (gcd(a, b, d) == 1, d > 0) after at
 most one gcd, none at d == 1.  RowSpace is the one elimination kernel.  It
-is not field-generic: it takes int, Fraction or GaussianRational entries
-and reduces their Gaussian-integer numerators fraction-free, with one
-content pass per row update.  `solve_sparse` reads the solutions and the
-kernel of a system from one such reduction and divides by a pivot only
-there.  Zero tests of many values at once (solver.recursion_defects) also
-run on integer numerators over a common denominator.
+takes int, Fraction or GaussianRational entries and reduces their integer
+numerators fraction-free (Bareiss), one content pass per row update, and
+Q(i) data by restriction of scalars.  `solve_sparse` reads the solutions
+and the kernel of a system from one such reduction and divides by a pivot
+only there.  Zero tests of many values at once (solver.recursion_defects)
+also run on integer numerators over a common denominator.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 
 class GaussianRational:
@@ -181,130 +182,178 @@ class RowSpace:
     """Incrementally built row space kept in reduced echelon form.
 
     Entries given to `add` may be int, Fraction or GaussianRational.  Rows
-    are stored fraction-free: sparse dicts column -> Gaussian integer
-    (re, im), each divided by the gcd of all its components.  Row p has an
-    unnormalised nonzero entry at its pivot column p and none at any other
-    pivot column.  `key` orders the columns for pivot selection; picking
-    pivots on the highest-degree monomials first keeps fill-in low for the
+    are stored fraction-free: sparse dicts column -> int of content 1,
+    positive at their pivot column p and zero at every other pivot.  `key`
+    orders the columns for pivot selection; picking pivots on the
+    highest-degree monomials first keeps fill-in low for the
     filtration-truncated module matrices.
+
+    Restriction of scalars: at its first non-real row the space is
+    realified.  Column c becomes 2c (real part) and 2c + 1 (imaginary), with
+    key(2c + s) = 2 key(c) + s; a stored row r becomes r on the even and r
+    on the odd columns, both reduced; a row a + ib goes in as (a, -b) and
+    (b, a).  `rank`, `pivots`, `kernel` and `solve_sparse` answer in Q(i)
+    terms, as a reduction over Q(i) would: c is a complex pivot iff 2c and
+    2c + 1 are pivots; a kernel vector is fixed by its values on the free
+    columns, so that of free column 2c realifies that of c; and the reduced
+    echelon form is unique for a fixed column order.
     """
 
     def __init__(self, key=None):
         self.key = key
-        self.rows = {}  # pivot column -> numerator row
+        self.rows = {}          # pivot column -> integer row
+        self.complex = False    # realified: Q(i) column c is columns 2c, 2c + 1
+        self._order = key       # the pivot order on the stored columns
+        self._first = inf       # the least stored pivot in that order
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self.rows) >> self.complex
+
+    @property
+    def pivots(self):
+        """The pivot columns in Q(i) terms, ascending."""
+        s = self.complex
+        return sorted(p >> s for p in self.rows if not p & s)
 
     def copy(self):
         """An independent space with the same rows."""
-        out = RowSpace(self.key)
+        out = copy(self)
         out.rows = {p: dict(row) for p, row in self.rows.items()}
         return out
 
+    def _realify(self):
+        self.complex = True
+        self.rows = {2 * p + s: {2 * c + s: v for c, v in row.items()}
+                     for p, row in self.rows.items() for s in (0, 1)}
+        if self.key is not None:
+            key = self.key
+            self._order = lambda c: 2 * key(c >> 1) + (c & 1)
+        self._first *= 2
+
     def _reduce(self, vec):
-        """Numerators vec reduced in place against the stored rows, which
+        """Integer row vec reduced in place against the stored rows, which
         vanish on each other's pivots, so no elimination brings one back."""
         rows = self.rows
         for c in [c for c in vec if c in rows]:
             _eliminate(vec, c, rows[c])
         return vec
 
-    def add(self, vec):
-        """Insert a vector; returns True if it enlarged the space."""
-        return self.add_numerators(_numerators(vec))
-
-    def add_numerators(self, vec):
-        """`add` for a vector given as `_numerators` gives it; consumes vec."""
+    def _insert(self, vec):
+        """Store what is left of integer row vec after reduction; True if
+        anything is.  A stored row has no entry before its pivot, so only
+        rows pivoting before the new pivot p can hold an entry at p: none
+        when p comes first, as it mostly does under descending insertion."""
         red = self._reduce(vec)
         if not red:
             return False
-        p = min(red) if self.key is None else min(red, key=self.key)
-        _primitive(red)
-        # back-eliminate p from existing rows to keep full reduction
-        for row in self.rows.values():
-            if p in row:
-                _eliminate(row, p, red)
-                _primitive(row)
+        order = self._order
+        p = min(red) if order is None else min(red, key=order)
+        place = p if order is None else order(p)
+        _primitive(red, p)
+        if place > self._first:
+            for q, row in self.rows.items():
+                if p in row:
+                    _eliminate(row, p, red)
+                    _primitive(row, q)
+        self._first = min(self._first, place)
         self.rows[p] = red
         return True
 
+    def add(self, vec):
+        """Insert a vector; returns True if it enlarged the space."""
+        return self.add_numerators(*_numerators(vec))
+
+    def add_numerators(self, re, im=None):
+        """`add` for the vector (re + i im) / d, given as dicts of the nonzero
+        integer numerators of its parts; consumes re."""
+        if im and not self.complex:
+            self._realify()
+        if not self.complex:
+            return self._insert(re)
+        # the rows (a, -b) and (b, a); i times a new vector is new again
+        im = im or {}
+        return (self._insert({2 * c: v for c, v in re.items()}
+                             | {2 * c + 1: -v for c, v in im.items()})
+                and self._insert({2 * c: v for c, v in im.items()}
+                                 | {2 * c + 1: v for c, v in re.items()}))
+
     def contains(self, vec):
-        return not self._reduce(_numerators(vec))
+        return not self.copy().add(vec)
+
+    def _normalised(self, p, lo, hi):
+        """The entries at columns lo..hi-1 other than p of the row of pivot p
+        over its pivot entry, in Q(i) terms: column -> GaussianRational."""
+        if not self.complex:
+            row = self.rows[p]
+            return {c: _raw(v, 0, row[p]) for c, v in row.items() if lo <= c < hi and c != p}
+        re, im = self.rows[2 * p], self.rows[2 * p + 1]
+        dr, di = re[2 * p], im[2 * p + 1]
+        cols = sorted({c >> 1 for c in (*re, *im) if not c & 1} - {p})
+        return {c: _raw(re.get(2 * c, 0) * di, im.get(2 * c, 0) * dr, dr * di)
+                for c in cols if lo <= c < hi}
 
     def kernel(self, ncols, one):
         """Kernel of the rows cut to columns 0..ncols-1, as {fc: vector} over
         the free columns fc, ascending: `one` at fc, -row_p[fc] / row_p[p]
         at each pivot p < ncols, in ascending column order."""
-        vecs = {c: {} for c in range(ncols) if c not in self.rows}
+        s = self.complex
+        vecs = {c: {} for c in range(ncols) if c << s not in self.rows}
         for c in range(ncols):
-            row = self.rows.get(c)
-            if row is None:
+            if c in vecs:
                 vecs[c][c] = one
                 continue
-            for fc, v in row.items():
-                if fc != c and fc < ncols:
-                    vecs[fc][c] = -_canonical(*_quotient(v, row[c]))
+            for fc, v in self._normalised(c, 0, ncols).items():
+                vecs[fc][c] = -v
         return vecs
 
 
 def _numerators(vec):
-    """Gaussian-integer numerators (re, im) of the nonzero entries of vec
-    over their least common denominator."""
-    vals = {c: v if type(v) is GaussianRational else _coerce(v)
-            for c, v in vec.items() if v}
-    den = 1
-    for v in vals.values():
-        den = lcm(den, v.d)
-    return {c: (v.a * (den // v.d), v.b * (den // v.d)) for c, v in vals.items()}
-
-
-def _quotient(x, p):
-    """x / p for Gaussian integers (re, im), as (re, im, d) in lowest terms
-    with d > 0: the fields of a canonical GaussianRational."""
-    (a, b), (pr, pi) = x, p
-    re, im, d = a * pr + b * pi, b * pr - a * pi, pr * pr + pi * pi
-    g = gcd(re, im, d)
-    return re // g, im // g, d // g
+    """Integer numerators (re, im) of the nonzero parts of the entries of
+    vec over their least common denominator, as dicts; im is empty when vec
+    is real."""
+    if set(map(type, vec.values())) <= {int}:
+        return dict(vec) if 0 not in vec.values() else {c: v for c, v in vec.items() if v}, {}
+    exact = {c: v if type(v) is GaussianRational else _coerce(v)
+             for c, v in vec.items() if type(v) is not int}
+    den = lcm(*[v.d for v in exact.values()])
+    re = {c: v * den for c, v in vec.items() if type(v) is int and v}
+    re.update((c, v.a * (den // v.d)) for c, v in exact.items() if v.a)
+    return re, {c: v.b * (den // v.d) for c, v in exact.items() if v.b}
 
 
 def _eliminate(vec, col, row):
     """vec := d * vec - n * row in place, where vec[col] / row[col] = n / d
-    in lowest terms; column col cancels and is dropped with the others that
-    do."""
-    re, im, d = _quotient(vec[col], row[col])
+    in lowest terms with d > 0 (a stored row is positive at its pivot);
+    column col cancels and is dropped with the others that do."""
+    n, d = vec[col], row[col]
     if d != 1:
-        for c, (a, b) in vec.items():
-            vec[c] = (a * d, b * d)
-    _add_multiple(vec, (-re, -im), row)
-
-
-def _add_multiple(vec, m, row):
-    """vec += m * row in place, multiplying Gaussian integers (re, im)."""
-    mr, mi = m
-    for c, (a, b) in row.items():
-        re, im = mr * a - mi * b, mr * b + mi * a
-        old = vec.get(c)
-        if old is not None:
-            re += old[0]
-            im += old[1]
-            if not (re or im):
+        g = gcd(n, d)
+        n //= g
+        d //= g
+        if d != 1:
+            for c, v in vec.items():
+                vec[c] = v * d
+    for c, v in row.items():
+        if c in vec:
+            v = vec[c] - n * v
+            if v:
+                vec[c] = v
+            else:
                 del vec[c]
-                continue
-        vec[c] = (re, im)
+        else:
+            vec[c] = -n * v
 
 
-def _primitive(vec):
-    """Divide vec in place by the gcd of all its components, found
-    incrementally and stopping at 1."""
-    g = 0
-    for a, b in vec.values():
-        g = gcd(g, a, b)
-        if g == 1:
-            return
-    for c, (a, b) in vec.items():
-        vec[c] = (a // g, b // g)
+def _primitive(vec, p):
+    """Divide vec in place by the gcd of its entries, signed so that the
+    entry at p becomes positive."""
+    g = gcd(*vec.values())
+    if vec[p] < 0:
+        g = -g
+    if g != 1:
+        for c, v in vec.items():
+            vec[c] = v // g
 
 
 def solve_sparse(rows, ncols, rhs_list, one=1):
@@ -313,8 +362,9 @@ def solve_sparse(rows, ncols, rhs_list, one=1):
     rows: sparse rows of A (dicts over columns 0..ncols-1); rhs_list: one
     vector of length len(rows) per right-hand side.  Right-hand side t is
     appended to the rows as column ncols + t, after every unknown, and the
-    augmented matrix is reduced once; its reduced row echelon form is unique
-    for this column order.  Returns (solutions, kernel):
+    augmented matrix is reduced once, its rows going in from the last
+    leading column down; its reduced row echelon form is unique for this
+    column order.  Returns (solutions, kernel):
 
     - solutions[t] is None if b_t is not in the column space of A, else the
       particular solution with every free variable zero;
@@ -325,18 +375,16 @@ def solve_sparse(rows, ncols, rhs_list, one=1):
     `one`) in ascending column order.
     """
     space = RowSpace()
-    for i, row in enumerate(rows):
-        aug = dict(row)
-        for t, rhs in enumerate(rhs_list):
-            if rhs[i]:
-                aug[ncols + t] = rhs[i]
-        space.add(aug)
-    unknown_pivots = sorted(p for p in space.rows if p < ncols)
+    for i in sorted(range(len(rows)), key=lambda i: min(rows[i], default=ncols), reverse=True):
+        space.add({**rows[i], **{ncols + t: rhs[i] for t, rhs in enumerate(rhs_list) if rhs[i]}})
+    end = ncols + len(rhs_list)
     # b_t is inconsistent iff a row pivoting on a right-hand side column
     # reaches column ncols + t; that column need not be a pivot itself.
-    bad = {c for p, row in space.rows.items() if p >= ncols for c in row}
-    solutions = [None if col in bad else
-                 {p: _canonical(*_quotient(space.rows[p][col], space.rows[p][p]))
-                  for p in unknown_pivots if col in space.rows[p]}
-                 for col in range(ncols, ncols + len(rhs_list))]
+    s = space.complex
+    bad = {c >> s for p, row in space.rows.items() if p >> s >= ncols for c in row}
+    solutions = [None if col in bad else {} for col in range(ncols, end)]
+    for p in [p for p in space.pivots if p < ncols]:
+        for col, v in space._normalised(p, ncols, end).items():
+            if solutions[col - ncols] is not None:
+                solutions[col - ncols][p] = v
     return solutions, list(space.kernel(ncols, one).values())

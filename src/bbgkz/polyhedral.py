@@ -348,33 +348,12 @@ def _affine_coords(points):
 
 
 def _solve_exact(aug, ncols):
-    """Solve the consistent system given as augmented Fraction rows."""
-    rows = [list(r) for r in aug]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        f = rows[r][c]
-        rows[r] = [x / f for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                g = rows[i][c]
-                rows[i] = [x - g * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(piv_cols):
-        sol[c] = rows[i][ncols]
-    for i in range(r, len(rows)):
-        assert not rows[i][ncols], "inconsistent system"
-    return sol
+    """Solve the consistent system given as augmented Fraction rows, with
+    every free variable zero."""
+    (sol,), _ = solve_sparse([dict(enumerate(r[:ncols])) for r in aug], ncols,
+                             [[r[ncols] for r in aug]])
+    assert sol is not None, "inconsistent system"
+    return [sol[c].real if c in sol else Fraction(0) for c in range(ncols)]
 
 
 def _placing_triangulation(coords, idxs):
@@ -417,34 +396,8 @@ def _placing_triangulation(coords, idxs):
 
 def _rational_kernel_vector(mat, ncols):
     """Nonzero rational vector in the kernel of a rank ncols-1 matrix."""
-    rows = [list(r) for r in mat]
-    red_rows = [list(r) for r in rows]
-    # simple rref
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(red_rows)):
-            if red_rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        red_rows[r], red_rows[piv] = red_rows[piv], red_rows[r]
-        f = red_rows[r][c]
-        red_rows[r] = [x / f for x in red_rows[r]]
-        for i in range(len(red_rows)):
-            if i != r and red_rows[i][c]:
-                g = red_rows[i][c]
-                red_rows[i] = [x - g * y for x, y in zip(red_rows[i], red_rows[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in piv_cols][0]
-    vec = [Fraction(0)] * ncols
-    vec[free] = Fraction(1)
-    for i, c in enumerate(piv_cols):
-        vec[c] = -red_rows[i][free]
-    return tuple(vec)
+    vec = solve_sparse([dict(enumerate(r)) for r in mat], ncols, [])[1][0]
+    return tuple(Fraction(vec[c].real) if c in vec else Fraction(0) for c in range(ncols))
 
 
 def triangulate_polytope(points):

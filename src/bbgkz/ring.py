@@ -12,6 +12,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import GaussianRational, RowSpace
 from .polyhedral import GradedSemigroup
@@ -60,15 +61,28 @@ class DimReport:
         return iter(self.per_degree)
 
 
-def _image_rows(f, S, k, region="full"):
-    """Sparse generators of (I C[S])_k: the columns f_j * [c], c in layer k-1.
+def _scaled(values):
+    """(values times X, X) for X the lcm of the denominators of exact values,
+    as ints where real; float values pass unscaled, with X = 1."""
+    if not all(type(v) is GaussianRational for v in values):
+        return list(values), 1
+    X = lcm(*(v.d for v in values))
+    return [v * X if v.b else v.a * (X // v.d) for v in values], X
 
-    Row r * p + j is sum_i x_i * mu_j(v_i) * [c + v_i] for c = layer(k-1)[p],
-    over the layer-k index; the coefficients may be exact or complex.
+
+def _image_rows(f, S, k, region="full"):
+    """Sparse generators of (I C[S])_k: the columns f_j * [c], c in layer k-1,
+    times X, the lcm of the denominators of x.
+
+    Row r * p + j is X * sum_i x_i * mu_j(v_i) * [c + v_i] for
+    c = layer(k-1)[p], over the layer-k index.  Its entries are ints for a
+    real x, Gaussian integers for a complex one, and complex floats (X = 1)
+    for a float x.  A system on these rows needs right-hand sides times X.
     """
     if k == 0:
         return []
-    terms = [[(i, f[i] * v.free[j]) for i, v in enumerate(S.A) if v.free[j]]
+    x, _ = _scaled(tuple(f))
+    terms = [[(i, x[i] * v.free[j]) for i, v in enumerate(S.A) if v.free[j]]
              for j in range(S.rank)]
     rows = []
     for targets in S.shift(k - 1, region).tolist():
@@ -83,12 +97,12 @@ def _image_rows(f, S, k, region="full"):
 
 def _image_space(f, S, k, region="full"):
     """The RowSpace of `_image_rows(f, S, k, region)`, reduced once per
-    (x, k, region) and cached on S."""
+    (x, k, region) and cached on S; rows go in from the last leading column."""
     key = (f.x, k, region)
     space = S._images.get(key)
     if space is None:
         space = S._images[key] = RowSpace()
-        for row in _image_rows(f, S, k, region):
+        for row in sorted(filter(None, _image_rows(f, S, k, region)), key=min, reverse=True):
             space.add(row)
     return space
 
@@ -148,11 +162,14 @@ def dual_kernel_dims(f: FVector, S: GradedSemigroup, max_degree, region="full") 
 
 
 def _hat_rows(f, beta, S, region, max_src_degree):
-    """Sparse rows mu_j . hat[n] over the point index of degrees 0..D.
+    """Sparse rows mu_j . hat[n] over the point index of degrees 0..D, times
+    B * X: B the lcm of the denominators of beta, X that of x.
 
     Points are indexed in (degree, layer) order; the shift part of each row
-    is the `_image_rows` row of n, moved to the next layer's indices.
+    is B times the `_image_rows` row of n, moved to the next layer's
+    indices, and the diagonal entry is (n_j * B - beta_j * B) * X.
     """
+    (bB, B), X = _scaled(beta), _scaled(tuple(f))[1]
     rows = []
     start = 0
     for k in range(max_src_degree + 1):
@@ -161,8 +178,8 @@ def _hat_rows(f, beta, S, region, max_src_degree):
         image = iter(_image_rows(f, S, k + 1, region))
         for p, n in enumerate(layer):
             for j in range(S.rank):
-                row = {up + d: v for d, v in next(image).items()}
-                diag = n.free[j] - beta[j]
+                row = {up + d: v * B for d, v in next(image).items()}
+                diag = (n.free[j] * B - bB[j]) * X
                 if diag:
                     row[start + p] = diag
                 rows.append({c: v for c, v in row.items() if v})
@@ -193,7 +210,7 @@ def _hat_space(f, beta, S, region, D):
 
 def _hat_free_counts(space, S, region, D):
     """|layer k| minus the pivots of a hat space in degree k, for k = 0..D."""
-    pivots, counts, start = sorted(space.rows), [], 0
+    pivots, counts, start = space.pivots, [], 0
     for k in range(D + 1):
         stop = start + len(S.layer(k, region))
         counts.append(stop - start - bisect_left(pivots, stop) + bisect_left(pivots, start))

@@ -28,8 +28,8 @@ import numpy as np
 from .abelian import GroupElement, pair
 from .linalg import GaussianRational, RowSpace, solve_sparse
 from .polyhedral import GradedSemigroup, k_prim
-from .ring import (DimReport, FVector, _hat_free_counts, _hat_key, _image_rows, as_scalar,
-                   jacobian_dims)
+from .ring import (DimReport, FVector, _hat_free_counts, _hat_key, _image_rows, _scaled,
+                   as_scalar, jacobian_dims)
 
 
 class InconsistentSystem(RuntimeError):
@@ -144,11 +144,13 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None,
         # one unit germ per degree-0 layer element
         tables = [({c: one}, 0) for c in S.layer(0)]
 
+    X = _scaled(x)[1]
     for k in range(steps):
         src = S.layer(k)
         dst = S.layer(k + 1)
-        # right-hand sides lambda_c (beta_j - c_j), flattened in (c, j) order
-        twists = [(c, b - cj) for c in src for b, cj in zip(beta, c.free)]
+        # right-hand sides lambda_c (beta_j - c_j), flattened in (c, j) order,
+        # times the X of the `_image_rows` rows
+        twists = [(c, (b - cj) * X) for c in src for b, cj in zip(beta, c.free)]
         rhs = [[entries[c] * t if c in entries else 0 for c, t in twists]
                for entries, _ in tables]
         rows = _image_rows(f, S, k + 1)

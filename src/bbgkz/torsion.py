@@ -249,8 +249,9 @@ def exact_rank(stacks) -> int:
         den = lcm(*(d for _, _, d in layers))
         re, im = (np.concatenate([a[n] * (den // a[2]) for a in layers]).T.tolist()
                   for n in (0, 1))
-        for col in zip(re, im):
-            space.add_numerators({t: z for t, z in enumerate(zip(*col)) if z != (0, 0)})
+        for a, b in zip(re, im):
+            space.add_numerators({t: v for t, v in enumerate(a) if v},
+                                 {t: v for t, v in enumerate(b) if v})
             if space.rank == rows:
                 return rows
     return space.rank

@@ -270,6 +270,34 @@ class TestLiftLanes:
         monkeypatch.setattr(cli, "solve_recursion", refuse)
         assert cli._exact_lifts(spec, S, Q, f, 5) is None
 
+    @pytest.mark.parametrize("name, solves", [("p2_z4", 3), ("p2_z4_cbeta", 4)])
+    def test_conjugate_characters_reuse_the_solve(self, name, solves, monkeypatch):
+        """With x and beta real, the Z/4 character whose quotient point is the
+        conjugate of an earlier one takes that solve's tables conjugated, and
+        they equal a direct solve's, table for table and entry for entry, in
+        the same order; with a complex beta every character is solved."""
+        spec = cli.load_problem(os.path.join(GOLDEN, f"{name}.problem.json"))
+        S = build_semigroup(spec.group, spec.vectors)
+        f, _ = spec.resolve_x(S)
+        Q, D = cli.build_quotient(S.group, S.A), spec.truncation
+        solves_run, bases = [], []
+        solve, lift = cli.solve_recursion, cli.lift_and_verify
+        monkeypatch.setattr(cli, "solve_recursion",
+                            lambda *a, **k: solves_run.append(1) or solve(*a, **k))
+        monkeypatch.setattr(cli, "lift_and_verify",
+                            lambda basis, *a: bases.append(basis) or lift(basis, *a))
+        assert len(cli._exact_lifts(spec, S, Q, f, D)) == 4
+        assert len(solves_run) == solves
+
+        def tables(basis):
+            return [(t.base_x, t.beta, t.leading_degree, list(t.entries.items()))
+                    for t in basis.tables]
+
+        for rho, basis in zip(S.group.characters(), bases):
+            z = p_rho(rho, f.x, Q)
+            assert tables(basis) == tables(solve(FVector(z), spec.beta, Q.semigroup,
+                                                 truncation=D))
+
     @pytest.mark.parametrize("fault", ["tail", "total"])
     def test_failed_certificate_takes_float_lane(self, fault, monkeypatch):
         spec = cli.load_problem(cli.fixture_path("z2_example"))

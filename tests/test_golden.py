@@ -3,7 +3,9 @@
 Each golden file is the `--no-timings` report of a bundled fixture, or of
 a problem stored beside it: the hexagon (solve and residuals at truncation 5),
 P^3 (analyze, solve and restrict at truncation 5), p2_z4 (exact lift through
-Z/4 characters, whose values include +-i), hexagon_z2 (exact lift through
+Z/4 characters, whose values include +-i), p2_z4_cbeta (p2_z4 with a
+complex beta and every task: complex hat spaces and step systems, solved
+by restriction of scalars), hexagon_z2 (exact lift through
 Z/2 characters) and seg5_z3 (lift through Z/3 characters, on the float
 lane).  The `max_residual` fields are dropped on both sides before
 comparing: they are the only floats in a report and may differ in the last
@@ -38,7 +40,8 @@ def _text(path):
 
 PROBLEMS = {name: cli.fixture_path(name) for name in FIXTURES}
 PROBLEMS.update({name: os.path.join(GOLDEN, f"{name}.problem.json")
-                 for name in ("hexagon", "p3", "p2_z4", "hexagon_z2", "seg5_z3")})
+                 for name in ("hexagon", "p3", "p2_z4", "p2_z4_cbeta", "hexagon_z2",
+                              "seg5_z3")})
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))

@@ -233,6 +233,19 @@ class ReferenceRowSpace:
                     del vec[c]
 
 
+def reference_kernel(space, ncols):
+    """The kernel read off the reference space, as solve_sparse gives it."""
+    R = space.rows
+    pivots = sorted(p for p in R if p < ncols)
+    kernel = []
+    for fc in range(ncols):
+        if fc not in R:
+            kernel.append({p: -R[p][fc] for p in pivots if fc in R[p]})
+            kernel[-1][fc] = QQI_ONE
+            kernel[-1] = dict(sorted(kernel[-1].items()))
+    return kernel
+
+
 def reference_solve(rows, ncols, rhs_list):
     """solve_sparse read off the reference space."""
     space = ReferenceRowSpace()
@@ -246,12 +259,7 @@ def reference_solve(rows, ncols, rhs_list):
     sols = [None if ncols + t in bad else
             {p: R[p][ncols + t] for p in pivots if ncols + t in R[p]}
             for t in range(len(rhs_list))]
-    kernel = []
-    for fc in range(ncols):
-        if fc not in R:
-            kernel.append({p: -R[p][fc] for p in pivots if fc in R[p]})
-            kernel[-1][fc] = QQI_ONE
-    return sols, kernel
+    return sols, reference_kernel(space, ncols)
 
 
 entries = st.one_of(
@@ -276,15 +284,49 @@ def systems(draw):
 class TestFractionFree:
     @given(systems(), st.booleans())
     def test_matches_reference(self, system, reverse):
+        """Rank, pivots, kernel and solutions equal the field reference's,
+        over Q and over Q(i), with integer rows of content 1 stored."""
         rows, n, rhs = system
         key = (lambda c: -c) if reverse else None
         space, ref = RowSpace(key), ReferenceRowSpace(key)
         for row in rows:
             assert space.add(row) == ref.add(row)
-        assert sorted(space.rows) == sorted(ref.rows)
-        for p, row in space.rows.items():
-            assert gcd(*(x for pair in row.values() for x in pair)) == 1
-            assert row.keys() == ref.rows[p].keys()
-            assert all(GaussianRational(*row[c]) / GaussianRational(*row[p]) == v
-                       for c, v in ref.rows[p].items())
+        assert space.rank == len(ref.rows)
+        assert space.pivots == sorted(ref.rows)
+        assert space.complex == any(GaussianRational(v).b for row in rows for v in row.values())
+        for row in space.rows.values():
+            assert all(type(v) is int for v in row.values())
+            assert gcd(*row.values()) == 1
+        assert all(space.contains(row) for row in rows)
+        assert list(space.kernel(n, QQI_ONE).values()) == reference_kernel(ref, n)
         assert solve_sparse(rows, n, rhs, QQI_ONE) == reference_solve(rows, n, rhs)
+
+    def test_realified_readers(self):
+        """A space of real rows meets (1 + i, 1): each real row becomes two,
+        the new row two more, and the readers answer in Q(i) terms."""
+        space = RowSpace(key=lambda c: -c)
+        space.add({0: 1, 2: 3})
+        assert not space.complex
+        assert space.add({0: GaussianRational(1, 1), 1: 1})
+        assert space.complex and len(space.rows) == 4
+        assert (space.rank, space.pivots) == (2, [1, 2])
+        assert space.kernel(3, QQI_ONE) == {0: {0: QQI_ONE, 1: -GaussianRational(1, 1),
+                                                2: GaussianRational(-1, 0, 3)}}
+        assert space.contains({0: GaussianRational(3, 4), 1: 3, 2: GaussianRational(0, 3)})
+        assert not space.contains({0: GaussianRational(0, 1)})
+
+    def test_complex_solve(self):
+        """(1 + i) x = 2 and (1 + i) x = 2i over the realified system."""
+        sols, kernel = solve_sparse([{0: GaussianRational(1, 1)}], 1, [[2], [QQI_I * 2]])
+        assert sols == [{0: GaussianRational(1, -1)}, {0: GaussianRational(1, 1)}]
+        assert kernel == []
+
+    def test_back_elimination_only_where_needed(self):
+        """Under descending insertion no stored row holds the new pivot, and
+        a pivot behind a stored one is still eliminated from it."""
+        space = RowSpace()
+        space.add({2: 1, 3: 1})
+        space.add({1: 1, 2: 1})
+        assert space.rows == {2: {2: 1, 3: 1}, 1: {1: 1, 3: -1}}
+        space.add({3: 1})
+        assert space.rows == {2: {2: 1}, 1: {1: 1}, 3: {3: 1}}

@@ -57,10 +57,17 @@ R1_PER_DEGREE = {
 
 class TestImageRows:
     def test_z2_degree_one_rows(self):
+        """The generators times X, the lcm of the denominators of x, as ints
+        for a real x and as Gaussian integers for a complex one."""
         S, f, _ = make_problem("z2")
+        assert f.x == (2, 1)
         rows = _image_rows(f, S, 1)
-        assert rows == [{0: GaussianRational(2), 1: GaussianRational(1)},
-                        {0: GaussianRational(1), 1: GaussianRational(2)}]
+        assert rows == [{0: 2, 1: 1}, {0: 1, 1: 2}]
+        rows = _image_rows(FVector((Fraction(1, 2), Fraction(-2, 3))), S, 1)
+        assert rows == [{0: 3, 1: -4}, {0: -4, 1: 3}]
+        assert all(type(v) is int for row in rows for v in row.values())
+        rows = _image_rows(FVector((GaussianRational(1, 1, 2), Fraction(1, 3))), S, 1)
+        assert rows == [{0: GaussianRational(3, 3), 1: 2}, {0: 2, 1: GaussianRational(3, 3)}]
 
     def test_shape_follows_layers(self):
         S, f, _ = make_problem("ex52")

@@ -2,15 +2,16 @@
 
     python3 tools/report_snapshot.py OUT_DIR [--seeds 0 1 3] [--root CHECKOUT]
 
-For each problem in `<CHECKOUT>/perfbench/problems` and each seed, the
-command line `bbgkz` runs three times in a fresh interpreter on the sources
-of `<CHECKOUT>/src`: with the problem's own tasks, with all tasks (skipped
-for the problems in OWN_ONLY) and with `solve,restrict`, a run in which no
-`analyze` reduces a hat space first.  Each run writes one file,
-`<name>-seed<N>-<own|all|solve-restrict>.txt`, holding the exit code,
-stderr and the report.  Snapshots of two checkouts, taken into two
-directories, are byte-identical exactly when `diff -r` between the
-directories is empty.
+For each problem in `<CHECKOUT>/perfbench/problems` and in EXTRA_PROBLEMS of
+this checkout (a complex beta, so that the Q(i) path of the exact kernel is
+covered), and each seed, the command line `bbgkz` runs three times in a
+fresh interpreter on the sources of `<CHECKOUT>/src`: with the problem's own
+tasks, with all tasks (skipped for the problems in OWN_ONLY) and with
+`solve,restrict`, a run in which no `analyze` reduces a hat space first.
+Each run writes one file, `<name>-seed<N>-<own|all|solve-restrict>.txt`,
+holding the exit code, stderr and the report.  Snapshots of two checkouts,
+taken into two directories, are byte-identical exactly when `diff -r`
+between the directories is empty.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ ALL_TASKS = "analyze,solve,restrict,lift,residuals"
 TASK_LISTS = (("own", []), ("all", ["--tasks", ALL_TASKS]),
               ("solve-restrict", ["--tasks", "solve,restrict"]))
 OWN_ONLY = {"p3"}  # problems snapshotted without the all-tasks run
+EXTRA_PROBLEMS = (os.path.join(ROOT, "tests", "golden", "p2_z4_cbeta.problem.json"),)
 
 
 def snapshot(root, out_dir, seeds):
@@ -34,8 +36,8 @@ def snapshot(root, out_dir, seeds):
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     problems = sorted(p for p in glob.glob(os.path.join(root, "perfbench", "problems", "*.json"))
                       if not p.endswith(".expected.json"))
-    for path in problems:
-        name = os.path.basename(path)[:-len(".json")]
+    for path in problems + list(EXTRA_PROBLEMS):
+        name = os.path.basename(path).removesuffix(".json").removesuffix(".problem")
         for seed in seeds:
             for label, tasks in TASK_LISTS:
                 if label == "all" and name in OWN_ONLY:
