@@ -106,12 +106,18 @@ class AbelianGroup:
 
 @dataclass(frozen=True)
 class GroupElement:
+    """An element (free, torsion) of `group`.  Elements key the layer and
+    germ tables: the hash is computed once, into a slot that is no field."""
+    __slots__ = ("group", "free", "torsion", "_hash")
     group: AbelianGroup
     free: tuple
     torsion: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.free, self.torsion)))
+
     def __add__(self, other):
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise ValueError("elements of different groups")
         free = tuple(a + b for a, b in zip(self.free, other.free))
         tors = tuple((a + b) % d for a, b, d in
@@ -137,13 +143,13 @@ class GroupElement:
         return (self.free, self.torsion)
 
     def __hash__(self):
-        return hash((self.free, self.torsion))
+        return self._hash
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
         return (self.free == other.free and self.torsion == other.torsion
-                and self.group == other.group)
+                and (self.group is other.group or self.group == other.group))
 
     def __repr__(self):
         if self.torsion:

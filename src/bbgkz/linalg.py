@@ -6,8 +6,8 @@ takes int, Fraction or GaussianRational entries and reduces their integer
 numerators fraction-free (Bareiss), one content pass per row update, and
 Q(i) data by restriction of scalars.  `solve_sparse` reads the solutions
 and the kernel of a system from one such reduction and divides by a pivot
-only there.  Zero tests of many values at once (solver.recursion_defects)
-also run on integer numerators over a common denominator.
+only there.  Right-hand sides, and the zero tests of many values at once
+(solver.recursion_defects), are integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -262,7 +262,8 @@ class RowSpace:
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the space."""
-        return self.add_numerators(*_numerators(vec))
+        re, im, _ = _numerators(vec)
+        return self.add_numerators(re, im)
 
     def add_numerators(self, re, im=None):
         """`add` for the vector (re + i im) / d, given as dicts of the nonzero
@@ -281,16 +282,20 @@ class RowSpace:
     def contains(self, vec):
         return not self.copy().add(vec)
 
-    def _normalised(self, p, lo, hi):
+    def _normalised(self, p, lo, hi, dens=None):
         """The entries at columns lo..hi-1 other than p of the row of pivot p
-        over its pivot entry, in Q(i) terms: column -> GaussianRational."""
+        over its pivot entry, each also over dens[c - lo] if dens is given,
+        in Q(i) terms: column -> GaussianRational."""
         if not self.complex:
             row = self.rows[p]
-            return {c: _raw(v, 0, row[p]) for c, v in row.items() if lo <= c < hi and c != p}
+            d = row[p]
+            return {c: _raw(v, 0, d if dens is None else d * dens[c - lo])
+                    for c, v in row.items() if lo <= c < hi and c != p}
         re, im = self.rows[2 * p], self.rows[2 * p + 1]
         dr, di = re[2 * p], im[2 * p + 1]
         cols = sorted({c >> 1 for c in (*re, *im) if not c & 1} - {p})
-        return {c: _raw(re.get(2 * c, 0) * di, im.get(2 * c, 0) * dr, dr * di)
+        return {c: _raw(re.get(2 * c, 0) * di, im.get(2 * c, 0) * dr,
+                        dr * di if dens is None else dr * di * dens[c - lo])
                 for c in cols if lo <= c < hi}
 
     def kernel(self, ncols, one):
@@ -308,18 +313,26 @@ class RowSpace:
         return vecs
 
 
+def numerators(values):
+    """(re, im, d): lists of the integer numerators of the real and the
+    imaginary parts of values over d, the lcm of their denominators."""
+    values = [GaussianRational(v) for v in values]
+    d = lcm(*(v.d for v in values))
+    return [v.a * (d // v.d) for v in values], [v.b * (d // v.d) for v in values], d
+
+
 def _numerators(vec):
     """Integer numerators (re, im) of the nonzero parts of the entries of
-    vec over their least common denominator, as dicts; im is empty when vec
-    is real."""
+    vec over their least common denominator d, as dicts, and d; im is empty
+    when vec is real."""
     if set(map(type, vec.values())) <= {int}:
-        return dict(vec) if 0 not in vec.values() else {c: v for c, v in vec.items() if v}, {}
+        return dict(vec) if 0 not in vec.values() else {c: v for c, v in vec.items() if v}, {}, 1
     exact = {c: v if type(v) is GaussianRational else _coerce(v)
              for c, v in vec.items() if type(v) is not int}
     den = lcm(*[v.d for v in exact.values()])
     re = {c: v * den for c, v in vec.items() if type(v) is int and v}
     re.update((c, v.a * (den // v.d)) for c, v in exact.items() if v.a)
-    return re, {c: v.b * (den // v.d) for c, v in exact.items() if v.b}
+    return re, {c: v.b * (den // v.d) for c, v in exact.items() if v.b}, den
 
 
 def _eliminate(vec, col, row):
@@ -359,12 +372,15 @@ def _primitive(vec, p):
 def solve_sparse(rows, ncols, rhs_list, one=1):
     """Solve A x = b exactly for several right-hand sides, plus the kernel of A.
 
-    rows: sparse rows of A (dicts over columns 0..ncols-1); rhs_list: one
-    vector of length len(rows) per right-hand side.  Right-hand side t is
-    appended to the rows as column ncols + t, after every unknown, and the
+    rows: sparse rows of A (dicts over columns 0..ncols-1).  rhs_list: one
+    right-hand side b_t per entry, as (re, im, d) with b_t[i] =
+    (re[i] + i im[i]) / d: integer sequences of length len(rows), im None
+    for a real b_t, and d > 0, as `numerators` gives them.  The numerators
+    d * b_t go in as column ncols + t, after every unknown, and the
     augmented matrix is reduced once, its rows going in from the last
     leading column down; its reduced row echelon form is unique for this
-    column order.  Returns (solutions, kernel):
+    column order, and scaling column ncols + t scales only its entries, so
+    d enters where a solution entry is read.  Returns (solutions, kernel):
 
     - solutions[t] is None if b_t is not in the column space of A, else the
       particular solution with every free variable zero;
@@ -376,15 +392,22 @@ def solve_sparse(rows, ncols, rhs_list, one=1):
     """
     space = RowSpace()
     for i in sorted(range(len(rows)), key=lambda i: min(rows[i], default=ncols), reverse=True):
-        space.add({**rows[i], **{ncols + t: rhs[i] for t, rhs in enumerate(rhs_list) if rhs[i]}})
+        re, im, d = _numerators(rows[i])
+        for col, (nr, ni, _) in enumerate(rhs_list, ncols):
+            if nr[i]:
+                re[col] = nr[i] * d
+            if ni is not None and ni[i]:
+                im[col] = ni[i] * d
+        space.add_numerators(re, im)
     end = ncols + len(rhs_list)
+    dens = [d for _, _, d in rhs_list]
     # b_t is inconsistent iff a row pivoting on a right-hand side column
     # reaches column ncols + t; that column need not be a pivot itself.
     s = space.complex
     bad = {c >> s for p, row in space.rows.items() if p >> s >= ncols for c in row}
     solutions = [None if col in bad else {} for col in range(ncols, end)]
     for p in [p for p in space.pivots if p < ncols]:
-        for col, v in space._normalised(p, ncols, end).items():
+        for col, v in space._normalised(p, ncols, end, dens).items():
             if solutions[col - ncols] is not None:
                 solutions[col - ncols][p] = v
     return solutions, list(space.kernel(ncols, one).values())

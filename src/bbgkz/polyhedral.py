@@ -20,7 +20,7 @@ import numpy as np
 
 from .abelian import (AbelianGroup, DualElement, GroupElement,
                       NoDegreeFunctional, pair, smith_normal_form, _det_sign)
-from .linalg import RowSpace, solve_sparse
+from .linalg import RowSpace, numerators, solve_sparse
 
 
 class NotPointed(ValueError):
@@ -160,7 +160,7 @@ def _integer_inverse(M):
     """Exact inverse of a unimodular integer matrix, as integer rows."""
     n = len(M)
     cols, _ = solve_sparse([dict(enumerate(row)) for row in M], n,
-                           [[int(i == j) for i in range(n)] for j in range(n)])
+                           [([int(i == j) for i in range(n)], None, 1) for j in range(n)])
     assert all(v.d == 1 for col in cols for v in col.values())
     return [[cols[j][i].a if i in cols[j] else 0 for j in range(n)] for i in range(n)]
 
@@ -351,7 +351,7 @@ def _solve_exact(aug, ncols):
     """Solve the consistent system given as augmented Fraction rows, with
     every free variable zero."""
     (sol,), _ = solve_sparse([dict(enumerate(r[:ncols])) for r in aug], ncols,
-                             [[r[ncols] for r in aug]])
+                             [numerators([r[ncols] for r in aug])])
     assert sol is not None, "inconsistent system"
     return [sol[c].real if c in sol else Fraction(0) for c in range(ncols)]
 

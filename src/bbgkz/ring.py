@@ -75,14 +75,15 @@ def _image_rows(f, S, k, region="full"):
     times X, the lcm of the denominators of x.
 
     Row r * p + j is X * sum_i x_i * mu_j(v_i) * [c + v_i] for
-    c = layer(k-1)[p], over the layer-k index.  Its entries are ints for a
-    real x, Gaussian integers for a complex one, and complex floats (X = 1)
-    for a float x.  A system on these rows needs right-hand sides times X.
+    c = layer(k-1)[p], over the layer-k index; a zero x_i or cancelling
+    repeated v_i leave no explicit 0.  Its entries are ints for a real x,
+    Gaussian integers for a complex one, and complex floats (X = 1) for a
+    float x.  A system on these rows needs right-hand sides times X.
     """
     if k == 0:
         return []
     x, _ = _scaled(tuple(f))
-    terms = [[(i, x[i] * v.free[j]) for i, v in enumerate(S.A) if v.free[j]]
+    terms = [[(i, x[i] * v.free[j]) for i, v in enumerate(S.A) if v.free[j] and x[i]]
              for j in range(S.rank)]
     rows = []
     for targets in S.shift(k - 1, region).tolist():
@@ -91,7 +92,9 @@ def _image_rows(f, S, k, region="full"):
             for i, coeff in row_terms:
                 d = targets[i]
                 row[d] = row[d] + coeff if d in row else coeff
-            rows.append(row)
+            # only terms that meet at one target can cancel
+            rows.append(row if len(row) == len(row_terms) else
+                        {d: v for d, v in row.items() if v})
     return rows
 
 
@@ -182,7 +185,7 @@ def _hat_rows(f, beta, S, region, max_src_degree):
                 diag = (n.free[j] * B - bB[j]) * X
                 if diag:
                     row[start + p] = diag
-                rows.append({c: v for c, v in row.items() if v})
+                rows.append(row)
         start = up
     return rows
 

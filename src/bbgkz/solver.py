@@ -4,9 +4,11 @@ A solution germ is stored as its lambda table: the values of all unknown
 functions (and hence, after re-indexing, all their Taylor coefficients) at
 the base point.  Two routes give the same germs.  The step route solves the
 layer-(k+1) linear system whose right-hand side comes from layer k,
-asserting solvability at every step.  The kernel route reads them off the
-hat space `ring.hat_quotient_dims` reduced for the same (x, beta, D) and
-takes it off the semigroup, as no later task reads it.  That kernel is the
+asserting solvability at every step; it gives `solve_sparse` each
+right-hand side as Gaussian-integer numerators over one denominator.  The
+kernel route reads them off the hat space `ring.hat_quotient_dims` reduced
+for the same (x, beta, D) and takes it off the semigroup, as no later task
+reads it.  That kernel is the
 truncated solution space: a hat row mu_j . hat[n] paired with a table is
 the recursion identity at (n, j).  The pivots go to the highest degree,
 then the lowest index, so the germ of a free column fc is zero below deg fc
@@ -15,7 +17,8 @@ entry in (degree, index) order, as for the step route's germ born at fc.
 So both routes have the same free columns, and both bases are the one that
 is 1 at one free column and 0 at the others.  Exact Gaussian-rational
 arithmetic is the default; a complex-float backend exists for quotient
-problems at irrational base points.
+problems at irrational base points.  `check_residuals` runs on one
+GermStack of the germs, with one Taylor plan per degree for every step size.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from math import lcm
 import numpy as np
 
 from .abelian import GroupElement, pair
-from .linalg import GaussianRational, RowSpace, solve_sparse
+from .linalg import GaussianRational, RowSpace, numerators, solve_sparse
 from .polyhedral import GradedSemigroup, k_prim
 from .ring import (DimReport, FVector, _hat_free_counts, _hat_key, _image_rows, _scaled,
                    as_scalar, jacobian_dims)
@@ -108,6 +111,26 @@ def _hat_kernel_tables(f, beta, S, D, one):
             for fc, vec in space.kernel(len(points), one).items()]
 
 
+def _twisted(vals, tr, ti, B):
+    """The right-hand side of one germ at one step, as (re, im, d) for
+    `solve_sparse`: row p * r + j is lambda_c (beta_j - c_j) B X for
+    c = layer(k)[p], from the germ's values {p: lambda_c} on layer k and the
+    Gaussian integers (beta_j - c_j) B X = tr[p][j] + i ti[j]; d is B times
+    the lcm of the value denominators, so every entry is an integer product."""
+    L, r = lcm(*(v.d for v in vals.values())), len(ti)
+    re = [0] * (len(tr) * r)
+    real = not any(ti) and not any(v.b for v in vals.values())
+    im = None if real else [0] * len(re)
+    for p, v in vals.items():
+        a, b, q = v.a * (L // v.d), v.b * (L // v.d), p * r
+        if real:
+            re[q:q + r] = [a * t for t in tr[p]]
+        else:
+            re[q:q + r] = [a * t - b * u for t, u in zip(tr[p], ti)]
+            im[q:q + r] = [a * u + b * t for t, u in zip(tr[p], ti)]
+    return re, im, L * B
+
+
 def solve_recursion(f, beta, S: GradedSemigroup, truncation=None,
                     backend="exact") -> SolutionBasis:
     """Basis of truncated solution germs at the base point f.
@@ -143,20 +166,27 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None,
     if tables is None:
         # one unit germ per degree-0 layer element
         tables = [({c: one}, 0) for c in S.layer(0)]
+        # each germ's values on the layer the next step starts from
+        last = [{p: one} for p in range(len(tables))]
 
     X = _scaled(x)[1]
+    if exact:
+        bB, B = _scaled(beta)
+        bB = [GaussianRational(b) for b in bB]
+        ti = [b.b * X for b in bB]
     for k in range(steps):
         src = S.layer(k)
         dst = S.layer(k + 1)
-        # right-hand sides lambda_c (beta_j - c_j), flattened in (c, j) order,
-        # times the X of the `_image_rows` rows
-        twists = [(c, (b - cj) * X) for c in src for b, cj in zip(beta, c.free)]
-        rhs = [[entries[c] * t if c in entries else 0 for c, t in twists]
-               for entries, _ in tables]
         rows = _image_rows(f, S, k + 1)
+        # right-hand sides lambda_c (beta_j - c_j), flattened in (c, j) order,
+        # times the X of the rows
         if exact:
+            tr = [[(b.a - cj * B) * X for b, cj in zip(bB, c.free)] for c in src]
+            rhs = [_twisted(vals, tr, ti, B) for vals in last]
             sols, kernel = solve_sparse(rows, len(dst), rhs, one)
         else:
+            twists = [(p, (b - cj) * X) for p, c in enumerate(src) for b, cj in zip(beta, c.free)]
+            rhs = [[vals[p] * t if p in vals else 0 for p, t in twists] for vals in last]
             mat = np.zeros((len(rows), len(dst)), dtype=complex)
             for a, row in enumerate(rows):
                 for col, val in row.items():
@@ -171,6 +201,7 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None,
             entries.update((dst[col], val) for col, val in sol.items())
         tables.extend(({dst[col]: val for col, val in vec.items()}, k + 1)
                       for vec in kernel)
+        last = sols + kernel
 
     out = [LambdaTable(S, x, beta, D, entries, lead) for entries, lead in tables]
     out.sort(key=lambda t: t.leading_degree)
@@ -185,53 +216,65 @@ def filtration_dims(basis: SolutionBasis) -> DimReport:
     return DimReport.of(counts)
 
 
-def _taylor_terms(S, k, start, dz, budget):
-    """(indices of c + sum l_i v_i in layer k + |l|, k + |l|, prod dz_i^l_i / l_i!)
-    for the layer-k indices `start` of c and each |l| <= budget, lexicographic."""
-    terms = [(start, k, 1.0 + 0.0j)]
-    for i, d in enumerate(dz):
+def _taylor_plan(S, k, start, budget):
+    """(terms, recipe) for the Taylor terms of the layer-k indices `start`.
+
+    terms holds (indices of c + sum l_i v_i in layer k + |l|, k + |l|, ref)
+    for each |l| <= budget, lexicographic; the term's factor
+    prod dz_i^l_i / l_i! is factor ref of the recipe run at dz (see `_series`),
+    so one plan serves every dz."""
+    terms, recipe = [(start, k, 0)], []
+    for i in range(len(S.A)):
         grown = []
-        for idx, deg, fac in terms:
+        for idx, deg, ref in terms:
             for step in range(k + budget - deg + 1):
                 if step:
-                    idx, deg, fac = S.shift(deg)[idx, i], deg + 1, fac * d / step
-                grown.append((idx, deg, fac))
+                    recipe.append((ref, i, step))
+                    idx, deg, ref = S.shift(deg)[idx, i], deg + 1, len(recipe)
+                grown.append((idx, deg, ref))
         terms = grown
-    return terms
+    return terms, recipe
+
+
+def _series(S, D, lam, points, dzs):
+    """Truncated Taylor values [dz, germ, point] at z = base + dz of germs of
+    truncation D whose `_germ_floats` are lam: one Taylor plan per degree
+    serves every dz.  Terms are summed in order and products written in real
+    arithmetic (numpy's complex multiply may fuse), so values equal a
+    sequential Python complex sum bit for bit."""
+    offsets = np.cumsum([0] + [len(S.layer(k)) for k in range(D + 1)])
+    index = {c: i for k in range(D + 1) for i, c in enumerate(S.layer(k))}
+    degrees = [pair(S.deg, c) for c in points]
+    if max(degrees) > D:
+        raise ValueError("component degree exceeds the truncation")
+    out = np.empty((len(dzs), len(lam[0]), len(points)), dtype=complex)
+    for k in set(degrees):
+        cols = [m for m, d in enumerate(degrees) if d == k]
+        terms, recipe = _taylor_plan(S, k, np.array([index[points[m]] for m in cols]), D - k)
+        targets = np.stack([offsets[deg] + idx for idx, deg, _ in terms], axis=1)
+        lr, li = lam[0][:, targets], lam[1][:, targets]
+        for o, dz in zip(out, dzs):
+            facs = [1.0 + 0.0j]
+            for ref, i, step in recipe:
+                facs.append(facs[ref] * dz[i] / step)
+            w = np.array([facs[ref] for _, _, ref in terms])
+            # + 0.0: a sum started from 0, as in Python, never ends on -0.0
+            o.real[:, cols] = np.add.accumulate(lr * w.real - li * w.imag, axis=2)[..., -1] + 0.0
+            o.imag[:, cols] = np.add.accumulate(lr * w.imag + li * w.real, axis=2)[..., -1] + 0.0
+    return out
 
 
 def series_values(tables, points, z) -> np.ndarray:
     """Truncated Taylor values [table, point] of the germs near the base.
 
     Entry [t, p] is evaluate_series(tables[t], points[p], z); the tables share
-    one semigroup, base point and truncation.  Terms are summed in order and
-    products written in real arithmetic (numpy's complex multiply may fuse),
-    so values equal a sequential Python complex sum bit for bit.
+    one semigroup, base point and truncation.  Values equal a sequential
+    Python complex sum bit for bit (see `_series`).
     """
     first = tables[0]
-    S, D = first.semigroup, first.truncation
     dz = [zz - complex(xx) for zz, xx in zip(z, first.base_x)]
-    offsets = np.cumsum([0] + [len(S.layer(k)) for k in range(D + 1)])
-    index = {c: i for k in range(D + 1) for i, c in enumerate(S.layer(k), offsets[k])}
-    lam = np.zeros((len(tables), offsets[-1]), dtype=complex)
-    for row, t in zip(lam, tables):
-        for c, v in t.entries.items():
-            row[index[c]] = complex(v)
-    degrees = [first.degree(c) for c in points]
-    if max(degrees) > D:
-        raise ValueError("component degree exceeds the truncation")
-    out = np.empty((len(tables), len(points)), dtype=complex)
-    for k in set(degrees):
-        cols = [m for m, d in enumerate(degrees) if d == k]
-        start = np.array([index[points[m]] - offsets[k] for m in cols])
-        terms = _taylor_terms(S, k, start, dz, D - k)
-        targets = np.stack([offsets[deg] + idx for idx, deg, _ in terms], axis=1)
-        w = np.array([fac for _, _, fac in terms])
-        lr, li = lam.real[:, targets], lam.imag[:, targets]
-        # + 0.0: a sum started from 0, as in Python, never ends on -0.0
-        out.real[:, cols] = np.add.accumulate(lr * w.real - li * w.imag, axis=2)[..., -1] + 0.0
-        out.imag[:, cols] = np.add.accumulate(lr * w.imag + li * w.real, axis=2)[..., -1] + 0.0
-    return out
+    return _series(first.semigroup, first.truncation, _germ_floats(GermStack.of(tables)),
+                   points, [dz])[0]
 
 
 def evaluate_series(table: LambdaTable, c: GroupElement, z) -> complex:
@@ -278,10 +321,8 @@ def _parts(values, exact):
     if not exact:
         z = np.array(values, dtype=complex)
         return z.real, z.imag, 1
-    values = [GaussianRational(v) for v in values]
-    den = lcm(*(v.d for v in values))
-    return (np.array([v.a * (den // v.d) for v in values], dtype=object),
-            np.array([v.b * (den // v.d) for v in values], dtype=object), den)
+    re, im, den = numerators(values)
+    return np.array(re, dtype=object), np.array(im, dtype=object), den
 
 
 @dataclass
@@ -315,6 +356,15 @@ class GermStack:
 
     def __len__(self):
         return len(self.layers[0][0])
+
+
+def _germ_floats(stack: GermStack):
+    """(re, im): float arrays [t, q] of the values of germ t at the q-th
+    point of layers 0..truncation in order.  An exact value is re / den by
+    Python int division, which rounds correctly, so it equals complex() of
+    the GaussianRational."""
+    return (np.concatenate([(re / den).astype(float) for re, _, den in stack.layers], axis=1),
+            np.concatenate([(im / den).astype(float) for _, im, den in stack.layers], axis=1))
 
 
 def recursion_defects(stack: GermStack):
@@ -353,18 +403,21 @@ def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport
 
     The derivative-shift equation is an exact identity of re-indexed table
     entries and is checked structurally by recursion_defects.  The
-    Euler-type equation is checked numerically at steps h0, h0/2, h0/4 (one
-    series_values call each; h0 must be positive); the residual must shrink
-    with observed order at least truncation - deg(c) - 1, except that under
-    the roundoff floor tiny * scale it only has to decrease.
+    Euler-type equation sum_i z_i v_i[j] Phi_{c + v_i} = (beta_j - c_j) Phi_c
+    is checked numerically at steps h0, h0/2, h0/4 (h0 must be positive); the
+    residual must shrink with observed order at least truncation - deg(c) - 1,
+    except that under the roundoff floor tiny * scale it only has to
+    decrease.  All residuals are formed at once on arrays, in real
+    arithmetic in the order of the sequential Python complex sum.
     """
     S = basis.semigroup
     D = basis.truncation
+    stack = GermStack.of(basis.tables)
+    exact_ok = not any((defect > 1e-12).any() for _, defect in recursion_defects(stack))
+    lam = _germ_floats(stack)
+    del stack  # the series needs only the floats
+
     x = [complex(v) for v in basis.tables[0].base_x]
-
-    exact_ok = not any((defect > 1e-12).any()
-                       for _, defect in recursion_defects(GermStack.of(basis.tables)))
-
     if h0 is None:
         h0 = comparison_radius(x)
     if not h0 > 0:
@@ -373,34 +426,45 @@ def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport
     check_points = [c for c in dict.fromkeys(
         list(k_prim(S)) + list(S.layer(0)) + list(S.layer(1)))
         if D - pair(S.deg, c) - 1 >= 1]
-    shifted = {c: [c + v for v in S.A] for c in check_points}
-    points = list(dict.fromkeys(check_points + [d for ds in shifted.values() for d in ds]))
+    shifted = [[c + v for v in S.A] for c in check_points]
+    points = list(dict.fromkeys(check_points + [d for ds in shifted for d in ds]))
     col = {c: m for m, c in enumerate(points)}
-    values = [series_values(basis.tables, points, z).tolist() for z in zs]
+    values = _series(S, D, lam, points, [[zz - xx for zz, xx in zip(z, x)] for z in zs])
+    vr, vi = values.real, values.imag
     beta = [complex(b) for b in basis.beta]
+    # res[z, t, m, j]: |lhs - rhs| at check point m for covector j
+    res = np.empty((len(zs), len(lam[0]), len(check_points), S.rank))
+    for j in range(S.rank):
+        # a term with v_i[j] = 0 is a signed zero, which leaves a sum
+        # started from 0.0 unchanged
+        lr = li = 0.0
+        for i, v in enumerate(S.A):
+            if v.free[j]:
+                w = np.array([v.free[j] * z[i] for z in zs])[:, None, None]
+                m = [col[ds[i]] for ds in shifted]
+                pr, pi = vr[:, :, m], vi[:, :, m]
+                lr = lr + (w.real * pr - w.imag * pi)
+                li = li + (w.real * pi + w.imag * pr)
+        g = np.array([beta[j] - c.free[j] for c in check_points])
+        m = [col[c] for c in check_points]
+        pr, pi = vr[:, :, m], vi[:, :, m]
+        res[..., j] = np.hypot(lr - (g.real * pr - g.imag * pi), li - (g.real * pi + g.imag * pr))
+    floors = (tiny * np.maximum(1.0, np.hypot(*lam).max(axis=1))).tolist()
+    required = [D - pair(S.deg, c) - 1 for c in check_points]
     checks = []
-    for ti, t in enumerate(basis.tables):
-        floor = tiny * max(1.0, max(abs(complex(v)) for v in t.entries.values()))
-        for c in check_points:
-            required = D - t.degree(c) - 1
-            for j in range(S.rank):
-                res = []
-                for z, vals in zip(zs, values):
-                    val = vals[ti]
-                    lhs = sum(v.free[j] * z[i] * val[col[d]]
-                              for i, (v, d) in enumerate(zip(S.A, shifted[c])))
-                    rhs = (beta[j] - c.free[j]) * val[col[c]]
-                    res.append(abs(lhs - rhs))
-                if all(rr < floor for rr in res):
-                    checks.append(ResidualCheck(ti, c, j, tuple(res), (), required, True))
+    for ti, (floor, per_table) in enumerate(zip(floors, res.transpose(1, 2, 3, 0).tolist())):
+        for c, req, per_point in zip(check_points, required, per_table):
+            for j, rs in enumerate(per_point):
+                if all(rr < floor for rr in rs):
+                    checks.append(ResidualCheck(ti, c, j, tuple(rs), (), req, True))
                     continue
                 orders = tuple(
-                    float(np.log2(res[i] / res[i + 1])) if res[i + 1] > 0 else float("inf")
-                    for i in range(len(res) - 1))
+                    float(np.log2(rs[i] / rs[i + 1])) if rs[i + 1] > 0 else float("inf")
+                    for i in range(len(rs) - 1))
                 # under the floor the ratio is roundoff: ask only for a decrease
-                ok = all(res[i + 1] < res[i] if res[i + 1] < floor else o >= required - 0.2
+                ok = all(rs[i + 1] < rs[i] if rs[i + 1] < floor else o >= req - 0.2
                          for i, o in enumerate(orders))
-                checks.append(ResidualCheck(ti, c, j, tuple(res), orders, required, ok))
+                checks.append(ResidualCheck(ti, c, j, tuple(rs), orders, req, ok))
     return ResidualReport(exact_ok, checks)
 
 

@@ -38,6 +38,24 @@ class TestAbelianGroup:
         assert (-a) == N.element((-2,), (1,))
         assert a.scale(3) == N.element((6,), (0,))
 
+    def test_hash_is_stored_and_consistent(self):
+        """The hash kept at construction is that of (free, torsion), and
+        elements built by element(), by + and by a semigroup's layers hash
+        and compare alike, also across equal groups that are not one object."""
+        from bbgkz.polyhedral import build_semigroup
+        N = AbelianGroup(2, (2,))
+        A = (N.element((0, 1), (0,)), N.element((1, 1), (1,)), N.element((-1, 1), (1,)))
+        S = build_semigroup(N, A)
+        for c in S.layer(2):
+            assert hash(c) == hash((c.free, c.torsion))
+            for built in (N.element(c.free, c.torsion), A[0] + (c - A[0]),
+                          AbelianGroup(2, (2,)).element(c.free, c.torsion)):
+                assert built == c and hash(built) == hash(c)
+                assert {c: 1}[built] == 1
+        assert N.element((0, 2), (1,)) != N.element((0, 2), (0,))
+        assert N.element((0, 2)) != AbelianGroup(2, (4,)).element((0, 2))
+        assert not hasattr(N.zero(), "__dict__")
+
     def test_from_presentation(self):
         # Z^2 / (2 e1) = Z + Z/2
         G = AbelianGroup.from_presentation([[2, 0]])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bbgkz.linalg import (GaussianRational, QQI_I, QQI_ONE, QQI_ZERO, RowSpace,
-                          solve_sparse)
+                          numerators, solve_sparse)
 
 small_int = st.integers(-20, 20)
 nonzero_den = st.integers(1, 12)
@@ -129,10 +129,15 @@ def apply(A, vec):
     return out
 
 
+def solve(rows, ncols, rhs_list, one=1):
+    """solve_sparse on right-hand sides given as lists of values."""
+    return solve_sparse(rows, ncols, [numerators(b) for b in rhs_list], one)
+
+
 class TestSolveSparse:
     def test_known_kernel(self):
         rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
-        sols, kernel = solve_sparse(rows, 2, [[Fraction(3), Fraction(6)]])
+        sols, kernel = solve(rows, 2, [[Fraction(3), Fraction(6)]])
         assert sols == [{0: Fraction(3)}]
         assert kernel == [{0: Fraction(-2), 1: 1}]
 
@@ -148,7 +153,7 @@ class TestSolveSparse:
                 assert list(v) == sorted(v)
 
     def test_empty_matrix(self):
-        sols, kernel = solve_sparse([], 3, [[]])
+        sols, kernel = solve([], 3, [[]])
         assert sols == [{}]
         assert kernel == [{0: 1}, {1: 1}, {2: 1}]
 
@@ -159,7 +164,7 @@ class TestSolveSparse:
             A = random_matrix(rng, m, n)
             xs = {j: GaussianRational(rng.randint(-3, 3)) for j in range(n)}
             b = apply(A, xs)
-            sols, _ = solve_sparse(sparse(A), n, [b], one=QQI_ONE)
+            sols, _ = solve(sparse(A), n, [b], one=QQI_ONE)
             assert sols[0] is not None
             assert apply(A, sols[0]) == b
 
@@ -170,7 +175,7 @@ class TestSolveSparse:
         good = [Fraction(2), Fraction(2)]
         bad = [Fraction(2), Fraction(3)]
         worse = [Fraction(4), Fraction(6)]
-        sols, kernel = solve_sparse(A, 2, [good, bad, worse, good])
+        sols, kernel = solve(A, 2, [good, bad, worse, good])
         assert sols == [{0: Fraction(2)}, None, None, {0: Fraction(2)}]
         assert kernel == [{0: Fraction(-1), 1: 1}]
 
@@ -281,7 +286,38 @@ def systems(draw):
     return rows, n, rhs
 
 
+@st.composite
+def numerator_systems(draw):
+    """A system of `systems` with right-hand sides in numerator form: real,
+    complex and all-zero columns over random denominators, a consistent one,
+    and the consistent one again with its numerators and denominator scaled
+    by a common factor."""
+    rows, n, rhs = draw(systems())
+    m = len(rows)
+    nums = st.lists(st.integers(-9, 9), min_size=m, max_size=m)
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(["real", "complex", "zero"]), max_size=3)):
+        re = [0] * m if kind == "zero" else draw(nums)
+        cols.append((re, draw(nums) if kind == "complex" else None, draw(st.integers(1, 12))))
+    re, im, d = numerators(rhs[-1])
+    k = draw(st.integers(2, 5))
+    cols += [(re, im, d), ([k * v for v in re], [k * v for v in im], k * d)]
+    return rows, n, cols
+
+
 class TestFractionFree:
+    @given(numerator_systems())
+    def test_numerator_columns_match_reference(self, system):
+        """Right-hand sides given as integer numerators over one denominator
+        solve as the values they stand for do in the field reference."""
+        rows, n, cols = system
+        values = [[GaussianRational(a, 0 if im is None else im[i], d) for i, a in enumerate(re)]
+                  for re, im, d in cols]
+        sols, kernel = solve_sparse(rows, n, cols, QQI_ONE)
+        assert (sols, kernel) == reference_solve(rows, n, values)
+        if rows:
+            assert sols[-1] is not None and sols[-1] == sols[-2]
+
     @given(systems(), st.booleans())
     def test_matches_reference(self, system, reverse):
         """Rank, pivots, kernel and solutions equal the field reference's,
@@ -299,7 +335,7 @@ class TestFractionFree:
             assert gcd(*row.values()) == 1
         assert all(space.contains(row) for row in rows)
         assert list(space.kernel(n, QQI_ONE).values()) == reference_kernel(ref, n)
-        assert solve_sparse(rows, n, rhs, QQI_ONE) == reference_solve(rows, n, rhs)
+        assert solve(rows, n, rhs, QQI_ONE) == reference_solve(rows, n, rhs)
 
     def test_realified_readers(self):
         """A space of real rows meets (1 + i, 1): each real row becomes two,
@@ -317,7 +353,7 @@ class TestFractionFree:
 
     def test_complex_solve(self):
         """(1 + i) x = 2 and (1 + i) x = 2i over the realified system."""
-        sols, kernel = solve_sparse([{0: GaussianRational(1, 1)}], 1, [[2], [QQI_I * 2]])
+        sols, kernel = solve([{0: GaussianRational(1, 1)}], 1, [[2], [QQI_I * 2]])
         assert sols == [{0: GaussianRational(1, -1)}, {0: GaussianRational(1, 1)}]
         assert kernel == []
 

@@ -69,6 +69,25 @@ class TestImageRows:
         rows = _image_rows(FVector((GaussianRational(1, 1, 2), Fraction(1, 3))), S, 1)
         assert rows == [{0: GaussianRational(3, 3), 1: 2}, {0: 2, 1: GaussianRational(3, 3)}]
 
+    @pytest.mark.parametrize("name,x", [("p2", (0, 1, 2, 3)),
+                                        ("repeated", (2, -2, 3)),
+                                        ("repeated", (0, Fraction(1, 2), 3))])
+    def test_no_explicit_zeros(self, name, x):
+        """A zero x_i and the cancelling terms of repeated generators leave no
+        explicit 0 in the operator rows, nor in the hat rows built on them."""
+        S, _, beta = make_problem(name)
+        f = FVector(x)
+        for k in range(1, S.rank + 3):
+            rows = _image_rows(f, S, k)
+            assert len(rows) == S.rank * len(S.layer(k - 1))
+            assert all(v for row in rows for v in row.values())
+        hat = ring._hat_rows(f, tuple(map(ring.as_scalar, beta)), S, "full", S.rank + 1)
+        assert all(v for row in hat for v in row.values())
+        if name == "repeated" and x[0]:
+            # x1 + x2 = 0: the repeated generators' terms cancel, leaving
+            # the row of covector 0 empty and x3 alone in that of covector 1
+            assert [len(row) for row in _image_rows(f, S, 1)] == [0, 1]
+
     def test_shape_follows_layers(self):
         S, f, _ = make_problem("ex52")
         rows = _image_rows(f, S, 2)

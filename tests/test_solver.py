@@ -1,22 +1,26 @@
 """Degree-by-degree recursion: closed forms, dimensions, and residuals."""
 
 import dataclasses
+import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bbgkz import cli, ring, solver
-from bbgkz.abelian import AbelianGroup
+from bbgkz.abelian import AbelianGroup, pair
 from bbgkz.linalg import GaussianRational
-from bbgkz.polyhedral import build_semigroup, normalized_volume
+from bbgkz.polyhedral import build_semigroup, k_prim, normalized_volume
 from bbgkz.ring import (FVector, hat_quotient_dims, is_nondegenerate, jacobian_dims,
                         r1_dims)
-from bbgkz.solver import (GermStack, InconsistentSystem, check_residuals,
-                          comparison_radius, evaluate_series, filtration_dims,
-                          restricted_solution_rank, series_values,
-                          solve_recursion)
-from conftest import make_problem
+from bbgkz.solver import (GermStack, InconsistentSystem, ResidualCheck, ResidualReport,
+                          check_residuals, comparison_radius, evaluate_series,
+                          filtration_dims, recursion_defects, restricted_solution_rank,
+                          series_values, solve_recursion)
+from conftest import FIXTURE_BUILDERS, make_problem
+
+CBETA = os.path.join(os.path.dirname(__file__), "golden", "p2_z4_cbeta.problem.json")
 
 
 def reference_series(table, c, z):
@@ -42,12 +46,63 @@ def reference_series(table, c, z):
     return total
 
 
-def fixture_basis(name, seed):
-    """Germs of a bundled fixture at the base point drawn with `seed`."""
-    spec = cli.load_problem(cli.fixture_path(name))
+def problem_data(path, seed=None):
+    """(semigroup, x, beta, truncation) of a problem file."""
+    spec = cli.load_problem(path)
     S = build_semigroup(spec.group, spec.vectors)
     f, _ = spec.resolve_x(S, seed_override=seed)
-    return solve_recursion(f, spec.beta, S, truncation=spec.truncation)
+    return S, f, spec.beta, spec.truncation
+
+
+def fixture_basis(name, seed):
+    """Germs of a bundled fixture at the base point drawn with `seed`."""
+    S, f, beta, D = problem_data(cli.fixture_path(name), seed)
+    return solve_recursion(f, beta, S, truncation=D)
+
+
+def reference_residuals(basis, h0=None, tiny=1e-13):
+    """The per-check loop that check_residuals replaced, kept as its
+    reference: one series_values call per step size and a Python complex
+    sum per (germ, check point, covector, step)."""
+    S = basis.semigroup
+    D = basis.truncation
+    x = [complex(v) for v in basis.tables[0].base_x]
+    exact_ok = not any((defect > 1e-12).any()
+                       for _, defect in recursion_defects(GermStack.of(basis.tables)))
+    if h0 is None:
+        h0 = comparison_radius(x)
+    zs = [[xi + h / len(x) for xi in x] for h in (h0, h0 / 2, h0 / 4)]
+    check_points = [c for c in dict.fromkeys(
+        list(k_prim(S)) + list(S.layer(0)) + list(S.layer(1)))
+        if D - pair(S.deg, c) - 1 >= 1]
+    shifted = {c: [c + v for v in S.A] for c in check_points}
+    points = list(dict.fromkeys(check_points + [d for ds in shifted.values() for d in ds]))
+    col = {c: m for m, c in enumerate(points)}
+    values = [series_values(basis.tables, points, z).tolist() for z in zs]
+    beta = [complex(b) for b in basis.beta]
+    checks = []
+    for ti, t in enumerate(basis.tables):
+        floor = tiny * max(1.0, max(abs(complex(v)) for v in t.entries.values()))
+        for c in check_points:
+            required = D - t.degree(c) - 1
+            for j in range(S.rank):
+                res = []
+                for z, vals in zip(zs, values):
+                    val = vals[ti]
+                    lhs = sum(v.free[j] * z[i] * val[col[d]]
+                              for i, (v, d) in enumerate(zip(S.A, shifted[c])))
+                    rhs = (beta[j] - c.free[j]) * val[col[c]]
+                    res.append(abs(lhs - rhs))
+                if all(rr < floor for rr in res):
+                    checks.append(ResidualCheck(ti, c, j, tuple(res), (), required, True))
+                    continue
+                orders = tuple(
+                    float(np.log2(res[i] / res[i + 1])) if res[i + 1] > 0 else float("inf")
+                    for i in range(len(res) - 1))
+                ok = all(res[i + 1] < res[i] if res[i + 1] < floor else o >= required - 0.2
+                         for i, o in enumerate(orders))
+                checks.append(ResidualCheck(ti, c, j, tuple(res), orders, required, ok))
+    return ResidualReport(exact_ok, checks)
 
 
 class TestClosedForms:
@@ -179,9 +234,27 @@ class TestKernelRoute:
         eliminates no step, returns the step route's tables, entry for
         entry and in the same order, and takes the space off S."""
         _, S, f, beta = named_problem
-        r, D = S.rank, S.rank + offset
         if at_zero:
-            beta = (Fraction(0),) * r
+            beta = (Fraction(0),) * S.rank
+        self.assert_routes_agree(S, f, beta, S.rank + offset, monkeypatch)
+
+    @pytest.mark.parametrize("offset", [1, 2, 3])
+    def test_complex_x(self, named_problem, offset, monkeypatch):
+        """A complex x: both routes reduce over Q(i), and the step
+        right-hand sides have Gaussian-integer numerators."""
+        _, S, f, beta = named_problem
+        f = FVector(tuple(v + GaussianRational(0, i + 1, 4) for i, v in enumerate(f.x)))
+        assert is_nondegenerate(f, S)[0]
+        self.assert_routes_agree(S, f, beta, S.rank + offset, monkeypatch)
+
+    @pytest.mark.parametrize("offset", [1, 2, 3])
+    def test_complex_beta(self, offset, monkeypatch):
+        """The complex beta of p2_z4_cbeta: step right-hand sides over Q(i)."""
+        S, f, beta, _ = problem_data(CBETA)
+        self.assert_routes_agree(S, f, beta, S.rank + offset, monkeypatch)
+
+    @staticmethod
+    def assert_routes_agree(S, f, beta, D, monkeypatch):
         step = solve_recursion(f, beta, build_semigroup(S.group, S.A), truncation=D)
         hat_quotient_dims(f, beta, S, filtration_bound=D)
         monkeypatch.setattr(solver, "solve_sparse", None)
@@ -269,6 +342,85 @@ class TestResiduals:
         basis.tables[0].entries[c] = basis.tables[0].entries[c] + 1
         report = check_residuals(basis)
         assert not report.all_passed
+
+
+class TestBatchedResiduals:
+    """check_residuals against the per-check reference, field for field."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+    @pytest.mark.parametrize("offset", [1, 2, 3])
+    def test_fixtures(self, name, offset):
+        S, f, beta = make_problem(name)
+        basis = solve_recursion(f, beta, S, truncation=S.rank + offset)
+        assert check_residuals(basis) == reference_residuals(basis)
+
+    @pytest.mark.parametrize("name,seed", [("p2", 9), ("p2", 45),
+                                           ("square_z2", 5), ("ex52", 63)])
+    def test_roundoff_seeds(self, name, seed):
+        basis = fixture_basis(name, seed)
+        assert check_residuals(basis) == reference_residuals(basis)
+        assert check_residuals(basis, h0=0.01) == reference_residuals(basis, h0=0.01)
+
+    def test_complex_beta(self):
+        S, f, beta, D = problem_data(CBETA)
+        basis = solve_recursion(f, beta, S, truncation=D)
+        assert any(b.b for b in basis.beta)
+        report = check_residuals(basis)
+        assert report == reference_residuals(basis)
+        assert report.all_passed
+
+    def test_corrupted_entry(self):
+        basis = fixture_basis("p2", 9)
+        t = basis.tables[1]
+        c = next(c for c in basis.semigroup.layer(2) if c in t.entries)
+        t.entries[c] = t.entries[c] * GaussianRational(1001, 1, 1000)
+        report = check_residuals(basis)
+        assert report == reference_residuals(basis)
+        assert not report.all_passed
+
+    def test_germ_floats_round_like_complex(self):
+        """A germ float is its numerator over the layer's denominator by int
+        division, so it equals complex() of the exact value also where the
+        numerators pass 2**53 or the float range."""
+        S, f, beta = make_problem("g3")
+        basis = solve_recursion(f, beta, S, truncation=3)
+        entries = basis.tables[0].entries
+        entries[S.layer(1)[0]] = GaussianRational(10**400 + 7, -(3 * 10**399 + 1), 3 * 10**400)
+        entries[S.layer(1)[1]] = GaussianRational(2**60 + 1, 2**58 + 3, 7)
+        re, im = solver._germ_floats(GermStack.of(basis.tables))
+        points = [c for k in range(4) for c in S.layer(k)]
+        want = [[complex(t.entries.get(c, 0)) for c in points] for t in basis.tables]
+        assert re.tolist() == [[v.real for v in row] for row in want]
+        assert im.tolist() == [[v.imag for v in row] for row in want]
+        assert check_residuals(basis) == reference_residuals(basis)
+
+    def test_one_plan_per_degree(self, monkeypatch):
+        """One check builds one GermStack, one float germ array and one
+        Taylor plan per degree of the evaluated points, not one per step."""
+        calls = {"stack": 0, "floats": 0, "plan": []}
+        of, floats, plan = GermStack.of.__func__, solver._germ_floats, solver._taylor_plan
+
+        def count_of(cls, tables):
+            calls["stack"] += 1
+            return of(cls, tables)
+
+        def count_floats(stack):
+            calls["floats"] += 1
+            return floats(stack)
+
+        def count_plan(S, k, start, budget):
+            calls["plan"].append(k)
+            return plan(S, k, start, budget)
+
+        monkeypatch.setattr(GermStack, "of", classmethod(count_of))
+        monkeypatch.setattr(solver, "_germ_floats", count_floats)
+        monkeypatch.setattr(solver, "_taylor_plan", count_plan)
+        S, f, beta = make_problem("p2")
+        basis = solve_recursion(f, beta, S, truncation=S.rank + 3)
+        report = check_residuals(basis)
+        assert (calls["stack"], calls["floats"]) == (1, 1)
+        degrees = {pair(S.deg, ch.c) + d for ch in report.checks for d in (0, 1)}
+        assert sorted(calls["plan"]) == sorted(degrees)
 
 
 class TestRepetitionCollapse:

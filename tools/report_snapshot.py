@@ -4,12 +4,14 @@
 
 For each problem in `<CHECKOUT>/perfbench/problems` and in EXTRA_PROBLEMS of
 this checkout (a complex beta, so that the Q(i) path of the exact kernel is
-covered), and each seed, the command line `bbgkz` runs three times in a
+covered), and each seed, the command line `bbgkz` runs four times in a
 fresh interpreter on the sources of `<CHECKOUT>/src`: with the problem's own
-tasks, with all tasks (skipped for the problems in OWN_ONLY) and with
-`solve,restrict`, a run in which no `analyze` reduces a hat space first.
-Each run writes one file, `<name>-seed<N>-<own|all|solve-restrict>.txt`,
-holding the exit code, stderr and the report.  Snapshots of two checkouts,
+tasks, with all tasks (skipped for the problems in OWN_ONLY), with
+`solve,restrict`, a run in which no `analyze` reduces a hat space first,
+and with `solve,residuals`, in which the residual check reads germs of the
+step route.  Each run writes one file,
+`<name>-seed<N>-<own|all|solve-restrict|solve-residuals>.txt`, holding the
+exit code, stderr and the report.  Snapshots of two checkouts,
 taken into two directories, are byte-identical exactly when `diff -r`
 between the directories is empty.
 """
@@ -25,7 +27,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALL_TASKS = "analyze,solve,restrict,lift,residuals"
 TASK_LISTS = (("own", []), ("all", ["--tasks", ALL_TASKS]),
-              ("solve-restrict", ["--tasks", "solve,restrict"]))
+              ("solve-restrict", ["--tasks", "solve,restrict"]),
+              ("solve-residuals", ["--tasks", "solve,residuals"]))
 OWN_ONLY = {"p3"}  # problems snapshotted without the all-tasks run
 EXTRA_PROBLEMS = (os.path.join(ROOT, "tests", "golden", "p2_z4_cbeta.problem.json"),)
 
