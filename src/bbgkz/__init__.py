@@ -12,16 +12,14 @@ from .abelian import (AbelianGroup, Character, DualElement, GroupElement,
 from .linalg import GaussianRational
 from .polyhedral import (Cone, DegeneratePolytope, GradedSemigroup,
                          KPrimGuardError, NotPointed, build_semigroup,
-                         enumerate_layer, k_prim, normalized_volume,
-                         triangulate_polytope)
+                         k_prim, normalized_volume, triangulate_polytope)
 from .ring import (DimReport, FVector, NondegeneracyCertificate,
                    NondegeneracyRetriesExhausted, dual_kernel_dims,
                    hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
                    jacobian_dims, r1_dims, random_rational_x)
 from .solver import (GermStack, InconsistentSystem, LambdaTable, ResidualReport,
                      SolutionBasis, check_residuals, evaluate_series,
-                     filtration_dims, restricted_solution_rank,
-                     series_values, solve_recursion)
+                     filtration_dims, restricted_solution_rank, solve_recursion)
 from .torsion import (LogModulusBox, QuotientProblem, RegionTooTight,
                       ResidualTooLarge, build_quotient, find_common_basepoint,
                       independence_count, lift_and_verify, p_rho)

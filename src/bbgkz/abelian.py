@@ -82,23 +82,6 @@ class AbelianGroup:
         zero_free = (0,) * self.rank
         return [self.element(zero_free, t) for t in itertools.product(*ranges)]
 
-    @classmethod
-    def from_presentation(cls, relations):
-        """Group Z^g / (rows of `relations`), via Smith normal form.
-
-        The change of basis is not tracked, so this is only a convenience for
-        building groups up to isomorphism.
-        """
-        if not relations:
-            raise ValueError("empty presentation; pass [[0]*g] for free groups")
-        ncols = len(relations[0])
-        _, D, _ = smith_normal_form(relations)
-        diag = [D[i][i] for i in range(min(len(D), ncols))]
-        diag += [0] * (ncols - len(diag))
-        invariants = tuple(abs(d) for d in diag if abs(d) >= 2)
-        rank = sum(1 for d in diag if d == 0)
-        return cls(rank, invariants)
-
     def __str__(self):
         parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion_invariants]
         return " + ".join(parts) if parts else "0"
@@ -167,9 +150,6 @@ class DualElement:
 class Character:
     group: AbelianGroup
     torsion_exponents: tuple
-
-    def is_trivial(self):
-        return all(e == 0 for e in self.torsion_exponents)
 
 
 def pair(mu: DualElement, v: GroupElement) -> int:

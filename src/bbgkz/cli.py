@@ -205,9 +205,9 @@ def _task_solve(spec, S, f, D, report, checks, jac):
     tors = S.group.torsion_order
     tables = []
     for t in basis.tables:
-        lead = [[format_element(c), format_scalar(v)]
-                for c, v in sorted(t.entries.items(), key=lambda kv: kv[0].sort_key())
-                if t.degree(c) == t.leading_degree]
+        # a layer is in sort_key order
+        lead = [[format_element(c), format_scalar(t.entries[c])]
+                for c in S.layer(t.leading_degree) if c in t.entries]
         tables.append({"leading_degree": t.leading_degree, "leading_entries": lead})
     report["solution_basis"] = {
         "dimension": len(basis),

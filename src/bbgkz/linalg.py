@@ -107,18 +107,6 @@ class GaussianRational:
     def __pos__(self):
         return self
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = _raw(1, 0, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __bool__(self):
         return self.a != 0 or self.b != 0
 

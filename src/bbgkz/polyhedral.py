@@ -50,9 +50,6 @@ class Cone:
     def contains(self, w):
         return all(_dot(h, w) >= 0 for h in self.facet_normals)
 
-    def strictly_contains(self, w):
-        return all(_dot(h, w) > 0 for h in self.facet_normals)
-
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
@@ -238,6 +235,8 @@ class GradedSemigroup:
         key = (k, region)
         got = self._free.get(key)
         if got is None:
+            if k < 0:
+                raise ValueError("degree must be nonnegative")
             r, dtype = self.rank, self._dtype(k)
             shape = [k * (hi - lo) + 1 for lo, hi in self._box]
             grid = np.indices(shape).reshape(r - 1, -1 if shape else 1).T.astype(dtype)
@@ -291,12 +290,6 @@ def build_semigroup(N: AbelianGroup, A) -> GradedSemigroup:
     from .abelian import validate_data
     deg = validate_data(N, A)
     return GradedSemigroup(N, A, deg)
-
-
-def enumerate_layer(S: GradedSemigroup, k, region="full"):
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    return S.layer(k, region)
 
 
 def k_prim(S: GradedSemigroup, A=None, guard_degrees=2):

@@ -18,13 +18,14 @@ So both routes have the same free columns, and both bases are the one that
 is 1 at one free column and 0 at the others.  Exact Gaussian-rational
 arithmetic is the default; a complex-float backend exists for quotient
 problems at irrational base points.  `check_residuals` runs on one
-GermStack of the germs, with one Taylor plan per degree for every step size.
+GermStack of the germs and evaluates the series by the semigroup
+exponential, all three step sizes in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -216,74 +217,38 @@ def filtration_dims(basis: SolutionBasis) -> DimReport:
     return DimReport.of(counts)
 
 
-def _taylor_plan(S, k, start, budget):
-    """(terms, recipe) for the Taylor terms of the layer-k indices `start`.
-
-    terms holds (indices of c + sum l_i v_i in layer k + |l|, k + |l|, ref)
-    for each |l| <= budget, lexicographic; the term's factor
-    prod dz_i^l_i / l_i! is factor ref of the recipe run at dz (see `_series`),
-    so one plan serves every dz."""
-    terms, recipe = [(start, k, 0)], []
+def _series(S, D, lam, dzs):
+    """Truncated Taylor values [dz, germ, q] at z = base + dz of germs of
+    truncation D whose `_germ_floats` are lam, at the q-th point of layers
+    0..D.  As d_i Phi_c = Phi_{c + v_i}, Phi(x + dz) = prod_i exp(dz_i S_i)
+    lambda with (S_i lambda)_c = lambda_{c + v_i}, and lambda vanishes past
+    degree D: each exponential is a Horner sum in s = D..1 over the shift
+    tables, for every point and dz at once.  Step s reads layers s..D and
+    writes layers s - 1..D - 1; layer D stays as it is."""
+    off = np.cumsum([0] + [len(S.layer(k)) for k in range(D + 1)])
+    up = np.concatenate([off[k + 1] + S.shift(k) for k in range(D)])
+    dzs = np.array(dzs, dtype=complex)
+    val = np.repeat([lam[0] + 1j * lam[1]], len(dzs), axis=0)
     for i in range(len(S.A)):
-        grown = []
-        for idx, deg, ref in terms:
-            for step in range(k + budget - deg + 1):
-                if step:
-                    recipe.append((ref, i, step))
-                    idx, deg, ref = S.shift(deg)[idx, i], deg + 1, len(recipe)
-                grown.append((idx, deg, ref))
-        terms = grown
-    return terms, recipe
-
-
-def _series(S, D, lam, points, dzs):
-    """Truncated Taylor values [dz, germ, point] at z = base + dz of germs of
-    truncation D whose `_germ_floats` are lam: one Taylor plan per degree
-    serves every dz.  Terms are summed in order and products written in real
-    arithmetic (numpy's complex multiply may fuse), so values equal a
-    sequential Python complex sum bit for bit."""
-    offsets = np.cumsum([0] + [len(S.layer(k)) for k in range(D + 1)])
-    index = {c: i for k in range(D + 1) for i, c in enumerate(S.layer(k))}
-    degrees = [pair(S.deg, c) for c in points]
-    if max(degrees) > D:
-        raise ValueError("component degree exceeds the truncation")
-    out = np.empty((len(dzs), len(lam[0]), len(points)), dtype=complex)
-    for k in set(degrees):
-        cols = [m for m, d in enumerate(degrees) if d == k]
-        terms, recipe = _taylor_plan(S, k, np.array([index[points[m]] for m in cols]), D - k)
-        targets = np.stack([offsets[deg] + idx for idx, deg, _ in terms], axis=1)
-        lr, li = lam[0][:, targets], lam[1][:, targets]
-        for o, dz in zip(out, dzs):
-            facs = [1.0 + 0.0j]
-            for ref, i, step in recipe:
-                facs.append(facs[ref] * dz[i] / step)
-            w = np.array([facs[ref] for _, _, ref in terms])
-            # + 0.0: a sum started from 0, as in Python, never ends on -0.0
-            o.real[:, cols] = np.add.accumulate(lr * w.real - li * w.imag, axis=2)[..., -1] + 0.0
-            o.imag[:, cols] = np.add.accumulate(lr * w.imag + li * w.real, axis=2)[..., -1] + 0.0
-    return out
-
-
-def series_values(tables, points, z) -> np.ndarray:
-    """Truncated Taylor values [table, point] of the germs near the base.
-
-    Entry [t, p] is evaluate_series(tables[t], points[p], z); the tables share
-    one semigroup, base point and truncation.  Values equal a sequential
-    Python complex sum bit for bit (see `_series`).
-    """
-    first = tables[0]
-    dz = [zz - complex(xx) for zz, xx in zip(z, first.base_x)]
-    return _series(first.semigroup, first.truncation, _germ_floats(GermStack.of(tables)),
-                   points, [dz])[0]
+        acc = val.copy()
+        for s in range(D, 0, -1):
+            lo, hi = off[s - 1], off[D]
+            acc[..., lo:hi] = val[..., lo:hi] + dzs[:, i, None, None] / s * acc[..., up[lo:, i]]
+        val = acc
+    return val
 
 
 def evaluate_series(table: LambdaTable, c: GroupElement, z) -> complex:
-    """Truncated Taylor value of the germ's component at c, near the base.
-
-    Sums lambda_{c + sum l_i v_i} prod (z_i - x_i)^{l_i} / l_i! over the
-    multi-indices l in lexicographic order with deg c + sum l_i <= truncation.
+    """Truncated Taylor value of the germ's component at c, near the base:
+    the sum of lambda_{c + sum l_i v_i} prod (z_i - x_i)^{l_i} / l_i! over
+    the multi-indices l with deg c + sum l_i <= truncation (see `_series`).
     """
-    return complex(series_values([table], [c], z)[0, 0])
+    S, D, k = table.semigroup, table.truncation, table.degree(c)
+    if k > D:
+        raise ValueError("component degree exceeds the truncation")
+    q = sum(len(S.layer(m)) for m in range(k)) + S.layer(k).index(c)
+    dz = [zz - complex(xx) for zz, xx in zip(z, table.base_x)]
+    return complex(_series(S, D, _germ_floats(GermStack.of([table])), [dz])[0, 0, q])
 
 
 def comparison_radius(base_x) -> float:
@@ -373,14 +338,38 @@ def recursion_defects(stack: GermStack):
     t at c = layer(k)[p], reading c + v_i from the shift tables.  Float stacks
     give |lhs - rhs|, forming x_i * lambda once per i and then its product
     with v_i[j], in real arithmetic as Python's complex type does.  Exact
-    stacks scale both sides by one positive integer and give True where the
-    Gaussian-integer difference is nonzero.
+    stacks give True where a L != b lambda_c (beta_j - c_j) on Gaussian-integer
+    numerators, per covector j: L sums (x_i v_i[j]) lambda_{c + v_i} over the
+    i with x_i v_i[j] != 0, a small numerator times a layer numerator each,
+    and with g = gcd(den_k, den_{k+1}) the scalars a = fb den_k / g and
+    b = ex den_{k+1} / g, applied once, bring both sides to one denominator
+    (ex and fb those of x and beta).  Imaginary parts are carried only where
+    x, beta or one of the two layers is not real.
     """
     S, exact = stack.semigroup, stack.exact
     xr, xi, ex = _parts(stack.base_x, exact)
     br, bi, fb = _parts(stack.beta, exact)
     for k, ((re0, im0, den0), (re1, im1, den1)) in enumerate(zip(stack.layers, stack.layers[1:])):
         free = np.repeat(S.free_layer(k), S.group.torsion_order, axis=0).astype(re0.dtype)
+        if exact:
+            g = gcd(den0, den1)
+            a, b = fb * den0 // g, ex * den1 // g
+            real = not (any(xi) or any(bi) or im0.any() or im1.any())
+            up = [(re1[:, q], im1[:, q]) for q in S.shift(k).T]
+            defect = np.empty((*re0.shape, S.rank), dtype=bool)
+            for j in range(S.rank):
+                gr = br[j] - fb * free[:, j]
+                terms = [(xr[i] * v.free[j], xi[i] * v.free[j], *up[i])
+                         for i, v in enumerate(S.A) if v.free[j] and (xr[i] or xi[i])]
+                if real:
+                    defect[..., j] = a * sum(s * p for s, _, p, _ in terms) != b * (re0 * gr)
+                else:
+                    lr = sum(s * p - t * q for s, t, p, q in terms)
+                    li = sum(s * q + t * p for s, t, p, q in terms)
+                    defect[..., j] = ((a * lr != b * (re0 * gr - im0 * bi[j]))
+                                      | (a * li != b * (re0 * bi[j] + im0 * gr)))
+            yield k, defect
+            continue
         terms = []
         for i, q in enumerate(S.shift(k).T):
             ar, ai = xr[i] * fb * den0, xi[i] * fb * den0
@@ -395,7 +384,7 @@ def recursion_defects(stack: GermStack):
             gr, gi = (br[j] * ex - ex * fb * free[:, j]) * den1, bi[j] * ex * den1
             re[..., j] = lr - (re0 * gr - im0 * gi)
             im[..., j] = li - (re0 * gi + im0 * gr)
-        yield k, (re != 0) | (im != 0) if exact else np.hypot(re, im)
+        yield k, np.hypot(re, im)
 
 
 def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport:
@@ -407,8 +396,11 @@ def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport
     is checked numerically at steps h0, h0/2, h0/4 (h0 must be positive); the
     residual must shrink with observed order at least truncation - deg(c) - 1,
     except that under the roundoff floor tiny * scale it only has to
-    decrease.  All residuals are formed at once on arrays, in real
-    arithmetic in the order of the sequential Python complex sum.
+    decrease.  Inside the truncation, the coefficient of dz^m / m! of the
+    Euler residual at z = x + dz is the recursion defect at c + sum m_i v_i,
+    so once the recursion identity holds exactly, the order test checks only
+    the float evaluator (`_series`, one pass for all three steps) and
+    roundoff.
     """
     S = basis.semigroup
     D = basis.truncation
@@ -417,43 +409,32 @@ def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport
     lam = _germ_floats(stack)
     del stack  # the series needs only the floats
 
-    x = [complex(v) for v in basis.tables[0].base_x]
+    x = np.array([complex(v) for v in basis.tables[0].base_x])
     if h0 is None:
         h0 = comparison_radius(x)
     if not h0 > 0:
         raise ValueError(f"residual step size {h0} is not positive")
-    zs = [[xi + h / len(x) for xi in x] for h in (h0, h0 / 2, h0 / 4)]
+    zs = np.array([x + h / len(x) for h in (h0, h0 / 2, h0 / 4)])
     check_points = [c for c in dict.fromkeys(
         list(k_prim(S)) + list(S.layer(0)) + list(S.layer(1)))
         if D - pair(S.deg, c) - 1 >= 1]
-    shifted = [[c + v for v in S.A] for c in check_points]
-    points = list(dict.fromkeys(check_points + [d for ds in shifted for d in ds]))
-    col = {c: m for m, c in enumerate(points)}
-    values = _series(S, D, lam, points, [[zz - xx for zz, xx in zip(z, x)] for z in zs])
-    vr, vi = values.real, values.imag
-    beta = [complex(b) for b in basis.beta]
+    degrees = [pair(S.deg, c) for c in check_points]
+    # the index of c among the points of layers 0..D, and of each c + v_i
+    off = np.cumsum([0] + [len(S.layer(k)) for k in range(D + 1)])
+    where = {c: (k, p) for k in set(degrees) for p, c in enumerate(S.layer(k))}
+    kp = [where[c] for c in check_points]
+    at = [off[k] + p for k, p in kp]
+    up = np.array([off[k + 1] + S.shift(k)[p] for k, p in kp])
+    values = _series(S, D, lam, zs - x)
     # res[z, t, m, j]: |lhs - rhs| at check point m for covector j
-    res = np.empty((len(zs), len(lam[0]), len(check_points), S.rank))
-    for j in range(S.rank):
-        # a term with v_i[j] = 0 is a signed zero, which leaves a sum
-        # started from 0.0 unchanged
-        lr = li = 0.0
-        for i, v in enumerate(S.A):
-            if v.free[j]:
-                w = np.array([v.free[j] * z[i] for z in zs])[:, None, None]
-                m = [col[ds[i]] for ds in shifted]
-                pr, pi = vr[:, :, m], vi[:, :, m]
-                lr = lr + (w.real * pr - w.imag * pi)
-                li = li + (w.real * pi + w.imag * pr)
-        g = np.array([beta[j] - c.free[j] for c in check_points])
-        m = [col[c] for c in check_points]
-        pr, pi = vr[:, :, m], vi[:, :, m]
-        res[..., j] = np.hypot(lr - (g.real * pr - g.imag * pi), li - (g.real * pi + g.imag * pr))
+    lhs = np.einsum("ztmi,zi,ij->ztmj", values[..., up], zs, np.array([v.free for v in S.A]))
+    g = np.array([[complex(b) - cj for b, cj in zip(basis.beta, c.free)] for c in check_points])
+    res = np.abs(lhs - values[..., at, None] * g)
     floors = (tiny * np.maximum(1.0, np.hypot(*lam).max(axis=1))).tolist()
-    required = [D - pair(S.deg, c) - 1 for c in check_points]
     checks = []
     for ti, (floor, per_table) in enumerate(zip(floors, res.transpose(1, 2, 3, 0).tolist())):
-        for c, req, per_point in zip(check_points, required, per_table):
+        for c, k, per_point in zip(check_points, degrees, per_table):
+            req = D - k - 1
             for j, rs in enumerate(per_point):
                 if all(rr < floor for rr in rs):
                     checks.append(ResidualCheck(ti, c, j, tuple(rs), (), req, True))

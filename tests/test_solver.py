@@ -17,15 +17,16 @@ from bbgkz.ring import (FVector, hat_quotient_dims, is_nondegenerate, jacobian_d
 from bbgkz.solver import (GermStack, InconsistentSystem, ResidualCheck, ResidualReport,
                           check_residuals, comparison_radius, evaluate_series,
                           filtration_dims, recursion_defects, restricted_solution_rank,
-                          series_values, solve_recursion)
+                          solve_recursion)
 from conftest import FIXTURE_BUILDERS, make_problem
 
 CBETA = os.path.join(os.path.dirname(__file__), "golden", "p2_z4_cbeta.problem.json")
 
 
 def reference_series(table, c, z):
-    """Recursive multi-index sum over group elements: the reference for
-    series_values, which must reproduce it bit for bit."""
+    """Recursive multi-index sum over group elements, in lexicographic order
+    of the multi-indices: the sequential sum that the semigroup-exponential
+    evaluator replaced, kept as its independent reference."""
     S = table.semigroup
     dz = [zz - complex(xx) for zz, xx in zip(z, table.base_x)]
     total = 0.0 + 0.0j
@@ -60,10 +61,19 @@ def fixture_basis(name, seed):
     return solve_recursion(f, beta, S, truncation=D)
 
 
+def scale(table):
+    """max(1, max |lambda_t|): the unit of the stated bound on series values
+    and residuals."""
+    return max(1.0, max(abs(complex(v)) for v in table.entries.values()))
+
+
+BOUND = 1e-14
+
+
 def reference_residuals(basis, h0=None, tiny=1e-13):
     """The per-check loop that check_residuals replaced, kept as its
-    reference: one series_values call per step size and a Python complex
-    sum per (germ, check point, covector, step)."""
+    reference: reference_series per (germ, point, step size) and a Python
+    complex sum per (germ, check point, covector, step)."""
     S = basis.semigroup
     D = basis.truncation
     x = [complex(v) for v in basis.tables[0].base_x]
@@ -78,7 +88,7 @@ def reference_residuals(basis, h0=None, tiny=1e-13):
     shifted = {c: [c + v for v in S.A] for c in check_points}
     points = list(dict.fromkeys(check_points + [d for ds in shifted.values() for d in ds]))
     col = {c: m for m, c in enumerate(points)}
-    values = [series_values(basis.tables, points, z).tolist() for z in zs]
+    values = [[[reference_series(t, c, z) for c in points] for t in basis.tables] for z in zs]
     beta = [complex(b) for b in basis.beta]
     checks = []
     for ti, t in enumerate(basis.tables):
@@ -103,6 +113,22 @@ def reference_residuals(basis, h0=None, tiny=1e-13):
                          for i, o in enumerate(orders))
                 checks.append(ResidualCheck(ti, c, j, tuple(res), orders, required, ok))
     return ResidualReport(exact_ok, checks)
+
+
+def assert_residuals_match(basis, h0=None):
+    """check_residuals against reference_residuals: the same checks, passed
+    flags and vacuous class (no orders), and residuals within BOUND times
+    the germ's scale."""
+    got, want = check_residuals(basis, h0), reference_residuals(basis, h0)
+    assert got.shift_identity_exact == want.shift_identity_exact
+    assert [(c.table_index, c.c, c.covector, c.required_order, c.passed, not c.orders)
+            for c in got.checks] == \
+        [(c.table_index, c.c, c.covector, c.required_order, c.passed, not c.orders)
+         for c in want.checks]
+    for a, b in zip(got.checks, want.checks):
+        bound = BOUND * scale(basis.tables[a.table_index])
+        assert all(abs(r - s) <= bound for r, s in zip(a.residuals, b.residuals))
+    return got
 
 
 class TestClosedForms:
@@ -161,15 +187,23 @@ class TestClosedForms:
 class TestSeriesValues:
     @pytest.mark.parametrize("name", ["z2", "ex51", "p1", "repeated", "g3"])
     def test_matches_recursive_sum(self, name):
+        """Every point of every layer, both step sizes in one pass, within
+        BOUND times the germ's scale of the sequential sum."""
         S, f, beta = make_problem(name)
         basis = solve_recursion(f, beta, S, truncation=S.rank + 3)
+        D = basis.truncation
         x = [complex(v) for v in f.x]
-        points = [c for k in range(3) for c in S.layer(k)]
-        for h in (0.01, -0.003 + 0.002j):
-            z = [xi + h * (i + 1) for i, xi in enumerate(x)]
-            want = [[reference_series(t, c, z) for c in points] for t in basis.tables]
-            assert series_values(basis.tables, points, z).tolist() == want
-            assert evaluate_series(basis.tables[-1], points[-1], z) == want[-1][-1]
+        points = [c for k in range(D + 1) for c in S.layer(k)]
+        lam = solver._germ_floats(GermStack.of(basis.tables))
+        hs = (0.01, -0.003 + 0.002j)
+        zs = [[xi + h * (i + 1) for i, xi in enumerate(x)] for h in hs]
+        got = solver._series(S, D, lam, [[zz - xx for zz, xx in zip(z, x)] for z in zs])
+        for z, values in zip(zs, got):
+            for t, row in zip(basis.tables, values):
+                want = [reference_series(t, c, z) for c in points]
+                assert np.abs(row - want).max() <= BOUND * scale(t)
+            t, c = basis.tables[-1], points[len(points) // 2]
+            assert abs(evaluate_series(t, c, z) - reference_series(t, c, z)) <= BOUND * scale(t)
 
     def test_rejects_point_above_truncation(self):
         S, f, beta = make_problem("ex51")
@@ -345,38 +379,36 @@ class TestResiduals:
 
 
 class TestBatchedResiduals:
-    """check_residuals against the per-check reference, field for field."""
+    """check_residuals against the per-check reference: the same checks,
+    passed flags and vacuous class, and residuals within BOUND times the
+    germ's scale (see assert_residuals_match)."""
 
     @pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
     @pytest.mark.parametrize("offset", [1, 2, 3])
     def test_fixtures(self, name, offset):
         S, f, beta = make_problem(name)
         basis = solve_recursion(f, beta, S, truncation=S.rank + offset)
-        assert check_residuals(basis) == reference_residuals(basis)
+        assert_residuals_match(basis)
 
     @pytest.mark.parametrize("name,seed", [("p2", 9), ("p2", 45),
                                            ("square_z2", 5), ("ex52", 63)])
     def test_roundoff_seeds(self, name, seed):
         basis = fixture_basis(name, seed)
-        assert check_residuals(basis) == reference_residuals(basis)
-        assert check_residuals(basis, h0=0.01) == reference_residuals(basis, h0=0.01)
+        assert_residuals_match(basis)
+        assert_residuals_match(basis, h0=0.01)
 
     def test_complex_beta(self):
         S, f, beta, D = problem_data(CBETA)
         basis = solve_recursion(f, beta, S, truncation=D)
         assert any(b.b for b in basis.beta)
-        report = check_residuals(basis)
-        assert report == reference_residuals(basis)
-        assert report.all_passed
+        assert assert_residuals_match(basis).all_passed
 
     def test_corrupted_entry(self):
         basis = fixture_basis("p2", 9)
         t = basis.tables[1]
         c = next(c for c in basis.semigroup.layer(2) if c in t.entries)
         t.entries[c] = t.entries[c] * GaussianRational(1001, 1, 1000)
-        report = check_residuals(basis)
-        assert report == reference_residuals(basis)
-        assert not report.all_passed
+        assert not assert_residuals_match(basis).all_passed
 
     def test_germ_floats_round_like_complex(self):
         """A germ float is its numerator over the layer's denominator by int
@@ -392,13 +424,13 @@ class TestBatchedResiduals:
         want = [[complex(t.entries.get(c, 0)) for c in points] for t in basis.tables]
         assert re.tolist() == [[v.real for v in row] for row in want]
         assert im.tolist() == [[v.imag for v in row] for row in want]
-        assert check_residuals(basis) == reference_residuals(basis)
+        assert_residuals_match(basis)
 
-    def test_one_plan_per_degree(self, monkeypatch):
-        """One check builds one GermStack, one float germ array and one
-        Taylor plan per degree of the evaluated points, not one per step."""
-        calls = {"stack": 0, "floats": 0, "plan": []}
-        of, floats, plan = GermStack.of.__func__, solver._germ_floats, solver._taylor_plan
+    def test_one_stack_and_float_array(self, monkeypatch):
+        """One check builds one GermStack and one float germ array, and
+        evaluates the series once for all three step sizes."""
+        calls = {"stack": 0, "floats": 0, "series": 0}
+        of, floats, series = GermStack.of.__func__, solver._germ_floats, solver._series
 
         def count_of(cls, tables):
             calls["stack"] += 1
@@ -408,19 +440,18 @@ class TestBatchedResiduals:
             calls["floats"] += 1
             return floats(stack)
 
-        def count_plan(S, k, start, budget):
-            calls["plan"].append(k)
-            return plan(S, k, start, budget)
+        def count_series(S, D, lam, dzs):
+            calls["series"] += 1
+            assert len(dzs) == 3
+            return series(S, D, lam, dzs)
 
         monkeypatch.setattr(GermStack, "of", classmethod(count_of))
         monkeypatch.setattr(solver, "_germ_floats", count_floats)
-        monkeypatch.setattr(solver, "_taylor_plan", count_plan)
+        monkeypatch.setattr(solver, "_series", count_series)
         S, f, beta = make_problem("p2")
         basis = solve_recursion(f, beta, S, truncation=S.rank + 3)
-        report = check_residuals(basis)
-        assert (calls["stack"], calls["floats"]) == (1, 1)
-        degrees = {pair(S.deg, ch.c) + d for ch in report.checks for d in (0, 1)}
-        assert sorted(calls["plan"]) == sorted(degrees)
+        assert check_residuals(basis).all_passed
+        assert calls == {"stack": 1, "floats": 1, "series": 1}
 
 
 class TestRepetitionCollapse:

@@ -473,6 +473,19 @@ def first_defects(stack):
     return out
 
 
+def defect_sets(stack):
+    """Per germ of a stack, every (c, j) that recursion_defects reports."""
+    out = [set() for _ in range(len(stack))]
+    for k, defect in recursion_defects(stack):
+        for t, p, j in np.argwhere(defect):
+            out[t].add((stack.semigroup.layer(k)[p], j))
+    return out
+
+
+def reference_defect_sets(tables):
+    return [{(c, j) for c, j, diff in reference_defects(t) if diff} for t in tables]
+
+
 def spec_problem(path):
     spec = cli.load_problem(path)
     S = build_semigroup(spec.group, spec.vectors)
@@ -555,6 +568,75 @@ class TestExactRecursionCheck:
                     with pytest.raises(ResidualTooLarge,
                                        match=rf"at {re.escape(str(c))}, coordinate {j}$"):
                         lift_and_verify(dataclasses.replace(basis, tables=tables), rho, x, S)
+
+    def test_coprime_layer_denominators(self):
+        """Hand-built germs on a single ray, x = 3/5 and beta = 2/7, with
+        coprime denominators on layers 0 and 1 and a layer 3 denominator
+        that layer 2's does not divide: the layer scalars must bring both
+        sides to one denominator through their gcd, not a quotient of
+        denominators.  Germ 0 solves the recursion up to layer 2 and breaks
+        it into layer 3; germ 1 breaks it into layer 1 only."""
+        S, _, _ = make_problem("ex51")
+        x, beta = (GaussianRational(3, 0, 5),), (GaussianRational(2, 0, 7),)
+
+        def germ(*values):
+            entries = {S.layer(k)[0]: GaussianRational(v) for k, v in enumerate(values)}
+            return LambdaTable(S, x, beta, len(values) - 1, entries, 0)
+
+        def step(v, k):  # the next value on the ray: v (beta - k) / x
+            return v * (Fraction(2, 7) - k) / Fraction(3, 5)
+
+        l1 = step(Fraction(1, 2), 0)
+        m2 = step(Fraction(1, 13), 1)
+        tables = [germ(Fraction(1, 2), l1, step(l1, 1), Fraction(1, 17)),
+                  germ(Fraction(1, 4), Fraction(1, 13), m2, step(m2, 2))]
+        stack = GermStack.of(tables)
+        dens = [d for _, _, d in stack.layers]
+        assert math.gcd(dens[0], dens[1]) == 1 and dens[3] % dens[2]
+        want = reference_defect_sets(tables)
+        assert want == [{(S.layer(2)[0], 0)}, {(S.layer(0)[0], 0)}]
+        assert defect_sets(stack) == want
+
+    def test_complex_x_real_germs(self):
+        """Real germs of `repeated` at real x stay solutions when i/3 moves
+        between the two equal generators, whose terms then have complex
+        coefficients summing to a real one; moving it onto one generator
+        alone breaks every identity that reads a nonzero value through it."""
+        S, f, beta = make_problem("repeated")
+        basis = solve_recursion(f, beta, S, truncation=4)
+        assert not any(v.b for t in basis.tables for v in t.entries.values())
+        third = GaussianRational(0, 1, 3)
+        for shift, broken in (((third, -third, 0), False), ((third, 0, 0), True)):
+            xs = tuple(v + d for v, d in zip(f.x, shift))
+            tables = [dataclasses.replace(t, base_x=xs) for t in basis.tables]
+            want = reference_defect_sets(tables)
+            assert any(want) == broken
+            assert defect_sets(GermStack.of(tables)) == want
+            for t, table in enumerate(tables):
+                for c in sample(table.entries, 3):
+                    bad = dataclasses.replace(
+                        table, entries={**table.entries, c: table.entries[c] + 1})
+                    bad_tables = tables[:t] + [bad] + tables[t + 1:]
+                    assert defect_sets(GermStack.of(bad_tables)) == \
+                        reference_defect_sets(bad_tables)
+
+    def test_top_layer_corruptions(self):
+        """A single entry changed on the top layer D is read only by the
+        identities at degree D - 1, the last ones the check tests."""
+        spec, S, f = spec_problem(os.path.join(GOLDEN, "hexagon.problem.json"))
+        D = spec.truncation
+        basis = solve_recursion(f, spec.beta, S, truncation=D)
+        assert defect_sets(GermStack.of(basis.tables)) == [set()] * len(basis)
+        for t, table in list(enumerate(basis.tables))[::2]:
+            for c in [c for c in S.layer(D) if c in table.entries][::40]:
+                for delta in (1, QQI_I):
+                    bad = dataclasses.replace(
+                        table, entries={**table.entries, c: table.entries[c] + delta})
+                    want = reference_defect_sets([bad])[0]
+                    assert want and all(d in S.layer(D - 1) for d, _ in want)
+                    tables = basis.tables[:t] + [bad] + basis.tables[t + 1:]
+                    assert defect_sets(GermStack.of(tables)) == \
+                        [want if u == t else set() for u in range(len(tables))]
 
     def test_hexagon_germ_corruptions(self):
         spec, S, f = spec_problem(os.path.join(GOLDEN, "hexagon.problem.json"))

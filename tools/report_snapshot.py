@@ -4,7 +4,9 @@
 
 For each problem in `<CHECKOUT>/perfbench/problems` and in EXTRA_PROBLEMS of
 this checkout (a complex beta, so that the Q(i) path of the exact kernel is
-covered), and each seed, the command line `bbgkz` runs four times in a
+covered; the hexagon at a seeded x; and the 2-dilated 3-simplex at
+truncation 7, where the residual check evaluates the longest series), and
+each seed, the command line `bbgkz` runs four times in a
 fresh interpreter on the sources of `<CHECKOUT>/src`: with the problem's own
 tasks, with all tasks (skipped for the problems in OWN_ONLY), with
 `solve,restrict`, a run in which no `analyze` reduces a hat space first,
@@ -29,8 +31,9 @@ ALL_TASKS = "analyze,solve,restrict,lift,residuals"
 TASK_LISTS = (("own", []), ("all", ["--tasks", ALL_TASKS]),
               ("solve-restrict", ["--tasks", "solve,restrict"]),
               ("solve-residuals", ["--tasks", "solve,residuals"]))
-OWN_ONLY = {"p3"}  # problems snapshotted without the all-tasks run
-EXTRA_PROBLEMS = (os.path.join(ROOT, "tests", "golden", "p2_z4_cbeta.problem.json"),)
+OWN_ONLY = {"p3", "simplex2_3"}  # problems snapshotted without the all-tasks run
+EXTRA_PROBLEMS = tuple(os.path.join(ROOT, "tests", "golden", f"{name}.problem.json")
+                       for name in ("p2_z4_cbeta", "hexagon_seeded", "simplex2_3"))
 
 
 def snapshot(root, out_dir, seeds):
