@@ -10,9 +10,8 @@ from .abelian import (AbelianGroup, Character, DualElement, GroupElement,
                       NoDegreeFunctional, NotSpanning, char_value, pair,
                       smith_normal_form, validate_data)
 from .linalg import GaussianRational
-from .polyhedral import (Cone, DegeneratePolytope, GradedSemigroup,
-                         KPrimGuardError, NotPointed, build_semigroup,
-                         k_prim, normalized_volume, triangulate_polytope)
+from .polyhedral import (Cone, GradedSemigroup, KPrimGuardError, NotPointed,
+                         build_semigroup, k_prim)
 from .ring import (DimReport, FVector, NondegeneracyCertificate,
                    NondegeneracyRetriesExhausted, dual_kernel_dims,
                    hat_quotient_dims, hat_restriction_rank, is_nondegenerate,

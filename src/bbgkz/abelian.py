@@ -274,30 +274,6 @@ def smith_normal_form(A):
     return U, D, V
 
 
-def _det_sign(M):
-    """Determinant of a small integer matrix by exact Gaussian elimination."""
-    n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if A[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return 0
-        if pr != c:
-            A[c], A[pr] = A[pr], A[c]
-            det = -det
-        det *= A[c][c]
-        for i in range(c + 1, n):
-            if A[i][c]:
-                f = A[i][c] / A[c][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[c])]
-    return det
-
-
 def validate_data(N: AbelianGroup, A):
     """Check the defining data (N, A) and return the degree covector.
 

@@ -4,7 +4,8 @@ The cone over the degree-one vectors is pointed and full-dimensional in the
 free lattice (guaranteed by the validated input data), so facets can be found
 by brute force over generator subsets and layers can be enumerated by walking
 an integer box in the degree-k slice.  Scales are small throughout, which is
-what makes these direct methods exact and fast enough.
+what makes these direct methods exact and fast enough.  The volume is read
+off the layer counts through the Ehrhart h*-vector.
 """
 
 from __future__ import annotations
@@ -12,23 +13,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
-from .abelian import (AbelianGroup, DualElement, GroupElement,
-                      NoDegreeFunctional, pair, smith_normal_form, _det_sign)
-from .linalg import RowSpace, numerators, solve_sparse
+from .abelian import AbelianGroup, DualElement, GroupElement, pair, smith_normal_form
+from .linalg import RowSpace, solve_sparse
 
 
 class NotPointed(ValueError):
     """The generated cone contains a line."""
-
-
-class DegeneratePolytope(ValueError):
-    """The convex hull has lower dimension than expected."""
 
 
 class KPrimGuardError(RuntimeError):
@@ -185,7 +180,7 @@ class GradedSemigroup:
 
     Layers (degree slices of K or of its relative interior) and the integer
     shift tables between consecutive layers are built on first use and
-    cached on the instance; so are the volume and the images of `ring`.
+    cached on the instance; so are h*, K_prim and the images of `ring`.
     Geometry runs on int64 arrays while a bound on every value computed
     stays below 2**62, and on Python ints (dtype object) beyond it.
     """
@@ -219,9 +214,20 @@ class GradedSemigroup:
         return self.group.rank
 
     @functools.cached_property
+    def h_star(self):
+        """The Ehrhart h*-vector h*_0..h*_r of the layers, counted with torsion:
+        h*_k = sum_j (-1)^j C(r, j) |layer k - j|.  The hull of A is a lattice
+        polytope of dimension r - 1, so h*_r = 0 (Stanley, 1980)."""
+        r, tors = self.rank, self.group.torsion_order
+        counts = [len(self.free_layer(k)) * tors for k in range(r + 1)]
+        return tuple(sum((-1) ** j * math.comb(r, j) * counts[k - j] for j in range(k + 1))
+                     for k in range(r + 1))
+
+    @functools.cached_property
     def volume(self):
-        """`normalized_volume(A)`, computed once."""
-        return normalized_volume(self.A)
+        """Normalized volume of the hull of A in the degree-one lattice
+        hyperplane: sum(h*) / |N_tors|."""
+        return sum(self.h_star) // self.group.torsion_order
 
     def _dtype(self, k):
         """int64 if coordinates, facet values and shift codes of degrees up
@@ -292,21 +298,23 @@ def build_semigroup(N: AbelianGroup, A) -> GradedSemigroup:
     return GradedSemigroup(N, A, deg)
 
 
-def k_prim(S: GradedSemigroup, A=None, guard_degrees=2):
+def k_prim(S: GradedSemigroup):
     """The finite set of c in K with c - v_i outside K for every i.
 
-    Scans degrees 0..rank and then checks `guard_degrees` more degrees to
-    confirm no primitive element was missed; raises KPrimGuardError if the
-    finiteness bound assumption fails.
+    Scans degrees 0..rank and then checks two more degrees to confirm no
+    primitive element was missed; raises KPrimGuardError if the finiteness
+    bound assumption fails.  Computed once and cached on S.
     """
-    A = S.A if A is None else tuple(A)
+    found = S._images.get("k_prim")
+    if found is not None:
+        return found
     found = []
-    for k in range(S.rank + 1 + guard_degrees):
+    for k in range(S.rank + 3):
         dtype = S._dtype(k)
         normals = np.array(S.cone.facet_normals, dtype=dtype).T
         layer = S.layer(k)
         at_c = np.array([c.free for c in layer], dtype=dtype).reshape(-1, S.rank) @ normals
-        at_v = np.array([v.free for v in A], dtype=dtype) @ normals
+        at_v = np.array([v.free for v in S.A], dtype=dtype) @ normals
         # c - v_i lies in K iff no facet value of c falls below that of v_i
         reducible = (at_c[:, None] >= at_v).all(axis=2).any(axis=1)
         primitive = [c for c, red in zip(layer, reducible.tolist()) if not red]
@@ -314,127 +322,5 @@ def k_prim(S: GradedSemigroup, A=None, guard_degrees=2):
             raise KPrimGuardError(
                 f"primitive elements at degree {k} exceed the degree bound: {primitive}")
         found.extend(primitive)
+    found = S._images["k_prim"] = tuple(found)
     return found
-
-
-def _affine_coords(points):
-    """Exact coordinates of `points` in their affine hull.
-
-    Returns (coords, dim): coords are Fraction tuples of length dim.
-    """
-    base = points[0]
-    diffs = [tuple(Fraction(a) - Fraction(b) for a, b in zip(p, base)) for p in points]
-    frame = []
-    for v in diffs:
-        if _vec_rank(frame + [v]) > len(frame):
-            frame.append(v)
-    dim = len(frame)
-    if dim == 0:
-        return [() for _ in points], 0
-    coords = []
-    for v in diffs:
-        # solve frame^T y = v  (consistent by construction)
-        aug = [[frame[j][i] for j in range(dim)] + [v[i]] for i in range(len(base))]
-        y = _solve_exact(aug, dim)
-        coords.append(tuple(y))
-    return coords, dim
-
-
-def _solve_exact(aug, ncols):
-    """Solve the consistent system given as augmented Fraction rows, with
-    every free variable zero."""
-    (sol,), _ = solve_sparse([dict(enumerate(r[:ncols])) for r in aug], ncols,
-                             [numerators([r[ncols] for r in aug])])
-    assert sol is not None, "inconsistent system"
-    return [sol[c].real if c in sol else Fraction(0) for c in range(ncols)]
-
-
-def _placing_triangulation(coords, idxs):
-    """Triangulate the hull of affinely spanning points, apex at the lex-min.
-
-    coords: Fraction tuples of dimension d; idxs: parallel global indices.
-    Returns d-simplices as tuples of global indices; deterministic.
-    """
-    d = len(coords[0])
-    m = len(coords)
-    if m == d + 1:
-        return [tuple(idxs)]
-    if d == 1:
-        lo = min(range(m), key=lambda i: (coords[i], idxs[i]))
-        hi = max(range(m), key=lambda i: (coords[i], idxs[i]))
-        return [(idxs[lo], idxs[hi])]
-    facets = set()
-    for comb in itertools.combinations(range(m), d):
-        base = coords[comb[0]]
-        mat = [tuple(c - b for c, b in zip(coords[i], base)) for i in comb[1:]]
-        if _vec_rank(mat) != d - 1:
-            continue
-        normal = _rational_kernel_vector(mat, d)
-        vals = [_dot(normal, tuple(c - b for c, b in zip(p, base))) for p in coords]
-        if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
-            facets.add(frozenset(i for i, v in enumerate(vals) if v == 0))
-    apex = min(range(m), key=lambda i: (coords[i], idxs[i]))
-    simplices = []
-    for members in sorted(facets, key=lambda s: sorted(s)):
-        if apex in members:
-            continue
-        mem = sorted(members)
-        sub_pts = [coords[i] for i in mem]
-        sub_coords, sub_dim = _affine_coords(sub_pts)
-        assert sub_dim == d - 1
-        for s in _placing_triangulation(sub_coords, [idxs[i] for i in mem]):
-            simplices.append((idxs[apex],) + s)
-    return simplices
-
-
-def _rational_kernel_vector(mat, ncols):
-    """Nonzero rational vector in the kernel of a rank ncols-1 matrix."""
-    vec = solve_sparse([dict(enumerate(r)) for r in mat], ncols, [])[1][0]
-    return tuple(Fraction(vec[c].real) if c in vec else Fraction(0) for c in range(ncols))
-
-
-def triangulate_polytope(points):
-    """Placing triangulation of conv(points); simplices as index tuples."""
-    coords, dim = _affine_coords(points)
-    if dim == 0:
-        return [(0,)]
-    return _placing_triangulation(coords, list(range(len(points))))
-
-
-def normalized_volume(A) -> int:
-    """Normalized volume of the convex hull of the degree-one vectors.
-
-    (dim)! times the Euclidean volume measured in the lattice of integer
-    points of the degree-one hyperplane; always a positive integer.  Raises
-    DegeneratePolytope when the hull has dimension below rank - 1.
-    """
-    pts = sorted(set(v.free for v in A))
-    r = len(pts[0])
-    if r == 0:
-        raise DegeneratePolytope("rank zero group")
-    if r == 1:
-        return 1
-    base = pts[0]
-    diffs = [tuple(a - b for a, b in zip(p, base)) for p in pts]
-    if _vec_rank(diffs) != r - 1:
-        raise DegeneratePolytope("polytope dimension is below rank - 1")
-    # degree functional: the unique rational covector equal to 1 on all points
-    aug = [[Fraction(x) for x in p] + [Fraction(1)] for p in pts]
-    degv = _solve_exact(aug, r)
-    mult = 1
-    for x in degv:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    deg_int = tuple(int(x * mult) for x in degv)
-    if mult != 1:
-        raise DegeneratePolytope("degree-one hyperplane is not a lattice hyperplane")
-    _, kernel_coords = _degree_kernel_basis(deg_int)
-    ys = [kernel_coords(d) for d in diffs]
-    simplices = triangulate_polytope(ys)
-    total = 0
-    for s in simplices:
-        p0 = ys[s[0]]
-        M = [[ys[i][j] - p0[j] for j in range(r - 1)] for i in s[1:]]
-        det = _det_sign(M)
-        assert det != 0
-        total += abs(int(det))
-    return total

@@ -122,17 +122,22 @@ class NondegeneracyCertificate:
     expected_total: int
     per_degree: tuple
     tail_degrees_zero: bool
+    expected_per_degree: tuple
 
     @classmethod
     def of(cls, per_degree, S: GradedSemigroup, max_degree=None):
-        """Certificate of the quotient dims of degrees 0..max_degree (default rank + 1)."""
+        """Certificate of the quotient dims of degrees 0..max_degree (default
+        rank + 1): each is at least its generic value h*_k (upper
+        semicontinuity), so they total sum(h*) = vol * |N_tors| exactly when
+        they equal S.h_star, padded with zeros, degree by degree."""
         dims = DimReport.of(per_degree[:(S.rank + 1 if max_degree is None else max_degree) + 1])
-        return cls(dims.total, S.volume * S.group.torsion_order, dims.per_degree,
-                   not any(dims.per_degree[S.rank + 1:]))
+        expected = S.h_star + (0,) * (len(dims.per_degree) - len(S.h_star))
+        return cls(dims.total, sum(S.h_star), dims.per_degree,
+                   not any(dims.per_degree[S.rank + 1:]), expected)
 
     @property
     def ok(self):
-        return self.total == self.expected_total and self.tail_degrees_zero
+        return self.per_degree == self.expected_per_degree
 
     def __bool__(self):
         return self.ok
@@ -141,9 +146,9 @@ class NondegeneracyCertificate:
 def is_nondegenerate(f: FVector, S: GradedSemigroup, max_degree=None):
     """Dimension-count test for regularity of the log-derivative sequence.
 
-    True iff the quotient has total dimension vol * torsion order and its
-    graded pieces vanish strictly above degree rank(N).  Returns the boolean
-    together with a certificate recording both facts.
+    True iff the graded quotient dims equal the Ehrhart h*-vector of the
+    layers degree by degree (Batyrev, 1993): total vol * torsion order, zero
+    above degree rank(N).  Returns the boolean together with the certificate.
     """
     max_degree = S.rank + 1 if max_degree is None else max_degree
     if max_degree < S.rank + 1:

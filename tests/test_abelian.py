@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbgkz.abelian import (AbelianGroup, NoDegreeFunctional, NotSpanning,
-                           _det_sign, char_value, pair, smith_normal_form,
-                           validate_data)
+                           char_value, pair, smith_normal_form, validate_data)
+from bbgkz.polyhedral import _integer_inverse
 
 
 class TestAbelianGroup:
@@ -153,9 +153,14 @@ class TestSmithNormalForm:
                 assert b % a == 0
             else:
                 assert b == 0
-        # unimodular transforms
-        assert abs(_det_sign(U)) == 1
-        assert abs(_det_sign(V)) == 1
+        # unimodular transforms: an integer matrix has an integer inverse
+        # exactly when its determinant is +-1
+        for M in (U, V):
+            inv = _integer_inverse(M)
+            assert all(type(x) is int for row in inv for x in row)
+            k = len(M)
+            assert [[sum(M[i][t] * inv[t][j] for t in range(k)) for j in range(k)]
+                    for i in range(k)] == [[int(i == j) for j in range(k)] for i in range(k)]
 
     def test_known_example(self):
         _, D, _ = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])

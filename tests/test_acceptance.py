@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-from bbgkz.polyhedral import normalized_volume
 from bbgkz.ring import (dual_kernel_dims, hat_quotient_dims,
                         hat_restriction_rank, jacobian_dims, r1_dims)
 from bbgkz.solver import (check_residuals, evaluate_series, filtration_dims,
@@ -36,7 +35,7 @@ def test_criterion_01_dimension_theorem():
         t0 = time.monotonic()
         S, f, _ = make_problem(name)
         jac = jacobian_dims(f, S, S.rank + 1)
-        expected = normalized_volume(S.A) * S.group.torsion_order
+        expected = S.volume * S.group.torsion_order
         elapsed = time.monotonic() - t0
         ok = ok and jac.total == expected and elapsed < 5.0
     verdict(1, "quotient total = volume x torsion order, each fixture < 5 s", ok)
@@ -48,7 +47,7 @@ def test_criterion_02_solution_dimension():
     for name in CORE_FIXTURES:
         S, f, _ = make_problem(name)
         r = S.rank
-        expected = normalized_volume(S.A) * S.group.torsion_order
+        expected = S.volume * S.group.torsion_order
         for _ in range(5):
             beta = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                          for _ in range(r))

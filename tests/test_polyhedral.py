@@ -1,12 +1,15 @@
 """Cone geometry, layer enumeration, K_prim, and normalized volume.
 
-Layer counts are cross-checked against hand-counted lattice points and an
-Ehrhart polynomial fit, which independently recovers the normalized volume
-from nothing but the layer sizes.  Layers, shift tables and K_prim are
-compared with a walk over integer boxes in Python ints.
+The volume, read off the layer counts through the Ehrhart h*-vector, is
+checked against hand-pinned values, closed forms for dilated simplices and
+squares, and Ehrhart-Macdonald reciprocity with the interior counts.
+Layers, shift tables and K_prim are compared with a walk over integer boxes
+in Python ints.
 """
 
+import glob
 import itertools
+import json
 import math
 import os
 from fractions import Fraction
@@ -16,11 +19,9 @@ import numpy as np
 import pytest
 
 from bbgkz import cli
-from bbgkz.abelian import AbelianGroup
-from bbgkz.polyhedral import (DegeneratePolytope, GradedSemigroup,
-                              KPrimGuardError, NotPointed, build_semigroup,
-                              facets_and_faces, k_prim, normalized_volume,
-                              triangulate_polytope)
+from bbgkz.abelian import AbelianGroup, NotSpanning
+from bbgkz.polyhedral import (GradedSemigroup, KPrimGuardError, NotPointed,
+                              build_semigroup, facets_and_faces, k_prim)
 from conftest import make_problem
 
 
@@ -207,7 +208,7 @@ class TestAgainstBoxWalk:
                 index = {c: q for q, c in enumerate(layers[k + 1])}
                 want = [[index[c + v] for v in S.A] for c in layers[k]]
                 assert S.shift(k, region).tolist() == want
-        assert k_prim(S) == reference_k_prim(S)
+        assert list(k_prim(S)) == reference_k_prim(S)
 
     @pytest.mark.parametrize("a", [2 ** 40 + 3, 2 ** 62 + 3])
     def test_object_dtype_past_int64(self, a):
@@ -227,7 +228,7 @@ class TestKPrim:
     @pytest.mark.parametrize("name", ["ex51", "ex52", "p1", "p2", "repeated"])
     def test_origin_only(self, name):
         S, _, _ = make_problem(name)
-        assert k_prim(S) == [S.group.zero()]
+        assert k_prim(S) == (S.group.zero(),)
 
     def test_sublattice_example(self):
         # (0,1) and (3,1) generate an index-3 sublattice; the preimage cone
@@ -237,6 +238,10 @@ class TestKPrim:
         S = GradedSemigroup(N, A, N.dual_element((0, 1)))
         assert set(k_prim(S)) == {N.element((0, 0)), N.element((1, 1)),
                                   N.element((2, 1))}
+
+    def test_computed_once_per_semigroup(self):
+        S, _, _ = make_problem("p2")
+        assert k_prim(S) is k_prim(S)
 
     def test_guard_raises_on_high_degree_primitives(self):
         S, _, _ = make_problem("ex51")
@@ -259,25 +264,72 @@ VOLUMES = {
 }
 
 
+BENCH_PROBLEMS = sorted(p for p in glob.glob(os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "problems",
+    "*.json")) if not p.endswith(".expected.json"))
+
+
+def h_transform(counts, r):
+    """sum_j (-1)^j C(r, j) counts[k - j] for k = 0..r."""
+    return tuple(sum((-1) ** j * math.comb(r, j) * counts[k - j] for j in range(k + 1))
+                 for k in range(r + 1))
+
+
+def lattice_polytope(points):
+    """The semigroup over the lattice points `points`, lifted to height one."""
+    N = AbelianGroup(len(points[0]) + 1)
+    return build_semigroup(N, tuple(N.element((*p, 1)) for p in points))
+
+
 class TestVolume:
     def test_known_volumes(self, named_problem):
         name, S, _, _ = named_problem
-        assert normalized_volume(S.A) == VOLUMES[name]
+        assert S.volume == VOLUMES[name]
 
-    def test_degenerate(self):
+    def test_degenerate(self, tmp_path):
+        """A hull of dimension below rank - 1 does not span: NotSpanning,
+        exit 2 through the CLI."""
         N = AbelianGroup(3)
         A = (N.element((0, 0, 1)), N.element((1, 0, 1)))
-        with pytest.raises(DegeneratePolytope):
-            normalized_volume(A)
+        with pytest.raises(NotSpanning):
+            build_semigroup(N, A)
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "group": {"rank": 3},
+            "vectors": [{"free": list(v.free)} for v in A], "beta": ["0", "0", "0"],
+            "x_policy": {"mode": "explicit", "values": ["1", "1"]}}), encoding="utf-8")
+        report, code = cli.run(str(path))
+        assert code == 2 and "NotSpanning" in report["error"]
 
-    def test_triangulation_covers_volume(self):
-        # unit square split from a corner: two triangles
-        simplices = triangulate_polytope([(0, 0), (0, 1), (1, 0), (1, 1)])
-        assert len(simplices) == 2
-        assert all(len(s) == 3 for s in simplices)
+    @pytest.mark.parametrize("d,t", [(1, 1), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_dilated_simplex(self, d, t):
+        """All lattice points of t * Delta_d: normalized volume t^d."""
+        pts = [p for p in itertools.product(range(t + 1), repeat=d) if sum(p) <= t]
+        assert lattice_polytope(pts).volume == t ** d
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_dilated_square(self, t):
+        """All lattice points of t * [0, 1]^2: normalized volume 2 t^2."""
+        pts = list(itertools.product(range(t + 1), repeat=2))
+        assert lattice_polytope(pts).volume == 2 * t * t
+
+    @pytest.mark.parametrize("path", BENCH_PROBLEMS, ids=os.path.basename)
+    def test_reciprocity(self, path):
+        """Ehrhart-Macdonald: the h*-transform of the interior counts is h*
+        reversed; h* is nonnegative with h*_0 = |N_tors| and h*_r = 0."""
+        spec = cli.load_problem(path)
+        S = build_semigroup(spec.group, spec.vectors)
+        r = S.rank
+        interior = h_transform([len(S.layer(k, "interior")) for k in range(r + 1)], r)
+        assert interior == S.h_star[::-1]
+        assert S.h_star[0] == S.group.torsion_order and S.h_star[r] == 0
+        assert min(S.h_star) >= 0
+
+    def test_bench_problems_listed(self):
+        assert len(BENCH_PROBLEMS) == 14
 
     def test_ehrhart_fit(self, named_problem):
-        """Leading Ehrhart coefficient recovers the volume from layer counts.
+        """The layer counts recover the hand-pinned volume.
 
         For the free quotient, |layer k| is a degree (r-1) polynomial in k
         whose leading coefficient is vol / (r-1)!.
@@ -291,4 +343,4 @@ class TestVolume:
         diffs = list(counts)
         for _ in range(d):
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        assert diffs[0] == normalized_volume(S.A)
+        assert diffs[0] == VOLUMES[name]

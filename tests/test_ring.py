@@ -13,7 +13,7 @@ import pytest
 
 from bbgkz import ring
 from bbgkz.linalg import GaussianRational, RowSpace
-from bbgkz.polyhedral import build_semigroup, normalized_volume
+from bbgkz.polyhedral import build_semigroup
 from bbgkz.ring import (FVector, NondegeneracyCertificate, NondegeneracyRetriesExhausted,
                         dual_kernel_dims, hat_quotient_dims,
                         hat_restriction_rank, is_nondegenerate, jacobian_dims,
@@ -109,7 +109,7 @@ class TestJacobianDims:
     def test_total_is_volume_times_torsion(self, named_problem):
         _, S, f, _ = named_problem
         jac = jacobian_dims(f, S, S.rank + 1)
-        assert jac.total == normalized_volume(S.A) * S.group.torsion_order
+        assert jac.total == S.volume * S.group.torsion_order
 
     def test_interior_total_matches_full(self, named_problem):
         """Poincare-type pairing: interior and full quotients agree in total."""
@@ -175,6 +175,21 @@ class TestNondegeneracy:
         # x1 = x2 collapses the two eigendirections
         bad, cert = is_nondegenerate(FVector((Fraction(1), Fraction(1))), S)
         assert not bad
+        assert not cert
+
+    def test_quotient_dims_are_h_star(self, named_problem):
+        """For nondegenerate x the quotient dims are h* degree by degree."""
+        _, S, f, _ = named_problem
+        assert jacobian_dims(f, S, S.rank + 1).per_degree == S.h_star + (0,)
+
+    def test_certificate_needs_each_degree(self):
+        """A count moved from degree 1 to 0 keeps the total and the zero tail
+        and still fails the certificate."""
+        S, f, _ = make_problem("p2")
+        dims = list(jacobian_dims(f, S, S.rank + 1).per_degree)
+        dims[0], dims[1] = dims[0] + 1, dims[1] - 1
+        cert = NondegeneracyCertificate.of(dims, S)
+        assert cert.total == cert.expected_total and cert.tail_degrees_zero
         assert not cert
 
     def test_certificate_records_tail(self):

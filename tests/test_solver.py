@@ -11,7 +11,7 @@ import pytest
 from bbgkz import cli, ring, solver
 from bbgkz.abelian import AbelianGroup, pair
 from bbgkz.linalg import GaussianRational
-from bbgkz.polyhedral import build_semigroup, k_prim, normalized_volume
+from bbgkz.polyhedral import build_semigroup, k_prim
 from bbgkz.ring import (FVector, hat_quotient_dims, is_nondegenerate, jacobian_dims,
                         r1_dims)
 from bbgkz.solver import (GermStack, InconsistentSystem, ResidualCheck, ResidualReport,
@@ -216,12 +216,12 @@ class TestDimensions:
     def test_count_equals_volume_times_torsion(self, named_problem):
         _, S, f, beta = named_problem
         basis = solve_recursion(f, beta, S, truncation=S.rank + 1)
-        assert len(basis) == normalized_volume(S.A) * S.group.torsion_order
+        assert len(basis) == S.volume * S.group.torsion_order
 
     def test_beta_independence(self, named_problem):
         _, S, f, _ = named_problem
         r = S.rank
-        expected = normalized_volume(S.A) * S.group.torsion_order
+        expected = S.volume * S.group.torsion_order
         rng = random.Random(17)
         for _ in range(5):
             beta = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))

@@ -14,7 +14,7 @@ import pytest
 from bbgkz import cli, torsion
 from bbgkz.abelian import AbelianGroup, char_value
 from bbgkz.linalg import QQI_I, GaussianRational, RowSpace
-from bbgkz.polyhedral import build_semigroup, normalized_volume
+from bbgkz.polyhedral import build_semigroup
 from bbgkz.ring import FVector
 from bbgkz.solver import GermStack, LambdaTable, recursion_defects, solve_recursion
 from bbgkz.torsion import (LogModulusBox, RegionTooTight, ResidualTooLarge,
@@ -258,7 +258,7 @@ class TestLifting:
 
     def test_square_z2_completion(self):
         S, lifted, worst = lift_full_basis("square_z2")
-        expect = normalized_volume(S.A) * S.group.torsion_order
+        expect = S.volume * S.group.torsion_order
         assert worst == 0.0
         assert sum(len(s) for s in lifted) == expect
         assert exact_rank(lifted) == expect
@@ -409,7 +409,7 @@ class TestExactRank:
             stacks.append(lift_and_verify(basis, rho, x, S)[0])
             refs.extend(reference_lift(psi, rho, x, S) for psi in basis.tables)
         full = reference_rank(refs)
-        assert full == normalized_volume(S.A) * S.group.torsion_order
+        assert full == S.volume * S.group.torsion_order
         assert exact_rank(stacks) == full
         # replacing germ 0 of one stack by a copy of the last germ of another,
         # or by zero, lowers the rank by one
