@@ -89,8 +89,8 @@ class AbelianGroup:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An element (free, torsion) of `group`.  Elements key the layer and
-    germ tables: the hash is computed once, into a slot that is no field."""
+    """An element (free, torsion) of `group`.  Elements can key dicts: the
+    hash is computed once, into a slot that is no field."""
     __slots__ = ("group", "free", "torsion", "_hash")
     group: AbelianGroup
     free: tuple

@@ -204,11 +204,11 @@ def _task_solve(spec, S, f, D, report, checks, jac):
     vol = S.volume
     tors = S.group.torsion_order
     tables = []
-    for t in basis.tables:
+    for t, k in enumerate(basis.leading):
         # a layer is in sort_key order
-        lead = [[format_element(c), format_scalar(t.entries[c])]
-                for c in S.layer(t.leading_degree) if c in t.entries]
-        tables.append({"leading_degree": t.leading_degree, "leading_entries": lead})
+        lead = [[format_element(S.layer(k)[p]), format_scalar(v)]
+                for p, v in basis.stack.values(t, k).items()]
+        tables.append({"leading_degree": k, "leading_entries": lead})
     report["solution_basis"] = {
         "dimension": len(basis),
         "filtration": format_dims(filt),
@@ -242,17 +242,17 @@ def _task_restrict(spec, S, f, D, report, checks):
 
 
 def _conjugate(basis, x):
-    """The basis with every table entry conjugated, at the base point x."""
-    return replace(basis, tables=[
-        replace(t, base_x=x, entries={c: v.conjugate() for c, v in t.entries.items()})
-        for t in basis.tables])
+    """The basis with every germ value conjugated, at the base point x."""
+    stack = basis.stack
+    return replace(basis, stack=replace(stack, base_x=x, layers=[
+        (re, -im, den) for re, im, den in stack.layers]))
 
 
 def _exact_lifts(spec, S, Q, f, D):
     """lift_and_verify per character at the problem's x, or None if a quotient point
     has a zero coordinate or is degenerate (certified from its solve's filtration).
     With x and beta real, the conjugate of an earlier quotient point takes that
-    solve's tables conjugated: the ones a direct solve gives, as conjugation is
+    solve's germs conjugated: the ones a direct solve gives, as conjugation is
     a field automorphism that keeps the column order."""
     real = all(GaussianRational(v).is_real() for v in (*f.x, *spec.beta))
     pending, lifts = {}, []  # pending: non-real quotient point -> its basis

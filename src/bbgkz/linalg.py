@@ -5,9 +5,10 @@ most one gcd, none at d == 1.  RowSpace is the one elimination kernel.  It
 takes int, Fraction or GaussianRational entries and reduces their integer
 numerators fraction-free (Bareiss), one content pass per row update, and
 Q(i) data by restriction of scalars.  `solve_sparse` reads the solutions
-and the kernel of a system from one such reduction and divides by a pivot
-only there.  Right-hand sides, and the zero tests of many values at once
-(solver.recursion_defects), are integer numerators over one denominator.
+and the kernel of a system from one such reduction, `RowSpace.kernel` that
+of a space, each vector as integer numerators over its least common
+denominator.  Right-hand sides, and the zero tests of many values at once
+(solver.recursion_defects), are numerators over one denominator too.
 """
 
 from __future__ import annotations
@@ -270,35 +271,45 @@ class RowSpace:
     def contains(self, vec):
         return not self.copy().add(vec)
 
-    def _normalised(self, p, lo, hi, dens=None):
-        """The entries at columns lo..hi-1 other than p of the row of pivot p
-        over its pivot entry, each also over dens[c - lo] if dens is given,
-        in Q(i) terms: column -> GaussianRational."""
-        if not self.complex:
-            row = self.rows[p]
-            d = row[p]
-            return {c: _raw(v, 0, d if dens is None else d * dens[c - lo])
-                    for c, v in row.items() if lo <= c < hi and c != p}
-        re, im = self.rows[2 * p], self.rows[2 * p + 1]
-        dr, di = re[2 * p], im[2 * p + 1]
-        cols = sorted({c >> 1 for c in (*re, *im) if not c & 1} - {p})
-        return {c: _raw(re.get(2 * c, 0) * di, im.get(2 * c, 0) * dr,
-                        dr * di if dens is None else dr * di * dens[c - lo])
-                for c in cols if lo <= c < hi}
+    def _read(self, ncols, dens=()):
+        """(solutions, kernel) for unknowns 0..ncols-1 and column ncols + t
+        holding dens[t] b_t, as `solve_sparse`; the kernel as {fc: vector};
+        one vector at a time, down the pivot rows.  Realified, the rows of
+        pivots 2p and 2p + 1 hold the Q(i) row u + i w' as (u, -w') d and
+        (w', u) d: the same entries up to sign, so one primitive scaling d."""
+        s, rows = self.complex, self.rows
+        pivots = [(p, rows[p << s], rows[(p << s) + 1] if s else {})
+                  for p in self.pivots if p < ncols]
 
-    def kernel(self, ncols, one):
+        def vector(col, sign, scale, values):
+            for p, re, im in pivots:
+                a, b = re.get(col << s, 0), im.get(col << s, 0)
+                if a or b:
+                    values.append((p, sign * a, sign * b, re[p << s] * scale))
+            return _over_lcd(values)
+
+        return ([vector(ncols + t, 1, d, []) for t, d in enumerate(dens)],
+                {c: vector(c, -1, 1, [(c, 1, 0, 1)]) for c in range(ncols) if c << s not in rows})
+
+    def kernel(self, ncols):
         """Kernel of the rows cut to columns 0..ncols-1, as {fc: vector} over
-        the free columns fc, ascending: `one` at fc, -row_p[fc] / row_p[p]
-        at each pivot p < ncols, in ascending column order."""
-        s = self.complex
-        vecs = {c: {} for c in range(ncols) if c << s not in self.rows}
-        for c in range(ncols):
-            if c in vecs:
-                vecs[c][c] = one
-                continue
-            for fc, v in self._normalised(c, 0, ncols).items():
-                vecs[fc][c] = -v
-        return vecs
+        the free columns fc, ascending, in the form of `solve_sparse`."""
+        return self._read(ncols)[1]
+
+
+def _over_lcd(values):
+    """(re, im, den) for the values (a + i b) / d given as (column, a, b, d):
+    dicts of the nonzero numerators of both parts over den, their least
+    common denominator M / gcd(M, all numerators) for M the lcm of the d."""
+    den = lcm(*[d for *_, d in values])
+    re = {c: a * (den // d) for c, a, _, d in values if a}
+    im = {c: b * (den // d) for c, _, b, d in values if b}
+    g = gcd(den, *re.values(), *im.values())
+    if g != 1:
+        re = {c: v // g for c, v in re.items()}
+        im = {c: v // g for c, v in im.items()}
+        den //= g
+    return re, im, den
 
 
 def numerators(values):
@@ -357,7 +368,7 @@ def _primitive(vec, p):
             vec[c] = v // g
 
 
-def solve_sparse(rows, ncols, rhs_list, one=1):
+def solve_sparse(rows, ncols, rhs_list):
     """Solve A x = b exactly for several right-hand sides, plus the kernel of A.
 
     rows: sparse rows of A (dicts over columns 0..ncols-1).  rhs_list: one
@@ -373,10 +384,10 @@ def solve_sparse(rows, ncols, rhs_list, one=1):
     - solutions[t] is None if b_t is not in the column space of A, else the
       particular solution with every free variable zero;
     - kernel has one vector per free column of A, in ascending free-column
-      order, with `one` in that column and pivot columns by back substitution.
+      order, 1 in that column and pivot columns by back substitution.
 
-    Vectors are sparse dicts holding nonzero GaussianRational entries (and
-    `one`) in ascending column order.
+    A vector is (re, im, den): dicts of the nonzero integer numerators of
+    its real and imaginary parts over den, their least common denominator.
     """
     space = RowSpace()
     for i in sorted(range(len(rows)), key=lambda i: min(rows[i], default=ncols), reverse=True):
@@ -387,15 +398,10 @@ def solve_sparse(rows, ncols, rhs_list, one=1):
             if ni is not None and ni[i]:
                 im[col] = ni[i] * d
         space.add_numerators(re, im)
-    end = ncols + len(rhs_list)
-    dens = [d for _, _, d in rhs_list]
     # b_t is inconsistent iff a row pivoting on a right-hand side column
     # reaches column ncols + t; that column need not be a pivot itself.
     s = space.complex
     bad = {c >> s for p, row in space.rows.items() if p >> s >= ncols for c in row}
-    solutions = [None if col in bad else {} for col in range(ncols, end)]
-    for p in [p for p in space.pivots if p < ncols]:
-        for col, v in space._normalised(p, ncols, end, dens).items():
-            if solutions[col - ncols] is not None:
-                solutions[col - ncols][p] = v
-    return solutions, list(space.kernel(ncols, one).values())
+    solutions, kernel = space._read(ncols, [d for _, _, d in rhs_list])
+    return ([None if ncols + t in bad else sol for t, sol in enumerate(solutions)],
+            list(kernel.values()))

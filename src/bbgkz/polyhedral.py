@@ -31,16 +31,9 @@ class KPrimGuardError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Face:
-    generator_indices: frozenset
-    dim: int
-
-
-@dataclass(frozen=True)
 class Cone:
     generators: tuple        # deduplicated free vectors, sorted
     facet_normals: tuple     # primitive integer covectors, >= 0 on the cone
-    faces: tuple             # Face instances, closed under intersection
 
     def contains(self, w):
         return all(_dot(h, w) >= 0 for h in self.facet_normals)
@@ -85,8 +78,8 @@ def _integer_kernel_vector(rows, ncols):
     return _primitive(vec)
 
 
-def facets_and_faces(generators) -> Cone:
-    """Facet normals and the full face lattice of the cone over `generators`.
+def cone_over(generators) -> Cone:
+    """The cone over `generators` with its facet normals.
 
     Raises NotPointed if the cone contains a line.  The generators must span
     the ambient free lattice over the rationals.
@@ -131,21 +124,7 @@ def facets_and_faces(generators) -> Cone:
     if on_all or _vec_rank(normals) != r:
         raise NotPointed("cone contains a line")
 
-    face_sets = {}
-    all_idx = frozenset(range(len(gens)))
-    face_sets[all_idx] = r
-    for size in range(1, len(normals) + 1):
-        for hs in itertools.combinations(normals, size):
-            members = frozenset(i for i, g in enumerate(gens)
-                                if all(_dot(h, g) == 0 for h in hs))
-            if members not in face_sets:
-                sub = [gens[i] for i in members]
-                face_sets[members] = _vec_rank(sub) if sub else 0
-    if frozenset() not in face_sets:
-        face_sets[frozenset()] = 0
-    faces = tuple(Face(fs, dim) for fs, dim in
-                  sorted(face_sets.items(), key=lambda kv: (kv[1], sorted(kv[0]))))
-    return Cone(tuple(gens), normals, faces)
+    return Cone(tuple(gens), normals)
 
 
 def _integer_inverse(M):
@@ -153,8 +132,8 @@ def _integer_inverse(M):
     n = len(M)
     cols, _ = solve_sparse([dict(enumerate(row)) for row in M], n,
                            [([int(i == j) for i in range(n)], None, 1) for j in range(n)])
-    assert all(v.d == 1 for col in cols for v in col.values())
-    return [[cols[j][i].a if i in cols[j] else 0 for j in range(n)] for i in range(n)]
+    assert all(den == 1 for _, _, den in cols)
+    return [[cols[j][0].get(i, 0) for j in range(n)] for i in range(n)]
 
 
 def _degree_kernel_basis(deg_covector):
@@ -191,7 +170,7 @@ class GradedSemigroup:
         self.deg = deg
         if any(pair(deg, v) != 1 for v in self.A):
             raise ValueError("every generator must have degree 1")
-        self.cone = facets_and_faces([v.free for v in self.A])
+        self.cone = cone_over([v.free for v in self.A])
         self._base = self.A[0].free
         self._kernel_basis, to_coords = _degree_kernel_basis(deg.free_covector)
         gen_coords = [to_coords(tuple(a - b for a, b in zip(v.free, self._base)))

@@ -1,31 +1,33 @@
 """Truncated solution germs built by the degree-by-degree recursion.
 
-A solution germ is stored as its lambda table: the values of all unknown
-functions (and hence, after re-indexing, all their Taylor coefficients) at
-the base point.  Two routes give the same germs.  The step route solves the
-layer-(k+1) linear system whose right-hand side comes from layer k,
-asserting solvability at every step; it gives `solve_sparse` each
-right-hand side as Gaussian-integer numerators over one denominator.  The
-kernel route reads them off the hat space `ring.hat_quotient_dims` reduced
-for the same (x, beta, D) and takes it off the semigroup, as no later task
-reads it.  That kernel is the
-truncated solution space: a hat row mu_j . hat[n] paired with a table is
-the recursion identity at (n, j).  The pivots go to the highest degree,
-then the lowest index, so the germ of a free column fc is zero below deg fc
-and, there, lives on fc and pivots of lower index: fc is its last nonzero
-entry in (degree, index) order, as for the step route's germ born at fc.
-So both routes have the same free columns, and both bases are the one that
-is 1 at one free column and 0 at the others.  Exact Gaussian-rational
-arithmetic is the default; a complex-float backend exists for quotient
-problems at irrational base points.  `check_residuals` runs on one
-GermStack of the germs and evaluates the series by the semigroup
-exponential, all three step sizes in one pass.
+A solution germ is its lambda table: the values of all unknown functions
+(and hence, after re-indexing, all their Taylor coefficients) at the base
+point.  A SolutionBasis is one GermStack of all germs, integer arrays per
+layer over the layer's least common denominator, which the report, the
+residual check, the restriction rank and the torsion lift read, and each
+germ's leading degree.  Two routes give the same germs.  The step route
+solves the layer-(k+1) linear system whose right-hand side comes from layer
+k, asserting solvability at every step.  The kernel route reads them off the
+hat space `ring.hat_quotient_dims` reduced for the same (x, beta) at
+D0 = min(D, rank + 3), as `analyze` and `restrict` do, and takes it off the
+semigroup.  That kernel is the truncated solution space: a hat row
+mu_j . hat[n] paired with a table is the recursion identity at (n, j).  The
+pivots go to the highest degree, then the lowest index, so the germ of a
+free column fc is zero below deg fc and, there, lives on fc and pivots of
+lower index: fc is its last nonzero entry in (degree, index) order, as for
+the step route's germ born at fc.  So both routes have the same free
+columns, and both bases are the one that is 1 at one free column and 0 at
+the others.  Steps extend the kernel route's germs from D0 to D: free
+columns have degree at most rank + 1 <= D0, so each has one solution.
+Exact arithmetic is the default; a complex-float backend exists for
+quotient problems at irrational base points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,91 +47,139 @@ class InconsistentSystem(RuntimeError):
 
 
 @dataclass
-class LambdaTable:
-    """Exact germ data of one solution at the base point."""
+class GermStack:
+    """Germs sharing a semigroup, base point, beta and truncation, on arrays.
+
+    layers[k] is (re, im, den): germ t has the value (re[t, p] + i im[t, p])
+    / den at layer(k)[p].  Exact stacks hold arrays of Python ints, den the
+    least common denominator of the layer's values; float stacks (a complex
+    base point) hold float arrays over den = 1.
+    """
     semigroup: GradedSemigroup
     base_x: tuple
     beta: tuple
     truncation: int
-    entries: dict           # GroupElement -> scalar; absent means zero
-    leading_degree: int
+    layers: list
 
-    def degree(self, c: GroupElement) -> int:
-        return pair(self.semigroup.deg, c)
+    @property
+    def exact(self):
+        return not isinstance(self.base_x[0], complex)
+
+    def __len__(self):
+        return len(self.layers[0][0])
+
+    def values(self, t, k):
+        """{p: value} of the nonzero entries of germ t on layer k: canonical
+        GaussianRationals on an exact stack, complex on a float one."""
+        re, im, den = self.layers[k]
+        return {p: GaussianRational(a, b, den) if self.exact else complex(a, b)
+                for p, (a, b) in enumerate(zip(re[t].tolist(), im[t].tolist())) if a or b}
 
 
 @dataclass
 class SolutionBasis:
-    tables: list
-    semigroup: GradedSemigroup
-    beta: tuple
-    truncation: int
+    """Truncated solution germs: one GermStack, germ t of leading degree
+    leading[t], ascending."""
+    stack: GermStack
+    leading: list
+
+    semigroup = property(lambda self: self.stack.semigroup)
+    beta = property(lambda self: self.stack.beta)
+    truncation = property(lambda self: self.stack.truncation)
 
     def __len__(self):
-        return len(self.tables)
+        return len(self.leading)
+
+    @property
+    def tables(self):
+        """Per germ, `entries` {(k, p): value} of its nonzero values, the view
+        of one germ that perfbench's tracer reads coefficient sizes off."""
+        return [SimpleNamespace(entries={(k, p): v for k in range(self.truncation + 1)
+                                         for p, v in self.stack.values(t, k).items()})
+                for t in range(len(self))]
 
 
-def _float_nullspace(mat, ncols, tol=1e-9):
-    if mat.shape[0] == 0:
-        return [np.eye(ncols, dtype=complex)[i] for i in range(ncols)]
-    u, s, vh = np.linalg.svd(mat)
-    cutoff = tol * (s[0] if len(s) else 1.0)
-    null_dim = ncols - int((s > cutoff).sum())
-    return [vh[-(i + 1)].conj() for i in range(null_dim)][::-1]
+def _float_step(rows, ncols, twists, last, tol=1e-9):
+    """(solutions, kernel) of one float step as sparse dicts by least squares
+    (None past tol) and SVD, for right-hand sides lambda_c (beta_j - c_j) X
+    in (c, j) order from the germ values `last`."""
+    mat = np.zeros((len(rows), ncols), dtype=complex)
+    for a, row in enumerate(rows):
+        for col, val in row.items():
+            mat[a, col] += val
+    kernel, sols = list(np.eye(ncols, dtype=complex)), []
+    if rows:
+        _, sv, vh = np.linalg.svd(mat)
+        kernel = [vh[-(i + 1)].conj() for i in range(ncols - int((sv > tol * sv[0]).sum()))][::-1]
+    for vals in last:
+        b = np.array([vals[p] * t if p in vals else 0 for p, t in twists], dtype=complex)
+        sol = np.linalg.lstsq(mat, b, rcond=None)[0] if rows else np.zeros(ncols, dtype=complex)
+        bad = rows and np.linalg.norm(mat @ sol - b) > tol * max(1.0, np.linalg.norm(b))
+        sols.append(None if bad else {c: v for c, v in enumerate(sol) if v})
+    return sols, [{c: v for c, v in enumerate(vec) if v} for vec in kernel]
 
 
-def _nonzero(vec):
-    """Sparse form of a dense float vector: column -> nonzero entry."""
-    return {col: val for col, val in enumerate(vec) if val}
-
-
-def _float_solve_multi(mat, rhs_list, tol=1e-9):
-    out = []
-    for b in rhs_list:
-        b = np.asarray(b, dtype=complex)
-        if mat.shape[0] == 0:
-            out.append(np.zeros(mat.shape[1], dtype=complex))
-            continue
-        sol, *_ = np.linalg.lstsq(mat, b, rcond=None)
-        resid = np.linalg.norm(mat @ sol - b)
-        scale = max(1.0, np.linalg.norm(b))
-        if resid > tol * scale:
-            out.append(None)
-        else:
-            out.append(sol)
-    return out
-
-
-def _hat_kernel_tables(f, beta, S, D, one):
-    """(entries, leading degree) of the germs off the kernel of the hat space
-    of (x, beta, "full", D), taken off S, or None if none is cached or its
-    free columns per degree differ from the step kernels'."""
+def _hat_kernel(f, beta, S, D):
+    """Per layer 0..D, the germs' values (as `_layer` takes them) off the kernel
+    of the hat space of (x, beta, "full", D), taken off S, and their leading
+    degrees; None if no such space is cached or its free columns per degree
+    differ from the step kernels'."""
     space = S._images.pop(_hat_key(f, beta, "full", D), None)
     if space is None or _hat_free_counts(space, S, "full", D) != jacobian_dims(f, S, D).per_degree:
         return None
-    points = [c for k in range(D + 1) for c in S.layer(k)]
-    return [({points[c]: v for c, v in vec.items()}, pair(S.deg, points[fc]))
-            for fc, vec in space.kernel(len(points), one).items()]
+    at = [(k, p) for k in range(D + 1) for p in range(len(S.layer(k)))]
+    kernel = list(space.kernel(len(at)).items())
+    layers = [[({}, {}, den) for _, (_, _, den) in kernel] for _ in range(D + 1)]
+    for t, (_, vec) in enumerate(kernel):
+        for n in (0, 1):
+            for c, v in vec[n].items():
+                layers[at[c][0]][t][n][at[c][1]] = v
+    return layers, [at[fc][0] for fc, _ in kernel]
 
 
-def _twisted(vals, tr, ti, B):
+def _twisted(vec, tr, ti, B):
     """The right-hand side of one germ at one step, as (re, im, d) for
     `solve_sparse`: row p * r + j is lambda_c (beta_j - c_j) B X for
-    c = layer(k)[p], from the germ's values {p: lambda_c} on layer k and the
-    Gaussian integers (beta_j - c_j) B X = tr[p][j] + i ti[j]; d is B times
-    the lcm of the value denominators, so every entry is an integer product."""
-    L, r = lcm(*(v.d for v in vals.values())), len(ti)
+    c = layer(k)[p], from the germ's values (re, im, L) on layer k (numerator
+    dicts over L) and the Gaussian integers (beta_j - c_j) B X =
+    tr[p][j] + i ti[j]; d is L B, so every entry is an integer product."""
+    vr, vi, L = vec
+    r = len(ti)
     re = [0] * (len(tr) * r)
-    real = not any(ti) and not any(v.b for v in vals.values())
-    im = None if real else [0] * len(re)
-    for p, v in vals.items():
-        a, b, q = v.a * (L // v.d), v.b * (L // v.d), p * r
-        if real:
-            re[q:q + r] = [a * t for t in tr[p]]
-        else:
-            re[q:q + r] = [a * t - b * u for t, u in zip(tr[p], ti)]
-            im[q:q + r] = [a * u + b * t for t, u in zip(tr[p], ti)]
+    if not vi and not any(ti):
+        for p, a in vr.items():
+            re[p * r:p * r + r] = [a * t for t in tr[p]]
+        return re, None, L * B
+    im = [0] * len(re)
+    for p in vr.keys() | vi.keys():
+        a, b, q = vr.get(p, 0), vi.get(p, 0), p * r
+        re[q:q + r] = [a * t - b * u for t, u in zip(tr[p], ti)]
+        im[q:q + r] = [a * u + b * t for t, u in zip(tr[p], ti)]
     return re, im, L * B
+
+
+def _layer(vectors, n, width, exact):
+    """Layer arrays (re, im, den) [germ, point] of n germs, den the least
+    common denominator: germ t < len(vectors) has the values vectors[t],
+    (re, im, d) numerator dicts over d or a dict of complex values; the
+    rest are zero."""
+    if not exact:
+        vals = np.zeros((n, width), dtype=complex)
+        for t, vec in enumerate(vectors):
+            vals[t, list(vec)] = list(vec.values())
+        return vals.real, vals.imag, 1
+    den = lcm(*[d for *_, d in vectors])
+    re, im = ([[0] * width for _ in range(n)] for _ in range(2))
+    for t, (vr, vi, d) in enumerate(vectors):
+        s = den // d
+        for part, vals in ((re[t], vr), (im[t], vi)):
+            for p, v in vals.items():
+                part[p] = v * s
+    g = gcd(den, *(v for row in re + im for v in row if v))
+    if g != 1:
+        re, im = ([[v // g for v in row] for row in part] for part in (re, im))
+    return (np.array(re, dtype=object).reshape(n, width),
+            np.array(im, dtype=object).reshape(n, width), den // g)
 
 
 def solve_recursion(f, beta, S: GradedSemigroup, truncation=None,
@@ -141,10 +191,11 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None,
     free variables zero, so results are reproducible.  The exact backend reads
     both from one sparse reduction of the step (linalg.solve_sparse).  Raises
     InconsistentSystem if a degree step is unsolvable.  That is the step
-    route; the exact backend takes the kernel route (see the module) if the
-    hat space of (x, beta, "full", D) is cached on S and each degree m has
+    route; the exact backend takes the kernel route (see the module) for
+    degrees 0..D0, D0 = min(D, rank + 3), if the hat space of
+    (x, beta, "full", D0) is cached on S and each degree m has
     |layer m| - rank `_image_rows(f, S, m)` free columns, as it does exactly
-    when no step is inconsistent.
+    when no step is inconsistent; steps then run from D0 to D.
     """
     r = S.rank
     D = truncation if truncation is not None else r + 3
@@ -161,60 +212,47 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None,
         f = x
         beta = tuple(complex(b) for b in beta)
 
-    one = GaussianRational(1) if exact else (1 + 0j)
-    tables = _hat_kernel_tables(f, beta, S, D, one) if exact else None
-    steps = D if tables is None else 0
-    if tables is None:
+    # layers[k]: per germ born at degree <= k, its values on layer k
+    got = _hat_kernel(f, beta, S, min(D, r + 3)) if exact else None
+    if got is None:
         # one unit germ per degree-0 layer element
-        tables = [({c: one}, 0) for c in S.layer(0)]
-        # each germ's values on the layer the next step starts from
-        last = [{p: one} for p in range(len(tables))]
+        n = len(S.layer(0))
+        layers = [[({p: 1}, {}, 1) if exact else {p: 1 + 0j} for p in range(n)]]
+        leading = [0] * n
+    else:
+        layers, leading = got
 
     X = _scaled(x)[1]
     if exact:
         bB, B = _scaled(beta)
         bB = [GaussianRational(b) for b in bB]
         ti = [b.b * X for b in bB]
-    for k in range(steps):
+    for k in range(len(layers) - 1, D):
         src = S.layer(k)
-        dst = S.layer(k + 1)
         rows = _image_rows(f, S, k + 1)
         # right-hand sides lambda_c (beta_j - c_j), flattened in (c, j) order,
         # times the X of the rows
         if exact:
             tr = [[(b.a - cj * B) * X for b, cj in zip(bB, c.free)] for c in src]
-            rhs = [_twisted(vals, tr, ti, B) for vals in last]
-            sols, kernel = solve_sparse(rows, len(dst), rhs, one)
+            sols, kernel = solve_sparse(rows, len(S.layer(k + 1)),
+                                        [_twisted(vec, tr, ti, B) for vec in layers[k]])
         else:
             twists = [(p, (b - cj) * X) for p, c in enumerate(src) for b, cj in zip(beta, c.free)]
-            rhs = [[vals[p] * t if p in vals else 0 for p, t in twists] for vals in last]
-            mat = np.zeros((len(rows), len(dst)), dtype=complex)
-            for a, row in enumerate(rows):
-                for col, val in row.items():
-                    mat[a, col] += val
-            sols = [None if sol is None else _nonzero(sol)
-                    for sol in _float_solve_multi(mat, rhs)]
-            kernel = [_nonzero(vec) for vec in _float_nullspace(mat, len(dst))]
-        for (entries, _), sol in zip(tables, sols):
-            if sol is None:
-                raise InconsistentSystem(
-                    f"no extension at degree {k + 1}; nondegeneracy certificate wrong?")
-            entries.update((dst[col], val) for col, val in sol.items())
-        tables.extend(({dst[col]: val for col, val in vec.items()}, k + 1)
-                      for vec in kernel)
-        last = sols + kernel
+            sols, kernel = _float_step(rows, len(S.layer(k + 1)), twists, layers[k])
+        if any(sol is None for sol in sols):
+            raise InconsistentSystem(
+                f"no extension at degree {k + 1}; nondegeneracy certificate wrong?")
+        layers.append(sols + kernel)
+        leading += [k + 1] * len(kernel)
 
-    out = [LambdaTable(S, x, beta, D, entries, lead) for entries, lead in tables]
-    out.sort(key=lambda t: t.leading_degree)
-    return SolutionBasis(out, S, beta, D)
+    return SolutionBasis(GermStack(S, x, beta, D, [
+        _layer(vecs, len(leading), len(S.layer(k)), exact) for k, vecs in enumerate(layers)]),
+        leading)
 
 
 def filtration_dims(basis: SolutionBasis) -> DimReport:
     """Counts of germs by leading degree; dual to the graded quotient."""
-    counts = [0] * (basis.truncation + 1)
-    for t in basis.tables:
-        counts[t.leading_degree] += 1
-    return DimReport.of(counts)
+    return DimReport.of(basis.leading.count(k) for k in range(basis.truncation + 1))
 
 
 def _series(S, D, lam, dzs):
@@ -238,17 +276,18 @@ def _series(S, D, lam, dzs):
     return val
 
 
-def evaluate_series(table: LambdaTable, c: GroupElement, z) -> complex:
-    """Truncated Taylor value of the germ's component at c, near the base:
-    the sum of lambda_{c + sum l_i v_i} prod (z_i - x_i)^{l_i} / l_i! over
-    the multi-indices l with deg c + sum l_i <= truncation (see `_series`).
+def evaluate_series(stack: GermStack, t: int, c: GroupElement, z) -> complex:
+    """Truncated Taylor value of the component at c of germ t of the stack,
+    near the base: the sum of lambda_{c + sum l_i v_i} prod (z_i - x_i)^{l_i}
+    / l_i! over the multi-indices l with deg c + sum l_i <= truncation (see
+    `_series`).
     """
-    S, D, k = table.semigroup, table.truncation, table.degree(c)
+    S, D, k = stack.semigroup, stack.truncation, pair(stack.semigroup.deg, c)
     if k > D:
         raise ValueError("component degree exceeds the truncation")
     q = sum(len(S.layer(m)) for m in range(k)) + S.layer(k).index(c)
-    dz = [zz - complex(xx) for zz, xx in zip(z, table.base_x)]
-    return complex(_series(S, D, _germ_floats(GermStack.of([table])), [dz])[0, 0, q])
+    dz = [zz - complex(xx) for zz, xx in zip(z, stack.base_x)]
+    return complex(_series(S, D, _germ_floats(stack), [dz])[0, t, q])
 
 
 def comparison_radius(base_x) -> float:
@@ -290,39 +329,6 @@ def _parts(values, exact):
     return np.array(re, dtype=object), np.array(im, dtype=object), den
 
 
-@dataclass
-class GermStack:
-    """Germs sharing a semigroup, base point, beta and truncation, on arrays.
-
-    layers[k] is (re, im, den) in the layout of `_parts`: germ t has the
-    value (re[t, p] + i im[t, p]) / den at layer(k)[p].  A complex base
-    point marks a float stack.
-    """
-    semigroup: GradedSemigroup
-    base_x: tuple
-    beta: tuple
-    truncation: int
-    layers: list
-
-    @classmethod
-    def of(cls, tables):
-        """The stack of LambdaTables that share their data."""
-        first, n = tables[0], len(tables)
-        S, exact = first.semigroup, not isinstance(first.base_x[0], complex)
-        layers = []
-        for k in range(first.truncation + 1):
-            re, im, den = _parts([t.entries.get(c, 0) for t in tables for c in S.layer(k)], exact)
-            layers.append((re.reshape(n, -1), im.reshape(n, -1), den))
-        return cls(S, first.base_x, first.beta, first.truncation, layers)
-
-    @property
-    def exact(self):
-        return not isinstance(self.base_x[0], complex)
-
-    def __len__(self):
-        return len(self.layers[0][0])
-
-
 def _germ_floats(stack: GermStack):
     """(re, im): float arrays [t, q] of the values of germ t at the q-th
     point of layers 0..truncation in order.  An exact value is re / den by
@@ -343,8 +349,9 @@ def recursion_defects(stack: GermStack):
     i with x_i v_i[j] != 0, a small numerator times a layer numerator each,
     and with g = gcd(den_k, den_{k+1}) the scalars a = fb den_k / g and
     b = ex den_{k+1} / g, applied once, bring both sides to one denominator
-    (ex and fb those of x and beta).  Imaginary parts are carried only where
-    x, beta or one of the two layers is not real.
+    (ex and fb those of x and beta).  With x and beta real, the real and the
+    imaginary parts of the layers are checked as two real sums, and the
+    latter only where a layer is not real.
     """
     S, exact = stack.semigroup, stack.exact
     xr, xi, ex = _parts(stack.base_x, exact)
@@ -354,15 +361,19 @@ def recursion_defects(stack: GermStack):
         if exact:
             g = gcd(den0, den1)
             a, b = fb * den0 // g, ex * den1 // g
-            real = not (any(xi) or any(bi) or im0.any() or im1.any())
+            data_real = not (any(xi) or any(bi))
+            layers_real = not (im0.any() or im1.any())
             up = [(re1[:, q], im1[:, q]) for q in S.shift(k).T]
             defect = np.empty((*re0.shape, S.rank), dtype=bool)
             for j in range(S.rank):
                 gr = br[j] - fb * free[:, j]
                 terms = [(xr[i] * v.free[j], xi[i] * v.free[j], *up[i])
                          for i, v in enumerate(S.A) if v.free[j] and (xr[i] or xi[i])]
-                if real:
+                if data_real:
+                    # real coefficients: one real sum per part of the layers
                     defect[..., j] = a * sum(s * p for s, _, p, _ in terms) != b * (re0 * gr)
+                    if not layers_real:
+                        defect[..., j] |= a * sum(s * q for s, _, _, q in terms) != b * (im0 * gr)
                 else:
                     lr = sum(s * p - t * q for s, t, p, q in terms)
                     li = sum(s * q + t * p for s, t, p, q in terms)
@@ -402,27 +413,24 @@ def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport
     the float evaluator (`_series`, one pass for all three steps) and
     roundoff.
     """
-    S = basis.semigroup
-    D = basis.truncation
-    stack = GermStack.of(basis.tables)
+    S, D, stack = basis.semigroup, basis.truncation, basis.stack
     exact_ok = not any((defect > 1e-12).any() for _, defect in recursion_defects(stack))
     lam = _germ_floats(stack)
-    del stack  # the series needs only the floats
 
-    x = np.array([complex(v) for v in basis.tables[0].base_x])
+    x = np.array([complex(v) for v in stack.base_x])
     if h0 is None:
         h0 = comparison_radius(x)
     if not h0 > 0:
         raise ValueError(f"residual step size {h0} is not positive")
     zs = np.array([x + h / len(x) for h in (h0, h0 / 2, h0 / 4)])
-    check_points = [c for c in dict.fromkeys(
-        list(k_prim(S)) + list(S.layer(0)) + list(S.layer(1)))
-        if D - pair(S.deg, c) - 1 >= 1]
-    degrees = [pair(S.deg, c) for c in check_points]
+    # (degree, index) of K_prim and layers 0 and 1, once each, in that order
+    kp = [(k, S.layer(k).index(c)) for c in k_prim(S) for k in [pair(S.deg, c)]]
+    kp = [at for at in dict.fromkeys(kp + [(k, p) for k in (0, 1) for p in range(len(S.layer(k)))])
+          if D - at[0] - 1 >= 1]
+    check_points = [S.layer(k)[p] for k, p in kp]
+    degrees = [k for k, _ in kp]
     # the index of c among the points of layers 0..D, and of each c + v_i
     off = np.cumsum([0] + [len(S.layer(k)) for k in range(D + 1)])
-    where = {c: (k, p) for k in set(degrees) for p, c in enumerate(S.layer(k))}
-    kp = [where[c] for c in check_points]
     at = [off[k] + p for k, p in kp]
     up = np.array([off[k + 1] + S.shift(k)[p] for k, p in kp])
     values = _series(S, D, lam, zs - x)
@@ -455,10 +463,16 @@ def restricted_solution_rank(basis: SolutionBasis) -> int:
     Only meaningful at beta = 0, where it matches the interior image
     dimension of the Jacobian quotient.
     """
-    S = basis.semigroup
-    cols = (c for k in range(S.rank + 1) for c in S.layer(k, "interior"))
-    idx = {c: i for i, c in enumerate(cols)}
+    S, stack = basis.semigroup, basis.stack
+    normals = np.array(S.cone.facet_normals).T
+    # layer k's interior points: every facet value of the free part positive;
+    # a column's common denominator scales it and leaves the rank unchanged
+    inner = [np.repeat((S.free_layer(k) @ normals > 0).all(axis=1), S.group.torsion_order)
+             for k in range(S.rank + 1)]
     space = RowSpace()
-    for t in basis.tables:
-        space.add({idx[c]: v for c, v in t.entries.items() if c in idx and v})
+    for t in range(len(basis)):
+        re, im = ([v for layer, m in zip(stack.layers, inner) for v in layer[n][t, m].tolist()]
+                  for n in (0, 1))
+        space.add_numerators({c: v for c, v in enumerate(re) if v},
+                             {c: v for c, v in enumerate(im) if v})
     return space.rank

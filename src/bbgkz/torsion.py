@@ -28,7 +28,7 @@ class RegionTooTight(ValueError):
 
 
 class ResidualTooLarge(RuntimeError):
-    """A lifted table failed the recursion residual check."""
+    """A lifted germ failed the recursion residual check."""
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def lift_and_verify(basis: SolutionBasis, rho: Character, x, S: GradedSemigroup,
     if images != tuple(basis.semigroup.A):
         raise ValueError("psi was solved on a different quotient problem")
     Q = QuotientProblem(lattice, images, index_sets, basis.semigroup, S.group, S.A)
-    psi = GermStack.of(basis.tables)
+    psi = basis.stack
     if any(abs(complex(a) - complex(b)) > 1e-12 for a, b in zip(psi.base_x, p_rho(rho, x, Q))):
         raise ValueError("psi base point does not match p_rho(x)")
     chars = [char_value(rho, t) for t in S.group.torsion_elements()]

@@ -1,12 +1,16 @@
-"""Shared problem data used across the test modules."""
+"""Shared problem data and reference germ builders used across the test
+modules."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from bbgkz.abelian import AbelianGroup
-from bbgkz.polyhedral import build_semigroup
+from bbgkz import solver
+from bbgkz.abelian import AbelianGroup, pair
+from bbgkz.polyhedral import GradedSemigroup, build_semigroup
 from bbgkz.ring import FVector, random_rational_x
+from bbgkz.solver import GermStack, SolutionBasis
 
 
 def z2_data():
@@ -104,3 +108,59 @@ def make_problem(name):
 def named_problem(request):
     S, f, beta = make_problem(request.param)
     return request.param, S, f, beta
+
+
+@dataclass
+class LambdaTable:
+    """One germ as a dict of its nonzero values keyed by group element: the
+    per-germ form that the solver's layer arrays replaced, kept to build
+    germs by hand and as the reference that the arrays are checked against."""
+    semigroup: GradedSemigroup
+    base_x: tuple
+    beta: tuple
+    truncation: int
+    entries: dict           # GroupElement -> scalar; absent means zero
+    leading_degree: int
+
+    def degree(self, c):
+        return pair(self.semigroup.deg, c)
+
+
+def stack_of(tables):
+    """The GermStack of LambdaTables that share their data, built value by
+    value: per layer, the numerators of every value over the lcm of their
+    canonical denominators (float arrays over 1 at a complex base point)."""
+    first, n = tables[0], len(tables)
+    S, exact = first.semigroup, not isinstance(first.base_x[0], complex)
+    layers = []
+    for k in range(first.truncation + 1):
+        re, im, den = solver._parts([t.entries.get(c, 0) for t in tables for c in S.layer(k)],
+                                    exact)
+        layers.append((re.reshape(n, -1), im.reshape(n, -1), den))
+    return GermStack(S, first.base_x, first.beta, first.truncation, layers)
+
+
+def tables_of(basis):
+    """The LambdaTables of a SolutionBasis, one per germ: canonical
+    GaussianRationals on an exact basis, complex values on a float one."""
+    stack = basis.stack
+    S = stack.semigroup
+    return [LambdaTable(S, stack.base_x, stack.beta, stack.truncation,
+                        {S.layer(k)[p]: v for k in range(stack.truncation + 1)
+                         for p, v in stack.values(t, k).items()}, lead)
+            for t, lead in enumerate(basis.leading)]
+
+
+def basis_of(tables):
+    """The SolutionBasis of LambdaTables: their stack and leading degrees."""
+    return SolutionBasis(stack_of(tables), [t.leading_degree for t in tables])
+
+
+def assert_stacks_equal(a, b):
+    """Two GermStacks hold the same data, array for array and den for den."""
+    assert (a.semigroup.A, a.base_x, a.beta, a.truncation) == \
+        (b.semigroup.A, b.base_x, b.beta, b.truncation)
+    assert len(a.layers) == len(b.layers)
+    for (re, im, den), (re2, im2, den2) in zip(a.layers, b.layers):
+        assert den == den2 and re.shape == re2.shape
+        assert re.tolist() == re2.tolist() and im.tolist() == im2.tolist()

@@ -13,6 +13,7 @@ from bbgkz.polyhedral import KPrimGuardError, build_semigroup
 from bbgkz.ring import DimReport, FVector
 from bbgkz.solver import InconsistentSystem
 from bbgkz.torsion import RegionTooTight, p_rho
+from conftest import assert_stacks_equal
 
 
 def read(path):
@@ -274,8 +275,8 @@ class TestLiftLanes:
     def test_conjugate_characters_reuse_the_solve(self, name, solves, monkeypatch):
         """With x and beta real, the Z/4 character whose quotient point is the
         conjugate of an earlier one takes that solve's tables conjugated, and
-        they equal a direct solve's, table for table and entry for entry, in
-        the same order; with a complex beta every character is solved."""
+        they equal a direct solve's, array for array and in the same order;
+        with a complex beta every character is solved."""
         spec = cli.load_problem(os.path.join(GOLDEN, f"{name}.problem.json"))
         S = build_semigroup(spec.group, spec.vectors)
         f, _ = spec.resolve_x(S)
@@ -289,14 +290,11 @@ class TestLiftLanes:
         assert len(cli._exact_lifts(spec, S, Q, f, D)) == 4
         assert len(solves_run) == solves
 
-        def tables(basis):
-            return [(t.base_x, t.beta, t.leading_degree, list(t.entries.items()))
-                    for t in basis.tables]
-
         for rho, basis in zip(S.group.characters(), bases):
             z = p_rho(rho, f.x, Q)
-            assert tables(basis) == tables(solve(FVector(z), spec.beta, Q.semigroup,
-                                                 truncation=D))
+            direct = solve(FVector(z), spec.beta, Q.semigroup, truncation=D)
+            assert basis.leading == direct.leading
+            assert_stacks_equal(basis.stack, direct.stack)
 
     @pytest.mark.parametrize("fault", ["tail", "total"])
     def test_failed_certificate_takes_float_lane(self, fault, monkeypatch):
@@ -342,6 +340,19 @@ class TestSharedWork:
         report, code = cli.run(os.path.join(GOLDEN, "p3.problem.json"), tasks=["restrict"],
                                timings=False)
         assert code == 0 and report["restriction_ranks"]["solution_side"] == 3
+
+    @pytest.mark.parametrize("name, steps", [("z2_example", 4), ("g3_torsion", 2),
+                                             ("ex51", 2)])
+    def test_steps_only_above_analyzed_bound(self, name, steps, monkeypatch):
+        """analyze reduces its hat spaces at min(D, rank + 3), below these
+        fixtures' truncation D; solve and restrict read the germs of degrees
+        up to that bound off them and eliminate only the steps above it."""
+        calls, solve_sparse = [], solver.solve_sparse
+        monkeypatch.setattr(solver, "solve_sparse",
+                            lambda *a: calls.append(1) or solve_sparse(*a))
+        report, code = cli.run(cli.fixture_path(name), tasks=["analyze", "solve", "restrict"],
+                               timings=False)
+        assert code == 0 and len(calls) == steps
 
     def test_r1_dims_once_per_run(self, monkeypatch):
         """analyze and restrict get the one r1_dims report cached on S."""

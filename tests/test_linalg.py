@@ -122,9 +122,27 @@ def apply(A, vec):
     return out
 
 
-def solve(rows, ncols, rhs_list, one=1):
-    """solve_sparse on right-hand sides given as lists of values."""
-    return solve_sparse(rows, ncols, [numerators(b) for b in rhs_list], one)
+def vector_values(vec):
+    """A solve_sparse or kernel vector (re, im, den) as {column: value},
+    after checking that it holds nonzero numerators over their least common
+    denominator."""
+    re, im, den = vec
+    assert den > 0 and gcd(den, *re.values(), *im.values()) == 1
+    assert all(re.values()) and all(im.values())
+    return {c: GaussianRational(re.get(c, 0), im.get(c, 0), den)
+            for c in sorted(re.keys() | im.keys())}
+
+
+def as_values(sols, kernel):
+    """solve_sparse results with every vector as `vector_values`."""
+    return ([None if v is None else vector_values(v) for v in sols],
+            [vector_values(v) for v in kernel])
+
+
+def solve(rows, ncols, rhs_list):
+    """solve_sparse on right-hand sides given as lists of values, its
+    vectors as `vector_values`."""
+    return as_values(*solve_sparse(rows, ncols, [numerators(b) for b in rhs_list]))
 
 
 class TestSolveSparse:
@@ -139,11 +157,10 @@ class TestSolveSparse:
         for _ in range(25):
             m, n = rng.randint(1, 5), rng.randint(1, 6)
             A = random_matrix(rng, m, n)
-            _, kernel = solve_sparse(sparse(A), n, [], one=QQI_ONE)
+            _, kernel = solve(sparse(A), n, [])
             assert len(kernel) == n - numeric_rank(A)
             for v in kernel:
                 assert not any(apply(A, v))
-                assert list(v) == sorted(v)
 
     def test_empty_matrix(self):
         sols, kernel = solve([], 3, [[]])
@@ -157,7 +174,7 @@ class TestSolveSparse:
             A = random_matrix(rng, m, n)
             xs = {j: GaussianRational(rng.randint(-3, 3)) for j in range(n)}
             b = apply(A, xs)
-            sols, _ = solve(sparse(A), n, [b], one=QQI_ONE)
+            sols, _ = solve(sparse(A), n, [b])
             assert sols[0] is not None
             assert apply(A, sols[0]) == b
 
@@ -306,7 +323,7 @@ class TestFractionFree:
         rows, n, cols = system
         values = [[GaussianRational(a, 0 if im is None else im[i], d) for i, a in enumerate(re)]
                   for re, im, d in cols]
-        sols, kernel = solve_sparse(rows, n, cols, QQI_ONE)
+        sols, kernel = as_values(*solve_sparse(rows, n, cols))
         assert (sols, kernel) == reference_solve(rows, n, values)
         if rows:
             assert sols[-1] is not None and sols[-1] == sols[-2]
@@ -327,8 +344,8 @@ class TestFractionFree:
             assert all(type(v) is int for v in row.values())
             assert gcd(*row.values()) == 1
         assert all(space.contains(row) for row in rows)
-        assert list(space.kernel(n, QQI_ONE).values()) == reference_kernel(ref, n)
-        assert solve(rows, n, rhs, QQI_ONE) == reference_solve(rows, n, rhs)
+        assert [vector_values(v) for v in space.kernel(n).values()] == reference_kernel(ref, n)
+        assert solve(rows, n, rhs) == reference_solve(rows, n, rhs)
 
     def test_realified_readers(self):
         """A space of real rows meets (1 + i, 1): each real row becomes two,
@@ -339,8 +356,9 @@ class TestFractionFree:
         assert space.add({0: GaussianRational(1, 1), 1: 1})
         assert space.complex and len(space.rows) == 4
         assert (space.rank, space.pivots) == (2, [1, 2])
-        assert space.kernel(3, QQI_ONE) == {0: {0: QQI_ONE, 1: -GaussianRational(1, 1),
-                                                2: GaussianRational(-1, 0, 3)}}
+        assert {fc: vector_values(v) for fc, v in space.kernel(3).items()} == \
+            {0: {0: QQI_ONE, 1: -GaussianRational(1, 1), 2: GaussianRational(-1, 0, 3)}}
+        assert space.kernel(3) == {0: ({0: 3, 1: -3, 2: -1}, {1: -3}, 3)}
         assert space.contains({0: GaussianRational(3, 4), 1: 3, 2: GaussianRational(0, 3)})
         assert not space.contains({0: GaussianRational(0, 1)})
 

@@ -21,7 +21,7 @@ import pytest
 from bbgkz import cli
 from bbgkz.abelian import AbelianGroup, NotSpanning
 from bbgkz.polyhedral import (GradedSemigroup, KPrimGuardError, NotPointed,
-                              build_semigroup, facets_and_faces, k_prim)
+                              build_semigroup, cone_over, k_prim)
 from conftest import make_problem
 
 
@@ -32,7 +32,7 @@ def strictly_contains(cone, w):
 
 class TestCone:
     def test_square_cone_facets(self):
-        cone = facets_and_faces([(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 1)])
+        cone = cone_over([(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 1)])
         # x >= 0, y >= 0, z - x >= 0, z - y >= 0
         assert set(cone.facet_normals) == {(1, 0, 0), (0, 1, 0),
                                           (-1, 0, 1), (0, -1, 1)}
@@ -42,33 +42,22 @@ class TestCone:
         assert not strictly_contains(cone, (0, 1, 2))
 
     def test_membership_matches_inequalities(self):
-        cone = facets_and_faces([(-1, 1), (1, 1)])
+        cone = cone_over([(-1, 1), (1, 1)])
         for a in range(-3, 4):
             for b in range(-3, 4):
                 expect = b >= abs(a)
                 assert cone.contains((a, b)) == expect
                 assert strictly_contains(cone, (a, b)) == (b > abs(a))
 
-    def test_face_lattice_of_square_cone(self):
-        cone = facets_and_faces([(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 1)])
-        by_dim = {}
-        for face in cone.faces:
-            by_dim.setdefault(face.dim, []).append(face)
-        # vertex cone over a square: 1 apex, 4 rays, 4 facets, 1 full cone
-        assert len(by_dim[0]) == 1
-        assert len(by_dim[1]) == 4
-        assert len(by_dim[2]) == 4
-        assert len(by_dim[3]) == 1
-
     def test_not_pointed(self):
         with pytest.raises(NotPointed):
-            facets_and_faces([(1,), (-1,)])
+            cone_over([(1,), (-1,)])
         with pytest.raises(NotPointed):
-            facets_and_faces([(1, 0), (-1, 0), (0, 1)])
+            cone_over([(1, 0), (-1, 0), (0, 1)])
 
     def test_not_spanning_rejected(self):
         with pytest.raises(ValueError):
-            facets_and_faces([(1, 0), (2, 0)])
+            cone_over([(1, 0), (2, 0)])
 
 
 # hand-countable layer sizes: square cone has (k+1)^2 points at degree k,

@@ -16,11 +16,11 @@ from bbgkz.abelian import AbelianGroup, char_value
 from bbgkz.linalg import QQI_I, GaussianRational, RowSpace
 from bbgkz.polyhedral import build_semigroup
 from bbgkz.ring import FVector
-from bbgkz.solver import GermStack, LambdaTable, recursion_defects, solve_recursion
+from bbgkz.solver import recursion_defects, solve_recursion
 from bbgkz.torsion import (LogModulusBox, RegionTooTight, ResidualTooLarge,
                            build_quotient, exact_rank, find_common_basepoint,
                            independence_count, lift_and_verify, p_rho)
-from conftest import make_problem
+from conftest import LambdaTable, basis_of, make_problem, stack_of, tables_of
 
 
 class TestBuildQuotient:
@@ -229,7 +229,7 @@ class TestLifting:
         basis = solve_recursion(FVector(z), beta, Q.semigroup, truncation=4)
         stack, resid = lift_and_verify(basis, rho, x, S)
         assert resid == 0.0
-        for values, psi in zip(stack_values(stack), basis.tables):
+        for values, psi in zip(stack_values(stack), tables_of(basis)):
             assert {c.free: v for c, v in values.items()} == \
                 {c.free: v for c, v in psi.entries.items()}
 
@@ -280,15 +280,15 @@ class TestLifting:
         _, resid = lift_and_verify(basis, rho, x, S)
         assert 0 < resid <= 1e-9
 
+        tables = tables_of(basis)
+
         def corrupt(t, factor):
-            psi = basis.tables[t]
+            psi = tables[t]
             c = sample(psi.entries, 2)[1]
             return dataclasses.replace(psi, entries={**psi.entries, c: psi.entries[c] * factor})
 
-        one = dataclasses.replace(basis, tables=[basis.tables[0], corrupt(1, 1.001),
-                                                 *basis.tables[2:]])
-        both = dataclasses.replace(basis, tables=[basis.tables[0], corrupt(1, 1.001),
-                                                  corrupt(2, 10.0), basis.tables[3]])
+        one = basis_of([tables[0], corrupt(1, 1.001), *tables[2:]])
+        both = basis_of([tables[0], corrupt(1, 1.001), corrupt(2, 10.0), tables[3]])
         with pytest.raises(ResidualTooLarge,
                            match=r"^relative residual \S+ exceeds 1e-09$") as first:
             lift_and_verify(one, rho, x, S)
@@ -303,9 +303,9 @@ class TestLifting:
         rho = S.group.characters()[1]
         x = tuple(f.x)
         z = p_rho(rho, x, Q)
-        basis = solve_recursion(FVector(z), beta, Q.semigroup, truncation=4)
-        basis.tables[0].entries.clear()
-        stack, resid = lift_and_verify(basis, rho, x, S)
+        tables = tables_of(solve_recursion(FVector(z), beta, Q.semigroup, truncation=4))
+        tables[0].entries.clear()
+        stack, resid = lift_and_verify(basis_of(tables), rho, x, S)
         assert stack_values(stack) == [{}] and resid == 0.0
 
     def test_corrupted_lift_raises(self):
@@ -314,15 +314,15 @@ class TestLifting:
         rho = S.group.characters()[1]
         x = tuple(f.x)
         z = p_rho(rho, x, Q)
-        basis = solve_recursion(FVector(z), beta, Q.semigroup, truncation=4)
-        psi = basis.tables[0]
+        tables = tables_of(solve_recursion(FVector(z), beta, Q.semigroup, truncation=4))
+        psi = tables[0]
         c = psi.semigroup.group.element((1,))
         psi.entries[c] = psi.entries[c] + 1
         c, j = first_reference_defect(reference_lift(psi, rho, x, S))
         with pytest.raises(ResidualTooLarge,
                            match=rf"^exact lift residual nonzero at {re.escape(str(c))}, "
                                  rf"coordinate {j}$"):
-            lift_and_verify(basis, rho, x, S)
+            lift_and_verify(basis_of(tables), rho, x, S)
 
     def test_lift_builds_no_semigroup(self, monkeypatch):
         """lift_and_verify projects the data and reuses the basis' semigroup,
@@ -383,7 +383,7 @@ class TestArrayLift:
         for rho, basis in quotient_bases(S, x, spec.beta, spec.truncation):
             stack, _ = lift_and_verify(basis, rho, x, S)
             assert stack.exact == exact
-            refs = [reference_lift(psi, rho, x, S) for psi in basis.tables]
+            refs = [reference_lift(psi, rho, x, S) for psi in tables_of(basis)]
             assert stack.base_x == refs[0].base_x and stack.beta == refs[0].beta
             assert stack_values(stack) == [ref.entries for ref in refs]
             if not exact:
@@ -407,7 +407,7 @@ class TestExactRank:
         stacks, refs = [], []
         for rho, basis in quotient_bases(S, x, spec.beta, spec.truncation):
             stacks.append(lift_and_verify(basis, rho, x, S)[0])
-            refs.extend(reference_lift(psi, rho, x, S) for psi in basis.tables)
+            refs.extend(reference_lift(psi, rho, x, S) for psi in tables_of(basis))
         full = reference_rank(refs)
         assert full == S.volume * S.group.torsion_order
         assert exact_rank(stacks) == full
@@ -502,7 +502,8 @@ def exact_lifts(path):
     for rho, basis in quotient_bases(S, x, spec.beta, spec.truncation):
         stack, resid = lift_and_verify(basis, rho, x, S)
         assert resid == 0.0
-        out.append((rho, basis, stack, [reference_lift(psi, rho, x, S) for psi in basis.tables]))
+        out.append((rho, basis, stack,
+                    [reference_lift(psi, rho, x, S) for psi in tables_of(basis)]))
     return S, x, out
 
 
@@ -530,11 +531,11 @@ class TestExactRecursionCheck:
         S, _, lifts = exact_lifts(LIFT_PROBLEMS[name])
         if name == "p2_z4":
             assert any(v.b for *_, refs in lifts for t in refs for v in t.entries.values())
-            assert any(z.b for _, basis, *_ in lifts for z in basis.tables[0].base_x)
+            assert any(z.b for _, basis, *_ in lifts for z in basis.stack.base_x)
         # the quotient germs too: under +-i characters their base point is complex
         for _, basis, stack, refs in lifts:
-            for tables in (refs, basis.tables):
-                assert first_defects(GermStack.of(tables)) == [None] * len(tables)
+            for tables in (refs, tables_of(basis)):
+                assert first_defects(stack_of(tables)) == [None] * len(tables)
                 for t, table in list(enumerate(tables))[::2]:
                     assert first_reference_defect(table) is None
                     for c in sample(table.entries, 3):
@@ -543,15 +544,16 @@ class TestExactRecursionCheck:
                                 table, entries={**table.entries, c: table.entries[c] + delta})
                             want = first_reference_defect(bad)
                             assert want is not None
-                            got = first_defects(GermStack.of(tables[:t] + [bad] + tables[t + 1:]))
+                            got = first_defects(stack_of(tables[:t] + [bad] + tables[t + 1:]))
                             assert got == [want if u == t else None for u in range(len(tables))]
 
     @pytest.mark.parametrize("name", sorted(LIFT_PROBLEMS))
     def test_lift_and_verify_names_first_defect(self, name):
         S, x, lifts = exact_lifts(LIFT_PROBLEMS[name])
         for rho, basis, _, refs in lifts[::3]:
-            for t in range(len(basis.tables))[::-2]:
-                psi = basis.tables[t]
+            psis = tables_of(basis)
+            for t in range(len(psis))[::-2]:
+                psi = psis[t]
                 for pc in sample(psi.entries, 2):
                     # doubling psi at pc doubles every lifted entry above pc
                     bad_psi = dataclasses.replace(
@@ -560,14 +562,37 @@ class TestExactRecursionCheck:
                         c: 2 * v if c.free == pc.free else v for c, v in refs[t].entries.items()})
                     assert reference_lift(bad_psi, rho, x, S).entries == bad.entries
                     c, j = first_reference_defect(bad)
-                    assert first_defects(GermStack.of([bad]))[0] == (c, j)
+                    assert first_defects(stack_of([bad]))[0] == (c, j)
                     # germ t is the first failing one: later germs fail too
-                    tables = basis.tables[:t] + [bad_psi] + [
+                    tables = psis[:t] + [bad_psi] + [
                         dataclasses.replace(p, entries={**p.entries, k: 2 * p.entries[k]})
-                        for p in basis.tables[t + 1:] for k in sample(p.entries, 1)]
+                        for p in psis[t + 1:] for k in sample(p.entries, 1)]
                     with pytest.raises(ResidualTooLarge,
                                        match=rf"at {re.escape(str(c))}, coordinate {j}$"):
-                        lift_and_verify(dataclasses.replace(basis, tables=tables), rho, x, S)
+                        lift_and_verify(basis_of(tables), rho, x, S)
+
+    def test_real_data_complex_layers(self):
+        """p2_z4 lifted under the characters +-i: x and beta real and the
+        layers complex, checked as two real sums per covector.  Every defect,
+        not only the first, is the reference's, on the lifts and with a
+        single entry changed by 1 or by i."""
+        S, x, lifts = exact_lifts(LIFT_PROBLEMS["p2_z4"])
+        assert not any(v.b for v in x)
+        complex_lifts = [(stack, refs) for _, _, stack, refs in lifts
+                         if any(im.any() for _, im, _ in stack.layers)]
+        assert len(complex_lifts) == 2
+        for stack, refs in complex_lifts:
+            assert not any(b.b for b in stack.beta)
+            assert defect_sets(stack) == reference_defect_sets(refs) == [set()] * len(refs)
+            for t, table in enumerate(refs):
+                for c in sample(table.entries, 3):
+                    for delta in (1, QQI_I):
+                        bad = dataclasses.replace(
+                            table, entries={**table.entries, c: table.entries[c] + delta})
+                        tables = refs[:t] + [bad] + refs[t + 1:]
+                        want = reference_defect_sets(tables)
+                        assert want[t] and not any(want[:t] + want[t + 1:])
+                        assert defect_sets(stack_of(tables)) == want
 
     def test_coprime_layer_denominators(self):
         """Hand-built germs on a single ray, x = 3/5 and beta = 2/7, with
@@ -590,7 +615,7 @@ class TestExactRecursionCheck:
         m2 = step(Fraction(1, 13), 1)
         tables = [germ(Fraction(1, 2), l1, step(l1, 1), Fraction(1, 17)),
                   germ(Fraction(1, 4), Fraction(1, 13), m2, step(m2, 2))]
-        stack = GermStack.of(tables)
+        stack = stack_of(tables)
         dens = [d for _, _, d in stack.layers]
         assert math.gcd(dens[0], dens[1]) == 1 and dens[3] % dens[2]
         want = reference_defect_sets(tables)
@@ -603,21 +628,21 @@ class TestExactRecursionCheck:
         coefficients summing to a real one; moving it onto one generator
         alone breaks every identity that reads a nonzero value through it."""
         S, f, beta = make_problem("repeated")
-        basis = solve_recursion(f, beta, S, truncation=4)
-        assert not any(v.b for t in basis.tables for v in t.entries.values())
+        psis = tables_of(solve_recursion(f, beta, S, truncation=4))
+        assert not any(v.b for t in psis for v in t.entries.values())
         third = GaussianRational(0, 1, 3)
         for shift, broken in (((third, -third, 0), False), ((third, 0, 0), True)):
             xs = tuple(v + d for v, d in zip(f.x, shift))
-            tables = [dataclasses.replace(t, base_x=xs) for t in basis.tables]
+            tables = [dataclasses.replace(t, base_x=xs) for t in psis]
             want = reference_defect_sets(tables)
             assert any(want) == broken
-            assert defect_sets(GermStack.of(tables)) == want
+            assert defect_sets(stack_of(tables)) == want
             for t, table in enumerate(tables):
                 for c in sample(table.entries, 3):
                     bad = dataclasses.replace(
                         table, entries={**table.entries, c: table.entries[c] + 1})
                     bad_tables = tables[:t] + [bad] + tables[t + 1:]
-                    assert defect_sets(GermStack.of(bad_tables)) == \
+                    assert defect_sets(stack_of(bad_tables)) == \
                         reference_defect_sets(bad_tables)
 
     def test_top_layer_corruptions(self):
@@ -626,28 +651,30 @@ class TestExactRecursionCheck:
         spec, S, f = spec_problem(os.path.join(GOLDEN, "hexagon.problem.json"))
         D = spec.truncation
         basis = solve_recursion(f, spec.beta, S, truncation=D)
-        assert defect_sets(GermStack.of(basis.tables)) == [set()] * len(basis)
-        for t, table in list(enumerate(basis.tables))[::2]:
+        psis = tables_of(basis)
+        assert defect_sets(basis.stack) == [set()] * len(basis)
+        for t, table in list(enumerate(psis))[::2]:
             for c in [c for c in S.layer(D) if c in table.entries][::40]:
                 for delta in (1, QQI_I):
                     bad = dataclasses.replace(
                         table, entries={**table.entries, c: table.entries[c] + delta})
                     want = reference_defect_sets([bad])[0]
                     assert want and all(d in S.layer(D - 1) for d, _ in want)
-                    tables = basis.tables[:t] + [bad] + basis.tables[t + 1:]
-                    assert defect_sets(GermStack.of(tables)) == \
+                    tables = psis[:t] + [bad] + psis[t + 1:]
+                    assert defect_sets(stack_of(tables)) == \
                         [want if u == t else set() for u in range(len(tables))]
 
     def test_hexagon_germ_corruptions(self):
         spec, S, f = spec_problem(os.path.join(GOLDEN, "hexagon.problem.json"))
         basis = solve_recursion(f, spec.beta, S, truncation=spec.truncation)
-        assert first_defects(GermStack.of(basis.tables)) == [None] * len(basis)
-        for t, table in list(enumerate(basis.tables))[::2]:
+        psis = tables_of(basis)
+        assert first_defects(basis.stack) == [None] * len(basis)
+        for t, table in list(enumerate(psis))[::2]:
             for c in sample(table.entries, 4):
                 bad = dataclasses.replace(
                     table, entries={**table.entries, c: table.entries[c] * 3})
                 want = first_reference_defect(bad)
                 assert want is not None
-                tables = basis.tables[:t] + [bad] + basis.tables[t + 1:]
-                assert first_defects(GermStack.of(tables)) == \
+                tables = psis[:t] + [bad] + psis[t + 1:]
+                assert first_defects(stack_of(tables)) == \
                     [want if u == t else None for u in range(len(tables))]

@@ -11,7 +11,8 @@ fresh interpreter on the sources of `<CHECKOUT>/src`: with the problem's own
 tasks, with all tasks (skipped for the problems in OWN_ONLY), with
 `solve,restrict`, a run in which no `analyze` reduces a hat space first,
 and with `solve,residuals`, in which the residual check reads germs of the
-step route.  Each run writes one file,
+step route.  The runs go through a pool of at most one per CPU.  Each run
+writes one file,
 `<name>-seed<N>-<own|all|solve-restrict|solve-residuals>.txt`, holding the
 exit code, stderr and the report.  Snapshots of two checkouts,
 taken into two directories, are byte-identical exactly when `diff -r`
@@ -25,6 +26,7 @@ import glob
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALL_TASKS = "analyze,solve,restrict,lift,residuals"
@@ -36,27 +38,37 @@ EXTRA_PROBLEMS = tuple(os.path.join(ROOT, "tests", "golden", f"{name}.problem.js
                        for name in ("p2_z4_cbeta", "hexagon_seeded", "simplex2_3"))
 
 
+def run_one(env, path, seed, tasks, out_file):
+    """Run the command line once and write its exit code, stderr and report."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "bbgkz.cli", path, "--no-timings", "--seed", str(seed), *tasks],
+        env=env, capture_output=True, text=True)
+    with open(out_file, "w", encoding="utf-8") as fh:
+        fh.write(f"exit {proc.returncode}\n--- stderr\n{proc.stderr}"
+                 f"--- report\n{proc.stdout}")
+    return proc.returncode
+
+
 def snapshot(root, out_dir, seeds):
     os.makedirs(out_dir, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     problems = sorted(p for p in glob.glob(os.path.join(root, "perfbench", "problems", "*.json"))
                       if not p.endswith(".expected.json"))
+    runs = []
     for path in problems + list(EXTRA_PROBLEMS):
         name = os.path.basename(path).removesuffix(".json").removesuffix(".problem")
         for seed in seeds:
             for label, tasks in TASK_LISTS:
                 if label == "all" and name in OWN_ONLY:
                     continue
-                proc = subprocess.run(
-                    [sys.executable, "-m", "bbgkz.cli", path, "--no-timings",
-                     "--seed", str(seed), *tasks],
-                    env=env, capture_output=True, text=True)
-                with open(os.path.join(out_dir, f"{name}-seed{seed}-{label}.txt"), "w",
-                          encoding="utf-8") as fh:
-                    fh.write(f"exit {proc.returncode}\n--- stderr\n{proc.stderr}"
-                             f"--- report\n{proc.stdout}")
-                print(f"{name} seed {seed} {label}: exit {proc.returncode}", flush=True)
+                runs.append((f"{name} seed {seed} {label}", path, seed, tasks,
+                             os.path.join(out_dir, f"{name}-seed{seed}-{label}.txt")))
+    # one interpreter per run, at most one run per CPU at a time
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        codes = pool.map(lambda run: run_one(env, *run[1:]), runs)
+        for run, code in zip(runs, codes):
+            print(f"{run[0]}: exit {code}", flush=True)
 
 
 def main(argv=None):
