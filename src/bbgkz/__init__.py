@@ -13,14 +13,13 @@ from .linalg import GaussianRational
 from .polyhedral import (Cone, GradedSemigroup, KPrimGuardError, NotPointed,
                          build_semigroup, k_prim)
 from .ring import (DimReport, FVector, NondegeneracyCertificate,
-                   NondegeneracyRetriesExhausted, dual_kernel_dims,
-                   hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
-                   jacobian_dims, r1_dims, random_rational_x)
+                   NondegeneracyRetriesExhausted, hat_quotient_dims,
+                   hat_restriction_rank, is_nondegenerate, jacobian_dims, r1_dims,
+                   random_rational_x)
 from .solver import (GermStack, InconsistentSystem, ResidualReport, SolutionBasis,
                      check_residuals, evaluate_series, filtration_dims,
                      restricted_solution_rank, solve_recursion)
-from .torsion import (LogModulusBox, QuotientProblem, RegionTooTight,
-                      ResidualTooLarge, build_quotient, find_common_basepoint,
-                      independence_count, lift_and_verify, p_rho)
+from .torsion import (DegenerateQuotient, QuotientProblem, ResidualTooLarge,
+                      build_quotient, exact_rank, lift_and_verify, p_rho)
 
 __version__ = "1.0.0"

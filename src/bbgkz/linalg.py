@@ -1,21 +1,131 @@
-"""Exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the cyclotomic fields Q(zeta_m).
 
-GaussianRational results are canonical (gcd(a, b, d) == 1, d > 0) after at
-most one gcd, none at d == 1.  RowSpace is the one elimination kernel.  It
-takes int, Fraction or GaussianRational entries and reduces their integer
-numerators fraction-free (Bareiss), one content pass per row update, and
-Q(i) data by restriction of scalars.  `solve_sparse` reads the solutions
-and the kernel of a system from one such reduction, `RowSpace.kernel` that
-of a space, each vector as integer numerators over its least common
-denominator.  Right-hand sides, and the zero tests of many values at once
-(solver.recursion_defects), are numerators over one denominator too.
+A value of Q(zeta_m) is phi(m) integer numerators over one denominator, its
+coordinates in the power basis 1, zeta, ..., zeta^(phi(m) - 1): Q (m = 1)
+has one part, Q(i) (m = 4) the real and the imaginary one.  Products,
+embeddings, Galois images and roots of unity read one power table, reduced
+mod Phi_m.  GaussianRational, kept canonical, is the scalar of problem
+files and reports.
+
+RowSpace is the one elimination kernel.  It reduces integer rows
+fraction-free (Bareiss), one content pass per row update, and rows over
+Q(zeta_m) by restriction of scalars to Q.  `solve_sparse` reads the
+solutions and the kernel of a system from one such reduction, each vector
+as integer parts over its least common denominator.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 from copy import copy
 from fractions import Fraction
 from math import gcd, inf, lcm
+
+
+def field(*orders):
+    """The name m of Q(zeta_L), L the lcm of the orders: L / 2 when L is 2
+    mod 4, as zeta_2n = -zeta_n^((n + 1) / 2) for odd n."""
+    m = lcm(*orders)
+    return m // 2 if m % 4 == 2 else m
+
+
+@functools.cache
+def cyclotomic(m):
+    """The coefficients of Phi_m, constant term first: x^m - 1 divided by
+    Phi_d for every proper divisor d of m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            div = cyclotomic(d)
+            q = [0] * (len(poly) - len(div) + 1)
+            for i in reversed(range(len(q))):
+                q[i] = poly[i + len(div) - 1]
+                for j, c in enumerate(div):
+                    poly[i + j] -= q[i] * c
+            poly = q
+    return tuple(poly)
+
+
+@functools.cache
+def powers(m):
+    """zeta_m^e in the power basis for e = 0..m-1, reduced by
+    zeta^phi = -sum_j c_j zeta^j for Phi_m = sum_j c_j x^j."""
+    c = cyclotomic(m)
+    row = [1] + [0] * (len(c) - 2)
+    out = []
+    for _ in range(m):
+        out.append(tuple(row))
+        top, row = row[-1], [0] + row[:-1]
+        if top:
+            row = [v - top * cj for v, cj in zip(row, c)]
+    return tuple(out)
+
+
+def degree(m):
+    """phi(m), the number of parts of a value of Q(zeta_m)."""
+    return len(cyclotomic(m)) - 1
+
+
+def mul(a, b, m):
+    """The parts of a b in Q(zeta_m) from those of a and b, sum_ij a_i b_j
+    zeta^(i + j).  A part may be an int or an integer array; int parts of a
+    that are 0 are skipped."""
+    T = powers(m)
+    terms = [(u * v, T[(i + j) % m]) for i, u in enumerate(a) if type(u) is not int or u
+             for j, v in enumerate(b)]
+    return _apply(*zip(*terms), m) if terms else [0] * degree(m)
+
+
+def root_of_unity(t, m):
+    """The parts of exp(2 pi i t) in Q(zeta_m), for a rational t whose
+    denominator divides m, or 2m for odd m."""
+    n = t * 2 * m
+    if n.denominator != 1:
+        raise ValueError(f"exp(2 pi i {t}) is not in Q(zeta_{m})")
+    T, n = powers(m), int(n)
+    return list(T[n // 2 % m]) if n % 2 == 0 else [-v for v in T[(n + m) // 2 % m]]
+
+
+def _apply(parts, images, m):
+    """sum_j parts[j] images[j] by parts, images[j] the parts of an element of
+    Q(zeta_m); zero int parts are skipped."""
+    out = [0] * degree(m)
+    for p, image in zip(parts, images):
+        if type(p) is not int or p:
+            for s, c in enumerate(image):
+                if c:
+                    out[s] = out[s] + (p if c == 1 else c * p)
+    return out
+
+
+def embed(parts, m, L):
+    """The parts in Q(zeta_L) of a value of its subfield Q(zeta_m), m | L."""
+    return _apply(parts, [root_of_unity(Fraction(j, m), L) for j in range(len(parts))], L)
+
+
+def galois(parts, a, m):
+    """sigma_a (zeta -> zeta^a, a prime to m) of a value of Q(zeta_m)."""
+    T = powers(m)
+    return _apply(parts, [T[a * j % m] for j in range(len(parts))], m)
+
+
+def complex_basis(m):
+    """zeta_m^s for s < phi(m) as complex floats, exact at quarter turns."""
+    return [(1, 1j, -1, -1j)[4 * s // m] if 4 * s % m == 0 else cmath.exp(2j * cmath.pi * s / m)
+            for s in range(degree(m))]
+
+
+def numerators(values):
+    """(m, parts, den) of int, Fraction and GaussianRational values: m = 4 if
+    one is not real, else 1, and parts[s][i] / den the part s of values[i],
+    den the lcm of their denominators."""
+    values = [GaussianRational(v) for v in values]
+    den = lcm(*(v.d for v in values))
+    re = [v.a * (den // v.d) for v in values]
+    if not any(v.b for v in values):
+        return 1, [re], den
+    return 4, [re, [v.b * (den // v.d) for v in values]], den
 
 
 class GaussianRational:
@@ -167,43 +277,46 @@ QQI_ONE = GaussianRational(1)
 QQI_I = GaussianRational(0, 1)
 
 
+
+
 class RowSpace:
     """Incrementally built row space kept in reduced echelon form.
 
-    Entries given to `add` may be int, Fraction or GaussianRational.  Rows
-    are stored fraction-free: sparse dicts column -> int of content 1,
+    Rows are stored fraction-free: sparse dicts column -> int of content 1,
     positive at their pivot column p and zero at every other pivot.  `key`
     orders the columns for pivot selection; picking pivots on the
     highest-degree monomials first keeps fill-in low for the
     filtration-truncated module matrices.
 
-    Restriction of scalars: at its first non-real row the space is
-    realified.  Column c becomes 2c (real part) and 2c + 1 (imaginary), with
-    key(2c + s) = 2 key(c) + s; a stored row r becomes r on the even and r
-    on the odd columns, both reduced; a row a + ib goes in as (a, -b) and
-    (b, a).  `rank`, `pivots`, `kernel` and `solve_sparse` answer in Q(i)
-    terms, as a reduction over Q(i) would: c is a complex pivot iff 2c and
-    2c + 1 are pivots; a kernel vector is fixed by its values on the free
-    columns, so that of free column 2c realifies that of c; and the reduced
-    echelon form is unique for a fixed column order.
+    Restriction of scalars: at its first row over Q(zeta_m) that is not
+    rational, column c becomes the n = phi(m) columns nc + t, one per part,
+    with key(nc + t) = n key(c) + t, and a row v enters as the n rows s whose
+    entry at nc + t is part s of zeta^t v_c (the functional y -> part s of
+    v . y; a stored rational row is one of them).  `rank`, `pivots`, `kernel`
+    and `solve_sparse` answer over Q(zeta_m): the stored rows span the parts
+    of w . y for w in the span over Q(zeta_m), which zeta maps to itself, so
+    c is a pivot iff all its n columns are; the kernel vector of free column
+    nc is the parts of that of c; and the reduced echelon form is unique for
+    a fixed column order.
     """
 
     def __init__(self, key=None):
         self.key = key
         self.rows = {}          # pivot column -> integer row
-        self.complex = False    # realified: Q(i) column c is columns 2c, 2c + 1
+        self.m = 1              # the field Q(zeta_m) of the rows
+        self.n = 1              # stored columns per column: phi(m) once restricted
         self._order = key       # the pivot order on the stored columns
         self._first = inf       # the least stored pivot in that order
 
     @property
     def rank(self):
-        return len(self.rows) >> self.complex
+        return len(self.rows) // self.n
 
     @property
     def pivots(self):
-        """The pivot columns in Q(i) terms, ascending."""
-        s = self.complex
-        return sorted(p >> s for p in self.rows if not p & s)
+        """The pivot columns in Q(zeta_m) terms, ascending."""
+        n = self.n
+        return sorted(p // n for p in self.rows if not p % n)
 
     def copy(self):
         """An independent space with the same rows."""
@@ -211,14 +324,14 @@ class RowSpace:
         out.rows = {p: dict(row) for p, row in self.rows.items()}
         return out
 
-    def _realify(self):
-        self.complex = True
-        self.rows = {2 * p + s: {2 * c + s: v for c, v in row.items()}
-                     for p, row in self.rows.items() for s in (0, 1)}
+    def _restrict(self, m):
+        self.m, self.n = m, n = m, degree(m)
+        self.rows = {n * p + s: {n * c + s: v for c, v in row.items()}
+                     for p, row in self.rows.items() for s in range(n)}
         if self.key is not None:
             key = self.key
-            self._order = lambda c: 2 * key(c >> 1) + (c & 1)
-        self._first *= 2
+            self._order = lambda c: n * key(c // n) + c % n
+        self._first *= n
 
     def _reduce(self, vec):
         """Integer row vec reduced in place against the stored rows, which
@@ -250,23 +363,26 @@ class RowSpace:
         return True
 
     def add(self, vec):
-        """Insert a vector; returns True if it enlarged the space."""
-        re, im, _ = _numerators(vec)
-        return self.add_numerators(re, im)
+        """Insert a vector of int, Fraction or GaussianRational entries;
+        returns True if it enlarged the space."""
+        return self.add_numerators(*_numerators(vec))
 
-    def add_numerators(self, re, im=None):
-        """`add` for the vector (re + i im) / d, given as dicts of the nonzero
-        integer numerators of its parts; consumes re."""
-        if im and not self.complex:
-            self._realify()
-        if not self.complex:
-            return self._insert(re)
-        # the rows (a, -b) and (b, a); i times a new vector is new again
-        im = im or {}
-        return (self._insert({2 * c: v for c, v in re.items()}
-                             | {2 * c + 1: -v for c, v in im.items()})
-                and self._insert({2 * c: v for c, v in im.items()}
-                                 | {2 * c + 1: v for c, v in re.items()}))
+    def add_numerators(self, parts, m=1):
+        """`add` for a row over Q(zeta_m) given as its parts: dicts of the
+        nonzero integer numerators of each part, a rational row possibly by
+        its first part alone; consumes them.  All rows that are not rational
+        are over one field."""
+        if self.n == 1 and len(parts) > 1 and any(parts[1:]):
+            self._restrict(m)
+        if self.n == 1:
+            return self._insert(parts[0])
+        rows = _restricted(parts, self.m)
+        # zeta^t times a new row is new again, and of an old one old
+        if not self._insert(rows[0]):
+            return False
+        for row in rows[1:]:
+            self._insert(row)
+        return True
 
     def contains(self, vec):
         return not self.copy().add(vec)
@@ -274,22 +390,32 @@ class RowSpace:
     def _read(self, ncols, dens=()):
         """(solutions, kernel) for unknowns 0..ncols-1 and column ncols + t
         holding dens[t] b_t, as `solve_sparse`; the kernel as {fc: vector};
-        one vector at a time, down the pivot rows.  Realified, the rows of
-        pivots 2p and 2p + 1 hold the Q(i) row u + i w' as (u, -w') d and
-        (w', u) d: the same entries up to sign, so one primitive scaling d."""
-        s, rows = self.complex, self.rows
-        pivots = [(p, rows[p << s], rows[(p << s) + 1] if s else {})
+        one vector at a time, down the pivot rows.  Restricted, the rows of
+        pivots np + s hold part s of the row of p at column nc, each over its
+        own pivot entry."""
+        n, rows = self.n, self.rows
+        pivots = [(p, [rows[n * p + s] for s in range(n)], [rows[n * p + s][n * p + s]
+                                                            for s in range(n)])
                   for p in self.pivots if p < ncols]
 
         def vector(col, sign, scale, values):
-            for p, re, im in pivots:
-                a, b = re.get(col << s, 0), im.get(col << s, 0)
-                if a or b:
-                    values.append((p, sign * a, sign * b, re[p << s] * scale))
-            return _over_lcd(values)
+            key = n * col
+            if n == 1:
+                for p, (row,), (top,) in pivots:
+                    a = row.get(key)
+                    if a:
+                        values.append((p, [sign * a], [top * scale]))
+            else:
+                for p, prows, tops in pivots:
+                    a = [row.get(key, 0) for row in prows]
+                    if any(a):
+                        values.append((p, [sign * v for v in a], [d * scale for d in tops]))
+            return _over_lcd(values, n)
 
+        unit = [1] + [0] * (n - 1)
         return ([vector(ncols + t, 1, d, []) for t, d in enumerate(dens)],
-                {c: vector(c, -1, 1, [(c, 1, 0, 1)]) for c in range(ncols) if c << s not in rows})
+                {c: vector(c, -1, 1, [(c, unit, [1] * n)])
+                 for c in range(ncols) if n * c not in rows})
 
     def kernel(self, ncols):
         """Kernel of the rows cut to columns 0..ncols-1, as {fc: vector} over
@@ -297,41 +423,45 @@ class RowSpace:
         return self._read(ncols)[1]
 
 
-def _over_lcd(values):
-    """(re, im, den) for the values (a + i b) / d given as (column, a, b, d):
-    dicts of the nonzero numerators of both parts over den, their least
-    common denominator M / gcd(M, all numerators) for M the lcm of the d."""
-    den = lcm(*[d for *_, d in values])
-    re = {c: a * (den // d) for c, a, _, d in values if a}
-    im = {c: b * (den // d) for c, _, b, d in values if b}
-    g = gcd(den, *re.values(), *im.values())
+def _restricted(parts, m):
+    """The rows over Q that the row over Q(zeta_m) with these parts becomes:
+    row s holds part s of zeta^t v_c at column n c + t."""
+    phi = cyclotomic(m)
+    n = len(phi) - 1
+    w = list(parts) + [{}] * (n - len(parts))
+    rows = [{} for _ in range(n)]
+    for t in range(n):
+        for row, part in zip(rows, w):
+            row.update({n * c + t: v for c, v in part.items()})
+        # w := zeta w, reduced by zeta^n = -sum_s phi_s zeta^s
+        top, w = w[-1], [{}] + w[:-1]
+        w = [{c: v for c in part.keys() | top.keys() if (v := part.get(c, 0) - k * top.get(c, 0))}
+             if k and top else part for part, k in zip(w, phi)]
+    return rows
+
+
+def _over_lcd(values, n):
+    """(parts, den) for the values given as (column, numerators, denominators)
+    of their n parts: dicts of the nonzero numerators of each part over den,
+    their least common denominator."""
+    den = lcm(*[d for _, _, ds in values for d in ds])
+    parts = [{c: a[s] * (den // ds[s]) for c, a, ds in values if a[s]} for s in range(n)]
+    g = gcd(den, *(v for part in parts for v in part.values()))
     if g != 1:
-        re = {c: v // g for c, v in re.items()}
-        im = {c: v // g for c, v in im.items()}
+        parts = [{c: v // g for c, v in part.items()} for part in parts]
         den //= g
-    return re, im, den
-
-
-def numerators(values):
-    """(re, im, d): lists of the integer numerators of the real and the
-    imaginary parts of values over d, the lcm of their denominators."""
-    values = [GaussianRational(v) for v in values]
-    d = lcm(*(v.d for v in values))
-    return [v.a * (d // v.d) for v in values], [v.b * (d // v.d) for v in values], d
+    return parts, den
 
 
 def _numerators(vec):
-    """Integer numerators (re, im) of the nonzero parts of the entries of
-    vec over their least common denominator d, as dicts, and d; im is empty
-    when vec is real."""
+    """(parts, m) of a dict of int, Fraction and GaussianRational values: the
+    nonzero integer numerators of each part over their least common
+    denominator, m = 4 if one is not real, else 1."""
     if set(map(type, vec.values())) <= {int}:
-        return dict(vec) if 0 not in vec.values() else {c: v for c, v in vec.items() if v}, {}, 1
-    exact = {c: v if type(v) is GaussianRational else _coerce(v)
-             for c, v in vec.items() if type(v) is not int}
-    den = lcm(*[v.d for v in exact.values()])
-    re = {c: v * den for c, v in vec.items() if type(v) is int and v}
-    re.update((c, v.a * (den // v.d)) for c, v in exact.items() if v.a)
-    return re, {c: v.b * (den // v.d) for c, v in exact.items() if v.b}, den
+        return [{c: v for c, v in vec.items() if v}], 1
+    cols = [c for c, v in vec.items() if v]
+    m, parts, _ = numerators([vec[c] for c in cols])
+    return [{c: v for c, v in zip(cols, part) if v} for part in parts], m
 
 
 def _eliminate(vec, col, row):
@@ -368,40 +498,44 @@ def _primitive(vec, p):
             vec[c] = v // g
 
 
-def solve_sparse(rows, ncols, rhs_list):
-    """Solve A x = b exactly for several right-hand sides, plus the kernel of A.
+def solve_sparse(rows, ncols, rhs_list, m=1):
+    """Solve A x = b exactly over Q(zeta_m) for several right-hand sides,
+    plus the kernel of A.
 
-    rows: sparse rows of A (dicts over columns 0..ncols-1).  rhs_list: one
-    right-hand side b_t per entry, as (re, im, d) with b_t[i] =
-    (re[i] + i im[i]) / d: integer sequences of length len(rows), im None
-    for a real b_t, and d > 0, as `numerators` gives them.  The numerators
-    d * b_t go in as column ncols + t, after every unknown, and the
-    augmented matrix is reduced once, its rows going in from the last
-    leading column down; its reduced row echelon form is unique for this
-    column order, and scaling column ncols + t scales only its entries, so
-    d enters where a solution entry is read.  Returns (solutions, kernel):
+    rows: the rows of A over columns 0..ncols-1 as parts, as
+    `RowSpace.add_numerators` takes them.  rhs_list: one right-hand side b_t
+    per entry, as (parts, d) with part s of b_t[i] equal to parts[s][i] / d,
+    integer sequences of length len(rows) (one for a rational b_t) and d > 0.
+    The numerators d * b_t go in as column ncols + t, after every unknown,
+    and the augmented matrix is reduced once, its rows going in from the
+    last leading column down; its reduced row echelon form is unique for
+    this column order, and scaling column ncols + t scales only its entries,
+    so d enters where a solution entry is read.  Returns (solutions, kernel):
 
     - solutions[t] is None if b_t is not in the column space of A, else the
       particular solution with every free variable zero;
     - kernel has one vector per free column of A, in ascending free-column
       order, 1 in that column and pivot columns by back substitution.
 
-    A vector is (re, im, den): dicts of the nonzero integer numerators of
-    its real and imaginary parts over den, their least common denominator.
+    A vector is (parts, den): dicts of the nonzero integer numerators of its
+    parts over den, their least common denominator.
     """
-    space = RowSpace()
-    for i in sorted(range(len(rows)), key=lambda i: min(rows[i], default=ncols), reverse=True):
-        re, im, d = _numerators(rows[i])
-        for col, (nr, ni, _) in enumerate(rhs_list, ncols):
-            if nr[i]:
-                re[col] = nr[i] * d
-            if ni is not None and ni[i]:
-                im[col] = ni[i] * d
-        space.add_numerators(re, im)
+    space, n = RowSpace(), degree(m)
+    rhs = [[(col, bparts[s]) for col, (bparts, _) in enumerate(rhs_list, ncols)
+            if s < len(bparts)] for s in range(n)]
+    lead = [min(map(min, filter(None, row)), default=ncols) for row in rows]
+    for i in sorted(range(len(rows)), key=lead.__getitem__, reverse=True):
+        row = rows[i]
+        parts = [dict(row[s]) if s < len(row) else {} for s in range(n)]
+        for part, cols in zip(parts, rhs):
+            for col, b in cols:
+                if b[i]:
+                    part[col] = b[i]
+        space.add_numerators(parts, m)
     # b_t is inconsistent iff a row pivoting on a right-hand side column
     # reaches column ncols + t; that column need not be a pivot itself.
-    s = space.complex
-    bad = {c >> s for p, row in space.rows.items() if p >> s >= ncols for c in row}
-    solutions, kernel = space._read(ncols, [d for _, _, d in rhs_list])
+    n = space.n
+    bad = {c // n for p, row in space.rows.items() if p // n >= ncols for c in row}
+    solutions, kernel = space._read(ncols, [d for _, d in rhs_list])
     return ([None if ncols + t in bad else sol for t, sol in enumerate(solutions)],
             list(kernel.values()))

@@ -130,10 +130,10 @@ def cone_over(generators) -> Cone:
 def _integer_inverse(M):
     """Exact inverse of a unimodular integer matrix, as integer rows."""
     n = len(M)
-    cols, _ = solve_sparse([dict(enumerate(row)) for row in M], n,
-                           [([int(i == j) for i in range(n)], None, 1) for j in range(n)])
-    assert all(den == 1 for _, _, den in cols)
-    return [[cols[j][0].get(i, 0) for j in range(n)] for i in range(n)]
+    cols, _ = solve_sparse([[{c: v for c, v in enumerate(row) if v}] for row in M], n,
+                           [([[int(i == j) for i in range(n)]], 1) for j in range(n)])
+    assert all(den == 1 for _, den in cols)
+    return [[cols[j][0][0].get(i, 0) for j in range(n)] for i in range(n)]
 
 
 def _degree_kernel_basis(deg_covector):

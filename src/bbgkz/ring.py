@@ -3,48 +3,102 @@
 All computations happen on the degree layers of the semigroup: multiplication
 by the log-derivatives of f = sum x_i [v_i] maps layer k to layer k + 1, and
 every dimension reported here is a difference of exact matrix ranks over the
-Gaussian rationals.
+field of x (and beta), on the integer numerators that FVector holds.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from itertools import chain
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
-from .linalg import GaussianRational, RowSpace
+import numpy as np
+
+from .linalg import (GaussianRational, RowSpace, complex_basis, degree, embed, field, galois,
+                     numerators)
 from .polyhedral import GradedSemigroup
-
-Scalar = GaussianRational
-
 
 class NondegeneracyRetriesExhausted(RuntimeError):
     """No nondegenerate coefficient vector found within the retry cap."""
 
 
-def as_scalar(value) -> Scalar:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value))
-    raise TypeError(f"cannot convert {value!r} to an exact scalar")
-
-
-@dataclass(frozen=True)
 class FVector:
-    """Coefficients of the degree-one element sum x_i [v_i]."""
-    x: tuple
+    """A vector over Q(zeta_m) as integer numerators: part s of entry i is
+    parts[s][i] / den, den their least common denominator; a rational vector
+    has m = 1 and one part.  It holds the coefficients x of f = sum x_i [v_i],
+    or beta.  Built from int, Fraction and GaussianRational values, or from
+    numerators by `of`; equal vectors have equal numerators, which the caches
+    on a semigroup key on."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(as_scalar(v) for v in self.x))
+    __slots__ = ("m", "parts", "den", "key")
+
+    def __init__(self, values):
+        self._set(*numerators(values))
+
+    def _set(self, m, parts, den):
+        g = gcd(den, *(v for part in parts for v in part))
+        if not any(v for part in parts[1:] for v in part):
+            m, parts = 1, parts[:1]
+        self.m, self.den = m, den // g
+        self.parts = tuple(tuple(v // g for v in part) for part in parts)
+        self.key = (self.m, self.parts, self.den)
+
+    @classmethod
+    def of(cls, m, parts, den):
+        """The vector of the numerators parts[s][i] / den over Q(zeta_m)."""
+        out = cls.__new__(cls)
+        out._set(m, parts, den)
+        return out
+
+    def __eq__(self, other):
+        return isinstance(other, FVector) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
     def __len__(self):
-        return len(self.x)
+        return len(self.parts[0])
+
+    @property
+    def x(self):
+        """The entries as GaussianRationals, for a vector over Q or Q(i)."""
+        if self.m not in (1, 4):
+            raise ValueError(f"entries of Q(zeta_{self.m}) are no GaussianRationals")
+        im = self.parts[1] if self.m == 4 else (0,) * len(self)
+        return tuple(GaussianRational(a, b, self.den) for a, b in zip(self.parts[0], im))
 
     def __getitem__(self, i):
         return self.x[i]
+
+    def _map(self, fn, m):
+        """The vector over Q(zeta_m) whose parts fn makes of these, as arrays."""
+        out = fn([np.array(part, dtype=object) for part in self.parts])
+        return FVector.of(m, [np.broadcast_to(v, (len(self),)).tolist() for v in out], self.den)
+
+    def embed(self, m):
+        """The vector over Q(zeta_m), a field that holds Q(zeta_self.m)."""
+        if m == self.m or self.m == 1:
+            return self
+        return self._map(lambda parts: embed(parts, self.m, m), m)
+
+    def galois(self, a):
+        """sigma_a (zeta -> zeta^a) of every entry."""
+        return self._map(lambda parts: galois(parts, a, self.m), self.m)
+
+    def numerators(self, m):
+        """The parts over Q(zeta_m) and den, degree(m) parts of integers."""
+        parts = self.embed(m).parts
+        return list(parts) + [(0,) * len(self)] * (degree(m) - len(parts)), self.den
+
+    def complex(self):
+        """The entries under zeta -> exp(2 pi i / m), as a complex array; over Q
+        and Q(i) each part is its numerator over den by Python int division,
+        the complex() of the GaussianRational."""
+        return sum(w * np.array([v / self.den for v in part], dtype=float)
+                   for w, part in zip(complex_basis(self.m), self.parts)) + 0j
 
 
 @dataclass(frozen=True)
@@ -61,52 +115,47 @@ class DimReport:
         return iter(self.per_degree)
 
 
-def _scaled(values):
-    """(values times X, X) for X the lcm of the denominators of exact values,
-    as ints where real; float values pass unscaled, with X = 1."""
-    if not all(type(v) is GaussianRational for v in values):
-        return list(values), 1
-    X = lcm(*(v.d for v in values))
-    return [v * X if v.b else v.a * (X // v.d) for v in values], X
-
-
 def _image_rows(f, S, k, region="full"):
     """Sparse generators of (I C[S])_k: the columns f_j * [c], c in layer k-1,
-    times X, the lcm of the denominators of x.
+    times X = f.den.
 
     Row r * p + j is X * sum_i x_i * mu_j(v_i) * [c + v_i] for
-    c = layer(k-1)[p], over the layer-k index; a zero x_i or cancelling
-    repeated v_i leave no explicit 0.  Its entries are ints for a real x,
-    Gaussian integers for a complex one, and complex floats (X = 1) for a
-    float x.  A system on these rows needs right-hand sides times X.
+    c = layer(k-1)[p], over the layer-k index, as a tuple of one dict of
+    integer numerators per part of x (`RowSpace.add_numerators` over
+    Q(zeta_m), m = f.m); a zero x_i or cancelling repeated v_i leave no
+    explicit 0.  A system on these rows needs right-hand sides times X.
     """
     if k == 0:
         return []
-    x, _ = _scaled(tuple(f))
-    terms = [[(i, x[i] * v.free[j]) for i, v in enumerate(S.A) if v.free[j] and x[i]]
-             for j in range(S.rank)]
-    rows = []
-    for targets in S.shift(k - 1, region).tolist():
-        for row_terms in terms:
-            row = {}
-            for i, coeff in row_terms:
-                d = targets[i]
-                row[d] = row[d] + coeff if d in row else coeff
-            # only terms that meet at one target can cancel
-            rows.append(row if len(row) == len(row_terms) else
-                        {d: v for d, v in row.items() if v})
-    return rows
+    shifts = S.shift(k - 1, region).tolist()
+    per_part = []
+    for x in f.parts:
+        terms = [[(i, x[i] * v.free[j]) for i, v in enumerate(S.A) if v.free[j] and x[i]]
+                 for j in range(S.rank)]
+        rows = []
+        for targets in shifts:
+            for row_terms in terms:
+                row = {}
+                for i, coeff in row_terms:
+                    d = targets[i]
+                    row[d] = row[d] + coeff if d in row else coeff
+                # only terms that meet at one target can cancel
+                rows.append(row if len(row) == len(row_terms) else
+                            {d: v for d, v in row.items() if v})
+        per_part.append(rows)
+    return list(zip(*per_part))
 
 
 def _image_space(f, S, k, region="full"):
     """The RowSpace of `_image_rows(f, S, k, region)`, reduced once per
     (x, k, region) and cached on S; rows go in from the last leading column."""
-    key = (f.x, k, region)
+    key = (f, k, region)
     space = S._images.get(key)
     if space is None:
         space = S._images[key] = RowSpace()
-        for row in sorted(filter(None, _image_rows(f, S, k, region)), key=min, reverse=True):
-            space.add(row)
+        rows = filter(any, _image_rows(f, S, k, region))
+        for row in sorted(rows, key=lambda row: min(map(min, filter(None, row))), reverse=True):
+            space.add_numerators(row, f.m)
     return space
 
 
@@ -157,27 +206,19 @@ def is_nondegenerate(f: FVector, S: GradedSemigroup, max_degree=None):
     return cert.ok, cert
 
 
-def dual_kernel_dims(f: FVector, S: GradedSemigroup, max_degree, region="full") -> DimReport:
-    """Per-degree solution counts of the homogeneous adjoint system.
-
-    Degree k counts the coefficient vectors on layer k annihilated by
-    sum_i x_i lambda_{c+v_i} v_i = 0 for every c in layer k-1: the kernel
-    of the same sparse rows `_image_rows` feeds to `jacobian_dims`, so the
-    two agree by construction rather than by an independent route: the
-    kernel dimension is ncols - rank of the one shared reduction.
-    """
-    return jacobian_dims(f, S, max_degree, region)
-
-
 def _hat_rows(f, beta, S, region, max_src_degree):
     """Sparse rows mu_j . hat[n] over the point index of degrees 0..D, times
-    B * X: B the lcm of the denominators of beta, X that of x.
+    B * X, as parts over Q(zeta_m) for the field m of x and beta: B = beta.den
+    and X the den of x over that field.
 
     Points are indexed in (degree, layer) order; the shift part of each row
     is B times the `_image_rows` row of n, moved to the next layer's
     indices, and the diagonal entry is (n_j * B - beta_j * B) * X.
     """
-    (bB, B), X = _scaled(beta), _scaled(tuple(f))[1]
+    m = field(f.m, beta.m)
+    f = f.embed(m)
+    bB, B = beta.numerators(m)
+    X = f.den
     rows = []
     start = 0
     for k in range(max_src_degree + 1):
@@ -186,10 +227,12 @@ def _hat_rows(f, beta, S, region, max_src_degree):
         image = iter(_image_rows(f, S, k + 1, region))
         for p, n in enumerate(layer):
             for j in range(S.rank):
-                row = {up + d: v * B for d, v in next(image).items()}
-                diag = (n.free[j] * B - bB[j]) * X
-                if diag:
-                    row[start + p] = diag
+                row = [{up + d: v * B for d, v in part.items()} for part in next(image)]
+                row += [{} for _ in range(len(row), len(bB))]
+                for s, b in enumerate(bB):
+                    diag = ((n.free[j] * B if s == 0 else 0) - b[j]) * X
+                    if diag:
+                        row[s][start + p] = diag
                 rows.append(row)
         start = up
     return rows
@@ -197,7 +240,7 @@ def _hat_rows(f, beta, S, region, max_src_degree):
 
 def _hat_key(f, beta, region, D):
     """Where the hat space of (x, beta, region, D) is kept on S._images."""
-    return ("hat", f.x, tuple(beta), region, D)
+    return ("hat", f, beta, region, D)
 
 
 def _hat_space(f, beta, S, region, D):
@@ -207,12 +250,14 @@ def _hat_space(f, beta, S, region, D):
     key = _hat_key(f, beta, region, D)
     space = S._images.get(key)
     if space is None:
-        degree = [k for k in range(D + 1) for _ in S.layer(k, region)]
-        order = [(D - k) * len(degree) + c for c, k in enumerate(degree)].__getitem__
+        degrees = [k for k in range(D + 1) for _ in S.layer(k, region)]
+        order = [(D - k) * len(degrees) + c for c, k in enumerate(degrees)].__getitem__
         space = S._images[key] = RowSpace(key=order)
-        rows = [row for row in _hat_rows(f, beta, S, region, D - 1) if row]
-        for row in sorted(rows, key=lambda row: order(min(row, key=order)), reverse=True):
-            space.add(row)
+        rows = [row for row in _hat_rows(f, beta, S, region, D - 1) if any(row)]
+        m = field(f.m, beta.m)
+        for row in sorted(rows, key=lambda row: min(map(order, chain.from_iterable(row))),
+                          reverse=True):
+            space.add_numerators(row, m)
     return space
 
 
@@ -230,7 +275,7 @@ def hat_quotient_dims(f: FVector, beta, S: GradedSemigroup, region="full",
                       filtration_bound=None) -> DimReport:
     """Filtration-graded dimensions of the twisted module modulo the ideal.
 
-    beta: tuple of Scalars, coordinates in the free part.  The quotient is
+    beta: an FVector or values, coordinates in the free part.  The quotient is
     computed at filtration bound D as dim C[S]_{<=D} minus the rank of the
     generators mu_j . hat[n] with deg n <= D - 1; the reported per-degree
     numbers are the jumps of the induced filtration: as each row pivots on
@@ -240,7 +285,7 @@ def hat_quotient_dims(f: FVector, beta, S: GradedSemigroup, region="full",
     D = filtration_bound if filtration_bound is not None else r + 1
     if D < r + 1:
         raise ValueError("filtration bound must be at least rank + 1")
-    beta = tuple(as_scalar(b) for b in beta)
+    beta = beta if isinstance(beta, FVector) else FVector(beta)
     return DimReport.of(_hat_free_counts(_hat_space(f, beta, S, region, D), S, region, D))
 
 
@@ -251,13 +296,13 @@ def r1_dims(f: FVector, S: GradedSemigroup, max_degree=None) -> DimReport:
     (x, max_degree) and cached on S.
     """
     max_degree = S.rank + 1 if max_degree is None else max_degree
-    key = ("r1", f.x, max_degree)
+    key = ("r1", f, max_degree)
     if key not in S._images:
         dims = []
         for k in range(max_degree + 1):
             space = _image_space(f, S, k).copy()
             idx = {c: i for i, c in enumerate(S.layer(k, "full"))}
-            dims.append(sum(space.add({idx[c]: 1}) for c in S.layer(k, "interior")))
+            dims.append(sum(space.add_numerators([{idx[c]: 1}]) for c in S.layer(k, "interior")))
         S._images[key] = DimReport.of(dims)
     return S._images[key]
 
@@ -268,9 +313,10 @@ def hat_restriction_rank(f: FVector, S: GradedSemigroup, filtration_bound=None) 
     D = filtration_bound if filtration_bound is not None else r + 1
     if D < r + 1:
         raise ValueError("filtration bound must be at least rank + 1")
-    space = _hat_space(f, (as_scalar(0),) * r, S, "full", D).copy()
+    space = _hat_space(f, FVector((0,) * r), S, "full", D).copy()
     index = {c: i for i, c in enumerate(c for k in range(D + 1) for c in S.layer(k))}
-    return sum(space.add({index[c]: 1}) for k in range(D + 1) for c in S.layer(k, "interior"))
+    return sum(space.add_numerators([{index[c]: 1}])
+               for k in range(D + 1) for c in S.layer(k, "interior"))
 
 
 def random_rational_x(S: GradedSemigroup, seed=0, denominator_bound=4, max_retries=16):

@@ -19,23 +19,24 @@ the step route's germ born at fc.  So both routes have the same free
 columns, and both bases are the one that is 1 at one free column and 0 at
 the others.  Steps extend the kernel route's germs from D0 to D: free
 columns have degree at most rank + 1 <= D0, so each has one solution.
-Exact arithmetic is the default; a complex-float backend exists for
-quotient problems at irrational base points.
+Everything is exact, over the cyclotomic field Q(zeta_m) of x and beta, a
+value as phi(m) integer parts (linalg); only the residual check evaluates
+the series in floats, through zeta -> exp(2 pi i / m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace
 
 import numpy as np
 
 from .abelian import GroupElement, pair
-from .linalg import GaussianRational, RowSpace, numerators, solve_sparse
+from .linalg import GaussianRational, RowSpace, complex_basis, degree, field, mul, solve_sparse
 from .polyhedral import GradedSemigroup, k_prim
-from .ring import (DimReport, FVector, _hat_free_counts, _hat_key, _image_rows, _scaled,
-                   as_scalar, jacobian_dims)
+from .ring import DimReport, FVector, _hat_free_counts, _hat_key, _image_rows, jacobian_dims
 
 
 class InconsistentSystem(RuntimeError):
@@ -50,30 +51,31 @@ class InconsistentSystem(RuntimeError):
 class GermStack:
     """Germs sharing a semigroup, base point, beta and truncation, on arrays.
 
-    layers[k] is (re, im, den): germ t has the value (re[t, p] + i im[t, p])
-    / den at layer(k)[p].  Exact stacks hold arrays of Python ints, den the
-    least common denominator of the layer's values; float stacks (a complex
-    base point) hold float arrays over den = 1.
+    layers[k] is (parts, den): parts an integer array [part, germ, point]
+    over Q(zeta_m), germ t having the value sum_s parts[s, t, p] zeta^s / den
+    at layer(k)[p], den the least common denominator of the layer's values.
+    base_x and beta are FVectors over subfields of Q(zeta_m).
     """
     semigroup: GradedSemigroup
-    base_x: tuple
-    beta: tuple
+    base_x: FVector
+    beta: FVector
     truncation: int
     layers: list
-
-    @property
-    def exact(self):
-        return not isinstance(self.base_x[0], complex)
+    m: int
 
     def __len__(self):
-        return len(self.layers[0][0])
+        return self.layers[0][0].shape[1]
 
     def values(self, t, k):
         """{p: value} of the nonzero entries of germ t on layer k: canonical
-        GaussianRationals on an exact stack, complex on a float one."""
-        re, im, den = self.layers[k]
-        return {p: GaussianRational(a, b, den) if self.exact else complex(a, b)
-                for p, (a, b) in enumerate(zip(re[t].tolist(), im[t].tolist())) if a or b}
+        GaussianRationals over Q and Q(i), else the tuple of the Fraction
+        parts."""
+        parts, den = self.layers[k]
+        cols = parts[:, t].T.tolist()
+        if self.m in (1, 4):
+            return {p: GaussianRational(v[0], v[-1] if self.m == 4 else 0, den)
+                    for p, v in enumerate(cols) if any(v)}
+        return {p: tuple(Fraction(a, den) for a in v) for p, v in enumerate(cols) if any(v)}
 
 
 @dataclass
@@ -99,26 +101,6 @@ class SolutionBasis:
                 for t in range(len(self))]
 
 
-def _float_step(rows, ncols, twists, last, tol=1e-9):
-    """(solutions, kernel) of one float step as sparse dicts by least squares
-    (None past tol) and SVD, for right-hand sides lambda_c (beta_j - c_j) X
-    in (c, j) order from the germ values `last`."""
-    mat = np.zeros((len(rows), ncols), dtype=complex)
-    for a, row in enumerate(rows):
-        for col, val in row.items():
-            mat[a, col] += val
-    kernel, sols = list(np.eye(ncols, dtype=complex)), []
-    if rows:
-        _, sv, vh = np.linalg.svd(mat)
-        kernel = [vh[-(i + 1)].conj() for i in range(ncols - int((sv > tol * sv[0]).sum()))][::-1]
-    for vals in last:
-        b = np.array([vals[p] * t if p in vals else 0 for p, t in twists], dtype=complex)
-        sol = np.linalg.lstsq(mat, b, rcond=None)[0] if rows else np.zeros(ncols, dtype=complex)
-        bad = rows and np.linalg.norm(mat @ sol - b) > tol * max(1.0, np.linalg.norm(b))
-        sols.append(None if bad else {c: v for c, v in enumerate(sol) if v})
-    return sols, [{c: v for c, v in enumerate(vec) if v} for vec in kernel]
-
-
 def _hat_kernel(f, beta, S, D):
     """Per layer 0..D, the germs' values (as `_layer` takes them) off the kernel
     of the hat space of (x, beta, "full", D), taken off S, and their leading
@@ -129,125 +111,111 @@ def _hat_kernel(f, beta, S, D):
         return None
     at = [(k, p) for k in range(D + 1) for p in range(len(S.layer(k)))]
     kernel = list(space.kernel(len(at)).items())
-    layers = [[({}, {}, den) for _, (_, _, den) in kernel] for _ in range(D + 1)]
-    for t, (_, vec) in enumerate(kernel):
-        for n in (0, 1):
-            for c, v in vec[n].items():
-                layers[at[c][0]][t][n][at[c][1]] = v
+    layers = [[([{} for _ in parts], den) for _, (parts, den) in kernel] for _ in range(D + 1)]
+    for t, (_, (parts, _)) in enumerate(kernel):
+        for s, part in enumerate(parts):
+            for c, v in part.items():
+                k, p = at[c]
+                layers[k][t][0][s][p] = v
     return layers, [at[fc][0] for fc, _ in kernel]
 
 
-def _twisted(vec, tr, ti, B):
-    """The right-hand side of one germ at one step, as (re, im, d) for
+def _twisted(vec, tw, ti, B, m):
+    """The right-hand side of one germ at one step, as (parts, d) for
     `solve_sparse`: row p * r + j is lambda_c (beta_j - c_j) B X for
-    c = layer(k)[p], from the germ's values (re, im, L) on layer k (numerator
-    dicts over L) and the Gaussian integers (beta_j - c_j) B X =
-    tr[p][j] + i ti[j]; d is L B, so every entry is an integer product."""
-    vr, vi, L = vec
-    r = len(ti)
-    re = [0] * (len(tr) * r)
-    if not vi and not any(ti):
-        for p, a in vr.items():
-            re[p * r:p * r + r] = [a * t for t in tr[p]]
-        return re, None, L * B
-    im = [0] * len(re)
-    for p in vr.keys() | vi.keys():
-        a, b, q = vr.get(p, 0), vi.get(p, 0), p * r
-        re[q:q + r] = [a * t - b * u for t, u in zip(tr[p], ti)]
-        im[q:q + r] = [a * u + b * t for t, u in zip(tr[p], ti)]
-    return re, im, L * B
+    c = layer(k)[p], from the germ's values (parts, L) on layer k (numerator
+    dicts over L) and the integral (beta_j - c_j) B X, whose part 0 is
+    tw[p][j] and part s > 0 is ti[s - 1][j]; d is L B, so every entry is an
+    integer product."""
+    vparts, L = vec
+    r = len(tw[0]) if tw else 0
+    if not any(map(any, ti)):
+        # a rational twist scales each part
+        out = [[0] * (len(tw) * r) for _ in vparts]
+        for row, part in zip(out, vparts):
+            for p, a in part.items():
+                row[p * r:p * r + r] = [a * t for t in tw[p]]
+        return out, L * B
+    n = len(ti) + 1
+    out = [[0] * (len(tw) * r) for _ in range(n)]
+    for p in set().union(*vparts):
+        a = [part.get(p, 0) for part in vparts] + [0] * (n - len(vparts))
+        for j in range(r):
+            for s, v in enumerate(mul(a, [tw[p][j], *(t[j] for t in ti)], m)):
+                out[s][p * r + j] = v
+    return out, L * B
 
 
-def _layer(vectors, n, width, exact):
-    """Layer arrays (re, im, den) [germ, point] of n germs, den the least
-    common denominator: germ t < len(vectors) has the values vectors[t],
-    (re, im, d) numerator dicts over d or a dict of complex values; the
-    rest are zero."""
-    if not exact:
-        vals = np.zeros((n, width), dtype=complex)
-        for t, vec in enumerate(vectors):
-            vals[t, list(vec)] = list(vec.values())
-        return vals.real, vals.imag, 1
-    den = lcm(*[d for *_, d in vectors])
-    re, im = ([[0] * width for _ in range(n)] for _ in range(2))
-    for t, (vr, vi, d) in enumerate(vectors):
-        s = den // d
-        for part, vals in ((re[t], vr), (im[t], vi)):
-            for p, v in vals.items():
-                part[p] = v * s
-    g = gcd(den, *(v for row in re + im for v in row if v))
+def _layer(vectors, count, width, n):
+    """Layer parts [part, germ, point] of count germs over Q(zeta_m) with n =
+    phi(m) parts, and den, the least common denominator: germ t <
+    len(vectors) has the values vectors[t], (parts, d) numerator dicts over
+    d; the rest are zero."""
+    den = lcm(*[d for _, d in vectors])
+    out = [[[0] * width for _ in range(count)] for _ in range(n)]
+    for t, (parts, d) in enumerate(vectors):
+        scale = den // d
+        for row, part in zip(out, parts):
+            row = row[t]
+            for p, v in part.items():
+                row[p] = v * scale
+    g = gcd(den, *(v for part in out for row in part for v in row if v))
     if g != 1:
-        re, im = ([[v // g for v in row] for row in part] for part in (re, im))
-    return (np.array(re, dtype=object).reshape(n, width),
-            np.array(im, dtype=object).reshape(n, width), den // g)
+        out = [[[v // g for v in row] for row in part] for part in out]
+    return np.array(out, dtype=object).reshape(n, count, width), den // g
 
 
-def solve_recursion(f, beta, S: GradedSemigroup, truncation=None,
-                    backend="exact") -> SolutionBasis:
-    """Basis of truncated solution germs at the base point f.
+def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> SolutionBasis:
+    """Basis of truncated solution germs at the base point f, over the field
+    Q(zeta_m) of x and beta (FVectors, or values).
 
     New basis directions at degree k + 1 are the echelonized kernel of the
     step matrix; existing germs are extended by the particular solution with
-    free variables zero, so results are reproducible.  The exact backend reads
-    both from one sparse reduction of the step (linalg.solve_sparse).  Raises
+    free variables zero, so results are reproducible.  Both come from one
+    sparse reduction of the step (linalg.solve_sparse).  Raises
     InconsistentSystem if a degree step is unsolvable.  That is the step
-    route; the exact backend takes the kernel route (see the module) for
-    degrees 0..D0, D0 = min(D, rank + 3), if the hat space of
-    (x, beta, "full", D0) is cached on S and each degree m has
-    |layer m| - rank `_image_rows(f, S, m)` free columns, as it does exactly
-    when no step is inconsistent; steps then run from D0 to D.
+    route; the kernel route (see the module) reads degrees 0..D0,
+    D0 = min(D, rank + 3), off the hat space of (x, beta, "full", D0) if it
+    is cached on S and each degree m has |layer m| - rank
+    `_image_rows(f, S, m)` free columns, as it does exactly when no step is
+    inconsistent; steps then run from D0 to D.
     """
     r = S.rank
     D = truncation if truncation is not None else r + 3
     if D < r + 1:
         raise ValueError("truncation must be at least rank + 1")
-    exact = backend == "exact"
-    if exact:
-        if not isinstance(f, FVector):
-            f = FVector(tuple(f))
-        beta = tuple(as_scalar(b) for b in beta)
-        x = f.x
-    else:
-        x = tuple(complex(v) for v in f)
-        f = x
-        beta = tuple(complex(b) for b in beta)
+    f = f if isinstance(f, FVector) else FVector(f)
+    beta = beta if isinstance(beta, FVector) else FVector(beta)
+    m = field(f.m, beta.m)
 
     # layers[k]: per germ born at degree <= k, its values on layer k
-    got = _hat_kernel(f, beta, S, min(D, r + 3)) if exact else None
+    got = _hat_kernel(f, beta, S, min(D, r + 3))
     if got is None:
         # one unit germ per degree-0 layer element
-        n = len(S.layer(0))
-        layers = [[({p: 1}, {}, 1) if exact else {p: 1 + 0j} for p in range(n)]]
-        leading = [0] * n
+        layers = [[([{p: 1}], 1) for p in range(len(S.layer(0)))]]
+        leading = [0] * len(layers[0])
     else:
         layers, leading = got
 
-    X = _scaled(x)[1]
-    if exact:
-        bB, B = _scaled(beta)
-        bB = [GaussianRational(b) for b in bB]
-        ti = [b.b * X for b in bB]
+    fm = f.embed(m)
+    X = fm.den
+    bB, B = beta.numerators(m)
+    ti = [[b * X for b in part] for part in bB[1:]]
     for k in range(len(layers) - 1, D):
-        src = S.layer(k)
-        rows = _image_rows(f, S, k + 1)
         # right-hand sides lambda_c (beta_j - c_j), flattened in (c, j) order,
         # times the X of the rows
-        if exact:
-            tr = [[(b.a - cj * B) * X for b, cj in zip(bB, c.free)] for c in src]
-            sols, kernel = solve_sparse(rows, len(S.layer(k + 1)),
-                                        [_twisted(vec, tr, ti, B) for vec in layers[k]])
-        else:
-            twists = [(p, (b - cj) * X) for p, c in enumerate(src) for b, cj in zip(beta, c.free)]
-            sols, kernel = _float_step(rows, len(S.layer(k + 1)), twists, layers[k])
+        tw = [[(b - cj * B) * X for b, cj in zip(bB[0], c.free)] for c in S.layer(k)]
+        sols, kernel = solve_sparse(_image_rows(fm, S, k + 1), len(S.layer(k + 1)),
+                                    [_twisted(vec, tw, ti, B, m) for vec in layers[k]], m)
         if any(sol is None for sol in sols):
             raise InconsistentSystem(
                 f"no extension at degree {k + 1}; nondegeneracy certificate wrong?")
         layers.append(sols + kernel)
         leading += [k + 1] * len(kernel)
 
-    return SolutionBasis(GermStack(S, x, beta, D, [
-        _layer(vecs, len(leading), len(S.layer(k)), exact) for k, vecs in enumerate(layers)]),
-        leading)
+    return SolutionBasis(GermStack(S, f, beta, D, [
+        _layer(vecs, len(leading), len(S.layer(k)), degree(m)) for k, vecs in enumerate(layers)],
+        m), leading)
 
 
 def filtration_dims(basis: SolutionBasis) -> DimReport:
@@ -286,7 +254,7 @@ def evaluate_series(stack: GermStack, t: int, c: GroupElement, z) -> complex:
     if k > D:
         raise ValueError("component degree exceeds the truncation")
     q = sum(len(S.layer(m)) for m in range(k)) + S.layer(k).index(c)
-    dz = [zz - complex(xx) for zz, xx in zip(z, stack.base_x)]
+    dz = [zz - xx for zz, xx in zip(z, stack.base_x.complex())]
     return complex(_series(S, D, _germ_floats(stack), [dz])[0, t, q])
 
 
@@ -319,83 +287,57 @@ class ResidualReport:
         return self.shift_identity_exact and all(ch.passed for ch in self.checks)
 
 
-def _parts(values, exact):
-    """Real parts, imaginary parts and denominator of values: float arrays over
-    1, or Python-int numerators over the lcm of the denominators."""
-    if not exact:
-        z = np.array(values, dtype=complex)
-        return z.real, z.imag, 1
-    re, im, den = numerators(values)
-    return np.array(re, dtype=object), np.array(im, dtype=object), den
-
-
 def _germ_floats(stack: GermStack):
     """(re, im): float arrays [t, q] of the values of germ t at the q-th
-    point of layers 0..truncation in order.  An exact value is re / den by
-    Python int division, which rounds correctly, so it equals complex() of
-    the GaussianRational."""
-    return (np.concatenate([(re / den).astype(float) for re, _, den in stack.layers], axis=1),
-            np.concatenate([(im / den).astype(float) for _, im, den in stack.layers], axis=1))
+    point of layers 0..truncation in order, under zeta -> exp(2 pi i / m).
+    Each part is its numerator over den by Python int division, which rounds
+    correctly; over Q and Q(i) the parts are the real and imaginary ones, so
+    a value equals complex() of its GaussianRational."""
+    parts = [np.concatenate([(P[s] / den).astype(float) for P, den in stack.layers], axis=1)
+             for s in range(degree(stack.m))]
+    z = sum(w * part for w, part in zip(complex_basis(stack.m), parts)) + 0j
+    return z.real, z.imag
 
 
 def recursion_defects(stack: GermStack):
     """Yield (k, defect) for each degree k below the truncation; defect[t, p, j]
-    tests sum_i x_i v_i[j] lambda_{c + v_i} = lambda_c (beta_j - c_j) for germ
-    t at c = layer(k)[p], reading c + v_i from the shift tables.  Float stacks
-    give |lhs - rhs|, forming x_i * lambda once per i and then its product
-    with v_i[j], in real arithmetic as Python's complex type does.  Exact
-    stacks give True where a L != b lambda_c (beta_j - c_j) on Gaussian-integer
-    numerators, per covector j: L sums (x_i v_i[j]) lambda_{c + v_i} over the
-    i with x_i v_i[j] != 0, a small numerator times a layer numerator each,
-    and with g = gcd(den_k, den_{k+1}) the scalars a = fb den_k / g and
-    b = ex den_{k+1} / g, applied once, bring both sides to one denominator
-    (ex and fb those of x and beta).  With x and beta real, the real and the
-    imaginary parts of the layers are checked as two real sums, and the
-    latter only where a layer is not real.
+    is True where germ t breaks sum_i x_i v_i[j] lambda_{c + v_i} =
+    lambda_c (beta_j - c_j) at c = layer(k)[p], reading c + v_i from the shift
+    tables.  Per covector j, on integer parts over Q(zeta_m): L sums
+    (x_i v_i[j]) lambda_{c + v_i} over the i with x_i v_i[j] != 0, a small
+    numerator times a layer numerator each, and with g = gcd(den_k, den_{k+1})
+    the scalars a = fb den_k / g and b = ex den_{k+1} / g, applied once, bring
+    both sides to one denominator (ex and fb those of x and beta); a defect
+    is a L != b lambda_c (beta_j - c_j) fb in some part.  With x and beta
+    rational, each part of the layers is checked as a sum of its own, and
+    only where a layer has that part.
     """
-    S, exact = stack.semigroup, stack.exact
-    xr, xi, ex = _parts(stack.base_x, exact)
-    br, bi, fb = _parts(stack.beta, exact)
-    for k, ((re0, im0, den0), (re1, im1, den1)) in enumerate(zip(stack.layers, stack.layers[1:])):
-        free = np.repeat(S.free_layer(k), S.group.torsion_order, axis=0).astype(re0.dtype)
-        if exact:
-            g = gcd(den0, den1)
-            a, b = fb * den0 // g, ex * den1 // g
-            data_real = not (any(xi) or any(bi))
-            layers_real = not (im0.any() or im1.any())
-            up = [(re1[:, q], im1[:, q]) for q in S.shift(k).T]
-            defect = np.empty((*re0.shape, S.rank), dtype=bool)
-            for j in range(S.rank):
-                gr = br[j] - fb * free[:, j]
-                terms = [(xr[i] * v.free[j], xi[i] * v.free[j], *up[i])
-                         for i, v in enumerate(S.A) if v.free[j] and (xr[i] or xi[i])]
-                if data_real:
-                    # real coefficients: one real sum per part of the layers
-                    defect[..., j] = a * sum(s * p for s, _, p, _ in terms) != b * (re0 * gr)
-                    if not layers_real:
-                        defect[..., j] |= a * sum(s * q for s, _, _, q in terms) != b * (im0 * gr)
-                else:
-                    lr = sum(s * p - t * q for s, t, p, q in terms)
-                    li = sum(s * q + t * p for s, t, p, q in terms)
-                    defect[..., j] = ((a * lr != b * (re0 * gr - im0 * bi[j]))
-                                      | (a * li != b * (re0 * bi[j] + im0 * gr)))
-            yield k, defect
-            continue
-        terms = []
-        for i, q in enumerate(S.shift(k).T):
-            ar, ai = xr[i] * fb * den0, xi[i] * fb * den0
-            terms.append((ar * re1[:, q] - ai * im1[:, q], ar * im1[:, q] + ai * re1[:, q]))
-        re, im = np.empty((2, *re0.shape, S.rank), dtype=re0.dtype)
+    S, m = stack.semigroup, stack.m
+    xs, ex = stack.base_x.numerators(m)
+    bs, fb = stack.beta.numerators(m)
+    rational = not any(map(any, xs[1:] + bs[1:]))
+    for k, ((P0, den0), (P1, den1)) in enumerate(zip(stack.layers, stack.layers[1:])):
+        free = np.repeat(S.free_layer(k), S.group.torsion_order, axis=0).astype(object)
+        g = gcd(den0, den1)
+        a, b = fb * den0 // g, ex * den1 // g
+        up = [P1[:, :, q] for q in S.shift(k).T]
+        live = [s for s in range(len(P0)) if P0[s].any() or P1[s].any()]
+        defect = np.zeros((*P0.shape[1:], S.rank), dtype=bool)
         for j in range(S.rank):
-            lr = li = 0
-            for v, (pr, pi) in zip(S.A, terms):
-                if v.free[j]:
-                    lr = lr + pr * v.free[j]
-                    li = li + pi * v.free[j]
-            gr, gi = (br[j] * ex - ex * fb * free[:, j]) * den1, bi[j] * ex * den1
-            re[..., j] = lr - (re0 * gr - im0 * gi)
-            im[..., j] = li - (re0 * gi + im0 * gr)
-        yield k, np.hypot(re, im)
+            gr = bs[0][j] - fb * free[:, j]
+            terms = [([x[i] * v.free[j] for x in xs], up[i])
+                     for i, v in enumerate(S.A) if v.free[j] and any(x[i] for x in xs)]
+            if rational:
+                for s in live:
+                    defect[..., j] |= a * sum(x[0] * u[s] for x, u in terms) != b * (P0[s] * gr)
+                continue
+            lhs = [0] * len(P0)
+            for x, u in terms:
+                lhs = [acc + v for acc, v in zip(lhs, mul(x, u, m))]
+            rhs = mul([gr, *(c[j] for c in bs[1:])], P0, m)
+            for left, right in zip(lhs, rhs):
+                defect[..., j] |= a * left != b * right
+        yield k, defect
 
 
 def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport:
@@ -414,10 +356,10 @@ def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport
     roundoff.
     """
     S, D, stack = basis.semigroup, basis.truncation, basis.stack
-    exact_ok = not any((defect > 1e-12).any() for _, defect in recursion_defects(stack))
+    exact_ok = not any(defect.any() for _, defect in recursion_defects(stack))
     lam = _germ_floats(stack)
 
-    x = np.array([complex(v) for v in stack.base_x])
+    x = stack.base_x.complex()
     if h0 is None:
         h0 = comparison_radius(x)
     if not h0 > 0:
@@ -436,7 +378,8 @@ def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport
     values = _series(S, D, lam, zs - x)
     # res[z, t, m, j]: |lhs - rhs| at check point m for covector j
     lhs = np.einsum("ztmi,zi,ij->ztmj", values[..., up], zs, np.array([v.free for v in S.A]))
-    g = np.array([[complex(b) - cj for b, cj in zip(basis.beta, c.free)] for c in check_points])
+    beta = basis.beta.complex()
+    g = np.array([[b - cj for b, cj in zip(beta, c.free)] for c in check_points])
     res = np.abs(lhs - values[..., at, None] * g)
     floors = (tiny * np.maximum(1.0, np.hypot(*lam).max(axis=1))).tolist()
     checks = []
@@ -471,8 +414,8 @@ def restricted_solution_rank(basis: SolutionBasis) -> int:
              for k in range(S.rank + 1)]
     space = RowSpace()
     for t in range(len(basis)):
-        re, im = ([v for layer, m in zip(stack.layers, inner) for v in layer[n][t, m].tolist()]
-                  for n in (0, 1))
-        space.add_numerators({c: v for c, v in enumerate(re) if v},
-                             {c: v for c, v in enumerate(im) if v})
+        parts = ([v for (P, _), mask in zip(stack.layers, inner) for v in P[s, t, mask].tolist()]
+                 for s in range(degree(stack.m)))
+        space.add_numerators([{c: v for c, v in enumerate(part) if v} for part in parts],
+                             stack.m)
     return space.rank

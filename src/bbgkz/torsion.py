@@ -1,34 +1,36 @@
 """Lifting quotient solutions through torsion characters.
 
 The free quotient of the group carries its own problem with the projected
-vectors; a solution germ psi of that problem, a torsion character rho, and a
-compatible base point x combine into a germ of the original problem via
-lambda_c = rho(c) psi_{pi(c)} at z = p_rho(x).  With one quotient basis and
-all characters this produces the full solution space.
+vectors; a solution germ psi of that problem, a torsion character rho, and
+the problem's base point x combine into a germ of the original problem via
+lambda_c = rho(c) psi_{pi(c)} at z = p_rho(x).  With one quotient basis per
+character this produces the full solution space.  A character of order m
+takes its values in Q(zeta_m), so z, psi and the lift are exact there, as
+phi(m) integer parts per value (linalg); the lift is checked exactly
+against the original recursion and its rank is an exact rank.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
 from .abelian import AbelianGroup, Character, char_value
-from .linalg import GaussianRational, QQI_I, QQI_ONE, RowSpace
+from .linalg import RowSpace, embed, field, mul, root_of_unity
 from .polyhedral import GradedSemigroup, build_semigroup
+from .ring import FVector
 from .solver import GermStack, SolutionBasis, recursion_defects
-
-
-class RegionTooTight(ValueError):
-    """The base-point construction could not verify all images in-region."""
 
 
 class ResidualTooLarge(RuntimeError):
     """A lifted germ failed the recursion residual check."""
+
+
+class DegenerateQuotient(RuntimeError):
+    """A quotient point p_rho(x) failed its nondegeneracy certificate, which
+    the certificate of x forces: a wrong certificate or an internal bug."""
 
 
 @dataclass(frozen=True)
@@ -64,194 +66,96 @@ def build_quotient(N: AbelianGroup, A) -> QuotientProblem:
                            build_semigroup(lattice, images), N, tuple(A))
 
 
-def _exact_char_value(t: Fraction):
-    """Exact Gaussian-rational value of exp(2 pi i t), or None if irrational."""
-    if (4 * t).denominator != 1:
-        return None
-    return (QQI_ONE, QQI_I, -QQI_ONE, -QQI_I)[int(4 * t) % 4]
+def _order(rho: Character):
+    """The order of a character: the lcm of d / gcd(e, d) over its exponents e
+    on the invariant factors d."""
+    return lcm(*(d // gcd(e, d) for e, d in zip(rho.torsion_exponents,
+                                                  rho.group.torsion_invariants)))
 
 
-def p_rho(rho: Character, x, Q: QuotientProblem):
-    """Character-weighted coordinate sums z_j = sum_{i in I_j} rho(v_i) x_i.
-
-    Stays exact (GaussianRational) when x is exact and every character value
-    is a fourth root of unity; otherwise returns complex floats.
-    """
-    exact_vals = []
-    exact = all(isinstance(v, GaussianRational) for v in x)
-    for v in Q.source_vectors:
-        t, zval = char_value(rho, v)
-        ev = _exact_char_value(t)
-        if ev is None:
-            exact = False
-        exact_vals.append((ev, zval))
-    out = []
-    for idxs in Q.index_sets:
-        if exact:
-            s = GaussianRational(0)
-            for i in idxs:
-                s = s + exact_vals[i][0] * x[i]
-        else:
-            s = 0j
-            for i in idxs:
-                s += exact_vals[i][1] * complex(x[i])
-        out.append(s)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class LogModulusBox:
-    """Region descriptor: per-coordinate bounds on log|z_j|.
-
-    The argument window (-pi, pi) is implicit in every coordinate.
-    """
-    lo: tuple
-    hi: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
-        object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
-        if len(self.lo) != len(self.hi):
-            raise ValueError("bound tuples differ in length")
-        if any(l >= h for l, h in zip(self.lo, self.hi)):
-            raise ValueError("empty log-modulus box")
-
-    def contains(self, z) -> bool:
-        for zj, lo, hi in zip(z, self.lo, self.hi):
-            zj = complex(zj)
-            if zj == 0:
-                return False
-            if not (lo <= math.log(abs(zj)) <= hi):
-                return False
-            if cmath.phase(zj) <= -math.pi or cmath.phase(zj) >= math.pi:
-                return False
-        return True
-
-
-def find_common_basepoint(Q: QuotientProblem, region: LogModulusBox):
-    """A base point whose image under every character map lies in-region.
-
-    One distinguished coordinate per index set carries the whole modulus with
-    argument -pi + pi/|G|; the rest are tiny, so each character map only
-    rotates the dominant term by a root of unity and perturbs it slightly.
-    Raises RegionTooTight if any of the |G| images fails verification.
-    """
-    if len(region.lo) != len(Q.images):
-        raise ValueError("region dimension does not match the quotient")
-    G = Q.source_group.torsion_order
-    n = len(Q.source_vectors)
-    x = [0j] * n
-    theta = -math.pi + math.pi / G
+def p_rho(rho: Character, x, Q: QuotientProblem) -> FVector:
+    """Character-weighted coordinate sums z_j = sum_{i in I_j} rho(v_i) x_i,
+    an FVector over Q(zeta_m) for m the field of x and of rho's values."""
+    x = x if isinstance(x, FVector) else FVector(x)
+    m = field(x.m, _order(rho))
+    xs, X = x.numerators(m)
+    z = [[0] * len(Q.index_sets) for _ in xs]
     for j, idxs in enumerate(Q.index_sets):
-        mid = (region.lo[j] + region.hi[j]) / 2
-        mod = math.exp(mid)
-        lead = min(idxs)
-        x[lead] = mod * cmath.exp(1j * theta)
-        for rank_i, i in enumerate(sorted(idxs)):
-            if i != lead:
-                x[i] = mod * 1e-9 * (1 + rank_i / 10)
-    x = tuple(x)
-    for rho in Q.source_group.characters():
-        z = p_rho(rho, x, Q)
-        if not region.contains(z):
-            raise RegionTooTight(
-                f"image under character {rho.torsion_exponents} left the region")
-    return x
+        for i in idxs:
+            value = root_of_unity(char_value(rho, Q.source_vectors[i]), m)
+            for part, v in zip(z, mul(value, [part[i] for part in xs], m)):
+                part[j] += v
+    return FVector.of(m, z, X)
 
 
-def _times_character(layer, chars, exact):
-    """A quotient layer (re, im, den) [germ, point], repeated over the torsion
-    residues innermost and times the character's value on each (chars: the
-    char_value (t, z) per residue).  On the exact lane every t is a quarter
-    turn, which swaps or negates (re, im)."""
-    re, im, den = layer
-    if exact:
-        rot = np.stack([re, im, -re, -im])  # (re + i im) i^e = rot[-e] + i rot[1 - e]
-        lre, lim = (rot[[(s - int(4 * t)) % 4 for t, _ in chars]].transpose(1, 2, 0)
-                    for s in (0, 1))
-    else:
-        z = np.array([z for _, z in chars])
-        vr, vi = (np.asarray(a / den, dtype=float)[..., None] for a in (re, im))
-        # Python's complex product term by term, so that no multiply-add is fused
-        lre, lim, den = z.real * vr - z.imag * vi, z.real * vi + z.imag * vr, 1
-    return lre.reshape(len(re), -1), lim.reshape(len(re), -1), den
+def _arrays(parts, shape):
+    """Parts as integer arrays of the shape, an int 0 part as zeros."""
+    return np.array([np.full(shape, p, dtype=object) if type(p) is int else p for p in parts])
 
 
-def lift_and_verify(basis: SolutionBasis, rho: Character, x, S: GradedSemigroup,
-                    tol=1e-9):
+def _times_character(layer, chars, m_psi, m):
+    """A quotient layer (parts, den) [part, germ, point] over Q(zeta_m_psi),
+    in Q(zeta_m), repeated over the torsion residues innermost and times the
+    character's value on each (chars: its parts per residue): a product by
+    a root of unity through the power table."""
+    parts, den = layer
+    shape = parts.shape[1:]
+    parts = _arrays(embed(list(parts), m_psi, m), shape)
+    lifted = np.array([_arrays(mul(c, parts, m), shape) for c in chars])
+    return lifted.transpose(1, 2, 3, 0).reshape(len(parts), shape[0], -1), den
+
+
+def lift_and_verify(basis: SolutionBasis, rho: Character, x, S: GradedSemigroup):
     """Lift a quotient basis through a character: lambda_c = rho(c) psi_{pi(c)}.
 
     basis holds solution germs of the quotient problem at base p_rho(x).
     Layer k of S is the quotient's layer k with the torsion index innermost,
-    so lifted layers are quotient layers times rho.  Returns (lifted
-    GermStack over S, max relative residual) after one recursion_defects
-    pass on the original problem: exact defects must vanish, and a float
-    germ's residual is its largest defect over its largest entry.  Raises
-    ResidualTooLarge for the first failing germ, on a nonzero exact defect
-    or a residual above `tol`.
+    so lifted layers are quotient layers times rho, over Q(zeta_m) for m the
+    field of psi, x and rho's values.  Returns (lifted GermStack over S, 0.0,
+    its residual) after one recursion_defects pass on the original problem.
+    Raises ResidualTooLarge for the first germ with a nonzero defect.
     """
     lattice, images, index_sets = _project(S.group, S.A)
     if images != tuple(basis.semigroup.A):
         raise ValueError("psi was solved on a different quotient problem")
     Q = QuotientProblem(lattice, images, index_sets, basis.semigroup, S.group, S.A)
     psi = basis.stack
-    if any(abs(complex(a) - complex(b)) > 1e-12 for a, b in zip(psi.base_x, p_rho(rho, x, Q))):
+    x = x if isinstance(x, FVector) else FVector(x)
+    if psi.base_x != p_rho(rho, x, Q):
         raise ValueError("psi base point does not match p_rho(x)")
-    chars = [char_value(rho, t) for t in S.group.torsion_elements()]
-    exact = (psi.exact and all(isinstance(v, GaussianRational) for v in x)
-             and all((4 * t).denominator == 1 for t, _ in chars))
+    m = field(psi.m, x.m, _order(rho))
+    chars = [root_of_unity(char_value(rho, t), m) for t in S.group.torsion_elements()]
     layers = []
     for k, layer in enumerate(psi.layers):
         if not np.array_equal(Q.semigroup.free_layer(k), S.free_layer(k)):
             raise ValueError(f"quotient layer {k} is not the free part of layer {k}")
-        layers.append(_times_character(layer, chars, exact))
-    xs = tuple(x) if exact else tuple(complex(v) for v in x)
-    lift = GermStack(S, xs, psi.beta, psi.truncation, layers)
+        layers.append(_times_character(layer, chars, psi.m, m))
+    lift = GermStack(S, x, psi.beta, psi.truncation, layers, m)
 
-    first = {}  # exact lane: germ -> its first defect (k, p, j)
-    worst = np.zeros(len(lift))
+    first = {}  # germ -> its first defect (k, p, j)
     for k, defect in recursion_defects(lift):
-        if exact:
-            for t in np.flatnonzero(defect.any(axis=(1, 2))):
-                first.setdefault(t, (k, *np.argwhere(defect[t])[0]))
-        else:
-            worst = np.maximum(worst, defect.max(axis=(1, 2), initial=0.0))
+        for t in np.flatnonzero(defect.any(axis=(1, 2))):
+            first.setdefault(t, (k, *np.argwhere(defect[t])[0]))
     if first:
         k, p, j = first[min(first)]
         raise ResidualTooLarge(
             f"exact lift residual nonzero at {S.layer(k)[p]}, coordinate {j}")
-    if exact:
-        return lift, 0.0
-    peak = np.max([np.hypot(re, im).max(axis=1, initial=0.0) for re, im, _ in layers], axis=0)
-    worst /= np.where(peak > 0, peak, 1.0)
-    if (worst > tol).any():
-        raise ResidualTooLarge(f"relative residual {worst[worst > tol][0]:.2e} exceeds {tol}")
-    return lift, float(worst.max(initial=0.0))
-
-
-def independence_count(stacks, tol=1e-9) -> int:
-    """Numeric rank of the germs of float GermStacks on one semigroup and
-    truncation: singular values of [germ, entry] above tol * the largest."""
-    if not stacks:
-        return 0
-    mat = np.vstack([np.hstack([re + 1j * im for re, im, _ in s.layers]) for s in stacks])
-    s = np.linalg.svd(mat, compute_uv=False)
-    return int((s > tol * s[0]).sum())
+    return lift, 0.0
 
 
 def exact_rank(stacks) -> int:
-    """Exact rank of the germs of exact GermStacks on one semigroup and
-    truncation.  Columns go into a RowSpace degree by degree until the rank
-    is the germ count, which bounds it from above."""
+    """Exact rank of the germs of GermStacks on one semigroup and truncation,
+    over the field that holds theirs.  Columns go into a RowSpace degree by
+    degree until the rank is the germ count, which bounds it from above."""
     rows = sum(len(s) for s in stacks)
+    m = field(*(s.m for s in stacks))
     space = RowSpace()
     for layers in zip(*(s.layers for s in stacks)):
-        den = lcm(*(d for _, _, d in layers))
-        re, im = (np.concatenate([a[n] * (den // a[2]) for a in layers]).T.tolist()
-                  for n in (0, 1))
-        for a, b in zip(re, im):
-            space.add_numerators({t: v for t, v in enumerate(a) if v},
-                                 {t: v for t, v in enumerate(b) if v})
+        den = lcm(*(d for _, d in layers))
+        P = np.concatenate([_arrays(embed(list(P * (den // d)), s.m, m), P.shape[1:])
+                            for (P, d), s in zip(layers, stacks)], axis=1)
+        for col in P.transpose(2, 0, 1).tolist():
+            space.add_numerators([{t: v for t, v in enumerate(part) if v} for part in col], m)
             if space.rank == rows:
                 return rows
     return space.rank

@@ -4,10 +4,11 @@ modules."""
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bbgkz import solver
 from bbgkz.abelian import AbelianGroup, pair
+from bbgkz.linalg import degree, numerators
 from bbgkz.polyhedral import GradedSemigroup, build_semigroup
 from bbgkz.ring import FVector, random_rational_x
 from bbgkz.solver import GermStack, SolutionBasis
@@ -126,23 +127,32 @@ class LambdaTable:
         return pair(self.semigroup.deg, c)
 
 
+def as_fvector(values):
+    return values if isinstance(values, FVector) else FVector(values)
+
+
 def stack_of(tables):
     """The GermStack of LambdaTables that share their data, built value by
     value: per layer, the numerators of every value over the lcm of their
-    canonical denominators (float arrays over 1 at a complex base point)."""
+    canonical denominators, over Q(i) where a value, x or beta is not real
+    and over Q otherwise."""
     first, n = tables[0], len(tables)
-    S, exact = first.semigroup, not isinstance(first.base_x[0], complex)
+    S, x, beta = first.semigroup, as_fvector(first.base_x), as_fvector(first.beta)
+    rows = [[t.entries.get(c, 0) for t in tables for c in S.layer(k)]
+            for k in range(first.truncation + 1)]
+    m = max(x.m, beta.m, *(numerators(row)[0] for row in rows))
     layers = []
-    for k in range(first.truncation + 1):
-        re, im, den = solver._parts([t.entries.get(c, 0) for t in tables for c in S.layer(k)],
-                                    exact)
-        layers.append((re.reshape(n, -1), im.reshape(n, -1), den))
-    return GermStack(S, first.base_x, first.beta, first.truncation, layers)
+    for row in rows:
+        _, parts, den = numerators(row)
+        parts += [[0] * len(row)] * (degree(m) - len(parts))
+        layers.append((np.array(parts, dtype=object).reshape(len(parts), n, -1), den))
+    return GermStack(S, x, beta, first.truncation, layers, m)
 
 
 def tables_of(basis):
-    """The LambdaTables of a SolutionBasis, one per germ: canonical
-    GaussianRationals on an exact basis, complex values on a float one."""
+    """The LambdaTables of a SolutionBasis, one per germ, of its values as
+    GermStack.values gives them: canonical GaussianRationals over Q and
+    Q(i)."""
     stack = basis.stack
     S = stack.semigroup
     return [LambdaTable(S, stack.base_x, stack.beta, stack.truncation,
@@ -158,9 +168,9 @@ def basis_of(tables):
 
 def assert_stacks_equal(a, b):
     """Two GermStacks hold the same data, array for array and den for den."""
-    assert (a.semigroup.A, a.base_x, a.beta, a.truncation) == \
-        (b.semigroup.A, b.base_x, b.beta, b.truncation)
+    assert (a.semigroup.A, a.base_x, a.beta, a.truncation, a.m) == \
+        (b.semigroup.A, b.base_x, b.beta, b.truncation, b.m)
     assert len(a.layers) == len(b.layers)
-    for (re, im, den), (re2, im2, den2) in zip(a.layers, b.layers):
-        assert den == den2 and re.shape == re2.shape
-        assert re.tolist() == re2.tolist() and im.tolist() == im2.tolist()
+    for (parts, den), (parts2, den2) in zip(a.layers, b.layers):
+        assert den == den2 and parts.shape == parts2.shape
+        assert parts.tolist() == parts2.tolist()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bbgkz.abelian import (AbelianGroup, NoDegreeFunctional, NotSpanning,
                            char_value, pair, smith_normal_form, validate_data)
+from bbgkz.linalg import field, mul, root_of_unity
 from bbgkz.polyhedral import _integer_inverse
 
 
@@ -77,51 +78,54 @@ class TestPairing:
             assert pair(mu, t) == 0
 
 
+def value(t, m):
+    """The parts of exp(2 pi i t) in Q(zeta_m)."""
+    return root_of_unity(t, m)
+
+
 class TestCharacters:
     def test_z2_nontrivial_value(self):
         N = AbelianGroup(0, (2,))
         rho = N.character((1,))
-        t, z = char_value(rho, N.element((), (1,)))
+        t = char_value(rho, N.element((), (1,)))
         assert t == Fraction(1, 2)
-        assert z == -1
+        assert value(t, field(2)) == [-1]
 
     def test_z4_exponent_one_on_three(self):
         N = AbelianGroup(0, (4,))
         rho = N.character((1,))
-        t, z = char_value(rho, N.element((), (3,)))
+        t = char_value(rho, N.element((), (3,)))
         assert t == Fraction(3, 4)
-        assert z == -1j
+        assert value(t, 4) == [0, -1]
 
     def test_trivial_character(self):
         N = AbelianGroup(1, (3,))
         rho = N.character((0,))
-        t, z = char_value(rho, N.element((5,), (2,)))
-        assert t == 0 and z == 1
+        t = char_value(rho, N.element((5,), (2,)))
+        assert t == 0 and value(t, 3) == [1, 0]
 
     @pytest.mark.parametrize("invariants", [(2,), (3,), (4,), (2, 2), (2, 6)])
     def test_character_table_unitary(self, invariants):
-        """Orthogonality: the character-value matrix is unitary up to scale."""
+        """Orthogonality, exactly in Q(zeta_m): sum_c rho_i(c) conj rho_j(c)
+        is |G| for i == j and 0 otherwise."""
         N = AbelianGroup(0, invariants)
-        G = N.torsion_order
+        G, m = N.torsion_order, field(*invariants)
         chars = N.characters()
         elems = N.torsion_elements()
         assert len(chars) == G and len(elems) == G
-        M = [[char_value(rho, c)[1] for c in elems] for rho in chars]
+        T = [[char_value(rho, c) for c in elems] for rho in chars]
         for i in range(G):
             for j in range(G):
-                s = sum(M[i][k] * M[j][k].conjugate() for k in range(G))
-                expect = G if i == j else 0
-                assert abs(s - expect) < 1e-12
+                s = [sum(v) for v in zip(*(value(a - b, m) for a, b in zip(T[i], T[j])))]
+                assert s == [G if i == j else 0] + [0] * (len(s) - 1)
 
     def test_multiplicativity(self):
         N = AbelianGroup(0, (8,))
         rho = N.character((3,))
         a, b = N.element((), (5,)), N.element((), (6,))
-        ta, za = char_value(rho, a)
-        tb, zb = char_value(rho, b)
-        tab, zab = char_value(rho, a + b)
+        ta, tb, tab = (char_value(rho, c) for c in (a, b, a + b))
         assert (ta + tb) % 1 == tab
-        assert abs(za * zb - zab) < 1e-12
+        assert mul(value(ta, 8), value(tb, 8), 8) == value(tab, 8)
 
 
 int_matrices = st.lists(

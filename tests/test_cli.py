@@ -12,7 +12,7 @@ from bbgkz.abelian import AbelianGroup
 from bbgkz.polyhedral import KPrimGuardError, build_semigroup
 from bbgkz.ring import DimReport, FVector
 from bbgkz.solver import InconsistentSystem
-from bbgkz.torsion import RegionTooTight, p_rho
+from bbgkz.torsion import DegenerateQuotient, p_rho
 from conftest import assert_stacks_equal
 
 
@@ -193,7 +193,7 @@ class TestFailedComputation:
 
     @pytest.mark.parametrize("error, target, fixture, task", [
         (InconsistentSystem, "solve_recursion", "ex51", "solve"),
-        (RegionTooTight, "find_common_basepoint", "g3_torsion", "lift"),
+        (DegenerateQuotient, "lift_and_verify", "g3_torsion", "lift"),
         (KPrimGuardError, "k_prim", "ex51", "analyze"),
     ])
     def test_exit_code_three(self, tmp_path, monkeypatch, error, target, fixture, task):
@@ -215,21 +215,17 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 class TestLiftLanes:
-    """The exact lane reads its rank from RowSpace and its quotient
-    certificate from the quotient solve; a quotient point that is degenerate
-    or has a zero coordinate sends the lift to the float lane."""
+    """The lift reads its rank from RowSpace and its quotient certificate
+    from the quotient solve, at the problem's x for every character order; a
+    degenerate quotient point is a failed lift."""
 
     @pytest.mark.parametrize("name", ["p2_z4", "hexagon_z2"])
     def test_exact_lane_uses_no_float_rank_or_quotient_check(self, name, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("independence_count called")
-
         def problem_only(f, S, *args):
             assert S.group.torsion_order > 1, "is_nondegenerate called on the quotient"
             return check(f, S, *args)
 
         check = ring.is_nondegenerate
-        monkeypatch.setattr(cli, "independence_count", refuse)
         monkeypatch.setattr(cli, "is_nondegenerate", problem_only)
         monkeypatch.setattr(ring, "is_nondegenerate", problem_only)
         report, code = cli.run(os.path.join(GOLDEN, f"{name}.problem.json"), timings=False)
@@ -244,39 +240,30 @@ class TestLiftLanes:
         assert all(c["passed"] for c in checks)
         return report["torsion_lift"]
 
-    def test_degenerate_quotient_point_takes_float_lane(self):
+    def test_degenerate_quotient_point_fails_the_lift(self):
         """P^1 with Z/2 on one end point: at x = (1, 2, -1) the trivial
         character's quotient point is nondegenerate and the other one's,
-        (-1, 2, -1), has discriminant 0, so its quotient solve fails and
-        the float lane lifts instead."""
+        (-1, 2, -1), has discriminant 0, so x fails its own certificate and
+        the lift, run at it regardless, stops on that quotient solve."""
         N = AbelianGroup(2, (2,))
         S = build_semigroup(N, (N.element((-1, 1), (1,)), N.element((0, 1), (0,)),
                                 N.element((1, 1), (0,))))
         spec = type("Spec", (), {"beta": (Fraction(1, 2), Fraction(-1, 3))})
-        block = self.lift_block(spec, S, FVector((1, 2, -1)))
-        assert block.pop("max_residual") <= 1e-9
-        assert block == {"mode": "float", "lifted_tables": 4, "rank": 4, "expected": 4}
-        assert self.lift_block(spec, S, FVector((1, 2, 3)))["mode"] == "exact"
+        bad, good = FVector((1, 2, -1)), FVector((1, 2, 3))
+        assert not ring.is_nondegenerate(bad, S)[0] and ring.is_nondegenerate(good, S)[0]
+        with pytest.raises((InconsistentSystem, DegenerateQuotient)):
+            self.lift_block(spec, S, bad)
+        assert self.lift_block(spec, S, good) == {
+            "mode": "exact", "lifted_tables": 4, "rank": 4, "expected": 4, "max_residual": 0.0}
 
-    def test_zero_coordinate_skips_the_quotient_solve(self, monkeypatch):
-        spec = cli.load_problem(cli.fixture_path("z2_example"))
-        S = build_semigroup(spec.group, spec.vectors)
-        f, _ = spec.resolve_x(S)
-        Q = cli.build_quotient(S.group, S.A)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("quotient solved at a point with a zero coordinate")
-
-        monkeypatch.setattr(cli, "p_rho", lambda rho, x, Q: (0, *p_rho(rho, x, Q)[1:]))
-        monkeypatch.setattr(cli, "solve_recursion", refuse)
-        assert cli._exact_lifts(spec, S, Q, f, 5) is None
-
-    @pytest.mark.parametrize("name, solves", [("p2_z4", 3), ("p2_z4_cbeta", 4)])
+    @pytest.mark.parametrize("name, solves", [("p2_z4", 3), ("p2_z4_cbeta", 4),
+                                              ("seg5_z3", 2)])
     def test_conjugate_characters_reuse_the_solve(self, name, solves, monkeypatch):
-        """With x and beta real, the Z/4 character whose quotient point is the
-        conjugate of an earlier one takes that solve's tables conjugated, and
-        they equal a direct solve's, array for array and in the same order;
-        with a complex beta every character is solved."""
+        """With x and beta rational, the character whose quotient point is
+        the Galois image sigma_a of an earlier one takes that solve's tables
+        under sigma_a, and they equal a direct solve's, array for array and
+        in the same order: one solve per Galois orbit, 3 for Z/4 and 2 for
+        Z/3; with a complex beta every character is solved."""
         spec = cli.load_problem(os.path.join(GOLDEN, f"{name}.problem.json"))
         S = build_semigroup(spec.group, spec.vectors)
         f, _ = spec.resolve_x(S)
@@ -287,18 +274,20 @@ class TestLiftLanes:
                             lambda *a, **k: solves_run.append(1) or solve(*a, **k))
         monkeypatch.setattr(cli, "lift_and_verify",
                             lambda basis, *a: bases.append(basis) or lift(basis, *a))
-        assert len(cli._exact_lifts(spec, S, Q, f, D)) == 4
+        assert len(cli._lifts(spec, S, Q, f, D)) == S.group.torsion_order
         assert len(solves_run) == solves
 
         for rho, basis in zip(S.group.characters(), bases):
-            z = p_rho(rho, f.x, Q)
-            direct = solve(FVector(z), spec.beta, Q.semigroup, truncation=D)
+            direct = solve(p_rho(rho, f, Q), spec.beta, Q.semigroup, truncation=D)
             assert basis.leading == direct.leading
             assert_stacks_equal(basis.stack, direct.stack)
 
     @pytest.mark.parametrize("fault", ["tail", "total"])
-    def test_failed_certificate_takes_float_lane(self, fault, monkeypatch):
-        spec = cli.load_problem(cli.fixture_path("z2_example"))
+    def test_failed_certificate_fails_the_lift(self, fault, monkeypatch):
+        """A quotient solve whose filtration fails the certificate, which the
+        certificate of x rules out, is a failed lift_completed check."""
+        path = cli.fixture_path("z2_example")
+        spec = cli.load_problem(path)
         S = build_semigroup(spec.group, spec.vectors)
         f, _ = spec.resolve_x(S)
         assert self.lift_block(spec, S, f)["mode"] == "exact"
@@ -315,8 +304,11 @@ class TestLiftLanes:
             return DimReport.of(counts)
 
         monkeypatch.setattr(cli, "filtration_dims", off)
-        block = self.lift_block(spec, S, f)
-        assert block["mode"] == "float" and block["rank"] == block["expected"] == 2
+        report, code = cli.run(path, tasks=["lift"], timings=False)
+        assert code == 3 and "torsion_lift" not in report
+        assert report["checks"] == [{"name": "lift_completed", "passed": False, "error":
+                                     "DegenerateQuotient: the quotient point of character "
+                                     "(0,) is degenerate"}]
 
 
 class TestSharedWork:

@@ -5,6 +5,7 @@ Fraction arithmetic; the matrix routines are checked by direct substitution
 (A x = b, A v = 0) and against numpy's floating-point rank.
 """
 
+import cmath
 import random
 from fractions import Fraction
 from math import gcd
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bbgkz.linalg import (GaussianRational, QQI_I, QQI_ONE, QQI_ZERO, RowSpace,
-                          numerators, solve_sparse)
+from bbgkz.linalg import (GaussianRational, QQI_I, QQI_ONE, QQI_ZERO, RowSpace, cyclotomic,
+                          degree, embed, field, galois, mul, numerators, powers, root_of_unity,
+                          solve_sparse)
 
 small_int = st.integers(-20, 20)
 nonzero_den = st.integers(1, 12)
@@ -123,10 +125,11 @@ def apply(A, vec):
 
 
 def vector_values(vec):
-    """A solve_sparse or kernel vector (re, im, den) as {column: value},
-    after checking that it holds nonzero numerators over their least common
-    denominator."""
-    re, im, den = vec
+    """A solve_sparse or kernel vector (parts, den) over Q or Q(i) as
+    {column: value}, after checking that it holds nonzero numerators over
+    their least common denominator."""
+    parts, den = vec
+    re, im = parts[0], parts[1] if len(parts) > 1 else {}
     assert den > 0 and gcd(den, *re.values(), *im.values()) == 1
     assert all(re.values()) and all(im.values())
     return {c: GaussianRational(re.get(c, 0), im.get(c, 0), den)
@@ -139,10 +142,35 @@ def as_values(sols, kernel):
             [vector_values(v) for v in kernel])
 
 
+def integer_system(rows, rhs_list):
+    """(rows, right-hand sides, m) for solve_sparse from rows of values and
+    right-hand sides (re, im, d) of numerator sequences (im None when real):
+    each row as integer parts over Q(zeta_m), m = 4 if a value is not real,
+    and each right-hand side entry times its row's scale."""
+    out, scales, m = [], [], 1
+    for row in rows:
+        cols = list(row)
+        rm, parts, den = numerators([row[c] for c in cols])
+        out.append([{c: v for c, v in zip(cols, part) if v} for part in parts])
+        scales.append(den)
+        m = max(m, rm)
+    rhs = []
+    for re, im, d in rhs_list:
+        parts = [re] if im is None else [re, im]
+        m = m if im is None else 4
+        rhs.append(([[v * k for v, k in zip(part, scales)] for part in parts], d))
+    return out, rhs, m
+
+
 def solve(rows, ncols, rhs_list):
     """solve_sparse on right-hand sides given as lists of values, its
     vectors as `vector_values`."""
-    return as_values(*solve_sparse(rows, ncols, [numerators(b) for b in rhs_list]))
+    cols = []
+    for b in rhs_list:
+        m, parts, d = numerators(b)
+        cols.append((parts[0], parts[1] if m == 4 else None, d))
+    rows, cols, m = integer_system(rows, cols)
+    return as_values(*solve_sparse(rows, ncols, cols, m))
 
 
 class TestSolveSparse:
@@ -309,7 +337,8 @@ def numerator_systems(draw):
     for kind in draw(st.lists(st.sampled_from(["real", "complex", "zero"]), max_size=3)):
         re = [0] * m if kind == "zero" else draw(nums)
         cols.append((re, draw(nums) if kind == "complex" else None, draw(st.integers(1, 12))))
-    re, im, d = numerators(rhs[-1])
+    m, parts, d = numerators(rhs[-1])
+    re, im = parts[0], parts[1] if m == 4 else [0] * len(parts[0])
     k = draw(st.integers(2, 5))
     cols += [(re, im, d), ([k * v for v in re], [k * v for v in im], k * d)]
     return rows, n, cols
@@ -323,7 +352,8 @@ class TestFractionFree:
         rows, n, cols = system
         values = [[GaussianRational(a, 0 if im is None else im[i], d) for i, a in enumerate(re)]
                   for re, im, d in cols]
-        sols, kernel = as_values(*solve_sparse(rows, n, cols))
+        int_rows, int_cols, m = integer_system(rows, cols)
+        sols, kernel = as_values(*solve_sparse(int_rows, n, int_cols, m))
         assert (sols, kernel) == reference_solve(rows, n, values)
         if rows:
             assert sols[-1] is not None and sols[-1] == sols[-2]
@@ -339,7 +369,8 @@ class TestFractionFree:
             assert space.add(row) == ref.add(row)
         assert space.rank == len(ref.rows)
         assert space.pivots == sorted(ref.rows)
-        assert space.complex == any(GaussianRational(v).b for row in rows for v in row.values())
+        assert space.n == (2 if any(GaussianRational(v).b for row in rows
+                                    for v in row.values()) else 1)
         for row in space.rows.values():
             assert all(type(v) is int for v in row.values())
             assert gcd(*row.values()) == 1
@@ -352,13 +383,13 @@ class TestFractionFree:
         the new row two more, and the readers answer in Q(i) terms."""
         space = RowSpace(key=lambda c: -c)
         space.add({0: 1, 2: 3})
-        assert not space.complex
+        assert space.n == 1
         assert space.add({0: GaussianRational(1, 1), 1: 1})
-        assert space.complex and len(space.rows) == 4
+        assert (space.m, space.n, len(space.rows)) == (4, 2, 4)
         assert (space.rank, space.pivots) == (2, [1, 2])
         assert {fc: vector_values(v) for fc, v in space.kernel(3).items()} == \
             {0: {0: QQI_ONE, 1: -GaussianRational(1, 1), 2: GaussianRational(-1, 0, 3)}}
-        assert space.kernel(3) == {0: ({0: 3, 1: -3, 2: -1}, {1: -3}, 3)}
+        assert space.kernel(3) == {0: ([{0: 3, 1: -3, 2: -1}, {1: -3}], 3)}
         assert space.contains({0: GaussianRational(3, 4), 1: 3, 2: GaussianRational(0, 3)})
         assert not space.contains({0: GaussianRational(0, 1)})
 
@@ -377,3 +408,111 @@ class TestFractionFree:
         assert space.rows == {2: {2: 1, 3: 1}, 1: {1: 1, 3: -1}}
         space.add({3: 1})
         assert space.rows == {2: {2: 1}, 1: {1: 1}, 3: {3: 1}}
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def embedded(parts, m):
+    """A value of Q(zeta_m) given by its parts, as a complex number."""
+    return sum(complex(p) * cmath.exp(2j * cmath.pi * s / m) for s, p in enumerate(parts))
+
+
+ORDERS = [1, 3, 4, 5, 7, 8, 9, 12, 15]
+
+
+class TestCyclotomic:
+    @pytest.mark.parametrize("m", range(1, 25))
+    def test_divisor_product(self, m):
+        """x^m - 1 is the product of Phi_d over the divisors d of m, and
+        Phi_m has degree phi(m)."""
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                prod = poly_mul(prod, cyclotomic(d))
+        assert prod == [-1] + [0] * (m - 1) + [1]
+        assert degree(m) == sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+
+    def test_known_polynomials(self):
+        assert cyclotomic(3) == (1, 1, 1) and cyclotomic(4) == (1, 0, 1)
+        assert cyclotomic(5) == (1, 1, 1, 1, 1) and cyclotomic(12) == (1, 0, -1, 0, 1)
+        assert (field(2), field(6), field(3, 4), field(2, 2)) == (1, 3, 12, 1)
+        # i = zeta_12^3, and zeta_3 = zeta_12^4 = zeta_12^2 - 1 mod Phi_12
+        assert embed([0, 1], 4, 12) == list(powers(12)[3]) == [0, 0, 0, 1]
+        assert embed([1, 2], 3, 12) == [-1, 0, 2, 0]
+
+    @pytest.mark.parametrize("m", ORDERS)
+    def test_powers_embed_to_roots(self, m):
+        for e, parts in enumerate(powers(m)):
+            assert abs(embedded(parts, m) - cmath.exp(2j * cmath.pi * e / m)) < 1e-12
+
+    @pytest.mark.parametrize("m", ORDERS)
+    def test_products_galois_and_roots(self, m):
+        rng = random.Random(m)
+        n = degree(m)
+        for _ in range(20):
+            a, b = ([rng.randint(-5, 5) for _ in range(n)] for _ in range(2))
+            assert abs(embedded(mul(a, b, m), m) - embedded(a, m) * embedded(b, m)) < 1e-9
+            for k in range(1, m):
+                if gcd(k, m) == 1:
+                    image = galois(a, k, m)
+                    assert galois(image, pow(k, -1, m), m) == a
+                    assert mul(galois(a, k, m), galois(b, k, m), m) == galois(mul(a, b, m), k, m)
+        for t in (Fraction(e, 2 * m) for e in range(2 * m)):
+            if (t * m).denominator == 1 or m % 2:
+                assert abs(embedded(root_of_unity(t, m), m) - cmath.exp(2j * cmath.pi * t)) < 1e-12
+
+
+def random_rows(rng, m, nrows, ncols):
+    """Sparse rows over Q(zeta_m) as integer parts, some of them rational."""
+    n = degree(m)
+    rows = []
+    for _ in range(nrows):
+        cols = [c for c in range(ncols) if rng.random() < 0.7]
+        real = rng.random() < 0.3
+        rows.append([{c: rng.randint(-3, 3) for c in cols if not (real and s)}
+                     for s in range(n)])
+    return [[{c: v for c, v in part.items() if v} for part in row] for row in rows]
+
+
+class TestRestrictionOfScalars:
+    """RowSpace and solve_sparse over Q(zeta_m) against the complex matrix
+    the rows embed to: rank by numpy, kernel and solutions by substitution in
+    exact arithmetic."""
+
+    @pytest.mark.parametrize("m", [3, 5, 8, 12])
+    def test_rank_kernel_and_solutions(self, m):
+        rng = random.Random(m)
+        for _ in range(15):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            rows = random_rows(rng, m, nrows, ncols)
+            dense = np.array([[embedded([part.get(c, 0) for part in row], m)
+                               for c in range(ncols)] for row in rows])
+            rank = int(np.linalg.matrix_rank(dense)) if rows else 0
+            space = RowSpace()
+            for row in rows:
+                space.add_numerators([dict(part) for part in row], m)
+            assert space.rank == rank
+            xs = {c: [rng.randint(-2, 2) for _ in range(degree(m))] for c in range(ncols)}
+            b = [[0] * degree(m) for _ in rows]
+            for i, row in enumerate(rows):
+                for c in range(ncols):
+                    v = mul([part.get(c, 0) for part in row], xs[c], m)
+                    b[i] = [u + w for u, w in zip(b[i], v)]
+            sols, kernel = solve_sparse(rows, ncols, [(list(zip(*b)) or [[]], 1)], m)
+            assert len(kernel) == ncols - rank
+            for vec in [sols[0], *kernel]:
+                parts, den = vec
+                for i, row in enumerate(rows):
+                    total = [0] * degree(m)
+                    for c in range(ncols):
+                        v = mul([part.get(c, 0) for part in row],
+                                [part.get(c, 0) for part in parts], m)
+                        total = [u + w for u, w in zip(total, v)]
+                    want = [den * v for v in b[i]] if vec is sols[0] else [0] * degree(m)
+                    assert total == want

@@ -11,13 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from bbgkz import ring
+from bbgkz import cli, ring
 from bbgkz.linalg import GaussianRational, RowSpace
 from bbgkz.polyhedral import build_semigroup
 from bbgkz.ring import (FVector, NondegeneracyCertificate, NondegeneracyRetriesExhausted,
-                        dual_kernel_dims, hat_quotient_dims,
-                        hat_restriction_rank, is_nondegenerate, jacobian_dims,
-                        r1_dims, random_rational_x, _image_rows)
+                        hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
+                        jacobian_dims, r1_dims, random_rational_x, _image_rows)
 from bbgkz.solver import filtration_dims, solve_recursion
 from conftest import make_problem
 
@@ -57,17 +56,18 @@ R1_PER_DEGREE = {
 
 class TestImageRows:
     def test_z2_degree_one_rows(self):
-        """The generators times X, the lcm of the denominators of x, as ints
-        for a real x and as Gaussian integers for a complex one."""
+        """The generators times X, the lcm of the denominators of x, as
+        integer parts: one for a real x, the real and imaginary ones for a
+        complex one."""
         S, f, _ = make_problem("z2")
-        assert f.x == (2, 1)
+        assert f.x == (2, 1) and (f.m, f.parts, f.den) == (1, ((2, 1),), 1)
         rows = _image_rows(f, S, 1)
-        assert rows == [{0: 2, 1: 1}, {0: 1, 1: 2}]
+        assert rows == [({0: 2, 1: 1},), ({0: 1, 1: 2},)]
         rows = _image_rows(FVector((Fraction(1, 2), Fraction(-2, 3))), S, 1)
-        assert rows == [{0: 3, 1: -4}, {0: -4, 1: 3}]
-        assert all(type(v) is int for row in rows for v in row.values())
+        assert rows == [({0: 3, 1: -4},), ({0: -4, 1: 3},)]
+        assert all(type(v) is int for row in rows for v in row[0].values())
         rows = _image_rows(FVector((GaussianRational(1, 1, 2), Fraction(1, 3))), S, 1)
-        assert rows == [{0: GaussianRational(3, 3), 1: 2}, {0: 2, 1: GaussianRational(3, 3)}]
+        assert rows == [({0: 3, 1: 2}, {0: 3}), ({0: 2, 1: 3}, {1: 3})]
 
     @pytest.mark.parametrize("name,x", [("p2", (0, 1, 2, 3)),
                                         ("repeated", (2, -2, 3)),
@@ -80,19 +80,19 @@ class TestImageRows:
         for k in range(1, S.rank + 3):
             rows = _image_rows(f, S, k)
             assert len(rows) == S.rank * len(S.layer(k - 1))
-            assert all(v for row in rows for v in row.values())
-        hat = ring._hat_rows(f, tuple(map(ring.as_scalar, beta)), S, "full", S.rank + 1)
-        assert all(v for row in hat for v in row.values())
+            assert all(v for row in rows for part in row for v in part.values())
+        hat = ring._hat_rows(f, FVector(beta), S, "full", S.rank + 1)
+        assert all(v for row in hat for part in row for v in part.values())
         if name == "repeated" and x[0]:
             # x1 + x2 = 0: the repeated generators' terms cancel, leaving
             # the row of covector 0 empty and x3 alone in that of covector 1
-            assert [len(row) for row in _image_rows(f, S, 1)] == [0, 1]
+            assert [len(row[0]) for row in _image_rows(f, S, 1)] == [0, 1]
 
     def test_shape_follows_layers(self):
         S, f, _ = make_problem("ex52")
         rows = _image_rows(f, S, 2)
         assert len(rows) == S.rank * len(S.layer(1))
-        assert all(0 <= col < len(S.layer(2)) for row in rows for col in row)
+        assert all(0 <= col < len(S.layer(2)) for row in rows for col in row[0])
 
 
 class TestJacobianDims:
@@ -125,9 +125,9 @@ class TestJacobianDims:
 
 class TestImageCache:
     def test_each_image_reduced_once(self, monkeypatch):
-        """is_nondegenerate, jacobian_dims, dual_kernel_dims and r1_dims
-        share one reduction per (x, degree, region); r1_dims extends a
-        copy, so the shared one stays as it was."""
+        """is_nondegenerate, jacobian_dims and r1_dims share one reduction
+        per (x, degree, region), keyed on the numerators of x; r1_dims
+        extends a copy, so the shared one stays as it was."""
         S, f, _ = make_problem("p2")
         S, r = build_semigroup(S.group, S.A), S.rank
         calls = []
@@ -136,7 +136,7 @@ class TestImageCache:
                             lambda *args: calls.append(args[2:]) or build(*args))
         assert is_nondegenerate(f, S)[0]
         jac = jacobian_dims(f, S, r + 1)
-        assert dual_kernel_dims(f, S, r + 1) == jac
+        assert jacobian_dims(FVector(f.x), S, r + 1) == jac
         assert r1_dims(f, S) == r1_dims(f, S)
         assert jacobian_dims(f, S, r + 1) == jac
         assert sorted(calls) == [(k, "full") for k in range(r + 2)]
@@ -215,11 +215,17 @@ class TestNondegeneracy:
 
 class TestDualKernel:
     def test_matches_jacobian(self, named_problem):
-        """The adjoint nullspace route reproduces the quotient dimensions."""
-        _, S, f, _ = named_problem
-        jac = jacobian_dims(f, S, S.rank + 1)
-        dual = dual_kernel_dims(f, S, S.rank + 1)
-        assert dual.per_degree == jac.per_degree
+        """The report's dual_kernel dims, the adjoint kernel of the rows of
+        the Jacobian dims, are those dims; the interior ones are them
+        reversed, from eliminations over other layers."""
+        _, S, f, beta = named_problem
+        report = {}
+        spec = type("Spec", (), {"beta": beta})
+        cli._task_analyze(spec, S, f, S.rank + 3, report, [])
+        dims, r = report["dims"], S.rank
+        assert dims["dual_kernel"] == dims["jacobian_full"]
+        full, inner = dims["jacobian_full"]["per_degree"], dims["jacobian_interior"]["per_degree"]
+        assert inner[:r + 1] == full[r::-1] and full[r + 1] == inner[r + 1] == 0
 
 
 class TestHatQuotient:
@@ -263,8 +269,8 @@ def reference_hat_dims(f, beta, S, region, D):
     """The old count: jumps of the rank as the unit vectors of each degree,
     lowest first, join the hat rows."""
     space = RowSpace(key=lambda c: -c)
-    for row in ring._hat_rows(f, tuple(map(ring.as_scalar, beta)), S, region, D - 1):
-        space.add(row)
+    for row in ring._hat_rows(f, FVector(beta), S, region, D - 1):
+        space.add_numerators(row, 4)
     pos, per_degree = 0, []
     for k in range(D + 1):
         n = len(S.layer(k, region))

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -252,15 +253,13 @@ class TestDimensions:
         with pytest.raises(ValueError):
             solve_recursion(f, beta, S, truncation=S.rank)
 
-    @pytest.mark.parametrize("backend", ["exact", "float"])
-    def test_degenerate_point_is_inconsistent(self, backend):
+    def test_degenerate_point_is_inconsistent(self):
         """At x = (1, 1) the Z/2 problem is degenerate (x1 - x2 = 0): both
         degree-0 equations have the same left side, so a germ must take equal
         values at the two degree-0 points, which the unit germs do not."""
         S, _, _ = make_problem("z2")
         with pytest.raises(InconsistentSystem, match="degree 1"):
-            solve_recursion((Fraction(1), Fraction(1)), (Fraction(3, 2),), S,
-                            truncation=3, backend=backend)
+            solve_recursion((Fraction(1), Fraction(1)), (Fraction(3, 2),), S, truncation=3)
 
 
 class TestKernelRoute:
@@ -327,7 +326,7 @@ class TestKernelRoute:
         S, _, _ = make_problem("z2")
         f, beta = FVector((Fraction(1), Fraction(1))), (Fraction(3, 2),)
         hat_quotient_dims(f, beta, S, filtration_bound=3)
-        assert ring._hat_key(f, tuple(map(ring.as_scalar, beta)), "full", 3) in S._images
+        assert ring._hat_key(f, FVector(beta), "full", 3) in S._images
         with pytest.raises(InconsistentSystem, match="degree 1"):
             solve_recursion(f, beta, S, truncation=3)
 
@@ -356,6 +355,9 @@ ROUTES = ("step", "kernel", "kernel+steps")
 SEEDED = {name: cli.fixture_path(name) for name in ("p2", "ex52", "square_z2")}
 SEEDED["hexagon_seeded"] = os.path.join(GOLDEN, "hexagon_seeded.problem.json")
 GOLDEN_PROBLEMS = ("hexagon", "p3", "p2_z4", "p2_z4_cbeta", "hexagon_z2", "seg5_z3")
+Z3_PROBLEMS = {"seg5_z3": os.path.join(GOLDEN, "seg5_z3.problem.json"),
+               "square_z3": os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                                         "problems", "square_z3.json")}
 
 
 class TestOneRepresentation:
@@ -374,7 +376,7 @@ class TestOneRepresentation:
         basis = solve_by(route, S, f, beta, D)
         assert_stack_is_reference(basis)
         if name == "p2_z4_cbeta":
-            assert any(im.any() for _, im, _ in basis.stack.layers)
+            assert basis.stack.m == 4 and any(P[1].any() for P, _ in basis.stack.layers)
 
     @pytest.mark.parametrize("name", sorted(SEEDED))
     def test_seeds(self, name):
@@ -390,11 +392,11 @@ class TestOneRepresentation:
         Q = torsion.build_quotient(S.group, S.A)
         conjugated = 0
         for rho in S.group.characters():
-            z = torsion.p_rho(rho, f.x, Q)
-            if all(v.is_real() for v in z):
+            z = torsion.p_rho(rho, f, Q)
+            if z.m == 1:
                 continue
-            basis = solve_recursion(FVector(z), beta, Q.semigroup, truncation=D)
-            conj = cli._conjugate(basis, tuple(v.conjugate() for v in z))
+            basis = solve_recursion(z, beta, Q.semigroup, truncation=D)
+            conj = cli._galois(basis, -1, z.galois(-1))
             assert_stack_is_reference(conj)
             assert [{p: v.conjugate() for p, v in basis.stack.values(t, k).items()}
                     for t in range(len(basis)) for k in range(D + 1)] == \
@@ -402,20 +404,30 @@ class TestOneRepresentation:
             conjugated += 1
         assert conjugated == 2
 
-    def test_float_lane(self):
-        """seg5_z3's quotient bases on the float backend."""
-        spec = cli.load_problem(os.path.join(GOLDEN, "seg5_z3.problem.json"))
-        S = build_semigroup(spec.group, spec.vectors)
+    @pytest.mark.parametrize("name", ["seg5_z3", "square_z3"])
+    def test_cyclotomic_quotient_bases(self, name, monkeypatch):
+        """Quotient bases of Z/3 problems over Q(zeta_3): the kernel route,
+        off a hat space reduced over Q(zeta_3), gives the step route's
+        arrays; every layer is over the least common denominator of its
+        values; and sigma_2 of the basis at p_rho(x) is the basis at
+        p_{rho^2}(x), array for array."""
+        S, f, beta, D = problem_data(Z3_PROBLEMS[name])
         Q = torsion.build_quotient(S.group, S.A)
-        m = len(Q.images)
-        x = torsion.find_common_basepoint(
-            Q, torsion.LogModulusBox((np.log(0.5),) * m, (np.log(2.0),) * m))
-        for rho in S.group.characters():
-            basis = solve_recursion(torsion.p_rho(rho, x, Q), [complex(b) for b in spec.beta],
-                                    Q.semigroup, truncation=spec.truncation, backend="float")
-            assert not basis.stack.exact
-            assert all(den == 1 for *_, den in basis.stack.layers)
-            assert_stack_is_reference(basis)
+        rho1, rho2 = S.group.characters()[1:]
+        z1, z2 = (torsion.p_rho(rho, f, Q) for rho in (rho1, rho2))
+        assert (z1.m, z2.m) == (3, 3) and z1.galois(2) == z2
+        bases = []
+        for z in (z1, z2):
+            TestKernelRoute.assert_routes_agree(Q.semigroup, z, beta, D, monkeypatch)
+            monkeypatch.undo()
+            step = solve_recursion(z, beta, Q.semigroup, truncation=D)
+            assert step.stack.m == 3 and step.stack.layers[0][0].shape[0] == 2
+            for P, den in step.stack.layers:
+                assert gcd(den, *P.ravel().tolist()) == 1
+            bases.append(step)
+        image = cli._galois(bases[0], 2, z2)
+        assert image.leading == bases[1].leading
+        assert_stacks_equal(image.stack, bases[1].stack)
 
 
 class TestNoElementHash:
@@ -639,20 +651,3 @@ class TestRepetitionCollapse:
             beta, S, truncation=5)
         assert a.leading == b.leading
         assert_stacks_equal(a.stack, dataclasses.replace(b.stack, base_x=a.stack.base_x))
-
-
-class TestFloatBackend:
-    def test_matches_exact_lane(self):
-        S, f, beta = make_problem("p1")
-        exact = solve_recursion(f, beta, S, truncation=4)
-        approx = solve_recursion([complex(v) for v in f.x],
-                                 [complex(b) for b in beta], S,
-                                 truncation=4, backend="float")
-        assert len(exact) == len(approx)
-        # spans agree: every float table is reproduced by the exact germs
-        # entrywise up to the backend's own basis choice, so compare ranks
-        from bbgkz.torsion import independence_count
-        as_float = [dataclasses.replace(t, base_x=approx.stack.base_x,
-                                        entries={c: complex(v) for c, v in t.entries.items()})
-                    for t in tables_of(exact)]
-        assert independence_count([stack_of(as_float + tables_of(approx))]) == len(exact)

@@ -1,7 +1,8 @@
-"""Quotient construction, base points, and character lifting."""
+"""Quotient construction, quotient points, and character lifting."""
 
 import cmath
 import dataclasses
+import json
 import math
 import os
 import re
@@ -12,14 +13,13 @@ import numpy as np
 import pytest
 
 from bbgkz import cli, torsion
-from bbgkz.abelian import AbelianGroup, char_value
-from bbgkz.linalg import QQI_I, GaussianRational, RowSpace
+from bbgkz.abelian import char_value
+from bbgkz.linalg import (QQI_I, GaussianRational, RowSpace, degree, embed, field, mul,
+                          root_of_unity)
 from bbgkz.polyhedral import build_semigroup
 from bbgkz.ring import FVector
-from bbgkz.solver import recursion_defects, solve_recursion
-from bbgkz.torsion import (LogModulusBox, RegionTooTight, ResidualTooLarge,
-                           build_quotient, exact_rank, find_common_basepoint,
-                           independence_count, lift_and_verify, p_rho)
+from bbgkz.solver import check_residuals, recursion_defects, solve_recursion
+from bbgkz.torsion import ResidualTooLarge, build_quotient, exact_rank, lift_and_verify, p_rho
 from conftest import LambdaTable, basis_of, make_problem, stack_of, tables_of
 
 
@@ -55,98 +55,40 @@ class TestPRho:
         S, f, _ = make_problem("z2")
         Q = build_quotient(S.group, S.A)
         z = p_rho(S.group.characters()[0], f.x, Q)
-        assert z == (GaussianRational(3),)
+        assert z.x == (GaussianRational(3),)
 
     def test_z2_nontrivial_gives_difference(self):
         S, f, _ = make_problem("z2")
         Q = build_quotient(S.group, S.A)
         z = p_rho(S.group.characters()[1], f.x, Q)
-        assert z == (GaussianRational(1),)
+        assert z.x == (GaussianRational(1),)
 
     def test_singleton_sets_scale_coordinates(self):
         S, f, _ = make_problem("square_z2")
         Q = build_quotient(S.group, S.A)
         rho = S.group.characters()[1]
         z = p_rho(rho, f.x, Q)
-        for zj, idxs in zip(z, Q.index_sets):
+        for zj, idxs in zip(z.x, Q.index_sets):
             i = idxs[0]
-            _, val = char_value(rho, S.A[i])
-            assert complex(zj) == val * complex(f.x[i])
+            sign = root_of_unity(char_value(rho, S.A[i]), 1)[0]
+            assert zj == sign * f.x[i]
 
-    def test_order_three_goes_float(self):
+    def test_order_three_stays_exact(self):
+        """g3 under a character of order 3: z = 1 + zeta/2 + zeta^2/3 =
+        2/3 + zeta/6 in Q(zeta_3), whose embedding is the complex sum."""
         S, f, _ = make_problem("g3")
         Q = build_quotient(S.group, S.A)
         z = p_rho(S.group.characters()[1], f.x, Q)
-        assert isinstance(z[0], complex)
+        assert (z.m, z.parts, z.den) == (3, ((4,), (1,)), 6)
         w = cmath.exp(2j * cmath.pi / 3)
-        expect = 1 + w / 2 + w * w / 3
-        assert abs(z[0] - expect) < 1e-12
-
-
-class TestBasepoint:
-    def test_images_in_region(self):
-        S, _, _ = make_problem("g3")
-        Q = build_quotient(S.group, S.A)
-        region = LogModulusBox((math.log(0.5),), (math.log(2.0),))
-        x = find_common_basepoint(Q, region)
-        for rho in S.group.characters():
-            assert region.contains(p_rho(rho, x, Q))
-
-    def test_distinguished_argument_window(self):
-        S, _, _ = make_problem("z2")
-        Q = build_quotient(S.group, S.A)
-        region = LogModulusBox((0.0,), (1.0,))
-        x = find_common_basepoint(Q, region)
-        G = S.group.torsion_order
-        phase = cmath.phase(x[0])
-        assert -math.pi <= phase < -math.pi + 2 * math.pi / G
-        assert abs(x[1]) < abs(x[0]) * 1e-6
-
-    def test_region_too_tight(self):
-        # for Z/4 the small coordinates perturb the modulus at first order,
-        # so a box narrower than that perturbation cannot be satisfied
-        N = AbelianGroup(1, (4,))
-        A = (N.element((1,), (0,)), N.element((1,), (1,)))
-        Q = build_quotient(N, A)
-        region = LogModulusBox((0.0,), (1e-12,))
-        with pytest.raises(RegionTooTight):
-            find_common_basepoint(Q, region)
-
-    def test_bad_region_shape(self):
-        S, _, _ = make_problem("z2")
-        Q = build_quotient(S.group, S.A)
-        with pytest.raises(ValueError):
-            find_common_basepoint(Q, LogModulusBox((0.0, 0.0), (1.0, 1.0)))
-        with pytest.raises(ValueError):
-            LogModulusBox((1.0,), (0.0,))
+        assert abs(z.complex()[0] - (1 + w / 2 + w * w / 3)) < 1e-15
 
 
 def quotient_bases(S, x, beta, truncation):
-    """(rho, quotient basis at p_rho(x)) for every character: exact at an
-    exact x, else on the float backend."""
+    """(rho, quotient basis at p_rho(x)) for every character."""
     Q = build_quotient(S.group, S.A)
-    exact = isinstance(x[0], GaussianRational)
-    out = []
-    for rho in S.group.characters():
-        z = p_rho(rho, x, Q)
-        if exact:
-            out.append((rho, solve_recursion(FVector(z), beta, Q.semigroup,
-                                             truncation=truncation)))
-        else:
-            out.append((rho, solve_recursion(z, tuple(complex(b) for b in beta),
-                                             Q.semigroup, truncation=truncation,
-                                             backend="float")))
-    return out
-
-
-def lane_x(S, f):
-    """The lift's base point: the problem's x on the exact lane (torsion
-    invariants 2 and 4), a common base point on the float lane."""
-    if all(d in (2, 4) for d in S.group.torsion_invariants):
-        return tuple(f.x)
-    Q = build_quotient(S.group, S.A)
-    m = len(Q.images)
-    return find_common_basepoint(Q, LogModulusBox((math.log(0.5),) * m, (math.log(2.0),) * m))
+    return [(rho, solve_recursion(p_rho(rho, x, Q), beta, Q.semigroup, truncation=truncation))
+            for rho in S.group.characters()]
 
 
 def lift_full_basis(name, beta=None, truncation=5):
@@ -154,35 +96,42 @@ def lift_full_basis(name, beta=None, truncation=5):
     residual."""
     S, f, fixture_beta = make_problem(name)
     beta = beta if beta is not None else fixture_beta
-    x = lane_x(S, f)
     stacks = []
     worst = 0.0
-    for rho, qb in quotient_bases(S, x, beta, truncation):
-        stack, resid = lift_and_verify(qb, rho, x, S)
+    for rho, qb in quotient_bases(S, f, beta, truncation):
+        stack, resid = lift_and_verify(qb, rho, f, S)
         stacks.append(stack)
         worst = max(worst, resid)
     return S, stacks, worst
 
 
 def stack_values(stack):
-    """Per germ, the nonzero entries of a stack as {c: value}:
-    GaussianRational on the exact lane, complex on the float lane."""
-    out = [{} for _ in range(len(stack))]
-    for k, (re, im, den) in enumerate(stack.layers):
-        layer = stack.semigroup.layer(k)
-        for t, p in zip(*np.nonzero((re != 0) | (im != 0))):
-            out[t][layer[p]] = (GaussianRational(re[t, p], im[t, p], den) if stack.exact
-                                else complex(re[t, p], im[t, p]))
-    return out
+    """Per germ, the nonzero entries of a stack as {c: value}, values as
+    GermStack.values gives them."""
+    return [{stack.semigroup.layer(k)[p]: v for k in range(stack.truncation + 1)
+             for p, v in stack.values(t, k).items()} for t in range(len(stack))]
 
 
-def reference_lift(psi, rho, x, S):
+def field_parts(value, m):
+    """The Fraction parts in Q(zeta_m) of a GermStack value: a
+    GaussianRational, or the parts tuple of a value of Q(zeta_m)."""
+    if isinstance(value, tuple):
+        return list(value)
+    re, im = Fraction(value.a, value.d), Fraction(value.b, value.d)
+    return embed([re, im], 4, m) if im else [re] + [Fraction(0)] * (degree(m) - 1)
+
+
+def field_value(parts, m):
+    """A value in the form GermStack.values gives over Q(zeta_m)."""
+    if m in (1, 4):
+        return GaussianRational.from_fractions(parts[0], parts[1] if m == 4 else 0)
+    return tuple(parts)
+
+
+def reference_lift(psi, rho, x, S, m):
     """The per-germ dict lift that the array lift replaced, kept as its
     reference: lambda_c = rho(c) psi_{pi(c)} entry by entry over S's layers,
-    exact where x, psi and the character value are, else in Python complex
-    arithmetic."""
-    exact = (all(isinstance(v, GaussianRational) for v in x)
-             and all(isinstance(v, GaussianRational) for v in psi.entries.values()))
+    on Fraction parts in Q(zeta_m)."""
     by_free = {pc.free: val for pc, val in psi.entries.items()}
     entries = {}
     lead = psi.truncation
@@ -191,29 +140,24 @@ def reference_lift(psi, rho, x, S):
             val = by_free.get(c.free)
             if val is None:
                 continue
-            t, zval = char_value(rho, c)
-            ev = torsion._exact_char_value(t)
-            if exact and ev is not None:
-                lifted = ev * val
-            else:
-                exact = False
-                lifted = zval * complex(val)
-            if lifted:
-                entries[c] = lifted
+            lifted = mul(root_of_unity(char_value(rho, c), m), field_parts(val, m), m)
+            if any(lifted):
+                entries[c] = field_value(lifted, m)
                 lead = min(lead, k)
-    if not exact:
-        entries = {c: complex(v) for c, v in entries.items()}
-    xs = tuple(x) if exact else tuple(complex(v) for v in x)
-    return LambdaTable(S, xs, psi.beta, psi.truncation, entries, lead)
+    return LambdaTable(S, tuple(x), psi.beta, psi.truncation, entries, lead)
 
 
-def reference_rank(tables):
-    """Exact rank of LambdaTables over all their columns at once."""
+def reference_rank(tables, m):
+    """Exact rank over Q(zeta_m) of LambdaTables over all their columns at
+    once."""
     cols = sorted({c for t in tables for c in t.entries}, key=lambda c: c.sort_key())
-    idx = {c: i for i, c in enumerate(cols)}
     space = RowSpace()
     for t in tables:
-        space.add({idx[c]: v for c, v in t.entries.items() if v})
+        parts = [field_parts(t.entries[c], m) if c in t.entries else [0] * degree(m)
+                 for c in cols]
+        den = lcm(*(Fraction(v).denominator for p in parts for v in p))
+        space.add_numerators([{i: int(p[s] * den) for i, p in enumerate(parts) if p[s]}
+                              for s in range(degree(m))], m)
     return space.rank
 
 
@@ -223,11 +167,10 @@ class TestLifting:
         S, f, beta = make_problem("p1")
         Q = build_quotient(S.group, S.A)
         rho = S.group.characters()[0]
-        x = tuple(f.x)
-        z = p_rho(rho, x, Q)
-        assert z == x
-        basis = solve_recursion(FVector(z), beta, Q.semigroup, truncation=4)
-        stack, resid = lift_and_verify(basis, rho, x, S)
+        z = p_rho(rho, f, Q)
+        assert z == f
+        basis = solve_recursion(z, beta, Q.semigroup, truncation=4)
+        stack, resid = lift_and_verify(basis, rho, f, S)
         assert resid == 0.0
         for values, psi in zip(stack_values(stack), tables_of(basis)):
             assert {c.free: v for c, v in values.items()} == \
@@ -236,7 +179,7 @@ class TestLifting:
     def test_z2_exact_lift_rank_two(self):
         S, lifted, worst = lift_full_basis("z2", beta=(Fraction(3, 2),))
         assert worst == 0.0
-        assert all(s.exact for s in lifted)
+        assert [s.m for s in lifted] == [1, 1]
         assert sum(len(s) for s in lifted) == 2
         assert exact_rank(lifted) == 2
 
@@ -263,66 +206,37 @@ class TestLifting:
         assert sum(len(s) for s in lifted) == expect
         assert exact_rank(lifted) == expect
 
-    def test_g3_float_lane(self):
+    def test_g3_exact_lift(self):
+        """g3 lifts over Q(zeta_3) with rank 3, on exact defects."""
         S, lifted, worst = lift_full_basis("g3")
-        assert worst <= 1e-9
-        assert not any(s.exact for s in lifted)
-        assert independence_count(lifted) == 3
-
-    def test_float_lane_residual(self):
-        """On the float lane a germ's residual is its largest recursion defect
-        over its largest entry: roundoff on the true germs, past tol on a
-        corrupted one, and the error names the first failing germ."""
-        spec, S, f = spec_problem(os.path.join(GOLDEN, "seg5_z3.problem.json"))
-        x = lane_x(S, f)
-        rho, basis = quotient_bases(S, x, spec.beta, spec.truncation)[1]
-        assert len(basis) == 4
-        _, resid = lift_and_verify(basis, rho, x, S)
-        assert 0 < resid <= 1e-9
-
-        tables = tables_of(basis)
-
-        def corrupt(t, factor):
-            psi = tables[t]
-            c = sample(psi.entries, 2)[1]
-            return dataclasses.replace(psi, entries={**psi.entries, c: psi.entries[c] * factor})
-
-        one = basis_of([tables[0], corrupt(1, 1.001), *tables[2:]])
-        both = basis_of([tables[0], corrupt(1, 1.001), corrupt(2, 10.0), tables[3]])
-        with pytest.raises(ResidualTooLarge,
-                           match=r"^relative residual \S+ exceeds 1e-09$") as first:
-            lift_and_verify(one, rho, x, S)
-        with pytest.raises(ResidualTooLarge) as second:
-            lift_and_verify(both, rho, x, S)
-        assert str(second.value) == str(first.value)
-        assert lift_and_verify(both, rho, x, S, tol=1e9)[1] > float(str(first.value).split()[2])
+        assert worst == 0.0
+        assert [s.m for s in lifted] == [1, 3, 3]
+        assert exact_rank(lifted) == 3
 
     def test_zero_table_lifts_to_zero(self):
         S, f, beta = make_problem("z2")
         Q = build_quotient(S.group, S.A)
         rho = S.group.characters()[1]
-        x = tuple(f.x)
-        z = p_rho(rho, x, Q)
-        tables = tables_of(solve_recursion(FVector(z), beta, Q.semigroup, truncation=4))
+        z = p_rho(rho, f, Q)
+        tables = tables_of(solve_recursion(z, beta, Q.semigroup, truncation=4))
         tables[0].entries.clear()
-        stack, resid = lift_and_verify(basis_of(tables), rho, x, S)
+        stack, resid = lift_and_verify(basis_of(tables), rho, f, S)
         assert stack_values(stack) == [{}] and resid == 0.0
 
     def test_corrupted_lift_raises(self):
         S, f, beta = make_problem("z2")
         Q = build_quotient(S.group, S.A)
         rho = S.group.characters()[1]
-        x = tuple(f.x)
-        z = p_rho(rho, x, Q)
-        tables = tables_of(solve_recursion(FVector(z), beta, Q.semigroup, truncation=4))
+        z = p_rho(rho, f, Q)
+        tables = tables_of(solve_recursion(z, beta, Q.semigroup, truncation=4))
         psi = tables[0]
         c = psi.semigroup.group.element((1,))
         psi.entries[c] = psi.entries[c] + 1
-        c, j = first_reference_defect(reference_lift(psi, rho, x, S))
+        c, j = first_reference_defect(reference_lift(psi, rho, f.x, S, 1))
         with pytest.raises(ResidualTooLarge,
                            match=rf"^exact lift residual nonzero at {re.escape(str(c))}, "
                                  rf"coordinate {j}$"):
-            lift_and_verify(basis_of(tables), rho, x, S)
+            lift_and_verify(basis_of(tables), rho, f, S)
 
     def test_lift_builds_no_semigroup(self, monkeypatch):
         """lift_and_verify projects the data and reuses the basis' semigroup,
@@ -330,24 +244,21 @@ class TestLifting:
         S, f, beta = make_problem("square_z2")
         Q = build_quotient(S.group, S.A)
         rho = S.group.characters()[1]
-        x = tuple(f.x)
-        basis = solve_recursion(FVector(p_rho(rho, x, Q)), beta, Q.semigroup,
-                                truncation=4)
+        basis = solve_recursion(p_rho(rho, f, Q), beta, Q.semigroup, truncation=4)
 
         def refuse(*args):
             raise AssertionError("build_semigroup called")
         monkeypatch.setattr(torsion, "build_semigroup", refuse)
-        stack, resid = lift_and_verify(basis, rho, x, S)
+        stack, resid = lift_and_verify(basis, rho, f, S)
         assert resid == 0.0 and any(stack_values(stack))
 
     def test_base_point_mismatch_rejected(self):
         S, f, beta = make_problem("z2")
         Q = build_quotient(S.group, S.A)
         rho = S.group.characters()[0]
-        z = (GaussianRational(5),)
-        basis = solve_recursion(FVector(z), beta, Q.semigroup, truncation=4)
+        basis = solve_recursion((GaussianRational(5),), beta, Q.semigroup, truncation=4)
         with pytest.raises(ValueError):
-            lift_and_verify(basis, rho, tuple(f.x), S)
+            lift_and_verify(basis, rho, f, S)
 
     def test_quotient_layers_must_match(self, monkeypatch):
         """A quotient semigroup whose layers are not the free slices of S's
@@ -355,19 +266,22 @@ class TestLifting:
         S, f, beta = make_problem("z2")
         Q = build_quotient(S.group, S.A)
         rho = S.group.characters()[1]
-        x = tuple(f.x)
-        basis = solve_recursion(FVector(p_rho(rho, x, Q)), beta, Q.semigroup,
-                                truncation=4)
+        basis = solve_recursion(p_rho(rho, f, Q), beta, Q.semigroup, truncation=4)
         layer = Q.semigroup.free_layer(2)
         monkeypatch.setitem(Q.semigroup._free, (2, "full"), layer + 1)
         with pytest.raises(ValueError, match="quotient layer 2"):
-            lift_and_verify(basis, rho, x, S)
+            lift_and_verify(basis, rho, f, S)
 
 
 def problem_path(name):
-    """A problem stored beside the goldens, or else a bundled fixture."""
+    """A problem stored beside the goldens, or else a bundled fixture, or
+    else a benchmark problem."""
     path = os.path.join(GOLDEN, f"{name}.problem.json")
-    return path if os.path.exists(path) else cli.fixture_path(name)
+    if os.path.exists(path):
+        return path
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "problems",
+                         f"{name}.json")
+    return bench if os.path.exists(bench) else cli.fixture_path(name)
 
 
 class TestArrayLift:
@@ -377,38 +291,30 @@ class TestArrayLift:
                                       "g3_torsion", "seg5_z3"])
     def test_matches_reference_lift(self, name):
         spec, S, f = spec_problem(problem_path(name))
-        x = lane_x(S, f)
-        exact = isinstance(x[0], GaussianRational)
-        assert exact == (name not in ("g3_torsion", "seg5_z3"))
-        for rho, basis in quotient_bases(S, x, spec.beta, spec.truncation):
-            stack, _ = lift_and_verify(basis, rho, x, S)
-            assert stack.exact == exact
-            refs = [reference_lift(psi, rho, x, S) for psi in tables_of(basis)]
-            assert stack.base_x == refs[0].base_x and stack.beta == refs[0].beta
+        for rho, basis in quotient_bases(S, f, spec.beta, spec.truncation):
+            stack, _ = lift_and_verify(basis, rho, f, S)
+            assert stack.m == field(f.m, basis.stack.m, torsion._order(rho))
+            assert (stack.m == 3) == (name in ("g3_torsion", "seg5_z3")
+                                      and rho != rho.group.characters()[0])
+            refs = [reference_lift(psi, rho, f.x, S, stack.m)
+                    for psi in tables_of(basis)]
+            assert stack.base_x == FVector(refs[0].base_x) and stack.beta == basis.beta
             assert stack_values(stack) == [ref.entries for ref in refs]
-            if not exact:
-                # bitwise: every nonzero part has the reference's bits
-                for k, (re_, im_, _) in enumerate(stack.layers):
-                    want = np.array([[complex(ref.entries.get(c, 0)) for c in S.layer(k)]
-                                     for ref in refs])
-                    for got, ref in ((re_, want.real), (im_, want.imag)):
-                        assert np.array_equal(got, ref)
-                        nz = ref != 0
-                        assert (got[nz].view(np.uint64) == ref[nz].view(np.uint64)).all()
 
 
 class TestExactRank:
     """exact_rank stops adding columns once the rank is the germ count."""
 
-    @pytest.mark.parametrize("name", ["z2_example", "square_z2", "p2_z4", "hexagon_z2"])
+    @pytest.mark.parametrize("name", ["z2_example", "square_z2", "p2_z4", "hexagon_z2",
+                                      "seg5_z3", "square_z3"])
     def test_prefix_rank_is_full_rank(self, name):
         spec, S, f = spec_problem(problem_path(name))
-        x = tuple(f.x)
         stacks, refs = [], []
-        for rho, basis in quotient_bases(S, x, spec.beta, spec.truncation):
-            stacks.append(lift_and_verify(basis, rho, x, S)[0])
-            refs.extend(reference_lift(psi, rho, x, S) for psi in tables_of(basis))
-        full = reference_rank(refs)
+        m = field(f.m, FVector(spec.beta).m, *S.group.torsion_invariants)
+        for rho, basis in quotient_bases(S, f, spec.beta, spec.truncation):
+            stacks.append(lift_and_verify(basis, rho, f, S)[0])
+            refs.extend(reference_lift(psi, rho, f.x, S, m) for psi in tables_of(basis))
+        full = reference_rank(refs, m)
         assert full == S.volume * S.group.torsion_order
         assert exact_rank(stacks) == full
         # replacing germ 0 of one stack by a copy of the last germ of another,
@@ -416,29 +322,20 @@ class TestExactRank:
         for src, dst in ((0, -1), (-1, 0)):
             for duplicate in (True, False):
                 layers = []
-                for (re_, im_, d), (sre, sim, sd) in zip(stacks[dst].layers,
-                                                         stacks[src].layers):
+                for (P, d), (sP, sd) in zip(stacks[dst].layers, stacks[src].layers):
                     den = lcm(d, sd)
-                    re_, im_ = re_ * (den // d), im_ * (den // d)
-                    re_[0], im_[0] = ((sre[-1] * (den // sd), sim[-1] * (den // sd))
-                                      if duplicate else (0, 0))
-                    layers.append((re_, im_, den))
+                    P = torsion._arrays(embed(list(P * (den // d)), stacks[dst].m, m),
+                                        P.shape[1:])
+                    sP = torsion._arrays(embed(list(sP * (den // sd)), stacks[src].m, m),
+                                         sP.shape[1:])
+                    P[:, 0] = sP[:, -1] if duplicate else 0
+                    layers.append((P, den))
                 bad = list(stacks)
-                bad[dst] = dataclasses.replace(stacks[dst], layers=layers)
+                bad[dst] = dataclasses.replace(stacks[dst], layers=layers, m=m)
                 assert exact_rank(bad) == full - 1
 
     def test_empty(self):
         assert exact_rank([]) == 0
-
-
-class TestIndependenceCount:
-    def test_duplicates_do_not_raise_rank(self):
-        S, lifted, _ = lift_full_basis("g3")
-        assert independence_count(lifted + [lifted[0]]) == 3
-        assert independence_count(lifted[1:] + [lifted[1]]) == 2
-
-    def test_empty(self):
-        assert independence_count([]) == 0
 
 
 def reference_defects(table):
@@ -503,7 +400,7 @@ def exact_lifts(path):
         stack, resid = lift_and_verify(basis, rho, x, S)
         assert resid == 0.0
         out.append((rho, basis, stack,
-                    [reference_lift(psi, rho, x, S) for psi in tables_of(basis)]))
+                    [reference_lift(psi, rho, x, S, stack.m) for psi in tables_of(basis)]))
     return S, x, out
 
 
@@ -550,7 +447,7 @@ class TestExactRecursionCheck:
     @pytest.mark.parametrize("name", sorted(LIFT_PROBLEMS))
     def test_lift_and_verify_names_first_defect(self, name):
         S, x, lifts = exact_lifts(LIFT_PROBLEMS[name])
-        for rho, basis, _, refs in lifts[::3]:
+        for rho, basis, stack, refs in lifts[::3]:
             psis = tables_of(basis)
             for t in range(len(psis))[::-2]:
                 psi = psis[t]
@@ -560,7 +457,7 @@ class TestExactRecursionCheck:
                         psi, entries={**psi.entries, pc: 2 * psi.entries[pc]})
                     bad = dataclasses.replace(refs[t], entries={
                         c: 2 * v if c.free == pc.free else v for c, v in refs[t].entries.items()})
-                    assert reference_lift(bad_psi, rho, x, S).entries == bad.entries
+                    assert reference_lift(bad_psi, rho, x, S, stack.m).entries == bad.entries
                     c, j = first_reference_defect(bad)
                     assert first_defects(stack_of([bad]))[0] == (c, j)
                     # germ t is the first failing one: later germs fail too
@@ -579,7 +476,7 @@ class TestExactRecursionCheck:
         S, x, lifts = exact_lifts(LIFT_PROBLEMS["p2_z4"])
         assert not any(v.b for v in x)
         complex_lifts = [(stack, refs) for _, _, stack, refs in lifts
-                         if any(im.any() for _, im, _ in stack.layers)]
+                         if stack.m == 4 and any(P[1].any() for P, _ in stack.layers)]
         assert len(complex_lifts) == 2
         for stack, refs in complex_lifts:
             assert not any(b.b for b in stack.beta)
@@ -616,7 +513,7 @@ class TestExactRecursionCheck:
         tables = [germ(Fraction(1, 2), l1, step(l1, 1), Fraction(1, 17)),
                   germ(Fraction(1, 4), Fraction(1, 13), m2, step(m2, 2))]
         stack = stack_of(tables)
-        dens = [d for _, _, d in stack.layers]
+        dens = [d for _, d in stack.layers]
         assert math.gcd(dens[0], dens[1]) == 1 and dens[3] % dens[2]
         want = reference_defect_sets(tables)
         assert want == [{(S.layer(2)[0], 0)}, {(S.layer(0)[0], 0)}]
@@ -678,3 +575,55 @@ class TestExactRecursionCheck:
                 tables = psis[:t] + [bad] + psis[t + 1:]
                 assert first_defects(stack_of(tables)) == \
                     [want if u == t else None for u in range(len(tables))]
+
+
+CYCLOTOMIC_PROBLEMS = {
+    # a segment with Z/5 torsion: characters of order 5, phi = 4
+    "seg_z5": ({"rank": 2, "torsion_invariants": [5]},
+               [([-1, 1], [0]), ([0, 1], [1]), ([1, 1], [3])], ["1/2", "-1/3"], 5, 2),
+    # Z/6 with two vectors over one image: Q(zeta_3) and Q, orders 1, 2, 3, 6
+    "seg_z6": ({"rank": 2, "torsion_invariants": [6]},
+               [([-1, 1], [0]), ([0, 1], [1]), ([1, 1], [3]), ([0, 1], [4])],
+               ["2/3", "1/5"], 3, 4),
+    # g3 with a complex beta: Q(zeta_3)(i) = Q(zeta_12), phi = 4
+    "g3_cbeta": ({"rank": 1, "torsion_invariants": [3]},
+                 [([1], [0]), ([1], [1]), ([1], [2])], [{"re": "2/5", "im": "1/3"}], 12, 3),
+}
+
+
+class TestCyclotomicLifts:
+    """Lifts through characters of order 5 and 6, and of order 3 with a
+    complex beta, at the problem's own x: every quotient basis passes the
+    residual check, whose series run through zeta -> exp(2 pi i / m), so a
+    wrong Phi_m or power basis fails it; the lifts have zero exact defects
+    and exact rank vol |N_tors|; and one solve serves each Galois orbit."""
+
+    @pytest.mark.parametrize("name", sorted(CYCLOTOMIC_PROBLEMS))
+    def test_lift_rank_and_residuals(self, name, tmp_path, monkeypatch):
+        group, vectors, beta, m, solves = CYCLOTOMIC_PROBLEMS[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "name": name, "group": group,
+            "vectors": [{"free": v, "torsion": t} for v, t in vectors], "beta": beta,
+            "x_policy": {"mode": "seeded", "seed": 0, "denominator_bound": 4},
+            "truncation": group["rank"] + 3, "tasks": ["lift"]}))
+        spec, S, f = spec_problem(str(path))
+        expect = S.volume * S.group.torsion_order
+        Q, D = build_quotient(S.group, S.A), spec.truncation
+        stacks = []
+        for rho, basis in quotient_bases(S, f, spec.beta, D):
+            assert check_residuals(basis).all_passed
+            stack, resid = lift_and_verify(basis, rho, f, S)
+            assert resid == 0.0 and not any(d.any() for _, d in recursion_defects(stack))
+            stacks.append(stack)
+        assert max(s.m for s in stacks) == m
+        assert exact_rank(stacks) == expect
+        assert exact_rank(stacks[:-1]) == expect - len(stacks[-1])
+
+        solve = cli.solve_recursion
+        calls = []
+        monkeypatch.setattr(cli, "solve_recursion",
+                            lambda *a, **k: calls.append(1) or solve(*a, **k))
+        report, code = cli.run(str(path), timings=False)
+        assert code == 0 and report["torsion_lift"]["rank"] == expect
+        assert len(calls) == solves
