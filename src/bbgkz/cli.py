@@ -27,9 +27,8 @@ import numpy as np
 from jsonschema.exceptions import best_match
 
 from .abelian import AbelianGroup, NoDegreeFunctional, NotSpanning
-from .linalg import GaussianRational
-from .polyhedral import GradedSemigroup, KPrimGuardError, build_semigroup, k_prim
-from .linalg import galois
+from .linalg import GaussianRational, galois
+from .polyhedral import KPrimGuardError, build_semigroup, k_prim
 from .ring import (FVector, NondegeneracyCertificate, NondegeneracyRetriesExhausted,
                    hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
                    jacobian_dims, r1_dims, random_rational_x)
@@ -223,7 +222,7 @@ def _task_restrict(spec, S, f, D, report, checks):
     beta0 = (GaussianRational(0),) * r
     # first, so that the solve below reads its germs off the reduced hat space
     hat_rank = hat_restriction_rank(f, S, filtration_bound=min(D, r + 3))
-    basis0 = solve_recursion(f, beta0, S, truncation=max(D, r + 1))
+    basis0 = solve_recursion(f, beta0, S, truncation=D)
     sol_rank = restricted_solution_rank(basis0)
     r1_total = r1_dims(f, S).total
     report["restriction_ranks"] = {
@@ -243,13 +242,15 @@ def _galois(basis, a, z):
         (np.array(galois(list(P), a, stack.m)), den) for P, den in stack.layers]))
 
 
-def _lifts(spec, S, Q, f, D):
+def _lifts(spec, S, Q, f):
     """lift_and_verify per character at the problem's x, whose certificate
     forces each quotient point's (the Jacobian ring at x splits over the
     characters): a quotient filtration that fails raises DegenerateQuotient.
-    With x and beta rational, sigma_a(p_rho(x)) = p_{rho^a}(x) and the solve
-    there is sigma_a of the one at p_rho(x), as sigma_a keeps every zero
-    test: one solve serves a Galois orbit of characters."""
+    Quotient solves stop at truncation rank + 1, which fixes every germ: the
+    Jacobian ring vanishes above the rank, so no germ is born and each step
+    has one solution past it.  With x and beta rational, sigma_a(p_rho(x)) =
+    p_{rho^a}(x) and the solve there is sigma_a of the one at p_rho(x), as
+    sigma_a keeps every zero test: one solve serves a Galois orbit."""
     beta = FVector(spec.beta)
     images, lifts = {}, []  # a Galois image of a solved point -> (basis, a)
     for rho in S.group.characters():
@@ -258,7 +259,7 @@ def _lifts(spec, S, Q, f, D):
             qbasis, a = images[z]
             qbasis = _galois(qbasis, a, z)
         else:
-            qbasis = solve_recursion(z, beta, Q.semigroup, truncation=D)
+            qbasis = solve_recursion(z, beta, Q.semigroup, truncation=S.rank + 1)
             if f.m == beta.m == 1:
                 for a in range(2, z.m):
                     if math.gcd(a, z.m) == 1:
@@ -275,9 +276,8 @@ def _task_lift(spec, S, f, D, report, checks):
     if tors == 1:
         report["torsion_lift"] = {"skipped": "torsion order 1"}
         return
-    lifts = _lifts(spec, S, build_quotient(S.group, S.A), f, D)
-    stacks = [stack for stack, _ in lifts]
-    worst = max(resid for _, resid in lifts)
+    stacks, residuals = zip(*_lifts(spec, S, build_quotient(S.group, S.A), f))
+    worst = max(residuals)
     rank = exact_rank(stacks)
     report["torsion_lift"] = {
         "mode": "exact",

@@ -3,11 +3,11 @@
 The free quotient of the group carries its own problem with the projected
 vectors; a solution germ psi of that problem, a torsion character rho, and
 the problem's base point x combine into a germ of the original problem via
-lambda_c = rho(c) psi_{pi(c)} at z = p_rho(x).  With one quotient basis per
-character this produces the full solution space.  A character of order m
-takes its values in Q(zeta_m), so z, psi and the lift are exact there, as
-phi(m) integer parts per value (linalg); the lift is checked exactly
-against the original recursion and its rank is an exact rank.
+lambda_c = rho(c) psi_{pi(c)} at z = p_rho(x).  One quotient basis per
+character, to degree rank + 1 (which fixes every germ), gives the full
+solution space.  A character of order m takes its values in Q(zeta_m), so
+z, psi and the lift are exact there, as phi(m) integer parts per value
+(linalg); the lift is checked exactly against the original recursion.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ def lift_and_verify(basis: SolutionBasis, rho: Character, x, S: GradedSemigroup)
     basis holds solution germs of the quotient problem at base p_rho(x).
     Layer k of S is the quotient's layer k with the torsion index innermost,
     so lifted layers are quotient layers times rho, over Q(zeta_m) for m the
-    field of psi, x and rho's values.  Returns (lifted GermStack over S, 0.0,
-    its residual) after one recursion_defects pass on the original problem.
+    field of psi, x and rho's values.  Returns (the lifted GermStack over S,
+    its residual 0.0) after one recursion_defects pass on the original problem.
     Raises ResidualTooLarge for the first germ with a nonzero defect.
     """
     lattice, images, index_sets = _project(S.group, S.A)

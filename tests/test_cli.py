@@ -261,26 +261,43 @@ class TestLiftLanes:
     def test_conjugate_characters_reuse_the_solve(self, name, solves, monkeypatch):
         """With x and beta rational, the character whose quotient point is
         the Galois image sigma_a of an earlier one takes that solve's tables
-        under sigma_a, and they equal a direct solve's, array for array and
-        in the same order: one solve per Galois orbit, 3 for Z/4 and 2 for
-        Z/3; with a complex beta every character is solved."""
+        under sigma_a, and they equal a direct solve's at truncation
+        rank + 1, array for array and in the same order: one solve per
+        Galois orbit, 3 for Z/4 and 2 for Z/3; with a complex beta every
+        character is solved."""
         spec = cli.load_problem(os.path.join(GOLDEN, f"{name}.problem.json"))
         S = build_semigroup(spec.group, spec.vectors)
         f, _ = spec.resolve_x(S)
-        Q, D = cli.build_quotient(S.group, S.A), spec.truncation
+        Q = cli.build_quotient(S.group, S.A)
         solves_run, bases = [], []
         solve, lift = cli.solve_recursion, cli.lift_and_verify
         monkeypatch.setattr(cli, "solve_recursion",
                             lambda *a, **k: solves_run.append(1) or solve(*a, **k))
         monkeypatch.setattr(cli, "lift_and_verify",
                             lambda basis, *a: bases.append(basis) or lift(basis, *a))
-        assert len(cli._lifts(spec, S, Q, f, D)) == S.group.torsion_order
+        assert len(cli._lifts(spec, S, Q, f)) == S.group.torsion_order
         assert len(solves_run) == solves
 
         for rho, basis in zip(S.group.characters(), bases):
-            direct = solve(p_rho(rho, f, Q), spec.beta, Q.semigroup, truncation=D)
+            direct = solve(p_rho(rho, f, Q), spec.beta, Q.semigroup, truncation=S.rank + 1)
             assert basis.leading == direct.leading
             assert_stacks_equal(basis.stack, direct.stack)
+
+    @pytest.mark.parametrize("name", ["p2_z4", "seg5_z3", "square_z5"])
+    def test_quotient_solves_stop_at_rank_plus_one(self, name, monkeypatch):
+        """Every quotient solve of the lift runs at truncation rank + 1, below
+        the problem's own truncation, and the lift still has full rank."""
+        path = os.path.join(GOLDEN, f"{name}.problem.json")
+        spec = cli.load_problem(path)
+        r = spec.group.rank
+        assert spec.truncation > r + 1
+        truncations = []
+        solve = cli.solve_recursion
+        monkeypatch.setattr(cli, "solve_recursion", lambda *a, truncation: (
+            truncations.append(truncation) or solve(*a, truncation=truncation)))
+        report, code = cli.run(path, tasks=["lift"], timings=False)
+        assert code == 0 and report["torsion_lift"]["rank"] == report["torsion_lift"]["expected"]
+        assert truncations and set(truncations) == {r + 1}
 
     @pytest.mark.parametrize("fault", ["tail", "total"])
     def test_failed_certificate_fails_the_lift(self, fault, monkeypatch):

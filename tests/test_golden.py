@@ -9,9 +9,9 @@ by restriction of scalars), hexagon_z2 (exact lift through
 Z/2 characters), seg5_z3 (lift through Z/3 characters, over Q(zeta_3)) and
 sweep144_z3 (a rank-3 Z/3 problem at seed 144, every task, lift rank 18);
 and of the benchmark's square_z3 (the square with Z/3 torsion, lift rank
-6).  The `max_residual` fields are dropped on both sides before comparing:
-they are the only floats in a report and may differ in the last digits by
-platform.  Everything else, including key order and formatting, must match
+6) and its Z/5 twin square_z5 (lifted over Q(zeta_5), lift rank 10).  The
+`max_residual` fields are dropped on both sides before comparing: they are
+the only floats in a report and may differ in the last digits by platform.  Everything else, including key order and formatting, must match
 exactly.
 """
 
@@ -43,7 +43,7 @@ def _text(path):
 PROBLEMS = {name: cli.fixture_path(name) for name in FIXTURES}
 PROBLEMS.update({name: os.path.join(GOLDEN, f"{name}.problem.json")
                  for name in ("hexagon", "p3", "p2_z4", "p2_z4_cbeta", "hexagon_z2",
-                              "seg5_z3", "sweep144_z3")})
+                              "seg5_z3", "sweep144_z3", "square_z5")})
 PROBLEMS["square_z3"] = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                                      "problems", "square_z3.json")
 

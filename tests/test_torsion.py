@@ -20,7 +20,8 @@ from bbgkz.polyhedral import build_semigroup
 from bbgkz.ring import FVector
 from bbgkz.solver import check_residuals, recursion_defects, solve_recursion
 from bbgkz.torsion import ResidualTooLarge, build_quotient, exact_rank, lift_and_verify, p_rho
-from conftest import LambdaTable, basis_of, make_problem, stack_of, tables_of
+from conftest import (LambdaTable, assert_stacks_equal, basis_of, make_problem, stack_of,
+                      tables_of)
 
 
 class TestBuildQuotient:
@@ -336,6 +337,30 @@ class TestExactRank:
 
     def test_empty(self):
         assert exact_rank([]) == 0
+
+
+class TestLiftTruncation:
+    """Germs up to degree rank + 1 fix the lift: every germ is born at or
+    below it, and each step above it has one solution."""
+
+    @pytest.mark.parametrize("name", ["z2_example", "g3_torsion", "square_z2", "p2_z4",
+                                      "p2_z4_cbeta", "hexagon_z2", "seg5_z3"])
+    def test_lifts_at_rank_plus_one_are_the_cut_lifts(self, name):
+        """Lifts of quotient solves at the problem's truncation D, cut to
+        layers 0..rank + 1, are the lifts of solves at rank + 1, array for
+        array, and both have exact rank vol |N_tors|."""
+        spec, S, f = spec_problem(problem_path(name))
+        r, D = S.rank, spec.truncation
+        assert D > r + 1
+        full, short = [], []
+        for truncation, stacks in ((D, full), (r + 1, short)):
+            for rho, basis in quotient_bases(S, f, spec.beta, truncation):
+                assert max(basis.leading) <= r + 1
+                stacks.append(lift_and_verify(basis, rho, f, S)[0])
+        for stack, cut in zip(short, full):
+            assert_stacks_equal(stack, dataclasses.replace(cut, truncation=r + 1,
+                                                           layers=cut.layers[:r + 2]))
+        assert exact_rank(full) == exact_rank(short) == S.volume * S.group.torsion_order
 
 
 def reference_defects(table):

@@ -5,8 +5,9 @@
 For each problem in `<CHECKOUT>/perfbench/problems` and in EXTRA_PROBLEMS of
 this checkout (a complex beta, so that the Q(i) path of the exact kernel is
 covered; the hexagon at a seeded x; the 2-dilated 3-simplex at
-truncation 7, where the residual check evaluates the longest series; and a
-rank-3 problem with Z/3 torsion, lifted over Q(zeta_3)), and
+truncation 7, where the residual check evaluates the longest series; a
+rank-3 problem with Z/3 torsion, lifted over Q(zeta_3); and the square
+with Z/5 torsion, lifted over Q(zeta_5) with phi(5) = 4 parts), and
 each seed, the command line `bbgkz` runs four times in a
 fresh interpreter on the sources of `<CHECKOUT>/src`: with the problem's own
 tasks, with all tasks (skipped for the problems in OWN_ONLY), with
@@ -37,7 +38,7 @@ TASK_LISTS = (("own", []), ("all", ["--tasks", ALL_TASKS]),
 OWN_ONLY = {"p3", "simplex2_3"}  # problems snapshotted without the all-tasks run
 EXTRA_PROBLEMS = tuple(os.path.join(ROOT, "tests", "golden", f"{name}.problem.json")
                        for name in ("p2_z4_cbeta", "hexagon_seeded", "simplex2_3",
-                                    "sweep144_z3"))
+                                    "sweep144_z3", "square_z5"))
 
 
 def run_one(env, path, seed, tasks, out_file):
