@@ -17,8 +17,8 @@ from .ring import (DimReport, FVector, NondegeneracyCertificate,
                    hat_restriction_rank, is_nondegenerate, jacobian_dims, r1_dims,
                    random_rational_x)
 from .solver import (GermStack, InconsistentSystem, ResidualReport, SolutionBasis,
-                     check_residuals, evaluate_series, filtration_dims,
-                     restricted_solution_rank, solve_recursion)
+                     check_residuals, filtration_dims, restricted_solution_rank,
+                     solve_recursion)
 from .torsion import (DegenerateQuotient, QuotientProblem, ResidualTooLarge,
                       build_quotient, exact_rank, lift_and_verify, p_rho)
 

@@ -9,9 +9,9 @@ the free part; torsion characters only see the torsion part.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 
 
 class NoDegreeFunctional(ValueError):
@@ -54,9 +54,6 @@ class AbelianGroup:
         torsion = tuple(t % d for t, d in zip(torsion, self.torsion_invariants))
         return GroupElement(self, free, torsion)
 
-    def zero(self):
-        return self.element((0,) * self.rank)
-
     def dual_element(self, covector):
         covector = tuple(int(x) for x in covector)
         if len(covector) != self.rank:
@@ -81,10 +78,6 @@ class AbelianGroup:
         zero_free = (0,) * self.rank
         return [self.element(zero_free, t) for t in itertools.product(*ranges)]
 
-    def __str__(self):
-        parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion_invariants]
-        return " + ".join(parts) if parts else "0"
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -106,24 +99,6 @@ class GroupElement:
                      zip(self.torsion, other.torsion, self.group.torsion_invariants))
         return GroupElement(self.group, free, tors)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        free = tuple(-a for a in self.free)
-        tors = tuple((-a) % d for a, d in
-                     zip(self.torsion, self.group.torsion_invariants))
-        return GroupElement(self.group, free, tors)
-
-    def scale(self, k):
-        free = tuple(k * a for a in self.free)
-        tors = tuple((k * a) % d for a, d in
-                     zip(self.torsion, self.group.torsion_invariants))
-        return GroupElement(self.group, free, tors)
-
-    def sort_key(self):
-        return (self.free, self.torsion)
-
     def __hash__(self):
         return self._hash
 
@@ -134,6 +109,7 @@ class GroupElement:
                 and (self.group is other.group or self.group == other.group))
 
     def __repr__(self):
+        """(free;torsion), as ResidualTooLarge and KPrimGuardError print it."""
         if self.torsion:
             return f"({','.join(map(str, self.free))};{','.join(map(str, self.torsion))})"
         return f"({','.join(map(str, self.free))})"

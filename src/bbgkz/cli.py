@@ -199,7 +199,7 @@ def _task_solve(spec, S, f, D, report, checks, jac):
     tors = S.group.torsion_order
     tables = []
     for t, k in enumerate(basis.leading):
-        # a layer is in sort_key order
+        # a layer is in lexicographic order of the free part, torsion innermost
         lead = [[format_element(S.layer(k)[p]), format_scalar(v)]
                 for p, v in basis.stack.values(t, k).items()]
         tables.append({"leading_degree": k, "leading_entries": lead})
@@ -220,9 +220,11 @@ def _task_solve(spec, S, f, D, report, checks, jac):
 def _task_restrict(spec, S, f, D, report, checks):
     r = S.rank
     beta0 = (GaussianRational(0),) * r
-    # first, so that the solve below reads its germs off the reduced hat space
-    hat_rank = hat_restriction_rank(f, S, filtration_bound=min(D, r + 3))
-    basis0 = solve_recursion(f, beta0, S, truncation=D)
+    # first, so that the solve below reads its germs off the reduced hat
+    # space, and stops at its bound: the rank reads layers up to r only
+    bound = min(D, r + 3)
+    hat_rank = hat_restriction_rank(f, S, filtration_bound=bound)
+    basis0 = solve_recursion(f, beta0, S, truncation=bound)
     sol_rank = restricted_solution_rank(basis0)
     r1_total = r1_dims(f, S).total
     report["restriction_ranks"] = {

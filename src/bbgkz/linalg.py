@@ -4,8 +4,8 @@ A value of Q(zeta_m) is phi(m) integer numerators over one denominator, its
 coordinates in the power basis 1, zeta, ..., zeta^(phi(m) - 1): Q (m = 1)
 has one part, Q(i) (m = 4) the real and the imaginary one.  Products,
 embeddings, Galois images and roots of unity read one power table, reduced
-mod Phi_m.  GaussianRational, kept canonical, is the scalar of problem
-files and reports.
+mod Phi_m.  GaussianRational, kept canonical, is the value that problem
+files parse to and reports format from; it has no arithmetic.
 
 RowSpace is the one elimination kernel.  It reduces integer rows
 fraction-free (Bareiss), one content pass per row update, and rows over
@@ -129,16 +129,16 @@ def numerators(values):
 
 
 class GaussianRational:
-    """Exact complex number (a + b*i)/d with integer a, b and d > 0.
-
-    Always canonical: gcd(a, b, d) == 1 and d > 0, so equal values have equal
-    (a, b, d).  Supports mixed arithmetic with int and Fraction.
+    """Exact complex number (a + b*i)/d with integer a, b and d > 0, kept
+    canonical: gcd(a, b, d) == 1.  It is the value that problem files parse
+    to and reports format from, and has no arithmetic: the package computes
+    on the integer parts above.
     """
 
     __slots__ = ("a", "b", "d")
 
     def __new__(cls, a=0, b=0, d=1):
-        if isinstance(a, GaussianRational):
+        if isinstance(a, cls):
             return a
         if isinstance(a, Fraction) or isinstance(b, Fraction):
             a, b = Fraction(a), Fraction(b)
@@ -146,9 +146,10 @@ class GaussianRational:
             a, b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
         if d == 0:
             raise ZeroDivisionError("zero denominator")
-        if d < 0:
-            a, b, d = -a, -b, -d
-        return _raw(a, b, d)
+        g = gcd(a, b, d) if d > 0 else -gcd(a, b, d)
+        self = object.__new__(cls)
+        self.a, self.b, self.d = a // g, b // g, d // g
+        return self
 
     @classmethod
     def from_fractions(cls, re, im=0):
@@ -160,123 +161,11 @@ class GaussianRational:
 
     @property
     def imag(self):
+        """The imaginary part, which a complex leading entry reports."""
         return Fraction(self.b, self.d)
 
     def is_real(self):
         return self.b == 0
-
-    def conjugate(self):
-        return _canonical(self.a, -self.b, self.d)
-
-    def __add__(self, o):
-        if type(o) is not GaussianRational and (o := _coerce(o)) is None:
-            return NotImplemented
-        if self.d == o.d:
-            return _raw(self.a + o.a, self.b + o.b, self.d)
-        return _raw(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if type(o) is not GaussianRational and (o := _coerce(o)) is None:
-            return NotImplemented
-        if self.d == o.d:
-            return _raw(self.a - o.a, self.b - o.b, self.d)
-        return _raw(self.a * o.d - o.a * self.d, self.b * o.d - o.b * self.d, self.d * o.d)
-
-    def __rsub__(self, other):
-        o = _coerce(other)
-        return NotImplemented if o is None else o - self
-
-    def __mul__(self, o):
-        if type(o) is not GaussianRational and (o := _coerce(o)) is None:
-            return NotImplemented
-        if not self.b and not o.b:
-            return _raw(self.a * o.a, 0, self.d * o.d)
-        return _raw(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a, self.d * o.d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.a * o.a + o.b * o.b
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return _raw((self.a * o.a + self.b * o.b) * o.d,
-                    (self.b * o.a - self.a * o.b) * o.d,
-                    self.d * n)
-
-    def __rtruediv__(self, other):
-        o = _coerce(other)
-        return NotImplemented if o is None else o / self
-
-    def __neg__(self):
-        return _canonical(-self.a, -self.b, self.d)
-
-    def __pos__(self):
-        return self
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def __eq__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b and self.d == o.d
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(Fraction(self.a, self.d))
-        return hash((self.a, self.b, self.d))
-
-    def __complex__(self):
-        return complex(self.a / self.d, self.b / self.d)
-
-    def __repr__(self):
-        if self.b == 0:
-            return str(Fraction(self.a, self.d))
-        return f"({Fraction(self.a, self.d)}{'+' if self.b >= 0 else '-'}{abs(Fraction(self.b, self.d))}i)"
-
-
-_new = object.__new__
-
-
-def _raw(a, b, d):
-    """Canonical (a + b*i)/d for d > 0: one gcd, none when d == 1."""
-    if d != 1:
-        g = gcd(a, b, d)
-        if g != 1:
-            a //= g
-            b //= g
-            d //= g
-    return _canonical(a, b, d)
-
-
-def _canonical(a, b, d):
-    """(a + b*i)/d from fields that are already canonical."""
-    self = _new(GaussianRational)
-    self.a = a
-    self.b = b
-    self.d = d
-    return self
-
-
-def _coerce(other):
-    if isinstance(other, GaussianRational):
-        return other
-    if isinstance(other, (int, Fraction)):
-        return _raw(other.numerator, 0, other.denominator)
-    return None
-
-
-QQI_ZERO = GaussianRational(0)
-QQI_ONE = GaussianRational(1)
-QQI_I = GaussianRational(0, 1)
-
-
 
 
 class RowSpace:
@@ -362,16 +251,12 @@ class RowSpace:
         self.rows[p] = red
         return True
 
-    def add(self, vec):
-        """Insert a vector of int, Fraction or GaussianRational entries;
-        returns True if it enlarged the space."""
-        return self.add_numerators(*_numerators(vec))
-
-    def add_numerators(self, parts, m=1):
-        """`add` for a row over Q(zeta_m) given as its parts: dicts of the
+    def add(self, parts, m=1):
+        """Insert a row over Q(zeta_m) given as its parts: dicts of the
         nonzero integer numerators of each part, a rational row possibly by
-        its first part alone; consumes them.  All rows that are not rational
-        are over one field."""
+        its first part alone; consumes them and returns True if the row
+        enlarged the space.  All rows that are not rational are over one
+        field."""
         if self.n == 1 and len(parts) > 1 and any(parts[1:]):
             self._restrict(m)
         if self.n == 1:
@@ -383,9 +268,6 @@ class RowSpace:
         for row in rows[1:]:
             self._insert(row)
         return True
-
-    def contains(self, vec):
-        return not self.copy().add(vec)
 
     def _read(self, ncols, dens=()):
         """(solutions, kernel) for unknowns 0..ncols-1 and column ncols + t
@@ -453,17 +335,6 @@ def _over_lcd(values, n):
     return parts, den
 
 
-def _numerators(vec):
-    """(parts, m) of a dict of int, Fraction and GaussianRational values: the
-    nonzero integer numerators of each part over their least common
-    denominator, m = 4 if one is not real, else 1."""
-    if set(map(type, vec.values())) <= {int}:
-        return [{c: v for c, v in vec.items() if v}], 1
-    cols = [c for c, v in vec.items() if v]
-    m, parts, _ = numerators([vec[c] for c in cols])
-    return [{c: v for c, v in zip(cols, part) if v} for part in parts], m
-
-
 def _eliminate(vec, col, row):
     """vec := d * vec - n * row in place, where vec[col] / row[col] = n / d
     in lowest terms with d > 0 (a stored row is positive at its pivot);
@@ -503,7 +374,7 @@ def solve_sparse(rows, ncols, rhs_list, m=1):
     plus the kernel of A.
 
     rows: the rows of A over columns 0..ncols-1 as parts, as
-    `RowSpace.add_numerators` takes them.  rhs_list: one right-hand side b_t
+    `RowSpace.add` takes them.  rhs_list: one right-hand side b_t
     per entry, as (parts, d) with part s of b_t[i] equal to parts[s][i] / d,
     integer sequences of length len(rows) (one for a rational b_t) and d > 0.
     The numerators d * b_t go in as column ncols + t, after every unknown,
@@ -531,7 +402,7 @@ def solve_sparse(rows, ncols, rhs_list, m=1):
             for col, b in cols:
                 if b[i]:
                     part[col] = b[i]
-        space.add_numerators(parts, m)
+        space.add(parts, m)
     # b_t is inconsistent iff a row pivoting on a right-hand side column
     # reaches column ncols + t; that column need not be a pivot itself.
     n = space.n

@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -35,93 +34,56 @@ class Cone:
     generators: tuple        # deduplicated free vectors, sorted
     facet_normals: tuple     # primitive integer covectors, >= 0 on the cone
 
-    def contains(self, w):
-        return all(_dot(h, w) >= 0 for h in self.facet_normals)
-
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _vec_rank(vectors):
-    """Rank of a list of integer/rational vectors (exact elimination)."""
+def _row_space(vectors):
+    """The RowSpace of integer vectors."""
     space = RowSpace()
     for v in vectors:
-        space.add(dict(enumerate(v)))
-    return space.rank
-
-
-def _primitive(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return None
-    vec = tuple(x // g for x in vec)
-    for x in vec:
-        if x:
-            return vec if x > 0 else tuple(-y for y in vec)
-    return None
-
-
-def _integer_kernel_vector(rows, ncols):
-    """A primitive integer vector spanning the kernel of a rank ncols-1 matrix."""
-    _, D, V = smith_normal_form([list(r) for r in rows] or [[0] * ncols])
-    # kernel basis = columns of V past the rank
-    r = 0
-    for i in range(min(len(D), ncols)):
-        if D[i][i]:
-            r += 1
-    if r != ncols - 1:
-        return None
-    vec = tuple(V[i][ncols - 1] for i in range(ncols))
-    return _primitive(vec)
+        space.add([{c: x for c, x in enumerate(v) if x}])
+    return space
 
 
 def cone_over(generators) -> Cone:
     """The cone over `generators` with its facet normals.
 
-    Raises NotPointed if the cone contains a line.  The generators must span
-    the ambient free lattice over the rationals.
+    A candidate normal spans the kernel of r - 1 generators where it is one
+    dimensional; signed, it is a facet normal if no generator lies on its
+    negative side and one lies on its positive side.  Raises NotPointed if
+    the cone contains a line.  The generators must span the ambient free
+    lattice over the rationals.
     """
     gens = sorted(set(tuple(int(x) for x in g) for g in generators))
     gens = [g for g in gens if any(g)]
     if not gens:
         raise ValueError("no nonzero generators")
     r = len(gens[0])
-    if _vec_rank(gens) != r:
+    if _row_space(gens).rank != r:
         raise ValueError("generators do not span the ambient space")
 
     normals = set()
-    if r == 1:
-        signs = {1 if g[0] > 0 else -1 for g in gens}
-        if len(signs) > 1:
-            raise NotPointed("cone contains a line")
-        normals.add((signs.pop(),))
-    else:
-        for comb in itertools.combinations(range(len(gens)), r - 1):
-            sub = [gens[i] for i in comb]
-            if _vec_rank(sub) != r - 1:
-                continue
-            h = _integer_kernel_vector(sub, r)
-            if h is None:
-                continue
-            vals = [_dot(h, g) for g in gens]
-            pos = any(v > 0 for v in vals)
-            neg = any(v < 0 for v in vals)
-            if pos and neg:
-                continue
-            if neg:
-                h = tuple(-x for x in h)
-            if not pos and not neg:
-                # all generators on the hyperplane: contradicts full dimension
-                continue
-            normals.add(h)
+    for sub in itertools.combinations(gens, r - 1):
+        kernel = list(_row_space(sub).kernel(r).values())
+        if len(kernel) != 1:
+            continue
+        # primitive: its free column holds den, prime to the other numerators
+        (part, *_), _ = kernel[0]
+        h = [part.get(c, 0) for c in range(r)]
+        vals = [_dot(h, g) for g in gens]
+        pos = any(v > 0 for v in vals)
+        neg = any(v < 0 for v in vals)
+        # both signs: no facet; neither: all generators on the hyperplane,
+        # which contradicts full dimension
+        if pos != neg:
+            normals.add(tuple(h) if pos else tuple(-x for x in h))
     normals = tuple(sorted(normals))
 
     # pointedness: a nonzero vector killed by every normal would span a line
     on_all = [g for g in gens if all(_dot(h, g) == 0 for h in normals)]
-    if on_all or _vec_rank(normals) != r:
+    if on_all or _row_space(normals).rank != r:
         raise NotPointed("cone contains a line")
 
     return Cone(tuple(gens), normals)

@@ -71,6 +71,8 @@ class FVector:
         return tuple(GaussianRational(a, b, self.den) for a, b in zip(self.parts[0], im))
 
     def __getitem__(self, i):
+        """Entry i as a GaussianRational; perfbench's tracer iterates base
+        points through it."""
         return self.x[i]
 
     def _map(self, fn, m):
@@ -111,9 +113,6 @@ class DimReport:
         per_degree = tuple(int(d) for d in per_degree)
         return cls(per_degree, sum(per_degree))
 
-    def __iter__(self):
-        return iter(self.per_degree)
-
 
 def _image_rows(f, S, k, region="full"):
     """Sparse generators of (I C[S])_k: the columns f_j * [c], c in layer k-1,
@@ -121,8 +120,8 @@ def _image_rows(f, S, k, region="full"):
 
     Row r * p + j is X * sum_i x_i * mu_j(v_i) * [c + v_i] for
     c = layer(k-1)[p], over the layer-k index, as a tuple of one dict of
-    integer numerators per part of x (`RowSpace.add_numerators` over
-    Q(zeta_m), m = f.m); a zero x_i or cancelling repeated v_i leave no
+    integer numerators per part of x (`RowSpace.add` over Q(zeta_m),
+    m = f.m); a zero x_i or cancelling repeated v_i leave no
     explicit 0.  A system on these rows needs right-hand sides times X.
     """
     if k == 0:
@@ -155,7 +154,7 @@ def _image_space(f, S, k, region="full"):
         space = S._images[key] = RowSpace()
         rows = filter(any, _image_rows(f, S, k, region))
         for row in sorted(rows, key=lambda row: min(map(min, filter(None, row))), reverse=True):
-            space.add_numerators(row, f.m)
+            space.add(row, f.m)
     return space
 
 
@@ -257,7 +256,7 @@ def _hat_space(f, beta, S, region, D):
         m = field(f.m, beta.m)
         for row in sorted(rows, key=lambda row: min(map(order, chain.from_iterable(row))),
                           reverse=True):
-            space.add_numerators(row, m)
+            space.add(row, m)
     return space
 
 
@@ -302,7 +301,7 @@ def r1_dims(f: FVector, S: GradedSemigroup, max_degree=None) -> DimReport:
         for k in range(max_degree + 1):
             space = _image_space(f, S, k).copy()
             idx = {c: i for i, c in enumerate(S.layer(k, "full"))}
-            dims.append(sum(space.add_numerators([{idx[c]: 1}]) for c in S.layer(k, "interior")))
+            dims.append(sum(space.add([{idx[c]: 1}]) for c in S.layer(k, "interior")))
         S._images[key] = DimReport.of(dims)
     return S._images[key]
 
@@ -315,7 +314,7 @@ def hat_restriction_rank(f: FVector, S: GradedSemigroup, filtration_bound=None) 
         raise ValueError("filtration bound must be at least rank + 1")
     space = _hat_space(f, FVector((0,) * r), S, "full", D).copy()
     index = {c: i for i, c in enumerate(c for k in range(D + 1) for c in S.layer(k))}
-    return sum(space.add_numerators([{index[c]: 1}])
+    return sum(space.add([{index[c]: 1}])
                for k in range(D + 1) for c in S.layer(k, "interior"))
 
 

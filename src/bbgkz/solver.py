@@ -94,8 +94,9 @@ class SolutionBasis:
 
     @property
     def tables(self):
-        """Per germ, `entries` {(k, p): value} of its nonzero values, the view
-        of one germ that perfbench's tracer reads coefficient sizes off."""
+        """Per germ, `entries` {(k, p): value} of its nonzero values: no
+        report reads it, but perfbench's tracer reads coefficient sizes off
+        it."""
         return [SimpleNamespace(entries={(k, p): v for k in range(self.truncation + 1)
                                          for p, v in self.stack.values(t, k).items()})
                 for t in range(len(self))]
@@ -242,20 +243,6 @@ def _series(S, D, lam, dzs):
             acc[..., lo:hi] = val[..., lo:hi] + dzs[:, i, None, None] / s * acc[..., up[lo:, i]]
         val = acc
     return val
-
-
-def evaluate_series(stack: GermStack, t: int, c: GroupElement, z) -> complex:
-    """Truncated Taylor value of the component at c of germ t of the stack,
-    near the base: the sum of lambda_{c + sum l_i v_i} prod (z_i - x_i)^{l_i}
-    / l_i! over the multi-indices l with deg c + sum l_i <= truncation (see
-    `_series`).
-    """
-    S, D, k = stack.semigroup, stack.truncation, pair(stack.semigroup.deg, c)
-    if k > D:
-        raise ValueError("component degree exceeds the truncation")
-    q = sum(len(S.layer(m)) for m in range(k)) + S.layer(k).index(c)
-    dz = [zz - xx for zz, xx in zip(z, stack.base_x.complex())]
-    return complex(_series(S, D, _germ_floats(stack), [dz])[0, t, q])
 
 
 def comparison_radius(base_x) -> float:
@@ -416,6 +403,5 @@ def restricted_solution_rank(basis: SolutionBasis) -> int:
     for t in range(len(basis)):
         parts = ([v for (P, _), mask in zip(stack.layers, inner) for v in P[s, t, mask].tolist()]
                  for s in range(degree(stack.m)))
-        space.add_numerators([{c: v for c, v in enumerate(part) if v} for part in parts],
-                             stack.m)
+        space.add([{c: v for c, v in enumerate(part) if v} for part in parts], stack.m)
     return space.rank

@@ -41,11 +41,9 @@ class QuotientProblem:
     first occurrence; index_sets[j] lists the input indices mapping to
     images[j].
     """
-    lattice: AbelianGroup
     images: tuple
     index_sets: tuple
     semigroup: GradedSemigroup
-    source_group: AbelianGroup
     source_vectors: tuple
 
 
@@ -62,8 +60,7 @@ def _project(N: AbelianGroup, A):
 def build_quotient(N: AbelianGroup, A) -> QuotientProblem:
     """Project the problem data to the free quotient, merging equal images."""
     lattice, images, index_sets = _project(N, A)
-    return QuotientProblem(lattice, images, index_sets,
-                           build_semigroup(lattice, images), N, tuple(A))
+    return QuotientProblem(images, index_sets, build_semigroup(lattice, images), tuple(A))
 
 
 def _order(rho: Character):
@@ -115,10 +112,10 @@ def lift_and_verify(basis: SolutionBasis, rho: Character, x, S: GradedSemigroup)
     its residual 0.0) after one recursion_defects pass on the original problem.
     Raises ResidualTooLarge for the first germ with a nonzero defect.
     """
-    lattice, images, index_sets = _project(S.group, S.A)
+    _, images, index_sets = _project(S.group, S.A)
     if images != tuple(basis.semigroup.A):
         raise ValueError("psi was solved on a different quotient problem")
-    Q = QuotientProblem(lattice, images, index_sets, basis.semigroup, S.group, S.A)
+    Q = QuotientProblem(images, index_sets, basis.semigroup, S.A)
     psi = basis.stack
     x = x if isinstance(x, FVector) else FVector(x)
     if psi.base_x != p_rho(rho, x, Q):
@@ -155,7 +152,7 @@ def exact_rank(stacks) -> int:
         P = np.concatenate([_arrays(embed(list(P * (den // d)), s.m, m), P.shape[1:])
                             for (P, d), s in zip(layers, stacks)], axis=1)
         for col in P.transpose(2, 0, 1).tolist():
-            space.add_numerators([{t: v for t, v in enumerate(part) if v} for part in col], m)
+            space.add([{t: v for t, v in enumerate(part) if v} for part in col], m)
             if space.rank == rows:
                 return rows
     return space.rank

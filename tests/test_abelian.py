@@ -35,9 +35,8 @@ class TestAbelianGroup:
         a = N.element((2,), (2,))
         b = N.element((1,), (2,))
         assert (a + b) == N.element((3,), (1,))
-        assert (a - b) == N.element((1,), (0,))
-        assert (-a) == N.element((-2,), (1,))
-        assert a.scale(3) == N.element((6,), (0,))
+        assert (b + a) == N.element((3,), (1,))
+        assert (a + a + a) == N.element((6,), (0,))
 
     def test_hash_is_stored_and_consistent(self):
         """The hash kept at construction is that of (free, torsion), and
@@ -49,13 +48,15 @@ class TestAbelianGroup:
         S = build_semigroup(N, A)
         for c in S.layer(2):
             assert hash(c) == hash((c.free, c.torsion))
-            for built in (N.element(c.free, c.torsion), A[0] + (c - A[0]),
+            rest = N.element([x - y for x, y in zip(c.free, A[0].free)],
+                             [x - y for x, y in zip(c.torsion, A[0].torsion)])
+            for built in (N.element(c.free, c.torsion), A[0] + rest,
                           AbelianGroup(2, (2,)).element(c.free, c.torsion)):
                 assert built == c and hash(built) == hash(c)
                 assert {c: 1}[built] == 1
         assert N.element((0, 2), (1,)) != N.element((0, 2), (0,))
         assert N.element((0, 2)) != AbelianGroup(2, (4,)).element((0, 2))
-        assert not hasattr(N.zero(), "__dict__")
+        assert not hasattr(N.element((0, 0)), "__dict__")
 
     def test_enumerations(self):
         N = AbelianGroup(1, (2, 2))

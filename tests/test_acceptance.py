@@ -13,10 +13,10 @@ from fractions import Fraction
 import pytest
 
 from bbgkz.ring import hat_quotient_dims, hat_restriction_rank, jacobian_dims, r1_dims
-from bbgkz.solver import (check_residuals, evaluate_series, filtration_dims,
-                          restricted_solution_rank, solve_recursion)
+from bbgkz.solver import (check_residuals, filtration_dims, restricted_solution_rank,
+                          solve_recursion)
 from bbgkz.torsion import exact_rank
-from conftest import make_problem, tables_of
+from conftest import evaluate_series, make_problem, tables_of
 from test_torsion import lift_full_basis
 
 CORE_FIXTURES = ["z2", "ex51", "ex52", "p1", "p2", "square_z2"]

@@ -334,8 +334,8 @@ class TestSharedWork:
         read their germs off it, so no step is eliminated."""
         hat_bases, steps = [], []
         rows = ring._hat_rows
-        monkeypatch.setattr(ring, "_hat_rows",
-                            lambda f, beta, *a: hat_bases.append(any(beta)) or rows(f, beta, *a))
+        monkeypatch.setattr(ring, "_hat_rows", lambda f, beta, *a: hat_bases.append(
+            any(map(any, beta.parts))) or rows(f, beta, *a))
         monkeypatch.setattr(solver, "solve_sparse", lambda *a: steps.append(1))
         report, code = cli.run(os.path.join(GOLDEN, "p3.problem.json"), timings=False)
         assert code == 0 and report["volume"] == 4
@@ -350,18 +350,33 @@ class TestSharedWork:
                                timings=False)
         assert code == 0 and report["restriction_ranks"]["solution_side"] == 3
 
-    @pytest.mark.parametrize("name, steps", [("z2_example", 4), ("g3_torsion", 2),
-                                             ("ex51", 2)])
+    @pytest.mark.parametrize("name, steps", [("z2_example", 2), ("g3_torsion", 1),
+                                             ("ex51", 1)])
     def test_steps_only_above_analyzed_bound(self, name, steps, monkeypatch):
         """analyze reduces its hat spaces at min(D, rank + 3), below these
-        fixtures' truncation D; solve and restrict read the germs of degrees
-        up to that bound off them and eliminate only the steps above it."""
+        fixtures' truncation D; solve reads the germs of degrees up to that
+        bound off them and eliminates only the steps above it, and restrict
+        solves only up to that bound, so it eliminates no step."""
         calls, solve_sparse = [], solver.solve_sparse
         monkeypatch.setattr(solver, "solve_sparse",
                             lambda *a: calls.append(1) or solve_sparse(*a))
         report, code = cli.run(cli.fixture_path(name), tasks=["analyze", "solve", "restrict"],
                                timings=False)
         assert code == 0 and len(calls) == steps
+
+    @pytest.mark.parametrize("name", ["z2_example", "g3_torsion", "ex51"])
+    def test_restrict_solves_up_to_its_hat_bound(self, name, monkeypatch):
+        """With D > rank + 3, restrict's beta = 0 solve stops at rank + 3, the
+        bound of its hat space: the restricted rank reads layers up to the
+        rank only."""
+        truncations, solve = [], cli.solve_recursion
+        monkeypatch.setattr(cli, "solve_recursion", lambda *a, truncation: truncations.append(
+            truncation) or solve(*a, truncation=truncation))
+        path = cli.fixture_path(name)
+        spec = cli.load_problem(path)
+        report, code = cli.run(path, tasks=["restrict"], timings=False)
+        assert spec.truncation > spec.group.rank + 3
+        assert code == 0 and truncations == [spec.group.rank + 3]
 
     def test_r1_dims_once_per_run(self, monkeypatch):
         """analyze and restrict get the one r1_dims report cached on S."""

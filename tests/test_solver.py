@@ -1,6 +1,7 @@
 """Degree-by-degree recursion: closed forms, dimensions, and residuals."""
 
 import dataclasses
+import functools
 import os
 import random
 from fractions import Fraction
@@ -11,42 +12,52 @@ import pytest
 
 from bbgkz import cli, ring, solver, torsion
 from bbgkz.abelian import AbelianGroup, GroupElement, pair
-from bbgkz.linalg import GaussianRational, RowSpace
+from bbgkz.linalg import RowSpace
 from bbgkz.polyhedral import build_semigroup, k_prim
 from bbgkz.ring import (FVector, hat_quotient_dims, is_nondegenerate, jacobian_dims,
                         r1_dims)
 from bbgkz.solver import (InconsistentSystem, ResidualCheck, ResidualReport,
-                          check_residuals, comparison_radius, evaluate_series,
-                          filtration_dims, recursion_defects, restricted_solution_rank,
-                          solve_recursion)
-from conftest import (FIXTURE_BUILDERS, LambdaTable, assert_stacks_equal, basis_of,
-                      make_problem, stack_of, tables_of)
+                          check_residuals, comparison_radius, filtration_dims,
+                          recursion_defects, restricted_solution_rank, solve_recursion)
+from conftest import (FIXTURE_BUILDERS, QQI, LambdaTable, add_values, assert_stacks_equal,
+                      basis_of, evaluate_series, make_problem, stack_of, tables_of)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 CBETA = os.path.join(GOLDEN, "p2_z4_cbeta.problem.json")
 
 
-def reference_series(table, c, z):
-    """Recursive multi-index sum over group elements, in lexicographic order
-    of the multi-indices: the sequential sum that the semigroup-exponential
-    evaluator replaced, kept as its independent reference."""
-    S = table.semigroup
-    dz = [zz - complex(xx) for zz, xx in zip(z, table.base_x)]
-    total = 0.0 + 0.0j
+@functools.lru_cache(maxsize=4096)
+def multi_index_terms(S, c, dz, remaining):
+    """(c + sum l_i v_i, prod dz_i^l_i / l_i!) over the multi-indices l with
+    sum l_i <= remaining, in lexicographic order, by a recursive walk over
+    group elements; germs of one semigroup, base point and truncation share
+    it."""
+    terms = []
 
     def rec(i, elem, coeff, remaining):
-        nonlocal total
         if i == len(dz):
-            lam = table.entries.get(elem)
-            if lam is not None:
-                total += complex(lam) * coeff
+            terms.append((elem, coeff))
             return
         for l in range(remaining + 1):
             rec(i + 1, elem, coeff, remaining - l)
             elem = elem + S.A[i]
             coeff = coeff * dz[i] / (l + 1)
 
-    rec(0, c, 1.0 + 0.0j, table.truncation - table.degree(c))
+    rec(0, c, 1.0 + 0.0j, remaining)
+    return terms
+
+
+def reference_series(table, c, z):
+    """Recursive multi-index sum over group elements, in lexicographic order
+    of the multi-indices: the sequential sum that the semigroup-exponential
+    evaluator replaced, kept as its independent reference."""
+    dz = tuple(zz - complex(QQI(xx)) for zz, xx in zip(z, table.base_x))
+    total = 0.0 + 0.0j
+    for elem, coeff in multi_index_terms(table.semigroup, c, dz,
+                                         table.truncation - table.degree(c)):
+        lam = table.entries.get(elem)
+        if lam is not None:
+            total += complex(lam) * coeff
     return total
 
 
@@ -80,7 +91,7 @@ def reference_residuals(basis, h0=None, tiny=1e-13):
     S = basis.semigroup
     D = basis.truncation
     tables = tables_of(basis)
-    x = [complex(v) for v in basis.stack.base_x]
+    x = [complex(QQI(v)) for v in basis.stack.base_x]
     exact_ok = not any((defect > 1e-12).any()
                        for _, defect in recursion_defects(stack_of(tables)))
     if h0 is None:
@@ -93,7 +104,7 @@ def reference_residuals(basis, h0=None, tiny=1e-13):
     points = list(dict.fromkeys(check_points + [d for ds in shifted.values() for d in ds]))
     col = {c: m for m, c in enumerate(points)}
     values = [[[reference_series(t, c, z) for c in points] for t in tables] for z in zs]
-    beta = [complex(b) for b in basis.beta]
+    beta = [complex(QQI(b)) for b in basis.beta]
     checks = []
     for ti, t in enumerate(tables):
         floor = tiny * max(1.0, max(abs(complex(v)) for v in t.entries.values()))
@@ -197,7 +208,7 @@ class TestSeriesValues:
         S, f, beta = make_problem(name)
         basis = solve_recursion(f, beta, S, truncation=S.rank + 3)
         D = basis.truncation
-        x = [complex(v) for v in f.x]
+        x = [complex(QQI(v)) for v in f.x]
         points = [c for k in range(D + 1) for c in S.layer(k)]
         tables = tables_of(basis)
         lam = solver._germ_floats(basis.stack)
@@ -281,7 +292,7 @@ class TestKernelRoute:
         """A complex x: both routes reduce over Q(i), and the step
         right-hand sides have Gaussian-integer numerators."""
         _, S, f, beta = named_problem
-        f = FVector(tuple(v + GaussianRational(0, i + 1, 4) for i, v in enumerate(f.x)))
+        f = FVector(tuple(v + QQI(0, i + 1, 4) for i, v in enumerate(f.x)))
         assert is_nondegenerate(f, S)[0]
         self.assert_routes_agree(S, f, beta, S.rank + offset, monkeypatch)
 
@@ -302,7 +313,7 @@ class TestKernelRoute:
 
     def test_steps_above_analyzed_bound_complex(self, monkeypatch):
         S, f, beta, _ = problem_data(CBETA)
-        f = FVector(tuple(v + GaussianRational(0, i + 1, 4) for i, v in enumerate(f.x)))
+        f = FVector(tuple(v + QQI(0, i + 1, 4) for i, v in enumerate(f.x)))
         assert is_nondegenerate(f, S)[0]
         self.assert_routes_agree(S, f, beta, S.rank + 5, monkeypatch)
 
@@ -347,8 +358,9 @@ def assert_stack_is_reference(basis):
     """The solved stack is the reference stack that `stack_of` builds from
     the basis' canonical values one by one: the same arrays, and every
     layer's den the least common denominator of its values."""
-    assert_stacks_equal(basis.stack, stack_of(tables_of(basis)))
-    assert basis.leading == [t.leading_degree for t in tables_of(basis)]
+    tables = tables_of(basis)
+    assert_stacks_equal(basis.stack, stack_of(tables))
+    assert basis.leading == [t.leading_degree for t in tables]
 
 
 ROUTES = ("step", "kernel", "kernel+steps")
@@ -398,7 +410,7 @@ class TestOneRepresentation:
             basis = solve_recursion(z, beta, Q.semigroup, truncation=D)
             conj = cli._galois(basis, -1, z.galois(-1))
             assert_stack_is_reference(conj)
-            assert [{p: v.conjugate() for p, v in basis.stack.values(t, k).items()}
+            assert [{p: QQI(v).conjugate() for p, v in basis.stack.values(t, k).items()}
                     for t in range(len(basis)) for k in range(D + 1)] == \
                 [conj.stack.values(t, k) for t in range(len(conj)) for k in range(D + 1)]
             conjugated += 1
@@ -464,7 +476,7 @@ def reference_restricted_rank(basis):
     idx = {c: i for i, c in enumerate(cols)}
     space = RowSpace()
     for t in tables_of(basis):
-        space.add({idx[c]: v for c, v in t.entries.items() if c in idx})
+        add_values(space, {idx[c]: v for c, v in t.entries.items() if c in idx})
     return space.rank
 
 
@@ -481,7 +493,7 @@ class TestRestriction:
         0 and 0 above), and the interior columns of both parts enter the
         rank."""
         _, S, f, _ = named_problem
-        f = FVector(tuple(v + GaussianRational(0, i + 1, 4) for i, v in enumerate(f.x)))
+        f = FVector(tuple(v + QQI(0, i + 1, 4) for i, v in enumerate(f.x)))
         basis = solve_recursion(f, (Fraction(0),) * S.rank, S, truncation=S.rank + 1)
         assert restricted_solution_rank(basis) == reference_restricted_rank(basis) \
             == r1_dims(f, S).total
@@ -493,9 +505,9 @@ class TestRestriction:
         alone would give as 1."""
         S, f, _ = make_problem("p1")
         a, b = [c for k in range(S.rank + 1) for c in S.layer(k, "interior")][:2]
-        beta = (GaussianRational(0),) * S.rank
-        basis = basis_of([LambdaTable(S, f.x, beta, S.rank, {a: GaussianRational(1),
-                                                             b: GaussianRational(0, s)}, 1)
+        beta = (QQI(0),) * S.rank
+        basis = basis_of([LambdaTable(S, f.x, beta, S.rank, {a: QQI(1),
+                                                             b: QQI(0, s)}, 1)
                           for s in (1, -1)])
         assert restricted_solution_rank(basis) == reference_restricted_rank(basis) == 2
 
@@ -546,7 +558,7 @@ class TestResiduals:
         tables = tables_of(basis)
         t = tables[0]
         c = next(c for c in S.layer(1) if c in t.entries)
-        t.entries[c] = t.entries[c] * GaussianRational(1001, 0, 1000)
+        t.entries[c] = t.entries[c] * QQI(1001, 0, 1000)
         report = check_residuals(basis_of(tables))
         assert not report.shift_identity_exact
         assert any(not c.passed for c in report.checks)
@@ -591,7 +603,7 @@ class TestBatchedResiduals:
         tables = tables_of(basis)
         t = tables[1]
         c = next(c for c in basis.semigroup.layer(2) if c in t.entries)
-        t.entries[c] = t.entries[c] * GaussianRational(1001, 1, 1000)
+        t.entries[c] = t.entries[c] * QQI(1001, 1, 1000)
         assert not assert_residuals_match(basis_of(tables)).all_passed
 
     def test_germ_floats_round_like_complex(self):
@@ -601,8 +613,8 @@ class TestBatchedResiduals:
         S, f, beta = make_problem("g3")
         tables = tables_of(solve_recursion(f, beta, S, truncation=3))
         entries = tables[0].entries
-        entries[S.layer(1)[0]] = GaussianRational(10**400 + 7, -(3 * 10**399 + 1), 3 * 10**400)
-        entries[S.layer(1)[1]] = GaussianRational(2**60 + 1, 2**58 + 3, 7)
+        entries[S.layer(1)[0]] = QQI(10**400 + 7, -(3 * 10**399 + 1), 3 * 10**400)
+        entries[S.layer(1)[1]] = QQI(2**60 + 1, 2**58 + 3, 7)
         basis = basis_of(tables)
         re, im = solver._germ_floats(basis.stack)
         points = [c for k in range(4) for c in S.layer(k)]

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -14,14 +15,13 @@ import pytest
 
 from bbgkz import cli, torsion
 from bbgkz.abelian import char_value
-from bbgkz.linalg import (QQI_I, GaussianRational, RowSpace, degree, embed, field, mul,
-                          root_of_unity)
+from bbgkz.linalg import RowSpace, degree, embed, field, mul, root_of_unity
 from bbgkz.polyhedral import build_semigroup
 from bbgkz.ring import FVector
 from bbgkz.solver import check_residuals, recursion_defects, solve_recursion
 from bbgkz.torsion import ResidualTooLarge, build_quotient, exact_rank, lift_and_verify, p_rho
-from conftest import (LambdaTable, assert_stacks_equal, basis_of, make_problem, stack_of,
-                      tables_of)
+from conftest import (QQI, QQI_I, LambdaTable, assert_stacks_equal, basis_of, make_problem,
+                      qqi_values, stack_of, tables_of)
 
 
 class TestBuildQuotient:
@@ -56,13 +56,13 @@ class TestPRho:
         S, f, _ = make_problem("z2")
         Q = build_quotient(S.group, S.A)
         z = p_rho(S.group.characters()[0], f.x, Q)
-        assert z.x == (GaussianRational(3),)
+        assert z.x == (QQI(3),)
 
     def test_z2_nontrivial_gives_difference(self):
         S, f, _ = make_problem("z2")
         Q = build_quotient(S.group, S.A)
         z = p_rho(S.group.characters()[1], f.x, Q)
-        assert z.x == (GaussianRational(1),)
+        assert z.x == (QQI(1),)
 
     def test_singleton_sets_scale_coordinates(self):
         S, f, _ = make_problem("square_z2")
@@ -72,7 +72,7 @@ class TestPRho:
         for zj, idxs in zip(z.x, Q.index_sets):
             i = idxs[0]
             sign = root_of_unity(char_value(rho, S.A[i]), 1)[0]
-            assert zj == sign * f.x[i]
+            assert zj == sign * QQI(f.x[i])
 
     def test_order_three_stays_exact(self):
         """g3 under a character of order 3: z = 1 + zeta/2 + zeta^2/3 =
@@ -108,9 +108,9 @@ def lift_full_basis(name, beta=None, truncation=5):
 
 def stack_values(stack):
     """Per germ, the nonzero entries of a stack as {c: value}, values as
-    GermStack.values gives them."""
+    `qqi_values` gives them."""
     return [{stack.semigroup.layer(k)[p]: v for k in range(stack.truncation + 1)
-             for p, v in stack.values(t, k).items()} for t in range(len(stack))]
+             for p, v in qqi_values(stack, t, k).items()} for t in range(len(stack))]
 
 
 def field_parts(value, m):
@@ -123,9 +123,9 @@ def field_parts(value, m):
 
 
 def field_value(parts, m):
-    """A value in the form GermStack.values gives over Q(zeta_m)."""
+    """A value in the form `qqi_values` gives over Q(zeta_m)."""
     if m in (1, 4):
-        return GaussianRational.from_fractions(parts[0], parts[1] if m == 4 else 0)
+        return QQI.from_fractions(parts[0], parts[1] if m == 4 else 0)
     return tuple(parts)
 
 
@@ -151,14 +151,14 @@ def reference_lift(psi, rho, x, S, m):
 def reference_rank(tables, m):
     """Exact rank over Q(zeta_m) of LambdaTables over all their columns at
     once."""
-    cols = sorted({c for t in tables for c in t.entries}, key=lambda c: c.sort_key())
+    cols = sorted({c for t in tables for c in t.entries}, key=lambda c: (c.free, c.torsion))
     space = RowSpace()
     for t in tables:
         parts = [field_parts(t.entries[c], m) if c in t.entries else [0] * degree(m)
                  for c in cols]
         den = lcm(*(Fraction(v).denominator for p in parts for v in p))
-        space.add_numerators([{i: int(p[s] * den) for i, p in enumerate(parts) if p[s]}
-                              for s in range(degree(m))], m)
+        space.add([{i: int(p[s] * den) for i, p in enumerate(parts) if p[s]}
+                   for s in range(degree(m))], m)
     return space.rank
 
 
@@ -257,7 +257,7 @@ class TestLifting:
         S, f, beta = make_problem("z2")
         Q = build_quotient(S.group, S.A)
         rho = S.group.characters()[0]
-        basis = solve_recursion((GaussianRational(5),), beta, Q.semigroup, truncation=4)
+        basis = solve_recursion((QQI(5),), beta, Q.semigroup, truncation=4)
         with pytest.raises(ValueError):
             lift_and_verify(basis, rho, f, S)
 
@@ -363,25 +363,42 @@ class TestLiftTruncation:
         assert exact_rank(full) == exact_rank(short) == S.volume * S.group.torsion_order
 
 
-def reference_defects(table):
+def reference_defects(table, near=None):
     """The per-term loop that recursion_defects replaced, kept as its
-    reference: (c, j, lhs - rhs) in GaussianRational arithmetic, reading
-    c + v_i by group addition."""
+    reference: (c, j, lhs - rhs) in QQI arithmetic, reading
+    c + v_i by group addition.  With `near`, the one entry changed in a
+    table that has no reference defect, only the positions whose terms
+    read that entry: the others are unchanged, so they stay defect-free."""
     S = table.semigroup
-    xs, beta, entries = table.base_x, table.beta, table.entries
+    beta, entries = list(map(QQI, table.beta)), table.entries
+    # x_i v_i[j] per generator i and covector j
+    coeffs = [[QQI(x) * vj for vj in v.free] for x, v in zip(table.base_x, S.A)]
+    positions = None if near is None else reading(S, near, table.truncation)
     for k in range(table.truncation):
         for c in S.layer(k):
+            if positions is not None and c not in positions:
+                continue
             lam = entries.get(c, 0)
+            terms = [(xv, up) for xv, v in zip(coeffs, S.A)
+                     if (up := entries.get(c + v)) is not None]
             for j in range(S.rank):
                 lhs = 0
-                for x, v in zip(xs, S.A):
-                    if v.free[j] and (c + v) in entries:
-                        lhs = lhs + x * v.free[j] * entries[c + v]
+                for xv, up in terms:
+                    if xv[j]:
+                        lhs = lhs + xv[j] * up
                 yield c, j, lhs - (lam * (beta[j] - c.free[j]) if lam else 0)
 
 
-def first_reference_defect(table):
-    return next(((c, j) for c, j, diff in reference_defects(table) if diff), None)
+def reading(S, near, truncation):
+    """The positions whose recursion terms read the entry at `near`: near
+    itself and each c of the layer below with c + v_i = near."""
+    k = next(k for k in range(truncation + 1) if near in S.layer(k))
+    below = S.layer(k - 1) if k else ()
+    return {near, *(c for c in below if any(c + v == near for v in S.A))}
+
+
+def first_reference_defect(table, near=None):
+    return next(((c, j) for c, j, diff in reference_defects(table, near) if diff), None)
 
 
 def first_defects(stack):
@@ -404,8 +421,8 @@ def defect_sets(stack):
     return out
 
 
-def reference_defect_sets(tables):
-    return [{(c, j) for c, j, diff in reference_defects(t) if diff} for t in tables]
+def reference_defect_sets(tables, near=None):
+    return [{(c, j) for c, j, diff in reference_defects(t, near) if diff} for t in tables]
 
 
 def spec_problem(path):
@@ -415,9 +432,11 @@ def spec_problem(path):
     return spec, S, f
 
 
+@functools.cache
 def exact_lifts(path):
     """(rho, quotient basis, lifted stack, reference lifts of its germs) for
-    every character of an exact-lane problem."""
+    every character of an exact-lane problem, computed once per path: the
+    tests read them and build changed copies."""
     spec, S, f = spec_problem(path)
     x = tuple(f.x)
     out = []
@@ -431,7 +450,7 @@ def exact_lifts(path):
 
 def sample(entries, count):
     """`count` entries spread over the table in a fixed order."""
-    keys = sorted(entries, key=lambda c: c.sort_key())
+    keys = sorted(entries, key=lambda c: (c.free, c.torsion))
     return keys[::max(1, len(keys) // count)][:count]
 
 
@@ -464,7 +483,7 @@ class TestExactRecursionCheck:
                         for delta in (1, QQI_I):
                             bad = dataclasses.replace(
                                 table, entries={**table.entries, c: table.entries[c] + delta})
-                            want = first_reference_defect(bad)
+                            want = first_reference_defect(bad, near=c)
                             assert want is not None
                             got = first_defects(stack_of(tables[:t] + [bad] + tables[t + 1:]))
                             assert got == [want if u == t else None for u in range(len(tables))]
@@ -505,14 +524,17 @@ class TestExactRecursionCheck:
         assert len(complex_lifts) == 2
         for stack, refs in complex_lifts:
             assert not any(b.b for b in stack.beta)
-            assert defect_sets(stack) == reference_defect_sets(refs) == [set()] * len(refs)
+            untouched = reference_defect_sets(refs)
+            assert defect_sets(stack) == untouched == [set()] * len(refs)
             for t, table in enumerate(refs):
                 for c in sample(table.entries, 3):
                     for delta in (1, QQI_I):
                         bad = dataclasses.replace(
                             table, entries={**table.entries, c: table.entries[c] + delta})
                         tables = refs[:t] + [bad] + refs[t + 1:]
-                        want = reference_defect_sets(tables)
+                        # a germ's reference defects read that germ alone
+                        want = (untouched[:t] + reference_defect_sets([bad], near=c)
+                                + untouched[t + 1:])
                         assert want[t] and not any(want[:t] + want[t + 1:])
                         assert defect_sets(stack_of(tables)) == want
 
@@ -524,10 +546,10 @@ class TestExactRecursionCheck:
         denominators.  Germ 0 solves the recursion up to layer 2 and breaks
         it into layer 3; germ 1 breaks it into layer 1 only."""
         S, _, _ = make_problem("ex51")
-        x, beta = (GaussianRational(3, 0, 5),), (GaussianRational(2, 0, 7),)
+        x, beta = (QQI(3, 0, 5),), (QQI(2, 0, 7),)
 
         def germ(*values):
-            entries = {S.layer(k)[0]: GaussianRational(v) for k, v in enumerate(values)}
+            entries = {S.layer(k)[0]: QQI(v) for k, v in enumerate(values)}
             return LambdaTable(S, x, beta, len(values) - 1, entries, 0)
 
         def step(v, k):  # the next value on the ray: v (beta - k) / x
@@ -552,9 +574,9 @@ class TestExactRecursionCheck:
         S, f, beta = make_problem("repeated")
         psis = tables_of(solve_recursion(f, beta, S, truncation=4))
         assert not any(v.b for t in psis for v in t.entries.values())
-        third = GaussianRational(0, 1, 3)
+        third = QQI(0, 1, 3)
         for shift, broken in (((third, -third, 0), False), ((third, 0, 0), True)):
-            xs = tuple(v + d for v, d in zip(f.x, shift))
+            xs = tuple(QQI(v) + d for v, d in zip(f.x, shift))
             tables = [dataclasses.replace(t, base_x=xs) for t in psis]
             want = reference_defect_sets(tables)
             assert any(want) == broken
