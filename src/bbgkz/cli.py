@@ -32,10 +32,9 @@ from .polyhedral import KPrimGuardError, build_semigroup, k_prim
 from .ring import (FVector, NondegeneracyCertificate, NondegeneracyRetriesExhausted,
                    hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
                    jacobian_dims, r1_dims, random_rational_x)
-from .solver import (InconsistentSystem, check_residuals, filtration_dims,
-                     restricted_solution_rank, solve_recursion)
-from .torsion import (DegenerateQuotient, ResidualTooLarge, build_quotient, exact_rank,
-                      lift_and_verify, p_rho)
+from .solver import (InconsistentSystem, check_residuals, exact_rank, filtration_dims,
+                     solve_recursion)
+from .torsion import DegenerateQuotient, ResidualTooLarge, build_quotient, lift_and_verify, p_rho
 
 SCHEMA_VERSION = 1
 ALL_TASKS = ("analyze", "solve", "restrict", "lift", "residuals")
@@ -225,7 +224,10 @@ def _task_restrict(spec, S, f, D, report, checks):
     bound = min(D, r + 3)
     hat_rank = hat_restriction_rank(f, S, filtration_bound=bound)
     basis0 = solve_recursion(f, beta0, S, truncation=bound)
-    sol_rank = restricted_solution_rank(basis0)
+    # the germs' rank on the interior points of degree <= r
+    inner = [set(S.layer(k, "interior")) for k in range(r + 1)]
+    sol_rank = exact_rank([basis0.stack], [np.array([c in inner[k] for c in S.layer(k)])
+                                           for k in range(r + 1)])
     r1_total = r1_dims(f, S).total
     report["restriction_ranks"] = {
         "solution_side": sol_rank,

@@ -9,9 +9,11 @@ files parse to and reports format from; it has no arithmetic.
 
 RowSpace is the one elimination kernel.  It reduces integer rows
 fraction-free (Bareiss), one content pass per row update, and rows over
-Q(zeta_m) by restriction of scalars to Q.  `solve_sparse` reads the
-solutions and the kernel of a system from one such reduction, each vector
-as integer parts over its least common denominator.
+Q(zeta_m) by restriction of scalars to Q.  Rows given at once enter in
+one order, `RowSpace.extend`'s: from the last leading column down in the
+space's column order.  `solve_sparse` reads the solutions and the kernel
+of a system from one such reduction, each vector as integer parts over its
+least common denominator.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import cmath
 import functools
 from copy import copy
 from fractions import Fraction
+from itertools import chain
 from math import gcd, inf, lcm
 
 
@@ -269,6 +272,16 @@ class RowSpace:
             self._insert(row)
         return True
 
+    def extend(self, rows, m=1):
+        """`add` each nonzero row, from the last leading column in the order
+        of `key` down: a row whose pivot comes first meets no stored row
+        there, and the result does not depend on the order."""
+        key = self.key
+        lead = ((lambda row: min(map(min, filter(None, row)))) if key is None else
+                (lambda row: min(map(key, chain.from_iterable(row)))))
+        for row in sorted(filter(any, rows), key=lead, reverse=True):
+            self.add(row, m)
+
     def _read(self, ncols, dens=()):
         """(solutions, kernel) for unknowns 0..ncols-1 and column ncols + t
         holding dens[t] b_t, as `solve_sparse`; the kernel as {fc: vector};
@@ -394,15 +407,15 @@ def solve_sparse(rows, ncols, rhs_list, m=1):
     space, n = RowSpace(), degree(m)
     rhs = [[(col, bparts[s]) for col, (bparts, _) in enumerate(rhs_list, ncols)
             if s < len(bparts)] for s in range(n)]
-    lead = [min(map(min, filter(None, row)), default=ncols) for row in rows]
-    for i in sorted(range(len(rows)), key=lead.__getitem__, reverse=True):
-        row = rows[i]
+    augmented = []
+    for i, row in enumerate(rows):
         parts = [dict(row[s]) if s < len(row) else {} for s in range(n)]
         for part, cols in zip(parts, rhs):
             for col, b in cols:
                 if b[i]:
                     part[col] = b[i]
-        space.add(parts, m)
+        augmented.append(parts)
+    space.extend(augmented, m)
     # b_t is inconsistent iff a row pivoting on a right-hand side column
     # reaches column ncols + t; that column need not be a pivot itself.
     n = space.n

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abelian import AbelianGroup, DualElement, GroupElement, pair, smith_normal_form
-from .linalg import RowSpace, solve_sparse
+from .linalg import RowSpace
 
 
 class NotPointed(ValueError):
@@ -89,15 +89,6 @@ def cone_over(generators) -> Cone:
     return Cone(tuple(gens), normals)
 
 
-def _integer_inverse(M):
-    """Exact inverse of a unimodular integer matrix, as integer rows."""
-    n = len(M)
-    cols, _ = solve_sparse([[{c: v for c, v in enumerate(row) if v}] for row in M], n,
-                           [([[int(i == j) for i in range(n)]], 1) for j in range(n)])
-    assert all(den == 1 for _, den in cols)
-    return [[cols[j][0][0].get(i, 0) for j in range(n)] for i in range(n)]
-
-
 def _degree_kernel_basis(deg_covector):
     """Integer basis of the sublattice where the degree covector vanishes.
 
@@ -108,7 +99,9 @@ def _degree_kernel_basis(deg_covector):
     _, D, V = smith_normal_form([list(deg_covector)])
     assert abs(D[0][0]) == 1, "degree covector must be primitive"
     basis = [tuple(V[i][j] for i in range(r)) for j in range(1, r)]
-    V_inv = _integer_inverse(V)
+    # V is unimodular, so U2 V V2 = I and V^-1 = V2 U2
+    U2, _, V2 = smith_normal_form(V)
+    V_inv = [[_dot(row, col) for col in zip(*U2)] for row in V2]
 
     def to_coords(w):
         return tuple(sum(V_inv[j][i] * w[i] for i in range(r)) for j in range(1, r))

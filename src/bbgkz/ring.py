@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from itertools import chain
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -147,14 +146,12 @@ def _image_rows(f, S, k, region="full"):
 
 def _image_space(f, S, k, region="full"):
     """The RowSpace of `_image_rows(f, S, k, region)`, reduced once per
-    (x, k, region) and cached on S; rows go in from the last leading column."""
+    (x, k, region) and cached on S."""
     key = (f, k, region)
     space = S._images.get(key)
     if space is None:
         space = S._images[key] = RowSpace()
-        rows = filter(any, _image_rows(f, S, k, region))
-        for row in sorted(rows, key=lambda row: min(map(min, filter(None, row))), reverse=True):
-            space.add(row, f.m)
+        space.extend(_image_rows(f, S, k, region), f.m)
     return space
 
 
@@ -173,12 +170,12 @@ class NondegeneracyCertificate:
     expected_per_degree: tuple
 
     @classmethod
-    def of(cls, per_degree, S: GradedSemigroup, max_degree=None):
-        """Certificate of the quotient dims of degrees 0..max_degree (default
-        rank + 1): each is at least its generic value h*_k (upper
-        semicontinuity), so they total sum(h*) = vol * |N_tors| exactly when
-        they equal S.h_star, padded with zeros, degree by degree."""
-        dims = DimReport.of(per_degree[:(S.rank + 1 if max_degree is None else max_degree) + 1])
+    def of(cls, per_degree, S: GradedSemigroup):
+        """Certificate of the quotient dims of degrees 0..rank + 1: each is at
+        least its generic value h*_k (upper semicontinuity), so they total
+        sum(h*) = vol * |N_tors| exactly when they equal S.h_star, padded
+        with zeros, degree by degree."""
+        dims = DimReport.of(per_degree[:S.rank + 2])
         expected = S.h_star + (0,) * (len(dims.per_degree) - len(S.h_star))
         return cls(dims.total, sum(S.h_star), dims.per_degree,
                    not any(dims.per_degree[S.rank + 1:]), expected)
@@ -191,21 +188,18 @@ class NondegeneracyCertificate:
         return self.ok
 
 
-def is_nondegenerate(f: FVector, S: GradedSemigroup, max_degree=None):
+def is_nondegenerate(f: FVector, S: GradedSemigroup):
     """Dimension-count test for regularity of the log-derivative sequence.
 
     True iff the graded quotient dims equal the Ehrhart h*-vector of the
     layers degree by degree (Batyrev, 1993): total vol * torsion order, zero
     above degree rank(N).  Returns the boolean together with the certificate.
     """
-    max_degree = S.rank + 1 if max_degree is None else max_degree
-    if max_degree < S.rank + 1:
-        raise ValueError("max_degree must be at least rank + 1")
-    cert = NondegeneracyCertificate.of(jacobian_dims(f, S, max_degree).per_degree, S, max_degree)
+    cert = NondegeneracyCertificate.of(jacobian_dims(f, S, S.rank + 1).per_degree, S)
     return cert.ok, cert
 
 
-def _hat_rows(f, beta, S, region, max_src_degree):
+def _hat_rows(f, beta, S, max_src_degree):
     """Sparse rows mu_j . hat[n] over the point index of degrees 0..D, times
     B * X, as parts over Q(zeta_m) for the field m of x and beta: B = beta.den
     and X the den of x over that field.
@@ -221,9 +215,9 @@ def _hat_rows(f, beta, S, region, max_src_degree):
     rows = []
     start = 0
     for k in range(max_src_degree + 1):
-        layer = S.layer(k, region)
+        layer = S.layer(k)
         up = start + len(layer)
-        image = iter(_image_rows(f, S, k + 1, region))
+        image = iter(_image_rows(f, S, k + 1))
         for p, n in enumerate(layer):
             for j in range(S.rank):
                 row = [{up + d: v * B for d, v in part.items()} for part in next(image)]
@@ -237,41 +231,36 @@ def _hat_rows(f, beta, S, region, max_src_degree):
     return rows
 
 
-def _hat_key(f, beta, region, D):
-    """Where the hat space of (x, beta, region, D) is kept on S._images."""
-    return ("hat", f, beta, region, D)
+def _hat_key(f, beta, D):
+    """Where the hat space of (x, beta, D) is kept on S._images."""
+    return ("hat", f, beta, D)
 
 
-def _hat_space(f, beta, S, region, D):
+def _hat_space(f, beta, S, D):
     """The RowSpace of the `_hat_rows` generators with deg n <= D - 1, kept on
     S until a solve takes it (extend a copy).  Pivots: highest degree, then
-    lowest index; rows go in from the last leading column (less fill-in)."""
-    key = _hat_key(f, beta, region, D)
+    lowest index."""
+    key = _hat_key(f, beta, D)
     space = S._images.get(key)
     if space is None:
-        degrees = [k for k in range(D + 1) for _ in S.layer(k, region)]
+        degrees = [k for k in range(D + 1) for _ in S.layer(k)]
         order = [(D - k) * len(degrees) + c for c, k in enumerate(degrees)].__getitem__
         space = S._images[key] = RowSpace(key=order)
-        rows = [row for row in _hat_rows(f, beta, S, region, D - 1) if any(row)]
-        m = field(f.m, beta.m)
-        for row in sorted(rows, key=lambda row: min(map(order, chain.from_iterable(row))),
-                          reverse=True):
-            space.add(row, m)
+        space.extend(_hat_rows(f, beta, S, D - 1), field(f.m, beta.m))
     return space
 
 
-def _hat_free_counts(space, S, region, D):
+def _hat_free_counts(space, S, D):
     """|layer k| minus the pivots of a hat space in degree k, for k = 0..D."""
     pivots, counts, start = space.pivots, [], 0
     for k in range(D + 1):
-        stop = start + len(S.layer(k, region))
+        stop = start + len(S.layer(k))
         counts.append(stop - start - bisect_left(pivots, stop) + bisect_left(pivots, start))
         start = stop
     return tuple(counts)
 
 
-def hat_quotient_dims(f: FVector, beta, S: GradedSemigroup, region="full",
-                      filtration_bound=None) -> DimReport:
+def hat_quotient_dims(f: FVector, beta, S: GradedSemigroup, filtration_bound=None) -> DimReport:
     """Filtration-graded dimensions of the twisted module modulo the ideal.
 
     beta: an FVector or values, coordinates in the free part.  The quotient is
@@ -285,24 +274,28 @@ def hat_quotient_dims(f: FVector, beta, S: GradedSemigroup, region="full",
     if D < r + 1:
         raise ValueError("filtration bound must be at least rank + 1")
     beta = beta if isinstance(beta, FVector) else FVector(beta)
-    return DimReport.of(_hat_free_counts(_hat_space(f, beta, S, region, D), S, region, D))
+    return DimReport.of(_hat_free_counts(_hat_space(f, beta, S, D), S, D))
 
 
-def r1_dims(f: FVector, S: GradedSemigroup, max_degree=None) -> DimReport:
+def _interior_rank(space, S, degrees):
+    """dim(R + E) - dim R for R the row space of a space over the points of
+    the given layers, indexed in that order, and E spanned by the unit
+    vectors of their interior points; R is left as it was."""
+    space = space.copy()
+    index = {c: i for i, c in enumerate(c for k in degrees for c in S.layer(k))}
+    return sum(space.add([{index[c]: 1}]) for k in degrees for c in S.layer(k, "interior"))
+
+
+def r1_dims(f: FVector, S: GradedSemigroup) -> DimReport:
     """Graded dimensions of the interior image inside the Jacobian quotient.
 
-    Degree k is dim (C[K°]_k + (I C[K])_k) / (I C[K])_k.  Computed once per
-    (x, max_degree) and cached on S.
+    Degree k <= rank + 1 is dim (C[K°]_k + (I C[K])_k) / (I C[K])_k.
+    Computed once per x and cached on S.
     """
-    max_degree = S.rank + 1 if max_degree is None else max_degree
-    key = ("r1", f, max_degree)
+    key = ("r1", f)
     if key not in S._images:
-        dims = []
-        for k in range(max_degree + 1):
-            space = _image_space(f, S, k).copy()
-            idx = {c: i for i, c in enumerate(S.layer(k, "full"))}
-            dims.append(sum(space.add([{idx[c]: 1}]) for c in S.layer(k, "interior")))
-        S._images[key] = DimReport.of(dims)
+        S._images[key] = DimReport.of(_interior_rank(_image_space(f, S, k), S, [k])
+                                      for k in range(S.rank + 2))
     return S._images[key]
 
 
@@ -312,21 +305,21 @@ def hat_restriction_rank(f: FVector, S: GradedSemigroup, filtration_bound=None) 
     D = filtration_bound if filtration_bound is not None else r + 1
     if D < r + 1:
         raise ValueError("filtration bound must be at least rank + 1")
-    space = _hat_space(f, FVector((0,) * r), S, "full", D).copy()
-    index = {c: i for i, c in enumerate(c for k in range(D + 1) for c in S.layer(k))}
-    return sum(space.add([{index[c]: 1}])
-               for k in range(D + 1) for c in S.layer(k, "interior"))
+    return _interior_rank(_hat_space(f, FVector((0,) * r), S, D), S, range(D + 1))
 
 
-def random_rational_x(S: GradedSemigroup, seed=0, denominator_bound=4, max_retries=16):
+MAX_RETRIES = 16  # draws of random_rational_x before it gives up
+
+
+def random_rational_x(S: GradedSemigroup, seed=0, denominator_bound=4):
     """Seeded random small-rational coefficients, retried until nondegenerate.
 
     Returns (FVector, certificate).  Raises NondegeneracyRetriesExhausted
-    after `max_retries` failures.
+    after MAX_RETRIES failures.
     """
     rng = random.Random(seed)
     n = len(S.A)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         vals = []
         for _ in range(n):
             num = rng.randint(1, 9) * rng.choice((1, -1))
@@ -337,4 +330,4 @@ def random_rational_x(S: GradedSemigroup, seed=0, denominator_bound=4, max_retri
         if ok:
             return f, cert
     raise NondegeneracyRetriesExhausted(
-        f"no nondegenerate x within {max_retries} draws (seed {seed})")
+        f"no nondegenerate x within {MAX_RETRIES} draws (seed {seed})")

@@ -19,22 +19,28 @@ the step route's germ born at fc.  So both routes have the same free
 columns, and both bases are the one that is 1 at one free column and 0 at
 the others.  Steps extend the kernel route's germs from D0 to D: free
 columns have degree at most rank + 1 <= D0, so each has one solution.
-Everything is exact, over the cyclotomic field Q(zeta_m) of x and beta, a
-value as phi(m) integer parts (linalg); only the residual check evaluates
-the series in floats, through zeta -> exp(2 pi i / m).
+Inside the recursion a layer's germs are one array [part, germ, point]
+with a denominator per germ, and a step's right-hand sides one array
+product.  `exact_rank` is the one germ rank, of stacks or of their
+restrictions to per-layer point masks.  Everything is exact, over the
+cyclotomic field Q(zeta_m) of x and beta, a value as phi(m) integer parts
+(linalg); only the residual check evaluates the series in floats, through
+zeta -> exp(2 pi i / m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from types import SimpleNamespace
 
 import numpy as np
 
 from .abelian import GroupElement, pair
-from .linalg import GaussianRational, RowSpace, complex_basis, degree, field, mul, solve_sparse
+from .linalg import (GaussianRational, RowSpace, complex_basis, degree, embed, field, mul,
+                     solve_sparse)
 from .polyhedral import GradedSemigroup, k_prim
 from .ring import DimReport, FVector, _hat_free_counts, _hat_key, _image_rows, jacobian_dims
 
@@ -102,68 +108,47 @@ class SolutionBasis:
                 for t in range(len(self))]
 
 
-def _hat_kernel(f, beta, S, D):
-    """Per layer 0..D, the germs' values (as `_layer` takes them) off the kernel
-    of the hat space of (x, beta, "full", D), taken off S, and their leading
-    degrees; None if no such space is cached or its free columns per degree
-    differ from the step kernels'."""
-    space = S._images.pop(_hat_key(f, beta, "full", D), None)
-    if space is None or _hat_free_counts(space, S, "full", D) != jacobian_dims(f, S, D).per_degree:
-        return None
-    at = [(k, p) for k in range(D + 1) for p in range(len(S.layer(k)))]
-    kernel = list(space.kernel(len(at)).items())
-    layers = [[([{} for _ in parts], den) for _, (parts, den) in kernel] for _ in range(D + 1)]
-    for t, (_, (parts, _)) in enumerate(kernel):
+def _arrays(parts, shape):
+    """Parts as integer arrays of the shape, an int 0 part as zeros."""
+    return np.array([np.full(shape, p, dtype=object) if type(p) is int else p for p in parts])
+
+
+def _pack(vectors, width, n):
+    """(P, dens) of vectors (parts, den) as `solve_sparse` gives them, on
+    width points: P[s, t, p] the numerator of part s of vector t at point p,
+    over dens[t]; the parts past those a vector has are zero."""
+    P = np.zeros((n, len(vectors), width), dtype=object)
+    for t, (parts, _) in enumerate(vectors):
         for s, part in enumerate(parts):
-            for c, v in part.items():
-                k, p = at[c]
-                layers[k][t][0][s][p] = v
-    return layers, [at[fc][0] for fc, _ in kernel]
+            P[s, t, list(part)] = list(part.values())
+    return P, [den for _, den in vectors]
 
 
-def _twisted(vec, tw, ti, B, m):
-    """The right-hand side of one germ at one step, as (parts, d) for
-    `solve_sparse`: row p * r + j is lambda_c (beta_j - c_j) B X for
-    c = layer(k)[p], from the germ's values (parts, L) on layer k (numerator
-    dicts over L) and the integral (beta_j - c_j) B X, whose part 0 is
-    tw[p][j] and part s > 0 is ti[s - 1][j]; d is L B, so every entry is an
-    integer product."""
-    vparts, L = vec
-    r = len(tw[0]) if tw else 0
-    if not any(map(any, ti)):
-        # a rational twist scales each part
-        out = [[0] * (len(tw) * r) for _ in vparts]
-        for row, part in zip(out, vparts):
-            for p, a in part.items():
-                row[p * r:p * r + r] = [a * t for t in tw[p]]
-        return out, L * B
-    n = len(ti) + 1
-    out = [[0] * (len(tw) * r) for _ in range(n)]
-    for p in set().union(*vparts):
-        a = [part.get(p, 0) for part in vparts] + [0] * (n - len(vparts))
-        for j in range(r):
-            for s, v in enumerate(mul(a, [tw[p][j], *(t[j] for t in ti)], m)):
-                out[s][p * r + j] = v
-    return out, L * B
+def _hat_kernel(f, beta, S, D):
+    """Per layer 0..D, the germs (P, dens) off the kernel of the hat space of
+    (x, beta, D), taken off S, and their leading degrees; None if no such
+    space is cached or its free columns per degree differ from the step
+    kernels'."""
+    space = S._images.pop(_hat_key(f, beta, D), None)
+    if space is None or _hat_free_counts(space, S, D) != jacobian_dims(f, S, D).per_degree:
+        return None
+    degrees = [k for k in range(D + 1) for _ in S.layer(k)]
+    kernel = space.kernel(len(degrees))
+    P, dens = _pack(list(kernel.values()), len(degrees), degree(field(f.m, beta.m)))
+    off = np.cumsum([0] + [len(S.layer(k)) for k in range(D + 1)]).tolist()
+    return ([(P[:, :, a:b], dens) for a, b in zip(off, off[1:])],
+            [degrees[fc] for fc in kernel])
 
 
-def _layer(vectors, count, width, n):
-    """Layer parts [part, germ, point] of count germs over Q(zeta_m) with n =
-    phi(m) parts, and den, the least common denominator: germ t <
-    len(vectors) has the values vectors[t], (parts, d) numerator dicts over
-    d; the rest are zero."""
-    den = lcm(*[d for _, d in vectors])
-    out = [[[0] * width for _ in range(count)] for _ in range(n)]
-    for t, (parts, d) in enumerate(vectors):
-        scale = den // d
-        for row, part in zip(out, parts):
-            row = row[t]
-            for p, v in part.items():
-                row[p] = v * scale
-    g = gcd(den, *(v for part in out for row in part for v in row if v))
-    if g != 1:
-        out = [[[v // g for v in row] for row in part] for part in out]
-    return np.array(out, dtype=object).reshape(n, count, width), den // g
+def _layer(P, dens, count):
+    """Layer parts [part, germ, point] of count germs and den, the least
+    common denominator: germ t < len(dens) has the values P[:, t] over
+    dens[t]; the rest are zero."""
+    den = lcm(*dens)
+    out = np.zeros((len(P), count, P.shape[2]), dtype=object)
+    out[:, :len(dens)] = P * np.array([den // d for d in dens], dtype=object)[:, None]
+    g = gcd(den, *out.ravel().tolist())
+    return (out // g if g != 1 else out), den // g
 
 
 def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> SolutionBasis:
@@ -176,8 +161,8 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> SolutionBas
     sparse reduction of the step (linalg.solve_sparse).  Raises
     InconsistentSystem if a degree step is unsolvable.  That is the step
     route; the kernel route (see the module) reads degrees 0..D0,
-    D0 = min(D, rank + 3), off the hat space of (x, beta, "full", D0) if it
-    is cached on S and each degree m has |layer m| - rank
+    D0 = min(D, rank + 3), off the hat space of (x, beta, D0) if it is
+    cached on S and each degree m has |layer m| - rank
     `_image_rows(f, S, m)` free columns, as it does exactly when no step is
     inconsistent; steps then run from D0 to D.
     """
@@ -188,35 +173,42 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> SolutionBas
     f = f if isinstance(f, FVector) else FVector(f)
     beta = beta if isinstance(beta, FVector) else FVector(beta)
     m = field(f.m, beta.m)
+    n = degree(m)
 
-    # layers[k]: per germ born at degree <= k, its values on layer k
+    # layers[k]: (P, dens) of the germs born at degree <= k, on layer k
     got = _hat_kernel(f, beta, S, min(D, r + 3))
     if got is None:
         # one unit germ per degree-0 layer element
-        layers = [[([{p: 1}], 1) for p in range(len(S.layer(0)))]]
-        leading = [0] * len(layers[0])
+        w = len(S.layer(0))
+        P = np.zeros((n, w, w), dtype=object)
+        P[0, range(w), range(w)] = 1
+        layers, leading = [(P, [1] * w)], [0] * w
     else:
         layers, leading = got
 
     fm = f.embed(m)
     X = fm.den
     bB, B = beta.numerators(m)
-    ti = [[b * X for b in part] for part in bB[1:]]
+    # parts s > 0 of (beta_j - c_j) B X, the same at every c
+    ti = [np.array(part, dtype=object) * X if any(part) else 0 for part in bB[1:]]
     for k in range(len(layers) - 1, D):
-        # right-hand sides lambda_c (beta_j - c_j), flattened in (c, j) order,
-        # times the X of the rows
-        tw = [[(b - cj * B) * X for b, cj in zip(bB[0], c.free)] for c in S.layer(k)]
+        # right-hand sides lambda_c (beta_j - c_j) B X over dens[t] B, germ t's
+        # row p r + j at c = layer(k)[p]: integer products
+        P, dens = layers[k]
+        tw = np.array([[(b - cj * B) * X for b, cj in zip(bB[0], c.free)]
+                       for c in S.layer(k)], dtype=object)
+        R = np.array(mul([tw, *ti], list(P[..., None]), m))
+        R = R.reshape(n, len(dens), -1).transpose(1, 0, 2).tolist()
         sols, kernel = solve_sparse(_image_rows(fm, S, k + 1), len(S.layer(k + 1)),
-                                    [_twisted(vec, tw, ti, B, m) for vec in layers[k]], m)
+                                    [(parts, d * B) for parts, d in zip(R, dens)], m)
         if any(sol is None for sol in sols):
             raise InconsistentSystem(
                 f"no extension at degree {k + 1}; nondegeneracy certificate wrong?")
-        layers.append(sols + kernel)
+        layers.append(_pack(sols + kernel, len(S.layer(k + 1)), n))
         leading += [k + 1] * len(kernel)
 
     return SolutionBasis(GermStack(S, f, beta, D, [
-        _layer(vecs, len(leading), len(S.layer(k)), degree(m)) for k, vecs in enumerate(layers)],
-        m), leading)
+        _layer(P, dens, len(leading)) for P, dens in layers], m), leading)
 
 
 def filtration_dims(basis: SolutionBasis) -> DimReport:
@@ -327,30 +319,30 @@ def recursion_defects(stack: GermStack):
         yield k, defect
 
 
-def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport:
+ROUNDOFF = 1e-13  # residuals under ROUNDOFF times a germ's scale are roundoff
+
+
+def check_residuals(basis: SolutionBasis) -> ResidualReport:
     """Verify the defining equations on the computed germs.
 
     The derivative-shift equation is an exact identity of re-indexed table
     entries and is checked structurally by recursion_defects.  The
     Euler-type equation sum_i z_i v_i[j] Phi_{c + v_i} = (beta_j - c_j) Phi_c
-    is checked numerically at steps h0, h0/2, h0/4 (h0 must be positive); the
-    residual must shrink with observed order at least truncation - deg(c) - 1,
-    except that under the roundoff floor tiny * scale it only has to
-    decrease.  Inside the truncation, the coefficient of dz^m / m! of the
-    Euler residual at z = x + dz is the recursion defect at c + sum m_i v_i,
-    so once the recursion identity holds exactly, the order test checks only
-    the float evaluator (`_series`, one pass for all three steps) and
-    roundoff.
+    is checked numerically at steps h0, h0/2, h0/4, h0 the comparison
+    radius of x; the residual must shrink with observed order at least
+    truncation - deg(c) - 1, except that under the roundoff floor
+    ROUNDOFF * scale it only has to decrease.  Inside the truncation, the
+    coefficient of dz^m / m! of the Euler residual at z = x + dz is the
+    recursion defect at c + sum m_i v_i, so once the recursion identity holds
+    exactly, the order test checks only the float evaluator (`_series`, one
+    pass for all three steps) and roundoff.
     """
     S, D, stack = basis.semigroup, basis.truncation, basis.stack
     exact_ok = not any(defect.any() for _, defect in recursion_defects(stack))
     lam = _germ_floats(stack)
 
     x = stack.base_x.complex()
-    if h0 is None:
-        h0 = comparison_radius(x)
-    if not h0 > 0:
-        raise ValueError(f"residual step size {h0} is not positive")
+    h0 = comparison_radius(x)
     zs = np.array([x + h / len(x) for h in (h0, h0 / 2, h0 / 4)])
     # (degree, index) of K_prim and layers 0 and 1, once each, in that order
     kp = [(k, S.layer(k).index(c)) for c in k_prim(S) for k in [pair(S.deg, c)]]
@@ -368,7 +360,7 @@ def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport
     beta = basis.beta.complex()
     g = np.array([[b - cj for b, cj in zip(beta, c.free)] for c in check_points])
     res = np.abs(lhs - values[..., at, None] * g)
-    floors = (tiny * np.maximum(1.0, np.hypot(*lam).max(axis=1))).tolist()
+    floors = (ROUNDOFF * np.maximum(1.0, np.hypot(*lam).max(axis=1))).tolist()
     checks = []
     for ti, (floor, per_table) in enumerate(zip(floors, res.transpose(1, 2, 3, 0).tolist())):
         for c, k, per_point in zip(check_points, degrees, per_table):
@@ -387,21 +379,22 @@ def check_residuals(basis: SolutionBasis, h0=None, tiny=1e-13) -> ResidualReport
     return ResidualReport(exact_ok, checks)
 
 
-def restricted_solution_rank(basis: SolutionBasis) -> int:
-    """Exact rank of the germs restricted to interior points of degree <= rank.
-
-    Only meaningful at beta = 0, where it matches the interior image
-    dimension of the Jacobian quotient.
-    """
-    S, stack = basis.semigroup, basis.stack
-    normals = np.array(S.cone.facet_normals).T
-    # layer k's interior points: every facet value of the free part positive;
-    # a column's common denominator scales it and leaves the rank unchanged
-    inner = [np.repeat((S.free_layer(k) @ normals > 0).all(axis=1), S.group.torsion_order)
-             for k in range(S.rank + 1)]
+def exact_rank(stacks, masks=None) -> int:
+    """Exact rank of the germs of GermStacks on one semigroup and truncation,
+    over the field that holds theirs; with masks, of their restrictions to
+    the points masks[k] (a boolean array) of each layer k < len(masks).
+    Columns go into a RowSpace layer by layer until the rank is the germ
+    count, which bounds it from above."""
+    rows = sum(len(s) for s in stacks)
+    m = field(*(s.m for s in stacks))
     space = RowSpace()
-    for t in range(len(basis)):
-        parts = ([v for (P, _), mask in zip(stack.layers, inner) for v in P[s, t, mask].tolist()]
-                 for s in range(degree(stack.m)))
-        space.add([{c: v for c, v in enumerate(part) if v} for part in parts], stack.m)
+    for mask, layers in zip(repeat(slice(None)) if masks is None else masks,
+                            zip(*(s.layers for s in stacks))):
+        den = lcm(*(d for _, d in layers))
+        P = np.concatenate([_arrays(embed(list(P * (den // d)), s.m, m), P.shape[1:])
+                            for (P, d), s in zip(layers, stacks)], axis=1)
+        for col in P[:, :, mask].transpose(2, 0, 1).tolist():
+            space.add([{t: v for t, v in enumerate(part) if v} for part in col], m)
+            if space.rank == rows:
+                return rows
     return space.rank

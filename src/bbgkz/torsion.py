@@ -18,10 +18,10 @@ from math import gcd, lcm
 import numpy as np
 
 from .abelian import AbelianGroup, Character, char_value
-from .linalg import RowSpace, embed, field, mul, root_of_unity
+from .linalg import embed, field, mul, root_of_unity
 from .polyhedral import GradedSemigroup, build_semigroup
 from .ring import FVector
-from .solver import GermStack, SolutionBasis, recursion_defects
+from .solver import GermStack, SolutionBasis, _arrays, recursion_defects
 
 
 class ResidualTooLarge(RuntimeError):
@@ -85,11 +85,6 @@ def p_rho(rho: Character, x, Q: QuotientProblem) -> FVector:
     return FVector.of(m, z, X)
 
 
-def _arrays(parts, shape):
-    """Parts as integer arrays of the shape, an int 0 part as zeros."""
-    return np.array([np.full(shape, p, dtype=object) if type(p) is int else p for p in parts])
-
-
 def _times_character(layer, chars, m_psi, m):
     """A quotient layer (parts, den) [part, germ, point] over Q(zeta_m_psi),
     in Q(zeta_m), repeated over the torsion residues innermost and times the
@@ -138,21 +133,3 @@ def lift_and_verify(basis: SolutionBasis, rho: Character, x, S: GradedSemigroup)
         raise ResidualTooLarge(
             f"exact lift residual nonzero at {S.layer(k)[p]}, coordinate {j}")
     return lift, 0.0
-
-
-def exact_rank(stacks) -> int:
-    """Exact rank of the germs of GermStacks on one semigroup and truncation,
-    over the field that holds theirs.  Columns go into a RowSpace degree by
-    degree until the rank is the germ count, which bounds it from above."""
-    rows = sum(len(s) for s in stacks)
-    m = field(*(s.m for s in stacks))
-    space = RowSpace()
-    for layers in zip(*(s.layers for s in stacks)):
-        den = lcm(*(d for _, d in layers))
-        P = np.concatenate([_arrays(embed(list(P * (den // d)), s.m, m), P.shape[1:])
-                            for (P, d), s in zip(layers, stacks)], axis=1)
-        for col in P.transpose(2, 0, 1).tolist():
-            space.add([{t: v for t, v in enumerate(part) if v} for part in col], m)
-            if space.rank == rows:
-                return rows
-    return space.rank

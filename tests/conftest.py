@@ -12,7 +12,7 @@ from bbgkz.abelian import AbelianGroup, pair
 from bbgkz.linalg import GaussianRational, degree, numerators
 from bbgkz.polyhedral import GradedSemigroup, build_semigroup
 from bbgkz.ring import FVector, random_rational_x
-from bbgkz.solver import GermStack, SolutionBasis, _germ_floats, _series
+from bbgkz.solver import GermStack, SolutionBasis, _germ_floats, _series, exact_rank
 
 
 class QQI(GaussianRational):
@@ -299,6 +299,16 @@ def tables_of(basis):
 def basis_of(tables):
     """The SolutionBasis of LambdaTables: their stack and leading degrees."""
     return SolutionBasis(stack_of(tables), [t.leading_degree for t in tables])
+
+
+def restricted_rank(basis):
+    """The germs' exact rank on the interior points of degree <= rank, as the
+    restrict task takes it: exact_rank on the interior point masks."""
+    S, masks = basis.semigroup, []
+    for k in range(S.rank + 1):
+        inner = set(S.layer(k, "interior"))
+        masks.append(np.array([c in inner for c in S.layer(k)]))
+    return exact_rank([basis.stack], masks)
 
 
 def assert_stacks_equal(a, b):

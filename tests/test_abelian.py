@@ -1,5 +1,7 @@
 """Group arithmetic, Smith normal form, characters, and data validation."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from bbgkz.abelian import (AbelianGroup, NoDegreeFunctional, NotSpanning,
                            char_value, pair, smith_normal_form, validate_data)
 from bbgkz.linalg import field, mul, root_of_unity
-from bbgkz.polyhedral import _integer_inverse
+from bbgkz.polyhedral import _degree_kernel_basis
+from conftest import FIXTURE_BUILDERS, make_problem
 
 
 class TestAbelianGroup:
@@ -158,18 +161,46 @@ class TestSmithNormalForm:
                 assert b % a == 0
             else:
                 assert b == 0
-        # unimodular transforms: an integer matrix has an integer inverse
-        # exactly when its determinant is +-1
+        # unimodular transforms: the Smith form U2 M V2 = I of M = U, V gives
+        # the integer inverse V2 U2, which exists exactly when det M = +-1
         for M in (U, V):
-            inv = _integer_inverse(M)
-            assert all(type(x) is int for row in inv for x in row)
+            U2, _, V2 = smith_normal_form(M)
             k = len(M)
+            inv = [[sum(V2[i][t] * U2[t][j] for t in range(k)) for j in range(k)]
+                   for i in range(k)]
             assert [[sum(M[i][t] * inv[t][j] for t in range(k)) for j in range(k)]
                     for i in range(k)] == [[int(i == j) for j in range(k)] for i in range(k)]
 
     def test_known_example(self):
         _, D, _ = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
         assert [D[i][i] for i in range(3)] == [2, 6, 12]
+
+
+def degree_covectors():
+    """The degree covectors of the fixtures, then 20 seeded primitive ones
+    of length 2 to 4."""
+    out = [make_problem(name)[0].deg.free_covector for name in sorted(FIXTURE_BUILDERS)]
+    rng = random.Random(5)
+    while len(out) < len(FIXTURE_BUILDERS) + 20:
+        h = tuple(rng.randint(-6, 6) for _ in range(rng.randint(2, 4)))
+        if math.gcd(*h) == 1:
+            out.append(h)
+    return out
+
+
+class TestDegreeKernelBasis:
+    @pytest.mark.parametrize("h", degree_covectors(), ids=str)
+    def test_coordinates_and_degree(self, h):
+        """Every basis vector has degree 0, and to_coords reads back the
+        seeded integer coordinates of a combination of them."""
+        basis, to_coords = _degree_kernel_basis(h)
+        assert len(basis) == len(h) - 1
+        assert all(sum(x * y for x, y in zip(h, b)) == 0 for b in basis)
+        rng = random.Random(sum(h))
+        for _ in range(5):
+            a = tuple(rng.randint(-9, 9) for _ in basis)
+            w = tuple(sum(aj * b[i] for aj, b in zip(a, basis)) for i in range(len(h)))
+            assert to_coords(w) == a
 
 
 class TestValidateData:

@@ -13,10 +13,8 @@ from fractions import Fraction
 import pytest
 
 from bbgkz.ring import hat_quotient_dims, hat_restriction_rank, jacobian_dims, r1_dims
-from bbgkz.solver import (check_residuals, filtration_dims, restricted_solution_rank,
-                          solve_recursion)
-from bbgkz.torsion import exact_rank
-from conftest import evaluate_series, make_problem, tables_of
+from bbgkz.solver import check_residuals, exact_rank, filtration_dims, solve_recursion
+from conftest import evaluate_series, make_problem, restricted_rank, tables_of
 from test_torsion import lift_full_basis
 
 CORE_FIXTURES = ["z2", "ex51", "ex52", "p1", "p2", "square_z2"]
@@ -123,7 +121,7 @@ def test_criterion_07_restriction_rank_three_way():
         S, f, _ = make_problem(name)
         r = S.rank
         basis0 = solve_recursion(f, (Fraction(0),) * r, S, truncation=r + 1)
-        sol = restricted_solution_rank(basis0)
+        sol = restricted_rank(basis0)
         hat = hat_restriction_rank(f, S)
         r1 = r1_dims(f, S).total
         ok = ok and sol == hat == r1

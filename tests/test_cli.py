@@ -1,5 +1,6 @@
 """Problem parsing, report generation, exit codes, and determinism."""
 
+import dataclasses
 import json
 import os
 from fractions import Fraction
@@ -209,6 +210,64 @@ class TestFailedComputation:
         assert report["checks"][-1] == {"name": f"{task}_completed", "passed": False,
                                         "error": f"{error.__name__}: injected"}
         jsonschema.validate(read(out), cli._load_schema("report.schema.json"))
+
+
+def _bump(dims):
+    """The dims with one more in degree 0."""
+    return DimReport.of((dims.per_degree[0] + 1, *dims.per_degree[1:]))
+
+
+def _shift(dims):
+    """The dims with one moved from degree 0 to degree 1: the same total."""
+    d = dims.per_degree
+    return DimReport.of((d[0] - 1, d[1] + 1, *d[2:]))
+
+
+def _drop_germ(basis):
+    """The basis without its last germ."""
+    stack = dataclasses.replace(basis.stack, layers=[(P[:, :-1], den)
+                                                     for P, den in basis.stack.layers])
+    return dataclasses.replace(basis, stack=stack, leading=basis.leading[:-1])
+
+
+def _fail_first(rr):
+    """The residual report with its first numeric check failed."""
+    return dataclasses.replace(rr, checks=[dataclasses.replace(rr.checks[0], passed=False),
+                                           *rr.checks[1:]])
+
+
+class TestChecksCanFail:
+    """Each report check that can fail today fails, alone and with exit code
+    3, when the one cli input it reads is mutated.  Left out, as they cannot
+    fail yet (ROADMAP item 2(a)): dimension_theorem,
+    dual_kernel_matches_jacobian, dual_kernel_vanishing,
+    torsion_lift_residual, and filtration_matches_jacobian, which on the
+    kernel route can fail only on its zero tail."""
+
+    @pytest.mark.parametrize("check, target, mutate, task", [
+        # hat0, the beta = 0 call, is off in total; hat keeps the graded check
+        ("hat_total_matches_jacobian", "hat_quotient_dims",
+         lambda real, f, beta, S, **kw: (_bump if beta == (0,) * S.rank else lambda d: d)(
+             real(f, beta, S, **kw)), "analyze"),
+        ("hat_graded_matches_jacobian", "hat_quotient_dims",
+         lambda real, *a, **kw: _shift(real(*a, **kw)), "analyze"),
+        ("solution_dimension", "solve_recursion",
+         lambda real, *a, **kw: _drop_germ(real(*a, **kw)), "solve"),
+        ("restriction_rank_three_way", "r1_dims",
+         lambda real, *a: _bump(real(*a)), "restrict"),
+        ("torsion_lift_rank", "exact_rank", lambda real, *a: real(*a) - 1, "lift"),
+        ("residuals", "check_residuals",
+         lambda real, *a: dataclasses.replace(real(*a), shift_identity_exact=False),
+         "residuals"),
+        ("residuals", "check_residuals", lambda real, *a: _fail_first(real(*a)), "residuals"),
+    ], ids=["hat_total", "hat_graded", "solution_dimension", "restriction_rank",
+            "torsion_lift_rank", "residuals_exact", "residuals_numeric"])
+    def test_mutation_fails_its_check(self, check, target, mutate, task, monkeypatch):
+        real = getattr(cli, target)
+        monkeypatch.setattr(cli, target, lambda *a, **kw: mutate(real, *a, **kw))
+        report, code = cli.run(cli.fixture_path("square_z2"), tasks=[task], timings=False)
+        assert code == 3
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == [check]
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")

@@ -81,7 +81,7 @@ class TestImageRows:
             rows = _image_rows(f, S, k)
             assert len(rows) == S.rank * len(S.layer(k - 1))
             assert all(v for row in rows for part in row for v in part.values())
-        hat = ring._hat_rows(f, FVector(beta), S, "full", S.rank + 1)
+        hat = ring._hat_rows(f, FVector(beta), S, S.rank + 1)
         assert all(v for row in hat for part in row for v in part.values())
         if name == "repeated" and x[0]:
             # x1 + x2 = 0: the repeated generators' terms cancel, leaving
@@ -143,7 +143,7 @@ class TestImageCache:
 
     @pytest.mark.parametrize("name", ["p2", "square_z2"])
     def test_hat_base_reduced_once(self, name, monkeypatch):
-        """Each (x, beta, region, D) hat space is reduced once and cached;
+        """Each (x, beta, D) hat space is reduced once and cached;
         hat_restriction_rank extends a copy, so repeated calls agree with a
         fresh semigroup."""
         S0, f, beta = make_problem(name)
@@ -151,21 +151,18 @@ class TestImageCache:
         fresh = build_semigroup(S0.group, S0.A)
         want = (hat_quotient_dims(f, (0,) * r, fresh, filtration_bound=r + 2),
                 hat_restriction_rank(f, fresh, filtration_bound=r + 2),
-                hat_quotient_dims(f, beta, fresh, filtration_bound=r + 2),
-                hat_quotient_dims(f, (0,) * r, fresh, region="interior", filtration_bound=r + 2))
+                hat_quotient_dims(f, beta, fresh, filtration_bound=r + 2))
         S = build_semigroup(S0.group, S0.A)
         calls = []
         build = ring._hat_rows
         monkeypatch.setattr(ring, "_hat_rows",
-                            lambda *args: calls.append((any(map(any, args[1].parts)), args[3]))
+                            lambda *args: calls.append(any(map(any, args[1].parts)))
                             or build(*args))
         for _ in range(2):
             assert (hat_quotient_dims(f, (0,) * r, S, filtration_bound=r + 2),
                     hat_restriction_rank(f, S, filtration_bound=r + 2),
-                    hat_quotient_dims(f, beta, S, filtration_bound=r + 2),
-                    hat_quotient_dims(f, (0,) * r, S, region="interior",
-                                      filtration_bound=r + 2)) == want
-        assert sorted(calls) == [(False, "full"), (False, "interior"), (True, "full")]
+                    hat_quotient_dims(f, beta, S, filtration_bound=r + 2)) == want
+        assert sorted(calls) == [False, True]
 
 
 class TestNondegeneracy:
@@ -266,29 +263,29 @@ class TestHatQuotient:
             hat_quotient_dims(f, beta, S, filtration_bound=S.rank)
 
 
-def reference_hat_dims(f, beta, S, region, D):
+def reference_hat_dims(f, beta, S, D):
     """The old count: jumps of the rank as the unit vectors of each degree,
     lowest first, join the hat rows."""
     space = RowSpace(key=lambda c: -c)
-    for row in ring._hat_rows(f, FVector(beta), S, region, D - 1):
+    for row in ring._hat_rows(f, FVector(beta), S, D - 1):
         space.add(row, 4)
     pos, per_degree = 0, []
     for k in range(D + 1):
-        n = len(S.layer(k, region))
+        n = len(S.layer(k))
         per_degree.append(sum(space.add([{c: 1}]) for c in range(pos, pos + n)))
         pos += n
     return tuple(per_degree)
 
 
 class TestHatDimsFromPivots:
-    @pytest.mark.parametrize("region", ["full", "interior"])
-    @pytest.mark.parametrize("offset", [1, 3])
-    def test_matches_unit_vector_count(self, named_problem, region, offset):
+    # the hat quotient is taken over the full cone only
+    @pytest.mark.parametrize("offset", [1, 3], ids=["1-full", "3-full"])
+    def test_matches_unit_vector_count(self, named_problem, offset):
         _, S, f, beta = named_problem
         D = S.rank + offset
         for b in (beta, (0,) * S.rank):
-            assert hat_quotient_dims(f, b, S, region, filtration_bound=D).per_degree \
-                == reference_hat_dims(f, b, S, region, D)
+            assert hat_quotient_dims(f, b, S, filtration_bound=D).per_degree \
+                == reference_hat_dims(f, b, S, D)
 
 
 class TestR1:
@@ -321,7 +318,8 @@ class TestRandomRationalX:
         f, cert = random_rational_x(S, seed=3)
         assert cert.ok
 
-    def test_retries_exhausted(self):
+    def test_retries_exhausted(self, monkeypatch):
         S, _, _ = make_problem("p1")
+        monkeypatch.setattr(ring, "MAX_RETRIES", 0)
         with pytest.raises(NondegeneracyRetriesExhausted):
-            random_rational_x(S, seed=0, max_retries=0)
+            random_rational_x(S, seed=0)

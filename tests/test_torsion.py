@@ -13,13 +13,13 @@ from math import lcm
 import numpy as np
 import pytest
 
-from bbgkz import cli, torsion
+from bbgkz import cli, solver, torsion
 from bbgkz.abelian import char_value
 from bbgkz.linalg import RowSpace, degree, embed, field, mul, root_of_unity
 from bbgkz.polyhedral import build_semigroup
 from bbgkz.ring import FVector
-from bbgkz.solver import check_residuals, recursion_defects, solve_recursion
-from bbgkz.torsion import ResidualTooLarge, build_quotient, exact_rank, lift_and_verify, p_rho
+from bbgkz.solver import check_residuals, exact_rank, recursion_defects, solve_recursion
+from bbgkz.torsion import ResidualTooLarge, build_quotient, lift_and_verify, p_rho
 from conftest import (QQI, QQI_I, LambdaTable, assert_stacks_equal, basis_of, make_problem,
                       qqi_values, stack_of, tables_of)
 
@@ -325,9 +325,9 @@ class TestExactRank:
                 layers = []
                 for (P, d), (sP, sd) in zip(stacks[dst].layers, stacks[src].layers):
                     den = lcm(d, sd)
-                    P = torsion._arrays(embed(list(P * (den // d)), stacks[dst].m, m),
+                    P = solver._arrays(embed(list(P * (den // d)), stacks[dst].m, m),
                                         P.shape[1:])
-                    sP = torsion._arrays(embed(list(sP * (den // sd)), stacks[src].m, m),
+                    sP = solver._arrays(embed(list(sP * (den // sd)), stacks[src].m, m),
                                          sP.shape[1:])
                     P[:, 0] = sP[:, -1] if duplicate else 0
                     layers.append((P, den))
