@@ -156,6 +156,8 @@ def _check(checks, name, passed, **details):
 
 
 def _task_analyze(spec, S, f, D, report, checks):
+    """dims.dual_kernel repeats jacobian_full, the adjoint kernel of the same
+    rows by rank-nullity: the benchmark's expected numbers still read it."""
     r = S.rank
     vol = S.volume
     tors = S.group.torsion_order
@@ -175,13 +177,11 @@ def _task_analyze(spec, S, f, D, report, checks):
         "hat_quotient_beta0": format_dims(hat0),
         "r1": format_dims(r1),
     }
-    _check(checks, "dimension_theorem", jac.total == vol * tors,
-           total=jac.total, expected=vol * tors)
-    # dims.dual_kernel is jac: the adjoint kernel of the same rows, by
-    # rank-nullity; ROADMAP item 2(a) replaces this check and the next
-    _check(checks, "dual_kernel_matches_jacobian", True)
-    _check(checks, "dual_kernel_vanishing",
-           all(d == 0 for d in jac.per_degree[r + 1:]))
+    # Batyrev duality: the interior ring is jac reversed, read off other layers
+    _check(checks, "interior_dual_to_full",
+           jac_int.per_degree[:r + 1] == jac.per_degree[r::-1]
+           and jac_int.per_degree[r + 1] == 0,
+           interior=list(jac_int.per_degree), full=list(jac.per_degree))
     _check(checks, "hat_total_matches_jacobian",
            hat.total == jac.total and hat0.total == jac.total,
            hat_total=hat.total, hat_beta0_total=hat0.total)
@@ -271,7 +271,7 @@ def _lifts(spec, S, Q, f):
         if not NondegeneracyCertificate.of(filtration_dims(qbasis).per_degree, Q.semigroup):
             raise DegenerateQuotient(
                 f"the quotient point of character {rho.torsion_exponents} is degenerate")
-        lifts.append(lift_and_verify(qbasis, rho, f, S))
+        lifts.append(lift_and_verify(qbasis, rho, f, S)[0])
     return lifts
 
 
@@ -280,19 +280,15 @@ def _task_lift(spec, S, f, D, report, checks):
     if tors == 1:
         report["torsion_lift"] = {"skipped": "torsion order 1"}
         return
-    stacks, residuals = zip(*_lifts(spec, S, build_quotient(S.group, S.A), f))
-    worst = max(residuals)
+    stacks = _lifts(spec, S, build_quotient(S.group, S.A), f)
     rank = exact_rank(stacks)
     report["torsion_lift"] = {
-        "mode": "exact",
         "lifted_tables": sum(len(stack) for stack in stacks),
         "rank": rank,
         "expected": vol * tors,
-        "max_residual": worst,
     }
     _check(checks, "torsion_lift_rank", rank == vol * tors,
            rank=rank, expected=vol * tors)
-    _check(checks, "torsion_lift_residual", worst <= 1e-9, max_residual=worst)
 
 
 def _task_residuals(spec, S, f, D, report, checks, basis):
@@ -362,14 +358,15 @@ def run(problem_path, tasks=None, seed=None, truncation=None,
             elif task == "residuals":
                 _task_residuals(spec, S, f, D, report, checks, basis)
             times[task] = round(time.monotonic() - t0, 4)
-    except ResidualTooLarge as e:
-        _check(checks, "torsion_lift_residual", False, error=str(e))
-    except (InconsistentSystem, DegenerateQuotient, KPrimGuardError) as e:
+    except (InconsistentSystem, DegenerateQuotient, ResidualTooLarge, KPrimGuardError) as e:
         _check(checks, f"{task}_completed", False, error=f"{type(e).__name__}: {e}")
     report["checks"] = checks
     report["all_passed"] = all(c["passed"] for c in checks)
     if timings:
         report["timings_seconds"] = times
+    error = best_match(_validator("report.schema.json").iter_errors(report))
+    if error is not None:
+        raise error
     code = 0 if report["all_passed"] else 3
     if out_path:
         write_report(report, out_path)
@@ -377,10 +374,7 @@ def run(problem_path, tasks=None, seed=None, truncation=None,
 
 
 def write_report(report, path):
-    """Serialize atomically so a crash cannot leave a partial report."""
-    error = best_match(_validator("report.schema.json").iter_errors(report))
-    if error is not None:
-        raise error
+    """Serialize a validated report atomically: a crash leaves no partial one."""
     text = json.dumps(report, indent=2, sort_keys=False) + "\n"
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:

@@ -386,9 +386,9 @@ def solve_sparse(rows, ncols, rhs_list, m=1):
     """Solve A x = b exactly over Q(zeta_m) for several right-hand sides,
     plus the kernel of A.
 
-    rows: the rows of A over columns 0..ncols-1 as parts, as
-    `RowSpace.add` takes them.  rhs_list: one right-hand side b_t
-    per entry, as (parts, d) with part s of b_t[i] equal to parts[s][i] / d,
+    rows: the rows of A over columns 0..ncols-1 as parts, consumed as
+    `RowSpace.add` consumes them.  rhs_list: one right-hand side b_t per
+    entry, as (parts, d) with part s of b_t[i] equal to parts[s][i] / d,
     integer sequences of length len(rows) (one for a rational b_t) and d > 0.
     The numerators d * b_t go in as column ncols + t, after every unknown,
     and the augmented matrix is reduced once, its rows going in from the
@@ -409,7 +409,7 @@ def solve_sparse(rows, ncols, rhs_list, m=1):
             if s < len(bparts)] for s in range(n)]
     augmented = []
     for i, row in enumerate(rows):
-        parts = [dict(row[s]) if s < len(row) else {} for s in range(n)]
+        parts = [row[s] if s < len(row) else {} for s in range(n)]
         for part, cols in zip(parts, rhs):
             for col, b in cols:
                 if b[i]:

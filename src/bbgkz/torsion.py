@@ -7,7 +7,8 @@ lambda_c = rho(c) psi_{pi(c)} at z = p_rho(x).  One quotient basis per
 character, to degree rank + 1 (which fixes every germ), gives the full
 solution space.  A character of order m takes its values in Q(zeta_m), so
 z, psi and the lift are exact there, as phi(m) integer parts per value
-(linalg); the lift is checked exactly against the original recursion.
+(linalg); the lift is checked exactly against the original recursion, and
+a germ that fails it stops the lift (a failed `lift_completed` in a report).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .solver import GermStack, SolutionBasis, _arrays, recursion_defects
 
 
 class ResidualTooLarge(RuntimeError):
-    """A lifted germ failed the recursion residual check."""
+    """A lifted germ has a nonzero exact recursion defect."""
 
 
 class DegenerateQuotient(RuntimeError):
@@ -104,8 +105,9 @@ def lift_and_verify(basis: SolutionBasis, rho: Character, x, S: GradedSemigroup)
     Layer k of S is the quotient's layer k with the torsion index innermost,
     so lifted layers are quotient layers times rho, over Q(zeta_m) for m the
     field of psi, x and rho's values.  Returns (the lifted GermStack over S,
-    its residual 0.0) after one recursion_defects pass on the original problem.
-    Raises ResidualTooLarge for the first germ with a nonzero defect.
+    0.0) after one recursion_defects pass on the original problem; the pair
+    stays because perfbench's tracer reads the stack as out[0].  Raises
+    ResidualTooLarge for the first germ with a nonzero defect.
     """
     _, images, index_sets = _project(S.group, S.A)
     if images != tuple(basis.semigroup.A):

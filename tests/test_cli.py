@@ -1,6 +1,7 @@
 """Problem parsing, report generation, exit codes, and determinism."""
 
 import dataclasses
+import glob
 import json
 import os
 from fractions import Fraction
@@ -13,7 +14,7 @@ from bbgkz.abelian import AbelianGroup
 from bbgkz.polyhedral import KPrimGuardError, build_semigroup
 from bbgkz.ring import DimReport, FVector
 from bbgkz.solver import InconsistentSystem
-from bbgkz.torsion import DegenerateQuotient, p_rho
+from bbgkz.torsion import DegenerateQuotient, ResidualTooLarge, p_rho
 from conftest import assert_stacks_equal
 
 
@@ -195,6 +196,7 @@ class TestFailedComputation:
     @pytest.mark.parametrize("error, target, fixture, task", [
         (InconsistentSystem, "solve_recursion", "ex51", "solve"),
         (DegenerateQuotient, "lift_and_verify", "g3_torsion", "lift"),
+        (ResidualTooLarge, "lift_and_verify", "g3_torsion", "lift"),
         (KPrimGuardError, "k_prim", "ex51", "analyze"),
     ])
     def test_exit_code_three(self, tmp_path, monkeypatch, error, target, fixture, task):
@@ -230,44 +232,80 @@ def _drop_germ(basis):
     return dataclasses.replace(basis, stack=stack, leading=basis.leading[:-1])
 
 
+def _corrupt_layer_one(basis):
+    """The basis with one numerator of its first germ's degree-1 values off
+    by one: the quotient germ no longer solves the recursion."""
+    layers = list(basis.stack.layers)
+    P, den = layers[1]
+    P = P.copy()
+    P[0, 0, 0] += 1
+    layers[1] = (P, den)
+    return dataclasses.replace(basis, stack=dataclasses.replace(basis.stack, layers=layers))
+
+
 def _fail_first(rr):
     """The residual report with its first numeric check failed."""
     return dataclasses.replace(rr, checks=[dataclasses.replace(rr.checks[0], passed=False),
                                            *rr.checks[1:]])
 
 
+# (check, cli name patched, mutation of its result, task), one id each
+MUTATIONS = [
+    # only the interior call is off; the full dims keep the hat checks
+    ("interior_dual_to_full", "jacobian_dims",
+     lambda real, *a, **kw: (_shift if kw.get("region") == "interior" else lambda d: d)(
+         real(*a, **kw)), "analyze"),
+    # hat0, the beta = 0 call, is off in total; hat keeps the graded check
+    ("hat_total_matches_jacobian", "hat_quotient_dims",
+     lambda real, f, beta, S, **kw: (_bump if beta == (0,) * S.rank else lambda d: d)(
+         real(f, beta, S, **kw)), "analyze"),
+    ("hat_graded_matches_jacobian", "hat_quotient_dims",
+     lambda real, *a, **kw: _shift(real(*a, **kw)), "analyze"),
+    ("solution_dimension", "solve_recursion",
+     lambda real, *a, **kw: _drop_germ(real(*a, **kw)), "solve"),
+    ("restriction_rank_three_way", "r1_dims",
+     lambda real, *a: _bump(real(*a)), "restrict"),
+    ("torsion_lift_rank", "exact_rank", lambda real, *a: real(*a) - 1, "lift"),
+    ("residuals", "check_residuals",
+     lambda real, *a: dataclasses.replace(real(*a), shift_identity_exact=False),
+     "residuals"),
+    ("residuals", "check_residuals", lambda real, *a: _fail_first(real(*a)), "residuals"),
+    # a quotient germ off in one value: the exact lift check stops the lift
+    ("lift_completed", "solve_recursion",
+     lambda real, *a, **kw: _corrupt_layer_one(real(*a, **kw)), "lift"),
+]
+MUTATION_IDS = ["interior_dual", "hat_total", "hat_graded", "solution_dimension",
+                "restriction_rank", "torsion_lift_rank", "residuals_exact",
+                "residuals_numeric", "lift_completed"]
+# cannot fail yet (ROADMAP item 2(a)): on the kernel route only its zero tail
+# can, as the germs are read off only when their counts are the Jacobian dims
+CANNOT_FAIL_YET = {"filtration_matches_jacobian"}
+
+
 class TestChecksCanFail:
     """Each report check that can fail today fails, alone and with exit code
-    3, when the one cli input it reads is mutated.  Left out, as they cannot
-    fail yet (ROADMAP item 2(a)): dimension_theorem,
-    dual_kernel_matches_jacobian, dual_kernel_vanishing,
-    torsion_lift_residual, and filtration_matches_jacobian, which on the
-    kernel route can fail only on its zero tail."""
+    3, when the one cli input it reads is mutated.  Left out, as it cannot
+    fail yet: filtration_matches_jacobian."""
 
-    @pytest.mark.parametrize("check, target, mutate, task", [
-        # hat0, the beta = 0 call, is off in total; hat keeps the graded check
-        ("hat_total_matches_jacobian", "hat_quotient_dims",
-         lambda real, f, beta, S, **kw: (_bump if beta == (0,) * S.rank else lambda d: d)(
-             real(f, beta, S, **kw)), "analyze"),
-        ("hat_graded_matches_jacobian", "hat_quotient_dims",
-         lambda real, *a, **kw: _shift(real(*a, **kw)), "analyze"),
-        ("solution_dimension", "solve_recursion",
-         lambda real, *a, **kw: _drop_germ(real(*a, **kw)), "solve"),
-        ("restriction_rank_three_way", "r1_dims",
-         lambda real, *a: _bump(real(*a)), "restrict"),
-        ("torsion_lift_rank", "exact_rank", lambda real, *a: real(*a) - 1, "lift"),
-        ("residuals", "check_residuals",
-         lambda real, *a: dataclasses.replace(real(*a), shift_identity_exact=False),
-         "residuals"),
-        ("residuals", "check_residuals", lambda real, *a: _fail_first(real(*a)), "residuals"),
-    ], ids=["hat_total", "hat_graded", "solution_dimension", "restriction_rank",
-            "torsion_lift_rank", "residuals_exact", "residuals_numeric"])
+    @pytest.mark.parametrize("check, target, mutate, task", MUTATIONS, ids=MUTATION_IDS)
     def test_mutation_fails_its_check(self, check, target, mutate, task, monkeypatch):
         real = getattr(cli, target)
         monkeypatch.setattr(cli, target, lambda *a, **kw: mutate(real, *a, **kw))
         report, code = cli.run(cli.fixture_path("square_z2"), tasks=[task], timings=False)
         assert code == 3
         assert [c["name"] for c in report["checks"] if not c["passed"]] == [check]
+
+    def test_every_golden_check_is_covered(self):
+        """Every check the golden reports carry has a mutation above, is a
+        `<task>_completed` check (TestFailedComputation), or is the one
+        documented exception: a new check that cannot fail shows here."""
+        completed = {f"{task}_completed" for task in cli.ALL_TASKS}
+        covered = {case[0] for case in MUTATIONS} | completed | CANNOT_FAIL_YET
+        names = set()
+        for path in glob.glob(os.path.join(GOLDEN, "*.json")):
+            if not path.endswith(".problem.json"):
+                names.update(c["name"] for c in read(path)["checks"])
+        assert "interior_dual_to_full" in names and names <= covered, names - covered
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -290,7 +328,7 @@ class TestLiftLanes:
         report, code = cli.run(os.path.join(GOLDEN, f"{name}.problem.json"), timings=False)
         assert code == 0
         lift = report["torsion_lift"]
-        assert lift["mode"] == "exact" and lift["rank"] == lift["expected"]
+        assert lift["rank"] == lift["expected"]
 
     @staticmethod
     def lift_block(spec, S, f, D=5):
@@ -312,8 +350,7 @@ class TestLiftLanes:
         assert not ring.is_nondegenerate(bad, S)[0] and ring.is_nondegenerate(good, S)[0]
         with pytest.raises((InconsistentSystem, DegenerateQuotient)):
             self.lift_block(spec, S, bad)
-        assert self.lift_block(spec, S, good) == {
-            "mode": "exact", "lifted_tables": 4, "rank": 4, "expected": 4, "max_residual": 0.0}
+        assert self.lift_block(spec, S, good) == {"lifted_tables": 4, "rank": 4, "expected": 4}
 
     @pytest.mark.parametrize("name, solves", [("p2_z4", 3), ("p2_z4_cbeta", 4),
                                               ("seg5_z3", 2)])
@@ -366,7 +403,8 @@ class TestLiftLanes:
         spec = cli.load_problem(path)
         S = build_semigroup(spec.group, spec.vectors)
         f, _ = spec.resolve_x(S)
-        assert self.lift_block(spec, S, f)["mode"] == "exact"
+        lift = self.lift_block(spec, S, f)
+        assert lift["rank"] == lift["expected"]
         dims = cli.filtration_dims
 
         def off(basis):
@@ -460,6 +498,20 @@ class TestMain:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["all_passed"]
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_invalid_report_never_printed_or_written(self, to_file, tmp_path, capsys,
+                                                      monkeypatch):
+        """run validates every full report before any output: one that breaks
+        the report schema raises on stdout as on --out, and nothing is
+        emitted."""
+        monkeypatch.setattr(cli, "_task_analyze",
+                            lambda spec, S, f, D, report, checks: report.update(volume="2"))
+        out = tmp_path / "r.json"
+        with pytest.raises(jsonschema.ValidationError, match="is not of type 'integer'"):
+            cli.main([cli.fixture_path("ex51"), "--tasks", "analyze",
+                      *(["--out", str(out)] if to_file else [])])
+        assert not capsys.readouterr().out and not os.listdir(tmp_path)
 
     def test_main_error_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

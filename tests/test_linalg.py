@@ -516,7 +516,8 @@ class TestRestrictionOfScalars:
                 for c in range(ncols):
                     v = mul([part.get(c, 0) for part in row], xs[c], m)
                     b[i] = [u + w for u, w in zip(b[i], v)]
-            sols, kernel = solve_sparse(rows, ncols, [(list(zip(*b)) or [[]], 1)], m)
+            sols, kernel = solve_sparse([[dict(part) for part in row] for row in rows], ncols,
+                                        [(list(zip(*b)) or [[]], 1)], m)
             assert len(kernel) == ncols - rank
             for vec in [sols[0], *kernel]:
                 parts, den = vec
