@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -22,9 +23,7 @@ from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
-import jsonschema
 import numpy as np
-from jsonschema.exceptions import best_match
 
 from .abelian import AbelianGroup, NoDegreeFunctional, NotSpanning
 from .linalg import GaussianRational, galois
@@ -44,18 +43,74 @@ class ProblemError(ValueError):
     """Problem file is invalid: schema, group data, or base point."""
 
 
+@functools.cache
 def _load_schema(name):
     ref = resources.files("bbgkz.schemas").joinpath(name)
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-@functools.cache
-def _validator(name):
-    """jsonschema's validator for a bundled schema, checked once per process."""
+# the keywords _valid interprets; "$schema", "title" and "$defs" assert nothing
+KEYWORDS = frozenset(("$schema", "title", "$defs", "$ref", "type", "required", "properties",
+                      "additionalProperties", "items", "minItems", "minimum", "pattern",
+                      "enum", "const", "oneOf"))
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+
+
+def _is_type(doc, name):
+    if name == "integer":  # a JSON number with no fraction; bool is not one
+        return (isinstance(doc, int) and not isinstance(doc, bool)
+                or isinstance(doc, float) and doc.is_integer())
+    return name in _TYPES and isinstance(doc, _TYPES[name])
+
+
+def _valid(schema, doc, root):
+    """Whether doc meets schema, a part of the bundled schema root, read with
+    draft 2020-12's meaning of KEYWORDS.  Any other keyword makes it False,
+    as does a non-local $ref: jsonschema then decides.  enum and const compare
+    with ==, which is jsonschema's equality for the strings the bundled
+    schemas list."""
+    if isinstance(schema, bool):
+        return schema
+    if not KEYWORDS.issuperset(schema):
+        return False
+    if "type" in schema and not _is_type(doc, schema["type"]):
+        return False
+    if "$ref" in schema:
+        ref = schema["$ref"]
+        if not (ref.startswith("#/") and _valid(
+                functools.reduce(operator.getitem, ref[2:].split("/"), root), doc, root)):
+            return False
+    if "enum" in schema and doc not in schema["enum"]:
+        return False
+    if "const" in schema and doc != schema["const"]:
+        return False
+    if "oneOf" in schema and sum(_valid(sub, doc, root) for sub in schema["oneOf"]) != 1:
+        return False
+    if isinstance(doc, dict):
+        props, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
+        return (all(k in doc for k in schema.get("required", ()))
+                and all(_valid(props.get(k, extra), v, root) for k, v in doc.items()))
+    if isinstance(doc, list):
+        return len(doc) >= schema.get("minItems", 0) and all(
+            _valid(schema.get("items", True), item, root) for item in doc)
+    if isinstance(doc, str):
+        return "pattern" not in schema or re.search(schema["pattern"], doc) is not None
+    if isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        return not doc < schema.get("minimum", doc)  # NaN passes, as in jsonschema
+    return True
+
+
+def _schema_error(name, doc):
+    """None when doc meets the bundled schema `name`, else the error that
+    jsonschema's best_match picks.  The keyword check decides a valid
+    document alone, so jsonschema is imported only to explain a rejection,
+    and its verdict stands."""
     schema = _load_schema(name)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    if _valid(schema, doc, schema):
+        return None
+    from jsonschema import validators
+    from jsonschema.exceptions import best_match
+    return best_match(validators.validator_for(schema)(schema).iter_errors(doc))
 
 
 RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
@@ -140,7 +195,7 @@ def load_problem(path) -> ProblemSpec:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ProblemError(f"cannot read problem file: {e}")
-    error = best_match(_validator("problem.schema.json").iter_errors(data))
+    error = _schema_error("problem.schema.json", data)
     if error is not None:
         raise ProblemError(f"schema violation: {error.message}")
     if data["schema_version"] != SCHEMA_VERSION:
@@ -364,22 +419,31 @@ def run(problem_path, tasks=None, seed=None, truncation=None,
     report["all_passed"] = all(c["passed"] for c in checks)
     if timings:
         report["timings_seconds"] = times
-    error = best_match(_validator("report.schema.json").iter_errors(report))
+    error = _schema_error("report.schema.json", report)
     if error is not None:
         raise error
     code = 0 if report["all_passed"] else 3
     if out_path:
-        write_report(report, out_path)
+        try:
+            write_report(report, out_path)
+        except OSError as e:
+            return {"error": f"cannot write report {out_path}: {e.strerror or e}"}, 2
     return report, code
 
 
 def write_report(report, path):
-    """Serialize a validated report atomically: a crash leaves no partial one."""
+    """Serialize a validated report atomically: a crash leaves no partial one,
+    and a failed write no temporary file."""
     text = json.dumps(report, indent=2, sort_keys=False) + "\n"
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def fixture_path(name):

@@ -4,6 +4,9 @@ import dataclasses
 import glob
 import json
 import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import jsonschema
@@ -36,6 +39,7 @@ BASE_PROBLEM = {
     "beta": ["0"],
     "x_policy": {"mode": "explicit", "values": ["3"]},
 }
+FIXTURES = ["z2_example", "ex51", "ex52", "p1", "p2", "square_z2", "repeated", "g3_torsion"]
 
 
 class TestScalarSerialization:
@@ -53,9 +57,7 @@ class TestScalarSerialization:
 
 
 class TestFixtures:
-    @pytest.mark.parametrize("name", ["z2_example", "ex51", "ex52", "p1",
-                                      "p2", "square_z2", "repeated",
-                                      "g3_torsion"])
+    @pytest.mark.parametrize("name", FIXTURES)
     def test_fixture_parses(self, name):
         spec = cli.load_problem(cli.fixture_path(name))
         assert spec.name == name
@@ -115,6 +117,44 @@ class TestDeterminism:
         assert "timings_seconds" not in report
 
 
+SWAPS = (1.0, 2.5, True, None, "1/0", {}, [], float("nan"))
+
+
+def _subschemas(schema):
+    yield schema
+    for key, value in schema.items():
+        subs = (value.values() if key in ("properties", "$defs") else value if key == "oneOf"
+                else [value] if key in ("items", "additionalProperties") else [])
+        for sub in subs:
+            if isinstance(sub, dict):
+                yield from _subschemas(sub)
+
+
+def _mutant(text, rng, keys):
+    """The JSON document text with one value at depth at most 4 dropped or
+    swapped for one of SWAPS, or one of keys added to an object: deeper
+    values sit in report tables, which the schemas leave unchecked."""
+    doc = json.loads(text)
+    slots = []  # (container, key) of every value at depth 1 to 4
+
+    def walk(node, depth):
+        if isinstance(node, (dict, list)) and depth < 4:
+            for k in (list(node) if isinstance(node, dict) else range(len(node))):
+                slots.append((node, k))
+                walk(node[k], depth + 1)
+    walk(doc, 0)
+    container, key = rng.choice(slots)
+    op = rng.randrange(3)
+    if op == 0:
+        del container[key]
+    elif op == 1:
+        target = rng.choice([doc] + [c[k] for c, k in slots if isinstance(c[k], dict)])
+        target[rng.choice(keys)] = json.loads(json.dumps(rng.choice(SWAPS + (container[key],))))
+    else:
+        container[key] = json.loads(json.dumps(rng.choice(SWAPS)))
+    return doc
+
+
 class TestValidationErrors:
     def test_degree_two_vector(self, tmp_path):
         data = dict(BASE_PROBLEM)
@@ -141,18 +181,42 @@ class TestValidationErrors:
         assert code == 2
         assert report["error"] == f"ProblemError: schema violation: {err.value.message}"
 
-    def test_each_schema_checked_once(self, tmp_path, monkeypatch):
-        cls = jsonschema.validators.validator_for(cli._load_schema("report.schema.json"))
-        check = cls.check_schema
-        checked = []
-        monkeypatch.setattr(cls, "check_schema",
-                            lambda schema: checked.append(schema["title"]) or check(schema))
-        cli._validator.cache_clear()
-        for name in ("ex51", "p1", "z2_example"):
-            _, code = cli.run(cli.fixture_path(name), tasks=["analyze"],
-                              out_path=str(tmp_path / f"{name}.json"))
-            assert code == 0
-        assert checked == ["Problem file", "Report file"]
+    @pytest.mark.parametrize("name", ["problem.schema.json", "report.schema.json"])
+    def test_bundled_schema_uses_only_interpreted_keywords(self, name):
+        """Each bundled schema meets jsonschema's metaschema, is draft
+        2020-12, the draft whose meaning _valid reads, and uses only keywords
+        _valid interprets; the enum and const values it compares with == are
+        strings."""
+        schema = cli._load_schema(name)
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        assert cls is jsonschema.Draft202012Validator
+        for sub in _subschemas(schema):
+            assert set(sub) <= cli.KEYWORDS, set(sub) - cli.KEYWORDS
+            assert all(isinstance(v, str) for v in sub.get("enum", []) + [sub.get("const", "")])
+
+    def test_keyword_check_agrees_with_jsonschema(self):
+        """_valid against jsonschema, the reference, on every bundled and golden
+        problem, every golden report and seeded mutations of them."""
+        problems = sorted(glob.glob(os.path.join(GOLDEN, "*.problem.json"))
+                          + [cli.fixture_path(n) for n in FIXTURES])
+        reports = sorted(set(glob.glob(os.path.join(GOLDEN, "*.json"))) - set(problems))
+        schemas = [cli._load_schema(n) for n in ("problem.schema.json", "report.schema.json")]
+        # every property name of the bundled schemas, and one that none has
+        keys = sorted({k for schema in schemas for sub in _subschemas(schema)
+                       for k in sub.get("properties", {})}) + ["extra"]
+        rng = random.Random(0)
+        verdicts = []
+        for schema, paths, mutants in zip(schemas, (problems, reports), (1800, 800)):
+            reference = jsonschema.validators.validator_for(schema)(schema).is_valid
+            docs = [read(p) for p in paths]
+            texts = [json.dumps(doc) for doc in docs]
+            docs += [_mutant(rng.choice(texts), rng, keys) for _ in range(mutants)]
+            for doc in docs:
+                verdict = cli._valid(schema, doc, schema)
+                assert verdict == reference(doc), doc
+                verdicts.append(verdict)
+        assert 0.2 < verdicts.count(False) / len(verdicts) < 0.8
 
     def test_not_spanning(self, tmp_path):
         data = dict(BASE_PROBLEM)
@@ -512,6 +576,40 @@ class TestMain:
             cli.main([cli.fixture_path("ex51"), "--tasks", "analyze",
                       *(["--out", str(out)] if to_file else [])])
         assert not capsys.readouterr().out and not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("out", ["missing/r.json", "dir"])
+    def test_unwritable_out(self, out, tmp_path, capsys):
+        """An --out path that cannot be written is bad input: exit 2, one
+        line on stderr, and no report or temporary file left behind."""
+        (tmp_path / "dir").mkdir()
+        out = str(tmp_path / out)
+        code = cli.main([cli.fixture_path("ex51"), "--tasks", "analyze", "--out", out])
+        reason = "Is a directory" if out.endswith("dir") else "No such file or directory"
+        assert code == 2
+        assert capsys.readouterr().err == f"cannot write report {out}: {reason}\n"
+        assert os.listdir(tmp_path) == ["dir"] and not os.listdir(tmp_path / "dir")
+
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_jsonschema_imported_only_to_explain(self, valid, tmp_path):
+        """In a fresh interpreter, a valid run never imports jsonschema; an
+        invalid problem imports it and exits 2 with its message."""
+        path = cli.fixture_path("ex51")
+        if not valid:
+            path = write_problem(tmp_path, dict(BASE_PROBLEM, beta=[3]))
+            with pytest.raises(jsonschema.ValidationError) as err:
+                jsonschema.validate(read(path), cli._load_schema("problem.schema.json"))
+        script = ("import sys; from bbgkz import cli; code = cli.main(sys.argv[1:]); "
+                  "print('jsonschema' in sys.modules); sys.exit(code)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        argv = [sys.executable, "-c", script, path, "--out", str(tmp_path / "r.json")]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.stdout == f"{not valid}\n"
+        if valid:
+            assert proc.returncode == 0 and not proc.stderr
+            assert read(tmp_path / "r.json")["all_passed"]
+        else:
+            assert proc.returncode == 2
+            assert proc.stderr == f"ProblemError: schema violation: {err.value.message}\n"
 
     def test_main_error_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
