@@ -16,8 +16,8 @@ from .ring import (DimReport, FVector, NondegeneracyCertificate,
                    NondegeneracyRetriesExhausted, hat_quotient_dims,
                    hat_restriction_rank, is_nondegenerate, jacobian_dims, r1_dims,
                    random_rational_x)
-from .solver import (GermStack, InconsistentSystem, ResidualReport, SolutionBasis,
-                     check_residuals, exact_rank, filtration_dims, solve_recursion)
+from .solver import (GermStack, InconsistentSystem, SolutionBasis, exact_rank,
+                     filtration_dims, solve_recursion)
 from .torsion import (DegenerateQuotient, QuotientProblem, ResidualTooLarge,
                       build_quotient, lift_and_verify, p_rho)
 

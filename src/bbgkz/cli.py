@@ -11,6 +11,7 @@ as a failed `<task>_completed` check.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -31,7 +32,7 @@ from .polyhedral import KPrimGuardError, build_semigroup, k_prim
 from .ring import (FVector, NondegeneracyCertificate, NondegeneracyRetriesExhausted,
                    hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
                    jacobian_dims, r1_dims, random_rational_x)
-from .solver import (InconsistentSystem, check_residuals, exact_rank, filtration_dims,
+from .solver import (InconsistentSystem, exact_rank, filtration_dims, recursion_defects,
                      solve_recursion)
 from .torsion import DegenerateQuotient, ResidualTooLarge, build_quotient, lift_and_verify, p_rho
 
@@ -126,8 +127,11 @@ def parse_rational(s) -> Fraction:
 
 
 def parse_scalar(v) -> GaussianRational:
-    """Scalar from JSON: 'p/q' string or {'re': 'p/q', 'im': 'p/q'}."""
+    """Scalar from JSON: 'p/q' string or {'re': 'p/q', 'im': 'p/q'}, at
+    least one of the two."""
     if isinstance(v, dict):
+        if not v.keys() & {"re", "im"}:
+            raise ProblemError(f"bad scalar {v!r}: expected 're' or 'im'")
         re = parse_rational(v.get("re", "0"))
         im = parse_rational(v.get("im", "0"))
         return GaussianRational.from_fractions(re, im)
@@ -349,15 +353,11 @@ def _task_lift(spec, S, f, D, report, checks):
 def _task_residuals(spec, S, f, D, report, checks, basis):
     if basis is None:
         basis = solve_recursion(f, spec.beta, S, truncation=D)
-    rr = check_residuals(basis)
-    failing = [c for c in rr.checks if not c.passed]
-    report["residuals"] = {
-        "recursion_identity_exact": rr.shift_identity_exact,
-        "numeric_checks": len(rr.checks),
-        "numeric_failures": len(failing),
-    }
-    _check(checks, "residuals", rr.all_passed,
-           exact=rr.shift_identity_exact, failures=len(failing))
+    defects = [defect for _, defect in recursion_defects(basis.stack)]
+    exact = not any(defect.any() for defect in defects)
+    report["residuals"] = {"recursion_identity_exact": exact,
+                           "identities_checked": sum(defect.size for defect in defects)}
+    _check(checks, "residuals", exact, exact=exact)
 
 
 def run(problem_path, tasks=None, seed=None, truncation=None,
@@ -380,6 +380,9 @@ def run(problem_path, tasks=None, seed=None, truncation=None,
         f, cert = spec.resolve_x(S, seed_override=seed)
     except (ProblemError, NondegeneracyRetriesExhausted) as e:
         return {"error": f"{type(e).__name__}: {e}"}, 2
+
+    if out_path and (error := _cannot_write(out_path)):
+        return error, 2
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -429,6 +432,21 @@ def run(problem_path, tasks=None, seed=None, truncation=None,
         except OSError as e:
             return {"error": f"cannot write report {out_path}: {e.strerror or e}"}, 2
     return report, code
+
+
+def _cannot_write(path):
+    """The error report of an --out path that write_report cannot write, found
+    before any task runs: a directory there, or one it cannot create a file
+    in; else None."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        open(tmp, "w").close()
+        os.remove(tmp)
+    except OSError as e:
+        return {"error": f"cannot write report {path}: {e.strerror or e}"}
+    return None
 
 
 def write_report(report, path):

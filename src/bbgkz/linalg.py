@@ -18,7 +18,6 @@ least common denominator.
 
 from __future__ import annotations
 
-import cmath
 import functools
 from copy import copy
 from fractions import Fraction
@@ -111,12 +110,6 @@ def galois(parts, a, m):
     """sigma_a (zeta -> zeta^a, a prime to m) of a value of Q(zeta_m)."""
     T = powers(m)
     return _apply(parts, [T[a * j % m] for j in range(len(parts))], m)
-
-
-def complex_basis(m):
-    """zeta_m^s for s < phi(m) as complex floats, exact at quarter turns."""
-    return [(1, 1j, -1, -1j)[4 * s // m] if 4 * s % m == 0 else cmath.exp(2j * cmath.pi * s / m)
-            for s in range(degree(m))]
 
 
 def numerators(values):

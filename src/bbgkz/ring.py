@@ -16,8 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from .linalg import (GaussianRational, RowSpace, complex_basis, degree, embed, field, galois,
-                     numerators)
+from .linalg import GaussianRational, RowSpace, degree, embed, field, galois, numerators
 from .polyhedral import GradedSemigroup
 
 class NondegeneracyRetriesExhausted(RuntimeError):
@@ -93,13 +92,6 @@ class FVector:
         """The parts over Q(zeta_m) and den, degree(m) parts of integers."""
         parts = self.embed(m).parts
         return list(parts) + [(0,) * len(self)] * (degree(m) - len(parts)), self.den
-
-    def complex(self):
-        """The entries under zeta -> exp(2 pi i / m), as a complex array; over Q
-        and Q(i) each part is its numerator over den by Python int division,
-        the complex() of the GaussianRational."""
-        return sum(w * np.array([v / self.den for v in part], dtype=float)
-                   for w, part in zip(complex_basis(self.m), self.parts)) + 0j
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ A solution germ is its lambda table: the values of all unknown functions
 (and hence, after re-indexing, all their Taylor coefficients) at the base
 point.  A SolutionBasis is one GermStack of all germs, integer arrays per
 layer over the layer's least common denominator, which the report, the
-residual check, the restriction rank and the torsion lift read, and each
+recursion check, the restriction rank and the torsion lift read, and each
 germ's leading degree.  Two routes give the same germs.  The step route
 solves the layer-(k+1) linear system whose right-hand side comes from layer
 k, asserting solvability at every step.  The kernel route reads them off the
@@ -21,11 +21,11 @@ the others.  Steps extend the kernel route's germs from D0 to D: free
 columns have degree at most rank + 1 <= D0, so each has one solution.
 Inside the recursion a layer's germs are one array [part, germ, point]
 with a denominator per germ, and a step's right-hand sides one array
-product.  `exact_rank` is the one germ rank, of stacks or of their
-restrictions to per-layer point masks.  Everything is exact, over the
+product.  `recursion_defects` tests the recursion identity on every germ
+of a stack at once; `exact_rank` is the one germ rank, of stacks or of
+their restrictions to per-layer point masks.  Everything is exact, over the
 cyclotomic field Q(zeta_m) of x and beta, a value as phi(m) integer parts
-(linalg); only the residual check evaluates the series in floats, through
-zeta -> exp(2 pi i / m).
+(linalg).
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .abelian import GroupElement, pair
-from .linalg import (GaussianRational, RowSpace, complex_basis, degree, embed, field, mul,
-                     solve_sparse)
-from .polyhedral import GradedSemigroup, k_prim
+from .linalg import GaussianRational, RowSpace, degree, embed, field, mul, solve_sparse
+from .polyhedral import GradedSemigroup
 from .ring import DimReport, FVector, _hat_free_counts, _hat_key, _image_rows, jacobian_dims
 
 
@@ -216,68 +214,6 @@ def filtration_dims(basis: SolutionBasis) -> DimReport:
     return DimReport.of(basis.leading.count(k) for k in range(basis.truncation + 1))
 
 
-def _series(S, D, lam, dzs):
-    """Truncated Taylor values [dz, germ, q] at z = base + dz of germs of
-    truncation D whose `_germ_floats` are lam, at the q-th point of layers
-    0..D.  As d_i Phi_c = Phi_{c + v_i}, Phi(x + dz) = prod_i exp(dz_i S_i)
-    lambda with (S_i lambda)_c = lambda_{c + v_i}, and lambda vanishes past
-    degree D: each exponential is a Horner sum in s = D..1 over the shift
-    tables, for every point and dz at once.  Step s reads layers s..D and
-    writes layers s - 1..D - 1; layer D stays as it is."""
-    off = np.cumsum([0] + [len(S.layer(k)) for k in range(D + 1)])
-    up = np.concatenate([off[k + 1] + S.shift(k) for k in range(D)])
-    dzs = np.array(dzs, dtype=complex)
-    val = np.repeat([lam[0] + 1j * lam[1]], len(dzs), axis=0)
-    for i in range(len(S.A)):
-        acc = val.copy()
-        for s in range(D, 0, -1):
-            lo, hi = off[s - 1], off[D]
-            acc[..., lo:hi] = val[..., lo:hi] + dzs[:, i, None, None] / s * acc[..., up[lo:, i]]
-        val = acc
-    return val
-
-
-def comparison_radius(base_x) -> float:
-    """Safe numeric evaluation radius, from the nonzero coordinates of x."""
-    nonzero = [abs(complex(v)) for v in base_x if complex(v)]
-    if not nonzero:
-        raise ValueError("the base point has no nonzero coordinate")
-    return min(nonzero) / (4 * len(base_x))
-
-
-@dataclass
-class ResidualCheck:
-    table_index: int
-    c: GroupElement
-    covector: int
-    residuals: tuple
-    orders: tuple
-    required_order: float
-    passed: bool
-
-
-@dataclass
-class ResidualReport:
-    shift_identity_exact: bool
-    checks: list
-
-    @property
-    def all_passed(self):
-        return self.shift_identity_exact and all(ch.passed for ch in self.checks)
-
-
-def _germ_floats(stack: GermStack):
-    """(re, im): float arrays [t, q] of the values of germ t at the q-th
-    point of layers 0..truncation in order, under zeta -> exp(2 pi i / m).
-    Each part is its numerator over den by Python int division, which rounds
-    correctly; over Q and Q(i) the parts are the real and imaginary ones, so
-    a value equals complex() of its GaussianRational."""
-    parts = [np.concatenate([(P[s] / den).astype(float) for P, den in stack.layers], axis=1)
-             for s in range(degree(stack.m))]
-    z = sum(w * part for w, part in zip(complex_basis(stack.m), parts)) + 0j
-    return z.real, z.imag
-
-
 def recursion_defects(stack: GermStack):
     """Yield (k, defect) for each degree k below the truncation; defect[t, p, j]
     is True where germ t breaks sum_i x_i v_i[j] lambda_{c + v_i} =
@@ -317,66 +253,6 @@ def recursion_defects(stack: GermStack):
             for left, right in zip(lhs, rhs):
                 defect[..., j] |= a * left != b * right
         yield k, defect
-
-
-ROUNDOFF = 1e-13  # residuals under ROUNDOFF times a germ's scale are roundoff
-
-
-def check_residuals(basis: SolutionBasis) -> ResidualReport:
-    """Verify the defining equations on the computed germs.
-
-    The derivative-shift equation is an exact identity of re-indexed table
-    entries and is checked structurally by recursion_defects.  The
-    Euler-type equation sum_i z_i v_i[j] Phi_{c + v_i} = (beta_j - c_j) Phi_c
-    is checked numerically at steps h0, h0/2, h0/4, h0 the comparison
-    radius of x; the residual must shrink with observed order at least
-    truncation - deg(c) - 1, except that under the roundoff floor
-    ROUNDOFF * scale it only has to decrease.  Inside the truncation, the
-    coefficient of dz^m / m! of the Euler residual at z = x + dz is the
-    recursion defect at c + sum m_i v_i, so once the recursion identity holds
-    exactly, the order test checks only the float evaluator (`_series`, one
-    pass for all three steps) and roundoff.
-    """
-    S, D, stack = basis.semigroup, basis.truncation, basis.stack
-    exact_ok = not any(defect.any() for _, defect in recursion_defects(stack))
-    lam = _germ_floats(stack)
-
-    x = stack.base_x.complex()
-    h0 = comparison_radius(x)
-    zs = np.array([x + h / len(x) for h in (h0, h0 / 2, h0 / 4)])
-    # (degree, index) of K_prim and layers 0 and 1, once each, in that order
-    kp = [(k, S.layer(k).index(c)) for c in k_prim(S) for k in [pair(S.deg, c)]]
-    kp = [at for at in dict.fromkeys(kp + [(k, p) for k in (0, 1) for p in range(len(S.layer(k)))])
-          if D - at[0] - 1 >= 1]
-    check_points = [S.layer(k)[p] for k, p in kp]
-    degrees = [k for k, _ in kp]
-    # the index of c among the points of layers 0..D, and of each c + v_i
-    off = np.cumsum([0] + [len(S.layer(k)) for k in range(D + 1)])
-    at = [off[k] + p for k, p in kp]
-    up = np.array([off[k + 1] + S.shift(k)[p] for k, p in kp])
-    values = _series(S, D, lam, zs - x)
-    # res[z, t, m, j]: |lhs - rhs| at check point m for covector j
-    lhs = np.einsum("ztmi,zi,ij->ztmj", values[..., up], zs, np.array([v.free for v in S.A]))
-    beta = basis.beta.complex()
-    g = np.array([[b - cj for b, cj in zip(beta, c.free)] for c in check_points])
-    res = np.abs(lhs - values[..., at, None] * g)
-    floors = (ROUNDOFF * np.maximum(1.0, np.hypot(*lam).max(axis=1))).tolist()
-    checks = []
-    for ti, (floor, per_table) in enumerate(zip(floors, res.transpose(1, 2, 3, 0).tolist())):
-        for c, k, per_point in zip(check_points, degrees, per_table):
-            req = D - k - 1
-            for j, rs in enumerate(per_point):
-                if all(rr < floor for rr in rs):
-                    checks.append(ResidualCheck(ti, c, j, tuple(rs), (), req, True))
-                    continue
-                orders = tuple(
-                    float(np.log2(rs[i] / rs[i + 1])) if rs[i + 1] > 0 else float("inf")
-                    for i in range(len(rs) - 1))
-                # under the floor the ratio is roundoff: ask only for a decrease
-                ok = all(rs[i + 1] < rs[i] if rs[i + 1] < floor else o >= req - 0.2
-                         for i, o in enumerate(orders))
-                checks.append(ResidualCheck(ti, c, j, tuple(rs), orders, req, ok))
-    return ResidualReport(exact_ok, checks)
 
 
 def exact_rank(stacks, masks=None) -> int:

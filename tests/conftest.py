@@ -1,6 +1,7 @@
 """Shared problem data, the reference scalar and reference germ builders
 used across the test modules."""
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -12,7 +13,7 @@ from bbgkz.abelian import AbelianGroup, pair
 from bbgkz.linalg import GaussianRational, degree, numerators
 from bbgkz.polyhedral import GradedSemigroup, build_semigroup
 from bbgkz.ring import FVector, random_rational_x
-from bbgkz.solver import GermStack, SolutionBasis, _germ_floats, _series, exact_rank
+from bbgkz.solver import GermStack, SolutionBasis, exact_rank
 
 
 class QQI(GaussianRational):
@@ -137,17 +138,42 @@ def add_values(space, vec):
     return space.add([{c: v for c, v in zip(cols, part) if v} for part in parts], m)
 
 
-def evaluate_series(stack, t, c, z):
-    """Truncated Taylor value of the component at c of germ t of the stack,
-    near the base: the sum of lambda_{c + sum l_i v_i} prod (z_i - x_i)^{l_i}
-    / l_i! over the multi-indices l with deg c + sum l_i <= truncation, by
-    the package's evaluator `solver._series`."""
-    S, D, k = stack.semigroup, stack.truncation, pair(stack.semigroup.deg, c)
-    if k > D:
-        raise ValueError("component degree exceeds the truncation")
-    q = sum(len(S.layer(m)) for m in range(k)) + S.layer(k).index(c)
-    dz = [zz - xx for zz, xx in zip(z, stack.base_x.complex())]
-    return complex(_series(S, D, _germ_floats(stack), [dz])[0, t, q])
+@functools.lru_cache(maxsize=4096)
+def multi_index_terms(S, c, dz, remaining):
+    """(c + sum l_i v_i, prod dz_i^l_i / l_i!) over the multi-indices l with
+    sum l_i <= remaining, in lexicographic order, by a recursive walk over
+    group elements; germs of one semigroup, base point and truncation share
+    it."""
+    terms = []
+
+    def rec(i, elem, coeff, remaining):
+        if i == len(dz):
+            terms.append((elem, coeff))
+            return
+        for l in range(remaining + 1):
+            rec(i + 1, elem, coeff, remaining - l)
+            elem = elem + S.A[i]
+            coeff = coeff * dz[i] / (l + 1)
+
+    rec(0, c, 1.0 + 0.0j, remaining)
+    return terms
+
+
+def reference_series(table, c, z):
+    """Truncated Taylor value of the component at c of a LambdaTable near
+    the base: the sum of lambda_{c + sum l_i v_i} prod (z_i - x_i)^{l_i} / l_i!
+    over the multi-indices l with deg c + sum l_i <= truncation, as a Python
+    complex sum in lexicographic order of the multi-indices.  No report
+    evaluates a series; the closed-form tests compare germs with power
+    functions through it."""
+    dz = tuple(zz - complex(QQI(xx)) for zz, xx in zip(z, table.base_x))
+    total = 0.0 + 0.0j
+    for elem, coeff in multi_index_terms(table.semigroup, c, dz,
+                                         table.truncation - table.degree(c)):
+        lam = table.entries.get(elem)
+        if lam is not None:
+            total += complex(lam) * coeff
+    return total
 
 
 def z2_data():

@@ -55,6 +55,22 @@ class TestScalarSerialization:
         with pytest.raises(cli.ProblemError):
             cli.parse_scalar("1.5")
 
+    def test_empty_object(self):
+        """A scalar object needs 're' or 'im'; either alone is enough."""
+        with pytest.raises(cli.ProblemError, match="expected 're' or 'im'"):
+            cli.parse_scalar({})
+        assert cli.format_scalar(cli.parse_scalar({"im": "2"})) == {"re": "0", "im": "2"}
+
+    @pytest.mark.parametrize("field", ["beta", "x"])
+    def test_empty_object_exits_2(self, field, tmp_path):
+        """An empty scalar object as beta or as an explicit x value is bad
+        input, not 0."""
+        data = dict(BASE_PROBLEM, beta=[{}]) if field == "beta" else dict(
+            BASE_PROBLEM, x_policy={"mode": "explicit", "values": [{}]})
+        report, code = cli.run(write_problem(tmp_path, data), timings=False)
+        assert code == 2
+        assert report["error"] == "ProblemError: bad scalar {}: expected 're' or 'im'"
+
 
 class TestFixtures:
     @pytest.mark.parametrize("name", FIXTURES)
@@ -307,10 +323,14 @@ def _corrupt_layer_one(basis):
     return dataclasses.replace(basis, stack=dataclasses.replace(basis.stack, layers=layers))
 
 
-def _fail_first(rr):
-    """The residual report with its first numeric check failed."""
-    return dataclasses.replace(rr, checks=[dataclasses.replace(rr.checks[0], passed=False),
-                                           *rr.checks[1:]])
+def _flag_first(defects):
+    """The (k, defect) arrays of recursion_defects with the first identity of
+    degree 0 broken."""
+    for k, defect in defects:
+        if k == 0:
+            defect = defect.copy()
+            defect.flat[0] = True
+        yield k, defect
 
 
 # (check, cli name patched, mutation of its result, task), one id each
@@ -330,17 +350,17 @@ MUTATIONS = [
     ("restriction_rank_three_way", "r1_dims",
      lambda real, *a: _bump(real(*a)), "restrict"),
     ("torsion_lift_rank", "exact_rank", lambda real, *a: real(*a) - 1, "lift"),
-    ("residuals", "check_residuals",
-     lambda real, *a: dataclasses.replace(real(*a), shift_identity_exact=False),
-     "residuals"),
-    ("residuals", "check_residuals", lambda real, *a: _fail_first(real(*a)), "residuals"),
+    ("residuals", "recursion_defects", lambda real, *a: _flag_first(real(*a)), "residuals"),
+    # the residuals task solves for itself when no solve ran before it
+    ("residuals", "solve_recursion",
+     lambda real, *a, **kw: _corrupt_layer_one(real(*a, **kw)), "residuals"),
     # a quotient germ off in one value: the exact lift check stops the lift
     ("lift_completed", "solve_recursion",
      lambda real, *a, **kw: _corrupt_layer_one(real(*a, **kw)), "lift"),
 ]
 MUTATION_IDS = ["interior_dual", "hat_total", "hat_graded", "solution_dimension",
                 "restriction_rank", "torsion_lift_rank", "residuals_exact",
-                "residuals_numeric", "lift_completed"]
+                "residuals_germ", "lift_completed"]
 # cannot fail yet (ROADMAP item 2(a)): on the kernel route only its zero tail
 # can, as the germs are read off only when their counts are the Jacobian dims
 CANNOT_FAIL_YET = {"filtration_matches_jacobian"}
@@ -373,6 +393,18 @@ class TestChecksCanFail:
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_library_example(capsys):
+    """README's Library example prints what its comments say."""
+    with open(README, encoding="utf-8") as fh:
+        code = fh.read().split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    want = [line.split("#", 1)[1].strip() for line in code.splitlines()
+            if line.startswith("print(")]
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(want) == 3
+    assert capsys.readouterr().out.splitlines() == want
 
 
 class TestLiftLanes:
@@ -578,9 +610,14 @@ class TestMain:
         assert not capsys.readouterr().out and not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("out", ["missing/r.json", "dir"])
-    def test_unwritable_out(self, out, tmp_path, capsys):
-        """An --out path that cannot be written is bad input: exit 2, one
-        line on stderr, and no report or temporary file left behind."""
+    def test_unwritable_out(self, out, tmp_path, capsys, monkeypatch):
+        """An --out path that cannot be written is bad input, found before
+        any task runs: exit 2, one line on stderr, and no report or temporary
+        file left behind."""
+        def no_task(*args):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(cli, "_task_analyze", no_task)
         (tmp_path / "dir").mkdir()
         out = str(tmp_path / out)
         code = cli.main([cli.fixture_path("ex51"), "--tasks", "analyze", "--out", out])

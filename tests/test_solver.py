@@ -1,65 +1,27 @@
 """Degree-by-degree recursion: closed forms, dimensions, and residuals."""
 
 import dataclasses
-import functools
 import os
 import random
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
 import pytest
 
 from bbgkz import cli, ring, solver, torsion
-from bbgkz.abelian import AbelianGroup, GroupElement, pair
+from bbgkz.abelian import GroupElement
 from bbgkz.linalg import RowSpace
-from bbgkz.polyhedral import build_semigroup, k_prim
+from bbgkz.polyhedral import build_semigroup
 from bbgkz.ring import (FVector, hat_quotient_dims, is_nondegenerate, jacobian_dims,
                         r1_dims)
-from bbgkz.solver import (InconsistentSystem, ResidualCheck, ResidualReport,
-                          check_residuals, comparison_radius, filtration_dims,
-                          recursion_defects, solve_recursion)
+from bbgkz.solver import InconsistentSystem, filtration_dims, recursion_defects, solve_recursion
 from conftest import (FIXTURE_BUILDERS, QQI, LambdaTable, add_values, assert_stacks_equal,
-                      basis_of, evaluate_series, make_problem, restricted_rank, stack_of,
+                      basis_of, make_problem, reference_series, restricted_rank, stack_of,
                       tables_of)
+from test_torsion import defect_sets, reference_defect_sets
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 CBETA = os.path.join(GOLDEN, "p2_z4_cbeta.problem.json")
-
-
-@functools.lru_cache(maxsize=4096)
-def multi_index_terms(S, c, dz, remaining):
-    """(c + sum l_i v_i, prod dz_i^l_i / l_i!) over the multi-indices l with
-    sum l_i <= remaining, in lexicographic order, by a recursive walk over
-    group elements; germs of one semigroup, base point and truncation share
-    it."""
-    terms = []
-
-    def rec(i, elem, coeff, remaining):
-        if i == len(dz):
-            terms.append((elem, coeff))
-            return
-        for l in range(remaining + 1):
-            rec(i + 1, elem, coeff, remaining - l)
-            elem = elem + S.A[i]
-            coeff = coeff * dz[i] / (l + 1)
-
-    rec(0, c, 1.0 + 0.0j, remaining)
-    return terms
-
-
-def reference_series(table, c, z):
-    """Recursive multi-index sum over group elements, in lexicographic order
-    of the multi-indices: the sequential sum that the semigroup-exponential
-    evaluator replaced, kept as its independent reference."""
-    dz = tuple(zz - complex(QQI(xx)) for zz, xx in zip(z, table.base_x))
-    total = 0.0 + 0.0j
-    for elem, coeff in multi_index_terms(table.semigroup, c, dz,
-                                         table.truncation - table.degree(c)):
-        lam = table.entries.get(elem)
-        if lam is not None:
-            total += complex(lam) * coeff
-    return total
 
 
 def problem_data(path, seed=None):
@@ -76,75 +38,15 @@ def fixture_basis(name, seed):
     return solve_recursion(f, beta, S, truncation=D)
 
 
-def scale(table):
-    """max(1, max |lambda_t|): the unit of the stated bound on series values
-    and residuals."""
-    return max(1.0, max(abs(complex(v)) for v in table.entries.values()))
-
-
-BOUND = 1e-14
-
-
-def reference_residuals(basis):
-    """The per-check loop that check_residuals replaced, kept as its
-    reference: reference_series per (germ, point, step size) and a Python
-    complex sum per (germ, check point, covector, step)."""
+def identities(basis):
+    """The recursion identities of a basis: one per germ, point of layers
+    0..truncation - 1 and covector."""
     S = basis.semigroup
-    D = basis.truncation
-    tables = tables_of(basis)
-    x = [complex(QQI(v)) for v in basis.stack.base_x]
-    exact_ok = not any((defect > 1e-12).any()
-                       for _, defect in recursion_defects(stack_of(tables)))
-    h0 = comparison_radius(x)
-    zs = [[xi + h / len(x) for xi in x] for h in (h0, h0 / 2, h0 / 4)]
-    check_points = [c for c in dict.fromkeys(
-        list(k_prim(S)) + list(S.layer(0)) + list(S.layer(1)))
-        if D - pair(S.deg, c) - 1 >= 1]
-    shifted = {c: [c + v for v in S.A] for c in check_points}
-    points = list(dict.fromkeys(check_points + [d for ds in shifted.values() for d in ds]))
-    col = {c: m for m, c in enumerate(points)}
-    values = [[[reference_series(t, c, z) for c in points] for t in tables] for z in zs]
-    beta = [complex(QQI(b)) for b in basis.beta]
-    checks = []
-    for ti, t in enumerate(tables):
-        floor = 1e-13 * max(1.0, max(abs(complex(v)) for v in t.entries.values()))
-        for c in check_points:
-            required = D - t.degree(c) - 1
-            for j in range(S.rank):
-                res = []
-                for z, vals in zip(zs, values):
-                    val = vals[ti]
-                    lhs = sum(v.free[j] * z[i] * val[col[d]]
-                              for i, (v, d) in enumerate(zip(S.A, shifted[c])))
-                    rhs = (beta[j] - c.free[j]) * val[col[c]]
-                    res.append(abs(lhs - rhs))
-                if all(rr < floor for rr in res):
-                    checks.append(ResidualCheck(ti, c, j, tuple(res), (), required, True))
-                    continue
-                orders = tuple(
-                    float(np.log2(res[i] / res[i + 1])) if res[i + 1] > 0 else float("inf")
-                    for i in range(len(res) - 1))
-                ok = all(res[i + 1] < res[i] if res[i + 1] < floor else o >= required - 0.2
-                         for i, o in enumerate(orders))
-                checks.append(ResidualCheck(ti, c, j, tuple(res), orders, required, ok))
-    return ResidualReport(exact_ok, checks)
+    return len(basis) * sum(len(S.layer(k)) for k in range(basis.truncation)) * S.rank
 
 
-def assert_residuals_match(basis):
-    """check_residuals against reference_residuals: the same checks, passed
-    flags and vacuous class (no orders), and residuals within BOUND times
-    the germ's scale."""
-    got, want = check_residuals(basis), reference_residuals(basis)
-    assert got.shift_identity_exact == want.shift_identity_exact
-    assert [(c.table_index, c.c, c.covector, c.required_order, c.passed, not c.orders)
-            for c in got.checks] == \
-        [(c.table_index, c.c, c.covector, c.required_order, c.passed, not c.orders)
-         for c in want.checks]
-    tables = tables_of(basis)
-    for a, b in zip(got.checks, want.checks):
-        bound = BOUND * scale(tables[a.table_index])
-        assert all(abs(r - s) <= bound for r, s in zip(a.residuals, b.residuals))
-    return got
+def has_defect(basis):
+    return any(defect.any() for _, defect in recursion_defects(basis.stack))
 
 
 class TestClosedForms:
@@ -196,38 +98,8 @@ class TestClosedForms:
             for dz in [(0.004, -0.003), (0.01, 0.006), (-0.005, 0.002)]:
                 z = (x1 + dz[0], x2 + dz[1])
                 want = alpha * (z[0] + z[1]) ** bf + gamma * (z[0] - z[1]) ** bf
-                got = evaluate_series(basis.stack, ti, c0, z)
+                got = reference_series(t, c0, z)
                 assert abs(got - want) < 1e-9
-
-
-class TestSeriesValues:
-    @pytest.mark.parametrize("name", ["z2", "ex51", "p1", "repeated", "g3"])
-    def test_matches_recursive_sum(self, name):
-        """Every point of every layer, both step sizes in one pass, within
-        BOUND times the germ's scale of the sequential sum."""
-        S, f, beta = make_problem(name)
-        basis = solve_recursion(f, beta, S, truncation=S.rank + 3)
-        D = basis.truncation
-        x = [complex(QQI(v)) for v in f.x]
-        points = [c for k in range(D + 1) for c in S.layer(k)]
-        tables = tables_of(basis)
-        lam = solver._germ_floats(basis.stack)
-        hs = (0.01, -0.003 + 0.002j)
-        zs = [[xi + h * (i + 1) for i, xi in enumerate(x)] for h in hs]
-        got = solver._series(S, D, lam, [[zz - xx for zz, xx in zip(z, x)] for z in zs])
-        for z, values in zip(zs, got):
-            for t, row in zip(tables, values):
-                want = [reference_series(t, c, z) for c in points]
-                assert np.abs(row - want).max() <= BOUND * scale(t)
-            t, c = tables[-1], points[len(points) // 2]
-            assert abs(evaluate_series(basis.stack, len(basis) - 1, c, z)
-                       - reference_series(t, c, z)) <= BOUND * scale(t)
-
-    def test_rejects_point_above_truncation(self):
-        S, f, beta = make_problem("ex51")
-        basis = solve_recursion(f, beta, S, truncation=2)
-        with pytest.raises(ValueError):
-            evaluate_series(basis.stack, 0, S.group.element((3,)), (3.0,))
 
 
 class TestDimensions:
@@ -443,8 +315,8 @@ class TestOneRepresentation:
 
 
 class TestNoElementHash:
-    """The solve and the residual check index germs by layer position: once
-    the layers and K_prim are built, they hash no group element."""
+    """The solve and the recursion check index germs by layer position: once
+    the layers are built, they hash no group element."""
 
     @pytest.mark.parametrize("route", ["step", "kernel"])
     def test_solve_and_residuals(self, named_problem, route, monkeypatch):
@@ -452,7 +324,6 @@ class TestNoElementHash:
         D = S.rank + 3
         for k in range(D + 1):
             S.layer(k)
-        k_prim(S)
         if route == "kernel":
             hat_quotient_dims(f, beta, S, filtration_bound=D)
 
@@ -464,7 +335,7 @@ class TestNoElementHash:
             tables_of(solve_recursion(f, beta, S, truncation=S.rank + 1))
         basis = solve_recursion(f, beta, S, truncation=D)
         assert len(basis) == S.volume * S.group.torsion_order
-        assert check_residuals(basis).all_passed
+        assert not has_defect(basis)
 
 
 def reference_restricted_rank(basis):
@@ -515,51 +386,54 @@ class TestRestriction:
 class TestResiduals:
     @pytest.mark.parametrize("name", ["z2", "ex51", "p1", "repeated"])
     def test_recursion_identity_and_orders(self, name):
+        """At truncation orders rank + 1 to rank + 3 every identity is
+        tested, once, and holds exactly."""
         S, f, beta = make_problem(name)
-        basis = solve_recursion(f, beta, S, truncation=S.rank + 3)
-        report = check_residuals(basis)
-        assert report.shift_identity_exact
-        assert all(c.passed for c in report.checks)
-        assert report.all_passed
-
-    def test_comparison_radius(self):
-        assert comparison_radius((2.0, 1.0)) == 1.0 / 8
-        assert comparison_radius((0.0, 2.0)) == 2.0 / 8
-        with pytest.raises(ValueError):
-            comparison_radius((0, 0))
+        for D in range(S.rank + 1, S.rank + 4):
+            basis = solve_recursion(f, beta, S, truncation=D)
+            defects = [defect for _, defect in recursion_defects(basis.stack)]
+            assert sum(defect.size for defect in defects) == identities(basis)
+            assert not any(defect.any() for defect in defects)
 
     def test_zero_coordinate_is_not_vacuous(self):
         """x = (0, 1, 2, 3) is nondegenerate for p2; the zero coordinate
-        must not make the step size, and with it every residual, zero."""
+        drops its generator from every sum, but one off value of a germ is
+        still a defect of that germ alone."""
         S, _, beta = make_problem("p2")
         f = FVector((0, 1, 2, 3))
         assert is_nondegenerate(f, S)[0]
         basis = solve_recursion(f, beta, S, truncation=6)
-        report = check_residuals(basis)
-        assert report.all_passed
-        assert len(report.checks) == 45
-        assert sum(1 for c in report.checks if c.orders) == 41
+        assert not has_defect(basis)
+        tables = tables_of(basis)
+        c = next(c for c in S.layer(2) if c in tables[0].entries)
+        tables[0].entries[c] += 1
+        assert [bool(d) for d in defect_sets(stack_of(tables))] == \
+            [True] + [False] * (len(tables) - 1)
 
-    @pytest.mark.parametrize("name,seed", [("p2", 9), ("p2", 45),
-                                           ("square_z2", 5), ("ex52", 63)])
+    @pytest.mark.parametrize("name,seed", [("p2", 9), ("p2", 45), ("square_z2", 5),
+                                           ("ex52", 63), ("hexagon_seeded", 14)])
     def test_roundoff_floor_is_no_failure(self, name, seed):
-        """A pair whose smaller-step residual is under the roundoff floor has
-        no meaningful order and only has to decrease; at these seeds the
-        order test alone would fail on that noise."""
-        report = check_residuals(fixture_basis(name, seed))
-        assert report.all_passed
-        assert any(c.orders and min(c.residuals) < 1e-13 for c in report.checks)
+        """solve,residuals at seeded base points, chosen where a float order
+        test of the series failed on roundoff: each run tests identities,
+        finds them exact and exits 0."""
+        report, code = cli.run(SEEDED[name], tasks=["solve", "residuals"], seed=seed,
+                               timings=False)
+        assert code == 0
+        assert report["residuals"]["recursion_identity_exact"]
+        assert report["residuals"]["identities_checked"] > 0
 
     def test_corrupted_entry_fails_despite_floor(self):
+        """p2 at seed 9: a relative change of 1/1000 in one value, however
+        small against float roundoff, is a defect of that germ alone."""
         basis = fixture_basis("p2", 9)
         S = basis.semigroup
         tables = tables_of(basis)
         t = tables[0]
         c = next(c for c in S.layer(1) if c in t.entries)
         t.entries[c] = t.entries[c] * QQI(1001, 0, 1000)
-        report = check_residuals(basis_of(tables))
-        assert not report.shift_identity_exact
-        assert any(not c.passed for c in report.checks)
+        assert not has_defect(basis)
+        assert [bool(d) for d in defect_sets(stack_of(tables))] == \
+            [True] + [False] * (len(tables) - 1)
 
     def test_corrupted_table_fails(self):
         S, f, beta = make_problem("z2")
@@ -567,32 +441,45 @@ class TestResiduals:
         c = S.group.element((1,), (0,))
         tables = tables_of(basis)
         tables[0].entries[c] = tables[0].entries[c] + 1
-        report = check_residuals(basis_of(tables))
-        assert not report.all_passed
+        assert has_defect(basis_of(tables))
+
+
+def assert_defects_match(basis):
+    """recursion_defects against the per-term reference of test_torsion, on
+    the germs as they are and with one value of the last germ off: the same
+    (c, j) per germ, and a defect only in the changed germ."""
+    tables = tables_of(basis)
+    assert defect_sets(basis.stack) == reference_defect_sets(tables) == [set()] * len(tables)
+    t = tables[-1]
+    c = max(t.entries, key=t.degree)
+    t.entries[c] = t.entries[c] * QQI(1001, 1, 1000)
+    got = defect_sets(stack_of(tables))
+    assert got == reference_defect_sets(tables, near=c)
+    assert [bool(d) for d in got] == [False] * (len(tables) - 1) + [True]
 
 
 class TestBatchedResiduals:
-    """check_residuals against the per-check reference: the same checks,
-    passed flags and vacuous class, and residuals within BOUND times the
-    germ's scale (see assert_residuals_match)."""
+    """recursion_defects, which checks every identity of a stack in one pass
+    over its layer arrays, against the per-term reference in QQI arithmetic
+    (see assert_defects_match)."""
 
     @pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
     @pytest.mark.parametrize("offset", [1, 2, 3])
     def test_fixtures(self, name, offset):
         S, f, beta = make_problem(name)
-        basis = solve_recursion(f, beta, S, truncation=S.rank + offset)
-        assert_residuals_match(basis)
+        assert_defects_match(solve_recursion(f, beta, S, truncation=S.rank + offset))
 
     @pytest.mark.parametrize("name,seed", [("p2", 9), ("p2", 45),
                                            ("square_z2", 5), ("ex52", 63)])
     def test_roundoff_seeds(self, name, seed):
-        assert_residuals_match(fixture_basis(name, seed))
+        """The seeds of test_roundoff_floor_is_no_failure."""
+        assert_defects_match(fixture_basis(name, seed))
 
     def test_complex_beta(self):
         S, f, beta, D = problem_data(CBETA)
         basis = solve_recursion(f, beta, S, truncation=D)
         assert any(b.b for b in basis.beta)
-        assert assert_residuals_match(basis).all_passed
+        assert_defects_match(basis)
 
     def test_corrupted_entry(self):
         basis = fixture_basis("p2", 9)
@@ -600,51 +487,9 @@ class TestBatchedResiduals:
         t = tables[1]
         c = next(c for c in basis.semigroup.layer(2) if c in t.entries)
         t.entries[c] = t.entries[c] * QQI(1001, 1, 1000)
-        assert not assert_residuals_match(basis_of(tables)).all_passed
-
-    def test_germ_floats_round_like_complex(self):
-        """A germ float is its numerator over the layer's denominator by int
-        division, so it equals complex() of the exact value also where the
-        numerators pass 2**53 or the float range."""
-        S, f, beta = make_problem("g3")
-        tables = tables_of(solve_recursion(f, beta, S, truncation=3))
-        entries = tables[0].entries
-        entries[S.layer(1)[0]] = QQI(10**400 + 7, -(3 * 10**399 + 1), 3 * 10**400)
-        entries[S.layer(1)[1]] = QQI(2**60 + 1, 2**58 + 3, 7)
-        basis = basis_of(tables)
-        re, im = solver._germ_floats(basis.stack)
-        points = [c for k in range(4) for c in S.layer(k)]
-        want = [[complex(t.entries.get(c, 0)) for c in points] for t in tables]
-        assert re.tolist() == [[v.real for v in row] for row in want]
-        assert im.tolist() == [[v.imag for v in row] for row in want]
-        assert_residuals_match(basis)
-
-    def test_one_stack_and_float_array(self, monkeypatch):
-        """One check reads the basis' own GermStack, builds one float germ
-        array and evaluates the series once for all three step sizes."""
-        calls = {"stack": 0, "floats": 0, "series": 0}
-        defects, floats, series = solver.recursion_defects, solver._germ_floats, solver._series
-
-        def count_defects(stack):
-            calls["stack"] += stack is basis.stack
-            return defects(stack)
-
-        def count_floats(stack):
-            calls["floats"] += stack is basis.stack
-            return floats(stack)
-
-        def count_series(S, D, lam, dzs):
-            calls["series"] += 1
-            assert len(dzs) == 3
-            return series(S, D, lam, dzs)
-
-        monkeypatch.setattr(solver, "recursion_defects", count_defects)
-        monkeypatch.setattr(solver, "_germ_floats", count_floats)
-        monkeypatch.setattr(solver, "_series", count_series)
-        S, f, beta = make_problem("p2")
-        basis = solve_recursion(f, beta, S, truncation=S.rank + 3)
-        assert check_residuals(basis).all_passed
-        assert calls == {"stack": 1, "floats": 1, "series": 1}
+        got = defect_sets(stack_of(tables))
+        assert got == reference_defect_sets(tables, near=c)
+        assert [bool(d) for d in got] == [False, True] + [False] * (len(tables) - 2)
 
 
 class TestRepetitionCollapse:

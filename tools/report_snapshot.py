@@ -5,7 +5,7 @@
 For each problem in `<CHECKOUT>/perfbench/problems` and in EXTRA_PROBLEMS of
 this checkout (a complex beta, so that the Q(i) path of the exact kernel is
 covered; the hexagon at a seeded x; the 2-dilated 3-simplex at
-truncation 7, where the residual check evaluates the longest series; a
+truncation 7, where the recursion check reads the most layers; a
 rank-3 problem with Z/3 torsion, lifted over Q(zeta_3); and the square
 with Z/5 torsion, lifted over Q(zeta_5) with phi(5) = 4 parts), and
 each seed, the command line `bbgkz` runs four times in a
