@@ -21,8 +21,9 @@ from __future__ import annotations
 import functools
 from copy import copy
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, inf, lcm
+from operator import add, mul as mul_
 
 
 def field(*orders):
@@ -69,12 +70,19 @@ def degree(m):
     return len(cyclotomic(m)) - 1
 
 
+def _times(u, v):
+    """u v for numbers or lists of them, elementwise: a number scales a list."""
+    if type(u) is not list:
+        return u * v if type(v) is not list else v if u == 1 else list(map(mul_, v, repeat(u)))
+    return list(map(mul_, u, v if type(v) is list else repeat(v)))
+
+
 def mul(a, b, m):
     """The parts of a b in Q(zeta_m) from those of a and b, sum_ij a_i b_j
-    zeta^(i + j).  A part may be an int or an integer array; int parts of a
-    that are 0 are skipped."""
+    zeta^(i + j).  A part may be an int or a list of ints, one value per
+    entry; int parts of a that are 0 are skipped."""
     T = powers(m)
-    terms = [(u * v, T[(i + j) % m]) for i, u in enumerate(a) if type(u) is not int or u
+    terms = [(_times(u, v), T[(i + j) % m]) for i, u in enumerate(a) if type(u) is not int or u
              for j, v in enumerate(b)]
     return _apply(*zip(*terms), m) if terms else [0] * degree(m)
 
@@ -91,14 +99,18 @@ def root_of_unity(t, m):
 
 def _apply(parts, images, m):
     """sum_j parts[j] images[j] by parts, images[j] the parts of an element of
-    Q(zeta_m); zero int parts are skipped."""
-    out = [0] * degree(m)
+    Q(zeta_m); zero int parts are skipped.  Given lists, it works entry by
+    entry and every part it returns is a list."""
+    out, size = [0] * degree(m), None
     for p, image in zip(parts, images):
         if type(p) is not int or p:
+            size = len(p) if type(p) is list else size
             for s, c in enumerate(image):
                 if c:
-                    out[s] = out[s] + (p if c == 1 else c * p)
-    return out
+                    v, y = _times(c, p), out[s]
+                    out[s] = (y + v if type(v) is not list else v if type(y) is not list
+                              else list(map(add, y, v)))
+    return out if size is None else [y if type(y) is list else [0] * size for y in out]
 
 
 def embed(parts, m, L):

@@ -11,11 +11,10 @@ off the layer counts through the Ehrhart h*-vector.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain, combinations, repeat
+from operator import add, mul
 
 from .abelian import AbelianGroup, DualElement, GroupElement, pair, smith_normal_form
 from .linalg import RowSpace
@@ -36,7 +35,7 @@ class Cone:
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _row_space(vectors):
@@ -65,7 +64,7 @@ def cone_over(generators) -> Cone:
         raise ValueError("generators do not span the ambient space")
 
     normals = set()
-    for sub in itertools.combinations(gens, r - 1):
+    for sub in combinations(gens, r - 1):
         kernel = list(_row_space(sub).kernel(r).values())
         if len(kernel) != 1:
             continue
@@ -115,8 +114,7 @@ class GradedSemigroup:
     Layers (degree slices of K or of its relative interior) and the integer
     shift tables between consecutive layers are built on first use and
     cached on the instance; so are h*, K_prim and the images of `ring`.
-    Geometry runs on int64 arrays while a bound on every value computed
-    stays below 2**62, and on Python ints (dtype object) beyond it.
+    Geometry runs on Python ints, exact at any size.
     """
 
     def __init__(self, group: AbelianGroup, A, deg: DualElement):
@@ -133,11 +131,6 @@ class GradedSemigroup:
         # kernel coordinates of degree-k points lie in k times this box
         self._box = [(min(t[j] for t in gen_coords), max(t[j] for t in gen_coords))
                      for j in range(self.rank - 1)]
-        # |coordinate| of a point of the degree-k box is at most k * _coord
-        self._coord = max(abs(b) + sum(max(-lo, hi) * abs(v[i])
-                                       for (lo, hi), v in zip(self._box, self._kernel_basis))
-                          for i, b in enumerate(self._base))
-        self._facet_sum = max(sum(map(abs, h)) for h in self.cone.facet_normals)
         self._free = {}
         self._layers = {}
         self._shifts = {}
@@ -163,29 +156,39 @@ class GradedSemigroup:
         hyperplane: sum(h*) / |N_tors|."""
         return sum(self.h_star) // self.group.torsion_order
 
-    def _dtype(self, k):
-        """int64 if coordinates, facet values and shift codes of degrees up
-        to k + 1 stay below 2**62 in magnitude, else object (Python ints)."""
-        span = 2 * (k + 1) * self._coord + 1
-        return np.int64 if span ** self.rank * self._facet_sum < 2 ** 62 else object
-
     def free_layer(self, k, region="full"):
-        """Free-lattice points of the degree-k slice as the rows of an integer
-        array (dtype from `_dtype`), lexicographically sorted."""
+        """Free-lattice points of the degree-k slice, sorted tuples of ints:
+        the box in all kernel coordinates but the last, walked column by
+        column with running sums of the point and of its facet values, and
+        per point the last coordinate's range by the facet inequalities."""
         key = (k, region)
         got = self._free.get(key)
         if got is None:
             if k < 0:
                 raise ValueError("degree must be nonnegative")
-            r, dtype = self.rank, self._dtype(k)
-            shape = [k * (hi - lo) + 1 for lo, hi in self._box]
-            grid = np.indices(shape).reshape(r - 1, -1 if shape else 1).T.astype(dtype)
-            basis = np.array(self._kernel_basis, dtype=dtype).reshape(r - 1, r)
-            w = (grid + np.array([k * lo for lo, _ in self._box], dtype=dtype)) @ basis
-            w += np.array([k * x for x in self._base], dtype=dtype)
-            values = w @ np.array(self.cone.facet_normals, dtype=dtype).T
-            w = w[(values >= 0 if region == "full" else values > 0).all(axis=1)]
-            got = self._free[key] = w[np.lexsort(w.T[::-1])]
+            least = 0 if region == "full" else 1  # the least facet value
+            normals = self.cone.facet_normals
+            W = [[k * x] for x in self._base]
+            V = [[_dot(h, self._base) * k] for h in normals]
+            box = [(b, [_dot(h, b) for h in normals], range(k * lo, k * hi + 1))
+                   for b, (lo, hi) in zip(self._kernel_basis, self._box)]
+            for b, hb, ts in box[:-1]:
+                W = [[x + t * y for x in col for t in ts] for col, y in zip(W, b)]
+                V = [[v + t * c for v in col for t in ts] for col, c in zip(V, hb)]
+            b, hb, ts = box[-1] if box else ((0,) * len(W), [0] * len(V), range(1))
+            los, his = [ts.start] * len(V[0]), [ts.stop - 1] * len(V[0])
+            for col, c in zip(V, hb):  # least <= v + t c
+                if c > 0:
+                    los = list(map(max, los, [(least - 1 - v) // c + 1 for v in col]))
+                elif c < 0:
+                    his = list(map(min, his, [(v - least) // -c for v in col]))
+                else:
+                    his = [h if v >= least else ts.start - 1 for h, v in zip(his, col)]
+            runs = [hi + 1 - lo for lo, hi in zip(los, his)]  # points per walked point
+            got = self._free[key] = tuple(sorted(zip(*(
+                chain.from_iterable(map(range, [x + lo * y for x, lo in zip(col, los)],
+                                        [x + (hi + 1) * y for x, hi in zip(col, his)], repeat(y)))
+                if y else chain.from_iterable(map(repeat, col, runs)) for col, y in zip(W, b)))))
         return got
 
     def layer(self, k, region="full"):
@@ -196,32 +199,33 @@ class GradedSemigroup:
             return got
         tors = [t.torsion for t in self.group.torsion_elements()]
         elems = tuple(GroupElement(self.group, w, t)
-                      for w in map(tuple, self.free_layer(k, region).tolist()) for t in tors)
+                      for w in self.free_layer(k, region) for t in tors)
         self._layers[key] = elems
         return elems
 
     def shift(self, k, region="full"):
-        """Int array whose entry [p, i] is the index of layer(k)[p] + A[i] in
-        layer(k + 1); a generator keeps the cone and its interior, so both
-        regions close."""
+        """Per point of layer(k), the tuple whose entry i is the index of
+        that point + A[i] in layer(k + 1); a generator keeps the cone and its
+        interior, so both regions close."""
         key = (k, region)
         got = self._shifts.get(key)
         if got is None:
-            dtype = self._dtype(k)
-            src = self.free_layer(k, region).astype(dtype)
-            dst = self.free_layer(k + 1, region).astype(dtype)
-            lo = dst.min(axis=0, initial=0)
-            spans = (dst.max(axis=0, initial=0) - lo + 1).tolist()
-            # mixed-radix codes: increasing along the sorted points of dst
-            radix = np.array([math.prod(spans[j + 1:]) for j in range(len(spans))], dtype=dtype)
-            gens = np.array([v.free for v in self.A], dtype=dtype)
-            pos = np.searchsorted((dst - lo) @ radix, (src[:, None] + gens - lo) @ radix)
+            dst, gens = self.free_layer(k + 1, region), [v.free for v in self.A]
+            # mixed-radix codes of the box around (k + 1) conv(A), which holds dst
+            spans = [(k + 1) * (max(col) - min(col)) + 1 for col in zip(*gens)]
+            radix = [math.prod(spans[j + 1:]) for j in range(len(spans))]
             tors = self.group.torsion_elements()
-            index = {t.torsion: s for s, t in enumerate(tors)}
-            offset = np.array([[index[(t + v).torsion] for v in self.A] for t in tors],
-                              dtype=np.intp)
-            got = (pos[:, None] * len(tors) + offset).reshape(-1, len(self.A))
-            self._shifts[key] = got
+            T = len(tors)
+            at = dict(zip(map(_dot, dst, repeat(radix)), range(0, len(dst) * T, T)))
+            codes = list(map(_dot, self.free_layer(k, region), repeat(radix)))
+            # per free point, the index of its sum with each A[i] at torsion 0
+            rows = zip(*(map(at.__getitem__, map(add, codes, repeat(_dot(v, radix))))
+                         for v in gens))
+            if T > 1:  # torsion residues innermost
+                index = {t.torsion: s for s, t in enumerate(tors)}
+                offsets = [[index[(t + v).torsion] for v in self.A] for t in tors]
+                rows = (tuple(map(add, row, o)) for row in rows for o in offsets)
+            got = self._shifts[key] = tuple(rows)
         return got
 
 
@@ -244,14 +248,9 @@ def k_prim(S: GradedSemigroup):
         return found
     found = []
     for k in range(S.rank + 3):
-        dtype = S._dtype(k)
-        normals = np.array(S.cone.facet_normals, dtype=dtype).T
-        layer = S.layer(k)
-        at_c = np.array([c.free for c in layer], dtype=dtype).reshape(-1, S.rank) @ normals
-        at_v = np.array([v.free for v in S.A], dtype=dtype) @ normals
-        # c - v_i lies in K iff no facet value of c falls below that of v_i
-        reducible = (at_c[:, None] >= at_v).all(axis=2).any(axis=1)
-        primitive = [c for c, red in zip(layer, reducible.tolist()) if not red]
+        # c - v_i lies in K iff c = c' + v_i for a c' of the layer below
+        reducible = set(chain.from_iterable(S.shift(k - 1))) if k else ()
+        primitive = [c for q, c in enumerate(S.layer(k)) if q not in reducible]
         if k > S.rank and primitive:
             raise KPrimGuardError(
                 f"primitive elements at degree {k} exceed the degree bound: {primitive}")

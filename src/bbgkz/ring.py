@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .linalg import GaussianRational, RowSpace, degree, embed, field, galois, numerators
 from .polyhedral import GradedSemigroup
 
@@ -74,9 +72,8 @@ class FVector:
         return self.x[i]
 
     def _map(self, fn, m):
-        """The vector over Q(zeta_m) whose parts fn makes of these, as arrays."""
-        out = fn([np.array(part, dtype=object) for part in self.parts])
-        return FVector.of(m, [np.broadcast_to(v, (len(self),)).tolist() for v in out], self.den)
+        """The vector over Q(zeta_m) whose parts fn makes of these, as lists."""
+        return FVector.of(m, fn(list(map(list, self.parts))), self.den)
 
     def embed(self, m):
         """The vector over Q(zeta_m), a field that holds Q(zeta_self.m)."""
@@ -117,13 +114,12 @@ def _image_rows(f, S, k, region="full"):
     """
     if k == 0:
         return []
-    shifts = S.shift(k - 1, region).tolist()
     per_part = []
     for x in f.parts:
         terms = [[(i, x[i] * v.free[j]) for i, v in enumerate(S.A) if v.free[j] and x[i]]
                  for j in range(S.rank)]
         rows = []
-        for targets in shifts:
+        for targets in S.shift(k - 1, region):
             for row_terms in terms:
                 row = {}
                 for i, coeff in row_terms:

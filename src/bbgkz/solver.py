@@ -2,7 +2,7 @@
 
 A solution germ is its lambda table: the values of all unknown functions
 (and hence, after re-indexing, all their Taylor coefficients) at the base
-point.  A SolutionBasis is one GermStack of all germs, integer arrays per
+point.  A SolutionBasis is one GermStack of all germs, integer lists per
 layer over the layer's least common denominator, which the report, the
 recursion check, the restriction rank and the torsion lift read, and each
 germ's leading degree.  Two routes give the same germs.  The step route
@@ -19,24 +19,23 @@ the step route's germ born at fc.  So both routes have the same free
 columns, and both bases are the one that is 1 at one free column and 0 at
 the others.  Steps extend the kernel route's germs from D0 to D: free
 columns have degree at most rank + 1 <= D0, so each has one solution.
-Inside the recursion a layer's germs are one array [part, germ, point]
-with a denominator per germ, and a step's right-hand sides one array
-product.  `recursion_defects` tests the recursion identity on every germ
-of a stack at once; `exact_rank` is the one germ rank, of stacks or of
-their restrictions to per-layer point masks.  Everything is exact, over the
-cyclotomic field Q(zeta_m) of x and beta, a value as phi(m) integer parts
-(linalg).
+A layer's germs are one germ-major list of Python ints per part, inside
+the recursion with a denominator per germ, and a step's right-hand sides
+one product per covector.  `recursion_defects` tests the recursion
+identity on every germ of a stack at once; `exact_rank` is the one germ
+rank, of stacks or of their restrictions to per-layer point masks.
+Everything is exact, over the cyclotomic field Q(zeta_m) of x and beta, a
+value as phi(m) integer parts (linalg).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
+from operator import add, mul as times, sub
 from types import SimpleNamespace
-
-import numpy as np
 
 from .linalg import GaussianRational, RowSpace, degree, embed, field, mul, solve_sparse
 from .polyhedral import GradedSemigroup
@@ -53,12 +52,12 @@ class InconsistentSystem(RuntimeError):
 
 @dataclass
 class GermStack:
-    """Germs sharing a semigroup, base point, beta and truncation, on arrays.
+    """Germs sharing a semigroup, base point, beta and truncation.
 
-    layers[k] is (parts, den): parts an integer array [part, germ, point]
-    over Q(zeta_m), germ t having the value sum_s parts[s, t, p] zeta^s / den
-    at layer(k)[p], den the least common denominator of the layer's values.
-    base_x and beta are FVectors over subfields of Q(zeta_m).
+    layers[k] is (parts, den): parts a list of ints per part over Q(zeta_m),
+    germ t having the value sum_s parts[s][t w + p] zeta^s / den at
+    layer(k)[p], w = |layer(k)|, den the least common denominator of the
+    layer's values.  base_x and beta are FVectors over subfields of Q(zeta_m).
     """
     semigroup: GradedSemigroup
     base_x: FVector
@@ -68,14 +67,14 @@ class GermStack:
     m: int
 
     def __len__(self):
-        return self.layers[0][0].shape[1]
+        return len(self.layers[0][0][0]) // len(self.semigroup.layer(0))
 
     def values(self, t, k):
         """{p: value} of the nonzero entries of germ t on layer k: canonical
         GaussianRationals over Q and Q(i), else the tuple of the Fraction
         parts."""
-        parts, den = self.layers[k]
-        cols = parts[:, t].T.tolist()
+        (parts, den), w = self.layers[k], len(self.semigroup.layer(k))
+        cols = zip(*(part[t * w:(t + 1) * w] for part in parts))
         if self.m in (1, 4):
             return {p: GaussianRational(v[0], v[-1] if self.m == 4 else 0, den)
                     for p, v in enumerate(cols) if any(v)}
@@ -106,19 +105,15 @@ class SolutionBasis:
                 for t in range(len(self))]
 
 
-def _arrays(parts, shape):
-    """Parts as integer arrays of the shape, an int 0 part as zeros."""
-    return np.array([np.full(shape, p, dtype=object) if type(p) is int else p for p in parts])
-
-
 def _pack(vectors, width, n):
     """(P, dens) of vectors (parts, den) as `solve_sparse` gives them, on
-    width points: P[s, t, p] the numerator of part s of vector t at point p,
-    over dens[t]; the parts past those a vector has are zero."""
-    P = np.zeros((n, len(vectors), width), dtype=object)
+    width points: P[s][t width + p] the numerator of part s of vector t at
+    point p, over dens[t]; the parts past those a vector has are zero."""
+    P = [[0] * (width * len(vectors)) for _ in range(n)]
     for t, (parts, _) in enumerate(vectors):
-        for s, part in enumerate(parts):
-            P[s, t, list(part)] = list(part.values())
+        for row, part in zip(P, parts):
+            for p, v in part.items():
+                row[t * width + p] = v
     return P, [den for _, den in vectors]
 
 
@@ -133,20 +128,21 @@ def _hat_kernel(f, beta, S, D):
     degrees = [k for k in range(D + 1) for _ in S.layer(k)]
     kernel = space.kernel(len(degrees))
     P, dens = _pack(list(kernel.values()), len(degrees), degree(field(f.m, beta.m)))
-    off = np.cumsum([0] + [len(S.layer(k)) for k in range(D + 1)]).tolist()
-    return ([(P[:, :, a:b], dens) for a, b in zip(off, off[1:])],
+    off = list(accumulate((len(S.layer(k)) for k in range(D + 1)), initial=0))
+    return ([([list(chain.from_iterable(part[t + a:t + b] for t in range(0, len(part), off[-1])))
+               for part in P], dens) for a, b in zip(off, off[1:])],
             [degrees[fc] for fc in kernel])
 
 
 def _layer(P, dens, count):
-    """Layer parts [part, germ, point] of count germs and den, the least
-    common denominator: germ t < len(dens) has the values P[:, t] over
-    dens[t]; the rest are zero."""
-    den = lcm(*dens)
-    out = np.zeros((len(P), count, P.shape[2]), dtype=object)
-    out[:, :len(dens)] = P * np.array([den // d for d in dens], dtype=object)[:, None]
-    g = gcd(den, *out.ravel().tolist())
-    return (out // g if g != 1 else out), den // g
+    """Layer parts of count germs and den, the least common denominator:
+    germ t < len(dens) has the values of P over dens[t]; the rest are
+    zero."""
+    den, w = lcm(*dens), len(P[0]) // len(dens)
+    scale = [den // d for d in dens for _ in range(w)]
+    out = [list(map(times, part, scale)) + [0] * (w * (count - len(dens))) for part in P]
+    g = gcd(den, *chain.from_iterable(out))
+    return ([[v // g for v in part] for part in out] if g != 1 else out), den // g
 
 
 def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> SolutionBasis:
@@ -178,8 +174,7 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> SolutionBas
     if got is None:
         # one unit germ per degree-0 layer element
         w = len(S.layer(0))
-        P = np.zeros((n, w, w), dtype=object)
-        P[0, range(w), range(w)] = 1
+        P = [[int(t == p) for t in range(w) for p in range(w)]] + [[0] * (w * w)] * (n - 1)
         layers, leading = [(P, [1] * w)], [0] * w
     else:
         layers, leading = got
@@ -187,18 +182,17 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> SolutionBas
     fm = f.embed(m)
     X = fm.den
     bB, B = beta.numerators(m)
-    # parts s > 0 of (beta_j - c_j) B X, the same at every c
-    ti = [np.array(part, dtype=object) * X if any(part) else 0 for part in bB[1:]]
     for k in range(len(layers) - 1, D):
         # right-hand sides lambda_c (beta_j - c_j) B X over dens[t] B, germ t's
-        # row p r + j at c = layer(k)[p]: integer products
-        P, dens = layers[k]
-        tw = np.array([[(b - cj * B) * X for b, cj in zip(bB[0], c.free)]
-                       for c in S.layer(k)], dtype=object)
-        R = np.array(mul([tw, *ti], list(P[..., None]), m))
-        R = R.reshape(n, len(dens), -1).transpose(1, 0, 2).tolist()
+        # row p r + j at c = layer(k)[p]: per covector j, integer products
+        (P, dens), layer = layers[k], S.layer(k)
+        w = len(layer)
+        R = [mul([[(b - c.free[j] * B) * X for c in layer] * len(dens),
+                  *(part[j] * X for part in bB[1:])], P, m) for j, b in enumerate(bB[0])]
+        rhs = [[list(chain.from_iterable(zip(*(Rj[s][t * w:(t + 1) * w] for Rj in R))))
+                for s in range(n)] for t in range(len(dens))]
         sols, kernel = solve_sparse(_image_rows(fm, S, k + 1), len(S.layer(k + 1)),
-                                    [(parts, d * B) for parts, d in zip(R, dens)], m)
+                                    [(parts, d * B) for parts, d in zip(rhs, dens)], m)
         if any(sol is None for sol in sols):
             raise InconsistentSystem(
                 f"no extension at degree {k + 1}; nondegeneracy certificate wrong?")
@@ -215,62 +209,63 @@ def filtration_dims(basis: SolutionBasis) -> DimReport:
 
 
 def recursion_defects(stack: GermStack):
-    """Yield (k, defect) for each degree k below the truncation; defect[t, p, j]
-    is True where germ t breaks sum_i x_i v_i[j] lambda_{c + v_i} =
-    lambda_c (beta_j - c_j) at c = layer(k)[p], reading c + v_i from the shift
-    tables.  Per covector j, on integer parts over Q(zeta_m): L sums
-    (x_i v_i[j]) lambda_{c + v_i} over the i with x_i v_i[j] != 0, a small
-    numerator times a layer numerator each, and with g = gcd(den_k, den_{k+1})
-    the scalars a = fb den_k / g and b = ex den_{k+1} / g, applied once, bring
-    both sides to one denominator (ex and fb those of x and beta); a defect
-    is a L != b lambda_c (beta_j - c_j) fb in some part.  With x and beta
-    rational, each part of the layers is checked as a sum of its own, and
-    only where a layer has that part.
+    """Yield (k, defect) for each degree k below the truncation; defect is a
+    list of bools, entry (t w + p) rank + j True where germ t breaks
+    sum_i x_i v_i[j] lambda_{c + v_i} = lambda_c (beta_j - c_j) at
+    c = layer(k)[p], w = |layer(k)|, reading c + v_i from the shift tables.
+    On integer parts over Q(zeta_m), with g = gcd(den_k, den_{k+1}), the
+    scalars a = fb den_k / g and b = ex den_{k+1} / g bring both sides to one
+    denominator (ex and fb those of x and beta): a x_i lambda_{c + v_i} is
+    formed once per generator, and a defect is a nonzero entry of a part of
+    b lambda_c (beta_j - c_j) fb minus the sum of v_i[j] times it.
     """
-    S, m = stack.semigroup, stack.m
+    S, m, r = stack.semigroup, stack.m, stack.semigroup.rank
     xs, ex = stack.base_x.numerators(m)
     bs, fb = stack.beta.numerators(m)
-    rational = not any(map(any, xs[1:] + bs[1:]))
     for k, ((P0, den0), (P1, den1)) in enumerate(zip(stack.layers, stack.layers[1:])):
-        free = np.repeat(S.free_layer(k), S.group.torsion_order, axis=0).astype(object)
+        layer, w1, size = S.layer(k), len(S.layer(k + 1)), len(P0[0])
         g = gcd(den0, den1)
         a, b = fb * den0 // g, ex * den1 // g
-        up = [P1[:, :, q] for q in S.shift(k).T]
-        live = [s for s in range(len(P0)) if P0[s].any() or P1[s].any()]
-        defect = np.zeros((*P0.shape[1:], S.rank), dtype=bool)
-        for j in range(S.rank):
-            gr = bs[0][j] - fb * free[:, j]
-            terms = [([x[i] * v.free[j] for x in xs], up[i])
-                     for i, v in enumerate(S.A) if v.free[j] and any(x[i] for x in xs)]
-            if rational:
-                for s in live:
-                    defect[..., j] |= a * sum(x[0] * u[s] for x, u in terms) != b * (P0[s] * gr)
-                continue
-            lhs = [0] * len(P0)
-            for x, u in terms:
-                lhs = [acc + v for acc, v in zip(lhs, mul(x, u, m))]
-            rhs = mul([gr, *(c[j] for c in bs[1:])], P0, m)
-            for left, right in zip(lhs, rhs):
-                defect[..., j] |= a * left != b * right
+        offsets = [o for o in range(0, len(P1[0]), w1) for _ in layer]  # of P0's germs in P1
+        ax = {}  # generator i with x_i != 0 -> a x_i lambda_{c + v_i}, in the order of P0
+        for i, col in enumerate(zip(*S.shift(k))):
+            if any(x[i] for x in xs):
+                idx = list(map(add, offsets, col * (size // len(layer))))
+                ax[i] = mul([a * x[i] for x in xs], [list(map(part.__getitem__, idx))
+                                                     for part in P1], m)
+        defect = [False] * (size * r)
+        for j in range(r):
+            gr = [b * (bs[0][j] - fb * c.free[j]) for c in layer] * (size // len(layer))
+            rhs = mul([gr, *(b * c[j] for c in bs[1:])], P0, m)
+            terms = [(v.free[j], ax[i]) for i, v in enumerate(S.A) if v.free[j] and i in ax]
+            for s in range(len(P0)):
+                d = rhs[s]
+                for c, y in terms:
+                    d = list(map(add, d, y[s]) if c == -1 else
+                             map(sub, d, y[s] if c == 1 else map(times, y[s], repeat(c))))
+                if any(d):
+                    for i in compress(range(size), d):
+                        defect[i * r + j] = True
         yield k, defect
 
 
 def exact_rank(stacks, masks=None) -> int:
     """Exact rank of the germs of GermStacks on one semigroup and truncation,
     over the field that holds theirs; with masks, of their restrictions to
-    the points masks[k] (a boolean array) of each layer k < len(masks).
+    the points masks[k] (a list of bools) of each layer k < len(masks).
     Columns go into a RowSpace layer by layer until the rank is the germ
     count, which bounds it from above."""
     rows = sum(len(s) for s in stacks)
     m = field(*(s.m for s in stacks))
     space = RowSpace()
-    for mask, layers in zip(repeat(slice(None)) if masks is None else masks,
-                            zip(*(s.layers for s in stacks))):
+    for k, (mask, layers) in enumerate(zip(repeat(None) if masks is None else masks,
+                                           zip(*(s.layers for s in stacks)))):
+        w = len(stacks[0].semigroup.layer(k))
         den = lcm(*(d for _, d in layers))
-        P = np.concatenate([_arrays(embed(list(P * (den // d)), s.m, m), P.shape[1:])
-                            for (P, d), s in zip(layers, stacks)], axis=1)
-        for col in P[:, :, mask].transpose(2, 0, 1).tolist():
-            space.add([{t: v for t, v in enumerate(part) if v} for part in col], m)
+        parts = [embed(mul([den // d], P, s.m), s.m, m) for (P, d), s in zip(layers, stacks)]
+        for p in range(w) if mask is None else compress(range(w), mask):
+            space.add([{t: v for t, v in enumerate(chain.from_iterable(P[s][p::w] for P in parts))
+                        if v} for s in range(degree(m))], m)
             if space.rank == rows:
                 return rows
     return space.rank

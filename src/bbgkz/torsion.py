@@ -14,15 +14,14 @@ a germ that fails it stops the lift (a failed `lift_completed` in a report).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from math import gcd, lcm
-
-import numpy as np
 
 from .abelian import AbelianGroup, Character, char_value
 from .linalg import embed, field, mul, root_of_unity
 from .polyhedral import GradedSemigroup, build_semigroup
 from .ring import FVector
-from .solver import GermStack, SolutionBasis, _arrays, recursion_defects
+from .solver import GermStack, SolutionBasis, recursion_defects
 
 
 class ResidualTooLarge(RuntimeError):
@@ -87,15 +86,14 @@ def p_rho(rho: Character, x, Q: QuotientProblem) -> FVector:
 
 
 def _times_character(layer, chars, m_psi, m):
-    """A quotient layer (parts, den) [part, germ, point] over Q(zeta_m_psi),
-    in Q(zeta_m), repeated over the torsion residues innermost and times the
-    character's value on each (chars: its parts per residue): a product by
-    a root of unity through the power table."""
-    parts, den = layer
-    shape = parts.shape[1:]
-    parts = _arrays(embed(list(parts), m_psi, m), shape)
-    lifted = np.array([_arrays(mul(c, parts, m), shape) for c in chars])
-    return lifted.transpose(1, 2, 3, 0).reshape(len(parts), shape[0], -1), den
+    """A quotient layer (parts, den), flat germ-major lists over
+    Q(zeta_m_psi), in Q(zeta_m), repeated over the torsion residues
+    innermost and times the character's value on each (chars: its parts per
+    residue): a product by a root of unity through the power table."""
+    parts = embed(layer[0], m_psi, m)
+    lifted = [mul(c, parts, m) for c in chars]
+    return ([list(chain.from_iterable(zip(*(v[s] for v in lifted)))) for s in range(len(parts))],
+            layer[1])
 
 
 def lift_and_verify(basis: SolutionBasis, rho: Character, x, S: GradedSemigroup):
@@ -121,15 +119,16 @@ def lift_and_verify(basis: SolutionBasis, rho: Character, x, S: GradedSemigroup)
     chars = [root_of_unity(char_value(rho, t), m) for t in S.group.torsion_elements()]
     layers = []
     for k, layer in enumerate(psi.layers):
-        if not np.array_equal(Q.semigroup.free_layer(k), S.free_layer(k)):
+        if Q.semigroup.free_layer(k) != S.free_layer(k):
             raise ValueError(f"quotient layer {k} is not the free part of layer {k}")
         layers.append(_times_character(layer, chars, psi.m, m))
     lift = GermStack(S, x, psi.beta, psi.truncation, layers, m)
 
     first = {}  # germ -> its first defect (k, p, j)
     for k, defect in recursion_defects(lift):
-        for t in np.flatnonzero(defect.any(axis=(1, 2))):
-            first.setdefault(t, (k, *np.argwhere(defect[t])[0]))
+        w = len(S.layer(k)) * S.rank
+        for i in compress(range(len(defect)), defect):
+            first.setdefault(i // w, (k, *divmod(i % w, S.rank)))
     if first:
         k, p, j = first[min(first)]
         raise ResidualTooLarge(

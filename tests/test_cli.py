@@ -307,8 +307,10 @@ def _shift(dims):
 
 def _drop_germ(basis):
     """The basis without its last germ."""
-    stack = dataclasses.replace(basis.stack, layers=[(P[:, :-1], den)
-                                                     for P, den in basis.stack.layers])
+    S = basis.semigroup
+    stack = dataclasses.replace(basis.stack, layers=[
+        ([part[:-len(S.layer(k))] for part in P], den)
+        for k, (P, den) in enumerate(basis.stack.layers)])
     return dataclasses.replace(basis, stack=stack, leading=basis.leading[:-1])
 
 
@@ -317,20 +319,15 @@ def _corrupt_layer_one(basis):
     by one: the quotient germ no longer solves the recursion."""
     layers = list(basis.stack.layers)
     P, den = layers[1]
-    P = P.copy()
-    P[0, 0, 0] += 1
-    layers[1] = (P, den)
+    layers[1] = ([[P[0][0] + 1, *P[0][1:]], *P[1:]], den)
     return dataclasses.replace(basis, stack=dataclasses.replace(basis.stack, layers=layers))
 
 
 def _flag_first(defects):
-    """The (k, defect) arrays of recursion_defects with the first identity of
+    """The (k, defect) lists of recursion_defects with the first identity of
     degree 0 broken."""
     for k, defect in defects:
-        if k == 0:
-            defect = defect.copy()
-            defect.flat[0] = True
-        yield k, defect
+        yield k, [True, *defect[1:]] if k == 0 else defect
 
 
 # (check, cli name patched, mutation of its result, task), one id each
@@ -454,7 +451,7 @@ class TestLiftLanes:
         """With x and beta rational, the character whose quotient point is
         the Galois image sigma_a of an earlier one takes that solve's tables
         under sigma_a, and they equal a direct solve's at truncation
-        rank + 1, array for array and in the same order: one solve per
+        rank + 1, list for list and in the same order: one solve per
         Galois orbit, 3 for Z/4 and 2 for Z/3; with a complex beta every
         character is solved."""
         spec = cli.load_problem(os.path.join(GOLDEN, f"{name}.problem.json"))
@@ -647,6 +644,23 @@ class TestMain:
         else:
             assert proc.returncode == 2
             assert proc.stderr == f"ProblemError: schema violation: {err.value.message}\n"
+
+    def test_numpy_never_imported(self, tmp_path):
+        """In a fresh interpreter, cli.main runs ex51 with all five tasks and
+        p2_z4 with lift, each writing its report, and never imports numpy."""
+        runs = [[cli.fixture_path("ex51"), "--tasks", ",".join(cli.ALL_TASKS),
+                 "--out", str(tmp_path / "ex51.json")],
+                [os.path.join(GOLDEN, "p2_z4.problem.json"), "--tasks", "lift",
+                 "--out", str(tmp_path / "p2_z4.json")]]
+        script = ("import json, sys; from bbgkz import cli; "
+                  "print([cli.main(argv) for argv in json.loads(sys.argv[1])], "
+                  "'numpy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0] False\n", "")
+        assert read(tmp_path / "ex51.json")["tasks_run"] == list(cli.ALL_TASKS)
+        assert read(tmp_path / "p2_z4.json")["torsion_lift"]["rank"] == 12
 
     def test_main_error_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -9,10 +9,9 @@ import re
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
 import pytest
 
-from bbgkz import cli, solver, torsion
+from bbgkz import cli, torsion
 from bbgkz.abelian import char_value
 from bbgkz.linalg import RowSpace, degree, embed, field, mul, root_of_unity
 from bbgkz.polyhedral import build_semigroup
@@ -127,7 +126,7 @@ def field_value(parts, m):
 
 
 def reference_lift(psi, rho, x, S, m):
-    """The per-germ dict lift that the array lift replaced, kept as its
+    """The per-germ dict lift that the layer lift replaced, kept as its
     reference: lambda_c = rho(c) psi_{pi(c)} entry by entry over S's layers,
     on Fraction parts in Q(zeta_m)."""
     by_free = {pc.free: val for pc, val in psi.entries.items()}
@@ -266,7 +265,8 @@ class TestLifting:
         rho = S.group.characters()[1]
         basis = solve_recursion(p_rho(rho, f, Q), beta, Q.semigroup, truncation=4)
         layer = Q.semigroup.free_layer(2)
-        monkeypatch.setitem(Q.semigroup._free, (2, "full"), layer + 1)
+        monkeypatch.setitem(Q.semigroup._free, (2, "full"),
+                            tuple(tuple(x + 1 for x in w) for w in layer))
         with pytest.raises(ValueError, match="quotient layer 2"):
             lift_and_verify(basis, rho, f, S)
 
@@ -283,7 +283,7 @@ def problem_path(name):
 
 
 class TestArrayLift:
-    """The array lift against the per-germ dict lift it replaced."""
+    """The layer lift against the per-germ dict lift it replaced."""
 
     @pytest.mark.parametrize("name", ["z2_example", "square_z2", "p2_z4", "hexagon_z2",
                                       "g3_torsion", "seg5_z3"])
@@ -320,14 +320,14 @@ class TestExactRank:
         for src, dst in ((0, -1), (-1, 0)):
             for duplicate in (True, False):
                 layers = []
-                for (P, d), (sP, sd) in zip(stacks[dst].layers, stacks[src].layers):
-                    den = lcm(d, sd)
-                    P = solver._arrays(embed(list(P * (den // d)), stacks[dst].m, m),
-                                        P.shape[1:])
-                    sP = solver._arrays(embed(list(sP * (den // sd)), stacks[src].m, m),
-                                         sP.shape[1:])
-                    P[:, 0] = sP[:, -1] if duplicate else 0
-                    layers.append((P, den))
+                for k, ((P, d), (sP, sd)) in enumerate(zip(stacks[dst].layers,
+                                                           stacks[src].layers)):
+                    den, w = lcm(d, sd), len(S.layer(k))
+                    P = embed([[v * (den // d) for v in part] for part in P], stacks[dst].m, m)
+                    sP = embed([[v * (den // sd) for v in part] for part in sP],
+                               stacks[src].m, m)
+                    layers.append(([(v[-w:] if duplicate else [0] * w) + u[w:]
+                                    for u, v in zip(P, sP)], den))
                 bad = list(stacks)
                 bad[dst] = dataclasses.replace(stacks[dst], layers=layers, m=m)
                 assert exact_rank(bad) == full - 1
@@ -344,8 +344,8 @@ class TestLiftTruncation:
                                       "p2_z4_cbeta", "hexagon_z2", "seg5_z3"])
     def test_lifts_at_rank_plus_one_are_the_cut_lifts(self, name):
         """Lifts of quotient solves at the problem's truncation D, cut to
-        layers 0..rank + 1, are the lifts of solves at rank + 1, array for
-        array, and both have exact rank vol |N_tors|."""
+        layers 0..rank + 1, are the lifts of solves at rank + 1, list for
+        list, and both have exact rank vol |N_tors|."""
         spec, S, f = spec_problem(problem_path(name))
         r, D = S.rank, spec.truncation
         assert D > r + 1
@@ -402,20 +402,31 @@ def first_defects(stack):
     """Per germ of a stack, the first (c, j) that recursion_defects reports,
     or None."""
     out = [None] * len(stack)
-    for k, defect in recursion_defects(stack):
-        for t, p, j in np.argwhere(defect):
-            if out[t] is None:
-                out[t] = (stack.semigroup.layer(k)[p], j)
+    for k, t, c, j in flagged(stack):
+        if out[t] is None:
+            out[t] = (c, j)
     return out
 
 
 def defect_sets(stack):
     """Per germ of a stack, every (c, j) that recursion_defects reports."""
     out = [set() for _ in range(len(stack))]
-    for k, defect in recursion_defects(stack):
-        for t, p, j in np.argwhere(defect):
-            out[t].add((stack.semigroup.layer(k)[p], j))
+    for k, t, c, j in flagged(stack):
+        out[t].add((c, j))
     return out
+
+
+def flagged(stack):
+    """(k, t, c, j) for each broken identity that recursion_defects reports,
+    in its order: entry (t w + p) rank + j of degree k's defect list, c the
+    point p of layer k and w the layer's size."""
+    S = stack.semigroup
+    for k, defect in recursion_defects(stack):
+        layer = S.layer(k)
+        for i, bad in enumerate(defect):
+            if bad:
+                (t, p), j = divmod(i // S.rank, len(layer)), i % S.rank
+                yield k, t, layer[p], j
 
 
 def reference_defect_sets(tables, near=None):
@@ -517,7 +528,7 @@ class TestExactRecursionCheck:
         S, x, lifts = exact_lifts(LIFT_PROBLEMS["p2_z4"])
         assert not any(v.b for v in x)
         complex_lifts = [(stack, refs) for _, _, stack, refs in lifts
-                         if stack.m == 4 and any(P[1].any() for P, _ in stack.layers)]
+                         if stack.m == 4 and any(any(P[1]) for P, _ in stack.layers)]
         assert len(complex_lifts) == 2
         for stack, refs in complex_lifts:
             assert not any(b.b for b in stack.beta)
@@ -656,9 +667,9 @@ class TestCyclotomicLifts:
         Q, D = build_quotient(S.group, S.A), spec.truncation
         stacks = []
         for rho, basis in quotient_bases(S, f, spec.beta, D):
-            assert not any(d.any() for _, d in recursion_defects(basis.stack))
+            assert not any(any(d) for _, d in recursion_defects(basis.stack))
             stack, resid = lift_and_verify(basis, rho, f, S)
-            assert resid == 0.0 and not any(d.any() for _, d in recursion_defects(stack))
+            assert resid == 0.0 and not any(any(d) for _, d in recursion_defects(stack))
             stacks.append(stack)
         assert max(s.m for s in stacks) == m
         assert exact_rank(stacks) == expect
