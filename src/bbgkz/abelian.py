@@ -9,7 +9,6 @@ the free part; torsion characters only see the torsion part.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -22,21 +21,24 @@ class NotSpanning(ValueError):
     """The free parts of the input vectors do not span the free lattice."""
 
 
-@dataclass(frozen=True)
 class AbelianGroup:
-    rank: int
-    torsion_invariants: tuple = ()
+    __slots__ = ("rank", "torsion_invariants")
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion_invariants", tuple(self.torsion_invariants))
-        if self.rank < 0:
+    def __init__(self, rank, torsion_invariants=()):
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        inv = self.torsion_invariants
+        self.rank = rank
+        self.torsion_invariants = inv = tuple(torsion_invariants)
         for j, d in enumerate(inv):
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
             if j > 0 and inv[j] % inv[j - 1] != 0:
                 raise ValueError("invariant factors must divide each other in order")
+
+    def __eq__(self, other):
+        if not isinstance(other, AbelianGroup):
+            return NotImplemented
+        return self.rank == other.rank and self.torsion_invariants == other.torsion_invariants
 
     @property
     def torsion_order(self):
@@ -79,17 +81,16 @@ class AbelianGroup:
         return [self.element(zero_free, t) for t in itertools.product(*ranges)]
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """An element (free, torsion) of `group`.  Elements can key dicts: the
-    hash is computed once, into a slot that is no field."""
+    hash is computed once, at construction."""
     __slots__ = ("group", "free", "torsion", "_hash")
-    group: AbelianGroup
-    free: tuple
-    torsion: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.free, self.torsion)))
+    def __init__(self, group, free, torsion):
+        self.group = group
+        self.free = free
+        self.torsion = torsion
+        self._hash = hash((free, torsion))
 
     def __add__(self, other):
         if self.group is not other.group and self.group != other.group:
@@ -115,16 +116,20 @@ class GroupElement:
         return f"({','.join(map(str, self.free))})"
 
 
-@dataclass(frozen=True)
 class DualElement:
-    group: AbelianGroup
-    free_covector: tuple
+    __slots__ = ("group", "free_covector")
+
+    def __init__(self, group, free_covector):
+        self.group = group
+        self.free_covector = free_covector
 
 
-@dataclass(frozen=True)
 class Character:
-    group: AbelianGroup
-    torsion_exponents: tuple
+    __slots__ = ("group", "torsion_exponents")
+
+    def __init__(self, group, torsion_exponents):
+        self.group = group
+        self.torsion_exponents = torsion_exponents
 
 
 def pair(mu: DualElement, v: GroupElement) -> int:

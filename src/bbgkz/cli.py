@@ -20,7 +20,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -30,8 +29,8 @@ from .polyhedral import KPrimGuardError, build_semigroup, k_prim
 from .ring import (FVector, NondegeneracyCertificate, NondegeneracyRetriesExhausted,
                    hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
                    jacobian_dims, r1_dims, random_rational_x)
-from .solver import (InconsistentSystem, exact_rank, filtration_dims, recursion_defects,
-                     solve_recursion)
+from .solver import (GermStack, InconsistentSystem, SolutionBasis, exact_rank,
+                     filtration_dims, recursion_defects, solve_recursion)
 from .torsion import DegenerateQuotient, ResidualTooLarge, build_quotient, lift_and_verify, p_rho
 
 SCHEMA_VERSION = 1
@@ -299,8 +298,8 @@ def _task_restrict(spec, S, f, D, report, checks):
 def _galois(basis, a, z):
     """The basis under sigma_a (zeta -> zeta^a), at the base point z."""
     stack = basis.stack
-    return replace(basis, stack=replace(stack, base_x=z, layers=[
-        (galois(P, a, stack.m), den) for P, den in stack.layers]))
+    return SolutionBasis(GermStack(stack.semigroup, z, stack.beta, stack.truncation, [
+        (galois(P, a, stack.m), den) for P, den in stack.layers], stack.m), basis.leading)
 
 
 def _lifts(spec, S, Q, f):

@@ -19,7 +19,6 @@ least common denominator.
 from __future__ import annotations
 
 import functools
-from copy import copy
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, inf, lcm
@@ -217,7 +216,8 @@ class RowSpace:
 
     def copy(self):
         """An independent space with the same rows."""
-        out = copy(self)
+        out = RowSpace(self.key)
+        out.m, out.n, out._order, out._first = self.m, self.n, self._order, self._first
         out.rows = {p: dict(row) for p, row in self.rows.items()}
         return out
 

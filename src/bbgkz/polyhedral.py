@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from operator import add, mul
 
@@ -28,10 +27,12 @@ class KPrimGuardError(RuntimeError):
     """New primitive elements appeared beyond the expected degree bound."""
 
 
-@dataclass(frozen=True)
 class Cone:
-    generators: tuple        # deduplicated free vectors, sorted
-    facet_normals: tuple     # primitive integer covectors, >= 0 on the cone
+    __slots__ = ("generators", "facet_normals")
+
+    def __init__(self, generators, facet_normals):
+        self.generators = generators          # deduplicated free vectors, sorted
+        self.facet_normals = facet_normals    # primitive integer covectors, >= 0 on the cone
 
 
 def _dot(u, v):

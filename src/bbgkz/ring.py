@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -91,10 +90,12 @@ class FVector:
         return list(parts) + [(0,) * len(self)] * (degree(m) - len(parts)), self.den
 
 
-@dataclass(frozen=True)
 class DimReport:
-    per_degree: tuple
-    total: int
+    __slots__ = ("per_degree", "total")
+
+    def __init__(self, per_degree, total):
+        self.per_degree = per_degree
+        self.total = total
 
     @classmethod
     def of(cls, per_degree):
@@ -149,13 +150,17 @@ def jacobian_dims(f: FVector, S: GradedSemigroup, max_degree, region="full") -> 
                         for k in range(max_degree + 1))
 
 
-@dataclass(frozen=True)
 class NondegeneracyCertificate:
-    total: int
-    expected_total: int
-    per_degree: tuple
-    tail_degrees_zero: bool
-    expected_per_degree: tuple
+    __slots__ = ("total", "expected_total", "per_degree", "tail_degrees_zero",
+                 "expected_per_degree")
+
+    def __init__(self, total, expected_total, per_degree, tail_degrees_zero,
+                 expected_per_degree):
+        self.total = total
+        self.expected_total = expected_total
+        self.per_degree = per_degree
+        self.tail_degrees_zero = tail_degrees_zero
+        self.expected_per_degree = expected_per_degree
 
     @classmethod
     def of(cls, per_degree, S: GradedSemigroup):

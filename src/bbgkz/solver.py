@@ -30,7 +30,6 @@ value as phi(m) integer parts (linalg).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
@@ -50,7 +49,6 @@ class InconsistentSystem(RuntimeError):
     """
 
 
-@dataclass
 class GermStack:
     """Germs sharing a semigroup, base point, beta and truncation.
 
@@ -59,12 +57,15 @@ class GermStack:
     layer(k)[p], w = |layer(k)|, den the least common denominator of the
     layer's values.  base_x and beta are FVectors over subfields of Q(zeta_m).
     """
-    semigroup: GradedSemigroup
-    base_x: FVector
-    beta: FVector
-    truncation: int
-    layers: list
-    m: int
+    __slots__ = ("semigroup", "base_x", "beta", "truncation", "layers", "m")
+
+    def __init__(self, semigroup, base_x, beta, truncation, layers, m):
+        self.semigroup = semigroup
+        self.base_x = base_x
+        self.beta = beta
+        self.truncation = truncation
+        self.layers = layers
+        self.m = m
 
     def __len__(self):
         return len(self.layers[0][0][0]) // len(self.semigroup.layer(0))
@@ -81,12 +82,14 @@ class GermStack:
         return {p: tuple(Fraction(a, den) for a in v) for p, v in enumerate(cols) if any(v)}
 
 
-@dataclass
 class SolutionBasis:
     """Truncated solution germs: one GermStack, germ t of leading degree
     leading[t], ascending."""
-    stack: GermStack
-    leading: list
+    __slots__ = ("stack", "leading")
+
+    def __init__(self, stack, leading):
+        self.stack = stack
+        self.leading = leading
 
     semigroup = property(lambda self: self.stack.semigroup)
     beta = property(lambda self: self.stack.beta)

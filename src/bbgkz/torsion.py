@@ -13,7 +13,6 @@ a germ that fails it stops the lift (a failed `lift_completed` in a report).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress
 from math import gcd, lcm
 
@@ -33,7 +32,6 @@ class DegenerateQuotient(RuntimeError):
     the certificate of x forces: a wrong certificate or an internal bug."""
 
 
-@dataclass(frozen=True)
 class QuotientProblem:
     """The induced problem on the free quotient of the group.
 
@@ -41,10 +39,13 @@ class QuotientProblem:
     first occurrence; index_sets[j] lists the input indices mapping to
     images[j].
     """
-    images: tuple
-    index_sets: tuple
-    semigroup: GradedSemigroup
-    source_vectors: tuple
+    __slots__ = ("images", "index_sets", "semigroup", "source_vectors")
+
+    def __init__(self, images, index_sets, semigroup, source_vectors):
+        self.images = images
+        self.index_sets = index_sets
+        self.semigroup = semigroup
+        self.source_vectors = source_vectors
 
 
 def _project(N: AbelianGroup, A):

@@ -1,6 +1,7 @@
 """Shared problem data, the reference scalar and reference germ builders
 used across the test modules."""
 
+import copy
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -334,6 +335,23 @@ def restricted_rank(basis):
         inner = set(S.layer(k, "interior"))
         masks.append([c in inner for c in S.layer(k)])
     return exact_rank([basis.stack], masks)
+
+
+def replaced(obj, **changes):
+    """A shallow copy of `obj` with the named attributes set to new values,
+    as dataclasses.replace makes one of a dataclass; an attribute `obj` does
+    not have is an error."""
+    out = copy.copy(obj)
+    for name, value in changes.items():
+        getattr(obj, name)
+        setattr(out, name, value)
+    return out
+
+
+def slot_values(obj):
+    """The values of the slots of `obj`, in order: the package's plain
+    classes compare by identity, so tests compare their values."""
+    return tuple(getattr(obj, name) for name in type(obj).__slots__)
 
 
 def assert_stacks_equal(a, b):

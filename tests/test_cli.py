@@ -1,6 +1,5 @@
 """Problem parsing, report generation, exit codes, and determinism."""
 
-import dataclasses
 import glob
 import json
 import os
@@ -18,7 +17,7 @@ from bbgkz.polyhedral import KPrimGuardError, build_semigroup
 from bbgkz.ring import DimReport, FVector
 from bbgkz.solver import InconsistentSystem
 from bbgkz.torsion import DegenerateQuotient, ResidualTooLarge, p_rho
-from conftest import assert_stacks_equal
+from conftest import assert_stacks_equal, replaced
 
 
 def read(path):
@@ -308,10 +307,10 @@ def _shift(dims):
 def _drop_germ(basis):
     """The basis without its last germ."""
     S = basis.semigroup
-    stack = dataclasses.replace(basis.stack, layers=[
+    stack = replaced(basis.stack, layers=[
         ([part[:-len(S.layer(k))] for part in P], den)
         for k, (P, den) in enumerate(basis.stack.layers)])
-    return dataclasses.replace(basis, stack=stack, leading=basis.leading[:-1])
+    return replaced(basis, stack=stack, leading=basis.leading[:-1])
 
 
 def _corrupt_layer_one(basis):
@@ -320,7 +319,7 @@ def _corrupt_layer_one(basis):
     layers = list(basis.stack.layers)
     P, den = layers[1]
     layers[1] = ([[P[0][0] + 1, *P[0][1:]], *P[1:]], den)
-    return dataclasses.replace(basis, stack=dataclasses.replace(basis.stack, layers=layers))
+    return replaced(basis, stack=replaced(basis.stack, layers=layers))
 
 
 def _flag_first(defects):
@@ -645,22 +644,37 @@ class TestMain:
             assert proc.returncode == 2
             assert proc.stderr == f"ProblemError: schema violation: {err.value.message}\n"
 
-    def test_numpy_never_imported(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def fresh_run(self, tmp_path_factory):
         """In a fresh interpreter, cli.main runs ex51 with all five tasks and
-        p2_z4 with lift, each writing its report, and never imports numpy."""
+        p2_z4 with lift, each writing its report to the returned directory.
+        The process prints its exit codes and, for numpy, dataclasses and
+        inspect, whether it imported them."""
+        tmp = tmp_path_factory.mktemp("fresh_run")
         runs = [[cli.fixture_path("ex51"), "--tasks", ",".join(cli.ALL_TASKS),
-                 "--out", str(tmp_path / "ex51.json")],
+                 "--out", str(tmp / "ex51.json")],
                 [os.path.join(GOLDEN, "p2_z4.problem.json"), "--tasks", "lift",
-                 "--out", str(tmp_path / "p2_z4.json")]]
+                 "--out", str(tmp / "p2_z4.json")]]
         script = ("import json, sys; from bbgkz import cli; "
-                  "print([cli.main(argv) for argv in json.loads(sys.argv[1])], "
-                  "'numpy' in sys.modules)")
+                  "print(json.dumps([[cli.main(argv) for argv in json.loads(sys.argv[1])], "
+                  "{m: m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')}]))")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                               capture_output=True, text=True, env=env, timeout=120)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0] False\n", "")
-        assert read(tmp_path / "ex51.json")["tasks_run"] == list(cli.ALL_TASKS)
-        assert read(tmp_path / "p2_z4.json")["torsion_lift"]["rank"] == 12
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return json.loads(proc.stdout), tmp
+
+    def test_numpy_never_imported(self, fresh_run):
+        (codes, imported), tmp = fresh_run
+        assert (codes, imported["numpy"]) == ([0, 0], False)
+        assert read(tmp / "ex51.json")["tasks_run"] == list(cli.ALL_TASKS)
+        assert read(tmp / "p2_z4.json")["torsion_lift"]["rank"] == 12
+
+    def test_dataclasses_never_imported(self, fresh_run):
+        """The fresh run imports neither dataclasses nor inspect, which
+        dataclasses imports: both cost start-up and no run needs them."""
+        (codes, imported), _ = fresh_run
+        assert (codes, imported["dataclasses"], imported["inspect"]) == ([0, 0], False, False)
 
     def test_main_error_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

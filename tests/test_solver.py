@@ -1,6 +1,5 @@
 """Degree-by-degree recursion: closed forms, dimensions, and residuals."""
 
-import dataclasses
 import os
 import random
 from fractions import Fraction
@@ -16,8 +15,8 @@ from bbgkz.ring import (FVector, hat_quotient_dims, is_nondegenerate, jacobian_d
                         r1_dims)
 from bbgkz.solver import InconsistentSystem, filtration_dims, recursion_defects, solve_recursion
 from conftest import (FIXTURE_BUILDERS, QQI, LambdaTable, add_values, assert_stacks_equal,
-                      basis_of, make_problem, reference_series, restricted_rank, stack_of,
-                      tables_of)
+                      basis_of, make_problem, reference_series, replaced, restricted_rank,
+                      stack_of, tables_of)
 from test_torsion import defect_sets, reference_defect_sets
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -503,4 +502,4 @@ class TestRepetitionCollapse:
             FVector((Fraction(2) + delta, Fraction(1) - delta, Fraction(3))),
             beta, S, truncation=5)
         assert a.leading == b.leading
-        assert_stacks_equal(a.stack, dataclasses.replace(b.stack, base_x=a.stack.base_x))
+        assert_stacks_equal(a.stack, replaced(b.stack, base_x=a.stack.base_x))
