@@ -21,7 +21,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
 
 from .abelian import AbelianGroup, NoDegreeFunctional, NotSpanning
 from .linalg import GaussianRational, galois
@@ -41,10 +40,14 @@ class ProblemError(ValueError):
     """Problem file is invalid: schema, group data, or base point."""
 
 
+# the bundled schemas and fixtures, read beside this file
+_HERE = os.path.dirname(os.path.abspath(__file__))
+
+
 @functools.cache
 def _load_schema(name):
-    ref = resources.files("bbgkz.schemas").joinpath(name)
-    return json.loads(ref.read_text(encoding="utf-8"))
+    with open(os.path.join(_HERE, "schemas", name), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 # the keywords _valid interprets; "$schema", "title" and "$defs" assert nothing
@@ -153,10 +156,15 @@ def format_dims(report):
 
 
 class ProblemSpec:
+    """A validated problem.  The schema's integers admit integral numbers
+    such as 3.0, as JSON Schema's do, so the counts and seeds are read
+    through int()."""
+
     def __init__(self, data):
         g = data["group"]
         try:
-            self.group = AbelianGroup(g["rank"], tuple(g.get("torsion_invariants", ())))
+            self.group = AbelianGroup(int(g["rank"]),
+                                      tuple(map(int, g.get("torsion_invariants", ()))))
         except ValueError as e:
             raise ProblemError(str(e))
         self.vectors = tuple(
@@ -166,7 +174,7 @@ class ProblemSpec:
         if len(self.beta) != self.group.rank:
             raise ProblemError("beta length must equal the free rank")
         self.x_policy = data["x_policy"]
-        self.truncation = data.get("truncation")
+        self.truncation = int(data["truncation"]) if "truncation" in data else None
         self.tasks = tuple(data.get("tasks", ALL_TASKS))
         self.name = data.get("name", "")
         self.raw = data
@@ -185,8 +193,8 @@ class ProblemSpec:
                     f"expected {cert.expected_total}, "
                     f"tail zero {cert.tail_degrees_zero}")
             return f, cert
-        seed = seed_override if seed_override is not None else pol.get("seed", 0)
-        bound = pol.get("denominator_bound", 4)
+        seed = seed_override if seed_override is not None else int(pol.get("seed", 0))
+        bound = int(pol.get("denominator_bound", 4))
         return random_rational_x(S, seed=seed, denominator_bound=bound)
 
 
@@ -463,7 +471,7 @@ def write_report(report, path):
 
 def fixture_path(name):
     """Filesystem path of a bundled problem fixture by bare name."""
-    return str(resources.files("bbgkz.fixtures").joinpath(f"{name}.json"))
+    return os.path.join(_HERE, "fixtures", f"{name}.json")
 
 
 def main(argv=None):

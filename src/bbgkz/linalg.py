@@ -12,8 +12,9 @@ fraction-free (Bareiss), one content pass per row update, and rows over
 Q(zeta_m) by restriction of scalars to Q.  Rows given at once enter in
 one order, `RowSpace.extend`'s: from the last leading column down in the
 space's column order.  `solve_sparse` reads the solutions and the kernel
-of a system from one such reduction, each vector as integer parts over its
-least common denominator.
+of a system from one such reduction, every vector as integer parts over one
+denominator: the lcm of the pivot entries times that of the right-hand
+sides.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ class RowSpace:
         if not red:
             return False
         order = self._order
-        p = min(red) if order is None else min(red, key=order)
+        p = min(red, key=order)
         place = p if order is None else order(p)
         _primitive(red, p)
         if place > self._first:
@@ -287,40 +288,37 @@ class RowSpace:
         for row in sorted(filter(any, rows), key=lead, reverse=True):
             self.add(row, m)
 
-    def _read(self, ncols, dens=()):
-        """(solutions, kernel) for unknowns 0..ncols-1 and column ncols + t
-        holding dens[t] b_t, as `solve_sparse`; the kernel as {fc: vector};
-        one vector at a time, down the pivot rows.  Restricted, the rows of
-        pivots np + s hold part s of the row of p at column nc, each over its
-        own pivot entry."""
+    def _read(self, ncols, nrhs=0, d=1):
+        """(solutions, kernel, den) for unknowns 0..ncols-1 and column ncols + t
+        holding d b_t, t < nrhs, as `solve_sparse`; the kernel as {fc: parts}.
+        Every vector is over den = L d, L the lcm of the pivot entries, so
+        each pivot row is scaled once, by L over its pivot entry.  Restricted,
+        the row of pivot np + s holds part s of the row of p at column nc."""
         n, rows = self.n, self.rows
-        pivots = [(p, [rows[n * p + s] for s in range(n)], [rows[n * p + s][n * p + s]
-                                                            for s in range(n)])
-                  for p in self.pivots if p < ncols]
+        pivots = [(q, row) for q, row in rows.items() if q < n * ncols]
+        L = lcm(*(row[q] for q, row in pivots))
+        pivots = [(q // n, q % n, row, L // row[q]) for q, row in pivots]
 
-        def vector(col, sign, scale, values):
-            key = n * col
-            if n == 1:
-                for p, (row,), (top,) in pivots:
-                    a = row.get(key)
-                    if a:
-                        values.append((p, [sign * a], [top * scale]))
-            else:
-                for p, prows, tops in pivots:
-                    a = [row.get(key, 0) for row in prows]
-                    if any(a):
-                        values.append((p, [sign * v for v in a], [d * scale for d in tops]))
-            return _over_lcd(values, n)
+        def vector(col, f):
+            parts, key = [{} for _ in range(n)], n * col
+            for p, s, row, k in pivots:
+                a = row.get(key)
+                if a:
+                    parts[s][p] = f * k * a
+            return parts
 
-        unit = [1] + [0] * (n - 1)
-        return ([vector(ncols + t, 1, d, []) for t, d in enumerate(dens)],
-                {c: vector(c, -1, 1, [(c, unit, [1] * n)])
-                 for c in range(ncols) if n * c not in rows})
+        kernel = {}
+        for c in range(ncols):
+            if n * c not in rows:
+                kernel[c] = vector(c, -d)
+                kernel[c][0][c] = L * d
+        return [vector(ncols + t, 1) for t in range(nrhs)], kernel, L * d
 
     def kernel(self, ncols):
-        """Kernel of the rows cut to columns 0..ncols-1, as {fc: vector} over
-        the free columns fc, ascending, in the form of `solve_sparse`."""
-        return self._read(ncols)[1]
+        """({fc: parts}, den): the kernel of the rows cut to columns
+        0..ncols-1, one vector per free column fc, ascending, each 1 there,
+        in the form of `solve_sparse`."""
+        return self._read(ncols)[1:]
 
 
 def _restricted(parts, m):
@@ -338,19 +336,6 @@ def _restricted(parts, m):
         w = [{c: v for c in part.keys() | top.keys() if (v := part.get(c, 0) - k * top.get(c, 0))}
              if k and top else part for part, k in zip(w, phi)]
     return rows
-
-
-def _over_lcd(values, n):
-    """(parts, den) for the values given as (column, numerators, denominators)
-    of their n parts: dicts of the nonzero numerators of each part over den,
-    their least common denominator."""
-    den = lcm(*[d for _, _, ds in values for d in ds])
-    parts = [{c: a[s] * (den // ds[s]) for c, a, ds in values if a[s]} for s in range(n)]
-    g = gcd(den, *(v for part in parts for v in part.values()))
-    if g != 1:
-        parts = [{c: v // g for c, v in part.items()} for part in parts]
-        den //= g
-    return parts, den
 
 
 def _eliminate(vec, col, row):
@@ -387,36 +372,36 @@ def _primitive(vec, p):
             vec[c] = v // g
 
 
-def solve_sparse(rows, ncols, rhs_list, m=1):
+def solve_sparse(rows, ncols, rhs, d, m=1):
     """Solve A x = b exactly over Q(zeta_m) for several right-hand sides,
     plus the kernel of A.
 
     rows: the rows of A over columns 0..ncols-1 as parts, consumed as
-    `RowSpace.add` consumes them.  rhs_list: one right-hand side b_t per
-    entry, as (parts, d) with part s of b_t[i] equal to parts[s][i] / d,
-    integer sequences of length len(rows) (one for a rational b_t) and d > 0.
-    The numerators d * b_t go in as column ncols + t, after every unknown,
-    and the augmented matrix is reduced once, its rows going in from the
-    last leading column down; its reduced row echelon form is unique for
-    this column order, and scaling column ncols + t scales only its entries,
-    so d enters where a solution entry is read.  Returns (solutions, kernel):
+    `RowSpace.add` consumes them.  rhs: one right-hand side b_t per entry,
+    as parts, integer sequences of length len(rows) (one for a rational
+    b_t), part s of b_t[i] being parts[s][i] / d, with one d > 0 for all.
+    The numerators d b_t go in as column ncols + t, after every unknown, and
+    the augmented matrix is reduced once, its rows going in from the last
+    leading column down; its reduced row echelon form is unique for this
+    column order, and scaling the right-hand side columns scales only their
+    entries, so d enters with the denominator.  Returns (solutions, kernel,
+    den):
 
     - solutions[t] is None if b_t is not in the column space of A, else the
       particular solution with every free variable zero;
     - kernel has one vector per free column of A, in ascending free-column
       order, 1 in that column and pivot columns by back substitution.
 
-    A vector is (parts, den): dicts of the nonzero integer numerators of its
-    parts over den, their least common denominator.
+    A vector is the dicts of the nonzero integer numerators of its parts,
+    every one over den, which need not be in lowest terms.
     """
     space, n = RowSpace(), degree(m)
-    rhs = [[(col, bparts[s]) for col, (bparts, _) in enumerate(rhs_list, ncols)
-            if s < len(bparts)] for s in range(n)]
+    cols = [[(col, b[s]) for col, b in enumerate(rhs, ncols) if s < len(b)] for s in range(n)]
     augmented = []
     for i, row in enumerate(rows):
         parts = [row[s] if s < len(row) else {} for s in range(n)]
-        for part, cols in zip(parts, rhs):
-            for col, b in cols:
+        for part, bs in zip(parts, cols):
+            for col, b in bs:
                 if b[i]:
                     part[col] = b[i]
         augmented.append(parts)
@@ -425,6 +410,6 @@ def solve_sparse(rows, ncols, rhs_list, m=1):
     # reaches column ncols + t; that column need not be a pivot itself.
     n = space.n
     bad = {c // n for p, row in space.rows.items() if p // n >= ncols for c in row}
-    solutions, kernel = space._read(ncols, [d for _, d in rhs_list])
+    solutions, kernel, den = space._read(ncols, len(rhs), d)
     return ([None if ncols + t in bad else sol for t, sol in enumerate(solutions)],
-            list(kernel.values()))
+            list(kernel.values()), den)

@@ -66,12 +66,13 @@ def cone_over(generators) -> Cone:
 
     normals = set()
     for sub in combinations(gens, r - 1):
-        kernel = list(_row_space(sub).kernel(r).values())
+        kernel = list(_row_space(sub).kernel(r)[0].values())
         if len(kernel) != 1:
             continue
-        # primitive: its free column holds den, prime to the other numerators
-        (part, *_), _ = kernel[0]
-        h = [part.get(c, 0) for c in range(r)]
+        # the numerators of the one kernel vector, made primitive
+        h = [kernel[0][0].get(c, 0) for c in range(r)]
+        content = math.gcd(*h)
+        h = [v // content for v in h]
         vals = [_dot(h, g) for g in gens]
         pos = any(v > 0 for v in vals)
         neg = any(v < 0 for v in vals)

@@ -99,7 +99,7 @@ class DimReport:
 
     @classmethod
     def of(cls, per_degree):
-        per_degree = tuple(int(d) for d in per_degree)
+        per_degree = tuple(per_degree)
         return cls(per_degree, sum(per_degree))
 
 

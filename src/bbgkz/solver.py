@@ -19,11 +19,13 @@ the step route's germ born at fc.  So both routes have the same free
 columns, and both bases are the one that is 1 at one free column and 0 at
 the others.  Steps extend the kernel route's germs from D0 to D: free
 columns have degree at most rank + 1 <= D0, so each has one solution.
-A layer's germs are one germ-major list of Python ints per part, inside
-the recursion with a denominator per germ, and a step's right-hand sides
-one product per covector.  `recursion_defects` tests the recursion
-identity on every germ of a stack at once; `exact_rank` is the one germ
-rank, of stacks or of their restrictions to per-layer point masks.
+A layer's germs are one germ-major list of Python ints per part over one
+denominator, from the elimination read to the report, brought to lowest
+terms once per layer; a step's right-hand sides are one product per
+covector, over the layer's denominator.  `recursion_defects` tests the
+recursion identity on every germ of a stack at once; `exact_rank` is the
+one germ rank, of stacks or of their restrictions to per-layer point
+masks.
 Everything is exact, over the cyclotomic field Q(zeta_m) of x and beta, a
 value as phi(m) integer parts (linalg).
 """
@@ -109,19 +111,25 @@ class SolutionBasis:
 
 
 def _pack(vectors, width, n):
-    """(P, dens) of vectors (parts, den) as `solve_sparse` gives them, on
-    width points: P[s][t width + p] the numerator of part s of vector t at
-    point p, over dens[t]; the parts past those a vector has are zero."""
+    """Vectors given as parts, as `solve_sparse` gives them, on width points:
+    P[s][t width + p] is part s of vector t at point p; the parts past those a
+    vector has are zero."""
     P = [[0] * (width * len(vectors)) for _ in range(n)]
-    for t, (parts, _) in enumerate(vectors):
+    for t, parts in enumerate(vectors):
         for row, part in zip(P, parts):
             for p, v in part.items():
                 row[t * width + p] = v
-    return P, [den for _, den in vectors]
+    return P
+
+
+def _reduced(P, den):
+    """(P, den) in lowest terms: divided by the gcd of den and every entry."""
+    g = gcd(den, *chain.from_iterable(P))
+    return ([[v // g for v in part] for part in P], den // g) if g != 1 else (P, den)
 
 
 def _hat_kernel(f, beta, S, D):
-    """Per layer 0..D, the germs (P, dens) off the kernel of the hat space of
+    """Per layer 0..D, the germs (P, den) off the kernel of the hat space of
     (x, beta, D), taken off S, and their leading degrees; None if no such
     space is cached or its free columns per degree differ from the step
     kernels'."""
@@ -129,23 +137,13 @@ def _hat_kernel(f, beta, S, D):
     if space is None or _hat_free_counts(space, S, D) != jacobian_dims(f, S, D).per_degree:
         return None
     degrees = [k for k in range(D + 1) for _ in S.layer(k)]
-    kernel = space.kernel(len(degrees))
-    P, dens = _pack(list(kernel.values()), len(degrees), degree(field(f.m, beta.m)))
+    kernel, den = space.kernel(len(degrees))
+    P = _pack(list(kernel.values()), len(degrees), degree(field(f.m, beta.m)))
     off = list(accumulate((len(S.layer(k)) for k in range(D + 1)), initial=0))
-    return ([([list(chain.from_iterable(part[t + a:t + b] for t in range(0, len(part), off[-1])))
-               for part in P], dens) for a, b in zip(off, off[1:])],
+    return ([_reduced([list(chain.from_iterable(part[t + a:t + b]
+                                                for t in range(0, len(part), off[-1])))
+                       for part in P], den) for a, b in zip(off, off[1:])],
             [degrees[fc] for fc in kernel])
-
-
-def _layer(P, dens, count):
-    """Layer parts of count germs and den, the least common denominator:
-    germ t < len(dens) has the values of P over dens[t]; the rest are
-    zero."""
-    den, w = lcm(*dens), len(P[0]) // len(dens)
-    scale = [den // d for d in dens for _ in range(w)]
-    out = [list(map(times, part, scale)) + [0] * (w * (count - len(dens))) for part in P]
-    g = gcd(den, *chain.from_iterable(out))
-    return ([[v // g for v in part] for part in out] if g != 1 else out), den // g
 
 
 def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> SolutionBasis:
@@ -172,13 +170,13 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> SolutionBas
     m = field(f.m, beta.m)
     n = degree(m)
 
-    # layers[k]: (P, dens) of the germs born at degree <= k, on layer k
+    # layers[k]: (P, den) of the germs born at degree <= k, on layer k
     got = _hat_kernel(f, beta, S, min(D, r + 3))
     if got is None:
         # one unit germ per degree-0 layer element
         w = len(S.layer(0))
         P = [[int(t == p) for t in range(w) for p in range(w)]] + [[0] * (w * w)] * (n - 1)
-        layers, leading = [(P, [1] * w)], [0] * w
+        layers, leading = [(P, 1)], [0] * w
     else:
         layers, leading = got
 
@@ -186,24 +184,28 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> SolutionBas
     X = fm.den
     bB, B = beta.numerators(m)
     for k in range(len(layers) - 1, D):
-        # right-hand sides lambda_c (beta_j - c_j) B X over dens[t] B, germ t's
+        # right-hand sides lambda_c (beta_j - c_j) B X over den B, germ t's
         # row p r + j at c = layer(k)[p]: per covector j, integer products
-        (P, dens), layer = layers[k], S.layer(k)
+        (P, den), layer = layers[k], S.layer(k)
         w = len(layer)
-        R = [mul([[(b - c.free[j] * B) * X for c in layer] * len(dens),
+        count = len(P[0]) // w
+        R = [mul([[(b - c.free[j] * B) * X for c in layer] * count,
                   *(part[j] * X for part in bB[1:])], P, m) for j, b in enumerate(bB[0])]
         rhs = [[list(chain.from_iterable(zip(*(Rj[s][t * w:(t + 1) * w] for Rj in R))))
-                for s in range(n)] for t in range(len(dens))]
-        sols, kernel = solve_sparse(_image_rows(fm, S, k + 1), len(S.layer(k + 1)),
-                                    [(parts, d * B) for parts, d in zip(rhs, dens)], m)
+                for s in range(n)] for t in range(count)]
+        sols, kernel, d = solve_sparse(_image_rows(fm, S, k + 1), len(S.layer(k + 1)),
+                                       rhs, den * B, m)
         if any(sol is None for sol in sols):
             raise InconsistentSystem(
                 f"no extension at degree {k + 1}; nondegeneracy certificate wrong?")
-        layers.append(_pack(sols + kernel, len(S.layer(k + 1)), n))
+        layers.append(_reduced(_pack(sols + kernel, len(S.layer(k + 1)), n), d))
         leading += [k + 1] * len(kernel)
 
+    # germs born above degree k are zero on layer k
+    size = len(leading)
     return SolutionBasis(GermStack(S, f, beta, D, [
-        _layer(P, dens, len(leading)) for P, dens in layers], m), leading)
+        ([part + [0] * (len(S.layer(k)) * size - len(part)) for part in P], den)
+        for k, (P, den) in enumerate(layers)], m), leading)
 
 
 def filtration_dims(basis: SolutionBasis) -> DimReport:

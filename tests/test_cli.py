@@ -1,5 +1,6 @@
 """Problem parsing, report generation, exit codes, and determinism."""
 
+import functools
 import glob
 import json
 import os
@@ -255,6 +256,27 @@ class TestValidationErrors:
         report, code = cli.run(write_problem(tmp_path, data))
         assert code == 2
         assert "degenerate" in report["error"]
+
+    @pytest.mark.parametrize("keys, value", [
+        (("group", "rank"), 3), (("truncation",), 5), (("group", "torsion_invariants"), [2]),
+        (("x_policy", "denominator_bound"), 4), (("x_policy", "seed"), 2 ** 62)],
+        ids=["rank", "truncation", "torsion_invariants", "denominator_bound", "seed"])
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    def test_integral_floats(self, keys, value, tmp_path):
+        """The schema's integers admit integral numbers such as 3.0: a problem
+        giving one runs as its integer twin does, with the same exit code and
+        the same report apart from the problem it echoes.  A float bound
+        would reach random.randint, deprecated there, and a float seed would
+        seed from its hash, 2 for 2.0 ** 62."""
+        *parents, key = keys
+        runs = []
+        for v in (value, [float(t) for t in value] if isinstance(value, list) else float(value)):
+            data = read(cli.fixture_path("p2"))
+            functools.reduce(dict.__getitem__, parents, data)[key] = v
+            report, code = cli.run(write_problem(tmp_path, data), timings=False)
+            assert report.pop("problem") == data
+            runs.append((code, report))
+        assert runs[0] == runs[1] and runs[0][0] == 0
 
     def test_unknown_task(self):
         report, code = cli.run(cli.fixture_path("ex51"), tasks=["bogus"])
@@ -675,6 +697,19 @@ class TestMain:
         dataclasses imports: both cost start-up and no run needs them."""
         (codes, imported), _ = fresh_run
         assert (codes, imported["dataclasses"], imported["inspect"]) == ([0, 0], False, False)
+
+    def test_importlib_resources_never_imported(self, tmp_path):
+        """Schemas and fixtures are read beside the package's files: in a
+        fresh interpreter without site, which imports importlib.resources on
+        some installations, a run of ex51 never imports it."""
+        script = ("import sys; from bbgkz import cli; "
+                  "print(cli.main([cli.fixture_path('ex51'), '--out', sys.argv[1]]), "
+                  "'importlib.resources' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-S", "-c", script, str(tmp_path / "r.json")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0 False\n")
+        assert read(tmp_path / "r.json")["all_passed"]
 
     def test_main_error_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

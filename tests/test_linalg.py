@@ -10,7 +10,7 @@ numpy's floating-point rank.
 import cmath
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -133,29 +133,30 @@ def apply(A, vec):
     return out
 
 
-def vector_values(vec):
-    """A solve_sparse or kernel vector (parts, den) over Q or Q(i) as
-    {column: value}, after checking that it holds nonzero numerators over
-    their least common denominator."""
-    parts, den = vec
+def vector_values(parts, den):
+    """A solve_sparse or kernel vector over Q or Q(i), its parts over the
+    read's one denominator den, as {column: value}, after checking that it
+    holds nonzero numerators."""
     re, im = parts[0], parts[1] if len(parts) > 1 else {}
-    assert den > 0 and gcd(den, *re.values(), *im.values()) == 1
     assert all(re.values()) and all(im.values())
     return {c: QQI(re.get(c, 0), im.get(c, 0), den)
             for c in sorted(re.keys() | im.keys())}
 
 
-def as_values(sols, kernel):
-    """solve_sparse results with every vector as `vector_values`."""
-    return ([None if v is None else vector_values(v) for v in sols],
-            [vector_values(v) for v in kernel])
+def as_values(sols, kernel, den):
+    """solve_sparse results with every vector as `vector_values` over the
+    one denominator den."""
+    assert type(den) is int and den > 0
+    return ([None if v is None else vector_values(v, den) for v in sols],
+            [vector_values(v, den) for v in kernel])
 
 
 def integer_system(rows, rhs_list):
-    """(rows, right-hand sides, m) for solve_sparse from rows of values and
-    right-hand sides (re, im, d) of numerator sequences (im None when real):
-    each row as integer parts over Q(zeta_m), m = 4 if a value is not real,
-    and each right-hand side entry times its row's scale."""
+    """(rows, right-hand sides, d, m) for solve_sparse from rows of values
+    and right-hand sides (re, im, d_t) of numerator sequences (im None when
+    real): each row as integer parts over Q(zeta_m), m = 4 if a value is not
+    real, and each right-hand side entry times its row's scale and brought
+    over d, the lcm of the d_t."""
     out, scales, m = [], [], 1
     for row in rows:
         cols = list(row)
@@ -163,12 +164,12 @@ def integer_system(rows, rhs_list):
         out.append([{c: v for c, v in zip(cols, part) if v} for part in parts])
         scales.append(den)
         m = max(m, rm)
-    rhs = []
-    for re, im, d in rhs_list:
+    rhs, d = [], lcm(*(d for *_, d in rhs_list))
+    for re, im, dt in rhs_list:
         parts = [re] if im is None else [re, im]
         m = m if im is None else 4
-        rhs.append(([[v * k for v, k in zip(part, scales)] for part in parts], d))
-    return out, rhs, m
+        rhs.append([[v * k * (d // dt) for v, k in zip(part, scales)] for part in parts])
+    return out, rhs, d, m
 
 
 def solve(rows, ncols, rhs_list):
@@ -178,8 +179,8 @@ def solve(rows, ncols, rhs_list):
     for b in rhs_list:
         m, parts, d = numerators(b)
         cols.append((parts[0], parts[1] if m == 4 else None, d))
-    rows, cols, m = integer_system(rows, cols)
-    return as_values(*solve_sparse(rows, ncols, cols, m))
+    rows, cols, d, m = integer_system(rows, cols)
+    return as_values(*solve_sparse(rows, ncols, cols, d, m))
 
 
 class TestSolveSparse:
@@ -364,8 +365,8 @@ class TestFractionFree:
         rows, n, cols = system
         values = [[QQI(a, 0 if im is None else im[i], d) for i, a in enumerate(re)]
                   for re, im, d in cols]
-        int_rows, int_cols, m = integer_system(rows, cols)
-        sols, kernel = as_values(*solve_sparse(int_rows, n, int_cols, m))
+        int_rows, int_cols, d, m = integer_system(rows, cols)
+        sols, kernel = as_values(*solve_sparse(int_rows, n, int_cols, d, m))
         assert (sols, kernel) == reference_solve(rows, n, values)
         if rows:
             assert sols[-1] is not None and sols[-1] == sols[-2]
@@ -387,7 +388,8 @@ class TestFractionFree:
             assert all(type(v) is int for v in row.values())
             assert gcd(*row.values()) == 1
         assert not any(add_values(space.copy(), row) for row in rows)
-        assert [vector_values(v) for v in space.kernel(n).values()] == reference_kernel(ref, n)
+        kernel, den = space.kernel(n)
+        assert [vector_values(v, den) for v in kernel.values()] == reference_kernel(ref, n)
         assert solve(rows, n, rhs) == reference_solve(rows, n, rhs)
 
     def test_realified_readers(self):
@@ -399,9 +401,10 @@ class TestFractionFree:
         assert add_values(space, {0: QQI(1, 1), 1: 1})
         assert (space.m, space.n, len(space.rows)) == (4, 2, 4)
         assert (space.rank, space.pivots) == (2, [1, 2])
-        assert {fc: vector_values(v) for fc, v in space.kernel(3).items()} == \
+        kernel, den = space.kernel(3)
+        assert {fc: vector_values(v, den) for fc, v in kernel.items()} == \
             {0: {0: QQI_ONE, 1: -QQI(1, 1), 2: QQI(-1, 0, 3)}}
-        assert space.kernel(3) == {0: ([{0: 3, 1: -3, 2: -1}, {1: -3}], 3)}
+        assert space.kernel(3) == ({0: [{0: 3, 1: -3, 2: -1}, {1: -3}]}, 3)
         assert not add_values(space.copy(), {0: QQI(3, 4), 1: 3, 2: QQI(0, 3)})
         assert add_values(space.copy(), {0: QQI(0, 1)})
 
@@ -516,16 +519,15 @@ class TestRestrictionOfScalars:
                 for c in range(ncols):
                     v = mul([part.get(c, 0) for part in row], xs[c], m)
                     b[i] = [u + w for u, w in zip(b[i], v)]
-            sols, kernel = solve_sparse([[dict(part) for part in row] for row in rows], ncols,
-                                        [(list(zip(*b)) or [[]], 1)], m)
+            sols, kernel, den = solve_sparse([[dict(part) for part in row] for row in rows],
+                                             ncols, [list(zip(*b)) or [[]]], 1, m)
             assert len(kernel) == ncols - rank
-            for vec in [sols[0], *kernel]:
-                parts, den = vec
+            for parts in [sols[0], *kernel]:
                 for i, row in enumerate(rows):
                     total = [0] * degree(m)
                     for c in range(ncols):
                         v = mul([part.get(c, 0) for part in row],
                                 [part.get(c, 0) for part in parts], m)
                         total = [u + w for u, w in zip(total, v)]
-                    want = [den * v for v in b[i]] if vec is sols[0] else [0] * degree(m)
+                    want = [den * v for v in b[i]] if parts is sols[0] else [0] * degree(m)
                     assert total == want

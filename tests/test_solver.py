@@ -3,6 +3,7 @@
 import os
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -201,6 +202,9 @@ class TestKernelRoute:
         assert ring._hat_key(f, kernel.beta, D0) not in S._images
         assert kernel.leading == step.leading
         assert_stacks_equal(kernel.stack, step.stack)
+        # every layer in lowest terms, over the one denominator of its values
+        for P, den in kernel.stack.layers + step.stack.layers:
+            assert gcd(den, *chain.from_iterable(P)) == 1
 
     def test_degenerate_point_with_cached_space(self):
         """At the degenerate z2 point the cached hat space has fewer free
