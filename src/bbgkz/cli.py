@@ -23,7 +23,7 @@ import time
 from fractions import Fraction
 
 from .abelian import AbelianGroup, NoDegreeFunctional, NotSpanning
-from .linalg import GaussianRational, galois
+from .linalg import galois
 from .polyhedral import KPrimGuardError, build_semigroup, k_prim
 from .ring import (FVector, NondegeneracyCertificate, NondegeneracyRetriesExhausted,
                    hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
@@ -126,22 +126,21 @@ def parse_rational(s) -> Fraction:
         raise ProblemError(f"bad rational {s!r}: {e}")
 
 
-def parse_scalar(v) -> GaussianRational:
-    """Scalar from JSON: 'p/q' string or {'re': 'p/q', 'im': 'p/q'}, at
-    least one of the two."""
+def parse_scalar(v):
+    """Scalar from JSON: a Fraction from a 'p/q' string, the Fractions
+    (re, im) from {'re': 'p/q', 'im': 'p/q'}, at least one of the two."""
     if isinstance(v, dict):
         if not v.keys() & {"re", "im"}:
             raise ProblemError(f"bad scalar {v!r}: expected 're' or 'im'")
-        re = parse_rational(v.get("re", "0"))
-        im = parse_rational(v.get("im", "0"))
-        return GaussianRational.from_fractions(re, im)
-    return GaussianRational.from_fractions(parse_rational(v))
+        return parse_rational(v.get("re", "0")), parse_rational(v.get("im", "0"))
+    return parse_rational(v)
 
 
-def format_scalar(v: GaussianRational):
-    if v.is_real():
-        return str(v.real)
-    return {"re": str(v.real), "im": str(v.imag)}
+def format_scalar(v):
+    """A Fraction, or the Fraction parts (re,) or (re, im) of a value of Q or
+    Q(i), as JSON: 'p/q' when real, else {'re': 'p/q', 'im': 'p/q'}."""
+    re, im = (*v, 0)[:2] if isinstance(v, tuple) else (v, 0)
+    return {"re": str(re), "im": str(im)} if im else str(re)
 
 
 def format_element(c):
@@ -170,7 +169,7 @@ class ProblemSpec:
         self.vectors = tuple(
             self.group.element(v["free"], v.get("torsion", ()))
             for v in data["vectors"])
-        self.beta = tuple(parse_scalar(b) for b in data["beta"])
+        self.beta = FVector([parse_scalar(b) for b in data["beta"]])
         if len(self.beta) != self.group.rank:
             raise ProblemError("beta length must equal the free rank")
         self.x_policy = data["x_policy"]
@@ -185,7 +184,7 @@ class ProblemSpec:
         if pol["mode"] == "explicit":
             if len(pol["values"]) != len(self.vectors):
                 raise ProblemError("explicit x has wrong length")
-            f = FVector(tuple(parse_scalar(v) for v in pol["values"]))
+            f = FVector([parse_scalar(v) for v in pol["values"]])
             ok, cert = is_nondegenerate(f, S)
             if not ok:
                 raise ProblemError(
@@ -282,12 +281,11 @@ def _task_solve(spec, S, f, D, report, checks, jac):
 
 def _task_restrict(spec, S, f, D, report, checks):
     r = S.rank
-    beta0 = (GaussianRational(0),) * r
     # first, so that the solve below reads its germs off the reduced hat
     # space, and stops at its bound: the rank reads layers up to r only
     bound = min(D, r + 3)
     hat_rank = hat_restriction_rank(f, S, filtration_bound=bound)
-    basis0 = solve_recursion(f, beta0, S, truncation=bound)
+    basis0 = solve_recursion(f, (0,) * r, S, truncation=bound)
     # the germs' rank on the interior points of degree <= r
     inner = [set(S.layer(k, "interior")) for k in range(r + 1)]
     sol_rank = exact_rank([basis0.stack], [[c in inner[k] for c in S.layer(k)]
@@ -319,7 +317,6 @@ def _lifts(spec, S, Q, f):
     has one solution past it.  With x and beta rational, sigma_a(p_rho(x)) =
     p_{rho^a}(x) and the solve there is sigma_a of the one at p_rho(x), as
     sigma_a keeps every zero test: one solve serves a Galois orbit."""
-    beta = FVector(spec.beta)
     images, lifts = {}, []  # a Galois image of a solved point -> (basis, a)
     for rho in S.group.characters():
         z = p_rho(rho, f, Q)
@@ -327,8 +324,8 @@ def _lifts(spec, S, Q, f):
             qbasis, a = images[z]
             qbasis = _galois(qbasis, a, z)
         else:
-            qbasis = solve_recursion(z, beta, Q.semigroup, truncation=S.rank + 1)
-            if f.m == beta.m == 1:
+            qbasis = solve_recursion(z, spec.beta, Q.semigroup, truncation=S.rank + 1)
+            if f.m == spec.beta.m == 1:
                 for a in range(2, z.m):
                     if math.gcd(a, z.m) == 1:
                         images.setdefault(z.galois(a), (qbasis, a))
@@ -394,7 +391,8 @@ def run(problem_path, tasks=None, seed=None, truncation=None,
         "problem": spec.raw,
         "tasks_run": list(task_list),
         "truncation": D,
-        "base_point": [format_scalar(v) for v in f.x],
+        "base_point": [format_scalar(tuple(Fraction(a, f.den) for a in v))
+                       for v in zip(*f.parts)],
         "nondegeneracy": {
             "total": cert.total,
             "expected_total": cert.expected_total,

@@ -4,8 +4,8 @@ A value of Q(zeta_m) is phi(m) integer numerators over one denominator, its
 coordinates in the power basis 1, zeta, ..., zeta^(phi(m) - 1): Q (m = 1)
 has one part, Q(i) (m = 4) the real and the imaginary one.  Products,
 embeddings, Galois images and roots of unity read one power table, reduced
-mod Phi_m.  GaussianRational, kept canonical, is the value that problem
-files parse to and reports format from; it has no arithmetic.
+mod Phi_m.  Problem files parse to Fractions, a pair (re, im) of them for a
+value of Q(i), which `numerators` brings to that form.
 
 RowSpace is the one elimination kernel.  It reduces integer rows
 fraction-free (Bareiss), one content pass per row update, and rows over
@@ -125,55 +125,14 @@ def galois(parts, a, m):
 
 
 def numerators(values):
-    """(m, parts, den) of int, Fraction and GaussianRational values: m = 4 if
-    one is not real, else 1, and parts[s][i] / den the part s of values[i],
-    den the lcm of their denominators."""
-    values = [GaussianRational(v) for v in values]
-    den = lcm(*(v.d for v in values))
-    re = [v.a * (den // v.d) for v in values]
-    if not any(v.b for v in values):
-        return 1, [re], den
-    return 4, [re, [v.b * (den // v.d) for v in values]], den
-
-
-class GaussianRational:
-    """Exact complex number (a + b*i)/d with integer a, b and d > 0, kept
-    canonical: gcd(a, b, d) == 1.  It is the value that problem files parse
-    to and reports format from, and has no arithmetic: the package computes
-    on the integer parts above.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __new__(cls, a=0, b=0, d=1):
-        if isinstance(a, cls):
-            return a
-        if isinstance(a, Fraction) or isinstance(b, Fraction):
-            a, b = Fraction(a), Fraction(b)
-            d = lcm(a.denominator, b.denominator)
-            a, b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
-        if d == 0:
-            raise ZeroDivisionError("zero denominator")
-        g = gcd(a, b, d) if d > 0 else -gcd(a, b, d)
-        self = object.__new__(cls)
-        self.a, self.b, self.d = a // g, b // g, d // g
-        return self
-
-    @classmethod
-    def from_fractions(cls, re, im=0):
-        return cls(Fraction(re), Fraction(im))
-
-    @property
-    def real(self):
-        return Fraction(self.a, self.d)
-
-    @property
-    def imag(self):
-        """The imaginary part, which a complex leading entry reports."""
-        return Fraction(self.b, self.d)
-
-    def is_real(self):
-        return self.b == 0
+    """(m, parts, den) of rational values and (re, im) pairs of them (or any
+    value with rational .real and .imag): m = 4 if one is not real, else 1,
+    and parts[s][i] / den the part s of values[i], den the lcm of their
+    denominators."""
+    pairs = [v if isinstance(v, tuple) else (v.real, v.imag) for v in values]
+    den = lcm(*(q.denominator for v in pairs for q in v))
+    parts = [[v[s].numerator * (den // v[s].denominator) for v in pairs] for s in (0, 1)]
+    return (4, parts, den) if any(parts[1]) else (1, parts[:1], den)
 
 
 class RowSpace:

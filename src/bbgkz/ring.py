@@ -11,22 +11,33 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from types import SimpleNamespace
 
-from .linalg import GaussianRational, RowSpace, degree, embed, field, galois, numerators
+from .linalg import RowSpace, degree, embed, field, galois, numerators
 from .polyhedral import GradedSemigroup
 
 class NondegeneracyRetriesExhausted(RuntimeError):
     """No nondegenerate coefficient vector found within the retry cap."""
 
 
+def _gaussian(re, im=0):
+    """The value re + im i of Q(i), re and im rational, as canonical
+    SimpleNamespace(a, b, d), (a + b i)/d with gcd(a, b, d) = 1: the view
+    that perfbench's tracer reads off `FVector[i]` and
+    `SolutionBasis.tables`."""
+    d = lcm(re.denominator, im.denominator)
+    return SimpleNamespace(a=re.numerator * (d // re.denominator),
+                           b=im.numerator * (d // im.denominator), d=d)
+
+
 class FVector:
     """A vector over Q(zeta_m) as integer numerators: part s of entry i is
     parts[s][i] / den, den their least common denominator; a rational vector
     has m = 1 and one part.  It holds the coefficients x of f = sum x_i [v_i],
-    or beta.  Built from int, Fraction and GaussianRational values, or from
-    numerators by `of`; equal vectors have equal numerators, which the caches
-    on a semigroup key on."""
+    or beta.  Built from rational values and (re, im) pairs of them, as
+    problem files parse, or from numerators by `of`; equal vectors have equal
+    numerators, which the caches on a semigroup key on."""
 
     __slots__ = ("m", "parts", "den", "key")
 
@@ -57,18 +68,12 @@ class FVector:
     def __len__(self):
         return len(self.parts[0])
 
-    @property
-    def x(self):
-        """The entries as GaussianRationals, for a vector over Q or Q(i)."""
-        if self.m not in (1, 4):
-            raise ValueError(f"entries of Q(zeta_{self.m}) are no GaussianRationals")
-        im = self.parts[1] if self.m == 4 else (0,) * len(self)
-        return tuple(GaussianRational(a, b, self.den) for a, b in zip(self.parts[0], im))
-
     def __getitem__(self, i):
-        """Entry i as a GaussianRational; perfbench's tracer iterates base
-        points through it."""
-        return self.x[i]
+        """Entry i of a vector over Q or Q(i) as `_gaussian` gives it;
+        perfbench's tracer iterates base points through it."""
+        if self.m not in (1, 4):
+            raise ValueError(f"entries of Q(zeta_{self.m}) are not in Q(i)")
+        return _gaussian(*(Fraction(part[i], self.den) for part in self.parts))
 
     def _map(self, fn, m):
         """The vector over Q(zeta_m) whose parts fn makes of these, as lists."""

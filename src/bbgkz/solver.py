@@ -21,8 +21,9 @@ the others.  Steps extend the kernel route's germs from D0 to D: free
 columns have degree at most rank + 1 <= D0, so each has one solution.
 A layer's germs are one germ-major list of Python ints per part over one
 denominator, from the elimination read to the report, brought to lowest
-terms once per layer; a step's right-hand sides are one product per
-covector, over the layer's denominator.  `recursion_defects` tests the
+terms once per layer; a step's right-hand sides and the recursion check
+form the twist lambda_c (beta_j - c_j) alike (`_twist`), one product per
+covector over the layer's denominator.  `recursion_defects` tests the
 recursion identity on every germ of a stack at once; `exact_rank` is the
 one germ rank, of stacks or of their restrictions to per-layer point
 masks.
@@ -38,9 +39,10 @@ from math import gcd, lcm
 from operator import add, mul as times, sub
 from types import SimpleNamespace
 
-from .linalg import GaussianRational, RowSpace, degree, embed, field, mul, solve_sparse
+from .linalg import RowSpace, degree, embed, field, mul, solve_sparse
 from .polyhedral import GradedSemigroup
-from .ring import DimReport, FVector, _hat_free_counts, _hat_key, _image_rows, jacobian_dims
+from .ring import (DimReport, FVector, _gaussian, _hat_free_counts, _hat_key, _image_rows,
+                   jacobian_dims)
 
 
 class InconsistentSystem(RuntimeError):
@@ -73,14 +75,11 @@ class GermStack:
         return len(self.layers[0][0][0]) // len(self.semigroup.layer(0))
 
     def values(self, t, k):
-        """{p: value} of the nonzero entries of germ t on layer k: canonical
-        GaussianRationals over Q and Q(i), else the tuple of the Fraction
-        parts."""
+        """{p: value} of the nonzero entries of germ t on layer k, each the
+        tuple of its Fraction parts over Q(zeta_m): (re,) over Q, (re, im)
+        over Q(i)."""
         (parts, den), w = self.layers[k], len(self.semigroup.layer(k))
         cols = zip(*(part[t * w:(t + 1) * w] for part in parts))
-        if self.m in (1, 4):
-            return {p: GaussianRational(v[0], v[-1] if self.m == 4 else 0, den)
-                    for p, v in enumerate(cols) if any(v)}
         return {p: tuple(Fraction(a, den) for a in v) for p, v in enumerate(cols) if any(v)}
 
 
@@ -102,10 +101,11 @@ class SolutionBasis:
 
     @property
     def tables(self):
-        """Per germ, `entries` {(k, p): value} of its nonzero values: no
-        report reads it, but perfbench's tracer reads coefficient sizes off
-        it."""
-        return [SimpleNamespace(entries={(k, p): v for k in range(self.truncation + 1)
+        """Per germ, `entries` {(k, p): value} of its nonzero values, over Q
+        and Q(i) as `ring._gaussian` gives them, else the parts: no report
+        reads it, but perfbench's tracer reads coefficient sizes off it."""
+        view = _gaussian if self.stack.m in (1, 4) else lambda *v: v
+        return [SimpleNamespace(entries={(k, p): view(*v) for k in range(self.truncation + 1)
                                          for p, v in self.stack.values(t, k).items()})
                 for t in range(len(self))]
 
@@ -144,6 +144,13 @@ def _hat_kernel(f, beta, S, D):
                                                 for t in range(0, len(part), off[-1])))
                        for part in P], den) for a, b in zip(off, off[1:])],
             [degrees[fc] for fc in kernel])
+
+
+def _twist(P, layer, bs, B, j, scale, m):
+    """scale lambda_c (beta_j - c_j) B at c in the layer for the germs P, as
+    parts over Q(zeta_m), beta_j the parts bs[s][j] over B."""
+    gr = [scale * (bs[0][j] - B * c.free[j]) for c in layer] * (len(P[0]) // len(layer))
+    return mul([gr, *(scale * part[j] for part in bs[1:])], P, m)
 
 
 def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> SolutionBasis:
@@ -185,12 +192,11 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> SolutionBas
     bB, B = beta.numerators(m)
     for k in range(len(layers) - 1, D):
         # right-hand sides lambda_c (beta_j - c_j) B X over den B, germ t's
-        # row p r + j at c = layer(k)[p]: per covector j, integer products
+        # row p r + j at c = layer(k)[p]
         (P, den), layer = layers[k], S.layer(k)
         w = len(layer)
         count = len(P[0]) // w
-        R = [mul([[(b - c.free[j] * B) * X for c in layer] * count,
-                  *(part[j] * X for part in bB[1:])], P, m) for j, b in enumerate(bB[0])]
+        R = [_twist(P, layer, bB, B, j, X, m) for j in range(r)]
         rhs = [[list(chain.from_iterable(zip(*(Rj[s][t * w:(t + 1) * w] for Rj in R))))
                 for s in range(n)] for t in range(count)]
         sols, kernel, d = solve_sparse(_image_rows(fm, S, k + 1), len(S.layer(k + 1)),
@@ -240,8 +246,7 @@ def recursion_defects(stack: GermStack):
                                                      for part in P1], m)
         defect = [False] * (size * r)
         for j in range(r):
-            gr = [b * (bs[0][j] - fb * c.free[j]) for c in layer] * (size // len(layer))
-            rhs = mul([gr, *(b * c[j] for c in bs[1:])], P0, m)
+            rhs = _twist(P0, layer, bs, fb, j, b, m)
             terms = [(v.free[j], ax[i]) for i, v in enumerate(S.A) if v.free[j] and i in ax]
             for s in range(len(P0)):
                 d = rhs[s]

@@ -5,30 +5,48 @@ import copy
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from bbgkz.abelian import AbelianGroup, pair
-from bbgkz.linalg import GaussianRational, degree, numerators
+from bbgkz.linalg import degree, numerators
 from bbgkz.polyhedral import GradedSemigroup, build_semigroup
 from bbgkz.ring import FVector, random_rational_x
 from bbgkz.solver import GermStack, SolutionBasis, exact_rank
 
 
-class QQI(GaussianRational):
-    """The reference scalar of the test oracles: a GaussianRational with the
-    field arithmetic of Q(i), which the package does on integer parts
-    instead.  Mixed arithmetic with int, Fraction and GaussianRational gives
-    a QQI; equality compares values, and a real value hashes as its
-    Fraction."""
+class QQI:
+    """The reference scalar of the test oracles: the Gaussian rational
+    (a + b*i)/d with integer a, b and d > 0, kept canonical (gcd(a, b, d) ==
+    1), with the field arithmetic of Q(i), which the package does on integer
+    parts instead.  QQI(a, b, d) takes ints, QQI(re, im) Fractions, and
+    QQI((re, im)) the pair that `cli.parse_scalar` gives for an object.
+    Mixed arithmetic with int and Fraction gives a QQI; equality compares
+    values, and a real value hashes as its Fraction."""
 
-    __slots__ = ()
+    __slots__ = ("a", "b", "d")
 
     def __new__(cls, a=0, b=0, d=1):
-        if isinstance(a, GaussianRational):
-            return a if type(a) is QQI else _raw(a.a, a.b, a.d)
-        return super().__new__(cls, a, b, d)
+        if isinstance(a, QQI):
+            return a
+        if isinstance(a, tuple):
+            a, b = a
+        if isinstance(a, Fraction) or isinstance(b, Fraction):
+            a, b = Fraction(a), Fraction(b)
+            d = lcm(a.denominator, b.denominator)
+            a, b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+        if d == 0:
+            raise ZeroDivisionError("zero denominator")
+        return _raw(-a, -b, -d) if d < 0 else _raw(a, b, d)
+
+    @property
+    def real(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def imag(self):
+        return Fraction(self.b, self.d)
 
     def conjugate(self):
         return _raw(self.a, -self.b, self.d)
@@ -112,26 +130,34 @@ def _raw(a, b, d):
 
 
 def _qqi(v):
-    """v as a QQI if it is an int, Fraction or GaussianRational, else None."""
+    """v as a QQI if it is a QQI, int or Fraction, else None."""
     if type(v) is QQI:
         return v
     if isinstance(v, (int, Fraction)):
         return _raw(v.numerator, 0, v.denominator)
-    return QQI(v) if isinstance(v, GaussianRational) else None
+    return None
 
 
 QQI_ZERO, QQI_ONE, QQI_I = QQI(0), QQI(1), QQI(0, 1)
 
 
 def qqi_values(stack, t, k):
-    """GermStack.values with its GaussianRationals as QQIs."""
-    return {p: QQI(v) if isinstance(v, GaussianRational) else v
-            for p, v in stack.values(t, k).items()}
+    """GermStack.values with its values over Q and Q(i) as QQIs, over
+    another field as the tuple of their Fraction parts."""
+    return {p: QQI(*v) if stack.m in (1, 4) else v for p, v in stack.values(t, k).items()}
+
+
+def qqi_entries(vec):
+    """The entries of an FVector over Q or Q(i), or of the values one is
+    built from, as QQIs read off its numerators."""
+    vec = as_fvector(vec)
+    assert vec.m in (1, 4)
+    im = vec.parts[1] if vec.m == 4 else (0,) * len(vec)
+    return tuple(QQI(a, b, vec.den) for a, b in zip(vec.parts[0], im))
 
 
 def add_values(space, vec):
-    """Insert a row {column: value} of int, Fraction and GaussianRational
-    values into a RowSpace, over Q(i) if a value is not real: True if it
+    """Insert a row {column: value} of int, Fraction and QQI values into a RowSpace, over Q(i) if a value is not real: True if it
     enlarged the space."""
     cols = list(vec)
     m, parts, _ = numerators([vec[c] for c in cols])
@@ -166,7 +192,7 @@ def reference_series(table, c, z):
     complex sum in lexicographic order of the multi-indices.  No report
     evaluates a series; the closed-form tests compare germs with power
     functions through it."""
-    dz = tuple(zz - complex(QQI(xx)) for zz, xx in zip(z, table.base_x))
+    dz = tuple(zz - complex(xx) for zz, xx in zip(z, qqi_entries(table.base_x)))
     total = 0.0 + 0.0j
     for elem, coeff in multi_index_terms(table.semigroup, c, dz,
                                          table.truncation - table.degree(c)):

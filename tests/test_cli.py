@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbgkz import cli, ring, solver
 from bbgkz.abelian import AbelianGroup
@@ -18,7 +19,7 @@ from bbgkz.polyhedral import KPrimGuardError, build_semigroup
 from bbgkz.ring import DimReport, FVector
 from bbgkz.solver import InconsistentSystem
 from bbgkz.torsion import DegenerateQuotient, ResidualTooLarge, p_rho
-from conftest import assert_stacks_equal, replaced
+from conftest import QQI, assert_stacks_equal, replaced
 
 
 def read(path):
@@ -70,6 +71,51 @@ class TestScalarSerialization:
         report, code = cli.run(write_problem(tmp_path, data), timings=False)
         assert code == 2
         assert report["error"] == "ProblemError: bad scalar {}: expected 're' or 'im'"
+
+
+@st.composite
+def spelled_rationals(draw):
+    """(string, Fraction) of a rational spelled as a problem file may spell
+    it: leading zeros, '-0', numerator and denominator with a common
+    factor."""
+    num, den, k = draw(st.integers(0, 40)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    sign = draw(st.sampled_from(["", "-"]))
+    text = f"{sign}{'0' * draw(st.integers(0, 2))}{num * k}"
+    if den * k != 1 or draw(st.booleans()):
+        text += f"/{'0' * draw(st.integers(0, 2))}{den * k}"
+    return text, Fraction(-num if sign else num, den)
+
+
+@st.composite
+def spelled_scalars(draw):
+    """(JSON scalar, QQI): a spelled rational, or an object with 're', 'im' or
+    both, each a spelled rational that may be zero."""
+    if draw(st.booleans()):
+        text, q = draw(spelled_rationals())
+        return text, QQI(q)
+    keys = draw(st.sampled_from([("re",), ("im",), ("re", "im")]))
+    parts = {key: draw(spelled_rationals()) for key in keys}
+    re, im = (parts[key][1] if key in parts else Fraction(0) for key in ("re", "im"))
+    return {key: text for key, (text, _) in parts.items()}, QQI(re, im)
+
+
+class TestScalarRoundTrip:
+    """Scalars however spelled parse to their values: reports format them
+    as canonical Fraction strings, and FVectors of them are the QQI
+    oracle's."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(spelled_scalars())
+    def test_format_is_canonical(self, scalar):
+        text, q = scalar
+        want = {"re": str(q.real), "im": str(q.imag)} if q.imag else str(q.real)
+        assert cli.format_scalar(cli.parse_scalar(text)) == want
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(spelled_scalars(), min_size=1, max_size=4))
+    def test_fvector_of_parsed_values(self, scalars):
+        parsed = FVector([cli.parse_scalar(text) for text, _ in scalars])
+        assert parsed.key == FVector([q for _, q in scalars]).key
 
 
 class TestFixtures:
@@ -459,7 +505,7 @@ class TestLiftLanes:
         N = AbelianGroup(2, (2,))
         S = build_semigroup(N, (N.element((-1, 1), (1,)), N.element((0, 1), (0,)),
                                 N.element((1, 1), (0,))))
-        spec = type("Spec", (), {"beta": (Fraction(1, 2), Fraction(-1, 3))})
+        spec = type("Spec", (), {"beta": FVector((Fraction(1, 2), Fraction(-1, 3)))})
         bad, good = FVector((1, 2, -1)), FVector((1, 2, 3))
         assert not ring.is_nondegenerate(bad, S)[0] and ring.is_nondegenerate(good, S)[0]
         with pytest.raises((InconsistentSystem, DegenerateQuotient)):

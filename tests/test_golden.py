@@ -5,7 +5,9 @@ a problem stored beside it: the hexagon (solve and residuals at truncation 5),
 P^3 (analyze, solve and restrict at truncation 5), p2_z4 (exact lift through
 Z/4 characters, whose values include +-i), p2_z4_cbeta (p2_z4 with a
 complex beta and every task: complex hat spaces and step systems, solved
-by restriction of scalars), hexagon_z2 (exact lift through
+by restriction of scalars), p2_z4_spelled (p2_z4 with every task, beta and
+an explicit complex x spelled with leading zeros, '-0', unreduced fractions
+and zero imaginary parts), hexagon_z2 (exact lift through
 Z/2 characters), seg5_z3 (lift through Z/3 characters, over Q(zeta_3)) and
 sweep144_z3 (a rank-3 Z/3 problem at seed 144, every task, lift rank 18);
 and of the benchmark's square_z3 (the square with Z/3 torsion, lift rank
@@ -27,8 +29,8 @@ FIXTURES = ["z2_example", "ex51", "ex52", "p1", "p2", "square_z2", "repeated",
 
 PROBLEMS = {name: cli.fixture_path(name) for name in FIXTURES}
 PROBLEMS.update({name: os.path.join(GOLDEN, f"{name}.problem.json")
-                 for name in ("hexagon", "p3", "p2_z4", "p2_z4_cbeta", "hexagon_z2",
-                              "seg5_z3", "sweep144_z3", "square_z5")})
+                 for name in ("hexagon", "p3", "p2_z4", "p2_z4_cbeta", "p2_z4_spelled",
+                              "hexagon_z2", "seg5_z3", "sweep144_z3", "square_z5")})
 PROBLEMS["square_z3"] = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                                      "problems", "square_z3.json")
 

@@ -81,7 +81,7 @@ def test_unimodular_change_of_basis(name, tmp_path):
     assert code == 0
     beta = change_basis([QQI(cli.parse_scalar(b)) for b in data["beta"]])
     moved = dict(data, vectors=[dict(v, free=change_basis(v["free"])) for v in data["vectors"]],
-                 beta=[cli.format_scalar(b) for b in beta],
+                 beta=[cli.format_scalar((b.real, b.imag)) for b in beta],
                  x_policy={"mode": "explicit", "values": report["base_point"]})
     path = tmp_path / "moved.json"
     path.write_text(json.dumps(moved), encoding="utf-8")

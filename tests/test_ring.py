@@ -18,7 +18,7 @@ from bbgkz.ring import (FVector, NondegeneracyCertificate, NondegeneracyRetriesE
                         hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
                         jacobian_dims, r1_dims, random_rational_x, _image_rows)
 from bbgkz.solver import filtration_dims, solve_recursion
-from conftest import QQI, make_problem, slot_values
+from conftest import QQI, make_problem, qqi_entries, slot_values
 
 # per-degree dimensions of C[K]_k modulo the log-derivative image,
 # degrees 0..rank+1, at the conftest base points
@@ -60,7 +60,7 @@ class TestImageRows:
         integer parts: one for a real x, the real and imaginary ones for a
         complex one."""
         S, f, _ = make_problem("z2")
-        assert f.x == (QQI(2), QQI(1)) and (f.m, f.parts, f.den) == (1, ((2, 1),), 1)
+        assert qqi_entries(f) == (QQI(2), QQI(1)) and (f.m, f.parts, f.den) == (1, ((2, 1),), 1)
         rows = _image_rows(f, S, 1)
         assert rows == [({0: 2, 1: 1},), ({0: 1, 1: 2},)]
         rows = _image_rows(FVector((Fraction(1, 2), Fraction(-2, 3))), S, 1)
@@ -136,7 +136,7 @@ class TestImageCache:
                             lambda *args: calls.append(args[2:]) or build(*args))
         assert is_nondegenerate(f, S)[0]
         jac = slot_values(jacobian_dims(f, S, r + 1))
-        assert slot_values(jacobian_dims(FVector(f.x), S, r + 1)) == jac
+        assert slot_values(jacobian_dims(FVector(qqi_entries(f)), S, r + 1)) == jac
         assert slot_values(r1_dims(f, S)) == slot_values(r1_dims(f, S))
         assert slot_values(jacobian_dims(f, S, r + 1)) == jac
         assert sorted(calls) == [(k, "full") for k in range(r + 2)]

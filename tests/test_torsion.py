@@ -18,7 +18,7 @@ from bbgkz.ring import FVector
 from bbgkz.solver import exact_rank, recursion_defects, solve_recursion
 from bbgkz.torsion import ResidualTooLarge, build_quotient, lift_and_verify, p_rho
 from conftest import (QQI, QQI_I, LambdaTable, assert_stacks_equal, basis_of, make_problem,
-                      qqi_values, replaced, stack_of, tables_of)
+                      qqi_entries, qqi_values, replaced, stack_of, tables_of)
 
 
 class TestBuildQuotient:
@@ -52,31 +52,31 @@ class TestPRho:
     def test_trivial_character_plain_sums(self):
         S, f, _ = make_problem("z2")
         Q = build_quotient(S.group, S.A)
-        z = p_rho(S.group.characters()[0], f.x, Q)
-        assert z.x == (QQI(3),)
+        z = p_rho(S.group.characters()[0], qqi_entries(f), Q)
+        assert qqi_entries(z) == (QQI(3),)
 
     def test_z2_nontrivial_gives_difference(self):
         S, f, _ = make_problem("z2")
         Q = build_quotient(S.group, S.A)
-        z = p_rho(S.group.characters()[1], f.x, Q)
-        assert z.x == (QQI(1),)
+        z = p_rho(S.group.characters()[1], qqi_entries(f), Q)
+        assert qqi_entries(z) == (QQI(1),)
 
     def test_singleton_sets_scale_coordinates(self):
         S, f, _ = make_problem("square_z2")
         Q = build_quotient(S.group, S.A)
         rho = S.group.characters()[1]
-        z = p_rho(rho, f.x, Q)
-        for zj, idxs in zip(z.x, Q.index_sets):
+        z = p_rho(rho, qqi_entries(f), Q)
+        for zj, idxs in zip(qqi_entries(z), Q.index_sets):
             i = idxs[0]
             sign = root_of_unity(char_value(rho, S.A[i]), 1)[0]
-            assert zj == sign * QQI(f.x[i])
+            assert zj == sign * qqi_entries(f)[i]
 
     def test_order_three_stays_exact(self):
         """g3 under a character of order 3: z = 1 + zeta/2 + zeta^2/3 =
         2/3 + zeta/6 in Q(zeta_3), as zeta^2 = -1 - zeta."""
         S, f, _ = make_problem("g3")
         Q = build_quotient(S.group, S.A)
-        z = p_rho(S.group.characters()[1], f.x, Q)
+        z = p_rho(S.group.characters()[1], qqi_entries(f), Q)
         assert (z.m, z.parts, z.den) == (3, ((4,), (1,)), 6)
 
 
@@ -109,8 +109,8 @@ def stack_values(stack):
 
 
 def field_parts(value, m):
-    """The Fraction parts in Q(zeta_m) of a GermStack value: a
-    GaussianRational, or the parts tuple of a value of Q(zeta_m)."""
+    """The Fraction parts in Q(zeta_m) of a value as `qqi_values` gives it:
+    a QQI, or the parts tuple of a value of Q(zeta_m)."""
     if isinstance(value, tuple):
         return list(value)
     re, im = Fraction(value.a, value.d), Fraction(value.b, value.d)
@@ -120,7 +120,7 @@ def field_parts(value, m):
 def field_value(parts, m):
     """A value in the form `qqi_values` gives over Q(zeta_m)."""
     if m in (1, 4):
-        return QQI.from_fractions(parts[0], parts[1] if m == 4 else 0)
+        return QQI(parts[0], parts[1] if m == 4 else 0)
     return tuple(parts)
 
 
@@ -228,7 +228,7 @@ class TestLifting:
         psi = tables[0]
         c = psi.semigroup.group.element((1,))
         psi.entries[c] = psi.entries[c] + 1
-        c, j = first_reference_defect(reference_lift(psi, rho, f.x, S, 1))
+        c, j = first_reference_defect(reference_lift(psi, rho, qqi_entries(f), S, 1))
         with pytest.raises(ResidualTooLarge,
                            match=rf"^exact lift residual nonzero at {re.escape(str(c))}, "
                                  rf"coordinate {j}$"):
@@ -293,7 +293,7 @@ class TestArrayLift:
             assert stack.m == field(f.m, basis.stack.m, torsion._order(rho))
             assert (stack.m == 3) == (name in ("g3_torsion", "seg5_z3")
                                       and any(rho.torsion_exponents))
-            refs = [reference_lift(psi, rho, f.x, S, stack.m)
+            refs = [reference_lift(psi, rho, qqi_entries(f), S, stack.m)
                     for psi in tables_of(basis)]
             assert stack.base_x == FVector(refs[0].base_x) and stack.beta == basis.beta
             assert stack_values(stack) == [ref.entries for ref in refs]
@@ -307,10 +307,10 @@ class TestExactRank:
     def test_prefix_rank_is_full_rank(self, name):
         spec, S, f = spec_problem(problem_path(name))
         stacks, refs = [], []
-        m = field(f.m, FVector(spec.beta).m, *S.group.torsion_invariants)
+        m = field(f.m, spec.beta.m, *S.group.torsion_invariants)
         for rho, basis in quotient_bases(S, f, spec.beta, spec.truncation):
             stacks.append(lift_and_verify(basis, rho, f, S)[0])
-            refs.extend(reference_lift(psi, rho, f.x, S, m) for psi in tables_of(basis))
+            refs.extend(reference_lift(psi, rho, qqi_entries(f), S, m) for psi in tables_of(basis))
         full = reference_rank(refs, m)
         assert full == S.volume * S.group.torsion_order
         assert exact_rank(stacks) == full
@@ -365,9 +365,9 @@ def reference_defects(table, near=None):
     table that has no reference defect, only the positions whose terms
     read that entry: the others are unchanged, so they stay defect-free."""
     S = table.semigroup
-    beta, entries = list(map(QQI, table.beta)), table.entries
+    beta, entries = qqi_entries(table.beta), table.entries
     # x_i v_i[j] per generator i and covector j
-    coeffs = [[QQI(x) * vj for vj in v.free] for x, v in zip(table.base_x, S.A)]
+    coeffs = [[x * vj for vj in v.free] for x, v in zip(qqi_entries(table.base_x), S.A)]
     positions = None if near is None else reading(S, near, table.truncation)
     for k in range(table.truncation):
         for c in S.layer(k):
@@ -444,7 +444,7 @@ def exact_lifts(path):
     every character of an exact-lane problem, computed once per path: the
     tests read them and build changed copies."""
     spec, S, f = spec_problem(path)
-    x = tuple(f.x)
+    x = qqi_entries(f)
     out = []
     for rho, basis in quotient_bases(S, x, spec.beta, spec.truncation):
         stack, resid = lift_and_verify(basis, rho, x, S)
@@ -478,7 +478,7 @@ class TestExactRecursionCheck:
         S, _, lifts = exact_lifts(LIFT_PROBLEMS[name])
         if name == "p2_z4":
             assert any(v.b for *_, refs in lifts for t in refs for v in t.entries.values())
-            assert any(z.b for _, basis, *_ in lifts for z in basis.stack.base_x)
+            assert any(z.b for _, basis, *_ in lifts for z in qqi_entries(basis.stack.base_x))
         # the quotient germs too: under +-i characters their base point is complex
         for _, basis, stack, refs in lifts:
             for tables in (refs, tables_of(basis)):
@@ -529,7 +529,7 @@ class TestExactRecursionCheck:
                          if stack.m == 4 and any(any(P[1]) for P, _ in stack.layers)]
         assert len(complex_lifts) == 2
         for stack, refs in complex_lifts:
-            assert not any(b.b for b in stack.beta)
+            assert not any(b.b for b in qqi_entries(stack.beta))
             untouched = reference_defect_sets(refs)
             assert defect_sets(stack) == untouched == [set()] * len(refs)
             for t, table in enumerate(refs):
@@ -582,7 +582,7 @@ class TestExactRecursionCheck:
         assert not any(v.b for t in psis for v in t.entries.values())
         third = QQI(0, 1, 3)
         for shift, broken in (((third, -third, 0), False), ((third, 0, 0), True)):
-            xs = tuple(QQI(v) + d for v, d in zip(f.x, shift))
+            xs = tuple(v + d for v, d in zip(qqi_entries(f), shift))
             tables = [replaced(t, base_x=xs) for t in psis]
             want = reference_defect_sets(tables)
             assert any(want) == broken
