@@ -8,7 +8,7 @@ batch runner (`cli`).
 
 from .abelian import (AbelianGroup, Character, DualElement, GroupElement,
                       NoDegreeFunctional, NotSpanning, char_value, pair,
-                      smith_normal_form, validate_data)
+                      validate_data)
 from .polyhedral import (Cone, GradedSemigroup, KPrimGuardError, NotPointed,
                          build_semigroup, k_prim)
 from .ring import (DimReport, FVector, NondegeneracyCertificate,

@@ -3,7 +3,9 @@
 A group is Z^rank plus cyclic factors Z/d_1 x ... x Z/d_s with
 d_1 | d_2 | ... and every d_j >= 2.  Elements carry a free integer vector
 and a reduced torsion residue vector.  The dual lattice Hom(N, Z) only sees
-the free part; torsion characters only see the torsion part.
+the free part; torsion characters only see the torsion part.  Validating
+the data (N, v_1..v_n) and the degree-kernel basis of `polyhedral` are
+row-echelon facts over Z, read off one Hermite routine.
 """
 
 from __future__ import annotations
@@ -149,130 +151,74 @@ def char_value(rho: Character, v: GroupElement) -> Fraction:
     return t % 1
 
 
-def smith_normal_form(A):
-    """Smith normal form U*A*V = D with unimodular U, V.
+def hermite(M):
+    """The row echelon form H = U*M of an integer matrix M, a list of rows,
+    with the unimodular U and its inverse W: (H, U, W).
 
-    A is a list of integer rows.  D is diagonal with d_1 | d_2 | ...; U and V
-    have determinant +-1.  Total function: works for any shape including
-    zero matrices.
+    Column by column, Euclid's algorithm runs on the rows below the last
+    pivot: the row with the least nonzero entry, signed to be positive, is
+    swapped up and subtracted from the others until it alone is nonzero
+    there.  W undergoes the inverse column operations of U's row operations,
+    so U*W = W*U = I.  Pivots are positive and strictly right of the one
+    above, zero rows come last, and entries above a pivot are not reduced
+    (Cohen, 1993, section 2.4).
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    D = [list(map(int, row)) for row in A]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    m = len(M)
+    H = [list(map(int, row)) for row in M]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    W = [row[:] for row in U]
 
-    def row_op(i1, i2, a, b, c, d):
-        # (row i1, row i2) <- (a*r1 + b*r2, c*r1 + d*r2), same on U
-        for M in (D, U):
-            r1, r2 = M[i1], M[i2]
-            M[i1] = [a * x + b * y for x, y in zip(r1, r2)]
-            M[i2] = [c * x + d * y for x, y in zip(r1, r2)]
+    def swap(i, j, s):  # row i <- s * row j, row j <- row i; i == j negates when s == -1
+        H[j], H[i], U[j], U[i] = H[i], [s * a for a in H[j]], U[i], [s * a for a in U[j]]
+        for row in W:
+            row[j], row[i] = row[i], s * row[j]
 
-    def col_op(j1, j2, a, b, c, d):
-        for M in (D, V):
-            for row in M:
-                x, y = row[j1], row[j2]
-                row[j1] = a * x + b * y
-                row[j2] = c * x + d * y
-
-    def xgcd(a, b):
-        x0, x1, y0, y1 = 1, 0, 0, 1
-        while b:
-            q, a, b = a // b, b, a % b
-            x0, x1 = x1, x0 - q * x1
-            y0, y1 = y1, y0 - q * y1
-        return a, x0, y0
+    def subtract(i, q, j):  # row i -= q * row j; column j += q * column i of W
+        H[i] = [a - q * b for a, b in zip(H[i], H[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+        for row in W:
+            row[j] += q * row[i]
 
     t = 0
-    while t < min(m, n):
-        # find a nonzero entry in the trailing submatrix
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
+    for c in range(len(H[0]) if m else 0):
+        while rows := [i for i in range(t, m) if H[i][c]]:
+            p = min(rows, key=lambda i: abs(H[i][c]))
+            swap(t, p, -1 if H[p][c] < 0 else 1)
+            if len(rows) == 1:
+                t += 1
                 break
-        if piv is None:
-            break
-        i, j = piv
-        if i != t:
-            row_op(t, i, 0, 1, 1, 0)
-        if j != t:
-            col_op(t, j, 0, 1, 1, 0)
-        while True:
-            # clear column t and row t with gcd operations
             for i in range(t + 1, m):
-                if D[i][t]:
-                    a, b = D[t][t], D[i][t]
-                    if b % a == 0:
-                        row_op(t, i, 1, 0, -(b // a), 1)
-                    else:
-                        g, x, y = xgcd(a, b)
-                        row_op(t, i, x, y, -(b // g), a // g)
-            for j in range(t + 1, n):
-                if D[t][j]:
-                    a, b = D[t][t], D[t][j]
-                    if b % a == 0:
-                        col_op(t, j, 1, 0, -(b // a), 1)
-                    else:
-                        g, x, y = xgcd(a, b)
-                        col_op(t, j, x, y, -(b // g), a // g)
-            if any(D[i][t] for i in range(t + 1, m)):
-                continue  # column ops disturbed column t; clear again
-            # divisibility: D[t][t] must divide every remaining entry
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if D[i][j] % D[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_op(t, offender, 1, 1, 0, 1)  # row t += offending row
-        t += 1
-
-    for i in range(min(m, n)):
-        if D[i][i] < 0:
-            D[i] = [-x for x in D[i]]
-            U[i] = [-x for x in U[i]]
-    return U, D, V
+                if H[i][c]:
+                    subtract(i, H[i][c] // H[t][c], t)
+    return H, U, W
 
 
 def validate_data(N: AbelianGroup, A):
     """Check the defining data (N, A) and return the degree covector.
 
-    Finds deg in Hom(N, Z) with deg(v_i) = 1 for all i and checks that the
-    free parts of the v_i span the free lattice.  Raises NoDegreeFunctional
-    or NotSpanning.
+    deg with deg(v_i) = 1 for all i exists exactly when (1, ..., 1) lies in
+    the integer row span of the r x n matrix M with columns v_i: it is
+    reduced by the rows of the Hermite form H = U*M, dividing exactly at each
+    pivot, and the quotients z give deg = z*U.  The free parts span the free
+    lattice exactly when the Hermite form of the n x r matrix with rows v_i
+    has pivots 1 on its diagonal.  Raises NoDegreeFunctional, or else
+    NotSpanning.
     """
     if not A:
         raise ValueError("empty vector tuple")
     r = N.rank
-    rows = [list(v.free) for v in A]
-    # deg must solve rows . y = (1, ..., 1) over the integers
-    U, D, V = smith_normal_form(rows)
-    ones = [1] * len(A)
-    w = [sum(U[i][k] * ones[k] for k in range(len(A))) for i in range(len(A))]
-    z = [0] * r
-    for i in range(len(A)):
-        d = D[i][i] if i < min(len(A), r) else 0
-        if i < r and d != 0:
-            if w[i] % d != 0:
-                raise NoDegreeFunctional("no integral functional takes value 1 on all vectors")
-            z[i] = w[i] // d
-        else:
-            if w[i] != 0:
-                raise NoDegreeFunctional("no integral functional takes value 1 on all vectors")
-    y = [sum(V[i][k] * z[k] for k in range(r)) for i in range(r)]
-    deg = N.dual_element(y)
-    if any(pair(deg, v) != 1 for v in A):
-        raise NoDegreeFunctional("degree functional reconstruction failed")
-    invariants = [abs(D[i][i]) for i in range(min(len(A), r))]
-    if len(invariants) < r or any(d != 1 for d in invariants):
+    H, U, _ = hermite([[v.free[j] for v in A] for j in range(r)])
+    rest, z = [1] * len(A), []
+    for h in H:
+        c = next((c for c, x in enumerate(h) if x), None)
+        if c is None or rest[c] % h[c]:
+            break
+        z.append(rest[c] // h[c])
+        rest = [a - z[-1] * b for a, b in zip(rest, h)]
+    if any(rest):
+        raise NoDegreeFunctional("no integral functional takes value 1 on all vectors")
+    deg = N.dual_element([sum(a * b for a, b in zip(z, col)) for col in zip(*U)])
+    H, _, _ = hermite([v.free for v in A])
+    if len(H) < r or any(H[i][i] != 1 for i in range(r)):
         raise NotSpanning("free parts of the vectors do not span the free lattice")
     return deg

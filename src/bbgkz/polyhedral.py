@@ -15,7 +15,7 @@ import math
 from itertools import chain, combinations, repeat
 from operator import add, mul
 
-from .abelian import AbelianGroup, DualElement, GroupElement, pair, smith_normal_form
+from .abelian import AbelianGroup, DualElement, GroupElement, hermite, pair
 from .linalg import RowSpace
 
 
@@ -94,20 +94,13 @@ def _degree_kernel_basis(deg_covector):
     """Integer basis of the sublattice where the degree covector vanishes.
 
     Returns (B, to_coords) with B a list of r-vectors and to_coords a function
-    mapping a kernel lattice vector to its exact integer B-coordinates.
+    mapping a kernel lattice vector to its exact integer B-coordinates.  The
+    Hermite form of the primitive deg as a column is U*deg = e_1, so rows
+    2..r of U are the basis, and a kernel vector w = a*U has a = w*W.
     """
-    r = len(deg_covector)
-    _, D, V = smith_normal_form([list(deg_covector)])
-    assert abs(D[0][0]) == 1, "degree covector must be primitive"
-    basis = [tuple(V[i][j] for i in range(r)) for j in range(1, r)]
-    # V is unimodular, so U2 V V2 = I and V^-1 = V2 U2
-    U2, _, V2 = smith_normal_form(V)
-    V_inv = [[_dot(row, col) for col in zip(*U2)] for row in V2]
-
-    def to_coords(w):
-        return tuple(sum(V_inv[j][i] * w[i] for i in range(r)) for j in range(1, r))
-
-    return basis, to_coords
+    _, U, W = hermite([[x] for x in deg_covector])
+    cols = list(zip(*W))[1:]
+    return [tuple(u) for u in U[1:]], lambda w: tuple(_dot(w, col) for col in cols)
 
 
 class GradedSemigroup:

@@ -1,5 +1,6 @@
-"""Shared problem data, the reference scalar and reference germ builders
-used across the test modules."""
+"""Shared problem data, the reference scalar, the reference Smith normal
+form and degree functional, and reference germ builders used across the
+test modules."""
 
 import copy
 import functools
@@ -9,7 +10,7 @@ from math import gcd, lcm
 
 import pytest
 
-from bbgkz.abelian import AbelianGroup, pair
+from bbgkz.abelian import AbelianGroup, NoDegreeFunctional, NotSpanning, pair
 from bbgkz.linalg import degree, numerators
 from bbgkz.polyhedral import GradedSemigroup, build_semigroup
 from bbgkz.ring import FVector, random_rational_x
@@ -162,6 +163,134 @@ def add_values(space, vec):
     cols = list(vec)
     m, parts, _ = numerators([vec[c] for c in cols])
     return space.add([{c: v for c, v in zip(cols, part) if v} for part in parts], m)
+
+
+def smith_normal_form(A):
+    """The reference Smith normal form U*A*V = D with unimodular U, V.
+
+    A is a list of integer rows.  D is diagonal with d_1 | d_2 | ...; U and V
+    have determinant +-1.  Total function: works for any shape including
+    zero matrices.  It shares no code with the package, whose Hermite
+    routine it checks.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    D = [list(map(int, row)) for row in A]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_op(i1, i2, a, b, c, d):
+        # (row i1, row i2) <- (a*r1 + b*r2, c*r1 + d*r2), same on U
+        for M in (D, U):
+            r1, r2 = M[i1], M[i2]
+            M[i1] = [a * x + b * y for x, y in zip(r1, r2)]
+            M[i2] = [c * x + d * y for x, y in zip(r1, r2)]
+
+    def col_op(j1, j2, a, b, c, d):
+        for M in (D, V):
+            for row in M:
+                x, y = row[j1], row[j2]
+                row[j1] = a * x + b * y
+                row[j2] = c * x + d * y
+
+    def xgcd(a, b):
+        x0, x1, y0, y1 = 1, 0, 0, 1
+        while b:
+            q, a, b = a // b, b, a % b
+            x0, x1 = x1, x0 - q * x1
+            y0, y1 = y1, y0 - q * y1
+        return a, x0, y0
+
+    t = 0
+    while t < min(m, n):
+        # find a nonzero entry in the trailing submatrix
+        piv = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if D[i][j]:
+                    piv = (i, j)
+                    break
+            if piv:
+                break
+        if piv is None:
+            break
+        i, j = piv
+        if i != t:
+            row_op(t, i, 0, 1, 1, 0)
+        if j != t:
+            col_op(t, j, 0, 1, 1, 0)
+        while True:
+            # clear column t and row t with gcd operations
+            for i in range(t + 1, m):
+                if D[i][t]:
+                    a, b = D[t][t], D[i][t]
+                    if b % a == 0:
+                        row_op(t, i, 1, 0, -(b // a), 1)
+                    else:
+                        g, x, y = xgcd(a, b)
+                        row_op(t, i, x, y, -(b // g), a // g)
+            for j in range(t + 1, n):
+                if D[t][j]:
+                    a, b = D[t][t], D[t][j]
+                    if b % a == 0:
+                        col_op(t, j, 1, 0, -(b // a), 1)
+                    else:
+                        g, x, y = xgcd(a, b)
+                        col_op(t, j, x, y, -(b // g), a // g)
+            if any(D[i][t] for i in range(t + 1, m)):
+                continue  # column ops disturbed column t; clear again
+            # divisibility: D[t][t] must divide every remaining entry
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if D[i][j] % D[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(t, offender, 1, 1, 0, 1)  # row t += offending row
+        t += 1
+
+    for i in range(min(m, n)):
+        if D[i][i] < 0:
+            D[i] = [-x for x in D[i]]
+            U[i] = [-x for x in U[i]]
+    return U, D, V
+
+
+def reference_validate_data(N, A):
+    """The reference degree covector of (N, A), through the Smith normal form
+    of the n x r matrix of the free parts: deg solves rows . y = (1, ..., 1)
+    over the integers, and the free parts span exactly when the first r
+    invariant factors are 1.  Raises NoDegreeFunctional, or else
+    NotSpanning, as `validate_data` must."""
+    if not A:
+        raise ValueError("empty vector tuple")
+    r = N.rank
+    rows = [list(v.free) for v in A]
+    U, D, V = smith_normal_form(rows)
+    ones = [1] * len(A)
+    w = [sum(U[i][k] * ones[k] for k in range(len(A))) for i in range(len(A))]
+    z = [0] * r
+    for i in range(len(A)):
+        d = D[i][i] if i < min(len(A), r) else 0
+        if i < r and d != 0:
+            if w[i] % d != 0:
+                raise NoDegreeFunctional("no integral functional takes value 1 on all vectors")
+            z[i] = w[i] // d
+        else:
+            if w[i] != 0:
+                raise NoDegreeFunctional("no integral functional takes value 1 on all vectors")
+    y = [sum(V[i][k] * z[k] for k in range(r)) for i in range(r)]
+    deg = N.dual_element(y)
+    if any(pair(deg, v) != 1 for v in A):
+        raise NoDegreeFunctional("degree functional reconstruction failed")
+    invariants = [abs(D[i][i]) for i in range(min(len(A), r))]
+    if len(invariants) < r or any(d != 1 for d in invariants):
+        raise NotSpanning("free parts of the vectors do not span the free lattice")
+    return deg
 
 
 @functools.lru_cache(maxsize=4096)

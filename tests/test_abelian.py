@@ -1,4 +1,9 @@
-"""Group arithmetic, Smith normal form, characters, and data validation."""
+"""Group arithmetic, characters, the Hermite routine and data validation.
+
+The Smith normal form of conftest, which shares no code with the package,
+is the oracle: `hermite` must keep the row lattice of its input, and
+`validate_data` must agree with the Smith-based reference on seeded data.
+"""
 
 import math
 import random
@@ -8,10 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbgkz.abelian import (AbelianGroup, NoDegreeFunctional, NotSpanning,
-                           char_value, pair, smith_normal_form, validate_data)
+                           char_value, hermite, pair, validate_data)
 from bbgkz.linalg import field, mul, root_of_unity
 from bbgkz.polyhedral import _degree_kernel_basis
-from conftest import FIXTURE_BUILDERS, make_problem
+from conftest import (FIXTURE_BUILDERS, make_problem, reference_validate_data,
+                      smith_normal_form)
 
 
 class TestAbelianGroup:
@@ -176,6 +182,47 @@ class TestSmithNormalForm:
         assert [D[i][i] for i in range(3)] == [2, 6, 12]
 
 
+def matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def nonzero_smith_diagonal(A):
+    _, D, _ = smith_normal_form(A)
+    return [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i]]
+
+
+class TestHermite:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(int_matrices)
+    def test_hermite_properties(self, M):
+        """H = U M, W is the inverse of U, H is in echelon form with positive
+        pivots, and H has the nonzero Smith diagonal of M: the row lattice is
+        kept."""
+        H, U, W = hermite(M)
+        m = len(M)
+        identity = [[int(i == j) for j in range(m)] for i in range(m)]
+        assert H == matmul(U, M)
+        assert matmul(U, W) == identity and matmul(W, U) == identity
+        pivots = [next((c for c, x in enumerate(h) if x), None) for h in H]
+        nonzero = [p for p in pivots if p is not None]
+        assert pivots == nonzero + [None] * (m - len(nonzero))
+        assert all(a < b for a, b in zip(nonzero, nonzero[1:]))
+        assert all(H[i][p] > 0 for i, p in enumerate(nonzero))
+        assert nonzero_smith_diagonal(H) == nonzero_smith_diagonal(M)
+
+
+free_data = st.integers(0, 4).flatmap(lambda r: st.tuples(st.just(r), st.lists(
+    st.lists(st.integers(-3, 3), min_size=r, max_size=r), min_size=1, max_size=5)))
+
+
+def outcome(check, N, A):
+    """The degree covector that `check` returns, or the class it raises."""
+    try:
+        return check(N, A).free_covector
+    except (NoDegreeFunctional, NotSpanning) as err:
+        return type(err)
+
+
 def degree_covectors():
     """The degree covectors of the fixtures, then 20 seeded primitive ones
     of length 2 to 4."""
@@ -228,3 +275,13 @@ class TestValidateData:
         A = (N.element((0, 1)), N.element((3, 1)))
         with pytest.raises(NotSpanning):
             validate_data(N, A)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(free_data)
+    def test_matches_smith_reference(self, data):
+        """The same degree covector, or the same exception class, as the
+        Smith-based reference, on rank 0-4 and 1-5 free vectors."""
+        r, vectors = data
+        N = AbelianGroup(r)
+        A = tuple(N.element(v) for v in vectors)
+        assert outcome(validate_data, N, A) == outcome(reference_validate_data, N, A)

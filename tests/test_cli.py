@@ -226,6 +226,20 @@ class TestValidationErrors:
         assert code == 2
         assert "NoDegreeFunctional" in report["error"]
 
+    @pytest.mark.parametrize("rank, free, error", [
+        (0, [], "NoDegreeFunctional"),
+        (2, [2, 1], "NotSpanning"),
+        (2, [2, 4], "NoDegreeFunctional"),
+    ])
+    def test_single_vector(self, tmp_path, rank, free, error):
+        """One vector: rank 0 has no degree functional; (2, 1) has one but
+        does not span Z^2; (2, 4) has none, and it is reported first."""
+        data = dict(BASE_PROBLEM, group={"rank": rank}, vectors=[{"free": free}],
+                    beta=["0"] * rank)
+        report, code = cli.run(write_problem(tmp_path, data))
+        assert code == 2
+        assert report["error"].startswith(f"{error}:")
+
     def test_schema_violation(self, tmp_path):
         report, code = cli.run(write_problem(tmp_path, {"vectors": []}))
         assert code == 2

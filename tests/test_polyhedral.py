@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from bbgkz import cli
-from bbgkz.abelian import AbelianGroup, NotSpanning, smith_normal_form
+from bbgkz.abelian import AbelianGroup, NotSpanning
 from bbgkz.polyhedral import (GradedSemigroup, KPrimGuardError, NotPointed,
                               build_semigroup, cone_over, k_prim)
-from conftest import make_problem
+from conftest import make_problem, smith_normal_form
 
 
 def contains(cone, w):

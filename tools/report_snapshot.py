@@ -8,8 +8,9 @@ covered; the same problem with beta and an explicit complex x spelled in
 non-canonical ways, so that parsing and formatting are; the hexagon at a
 seeded x; the 2-dilated 3-simplex at truncation 7, where the recursion
 check reads the most layers; a rank-3 problem with Z/3 torsion, lifted
-over Q(zeta_3); and the square with Z/5 torsion, lifted over Q(zeta_5)
-with phi(5) = 4 parts), and each seed, the command line `bbgkz` runs four times in a
+over Q(zeta_3); the square with Z/5 torsion, lifted over Q(zeta_5)
+with phi(5) = 4 parts; and the Sturmfels-Takayama curve, a configuration
+that is not normal), and each seed, the command line `bbgkz` runs four times in a
 fresh interpreter on the sources of `<CHECKOUT>/src`: with the problem's own
 tasks, with all tasks (skipped for the problems in OWN_ONLY), with
 `solve,restrict`, a run in which no `analyze` reduces a hat space first,
@@ -39,7 +40,7 @@ TASK_LISTS = (("own", []), ("all", ["--tasks", ALL_TASKS]),
 OWN_ONLY = {"p3", "simplex2_3"}  # problems snapshotted without the all-tasks run
 EXTRA_PROBLEMS = tuple(os.path.join(ROOT, "tests", "golden", f"{name}.problem.json")
                        for name in ("p2_z4_cbeta", "p2_z4_spelled", "hexagon_seeded",
-                                    "simplex2_3", "sweep144_z3", "square_z5"))
+                                    "simplex2_3", "sweep144_z3", "square_z5", "st_curve"))
 
 
 def run_one(env, path, seed, tasks, out_file):
