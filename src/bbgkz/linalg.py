@@ -174,13 +174,6 @@ class RowSpace:
         n = self.n
         return sorted(p // n for p in self.rows if not p % n)
 
-    def copy(self):
-        """An independent space with the same rows."""
-        out = RowSpace(self.key)
-        out.m, out.n, out._order, out._first = self.m, self.n, self._order, self._first
-        out.rows = {p: dict(row) for p, row in self.rows.items()}
-        return out
-
     def _restrict(self, m):
         self.m, self.n = m, n = m, degree(m)
         self.rows = {n * p + s: {n * c + s: v for c, v in row.items()}

@@ -236,8 +236,8 @@ def _hat_key(f, beta, D):
 
 def _hat_space(f, beta, S, D):
     """The RowSpace of the `_hat_rows` generators with deg n <= D - 1, kept on
-    S until a solve takes it (extend a copy).  Pivots: highest degree, then
-    lowest index."""
+    S until a solve takes it; other callers only read it.  Pivots: highest
+    degree, then lowest index."""
     key = _hat_key(f, beta, D)
     space = S._images.get(key)
     if space is None:
@@ -258,6 +258,14 @@ def _hat_free_counts(space, S, D):
     return tuple(counts)
 
 
+def _filtration_bound(S, filtration_bound):
+    """The filtration bound D of a hat space: rank + 1 unless given, never less."""
+    D = S.rank + 1 if filtration_bound is None else filtration_bound
+    if D < S.rank + 1:
+        raise ValueError("filtration bound must be at least rank + 1")
+    return D
+
+
 def hat_quotient_dims(f: FVector, beta, S: GradedSemigroup, filtration_bound=None) -> DimReport:
     """Filtration-graded dimensions of the twisted module modulo the ideal.
 
@@ -267,43 +275,40 @@ def hat_quotient_dims(f: FVector, beta, S: GradedSemigroup, filtration_bound=Non
     numbers are the jumps of the induced filtration: as each row pivots on
     its highest degree, the jump at k is |layer k| minus the pivots there.
     """
-    r = S.rank
-    D = filtration_bound if filtration_bound is not None else r + 1
-    if D < r + 1:
-        raise ValueError("filtration bound must be at least rank + 1")
+    D = _filtration_bound(S, filtration_bound)
     beta = beta if isinstance(beta, FVector) else FVector(beta)
     return DimReport.of(_hat_free_counts(_hat_space(f, beta, S, D), S, D))
 
 
 def _interior_rank(space, S, degrees):
-    """dim(R + E) - dim R for R the row space of a space over the points of
-    the given layers, indexed in that order, and E spanned by the unit
-    vectors of their interior points; R is left as it was."""
-    space = space.copy()
+    """dim(R + E) - dim R for R the row space of a reduced space over the
+    points of the given layers, indexed in that order, and E spanned by the
+    unit vectors of their interior points, read off R: a stored row is zero
+    at every other pivot, so modulo R the unit vector of stored column q is
+    minus row q off its pivot if q is one, else itself.  Their rank over the
+    n stored columns of each interior point is n times that over Q(zeta_m)."""
+    n, rows = space.n, space.rows
     index = {c: i for i, c in enumerate(c for k in degrees for c in S.layer(k))}
-    return sum(space.add([{index[c]: 1}]) for k in degrees for c in S.layer(k, "interior"))
+    added = RowSpace()
+    for k in degrees:
+        for c in S.layer(k, "interior"):
+            for q in range(n * index[c], n * index[c] + n):
+                row = rows.get(q)
+                added.add([{j: v for j, v in row.items() if j != q} if row else {q: 1}])
+    return added.rank // n
 
 
 def r1_dims(f: FVector, S: GradedSemigroup) -> DimReport:
-    """Graded dimensions of the interior image inside the Jacobian quotient.
-
-    Degree k <= rank + 1 is dim (C[K°]_k + (I C[K])_k) / (I C[K])_k.
-    Computed once per x and cached on S.
-    """
-    key = ("r1", f)
-    if key not in S._images:
-        S._images[key] = DimReport.of(_interior_rank(_image_space(f, S, k), S, [k])
-                                      for k in range(S.rank + 2))
-    return S._images[key]
+    """Graded dimensions of the interior image inside the Jacobian quotient:
+    degree k <= rank + 1 is dim (C[K°]_k + (I C[K])_k) / (I C[K])_k."""
+    return DimReport.of(_interior_rank(_image_space(f, S, k), S, [k])
+                        for k in range(S.rank + 2))
 
 
 def hat_restriction_rank(f: FVector, S: GradedSemigroup, filtration_bound=None) -> int:
     """Rank of the interior-to-full map of twisted quotients at beta = 0."""
-    r = S.rank
-    D = filtration_bound if filtration_bound is not None else r + 1
-    if D < r + 1:
-        raise ValueError("filtration bound must be at least rank + 1")
-    return _interior_rank(_hat_space(f, FVector((0,) * r), S, D), S, range(D + 1))
+    D = _filtration_bound(S, filtration_bound)
+    return _interior_rank(_hat_space(f, FVector((0,) * S.rank), S, D), S, range(D + 1))
 
 
 MAX_RETRIES = 16  # draws of random_rational_x before it gives up

@@ -1,6 +1,6 @@
 """Shared problem data, the reference scalar, the reference Smith normal
-form and degree functional, and reference germ builders used across the
-test modules."""
+form and degree functional, the reference interior rank, and reference germ
+builders used across the test modules."""
 
 import copy
 import functools
@@ -11,7 +11,7 @@ from math import gcd, lcm
 import pytest
 
 from bbgkz.abelian import AbelianGroup, NoDegreeFunctional, NotSpanning, pair
-from bbgkz.linalg import degree, numerators
+from bbgkz.linalg import RowSpace, degree, numerators
 from bbgkz.polyhedral import GradedSemigroup, build_semigroup
 from bbgkz.ring import FVector, random_rational_x
 from bbgkz.solver import GermStack, SolutionBasis, exact_rank
@@ -490,6 +490,20 @@ def restricted_rank(basis):
         inner = set(S.layer(k, "interior"))
         masks.append([c in inner for c in S.layer(k)])
     return exact_rank([basis.stack], masks)
+
+
+def reference_interior_rank(space, S, degrees):
+    """dim(R + E) - dim R as the package counted it before it read the rank
+    off R: the unit vectors of the interior points join a copy of the space
+    (over Q, on the stored columns n c + t of each point c, so the count is
+    n times the one over Q(zeta_m)).  The copy is made here by adding the
+    stored rows to a new space; of the package only RowSpace.add is used."""
+    n, fresh = space.n, RowSpace()
+    for row in space.rows.values():
+        fresh.add([dict(row)])
+    index = {c: i for i, c in enumerate(c for k in degrees for c in S.layer(k))}
+    return sum(fresh.add([{n * index[c] + t: 1}]) for k in degrees
+               for c in S.layer(k, "interior") for t in range(n)) // n
 
 
 def replaced(obj, **changes):

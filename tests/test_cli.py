@@ -649,14 +649,6 @@ class TestSharedWork:
         assert spec.truncation > spec.group.rank + 3
         assert code == 0 and truncations == [spec.group.rank + 3]
 
-    def test_r1_dims_once_per_run(self, monkeypatch):
-        """analyze and restrict get the one r1_dims report cached on S."""
-        calls = []
-        r1 = ring.r1_dims
-        monkeypatch.setattr(cli, "r1_dims", lambda *a: calls.append(r1(*a)) or calls[-1])
-        report, code = cli.run(os.path.join(GOLDEN, "p3.problem.json"), timings=False)
-        assert code == 0 and len(calls) == 2 and calls[0] is calls[1]
-
 
 class TestMain:
     def test_main_writes_report(self, tmp_path, capsys):

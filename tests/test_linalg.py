@@ -240,14 +240,18 @@ class TestRowSpace:
             assert space.rank == numeric_rank(A)
 
     def test_contains(self):
-        """A row of the span leaves a copy of the space as it is; another
-        enlarges the copy, and the space itself stays."""
-        space = RowSpace()
-        add_values(space, {0: Fraction(1), 1: Fraction(2)})
-        add_values(space, {1: Fraction(1)})
-        assert not add_values(space.copy(), {0: Fraction(3), 1: Fraction(5)})
-        assert add_values(space.copy(), {2: Fraction(1)})
-        assert space.rank == 2
+        """A row of the span leaves the space as it is; another enlarges a
+        fresh one with the same rows."""
+        def fresh():
+            space = RowSpace()
+            add_values(space, {0: Fraction(1), 1: Fraction(2)})
+            add_values(space, {1: Fraction(1)})
+            return space
+
+        space = fresh()
+        assert not add_values(space, {0: Fraction(3), 1: Fraction(5)})
+        assert add_values(fresh(), {2: Fraction(1)})
+        assert space.rank == 2 and space.rows == fresh().rows
 
     def test_custom_pivot_order(self):
         space = RowSpace(key=lambda c: -c)
@@ -387,7 +391,10 @@ class TestFractionFree:
         for row in space.rows.values():
             assert all(type(v) is int for v in row.values())
             assert gcd(*row.values()) == 1
-        assert not any(add_values(space.copy(), row) for row in rows)
+        again = RowSpace(key)
+        for row in rows:
+            add_values(again, row)
+        assert not any(add_values(again, row) for row in rows)
         kernel, den = space.kernel(n)
         assert [vector_values(v, den) for v in kernel.values()] == reference_kernel(ref, n)
         assert solve(rows, n, rhs) == reference_solve(rows, n, rhs)
@@ -395,18 +402,22 @@ class TestFractionFree:
     def test_realified_readers(self):
         """A space of real rows meets (1 + i, 1): each real row becomes two,
         the new row two more, and the readers answer in Q(i) terms."""
-        space = RowSpace(key=lambda c: -c)
-        add_values(space, {0: 1, 2: 3})
-        assert space.n == 1
-        assert add_values(space, {0: QQI(1, 1), 1: 1})
+        def fresh():
+            space = RowSpace(key=lambda c: -c)
+            add_values(space, {0: 1, 2: 3})
+            assert space.n == 1
+            assert add_values(space, {0: QQI(1, 1), 1: 1})
+            return space
+
+        space = fresh()
         assert (space.m, space.n, len(space.rows)) == (4, 2, 4)
         assert (space.rank, space.pivots) == (2, [1, 2])
         kernel, den = space.kernel(3)
         assert {fc: vector_values(v, den) for fc, v in kernel.items()} == \
             {0: {0: QQI_ONE, 1: -QQI(1, 1), 2: QQI(-1, 0, 3)}}
         assert space.kernel(3) == ({0: [{0: 3, 1: -3, 2: -1}, {1: -3}]}, 3)
-        assert not add_values(space.copy(), {0: QQI(3, 4), 1: 3, 2: QQI(0, 3)})
-        assert add_values(space.copy(), {0: QQI(0, 1)})
+        assert not add_values(fresh(), {0: QQI(3, 4), 1: 3, 2: QQI(0, 3)})
+        assert add_values(fresh(), {0: QQI(0, 1)})
 
     def test_complex_solve(self):
         """(1 + i) x = 2 and (1 + i) x = 2i over the realified system."""

@@ -5,6 +5,11 @@ explicit values, changes no number that the theory fixes: the dims blocks,
 the solution dimension and filtration, the three restriction ranks and the
 lift rank.  Nor does a unimodular change of basis of N applied to the free
 parts of the v_i and to beta, with the resolved x given as explicit values.
+
+At integer beta, resonant ones included, the better-behaved system keeps
+rank vol * |N_tors| (Borisov-Horja, arXiv:1011.5720), where the classical
+GKZ rank of a configuration that is not normal, such as the
+Sturmfels-Takayama curve, jumps.
 """
 
 import json
@@ -88,3 +93,33 @@ def test_unimodular_change_of_basis(name, tmp_path):
     got, code = cli.run(str(path), timings=False)
     assert code == 0
     assert fixed_numbers(got) == fixed_numbers(report)
+
+
+# (problem, integer beta): the ST curve at beta_1 in -2..4 and beta_2 in
+# -1..2, around its classical jump point (2, 1) (degree coordinate last),
+# and square_z5 and p2_z4 at 0 and at each +-e_j
+INTEGER_BETAS = [("st_curve", (a, b)) for a in range(-2, 5) for b in range(-1, 3)] + [
+    (name, beta) for name in ("square_z5", "p2_z4")
+    for beta in [(0, 0, 0), (-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)]]
+
+
+@pytest.mark.parametrize("name, beta", INTEGER_BETAS,
+                         ids=[f"{n}-{','.join(map(str, b))}" for n, b in INTEGER_BETAS])
+def test_integer_beta(name, beta, tmp_path):
+    """Every task passes at an integer beta, the torsion problems at
+    truncation rank + 2: the solution dimension and the lift rank are
+    vol * |N_tors|, and the hat dims are those at beta = 0."""
+    with open(PROBLEMS[name], encoding="utf-8") as fh:
+        data = json.load(fh)
+    data.update(beta=[str(b) for b in beta], tasks=list(cli.ALL_TASKS))
+    if name != "st_curve":
+        data["truncation"] = data["group"]["rank"] + 2
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    report, code = cli.run(str(path), timings=False)
+    assert code == 0
+    rank = report["volume"] * report["torsion_order"]
+    assert report["solution_basis"]["dimension"] == rank
+    assert report["dims"]["hat_quotient"] == report["dims"]["hat_quotient_beta0"]
+    if report["torsion_order"] > 1:
+        assert report["torsion_lift"]["rank"] == rank

@@ -18,7 +18,7 @@ from bbgkz.ring import (FVector, NondegeneracyCertificate, NondegeneracyRetriesE
                         hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
                         jacobian_dims, r1_dims, random_rational_x, _image_rows)
 from bbgkz.solver import filtration_dims, solve_recursion
-from conftest import QQI, make_problem, qqi_entries, slot_values
+from conftest import QQI, make_problem, qqi_entries, reference_interior_rank, slot_values
 
 # per-degree dimensions of C[K]_k modulo the log-derivative image,
 # degrees 0..rank+1, at the conftest base points
@@ -126,8 +126,8 @@ class TestJacobianDims:
 class TestImageCache:
     def test_each_image_reduced_once(self, monkeypatch):
         """is_nondegenerate, jacobian_dims and r1_dims share one reduction
-        per (x, degree, region), keyed on the numerators of x; r1_dims
-        extends a copy, so the shared one stays as it was."""
+        per (x, degree, region), keyed on the numerators of x; r1_dims only
+        reads it, so the shared one stays as it was."""
         S, f, _ = make_problem("p2")
         S, r = build_semigroup(S.group, S.A), S.rank
         calls = []
@@ -144,7 +144,7 @@ class TestImageCache:
     @pytest.mark.parametrize("name", ["p2", "square_z2"])
     def test_hat_base_reduced_once(self, name, monkeypatch):
         """Each (x, beta, D) hat space is reduced once and cached;
-        hat_restriction_rank extends a copy, so repeated calls agree with a
+        hat_restriction_rank only reads it, so repeated calls agree with a
         fresh semigroup."""
         S0, f, beta = make_problem(name)
         r = S0.rank
@@ -259,9 +259,12 @@ class TestHatQuotient:
             assert large.per_degree[:r + 2] == small.per_degree
 
     def test_bound_validation(self):
+        """Both hat-space readers refuse a bound below rank + 1."""
         S, f, beta = make_problem("p1")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least rank"):
             hat_quotient_dims(f, beta, S, filtration_bound=S.rank)
+        with pytest.raises(ValueError, match="at least rank"):
+            hat_restriction_rank(f, S, filtration_bound=S.rank)
 
 
 def reference_hat_dims(f, beta, S, D):
@@ -305,6 +308,30 @@ class TestR1:
         inner = jacobian_dims(f, S, S.rank + 1, region="interior")
         for a, b, c in zip(r1.per_degree, full.per_degree, inner.per_degree):
             assert a <= b and a <= c
+
+
+class TestInteriorRank:
+    @pytest.mark.parametrize("x", ["problem", "complex"])
+    def test_matches_copy_and_add(self, named_problem, x):
+        """_interior_rank, read off a reduced space, equals the count of the
+        interior unit vectors added to a copy, and leaves the space as it
+        was: the image spaces up to degree rank + 1 and the beta and beta = 0
+        hat spaces at bounds rank + 2 and rank + 3, at the problem's x and at
+        an x over Q(i), whose spaces are restricted to Q (n = 2)."""
+        _, S, f, beta = named_problem
+        r = S.rank
+        if x == "complex":
+            f = FVector([(Fraction(v, f.den), Fraction(i + 1, 3))
+                         for i, v in enumerate(f.parts[0])])
+        spaces = [(ring._image_space(f, S, k), [k]) for k in range(r + 2)]
+        spaces += [(ring._hat_space(f, FVector(b), S, D), range(D + 1))
+                   for b in (beta, (0,) * r) for D in (r + 2, r + 3)]
+        for space, degrees in spaces:
+            assert space.n == (2 if x == "complex" and space.rows else 1)
+            rows = {p: dict(row) for p, row in space.rows.items()}
+            assert ring._interior_rank(space, S, degrees) == \
+                reference_interior_rank(space, S, degrees)
+            assert space.rows == rows
 
 
 class TestRandomRationalX:
