@@ -11,12 +11,11 @@ from .abelian import (AbelianGroup, Character, DualElement, GroupElement,
                       validate_data)
 from .polyhedral import (Cone, GradedSemigroup, KPrimGuardError, NotPointed,
                          build_semigroup, k_prim)
-from .ring import (DimReport, FVector, NondegeneracyCertificate,
-                   NondegeneracyRetriesExhausted, hat_quotient_dims,
-                   hat_restriction_rank, is_nondegenerate, jacobian_dims, r1_dims,
-                   random_rational_x)
-from .solver import (GermStack, InconsistentSystem, SolutionBasis, exact_rank,
-                     filtration_dims, solve_recursion)
+from .ring import (DimReport, FVector, NondegeneracyRetriesExhausted, certifies,
+                   hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
+                   jacobian_dims, r1_dims, random_rational_x)
+from .solver import (GermStack, InconsistentSystem, exact_rank, filtration_dims,
+                     solve_recursion)
 from .torsion import (DegenerateQuotient, QuotientProblem, ResidualTooLarge,
                       build_quotient, lift_and_verify, p_rho)
 

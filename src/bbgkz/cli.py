@@ -25,11 +25,11 @@ from fractions import Fraction
 from .abelian import AbelianGroup, NoDegreeFunctional, NotSpanning
 from .linalg import galois
 from .polyhedral import KPrimGuardError, build_semigroup, k_prim
-from .ring import (FVector, NondegeneracyCertificate, NondegeneracyRetriesExhausted,
-                   hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
-                   jacobian_dims, r1_dims, random_rational_x)
-from .solver import (GermStack, InconsistentSystem, SolutionBasis, exact_rank,
-                     filtration_dims, recursion_defects, solve_recursion)
+from .ring import (FVector, NondegeneracyRetriesExhausted, certifies, hat_quotient_dims,
+                   hat_restriction_rank, is_nondegenerate, jacobian_dims, r1_dims,
+                   random_rational_x)
+from .solver import (GermStack, InconsistentSystem, exact_rank, filtration_dims,
+                     recursion_defects, solve_recursion)
 from .torsion import DegenerateQuotient, ResidualTooLarge, build_quotient, lift_and_verify, p_rho
 
 SCHEMA_VERSION = 1
@@ -179,19 +179,19 @@ class ProblemSpec:
         self.raw = data
 
     def resolve_x(self, S, seed_override=None):
-        """The base point plus its nondegeneracy certificate."""
+        """The base point plus the Jacobian dims that certify it."""
         pol = self.x_policy
         if pol["mode"] == "explicit":
             if len(pol["values"]) != len(self.vectors):
                 raise ProblemError("explicit x has wrong length")
             f = FVector([parse_scalar(v) for v in pol["values"]])
-            ok, cert = is_nondegenerate(f, S)
+            ok, dims = is_nondegenerate(f, S)
             if not ok:
                 raise ProblemError(
-                    f"explicit x is degenerate: total {cert.total}, "
-                    f"expected {cert.expected_total}, "
-                    f"tail zero {cert.tail_degrees_zero}")
-            return f, cert
+                    f"explicit x is degenerate: total {dims.total}, "
+                    f"expected {sum(S.h_star)}, "
+                    f"tail zero {not any(dims.per_degree[S.rank + 1:])}")
+            return f, dims
         seed = seed_override if seed_override is not None else int(pol.get("seed", 0))
         bound = int(pol.get("denominator_bound", 4))
         return random_rational_x(S, seed=seed, denominator_bound=bound)
@@ -263,7 +263,7 @@ def _task_solve(spec, S, f, D, report, checks, jac):
     for t, k in enumerate(basis.leading):
         # a layer is in lexicographic order of the free part, torsion innermost
         lead = [[format_element(S.layer(k)[p]), format_scalar(v)]
-                for p, v in basis.stack.values(t, k).items()]
+                for p, v in basis.values(t, k).items()]
         tables.append({"leading_degree": k, "leading_entries": lead})
     report["solution_basis"] = {
         "dimension": len(basis),
@@ -288,8 +288,8 @@ def _task_restrict(spec, S, f, D, report, checks):
     basis0 = solve_recursion(f, (0,) * r, S, truncation=bound)
     # the germs' rank on the interior points of degree <= r
     inner = [set(S.layer(k, "interior")) for k in range(r + 1)]
-    sol_rank = exact_rank([basis0.stack], [[c in inner[k] for c in S.layer(k)]
-                                           for k in range(r + 1)])
+    sol_rank = exact_rank([basis0], [[c in inner[k] for c in S.layer(k)]
+                                     for k in range(r + 1)])
     r1_total = r1_dims(f, S).total
     report["restriction_ranks"] = {
         "solution_side": sol_rank,
@@ -303,9 +303,9 @@ def _task_restrict(spec, S, f, D, report, checks):
 
 def _galois(basis, a, z):
     """The basis under sigma_a (zeta -> zeta^a), at the base point z."""
-    stack = basis.stack
-    return SolutionBasis(GermStack(stack.semigroup, z, stack.beta, stack.truncation, [
-        (galois(P, a, stack.m), den) for P, den in stack.layers], stack.m), basis.leading)
+    return GermStack(basis.semigroup, z, basis.beta, basis.truncation,
+                     [(galois(P, a, basis.m), den) for P, den in basis.layers],
+                     basis.leading, basis.m)
 
 
 def _lifts(spec, S, Q, f):
@@ -329,7 +329,7 @@ def _lifts(spec, S, Q, f):
                 for a in range(2, z.m):
                     if math.gcd(a, z.m) == 1:
                         images.setdefault(z.galois(a), (qbasis, a))
-        if not NondegeneracyCertificate.of(filtration_dims(qbasis).per_degree, Q.semigroup):
+        if not certifies(filtration_dims(qbasis).per_degree, Q.semigroup):
             raise DegenerateQuotient(
                 f"the quotient point of character {rho.torsion_exponents} is degenerate")
         lifts.append(lift_and_verify(qbasis, rho, f, S)[0])
@@ -355,7 +355,7 @@ def _task_lift(spec, S, f, D, report, checks):
 def _task_residuals(spec, S, f, D, report, checks, basis):
     if basis is None:
         basis = solve_recursion(f, spec.beta, S, truncation=D)
-    defects = [defect for _, defect in recursion_defects(basis.stack)]
+    defects = [defect for _, defect in recursion_defects(basis)]
     exact = not any(map(any, defects))
     report["residuals"] = {"recursion_identity_exact": exact,
                            "identities_checked": sum(map(len, defects))}
@@ -379,7 +379,7 @@ def run(problem_path, tasks=None, seed=None, truncation=None,
     if D < S.rank + 1:
         return {"error": f"truncation {D} below rank + 1"}, 2
     try:
-        f, cert = spec.resolve_x(S, seed_override=seed)
+        f, x_dims = spec.resolve_x(S, seed_override=seed)
     except (ProblemError, NondegeneracyRetriesExhausted) as e:
         return {"error": f"{type(e).__name__}: {e}"}, 2
 
@@ -394,9 +394,9 @@ def run(problem_path, tasks=None, seed=None, truncation=None,
         "base_point": [format_scalar(tuple(Fraction(a, f.den) for a in v))
                        for v in zip(*f.parts)],
         "nondegeneracy": {
-            "total": cert.total,
-            "expected_total": cert.expected_total,
-            "per_degree": list(cert.per_degree),
+            "total": x_dims.total,
+            "expected_total": sum(S.h_star),
+            "per_degree": list(x_dims.per_degree),
         },
     }
     checks = []

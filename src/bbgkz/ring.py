@@ -24,8 +24,7 @@ class NondegeneracyRetriesExhausted(RuntimeError):
 def _gaussian(re, im=0):
     """The value re + im i of Q(i), re and im rational, as canonical
     SimpleNamespace(a, b, d), (a + b i)/d with gcd(a, b, d) = 1: the view
-    that perfbench's tracer reads off `FVector[i]` and
-    `SolutionBasis.tables`."""
+    that perfbench's tracer reads off `FVector[i]` and `GermStack.tables`."""
     d = lcm(re.denominator, im.denominator)
     return SimpleNamespace(a=re.numerator * (d // re.denominator),
                            b=im.numerator * (d // im.denominator), d=d)
@@ -155,35 +154,12 @@ def jacobian_dims(f: FVector, S: GradedSemigroup, max_degree, region="full") -> 
                         for k in range(max_degree + 1))
 
 
-class NondegeneracyCertificate:
-    __slots__ = ("total", "expected_total", "per_degree", "tail_degrees_zero",
-                 "expected_per_degree")
-
-    def __init__(self, total, expected_total, per_degree, tail_degrees_zero,
-                 expected_per_degree):
-        self.total = total
-        self.expected_total = expected_total
-        self.per_degree = per_degree
-        self.tail_degrees_zero = tail_degrees_zero
-        self.expected_per_degree = expected_per_degree
-
-    @classmethod
-    def of(cls, per_degree, S: GradedSemigroup):
-        """Certificate of the quotient dims of degrees 0..rank + 1: each is at
-        least its generic value h*_k (upper semicontinuity), so they total
-        sum(h*) = vol * |N_tors| exactly when they equal S.h_star, padded
-        with zeros, degree by degree."""
-        dims = DimReport.of(per_degree[:S.rank + 2])
-        expected = S.h_star + (0,) * (len(dims.per_degree) - len(S.h_star))
-        return cls(dims.total, sum(S.h_star), dims.per_degree,
-                   not any(dims.per_degree[S.rank + 1:]), expected)
-
-    @property
-    def ok(self):
-        return self.per_degree == self.expected_per_degree
-
-    def __bool__(self):
-        return self.ok
+def certifies(per_degree, S: GradedSemigroup):
+    """Whether quotient dims of degrees 0..rank + 1 certify nondegeneracy:
+    each is at least its generic value h*_k (upper semicontinuity), so they
+    total sum(h*) = vol * |N_tors| exactly when they equal S.h_star, then a
+    zero, degree by degree."""
+    return tuple(per_degree[:S.rank + 2]) == S.h_star + (0,)
 
 
 def is_nondegenerate(f: FVector, S: GradedSemigroup):
@@ -191,10 +167,11 @@ def is_nondegenerate(f: FVector, S: GradedSemigroup):
 
     True iff the graded quotient dims equal the Ehrhart h*-vector of the
     layers degree by degree (Batyrev, 1993): total vol * torsion order, zero
-    above degree rank(N).  Returns the boolean together with the certificate.
+    above degree rank(N).  Returns the boolean together with the Jacobian
+    dims of degrees 0..rank + 1 that it tests.
     """
-    cert = NondegeneracyCertificate.of(jacobian_dims(f, S, S.rank + 1).per_degree, S)
-    return cert.ok, cert
+    dims = jacobian_dims(f, S, S.rank + 1)
+    return certifies(dims.per_degree, S), dims
 
 
 def _hat_rows(f, beta, S, max_src_degree):
@@ -317,8 +294,8 @@ MAX_RETRIES = 16  # draws of random_rational_x before it gives up
 def random_rational_x(S: GradedSemigroup, seed=0, denominator_bound=4):
     """Seeded random small-rational coefficients, retried until nondegenerate.
 
-    Returns (FVector, certificate).  Raises NondegeneracyRetriesExhausted
-    after MAX_RETRIES failures.
+    Returns (FVector, its Jacobian dims as `is_nondegenerate` gives them).
+    Raises NondegeneracyRetriesExhausted after MAX_RETRIES failures.
     """
     rng = random.Random(seed)
     n = len(S.A)
@@ -329,8 +306,8 @@ def random_rational_x(S: GradedSemigroup, seed=0, denominator_bound=4):
             den = rng.randint(1, denominator_bound)
             vals.append(Fraction(num, den))
         f = FVector(tuple(vals))
-        ok, cert = is_nondegenerate(f, S)
+        ok, dims = is_nondegenerate(f, S)
         if ok:
-            return f, cert
+            return f, dims
     raise NondegeneracyRetriesExhausted(
         f"no nondegenerate x within {MAX_RETRIES} draws (seed {seed})")

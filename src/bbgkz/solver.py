@@ -2,12 +2,12 @@
 
 A solution germ is its lambda table: the values of all unknown functions
 (and hence, after re-indexing, all their Taylor coefficients) at the base
-point.  A SolutionBasis is one GermStack of all germs, integer lists per
-layer over the layer's least common denominator, which the report, the
-recursion check, the restriction rank and the torsion lift read, and each
-germ's leading degree.  Two routes give the same germs.  The step route
-solves the layer-(k+1) linear system whose right-hand side comes from layer
-k, asserting solvability at every step.  The kernel route reads them off the
+point.  A basis is one GermStack of all germs, integer lists per layer over
+the layer's least common denominator, and each germ's leading degree, which
+the report, the recursion check, the restriction rank and the torsion lift
+read.  Two routes give the same germs.  The step route solves the
+layer-(k+1) linear system whose right-hand side comes from layer k,
+asserting solvability at every step.  The kernel route reads them off the
 hat space `ring.hat_quotient_dims` reduced for the same (x, beta) at
 D0 = min(D, rank + 3), as `analyze` and `restrict` do, and takes it off the
 semigroup.  That kernel is the truncated solution space: a hat row
@@ -59,20 +59,23 @@ class GermStack:
     layers[k] is (parts, den): parts a list of ints per part over Q(zeta_m),
     germ t having the value sum_s parts[s][t w + p] zeta^s / den at
     layer(k)[p], w = |layer(k)|, den the least common denominator of the
-    layer's values.  base_x and beta are FVectors over subfields of Q(zeta_m).
+    layer's values.  Germ t is zero below degree leading[t] and not on that
+    layer; the leading degrees ascend.  base_x and beta are FVectors over
+    subfields of Q(zeta_m).
     """
-    __slots__ = ("semigroup", "base_x", "beta", "truncation", "layers", "m")
+    __slots__ = ("semigroup", "base_x", "beta", "truncation", "layers", "leading", "m")
 
-    def __init__(self, semigroup, base_x, beta, truncation, layers, m):
+    def __init__(self, semigroup, base_x, beta, truncation, layers, leading, m):
         self.semigroup = semigroup
         self.base_x = base_x
         self.beta = beta
         self.truncation = truncation
         self.layers = layers
+        self.leading = leading
         self.m = m
 
     def __len__(self):
-        return len(self.layers[0][0][0]) // len(self.semigroup.layer(0))
+        return len(self.leading)
 
     def values(self, t, k):
         """{p: value} of the nonzero entries of germ t on layer k, each the
@@ -82,31 +85,14 @@ class GermStack:
         cols = zip(*(part[t * w:(t + 1) * w] for part in parts))
         return {p: tuple(Fraction(a, den) for a in v) for p, v in enumerate(cols) if any(v)}
 
-
-class SolutionBasis:
-    """Truncated solution germs: one GermStack, germ t of leading degree
-    leading[t], ascending."""
-    __slots__ = ("stack", "leading")
-
-    def __init__(self, stack, leading):
-        self.stack = stack
-        self.leading = leading
-
-    semigroup = property(lambda self: self.stack.semigroup)
-    beta = property(lambda self: self.stack.beta)
-    truncation = property(lambda self: self.stack.truncation)
-
-    def __len__(self):
-        return len(self.leading)
-
     @property
     def tables(self):
         """Per germ, `entries` {(k, p): value} of its nonzero values, over Q
         and Q(i) as `ring._gaussian` gives them, else the parts: no report
         reads it, but perfbench's tracer reads coefficient sizes off it."""
-        view = _gaussian if self.stack.m in (1, 4) else lambda *v: v
+        view = _gaussian if self.m in (1, 4) else lambda *v: v
         return [SimpleNamespace(entries={(k, p): view(*v) for k in range(self.truncation + 1)
-                                         for p, v in self.stack.values(t, k).items()})
+                                         for p, v in self.values(t, k).items()})
                 for t in range(len(self))]
 
 
@@ -153,7 +139,7 @@ def _twist(P, layer, bs, B, j, scale, m):
     return mul([gr, *(scale * part[j] for part in bs[1:])], P, m)
 
 
-def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> SolutionBasis:
+def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> GermStack:
     """Basis of truncated solution germs at the base point f, over the field
     Q(zeta_m) of x and beta (FVectors, or values).
 
@@ -182,7 +168,8 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> SolutionBas
     if got is None:
         # one unit germ per degree-0 layer element
         w = len(S.layer(0))
-        P = [[int(t == p) for t in range(w) for p in range(w)]] + [[0] * (w * w)] * (n - 1)
+        P = [[int(t == p) for t in range(w) for p in range(w)]]
+        P += ([0] * (w * w) for _ in range(n - 1))  # a list per part: padded in place
         layers, leading = [(P, 1)], [0] * w
     else:
         layers, leading = got
@@ -208,15 +195,15 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> SolutionBas
         leading += [k + 1] * len(kernel)
 
     # germs born above degree k are zero on layer k
-    size = len(leading)
-    return SolutionBasis(GermStack(S, f, beta, D, [
-        ([part + [0] * (len(S.layer(k)) * size - len(part)) for part in P], den)
-        for k, (P, den) in enumerate(layers)], m), leading)
+    for k, (P, _) in enumerate(layers):
+        for part in P:
+            part.extend(repeat(0, len(S.layer(k)) * len(leading) - len(part)))
+    return GermStack(S, f, beta, D, layers, leading, m)
 
 
-def filtration_dims(basis: SolutionBasis) -> DimReport:
+def filtration_dims(stack: GermStack) -> DimReport:
     """Counts of germs by leading degree; dual to the graded quotient."""
-    return DimReport.of(basis.leading.count(k) for k in range(basis.truncation + 1))
+    return DimReport.of(stack.leading.count(k) for k in range(stack.truncation + 1))
 
 
 def recursion_defects(stack: GermStack):
@@ -226,9 +213,10 @@ def recursion_defects(stack: GermStack):
     c = layer(k)[p], w = |layer(k)|, reading c + v_i from the shift tables.
     On integer parts over Q(zeta_m), with g = gcd(den_k, den_{k+1}), the
     scalars a = fb den_k / g and b = ex den_{k+1} / g bring both sides to one
-    denominator (ex and fb those of x and beta): a x_i lambda_{c + v_i} is
-    formed once per generator, and a defect is a nonzero entry of a part of
-    b lambda_c (beta_j - c_j) fb minus the sum of v_i[j] times it.
+    denominator (ex and fb those of x and beta).  One difference per j starts
+    as b lambda_c (beta_j - c_j) fb; each generator's a x_i lambda_{c + v_i}
+    is formed once, v_i[j] times it is subtracted from each difference, and
+    it is dropped.  A defect is a nonzero entry of a part of a difference.
     """
     S, m, r = stack.semigroup, stack.m, stack.semigroup.rank
     xs, ex = stack.base_x.numerators(m)
@@ -238,24 +226,22 @@ def recursion_defects(stack: GermStack):
         g = gcd(den0, den1)
         a, b = fb * den0 // g, ex * den1 // g
         offsets = [o for o in range(0, len(P1[0]), w1) for _ in layer]  # of P0's germs in P1
-        ax = {}  # generator i with x_i != 0 -> a x_i lambda_{c + v_i}, in the order of P0
+        diffs = [_twist(P0, layer, bs, fb, j, b, m) for j in range(r)]
         for i, col in enumerate(zip(*S.shift(k))):
             if any(x[i] for x in xs):
                 idx = list(map(add, offsets, col * (size // len(layer))))
-                ax[i] = mul([a * x[i] for x in xs], [list(map(part.__getitem__, idx))
-                                                     for part in P1], m)
+                ax = mul([a * x[i] for x in xs], [list(map(part.__getitem__, idx))
+                                                  for part in P1], m)
+                for j, c in enumerate(S.A[i].free):
+                    if c:
+                        diffs[j] = [list(map(add, d, y) if c == -1 else
+                                         map(sub, d, y if c == 1 else map(times, y, repeat(c))))
+                                    for d, y in zip(diffs[j], ax)]
         defect = [False] * (size * r)
-        for j in range(r):
-            rhs = _twist(P0, layer, bs, fb, j, b, m)
-            terms = [(v.free[j], ax[i]) for i, v in enumerate(S.A) if v.free[j] and i in ax]
-            for s in range(len(P0)):
-                d = rhs[s]
-                for c, y in terms:
-                    d = list(map(add, d, y[s]) if c == -1 else
-                             map(sub, d, y[s] if c == 1 else map(times, y[s], repeat(c))))
-                if any(d):
-                    for i in compress(range(size), d):
-                        defect[i * r + j] = True
+        for j, diff in enumerate(diffs):
+            for d in diff:
+                for i in compress(range(size), d):
+                    defect[i * r + j] = True
         yield k, defect
 
 

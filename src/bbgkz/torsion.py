@@ -20,7 +20,7 @@ from .abelian import AbelianGroup, Character, char_value
 from .linalg import embed, field, mul, root_of_unity
 from .polyhedral import GradedSemigroup, build_semigroup
 from .ring import FVector
-from .solver import GermStack, SolutionBasis, recursion_defects
+from .solver import GermStack, recursion_defects
 
 
 class ResidualTooLarge(RuntimeError):
@@ -35,14 +35,13 @@ class DegenerateQuotient(RuntimeError):
 class QuotientProblem:
     """The induced problem on the free quotient of the group.
 
-    images are the distinct projections of the input vectors, in order of
-    first occurrence; index_sets[j] lists the input indices mapping to
-    images[j].
+    semigroup.A are the distinct projections of the input vectors, in order
+    of first occurrence; index_sets[j] lists the input indices mapping to
+    semigroup.A[j].
     """
-    __slots__ = ("images", "index_sets", "semigroup", "source_vectors")
+    __slots__ = ("index_sets", "semigroup", "source_vectors")
 
-    def __init__(self, images, index_sets, semigroup, source_vectors):
-        self.images = images
+    def __init__(self, index_sets, semigroup, source_vectors):
         self.index_sets = index_sets
         self.semigroup = semigroup
         self.source_vectors = source_vectors
@@ -61,7 +60,7 @@ def _project(N: AbelianGroup, A):
 def build_quotient(N: AbelianGroup, A) -> QuotientProblem:
     """Project the problem data to the free quotient, merging equal images."""
     lattice, images, index_sets = _project(N, A)
-    return QuotientProblem(images, index_sets, build_semigroup(lattice, images), tuple(A))
+    return QuotientProblem(index_sets, build_semigroup(lattice, images), tuple(A))
 
 
 def _order(rho: Character):
@@ -97,22 +96,23 @@ def _times_character(layer, chars, m_psi, m):
             layer[1])
 
 
-def lift_and_verify(basis: SolutionBasis, rho: Character, x, S: GradedSemigroup):
+def lift_and_verify(psi: GermStack, rho: Character, x, S: GradedSemigroup):
     """Lift a quotient basis through a character: lambda_c = rho(c) psi_{pi(c)}.
 
-    basis holds solution germs of the quotient problem at base p_rho(x).
+    psi holds solution germs of the quotient problem at base p_rho(x).
     Layer k of S is the quotient's layer k with the torsion index innermost,
     so lifted layers are quotient layers times rho, over Q(zeta_m) for m the
-    field of psi, x and rho's values.  Returns (the lifted GermStack over S,
+    field of psi, x and rho's values; layer k has the same free part in both
+    problems, so each lifted germ keeps its quotient germ's leading degree.
+    Returns (the lifted GermStack over S,
     0.0) after one recursion_defects pass on the original problem; the pair
     stays because perfbench's tracer reads the stack as out[0].  Raises
     ResidualTooLarge for the first germ with a nonzero defect.
     """
     _, images, index_sets = _project(S.group, S.A)
-    if images != tuple(basis.semigroup.A):
+    if images != tuple(psi.semigroup.A):
         raise ValueError("psi was solved on a different quotient problem")
-    Q = QuotientProblem(images, index_sets, basis.semigroup, S.A)
-    psi = basis.stack
+    Q = QuotientProblem(index_sets, psi.semigroup, S.A)
     x = x if isinstance(x, FVector) else FVector(x)
     if psi.base_x != p_rho(rho, x, Q):
         raise ValueError("psi base point does not match p_rho(x)")
@@ -123,7 +123,7 @@ def lift_and_verify(basis: SolutionBasis, rho: Character, x, S: GradedSemigroup)
         if Q.semigroup.free_layer(k) != S.free_layer(k):
             raise ValueError(f"quotient layer {k} is not the free part of layer {k}")
         layers.append(_times_character(layer, chars, psi.m, m))
-    lift = GermStack(S, x, psi.beta, psi.truncation, layers, m)
+    lift = GermStack(S, x, psi.beta, psi.truncation, layers, psi.leading, m)
 
     first = {}  # germ -> its first defect (k, p, j)
     for k, defect in recursion_defects(lift):

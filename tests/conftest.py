@@ -14,7 +14,7 @@ from bbgkz.abelian import AbelianGroup, NoDegreeFunctional, NotSpanning, pair
 from bbgkz.linalg import RowSpace, degree, numerators
 from bbgkz.polyhedral import GradedSemigroup, build_semigroup
 from bbgkz.ring import FVector, random_rational_x
-from bbgkz.solver import GermStack, SolutionBasis, exact_rank
+from bbgkz.solver import GermStack, exact_rank
 
 
 class QQI:
@@ -452,7 +452,7 @@ def stack_of(tables):
     """The GermStack of LambdaTables that share their data, built value by
     value: per layer, the numerators of every value over the lcm of their
     canonical denominators, over Q(i) where a value, x or beta is not real
-    and over Q otherwise."""
+    and over Q otherwise; and the tables' leading degrees."""
     first = tables[0]
     S, x, beta = first.semigroup, as_fvector(first.base_x), as_fvector(first.beta)
     rows = [[t.entries.get(c, 0) for t in tables for c in S.layer(k)]
@@ -463,23 +463,18 @@ def stack_of(tables):
     for row, (_, parts, den) in zip(rows, values):
         parts += [[0] * len(row)] * (degree(m) - len(parts))
         layers.append((parts, den))
-    return GermStack(S, x, beta, first.truncation, layers, m)
+    return GermStack(S, x, beta, first.truncation, layers,
+                     [t.leading_degree for t in tables], m)
 
 
-def tables_of(basis):
-    """The LambdaTables of a SolutionBasis, one per germ, of its values as
+def tables_of(stack):
+    """The LambdaTables of a GermStack, one per germ, of its values as
     `qqi_values` gives them: canonical QQIs over Q and Q(i)."""
-    stack = basis.stack
     S = stack.semigroup
     return [LambdaTable(S, stack.base_x, stack.beta, stack.truncation,
                         {S.layer(k)[p]: v for k in range(stack.truncation + 1)
                          for p, v in qqi_values(stack, t, k).items()}, lead)
-            for t, lead in enumerate(basis.leading)]
-
-
-def basis_of(tables):
-    """The SolutionBasis of LambdaTables: their stack and leading degrees."""
-    return SolutionBasis(stack_of(tables), [t.leading_degree for t in tables])
+            for t, lead in enumerate(stack.leading)]
 
 
 def restricted_rank(basis):
@@ -489,7 +484,7 @@ def restricted_rank(basis):
     for k in range(S.rank + 1):
         inner = set(S.layer(k, "interior"))
         masks.append([c in inner for c in S.layer(k)])
-    return exact_rank([basis.stack], masks)
+    return exact_rank([basis], masks)
 
 
 def reference_interior_rank(space, S, degrees):
@@ -523,8 +518,22 @@ def slot_values(obj):
     return tuple(getattr(obj, name) for name in type(obj).__slots__)
 
 
+def assert_leading_degrees(stack):
+    """Every layer of a GermStack holds len(stack) germs, germ t is zero on
+    the layers below leading[t] and not on layer leading[t], and the leading
+    degrees ascend."""
+    S = stack.semigroup
+    for k, (P, _) in enumerate(stack.layers):
+        assert all(len(part) == len(stack) * len(S.layer(k)) for part in P)
+    assert stack.leading == sorted(stack.leading)
+    for t, lead in enumerate(stack.leading):
+        assert not any(stack.values(t, k) for k in range(lead))
+        assert stack.values(t, lead)
+
+
 def assert_stacks_equal(a, b):
-    """Two GermStacks hold the same data, list for list and den for den."""
-    assert (a.semigroup.A, a.base_x, a.beta, a.truncation, a.m) == \
-        (b.semigroup.A, b.base_x, b.beta, b.truncation, b.m)
+    """Two GermStacks hold the same data, list for list and den for den, and
+    the same leading degrees."""
+    assert (a.semigroup.A, a.base_x, a.beta, a.truncation, a.leading, a.m) == \
+        (b.semigroup.A, b.base_x, b.beta, b.truncation, b.leading, b.m)
     assert a.layers == b.layers

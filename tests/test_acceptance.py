@@ -144,7 +144,7 @@ def test_criterion_09_pde_residuals():
     for name in ALL_FIXTURES:
         S, f, beta = make_problem(name)
         basis = solve_recursion(f, beta, S, truncation=S.rank + 3)
-        defects = [defect for _, defect in recursion_defects(basis.stack)]
+        defects = [defect for _, defect in recursion_defects(basis)]
         ok = ok and len(defects) == S.rank + 3 and not any(map(any, defects))
         ok = ok and all(len(d) == len(basis) * len(S.layer(k)) * S.rank
                         for k, d in enumerate(defects))

@@ -14,9 +14,9 @@ import pytest
 from bbgkz import cli, ring
 from bbgkz.linalg import RowSpace
 from bbgkz.polyhedral import build_semigroup
-from bbgkz.ring import (FVector, NondegeneracyCertificate, NondegeneracyRetriesExhausted,
-                        hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
-                        jacobian_dims, r1_dims, random_rational_x, _image_rows)
+from bbgkz.ring import (FVector, NondegeneracyRetriesExhausted, certifies, hat_quotient_dims,
+                        hat_restriction_rank, is_nondegenerate, jacobian_dims, r1_dims,
+                        random_rational_x, _image_rows)
 from bbgkz.solver import filtration_dims, solve_recursion
 from conftest import QQI, make_problem, qqi_entries, reference_interior_rank, slot_values
 
@@ -169,12 +169,12 @@ class TestImageCache:
 class TestNondegeneracy:
     def test_z2_good_and_bad_points(self):
         S, _, _ = make_problem("z2")
-        ok, cert = is_nondegenerate(FVector((Fraction(2), Fraction(1))), S)
-        assert ok and cert.total == cert.expected_total == 2
+        ok, dims = is_nondegenerate(FVector((Fraction(2), Fraction(1))), S)
+        assert ok and dims.total == sum(S.h_star) == 2
         # x1 = x2 collapses the two eigendirections
-        bad, cert = is_nondegenerate(FVector((Fraction(1), Fraction(1))), S)
+        bad, dims = is_nondegenerate(FVector((Fraction(1), Fraction(1))), S)
         assert not bad
-        assert not cert
+        assert not certifies(dims.per_degree, S)
 
     def test_quotient_dims_are_h_star(self, named_problem):
         """For nondegenerate x the quotient dims are h* degree by degree."""
@@ -183,27 +183,27 @@ class TestNondegeneracy:
 
     def test_certificate_needs_each_degree(self):
         """A count moved from degree 1 to 0 keeps the total and the zero tail
-        and still fails the certificate."""
+        and still fails the certificate; so does a count at degree rank + 1."""
         S, f, _ = make_problem("p2")
         dims = list(jacobian_dims(f, S, S.rank + 1).per_degree)
         dims[0], dims[1] = dims[0] + 1, dims[1] - 1
-        cert = NondegeneracyCertificate.of(dims, S)
-        assert cert.total == cert.expected_total and cert.tail_degrees_zero
-        assert not cert
+        assert sum(dims) == sum(S.h_star) and not any(dims[S.rank + 1:])
+        assert not certifies(dims, S)
+        assert certifies(S.h_star + (0,), S) and not certifies(S.h_star + (1,), S)
 
     def test_certificate_records_tail(self):
         S, f, _ = make_problem("p1")
-        ok, cert = is_nondegenerate(f, S)
-        assert ok and cert.tail_degrees_zero
+        ok, dims = is_nondegenerate(f, S)
+        assert ok and not any(dims.per_degree[S.rank + 1:])
 
     def test_certificate_of_solve_filtration(self, named_problem):
         """A solve's kernel counts are the quotient dims, so its filtration,
-        cut at rank + 1, gives is_nondegenerate's certificate."""
+        cut at rank + 1, gives is_nondegenerate's dims and certifies."""
         _, S, f, beta = named_problem
         basis = solve_recursion(f, beta, S, truncation=S.rank + 3)
-        cert = NondegeneracyCertificate.of(filtration_dims(basis).per_degree, S)
-        assert slot_values(cert) == slot_values(is_nondegenerate(f, S)[1])
-        assert cert.ok and len(cert.per_degree) == S.rank + 2
+        filt = filtration_dims(basis).per_degree[:S.rank + 2]
+        assert filt == is_nondegenerate(f, S)[1].per_degree
+        assert certifies(filt, S) and len(filt) == S.rank + 2
 
     def test_zero_vector_degenerate(self, named_problem):
         _, S, _, _ = named_problem
@@ -343,8 +343,8 @@ class TestRandomRationalX:
 
     def test_certified(self):
         S, _, _ = make_problem("ex52")
-        f, cert = random_rational_x(S, seed=3)
-        assert cert.ok
+        f, dims = random_rational_x(S, seed=3)
+        assert certifies(dims.per_degree, S)
 
     def test_retries_exhausted(self, monkeypatch):
         S, _, _ = make_problem("p1")

@@ -15,9 +15,9 @@ from bbgkz.polyhedral import build_semigroup
 from bbgkz.ring import (FVector, hat_quotient_dims, is_nondegenerate, jacobian_dims,
                         r1_dims)
 from bbgkz.solver import InconsistentSystem, filtration_dims, recursion_defects, solve_recursion
-from conftest import (FIXTURE_BUILDERS, QQI, LambdaTable, add_values, assert_stacks_equal,
-                      basis_of, make_problem, qqi_entries, qqi_values, reference_series, replaced,
-                      restricted_rank, stack_of, tables_of)
+from conftest import (FIXTURE_BUILDERS, QQI, LambdaTable, add_values, assert_leading_degrees,
+                      assert_stacks_equal, make_problem, qqi_entries, qqi_values,
+                      reference_series, replaced, restricted_rank, stack_of, tables_of)
 from test_torsion import defect_sets, reference_defect_sets
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -46,7 +46,7 @@ def identities(basis):
 
 
 def has_defect(basis):
-    return any(any(defect) for _, defect in recursion_defects(basis.stack))
+    return any(any(defect) for _, defect in recursion_defects(basis))
 
 
 class TestClosedForms:
@@ -201,9 +201,9 @@ class TestKernelRoute:
         assert len(steps) == D - D0
         assert ring._hat_key(f, kernel.beta, D0) not in S._images
         assert kernel.leading == step.leading
-        assert_stacks_equal(kernel.stack, step.stack)
+        assert_stacks_equal(kernel, step)
         # every layer in lowest terms, over the one denominator of its values
-        for P, den in kernel.stack.layers + step.stack.layers:
+        for P, den in kernel.layers + step.layers:
             assert gcd(den, *chain.from_iterable(P)) == 1
 
     def test_degenerate_point_with_cached_space(self):
@@ -234,7 +234,7 @@ def assert_stack_is_reference(basis):
     the basis' canonical values one by one: the same lists, and every
     layer's den the least common denominator of its values."""
     tables = tables_of(basis)
-    assert_stacks_equal(basis.stack, stack_of(tables))
+    assert_stacks_equal(basis, stack_of(tables))
     assert basis.leading == [t.leading_degree for t in tables]
 
 
@@ -245,6 +245,17 @@ GOLDEN_PROBLEMS = ("hexagon", "p3", "p2_z4", "p2_z4_cbeta", "hexagon_z2", "seg5_
 Z3_PROBLEMS = {"seg5_z3": os.path.join(GOLDEN, "seg5_z3.problem.json"),
                "square_z3": os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                                          "problems", "square_z3.json")}
+
+
+class TestLeadingDegrees:
+    """A solve's leading degrees are where its germs start, on both routes.
+    `test_torsion.test_lift_keeps_leading_degrees` checks Galois images and
+    lifts."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_routes(self, named_problem, route):
+        _, S, f, beta = named_problem
+        assert_leading_degrees(solve_by(route, S, f, beta, S.rank + 2))
 
 
 class TestOneRepresentation:
@@ -263,7 +274,7 @@ class TestOneRepresentation:
         basis = solve_by(route, S, f, beta, D)
         assert_stack_is_reference(basis)
         if name == "p2_z4_cbeta":
-            assert basis.stack.m == 4 and any(any(P[1]) for P, _ in basis.stack.layers)
+            assert basis.m == 4 and any(any(P[1]) for P, _ in basis.layers)
 
     @pytest.mark.parametrize("name", sorted(SEEDED))
     def test_seeds(self, name):
@@ -285,9 +296,9 @@ class TestOneRepresentation:
             basis = solve_recursion(z, beta, Q.semigroup, truncation=D)
             conj = cli._galois(basis, -1, z.galois(-1))
             assert_stack_is_reference(conj)
-            assert [{p: v.conjugate() for p, v in qqi_values(basis.stack, t, k).items()}
+            assert [{p: v.conjugate() for p, v in qqi_values(basis, t, k).items()}
                     for t in range(len(basis)) for k in range(D + 1)] == \
-                [qqi_values(conj.stack, t, k) for t in range(len(conj)) for k in range(D + 1)]
+                [qqi_values(conj, t, k) for t in range(len(conj)) for k in range(D + 1)]
             conjugated += 1
         assert conjugated == 2
 
@@ -308,13 +319,13 @@ class TestOneRepresentation:
             TestKernelRoute.assert_routes_agree(Q.semigroup, z, beta, D, monkeypatch)
             monkeypatch.undo()
             step = solve_recursion(z, beta, Q.semigroup, truncation=D)
-            assert step.stack.m == 3 and len(step.stack.layers[0][0]) == 2
-            for P, den in step.stack.layers:
+            assert step.m == 3 and len(step.layers[0][0]) == 2
+            for P, den in step.layers:
                 assert gcd(den, *P[0], *P[1]) == 1
             bases.append(step)
         image = cli._galois(bases[0], 2, z2)
         assert image.leading == bases[1].leading
-        assert_stacks_equal(image.stack, bases[1].stack)
+        assert_stacks_equal(image, bases[1])
 
 
 class TestNoElementHash:
@@ -380,7 +391,7 @@ class TestRestriction:
         S, f, _ = make_problem("p1")
         a, b = [c for k in range(S.rank + 1) for c in S.layer(k, "interior")][:2]
         beta = (QQI(0),) * S.rank
-        basis = basis_of([LambdaTable(S, qqi_entries(f), beta, S.rank, {a: QQI(1),
+        basis = stack_of([LambdaTable(S, qqi_entries(f), beta, S.rank, {a: QQI(1),
                                                              b: QQI(0, s)}, 1)
                           for s in (1, -1)])
         assert restricted_rank(basis) == reference_restricted_rank(basis) == 2
@@ -394,7 +405,7 @@ class TestResiduals:
         S, f, beta = make_problem(name)
         for D in range(S.rank + 1, S.rank + 4):
             basis = solve_recursion(f, beta, S, truncation=D)
-            defects = [defect for _, defect in recursion_defects(basis.stack)]
+            defects = [defect for _, defect in recursion_defects(basis)]
             assert sum(map(len, defects)) == identities(basis)
             assert not any(map(any, defects))
 
@@ -444,7 +455,7 @@ class TestResiduals:
         c = S.group.element((1,), (0,))
         tables = tables_of(basis)
         tables[0].entries[c] = tables[0].entries[c] + 1
-        assert has_defect(basis_of(tables))
+        assert has_defect(stack_of(tables))
 
 
 def assert_defects_match(basis):
@@ -452,7 +463,7 @@ def assert_defects_match(basis):
     the germs as they are and with one value of the last germ off: the same
     (c, j) per germ, and a defect only in the changed germ."""
     tables = tables_of(basis)
-    assert defect_sets(basis.stack) == reference_defect_sets(tables) == [set()] * len(tables)
+    assert defect_sets(basis) == reference_defect_sets(tables) == [set()] * len(tables)
     t = tables[-1]
     c = max(t.entries, key=t.degree)
     t.entries[c] = t.entries[c] * QQI(1001, 1, 1000)
@@ -506,11 +517,11 @@ class TestRepetitionCollapse:
             FVector((Fraction(2) + delta, Fraction(1) - delta, Fraction(3))),
             beta, S, truncation=5)
         assert a.leading == b.leading
-        assert_stacks_equal(a.stack, replaced(b.stack, base_x=a.stack.base_x))
+        assert_stacks_equal(a, replaced(b, base_x=a.base_x))
 
 
 class TestTracerViews:
-    """`FVector[i]` and `SolutionBasis.tables`, which no report reads: the
+    """`FVector[i]` and `GermStack.tables`, which no report reads: the
     benchmark's tracer counts a lift as exact when every entry of its base
     point has a `d`, and takes `coeff_bits_max` from the `a`, `b` and `d` of
     the table entries.  Over Q and Q(i) both give each value's canonical
@@ -525,7 +536,7 @@ class TestTracerViews:
     def test_views_are_canonical(self, name):
         S, f, beta, D = problem_data(os.path.join(GOLDEN, f"{name}.problem.json"))
         basis = solve_recursion(f, beta, S, truncation=D)
-        assert basis.stack.m == beta.m == (4 if name == "p2_z4_cbeta" else 1)
+        assert basis.m == beta.m == (4 if name == "p2_z4_cbeta" else 1)
         for vec in (f, beta):
             assert [self.abd(v) for v in vec] == [self.abd(q) for q in qqi_entries(vec)]
         tables = basis.tables
@@ -533,7 +544,7 @@ class TestTracerViews:
         for t, table in enumerate(tables):
             assert {key: self.abd(v) for key, v in table.entries.items()} == \
                 {(k, p): self.abd(q) for k in range(D + 1)
-                 for p, q in qqi_values(basis.stack, t, k).items()}
+                 for p, q in qqi_values(basis, t, k).items()}
 
     def test_other_fields_have_no_view(self):
         """g3's quotient point of a character of order 3 is over Q(zeta_3)."""
@@ -543,5 +554,5 @@ class TestTracerViews:
         with pytest.raises(ValueError):
             z[0]
         basis = solve_recursion(z, beta, Q.semigroup, truncation=2)
-        assert basis.stack.m == 3
+        assert basis.m == 3
         assert not any(hasattr(v, "d") for t in basis.tables for v in t.entries.values())

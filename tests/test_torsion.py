@@ -17,28 +17,28 @@ from bbgkz.polyhedral import build_semigroup
 from bbgkz.ring import FVector
 from bbgkz.solver import exact_rank, recursion_defects, solve_recursion
 from bbgkz.torsion import ResidualTooLarge, build_quotient, lift_and_verify, p_rho
-from conftest import (QQI, QQI_I, LambdaTable, assert_stacks_equal, basis_of, make_problem,
-                      qqi_entries, qqi_values, replaced, stack_of, tables_of)
+from conftest import (QQI, QQI_I, LambdaTable, assert_leading_degrees, assert_stacks_equal,
+                      make_problem, qqi_entries, qqi_values, replaced, stack_of, tables_of)
 
 
 class TestBuildQuotient:
     def test_z2_merges_to_single_image(self):
         S, _, _ = make_problem("z2")
         Q = build_quotient(S.group, S.A)
-        assert len(Q.images) == 1
-        assert Q.images[0].free == (1,)
+        assert len(Q.semigroup.A) == 1
+        assert Q.semigroup.A[0].free == (1,)
         assert Q.index_sets == ((0, 1),)
 
     def test_torsion_free_distinct_is_identity(self):
         S, _, _ = make_problem("p2")
         Q = build_quotient(S.group, S.A)
-        assert len(Q.images) == len(S.A)
+        assert len(Q.semigroup.A) == len(S.A)
         assert all(idx == (i,) for i, idx in enumerate(Q.index_sets))
 
     def test_repeated_vectors_collapse(self):
         S, _, _ = make_problem("repeated")
         Q = build_quotient(S.group, S.A)
-        assert len(Q.images) == 2
+        assert len(Q.semigroup.A) == 2
         assert Q.index_sets == ((0, 1), (2,))
 
     def test_index_sets_partition(self, named_problem):
@@ -216,7 +216,7 @@ class TestLifting:
         z = p_rho(rho, f, Q)
         tables = tables_of(solve_recursion(z, beta, Q.semigroup, truncation=4))
         tables[0].entries.clear()
-        stack, resid = lift_and_verify(basis_of(tables), rho, f, S)
+        stack, resid = lift_and_verify(stack_of(tables), rho, f, S)
         assert stack_values(stack) == [{}] and resid == 0.0
 
     def test_corrupted_lift_raises(self):
@@ -232,7 +232,7 @@ class TestLifting:
         with pytest.raises(ResidualTooLarge,
                            match=rf"^exact lift residual nonzero at {re.escape(str(c))}, "
                                  rf"coordinate {j}$"):
-            lift_and_verify(basis_of(tables), rho, f, S)
+            lift_and_verify(stack_of(tables), rho, f, S)
 
     def test_lift_builds_no_semigroup(self, monkeypatch):
         """lift_and_verify projects the data and reuses the basis' semigroup,
@@ -290,7 +290,7 @@ class TestArrayLift:
         spec, S, f = spec_problem(problem_path(name))
         for rho, basis in quotient_bases(S, f, spec.beta, spec.truncation):
             stack, _ = lift_and_verify(basis, rho, f, S)
-            assert stack.m == field(f.m, basis.stack.m, torsion._order(rho))
+            assert stack.m == field(f.m, basis.m, torsion._order(rho))
             assert (stack.m == 3) == (name in ("g3_torsion", "seg5_z3")
                                       and any(rho.torsion_exponents))
             refs = [reference_lift(psi, rho, qqi_entries(f), S, stack.m)
@@ -478,7 +478,7 @@ class TestExactRecursionCheck:
         S, _, lifts = exact_lifts(LIFT_PROBLEMS[name])
         if name == "p2_z4":
             assert any(v.b for *_, refs in lifts for t in refs for v in t.entries.values())
-            assert any(z.b for _, basis, *_ in lifts for z in qqi_entries(basis.stack.base_x))
+            assert any(z.b for _, basis, *_ in lifts for z in qqi_entries(basis.base_x))
         # the quotient germs too: under +-i characters their base point is complex
         for _, basis, stack, refs in lifts:
             for tables in (refs, tables_of(basis)):
@@ -516,7 +516,7 @@ class TestExactRecursionCheck:
                         for p in psis[t + 1:] for k in sample(p.entries, 1)]
                     with pytest.raises(ResidualTooLarge,
                                        match=rf"at {re.escape(str(c))}, coordinate {j}$"):
-                        lift_and_verify(basis_of(tables), rho, x, S)
+                        lift_and_verify(stack_of(tables), rho, x, S)
 
     def test_real_data_complex_layers(self):
         """p2_z4 lifted under the characters +-i: x and beta real and the
@@ -602,7 +602,7 @@ class TestExactRecursionCheck:
         D = spec.truncation
         basis = solve_recursion(f, spec.beta, S, truncation=D)
         psis = tables_of(basis)
-        assert defect_sets(basis.stack) == [set()] * len(basis)
+        assert defect_sets(basis) == [set()] * len(basis)
         for t, table in list(enumerate(psis))[::2]:
             for c in [c for c in S.layer(D) if c in table.entries][::40]:
                 for delta in (1, QQI_I):
@@ -618,7 +618,7 @@ class TestExactRecursionCheck:
         spec, S, f = spec_problem(os.path.join(GOLDEN, "hexagon.problem.json"))
         basis = solve_recursion(f, spec.beta, S, truncation=spec.truncation)
         psis = tables_of(basis)
-        assert first_defects(basis.stack) == [None] * len(basis)
+        assert first_defects(basis) == [None] * len(basis)
         for t, table in list(enumerate(psis))[::2]:
             for c in sample(table.entries, 4):
                 bad = replaced(
@@ -665,7 +665,7 @@ class TestCyclotomicLifts:
         Q, D = build_quotient(S.group, S.A), spec.truncation
         stacks = []
         for rho, basis in quotient_bases(S, f, spec.beta, D):
-            assert not any(any(d) for _, d in recursion_defects(basis.stack))
+            assert not any(any(d) for _, d in recursion_defects(basis))
             stack, resid = lift_and_verify(basis, rho, f, S)
             assert resid == 0.0 and not any(any(d) for _, d in recursion_defects(stack))
             stacks.append(stack)
@@ -680,3 +680,30 @@ class TestCyclotomicLifts:
         report, code = cli.run(str(path), timings=False)
         assert code == 0 and report["torsion_lift"]["rank"] == expect
         assert len(calls) == solves
+
+
+@pytest.mark.parametrize("name", ["p2_z4", "seg5_z3", "square_z5"])
+def test_lift_keeps_leading_degrees(name, monkeypatch):
+    """Each lifted germ is rho(c) times a quotient germ, and layer k has the
+    same free part in both problems, so a lift has its quotient basis'
+    leading degrees, where its germs start; so does each Galois image the
+    lift reuses."""
+    spec, S, f = spec_problem(os.path.join(GOLDEN, f"{name}.problem.json"))
+    lifts, images = [], []
+    lift, galois = cli.lift_and_verify, cli._galois
+
+    def recording_lift(basis, *args):
+        out = lift(basis, *args)
+        lifts.append((basis, out[0]))
+        return out
+
+    monkeypatch.setattr(cli, "lift_and_verify", recording_lift)
+    monkeypatch.setattr(cli, "_galois", lambda *a: images.append(galois(*a)) or images[-1])
+    cli._lifts(spec, S, build_quotient(S.group, S.A), f)
+    assert len(lifts) == S.group.torsion_order and images
+    for image in images:
+        assert_leading_degrees(image)
+    for basis, lifted in lifts:
+        assert lifted.leading == basis.leading
+        assert_leading_degrees(basis)
+        assert_leading_degrees(lifted)
