@@ -468,7 +468,9 @@ def write_report(report, path):
 
 
 def fixture_path(name):
-    """Filesystem path of a bundled problem fixture by bare name."""
+    """Filesystem path of a bundled problem fixture by bare name.  No run
+    calls it; it stays because the tests and library users locate the
+    bundled fixtures by name."""
     return os.path.join(_HERE, "fixtures", f"{name}.json")
 
 

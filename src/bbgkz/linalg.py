@@ -11,10 +11,12 @@ RowSpace is the one elimination kernel.  It reduces integer rows
 fraction-free (Bareiss), one content pass per row update, and rows over
 Q(zeta_m) by restriction of scalars to Q.  Rows given at once enter in
 one order, `RowSpace.extend`'s: from the last leading column down in the
-space's column order.  `solve_sparse` reads the solutions and the kernel
-of a system from one such reduction, every vector as integer parts over one
-denominator: the lcm of the pivot entries times that of the right-hand
-sides.
+space's column order.  One read, `RowSpace.read`, writes the solutions and
+the kernel of a reduced space as `GermStack` layers: per range of unknowns,
+a germ-major list of integers per part over one denominator in lowest
+terms, the lcm of the range's pivot entries times that of the right-hand
+sides.  `solve_sparse` reads a system's one layer off it, the solver the
+kernel of a hat space, and `polyhedral` the normal of a facet.
 """
 
 from __future__ import annotations
@@ -148,9 +150,9 @@ class RowSpace:
     rational, column c becomes the n = phi(m) columns nc + t, one per part,
     with key(nc + t) = n key(c) + t, and a row v enters as the n rows s whose
     entry at nc + t is part s of zeta^t v_c (the functional y -> part s of
-    v . y; a stored rational row is one of them).  `rank`, `pivots`, `kernel`
-    and `solve_sparse` answer over Q(zeta_m): the stored rows span the parts
-    of w . y for w in the span over Q(zeta_m), which zeta maps to itself, so
+    v . y; a stored rational row is one of them).  `rank`, `pivots` and `read`
+    answer over Q(zeta_m): the stored rows span the parts of w . y for w in
+    the span over Q(zeta_m), which zeta maps to itself, so
     c is a pivot iff all its n columns are; the kernel vector of free column
     nc is the parts of that of c; and the reduced echelon form is unique for
     a fixed column order.
@@ -240,37 +242,41 @@ class RowSpace:
         for row in sorted(filter(any, rows), key=lead, reverse=True):
             self.add(row, m)
 
-    def _read(self, ncols, nrhs=0, d=1):
-        """(solutions, kernel, den) for unknowns 0..ncols-1 and column ncols + t
-        holding d b_t, t < nrhs, as `solve_sparse`; the kernel as {fc: parts}.
-        Every vector is over den = L d, L the lcm of the pivot entries, so
-        each pivot row is scaled once, by L over its pivot entry.  Restricted,
-        the row of pivot np + s holds part s of the row of p at column nc."""
-        n, rows = self.n, self.rows
-        pivots = [(q, row) for q, row in rows.items() if q < n * ncols]
-        L = lcm(*(row[q] for q, row in pivots))
-        pivots = [(q // n, q % n, row, L // row[q]) for q, row in pivots]
-
-        def vector(col, f):
-            parts, key = [{} for _ in range(n)], n * col
-            for p, s, row, k in pivots:
-                a = row.get(key)
-                if a:
-                    parts[s][p] = f * k * a
-            return parts
-
-        kernel = {}
-        for c in range(ncols):
-            if n * c not in rows:
-                kernel[c] = vector(c, -d)
-                kernel[c][0][c] = L * d
-        return [vector(ncols + t, 1) for t in range(nrhs)], kernel, L * d
-
-    def kernel(self, ncols):
-        """({fc: parts}, den): the kernel of the rows cut to columns
-        0..ncols-1, one vector per free column fc, ascending, each 1 there,
-        in the form of `solve_sparse`."""
-        return self._read(ncols)[1:]
+    def read(self, cuts, m=1, nrhs=0, d=1):
+        """One `GermStack` layer (P, den) over Q(zeta_m) per range a..b - 1
+        of the unknowns, a and b consecutive cuts, cuts[0] = 0: part s of germ
+        t at c is P[s][t w + c - a] / den, w = b - a.  The germs are the
+        solutions for column cuts[-1] + t holding d b_t, t < nrhs, as
+        `solve_sparse`, then one kernel vector per free column, ascending.
+        den is L d in lowest terms, L the lcm of the range's pivot entries:
+        each pivot row is scaled once, by L over its pivot entry.
+        Restricted, the row of pivot np + s holds part s of the row of p at
+        column nc.  A range's pivot rows are dropped once it is read."""
+        n, rows, ncols = self.n, self.rows, cuts[-1]
+        # free columns before any row is dropped; germs born in a later range
+        # are zero on this one
+        free = [c for c in range(ncols) if n * c not in rows]
+        germ = {n * c: t for t, c in enumerate(chain(range(ncols, ncols + nrhs), free))}
+        out = []
+        for a, b in zip(cuts, cuts[1:]):
+            w = b - a
+            got = [(q, rows.pop(q)) for q in range(n * a, n * b) if q in rows]
+            L = lcm(*(row[q] for q, row in got))
+            P = [[0] * (w * len(germ)) for _ in range(degree(m))]
+            for q, row in got:
+                k, (p, s) = L // row[q], divmod(q, n)
+                part, kd, p = P[s], -d * k, p - a
+                for c, v in row.items():
+                    t = germ.get(c)
+                    if t is not None:
+                        part[t * w + p] = (k if t < nrhs else kd) * v
+            for t, c in enumerate(free, nrhs):
+                if a <= c < b:
+                    P[0][t * w + c - a] = L * d
+            g = gcd(L * d, *chain.from_iterable(P))  # mostly 1: v // 1 copies v
+            out.append((P, L * d) if g == 1 else
+                       ([[v // g for v in part] for part in P], L * d // g))
+        return out
 
 
 def _restricted(parts, m):
@@ -336,16 +342,14 @@ def solve_sparse(rows, ncols, rhs, d, m=1):
     the augmented matrix is reduced once, its rows going in from the last
     leading column down; its reduced row echelon form is unique for this
     column order, and scaling the right-hand side columns scales only their
-    entries, so d enters with the denominator.  Returns (solutions, kernel,
-    den):
+    entries, so d enters with the denominator.  Returns (layer, bad):
 
-    - solutions[t] is None if b_t is not in the column space of A, else the
-      particular solution with every free variable zero;
-    - kernel has one vector per free column of A, in ascending free-column
-      order, 1 in that column and pivot columns by back substitution.
-
-    A vector is the dicts of the nonzero integer numerators of its parts,
-    every one over den, which need not be in lowest terms.
+    - layer is the one `RowSpace.read` layer (P, den) over the unknowns:
+      germ t < len(rhs) the particular solution of b_t with every free
+      variable zero, then one kernel vector per free column of A, ascending,
+      1 in that column and pivot columns by back substitution;
+    - bad lists, ascending, the t whose b_t is not in the column space of A;
+      their germs mean nothing.
     """
     space, n = RowSpace(), degree(m)
     cols = [[(col, b[s]) for col, b in enumerate(rhs, ncols) if s < len(b)] for s in range(n)]
@@ -361,7 +365,5 @@ def solve_sparse(rows, ncols, rhs, d, m=1):
     # b_t is inconsistent iff a row pivoting on a right-hand side column
     # reaches column ncols + t; that column need not be a pivot itself.
     n = space.n
-    bad = {c // n for p, row in space.rows.items() if p // n >= ncols for c in row}
-    solutions, kernel, den = space._read(ncols, len(rhs), d)
-    return ([None if ncols + t in bad else sol for t, sol in enumerate(solutions)],
-            list(kernel.values()), den)
+    bad = sorted({c // n - ncols for p, row in space.rows.items() if p >= n * ncols for c in row})
+    return space.read([0, ncols], m, len(rhs), d)[0], bad

@@ -66,11 +66,10 @@ def cone_over(generators) -> Cone:
 
     normals = set()
     for sub in combinations(gens, r - 1):
-        kernel = list(_row_space(sub).kernel(r)[0].values())
-        if len(kernel) != 1:
+        [([h], _)] = _row_space(sub).read([0, r])
+        if len(h) != r:
             continue
         # the numerators of the one kernel vector, made primitive
-        h = [kernel[0][0].get(c, 0) for c in range(r)]
         content = math.gcd(*h)
         h = [v // content for v in h]
         vals = [_dot(h, g) for g in gens]

@@ -20,10 +20,11 @@ columns, and both bases are the one that is 1 at one free column and 0 at
 the others.  Steps extend the kernel route's germs from D0 to D: free
 columns have degree at most rank + 1 <= D0, so each has one solution.
 A layer's germs are one germ-major list of Python ints per part over one
-denominator, from the elimination read to the report, brought to lowest
-terms once per layer; a step's right-hand sides and the recursion check
-form the twist lambda_c (beta_j - c_j) alike (`_twist`), one product per
-covector over the layer's denominator.  `recursion_defects` tests the
+denominator in lowest terms, as the one elimination read, `RowSpace.read`,
+writes them for the report: a step reads its one layer, the kernel route
+layers 0..D0 in one read of the hat space.  A step's right-hand sides and
+the recursion check form the twist lambda_c (beta_j - c_j) alike
+(`_twist`), one product per covector over the layer's denominator.  `recursion_defects` tests the
 recursion identity on every germ of a stack at once; `exact_rank` is the
 one germ rank, of stacks or of their restrictions to per-layer point
 masks.
@@ -96,40 +97,18 @@ class GermStack:
                 for t in range(len(self))]
 
 
-def _pack(vectors, width, n):
-    """Vectors given as parts, as `solve_sparse` gives them, on width points:
-    P[s][t width + p] is part s of vector t at point p; the parts past those a
-    vector has are zero."""
-    P = [[0] * (width * len(vectors)) for _ in range(n)]
-    for t, parts in enumerate(vectors):
-        for row, part in zip(P, parts):
-            for p, v in part.items():
-                row[t * width + p] = v
-    return P
-
-
-def _reduced(P, den):
-    """(P, den) in lowest terms: divided by the gcd of den and every entry."""
-    g = gcd(den, *chain.from_iterable(P))
-    return ([[v // g for v in part] for part in P], den // g) if g != 1 else (P, den)
-
-
 def _hat_kernel(f, beta, S, D):
     """Per layer 0..D, the germs (P, den) off the kernel of the hat space of
-    (x, beta, D), taken off S, and their leading degrees; None if no such
-    space is cached or its free columns per degree differ from the step
-    kernels'."""
+    (x, beta, D), taken off S and read once, and their leading degrees, the
+    degrees of the free columns; None if no such space is cached or its free
+    columns per degree differ from the step kernels'."""
     space = S._images.pop(_hat_key(f, beta, D), None)
-    if space is None or _hat_free_counts(space, S, D) != jacobian_dims(f, S, D).per_degree:
+    if space is None or (counts := _hat_free_counts(space, S, D)) != \
+            jacobian_dims(f, S, D).per_degree:
         return None
-    degrees = [k for k in range(D + 1) for _ in S.layer(k)]
-    kernel, den = space.kernel(len(degrees))
-    P = _pack(list(kernel.values()), len(degrees), degree(field(f.m, beta.m)))
-    off = list(accumulate((len(S.layer(k)) for k in range(D + 1)), initial=0))
-    return ([_reduced([list(chain.from_iterable(part[t + a:t + b]
-                                                for t in range(0, len(part), off[-1])))
-                       for part in P], den) for a, b in zip(off, off[1:])],
-            [degrees[fc] for fc in kernel])
+    cuts = list(accumulate((len(S.layer(k)) for k in range(D + 1)), initial=0))
+    return (space.read(cuts, field(f.m, beta.m)),
+            [k for k, count in enumerate(counts) for _ in range(count)])
 
 
 def _twist(P, layer, bs, B, j, scale, m):
@@ -186,13 +165,13 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> GermStack:
         R = [_twist(P, layer, bB, B, j, X, m) for j in range(r)]
         rhs = [[list(chain.from_iterable(zip(*(Rj[s][t * w:(t + 1) * w] for Rj in R))))
                 for s in range(n)] for t in range(count)]
-        sols, kernel, d = solve_sparse(_image_rows(fm, S, k + 1), len(S.layer(k + 1)),
-                                       rhs, den * B, m)
-        if any(sol is None for sol in sols):
+        w1 = len(S.layer(k + 1))
+        (P1, d1), bad = solve_sparse(_image_rows(fm, S, k + 1), w1, rhs, den * B, m)
+        if bad:
             raise InconsistentSystem(
                 f"no extension at degree {k + 1}; nondegeneracy certificate wrong?")
-        layers.append(_reduced(_pack(sols + kernel, len(S.layer(k + 1)), n), d))
-        leading += [k + 1] * len(kernel)
+        layers.append((P1, d1))
+        leading += [k + 1] * (len(P1[0]) // w1 - count)
 
     # germs born above degree k are zero on layer k
     for k, (P, _) in enumerate(layers):

@@ -6,6 +6,7 @@ import copy
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 import pytest
@@ -519,12 +520,13 @@ def slot_values(obj):
 
 
 def assert_leading_degrees(stack):
-    """Every layer of a GermStack holds len(stack) germs, germ t is zero on
-    the layers below leading[t] and not on layer leading[t], and the leading
-    degrees ascend."""
+    """Every layer of a GermStack holds len(stack) germs in lowest terms over
+    a positive denominator, germ t is zero on the layers below leading[t] and
+    not on layer leading[t], and the leading degrees ascend."""
     S = stack.semigroup
-    for k, (P, _) in enumerate(stack.layers):
+    for k, (P, den) in enumerate(stack.layers):
         assert all(len(part) == len(stack) * len(S.layer(k)) for part in P)
+        assert den > 0 and gcd(den, *chain.from_iterable(P)) == 1
     assert stack.leading == sorted(stack.leading)
     for t, lead in enumerate(stack.leading):
         assert not any(stack.values(t, k) for k in range(lead))

@@ -16,7 +16,9 @@ st_curve, the Sturmfels-Takayama monomial curve (0, 1), (1, 1), (3, 1),
 (4, 1) at its classical jump point beta = (1, 2), written with the degree
 coordinate last, at a seeded x with every task: the first configuration
 in a problem file that is not normal, since (2, 1) lies in its cone but is
-no sum of its vectors.  A
+no sum of its vectors; and triangle_gap, its rank-3 kin (0, 0, 1),
+(1, 0, 1), (3, 0, 1), (0, 1, 1), which misses (2, 0, 1), at beta =
+(2, 0, 1) with every task.  A
 `--no-timings` report holds no float, so the files must match byte for byte.
 """
 
@@ -36,7 +38,7 @@ PROBLEMS = {name: cli.fixture_path(name) for name in FIXTURES}
 PROBLEMS.update({name: os.path.join(GOLDEN, f"{name}.problem.json")
                  for name in ("hexagon", "p3", "p2_z4", "p2_z4_cbeta", "p2_z4_spelled",
                               "hexagon_z2", "seg5_z3", "sweep144_z3", "square_z5",
-                              "st_curve")})
+                              "st_curve", "triangle_gap")})
 PROBLEMS["square_z3"] = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                                      "problems", "square_z3.json")
 

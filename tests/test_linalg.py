@@ -10,6 +10,7 @@ numpy's floating-point rank.
 import cmath
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
@@ -133,22 +134,23 @@ def apply(A, vec):
     return out
 
 
-def vector_values(parts, den):
-    """A solve_sparse or kernel vector over Q or Q(i), its parts over the
-    read's one denominator den, as {column: value}, after checking that it
-    holds nonzero numerators."""
-    re, im = parts[0], parts[1] if len(parts) > 1 else {}
-    assert all(re.values()) and all(im.values())
-    return {c: QQI(re.get(c, 0), im.get(c, 0), den)
-            for c in sorted(re.keys() | im.keys())}
+def vector_values(P, den, t, width):
+    """Germ t of a `RowSpace.read` layer (P, den) over Q or Q(i) on `width`
+    unknowns, as {column: value} of its nonzero values."""
+    re, im = P[0], P[1] if len(P) > 1 else [0] * len(P[0])
+    return {c: QQI(re[i], im[i], den)
+            for c, i in enumerate(range(t * width, (t + 1) * width)) if re[i] or im[i]}
 
 
-def as_values(sols, kernel, den):
-    """solve_sparse results with every vector as `vector_values` over the
-    one denominator den."""
-    assert type(den) is int and den > 0
-    return ([None if v is None else vector_values(v, den) for v in sols],
-            [vector_values(v, den) for v in kernel])
+def as_values(layer, width, nrhs=0, bad=()):
+    """(solutions, kernel) of a `RowSpace.read` layer on `width` unknowns:
+    germs 0..nrhs - 1 the solutions, None at the indices in bad, then the
+    kernel vectors, each as `vector_values`, after checking that the layer
+    is in lowest terms over its one denominator."""
+    P, den = layer
+    assert type(den) is int and den > 0 and gcd(den, *chain.from_iterable(P)) == 1
+    germs = [vector_values(P, den, t, width) for t in range(len(P[0]) // width)]
+    return [None if t in bad else v for t, v in enumerate(germs[:nrhs])], germs[nrhs:]
 
 
 def integer_system(rows, rhs_list):
@@ -180,7 +182,8 @@ def solve(rows, ncols, rhs_list):
         m, parts, d = numerators(b)
         cols.append((parts[0], parts[1] if m == 4 else None, d))
     rows, cols, d, m = integer_system(rows, cols)
-    return as_values(*solve_sparse(rows, ncols, cols, d, m))
+    layer, bad = solve_sparse(rows, ncols, cols, d, m)
+    return as_values(layer, ncols, len(cols), bad)
 
 
 class TestSolveSparse:
@@ -294,7 +297,7 @@ class ReferenceRowSpace:
 
 
 def reference_kernel(space, ncols):
-    """The kernel read off the reference space, as solve_sparse gives it."""
+    """The kernel read off the reference space, as `as_values` gives it."""
     R = space.rows
     pivots = sorted(p for p in R if p < ncols)
     kernel = []
@@ -307,7 +310,7 @@ def reference_kernel(space, ncols):
 
 
 def reference_solve(rows, ncols, rhs_list):
-    """solve_sparse read off the reference space."""
+    """solve_sparse read off the reference space, as `solve` gives it."""
     space = ReferenceRowSpace()
     for i, row in enumerate(rows):
         aug = dict(row)
@@ -370,7 +373,8 @@ class TestFractionFree:
         values = [[QQI(a, 0 if im is None else im[i], d) for i, a in enumerate(re)]
                   for re, im, d in cols]
         int_rows, int_cols, d, m = integer_system(rows, cols)
-        sols, kernel = as_values(*solve_sparse(int_rows, n, int_cols, d, m))
+        layer, bad = solve_sparse(int_rows, n, int_cols, d, m)
+        sols, kernel = as_values(layer, n, len(int_cols), bad)
         assert (sols, kernel) == reference_solve(rows, n, values)
         if rows:
             assert sols[-1] is not None and sols[-1] == sols[-2]
@@ -395,9 +399,39 @@ class TestFractionFree:
         for row in rows:
             add_values(again, row)
         assert not any(add_values(again, row) for row in rows)
-        kernel, den = space.kernel(n)
-        assert [vector_values(v, den) for v in kernel.values()] == reference_kernel(ref, n)
+        [layer] = space.read([0, n], space.m)
+        assert as_values(layer, n)[1] == reference_kernel(ref, n)
         assert solve(rows, n, rhs) == reference_solve(rows, n, rhs)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    @given(system=systems(), data=st.data())
+    def test_ranges_read_as_slices(self, m, system, data):
+        """A read with random cuts gives per range that range's slice of a
+        one-range read, as values and in lowest terms, over Q (the real parts
+        of the draw) and over Q(i), and keeps no row pivoting inside a read
+        range."""
+        rows, n, rhs = system
+        if m == 1:
+            rows = [{j: QQI(v).real for j, v in row.items()} for row in rows]
+            rhs = [[QQI(v).real for v in b] for b in rhs]
+        cuts = [0, *sorted(data.draw(st.sets(st.integers(1, n - 1)))), n] if n > 1 else [0, n]
+
+        def fresh():
+            space = RowSpace()
+            for i, row in enumerate(rows):
+                add_values(space, {**row, **{n + t: b[i] for t, b in enumerate(rhs) if b[i]}})
+            return space
+
+        sols, kernel = as_values(fresh().read([0, n], m, len(rhs))[0], n, len(rhs))
+        space = fresh()
+        layers = space.read(cuts, m, len(rhs))
+        assert not [q for q in space.rows if q < space.n * n]
+        assert len(layers) == len(cuts) - 1
+        for a, b, layer in zip(cuts, cuts[1:], layers):
+            assert len(layer[0]) == degree(m)
+            assert as_values(layer, b - a, len(rhs)) == tuple(
+                [{c - a: v for c, v in germ.items() if a <= c < b} for germ in germs]
+                for germs in (sols, kernel))
 
     def test_realified_readers(self):
         """A space of real rows meets (1 + i, 1): each real row becomes two,
@@ -412,10 +446,10 @@ class TestFractionFree:
         space = fresh()
         assert (space.m, space.n, len(space.rows)) == (4, 2, 4)
         assert (space.rank, space.pivots) == (2, [1, 2])
-        kernel, den = space.kernel(3)
-        assert {fc: vector_values(v, den) for fc, v in kernel.items()} == \
-            {0: {0: QQI_ONE, 1: -QQI(1, 1), 2: QQI(-1, 0, 3)}}
-        assert space.kernel(3) == ({0: [{0: 3, 1: -3, 2: -1}, {1: -3}]}, 3)
+        [layer] = space.read([0, 3], 4)
+        assert as_values(layer, 3)[1] == [{0: QQI_ONE, 1: -QQI(1, 1), 2: QQI(-1, 0, 3)}]
+        # a read drops the rows it read, so the second one reads a fresh space
+        assert fresh().read([0, 3], 4) == [([[3, -3, -1], [0, -3, 0]], 3)]
         assert not add_values(fresh(), {0: QQI(3, 4), 1: 3, 2: QQI(0, 3)})
         assert add_values(fresh(), {0: QQI(0, 1)})
 
@@ -530,8 +564,12 @@ class TestRestrictionOfScalars:
                 for c in range(ncols):
                     v = mul([part.get(c, 0) for part in row], xs[c], m)
                     b[i] = [u + w for u, w in zip(b[i], v)]
-            sols, kernel, den = solve_sparse([[dict(part) for part in row] for row in rows],
-                                             ncols, [list(zip(*b)) or [[]]], 1, m)
+            (P, den), bad = solve_sparse([[dict(part) for part in row] for row in rows],
+                                         ncols, [list(zip(*b)) or [[]]], 1, m)
+            assert bad == []
+            germs = [[dict(enumerate(part[t * ncols:(t + 1) * ncols])) for part in P]
+                     for t in range(len(P[0]) // ncols)]
+            sols, kernel = germs[:1], germs[1:]
             assert len(kernel) == ncols - rank
             for parts in [sols[0], *kernel]:
                 for i, row in enumerate(rows):

@@ -9,12 +9,13 @@ parts of the v_i and to beta, with the resolved x given as explicit values.
 At integer beta, resonant ones included, the better-behaved system keeps
 rank vol * |N_tors| (Borisov-Horja, arXiv:1011.5720), where the classical
 GKZ rank of a configuration that is not normal, such as the
-Sturmfels-Takayama curve, jumps.
+Sturmfels-Takayama curve or the rank-3 triangle_gap, jumps.
 """
 
 import json
 import os
 import random
+from itertools import product
 
 import pytest
 
@@ -97,10 +98,12 @@ def test_unimodular_change_of_basis(name, tmp_path):
 
 # (problem, integer beta): the ST curve at beta_1 in -2..4 and beta_2 in
 # -1..2, around its classical jump point (2, 1) (degree coordinate last),
-# and square_z5 and p2_z4 at 0 and at each +-e_j
+# square_z5 and p2_z4 at 0 and at each +-e_j, and triangle_gap, a rank-3
+# configuration that is not saturated, at every point of {-1, 0, 1}^3
 INTEGER_BETAS = [("st_curve", (a, b)) for a in range(-2, 5) for b in range(-1, 3)] + [
     (name, beta) for name in ("square_z5", "p2_z4")
-    for beta in [(0, 0, 0), (-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)]]
+    for beta in [(0, 0, 0), (-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)]
+] + [("triangle_gap", beta) for beta in product((-1, 0, 1), repeat=3)]
 
 
 @pytest.mark.parametrize("name, beta", INTEGER_BETAS,
