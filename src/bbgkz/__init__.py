@@ -9,8 +9,7 @@ batch runner (`cli`).
 from .abelian import (AbelianGroup, Character, DualElement, GroupElement,
                       NoDegreeFunctional, NotSpanning, char_value, pair,
                       validate_data)
-from .polyhedral import (Cone, GradedSemigroup, KPrimGuardError, NotPointed,
-                         build_semigroup, k_prim)
+from .polyhedral import Cone, GradedSemigroup, NotPointed, build_semigroup, k_prim
 from .ring import (DimReport, FVector, NondegeneracyRetriesExhausted, certifies,
                    hat_quotient_dims, hat_restriction_rank, is_nondegenerate,
                    jacobian_dims, r1_dims, random_rational_x)

@@ -11,7 +11,6 @@ row-echelon facts over Z, read off one Hermite routine.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import prod
 
 
@@ -112,7 +111,7 @@ class GroupElement:
                 and (self.group is other.group or self.group == other.group))
 
     def __repr__(self):
-        """(free;torsion), as ResidualTooLarge and KPrimGuardError print it."""
+        """(free;torsion), as ResidualTooLarge prints it."""
         if self.torsion:
             return f"({','.join(map(str, self.free))};{','.join(map(str, self.torsion))})"
         return f"({','.join(map(str, self.free))})"
@@ -141,14 +140,14 @@ def pair(mu: DualElement, v: GroupElement) -> int:
     return sum(m * x for m, x in zip(mu.free_covector, v.free))
 
 
-def char_value(rho: Character, v: GroupElement) -> Fraction:
-    """Value of a torsion character on an element, as the reduced Fraction t
-    in [0, 1) with rho(v) = exp(2 pi i t) (linalg.root_of_unity gives its
-    parts)."""
-    t = Fraction(0)
-    for e, a, d in zip(rho.torsion_exponents, v.torsion, rho.group.torsion_invariants):
-        t += Fraction(e * a, d)
-    return t % 1
+def char_value(rho: Character, v: GroupElement) -> tuple[int, int]:
+    """Value of a torsion character on an element, as (k, E) with
+    rho(v) = exp(2 pi i k / E), 0 <= k < E, E the exponent of the torsion
+    part, its last invariant factor (1 without torsion), which every other
+    one divides; linalg.root_of_unity gives its parts."""
+    inv = rho.group.torsion_invariants
+    E = inv[-1] if inv else 1
+    return sum(e * a * (E // d) for e, a, d in zip(rho.torsion_exponents, v.torsion, inv)) % E, E
 
 
 def hermite(M):

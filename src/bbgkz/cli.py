@@ -10,7 +10,6 @@ as a failed `<task>_completed` check.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import functools
 import json
@@ -20,11 +19,10 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 
 from .abelian import AbelianGroup, NoDegreeFunctional, NotSpanning
-from .linalg import galois
-from .polyhedral import KPrimGuardError, build_semigroup, k_prim
+from .linalg import common, galois
+from .polyhedral import build_semigroup, k_prim
 from .ring import (FVector, NondegeneracyRetriesExhausted, certifies, hat_quotient_dims,
                    hat_restriction_rank, is_nondegenerate, jacobian_dims, r1_dims,
                    random_rational_x)
@@ -117,30 +115,39 @@ def _schema_error(name, doc):
 RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 
-def parse_rational(s) -> Fraction:
+def parse_rational(s):
+    """The integer (numerator, denominator) of a 'p' or 'p/q' string, as
+    written: q is 1 for 'p', and never 0."""
     if not isinstance(s, str) or not RATIONAL_RE.match(s):
         raise ProblemError(f"bad rational {s!r}: expected 'p' or 'p/q'")
+    p, _, q = s.partition("/")
     try:
-        return Fraction(s)
-    except ZeroDivisionError as e:
-        raise ProblemError(f"bad rational {s!r}: {e}")
+        p, q = int(p), int(q or 1)
+    except ValueError:  # more digits than int() reads
+        raise ProblemError(f"bad rational of {len(s)} characters: too many digits")
+    if not q:
+        raise ProblemError(f"bad rational {s!r}: zero denominator")
+    return p, q
 
 
 def parse_scalar(v):
-    """Scalar from JSON: a Fraction from a 'p/q' string, the Fractions
-    (re, im) from {'re': 'p/q', 'im': 'p/q'}, at least one of the two."""
+    """Scalar from JSON as the (numerator, denominator) pairs of its parts,
+    which `linalg.common` reads: (re,) from a 'p/q' string, (re, im) from
+    {'re': 'p/q', 'im': 'p/q'}, at least one of the two."""
     if isinstance(v, dict):
         if not v.keys() & {"re", "im"}:
             raise ProblemError(f"bad scalar {v!r}: expected 're' or 'im'")
         return parse_rational(v.get("re", "0")), parse_rational(v.get("im", "0"))
-    return parse_rational(v)
+    return (parse_rational(v),)
 
 
-def format_scalar(v):
-    """A Fraction, or the Fraction parts (re,) or (re, im) of a value of Q or
-    Q(i), as JSON: 'p/q' when real, else {'re': 'p/q', 'im': 'p/q'}."""
-    re, im = (*v, 0)[:2] if isinstance(v, tuple) else (v, 0)
-    return {"re": str(re), "im": str(im)} if im else str(re)
+def format_scalar(parts, den):
+    """The value of Q or Q(i) with integer parts (re,) or (re, im) over
+    den > 0 as JSON, each part in lowest terms as 'p/q', or 'p' when q is 1:
+    a string when real, else {'re': 'p/q', 'im': 'p/q'}."""
+    re, im = (str(a // g) if (g := math.gcd(a, den)) == den else f"{a // g}/{den // g}"
+              for a in (*parts, 0)[:2])
+    return {"re": re, "im": im} if im != "0" else re
 
 
 def format_element(c):
@@ -169,7 +176,7 @@ class ProblemSpec:
         self.vectors = tuple(
             self.group.element(v["free"], v.get("torsion", ()))
             for v in data["vectors"])
-        self.beta = FVector([parse_scalar(b) for b in data["beta"]])
+        self.beta = FVector.of(*common([parse_scalar(b) for b in data["beta"]]))
         if len(self.beta) != self.group.rank:
             raise ProblemError("beta length must equal the free rank")
         self.x_policy = data["x_policy"]
@@ -184,7 +191,7 @@ class ProblemSpec:
         if pol["mode"] == "explicit":
             if len(pol["values"]) != len(self.vectors):
                 raise ProblemError("explicit x has wrong length")
-            f = FVector([parse_scalar(v) for v in pol["values"]])
+            f = FVector.of(*common([parse_scalar(v) for v in pol["values"]]))
             ok, dims = is_nondegenerate(f, S)
             if not ok:
                 raise ProblemError(
@@ -262,7 +269,7 @@ def _task_solve(spec, S, f, D, report, checks, jac):
     tables = []
     for t, k in enumerate(basis.leading):
         # a layer is in lexicographic order of the free part, torsion innermost
-        lead = [[format_element(S.layer(k)[p]), format_scalar(v)]
+        lead = [[format_element(S.layer(k)[p]), format_scalar(v, basis.layers[k][1])]
                 for p, v in basis.values(t, k).items()]
         tables.append({"leading_degree": k, "leading_entries": lead})
     report["solution_basis"] = {
@@ -391,8 +398,7 @@ def run(problem_path, tasks=None, seed=None, truncation=None,
         "problem": spec.raw,
         "tasks_run": list(task_list),
         "truncation": D,
-        "base_point": [format_scalar(tuple(Fraction(a, f.den) for a in v))
-                       for v in zip(*f.parts)],
+        "base_point": [format_scalar(v, f.den) for v in zip(*f.parts)],
         "nondegeneracy": {
             "total": x_dims.total,
             "expected_total": sum(S.h_star),
@@ -419,7 +425,7 @@ def run(problem_path, tasks=None, seed=None, truncation=None,
             elif task == "residuals":
                 _task_residuals(spec, S, f, D, report, checks, basis)
             times[task] = round(time.monotonic() - t0, 4)
-    except (InconsistentSystem, DegenerateQuotient, ResidualTooLarge, KPrimGuardError) as e:
+    except (InconsistentSystem, DegenerateQuotient, ResidualTooLarge) as e:
         _check(checks, f"{task}_completed", False, error=f"{type(e).__name__}: {e}")
     report["checks"] = checks
     report["all_passed"] = all(c["passed"] for c in checks)
@@ -475,6 +481,7 @@ def fixture_path(name):
 
 
 def main(argv=None):
+    import argparse  # here alone: a library run needs no argument parser
     parser = argparse.ArgumentParser(
         prog="bbgkz",
         description="Analyze a hypergeometric problem file and emit a JSON report.")

@@ -4,8 +4,10 @@ A value of Q(zeta_m) is phi(m) integer numerators over one denominator, its
 coordinates in the power basis 1, zeta, ..., zeta^(phi(m) - 1): Q (m = 1)
 has one part, Q(i) (m = 4) the real and the imaginary one.  Products,
 embeddings, Galois images and roots of unity read one power table, reduced
-mod Phi_m.  Problem files parse to Fractions, a pair (re, im) of them for a
-value of Q(i), which `numerators` brings to that form.
+mod Phi_m.  Problem files parse to integer (numerator, denominator) pairs, one
+per part (re,) or (re, im) of a value of Q or Q(i), which `common` brings to
+that form; `numerators` does the same for values that carry their own
+integer numerator and denominator, as Python's ints and rationals do.
 
 RowSpace is the one elimination kernel.  It reduces integer rows
 fraction-free (Bareiss), one content pass per row update, and rows over
@@ -22,7 +24,6 @@ kernel of a hat space, and `polyhedral` the normal of a facet.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, inf, lcm
 from operator import add, mul as mul_
@@ -89,13 +90,13 @@ def mul(a, b, m):
     return _apply(*zip(*terms), m) if terms else [0] * degree(m)
 
 
-def root_of_unity(t, m):
-    """The parts of exp(2 pi i t) in Q(zeta_m), for a rational t whose
+def root_of_unity(k, E, m):
+    """The parts of exp(2 pi i k / E) in Q(zeta_m), for k / E whose reduced
     denominator divides m, or 2m for odd m."""
-    n = t * 2 * m
-    if n.denominator != 1:
-        raise ValueError(f"exp(2 pi i {t}) is not in Q(zeta_{m})")
-    T, n = powers(m), int(n)
+    n, rest = divmod(2 * m * k, E)
+    if rest:
+        raise ValueError(f"exp(2 pi i {k}/{E}) is not in Q(zeta_{m})")
+    T = powers(m)
     return list(T[n // 2 % m]) if n % 2 == 0 else [-v for v in T[(n + m) // 2 % m]]
 
 
@@ -117,7 +118,7 @@ def _apply(parts, images, m):
 
 def embed(parts, m, L):
     """The parts in Q(zeta_L) of a value of its subfield Q(zeta_m), m | L."""
-    return _apply(parts, [root_of_unity(Fraction(j, m), L) for j in range(len(parts))], L)
+    return _apply(parts, [root_of_unity(j, m, L) for j in range(len(parts))], L)
 
 
 def galois(parts, a, m):
@@ -126,15 +127,23 @@ def galois(parts, a, m):
     return _apply(parts, [T[a * j % m] for j in range(len(parts))], m)
 
 
-def numerators(values):
-    """(m, parts, den) of rational values and (re, im) pairs of them (or any
-    value with rational .real and .imag): m = 4 if one is not real, else 1,
-    and parts[s][i] / den the part s of values[i], den the lcm of their
-    denominators."""
-    pairs = [v if isinstance(v, tuple) else (v.real, v.imag) for v in values]
-    den = lcm(*(q.denominator for v in pairs for q in v))
-    parts = [[v[s].numerator * (den // v[s].denominator) for v in pairs] for s in (0, 1)]
+def common(values):
+    """(m, parts, den) of values given as the (numerator, denominator) pairs
+    of their parts, (re,) or (re, im), denominators nonzero: m = 4 if one is
+    not real, else 1, and parts[s][i] / den the part s of values[i], den the
+    lcm of the denominators."""
+    den = lcm(*(q for v in values for _, q in v))
+    parts = [[p * (den // q) for p, q in (v[s] if s < len(v) else (0, 1) for v in values)]
+             for s in (0, 1)]
     return (4, parts, den) if any(parts[1]) else (1, parts[:1], den)
+
+
+def numerators(values):
+    """`common` of rational values and (re, im) pairs of them, or of any
+    value whose .real and .imag have an integer .numerator and
+    .denominator, as Python's ints and rationals do."""
+    return common([tuple((q.numerator, q.denominator) for q in
+                         (v if isinstance(v, tuple) else (v.real, v.imag))) for v in values])
 
 
 class RowSpace:

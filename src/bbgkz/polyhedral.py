@@ -23,10 +23,6 @@ class NotPointed(ValueError):
     """The generated cone contains a line."""
 
 
-class KPrimGuardError(RuntimeError):
-    """New primitive elements appeared beyond the expected degree bound."""
-
-
 class Cone:
     __slots__ = ("generators", "facet_normals")
 
@@ -231,23 +227,13 @@ def build_semigroup(N: AbelianGroup, A) -> GradedSemigroup:
 
 
 def k_prim(S: GradedSemigroup):
-    """The finite set of c in K with c - v_i outside K for every i.
-
-    Scans degrees 0..rank and then checks two more degrees to confirm no
-    primitive element was missed; raises KPrimGuardError if the finiteness
-    bound assumption fails.  Computed once and cached on S.
-    """
-    found = S._images.get("k_prim")
-    if found is not None:
-        return found
+    """The finite set of c in K with c - v_i outside K for every i, in
+    degrees 0..rank - 1.  By Caratheodory the free part of c of degree
+    k >= rank is sum_i a_i v_i over rank independent v_i, a_i >= 0 summing to
+    k, so some a_i >= 1 and c - v_i lies in K: no degree above is scanned."""
     found = []
-    for k in range(S.rank + 3):
+    for k in range(S.rank):
         # c - v_i lies in K iff c = c' + v_i for a c' of the layer below
         reducible = set(chain.from_iterable(S.shift(k - 1))) if k else ()
-        primitive = [c for q, c in enumerate(S.layer(k)) if q not in reducible]
-        if k > S.rank and primitive:
-            raise KPrimGuardError(
-                f"primitive elements at degree {k} exceed the degree bound: {primitive}")
-        found.extend(primitive)
-    found = S._images["k_prim"] = tuple(found)
-    return found
+        found.extend(c for q, c in enumerate(S.layer(k)) if q not in reducible)
+    return tuple(found)

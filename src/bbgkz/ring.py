@@ -10,32 +10,31 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from types import SimpleNamespace
 
-from .linalg import RowSpace, degree, embed, field, galois, numerators
+from .linalg import RowSpace, common, degree, embed, field, galois, numerators
 from .polyhedral import GradedSemigroup
 
 class NondegeneracyRetriesExhausted(RuntimeError):
     """No nondegenerate coefficient vector found within the retry cap."""
 
 
-def _gaussian(re, im=0):
-    """The value re + im i of Q(i), re and im rational, as canonical
-    SimpleNamespace(a, b, d), (a + b i)/d with gcd(a, b, d) = 1: the view
-    that perfbench's tracer reads off `FVector[i]` and `GermStack.tables`."""
-    d = lcm(re.denominator, im.denominator)
-    return SimpleNamespace(a=re.numerator * (d // re.denominator),
-                           b=im.numerator * (d // im.denominator), d=d)
+def _gaussian(parts, d):
+    """The value of Q(i) with integer parts (re,) or (re, im) over d > 0 as
+    SimpleNamespace(a, b, d), (a + b i)/d with gcd(a, b, d) = 1: the view that
+    perfbench's tracer reads off `FVector[i]` and `GermStack.tables`."""
+    a, b = (*parts, 0)[:2]
+    g = gcd(a, b, d)
+    return SimpleNamespace(a=a // g, b=b // g, d=d // g)
 
 
 class FVector:
     """A vector over Q(zeta_m) as integer numerators: part s of entry i is
     parts[s][i] / den, den their least common denominator; a rational vector
     has m = 1 and one part.  It holds the coefficients x of f = sum x_i [v_i],
-    or beta.  Built from rational values and (re, im) pairs of them, as
-    problem files parse, or from numerators by `of`; equal vectors have equal
+    or beta.  Built from values (`linalg.numerators`), or from numerators by
+    `of` as problem files parse (`linalg.common`); equal vectors have equal
     numerators, which the caches on a semigroup key on."""
 
     __slots__ = ("m", "parts", "den", "key")
@@ -72,7 +71,7 @@ class FVector:
         perfbench's tracer iterates base points through it."""
         if self.m not in (1, 4):
             raise ValueError(f"entries of Q(zeta_{self.m}) are not in Q(i)")
-        return _gaussian(*(Fraction(part[i], self.den) for part in self.parts))
+        return _gaussian([part[i] for part in self.parts], self.den)
 
     def _map(self, fn, m):
         """The vector over Q(zeta_m) whose parts fn makes of these, as lists."""
@@ -304,8 +303,8 @@ def random_rational_x(S: GradedSemigroup, seed=0, denominator_bound=4):
         for _ in range(n):
             num = rng.randint(1, 9) * rng.choice((1, -1))
             den = rng.randint(1, denominator_bound)
-            vals.append(Fraction(num, den))
-        f = FVector(tuple(vals))
+            vals.append(((num, den),))
+        f = FVector.of(*common(vals))
         ok, dims = is_nondegenerate(f, S)
         if ok:
             return f, dims

@@ -34,7 +34,6 @@ value as phi(m) integer parts (linalg).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
 from operator import add, mul as times, sub
@@ -80,19 +79,20 @@ class GermStack:
 
     def values(self, t, k):
         """{p: value} of the nonzero entries of germ t on layer k, each the
-        tuple of its Fraction parts over Q(zeta_m): (re,) over Q, (re, im)
-        over Q(i)."""
-        (parts, den), w = self.layers[k], len(self.semigroup.layer(k))
+        tuple of its integer parts over Q(zeta_m), over the den of
+        layers[k]: (re,) over Q, (re, im) over Q(i)."""
+        parts, w = self.layers[k][0], len(self.semigroup.layer(k))
         cols = zip(*(part[t * w:(t + 1) * w] for part in parts))
-        return {p: tuple(Fraction(a, den) for a in v) for p, v in enumerate(cols) if any(v)}
+        return {p: v for p, v in enumerate(cols) if any(v)}
 
     @property
     def tables(self):
         """Per germ, `entries` {(k, p): value} of its nonzero values, over Q
-        and Q(i) as `ring._gaussian` gives them, else the parts: no report
+        and Q(i) as `ring._gaussian` gives them, else (parts, den): no report
         reads it, but perfbench's tracer reads coefficient sizes off it."""
         view = _gaussian if self.m in (1, 4) else lambda *v: v
-        return [SimpleNamespace(entries={(k, p): view(*v) for k in range(self.truncation + 1)
+        return [SimpleNamespace(entries={(k, p): view(v, self.layers[k][1])
+                                         for k in range(self.truncation + 1)
                                          for p, v in self.values(t, k).items()})
                 for t in range(len(self))]
 

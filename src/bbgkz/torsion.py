@@ -79,7 +79,7 @@ def p_rho(rho: Character, x, Q: QuotientProblem) -> FVector:
     z = [[0] * len(Q.index_sets) for _ in xs]
     for j, idxs in enumerate(Q.index_sets):
         for i in idxs:
-            value = root_of_unity(char_value(rho, Q.source_vectors[i]), m)
+            value = root_of_unity(*char_value(rho, Q.source_vectors[i]), m)
             for part, v in zip(z, mul(value, [part[i] for part in xs], m)):
                 part[j] += v
     return FVector.of(m, z, X)
@@ -117,7 +117,7 @@ def lift_and_verify(psi: GermStack, rho: Character, x, S: GradedSemigroup):
     if psi.base_x != p_rho(rho, x, Q):
         raise ValueError("psi base point does not match p_rho(x)")
     m = field(psi.m, x.m, _order(rho))
-    chars = [root_of_unity(char_value(rho, t), m) for t in S.group.torsion_elements()]
+    chars = [root_of_unity(*char_value(rho, t), m) for t in S.group.torsion_elements()]
     layers = []
     for k, layer in enumerate(psi.layers):
         if Q.semigroup.free_layer(k) != S.free_layer(k):

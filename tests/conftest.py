@@ -23,7 +23,7 @@ class QQI:
     (a + b*i)/d with integer a, b and d > 0, kept canonical (gcd(a, b, d) ==
     1), with the field arithmetic of Q(i), which the package does on integer
     parts instead.  QQI(a, b, d) takes ints, QQI(re, im) Fractions, and
-    QQI((re, im)) the pair that `cli.parse_scalar` gives for an object.
+    QQI((re, im)) a pair of them.
     Mixed arithmetic with int and Fraction gives a QQI; equality compares
     values, and a real value hashes as its Fraction."""
 
@@ -144,9 +144,12 @@ QQI_ZERO, QQI_ONE, QQI_I = QQI(0), QQI(1), QQI(0, 1)
 
 
 def qqi_values(stack, t, k):
-    """GermStack.values with its values over Q and Q(i) as QQIs, over
-    another field as the tuple of their Fraction parts."""
-    return {p: QQI(*v) if stack.m in (1, 4) else v for p, v in stack.values(t, k).items()}
+    """GermStack.values, integer parts over the den of layer k, with its
+    values over Q and Q(i) as QQIs, over another field as the tuple of their
+    Fraction parts."""
+    den = stack.layers[k][1]
+    return {p: QQI(*(*v, 0)[:2], den) if stack.m in (1, 4) else
+            tuple(Fraction(a, den) for a in v) for p, v in stack.values(t, k).items()}
 
 
 def qqi_entries(vec):

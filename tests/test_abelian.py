@@ -89,29 +89,38 @@ class TestPairing:
 
 
 def value(t, m):
-    """The parts of exp(2 pi i t) in Q(zeta_m)."""
-    return root_of_unity(t, m)
+    """The parts of exp(2 pi i t) in Q(zeta_m), t a Fraction."""
+    return root_of_unity(t.numerator, t.denominator, m)
+
+
+def char_fraction(rho, c):
+    """char_value (k, E) as the Fraction k / E, after checking 0 <= k < E
+    and that E is the exponent of the torsion part."""
+    k, E = char_value(rho, c)
+    inv = rho.group.torsion_invariants
+    assert 0 <= k < E == (inv[-1] if inv else 1)
+    return Fraction(k, E)
 
 
 class TestCharacters:
     def test_z2_nontrivial_value(self):
         N = AbelianGroup(0, (2,))
         rho = N.character((1,))
-        t = char_value(rho, N.element((), (1,)))
+        t = char_fraction(rho, N.element((), (1,)))
         assert t == Fraction(1, 2)
         assert value(t, field(2)) == [-1]
 
     def test_z4_exponent_one_on_three(self):
         N = AbelianGroup(0, (4,))
         rho = N.character((1,))
-        t = char_value(rho, N.element((), (3,)))
+        t = char_fraction(rho, N.element((), (3,)))
         assert t == Fraction(3, 4)
         assert value(t, 4) == [0, -1]
 
     def test_trivial_character(self):
         N = AbelianGroup(1, (3,))
         rho = N.character((0,))
-        t = char_value(rho, N.element((5,), (2,)))
+        t = char_fraction(rho, N.element((5,), (2,)))
         assert t == 0 and value(t, 3) == [1, 0]
 
     @pytest.mark.parametrize("invariants", [(2,), (3,), (4,), (2, 2), (2, 6)])
@@ -123,7 +132,7 @@ class TestCharacters:
         chars = N.characters()
         elems = N.torsion_elements()
         assert len(chars) == G and len(elems) == G
-        T = [[char_value(rho, c) for c in elems] for rho in chars]
+        T = [[char_fraction(rho, c) for c in elems] for rho in chars]
         for i in range(G):
             for j in range(G):
                 s = [sum(v) for v in zip(*(value(a - b, m) for a, b in zip(T[i], T[j])))]
@@ -133,7 +142,7 @@ class TestCharacters:
         N = AbelianGroup(0, (8,))
         rho = N.character((3,))
         a, b = N.element((), (5,)), N.element((), (6,))
-        ta, tb, tab = (char_value(rho, c) for c in (a, b, a + b))
+        ta, tb, tab = (char_fraction(rho, c) for c in (a, b, a + b))
         assert (ta + tb) % 1 == tab
         assert mul(value(ta, 8), value(tb, 8), 8) == value(tab, 8)
 

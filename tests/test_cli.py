@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from bbgkz import cli, ring, solver
 from bbgkz.abelian import AbelianGroup
-from bbgkz.polyhedral import KPrimGuardError, build_semigroup
-from bbgkz.ring import DimReport, FVector
+from bbgkz.linalg import common
+from bbgkz.polyhedral import build_semigroup
+from bbgkz.ring import DimReport, FVector, NondegeneracyRetriesExhausted
 from bbgkz.solver import InconsistentSystem
 from bbgkz.torsion import DegenerateQuotient, ResidualTooLarge, p_rho
 from conftest import QQI, assert_stacks_equal, replaced
@@ -43,14 +44,53 @@ BASE_PROBLEM = {
 FIXTURES = ["z2_example", "ex51", "ex52", "p1", "p2", "square_z2", "repeated", "g3_torsion"]
 
 
+def reformat(scalar):
+    """A JSON scalar parsed and written back, over the lcm of its part's
+    denominators."""
+    m, parts, den = common([cli.parse_scalar(scalar)])
+    return cli.format_scalar([part[0] for part in parts], den)
+
+
 class TestScalarSerialization:
     def test_rational_round_trip(self):
         s = cli.parse_scalar("-7/3")
-        assert cli.format_scalar(s) == "-7/3"
+        assert s == ((-7, 3),)
+        assert cli.format_scalar((-7,), 3) == reformat("-7/3") == "-7/3"
 
     def test_gaussian_round_trip(self):
         s = cli.parse_scalar({"re": "1/2", "im": "-2"})
-        assert cli.format_scalar(s) == {"re": "1/2", "im": "-2"}
+        assert s == ((1, 2), (-2, 1))
+        assert cli.format_scalar((1, -4), 2) == reformat({"re": "1/2", "im": "-2"}) \
+            == {"re": "1/2", "im": "-2"}
+
+    def test_lowest_terms(self):
+        """Parts are written in lowest terms, over a den they need not share
+        a factor with, as str(Fraction) writes them."""
+        assert cli.parse_scalar("-06/04") == ((-6, 4),)
+        assert reformat("-06/04") == "-3/2" and reformat("0/7") == "0"
+        assert cli.format_scalar((6, 0), 4) == "3/2"
+        assert cli.format_scalar((0, -8), 6) == {"re": "0", "im": "-4/3"}
+
+    @pytest.mark.parametrize("scalar", ["3/0", "-0/00", {"re": "1", "im": "2/0"}])
+    def test_zero_denominator(self, scalar):
+        with pytest.raises(cli.ProblemError) as err:
+            cli.parse_scalar(scalar)
+        bad = scalar["im"] if isinstance(scalar, dict) else scalar
+        assert str(err.value) == f"bad rational {bad!r}: zero denominator"
+
+    @pytest.mark.parametrize("field", ["beta", "x"])
+    @pytest.mark.parametrize("text, error", [
+        ("3/0", "bad rational '3/0': zero denominator"),
+        ("1" * 5000, "bad rational of 5000 characters: too many digits")],
+        ids=["zero_denominator", "too_many_digits"])
+    def test_bad_rational_exits_2(self, field, text, error, tmp_path):
+        """A zero denominator, or more digits than int() reads, in beta or in
+        an explicit x value is bad input, reported without the name of a
+        Python class or the digits."""
+        data = dict(BASE_PROBLEM, beta=[text]) if field == "beta" else dict(
+            BASE_PROBLEM, x_policy={"mode": "explicit", "values": [text]})
+        report, code = cli.run(write_problem(tmp_path, data), timings=False)
+        assert (code, report) == (2, {"error": f"ProblemError: {error}"})
 
     def test_bad_rational(self):
         with pytest.raises(cli.ProblemError):
@@ -60,7 +100,7 @@ class TestScalarSerialization:
         """A scalar object needs 're' or 'im'; either alone is enough."""
         with pytest.raises(cli.ProblemError, match="expected 're' or 'im'"):
             cli.parse_scalar({})
-        assert cli.format_scalar(cli.parse_scalar({"im": "2"})) == {"re": "0", "im": "2"}
+        assert reformat({"im": "2"}) == {"re": "0", "im": "2"}
 
     @pytest.mark.parametrize("field", ["beta", "x"])
     def test_empty_object_exits_2(self, field, tmp_path):
@@ -109,12 +149,12 @@ class TestScalarRoundTrip:
     def test_format_is_canonical(self, scalar):
         text, q = scalar
         want = {"re": str(q.real), "im": str(q.imag)} if q.imag else str(q.real)
-        assert cli.format_scalar(cli.parse_scalar(text)) == want
+        assert reformat(text) == want
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.lists(spelled_scalars(), min_size=1, max_size=4))
     def test_fvector_of_parsed_values(self, scalars):
-        parsed = FVector([cli.parse_scalar(text) for text, _ in scalars])
+        parsed = FVector.of(*common([cli.parse_scalar(text) for text, _ in scalars]))
         assert parsed.key == FVector([q for _, q in scalars]).key
 
 
@@ -339,6 +379,22 @@ class TestValidationErrors:
             runs.append((code, report))
         assert runs[0] == runs[1] and runs[0][0] == 0
 
+    def test_retries_exhausted(self, monkeypatch):
+        """A seeded x that no draw certifies is bad input: exit 2 with the
+        whole error of random_rational_x, which gets the seed and bound."""
+        calls = []
+
+        def exhausted(S, seed, denominator_bound):
+            calls.append((seed, denominator_bound))
+            raise NondegeneracyRetriesExhausted(
+                f"no nondegenerate x within {ring.MAX_RETRIES} draws (seed {seed})")
+
+        monkeypatch.setattr(cli, "random_rational_x", exhausted)
+        report, code = cli.run(cli.fixture_path("square_z2"), seed=7, timings=False)
+        assert (code, report, calls) == (2, {"error": "NondegeneracyRetriesExhausted: no "
+                                                      "nondegenerate x within 16 draws "
+                                                      "(seed 7)"}, [(7, 4)])
+
     def test_unknown_task(self):
         report, code = cli.run(cli.fixture_path("ex51"), tasks=["bogus"])
         assert code == 2
@@ -352,6 +408,29 @@ class TestValidationErrors:
         assert code == 2
 
 
+class TestExitCodeContract:
+    """README's exit codes are the whole contract: on schema-valid problems,
+    cli.run returns 0, 2 or 3 and raises nothing."""
+
+    def test_schema_valid_mutants(self, tmp_path):
+        """300 schema-valid seeded mutations of the fixtures, with the
+        property names of the problem schema and one it lacks as new keys."""
+        schema = cli._load_schema("problem.schema.json")
+        keys = sorted({k for sub in _subschemas(schema) for k in sub.get("properties", {})})
+        texts = [json.dumps(read(cli.fixture_path(name))) for name in FIXTURES]
+        rng, codes = random.Random(31), set()
+        path = tmp_path / "mutant.json"
+        for _ in range(300):
+            while not cli._valid(schema, doc := _mutant(rng.choice(texts), rng, keys + ["extra"]),
+                                 schema):
+                pass
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            report, code = cli.run(str(path), timings=False)
+            assert code in (0, 2, 3), (doc, report)
+            codes.add(code)
+        assert codes >= {0, 2}
+
+
 class TestFailedComputation:
     """Errors the theory rules out are failed checks with exit code 3."""
 
@@ -359,7 +438,6 @@ class TestFailedComputation:
         (InconsistentSystem, "solve_recursion", "ex51", "solve"),
         (DegenerateQuotient, "lift_and_verify", "g3_torsion", "lift"),
         (ResidualTooLarge, "lift_and_verify", "g3_torsion", "lift"),
-        (KPrimGuardError, "k_prim", "ex51", "analyze"),
     ])
     def test_exit_code_three(self, tmp_path, monkeypatch, error, target, fixture, task):
         def fail(*args, **kwargs):
@@ -749,6 +827,36 @@ class TestMain:
         dataclasses imports: both cost start-up and no run needs them."""
         (codes, imported), _ = fresh_run
         assert (codes, imported["dataclasses"], imported["inspect"]) == ([0, 0], False, False)
+
+    def test_library_run_imports_no_fractions_or_argparse(self, tmp_path):
+        """Values stay integer numerators from the problem file to the
+        report, and only cli.main parses arguments: in a fresh interpreter,
+        cli.run of ex51 with all tasks, p2_z4 with lift and p2_z4_cbeta
+        imports none of fractions, decimal, numbers and argparse.  cli.main
+        then imports argparse and parses its flags."""
+        runs = [[cli.fixture_path("ex51"), list(cli.ALL_TASKS)],
+                [os.path.join(GOLDEN, "p2_z4.problem.json"), ["lift"]],
+                [os.path.join(GOLDEN, "p2_z4_cbeta.problem.json"), None]]
+        out = str(tmp_path / "r.json")
+        script = ("import json, sys; from bbgkz import cli; "
+                  "names = ('fractions', 'decimal', 'numbers', 'argparse'); "
+                  "codes = [cli.run(path, tasks=tasks)[1] for path, tasks in "
+                  "json.loads(sys.argv[1])]; "
+                  "imported = [m for m in names if m in sys.modules]; "
+                  "code = cli.main([sys.argv[2], '--tasks', 'analyze', '--seed', '3', "
+                  "'--truncation', '4', '--no-timings', '--out', sys.argv[3]]); "
+                  "print(json.dumps([codes, imported, code, 'argparse' in sys.modules]))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs),
+                               cli.fixture_path("p1"), out],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == [[0, 0, 0], [], 0, True]
+        report = read(out)
+        assert report["tasks_run"] == ["analyze"] and report["truncation"] == 4
+        assert report["problem"]["name"] == "p1" and "timings_seconds" not in report
+        assert report["base_point"] == cli.run(cli.fixture_path("p1"), tasks=["analyze"],
+                                               seed=3, timings=False)[0]["base_point"]
 
     def test_importlib_resources_never_imported(self, tmp_path):
         """Schemas and fixtures are read beside the package's files: in a

@@ -15,6 +15,7 @@ Sturmfels-Takayama curve or the rank-3 triangle_gap, jumps.
 import json
 import os
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -85,9 +86,9 @@ def test_unimodular_change_of_basis(name, tmp_path):
         data = json.load(fh)
     report, code = cli.run(PROBLEMS[name], timings=False)
     assert code == 0
-    beta = change_basis([QQI(cli.parse_scalar(b)) for b in data["beta"]])
+    beta = change_basis([QQI(*(Fraction(*q) for q in cli.parse_scalar(b))) for b in data["beta"]])
     moved = dict(data, vectors=[dict(v, free=change_basis(v["free"])) for v in data["vectors"]],
-                 beta=[cli.format_scalar((b.real, b.imag)) for b in beta],
+                 beta=[cli.format_scalar((b.a, b.b), b.d) for b in beta],
                  x_policy={"mode": "explicit", "values": report["base_point"]})
     path = tmp_path / "moved.json"
     path.write_text(json.dumps(moved), encoding="utf-8")

@@ -19,9 +19,8 @@ import numpy as np
 import pytest
 
 from bbgkz import cli
-from bbgkz.abelian import AbelianGroup, NotSpanning
-from bbgkz.polyhedral import (GradedSemigroup, KPrimGuardError, NotPointed,
-                              build_semigroup, cone_over, k_prim)
+from bbgkz.abelian import AbelianGroup, NotSpanning, pair
+from bbgkz.polyhedral import GradedSemigroup, NotPointed, build_semigroup, cone_over, k_prim
 from conftest import make_problem, smith_normal_form
 
 
@@ -258,6 +257,12 @@ GEOMETRY = {name: cli.fixture_path(name) for name in
              "g3_torsion"]}
 GEOMETRY.update({name: os.path.join(GOLDEN, f"{name}.problem.json")
                  for name in ("p3", "hexagon_z2", "p2_z4")})
+BENCH_PROBLEMS = sorted(p for p in glob.glob(os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "problems",
+    "*.json")) if not p.endswith(".expected.json"))
+# every problem file: the fixtures, the golden problems and the benchmark's
+PROBLEM_FILES = ([cli.fixture_path(name) for name in FIXTURES]
+                 + sorted(glob.glob(os.path.join(GOLDEN, "*.problem.json"))) + BENCH_PROBLEMS)
 
 
 def seg5_z3():
@@ -330,23 +335,25 @@ class TestKPrim:
         assert set(k_prim(S)) == {N.element((0, 0)), N.element((1, 1)),
                                   N.element((2, 1))}
 
-    def test_computed_once_per_semigroup(self):
-        S, _, _ = make_problem("p2")
-        assert k_prim(S) is k_prim(S)
-
-    def test_guard_raises_on_high_degree_primitives(self):
-        S, _, _ = make_problem("ex51")
-
-        class Bogus(GradedSemigroup):
-            def layer(self, k, region="full"):
-                got = super().layer(k, region)
-                if k == self.rank + 1 and region == "full":
-                    return got + (self.group.element((-10,)),)
-                return got
-
-        B = Bogus(S.group, S.A, S.deg)
-        with pytest.raises(KPrimGuardError):
-            k_prim(B)
+    @pytest.mark.parametrize("path", PROBLEM_FILES,
+                             ids=lambda p: f"{os.path.basename(os.path.dirname(p))}-"
+                                           f"{os.path.basename(p)}")
+    def test_no_primitive_from_degree_rank(self, path):
+        """Caratheodory bounds the degree of a primitive element by rank - 1,
+        and k_prim scans no further: on a fresh semigroup it builds no layer
+        above rank - 1, each element it returns has degree at most rank - 1,
+        it returns every primitive element of degrees 0..rank + 2 in layer
+        order, and degrees rank..rank + 2 hold none."""
+        spec = cli.load_problem(path)
+        S = build_semigroup(spec.group, spec.vectors)
+        r = S.rank
+        found = k_prim(S)
+        assert max(k for k, _ in S._free) <= r - 1 and max(k for k, _ in S._layers) <= r - 1
+        assert all(pair(S.deg, c) <= r - 1 for c in found)
+        primitive = [(k, c) for k in range(r + 3) for q, c in enumerate(S.layer(k))
+                     if not k or q not in set(itertools.chain.from_iterable(S.shift(k - 1)))]
+        assert [c for k, c in primitive if k >= r] == []
+        assert list(found) == [c for _, c in primitive]
 
 
 VOLUMES = {
@@ -354,10 +361,6 @@ VOLUMES = {
     "square_z2": 2, "repeated": 1, "g3": 1,
 }
 
-
-BENCH_PROBLEMS = sorted(p for p in glob.glob(os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "problems",
-    "*.json")) if not p.endswith(".expected.json"))
 
 
 def h_transform(counts, r):

@@ -68,7 +68,7 @@ class TestPRho:
         z = p_rho(rho, qqi_entries(f), Q)
         for zj, idxs in zip(qqi_entries(z), Q.index_sets):
             i = idxs[0]
-            sign = root_of_unity(char_value(rho, S.A[i]), 1)[0]
+            sign = root_of_unity(*char_value(rho, S.A[i]), 1)[0]
             assert zj == sign * qqi_entries(f)[i]
 
     def test_order_three_stays_exact(self):
@@ -136,7 +136,7 @@ def reference_lift(psi, rho, x, S, m):
             val = by_free.get(c.free)
             if val is None:
                 continue
-            lifted = mul(root_of_unity(char_value(rho, c), m), field_parts(val, m), m)
+            lifted = mul(root_of_unity(*char_value(rho, c), m), field_parts(val, m), m)
             if any(lifted):
                 entries[c] = field_value(lifted, m)
                 lead = min(lead, k)
