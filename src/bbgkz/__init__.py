@@ -6,9 +6,8 @@ truncated solution germs (`solver`), character lifting (`torsion`), and the
 batch runner (`cli`).
 """
 
-from .abelian import (AbelianGroup, Character, DualElement, GroupElement,
-                      NoDegreeFunctional, NotSpanning, char_value, pair,
-                      validate_data)
+from .abelian import (AbelianGroup, Character, GroupElement, NoDegreeFunctional,
+                      NotSpanning, char_value, validate_data)
 from .polyhedral import Cone, GradedSemigroup, NotPointed, build_semigroup, k_prim
 from .ring import (DimReport, FVector, NondegeneracyRetriesExhausted, certifies,
                    hat_quotient_dims, hat_restriction_rank, is_nondegenerate,

@@ -57,12 +57,6 @@ class AbelianGroup:
         torsion = tuple(t % d for t, d in zip(torsion, self.torsion_invariants))
         return GroupElement(self, free, torsion)
 
-    def dual_element(self, covector):
-        covector = tuple(int(x) for x in covector)
-        if len(covector) != self.rank:
-            raise ValueError("covector has wrong length")
-        return DualElement(self, covector)
-
     def character(self, exponents):
         exponents = tuple(int(e) for e in exponents)
         if len(exponents) != len(self.torsion_invariants):
@@ -117,27 +111,12 @@ class GroupElement:
         return f"({','.join(map(str, self.free))})"
 
 
-class DualElement:
-    __slots__ = ("group", "free_covector")
-
-    def __init__(self, group, free_covector):
-        self.group = group
-        self.free_covector = free_covector
-
-
 class Character:
     __slots__ = ("group", "torsion_exponents")
 
     def __init__(self, group, torsion_exponents):
         self.group = group
         self.torsion_exponents = torsion_exponents
-
-
-def pair(mu: DualElement, v: GroupElement) -> int:
-    """Integer pairing Hom(N, Z) x N -> Z; torsion is killed."""
-    if len(mu.free_covector) != len(v.free):
-        raise ValueError("dimension mismatch in pairing")
-    return sum(m * x for m, x in zip(mu.free_covector, v.free))
 
 
 def char_value(rho: Character, v: GroupElement) -> tuple[int, int]:
@@ -193,7 +172,7 @@ def hermite(M):
 
 
 def validate_data(N: AbelianGroup, A):
-    """Check the defining data (N, A) and return the degree covector.
+    """Check the defining data (N, A) and return the degree covector as ints.
 
     deg with deg(v_i) = 1 for all i exists exactly when (1, ..., 1) lies in
     the integer row span of the r x n matrix M with columns v_i: it is
@@ -216,7 +195,7 @@ def validate_data(N: AbelianGroup, A):
         rest = [a - z[-1] * b for a, b in zip(rest, h)]
     if any(rest):
         raise NoDegreeFunctional("no integral functional takes value 1 on all vectors")
-    deg = N.dual_element([sum(a * b for a, b in zip(z, col)) for col in zip(*U)])
+    deg = tuple(sum(a * b for a, b in zip(z, col)) for col in zip(*U))
     H, _, _ = hermite([v.free for v in A])
     if len(H) < r or any(H[i][i] != 1 for i in range(r)):
         raise NotSpanning("free parts of the vectors do not span the free lattice")

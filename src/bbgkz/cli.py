@@ -225,7 +225,7 @@ def _check(checks, name, passed, **details):
     return passed
 
 
-def _task_analyze(spec, S, f, D, report, checks):
+def _task_analyze(spec, S, f, bound, report, checks):
     """dims.dual_kernel repeats jacobian_full, the adjoint kernel of the same
     rows by rank-nullity: the benchmark's expected numbers still read it."""
     r = S.rank
@@ -236,8 +236,8 @@ def _task_analyze(spec, S, f, D, report, checks):
     report["k_prim"] = [format_element(c) for c in k_prim(S)]
     jac = jacobian_dims(f, S, r + 1)
     jac_int = jacobian_dims(f, S, r + 1, region="interior")
-    hat = hat_quotient_dims(f, spec.beta, S, filtration_bound=min(D, r + 3))
-    hat0 = hat_quotient_dims(f, (0,) * r, S, filtration_bound=min(D, r + 3))
+    hat = hat_quotient_dims(f, spec.beta, S, filtration_bound=bound)
+    hat0 = hat_quotient_dims(f, (0,) * r, S, filtration_bound=bound)
     r1 = r1_dims(f, S)
     report["dims"] = {
         "jacobian_full": format_dims(jac),
@@ -286,11 +286,10 @@ def _task_solve(spec, S, f, D, report, checks, jac):
     return basis
 
 
-def _task_restrict(spec, S, f, D, report, checks):
+def _task_restrict(spec, S, f, bound, report, checks):
     r = S.rank
     # first, so that the solve below reads its germs off the reduced hat
     # space, and stops at its bound: the rank reads layers up to r only
-    bound = min(D, r + 3)
     hat_rank = hat_restriction_rank(f, S, filtration_bound=bound)
     basis0 = solve_recursion(f, (0,) * r, S, truncation=bound)
     # the germs' rank on the interior points of degree <= r
@@ -385,6 +384,10 @@ def run(problem_path, tasks=None, seed=None, truncation=None,
         spec.truncation if spec.truncation is not None else S.rank + 3)
     if D < S.rank + 1:
         return {"error": f"truncation {D} below rank + 1"}, 2
+    # the filtration bound of the hat spaces that analyze and restrict
+    # reduce, and the solves then read: rank + 1 fixes every germ, and the
+    # reports list two degrees more
+    bound = min(D, S.rank + 3)
     try:
         f, x_dims = spec.resolve_x(S, seed_override=seed)
     except (ProblemError, NondegeneracyRetriesExhausted) as e:
@@ -415,11 +418,11 @@ def run(problem_path, tasks=None, seed=None, truncation=None,
                 continue
             t0 = time.monotonic()
             if task == "analyze":
-                jac = _task_analyze(spec, S, f, D, report, checks)
+                jac = _task_analyze(spec, S, f, bound, report, checks)
             elif task == "solve":
                 basis = _task_solve(spec, S, f, D, report, checks, jac)
             elif task == "restrict":
-                _task_restrict(spec, S, f, D, report, checks)
+                _task_restrict(spec, S, f, bound, report, checks)
             elif task == "lift":
                 _task_lift(spec, S, f, D, report, checks)
             elif task == "residuals":

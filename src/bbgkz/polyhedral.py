@@ -15,7 +15,7 @@ import math
 from itertools import chain, combinations, repeat
 from operator import add, mul
 
-from .abelian import AbelianGroup, DualElement, GroupElement, hermite, pair
+from .abelian import AbelianGroup, GroupElement, hermite
 from .linalg import RowSpace
 
 
@@ -107,15 +107,17 @@ class GradedSemigroup:
     Geometry runs on Python ints, exact at any size.
     """
 
-    def __init__(self, group: AbelianGroup, A, deg: DualElement):
+    def __init__(self, group: AbelianGroup, A, deg):
         self.group = group
         self.A = tuple(A)
-        self.deg = deg
-        if any(pair(deg, v) != 1 for v in self.A):
+        self.deg = deg  # the degree covector, a tuple of rank ints
+        if len(deg) != group.rank:
+            raise ValueError("degree covector has wrong length")
+        if any(_dot(deg, v.free) != 1 for v in self.A):
             raise ValueError("every generator must have degree 1")
         self.cone = cone_over([v.free for v in self.A])
         self._base = self.A[0].free
-        self._kernel_basis, to_coords = _degree_kernel_basis(deg.free_covector)
+        self._kernel_basis, to_coords = _degree_kernel_basis(deg)
         gen_coords = [to_coords(tuple(a - b for a, b in zip(v.free, self._base)))
                       for v in self.A]
         # kernel coordinates of degree-k points lie in k times this box

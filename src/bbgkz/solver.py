@@ -8,12 +8,12 @@ the report, the recursion check, the restriction rank and the torsion lift
 read.  Two routes give the same germs.  The step route solves the
 layer-(k+1) linear system whose right-hand side comes from layer k,
 asserting solvability at every step.  The kernel route reads them off the
-hat space `ring.hat_quotient_dims` reduced for the same (x, beta) at
-D0 = min(D, rank + 3), as `analyze` and `restrict` do, and takes it off the
-semigroup.  That kernel is the truncated solution space: a hat row
-mu_j . hat[n] paired with a table is the recursion identity at (n, j).  The
-pivots go to the highest degree, then the lowest index, so the germ of a
-free column fc is zero below deg fc and, there, lives on fc and pivots of
+hat space `ring.hat_quotient_dims` or `ring.hat_restriction_rank` reduced
+for the same (x, beta) at the largest bound D0 <= D cached on S, and takes
+it off the semigroup.  That kernel is the truncated solution space: a hat
+row mu_j . hat[n] paired with a table is the recursion identity at (n, j).
+The pivots go to the highest degree, then the lowest index, so the germ of
+a free column fc is zero below deg fc and, there, lives on fc and pivots of
 lower index: fc is its last nonzero entry in (degree, index) order, as for
 the step route's germ born at fc.  So both routes have the same free
 columns, and both bases are the one that is 1 at one free column and 0 at
@@ -24,10 +24,10 @@ denominator in lowest terms, as the one elimination read, `RowSpace.read`,
 writes them for the report: a step reads its one layer, the kernel route
 layers 0..D0 in one read of the hat space.  A step's right-hand sides and
 the recursion check form the twist lambda_c (beta_j - c_j) alike
-(`_twist`), one product per covector over the layer's denominator.  `recursion_defects` tests the
-recursion identity on every germ of a stack at once; `exact_rank` is the
-one germ rank, of stacks or of their restrictions to per-layer point
-masks.
+(`_twist`), one product per covector over the layer's denominator.
+`recursion_defects` tests the recursion identity on every germ of a stack
+at once; `exact_rank` is the one germ rank, of stacks or of their
+restrictions to per-layer point masks.
 Everything is exact, over the cyclotomic field Q(zeta_m) of x and beta, a
 value as phi(m) integer parts (linalg).
 """
@@ -98,15 +98,18 @@ class GermStack:
 
 
 def _hat_kernel(f, beta, S, D):
-    """Per layer 0..D, the germs (P, den) off the kernel of the hat space of
-    (x, beta, D), taken off S and read once, and their leading degrees, the
-    degrees of the free columns; None if no such space is cached or its free
-    columns per degree differ from the step kernels'."""
-    space = S._images.pop(_hat_key(f, beta, D), None)
-    if space is None or (counts := _hat_free_counts(space, S, D)) != \
-            jacobian_dims(f, S, D).per_degree:
+    """Per layer 0..D0, the germs (P, den) off the kernel of the hat space of
+    (x, beta) cached on S at the largest bound D0 <= D, taken off S and read
+    once, and their leading degrees, the degrees of the free columns; None if
+    no such space is cached or its free columns per degree differ from the
+    step kernels'."""
+    D0 = next((d for d in range(D, S.rank, -1) if _hat_key(f, beta, d) in S._images), None)
+    if D0 is None:
         return None
-    cuts = list(accumulate((len(S.layer(k)) for k in range(D + 1)), initial=0))
+    space = S._images.pop(_hat_key(f, beta, D0))
+    if (counts := _hat_free_counts(space, S, D0)) != jacobian_dims(f, S, D0).per_degree:
+        return None
+    cuts = list(accumulate((len(S.layer(k)) for k in range(D0 + 1)), initial=0))
     return (space.read(cuts, field(f.m, beta.m)),
             [k for k, count in enumerate(counts) for _ in range(count)])
 
@@ -118,7 +121,7 @@ def _twist(P, layer, bs, B, j, scale, m):
     return mul([gr, *(scale * part[j] for part in bs[1:])], P, m)
 
 
-def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> GermStack:
+def solve_recursion(f, beta, S: GradedSemigroup, truncation) -> GermStack:
     """Basis of truncated solution germs at the base point f, over the field
     Q(zeta_m) of x and beta (FVectors, or values).
 
@@ -127,14 +130,13 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> GermStack:
     free variables zero, so results are reproducible.  Both come from one
     sparse reduction of the step (linalg.solve_sparse).  Raises
     InconsistentSystem if a degree step is unsolvable.  That is the step
-    route; the kernel route (see the module) reads degrees 0..D0,
-    D0 = min(D, rank + 3), off the hat space of (x, beta, D0) if it is
-    cached on S and each degree m has |layer m| - rank
-    `_image_rows(f, S, m)` free columns, as it does exactly when no step is
-    inconsistent; steps then run from D0 to D.
+    route; the kernel route (see the module) reads degrees 0..D0 off the hat
+    space of (x, beta) cached on S at the largest bound D0 <= D, if each
+    degree m has |layer m| - rank `_image_rows(f, S, m)` free columns there,
+    as it does exactly when no step is inconsistent; steps then run from D0
+    to D.
     """
-    r = S.rank
-    D = truncation if truncation is not None else r + 3
+    r, D = S.rank, truncation
     if D < r + 1:
         raise ValueError("truncation must be at least rank + 1")
     f = f if isinstance(f, FVector) else FVector(f)
@@ -143,7 +145,7 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation=None) -> GermStack:
     n = degree(m)
 
     # layers[k]: (P, den) of the germs born at degree <= k, on layer k
-    got = _hat_kernel(f, beta, S, min(D, r + 3))
+    got = _hat_kernel(f, beta, S, D)
     if got is None:
         # one unit germ per degree-0 layer element
         w = len(S.layer(0))

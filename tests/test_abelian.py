@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbgkz.abelian import (AbelianGroup, NoDegreeFunctional, NotSpanning,
-                           char_value, hermite, pair, validate_data)
+                           char_value, hermite, validate_data)
 from bbgkz.linalg import field, mul, root_of_unity
 from bbgkz.polyhedral import _degree_kernel_basis
-from conftest import (FIXTURE_BUILDERS, make_problem, reference_validate_data,
+from conftest import (FIXTURE_BUILDERS, degree_of, make_problem, reference_validate_data,
                       smith_normal_form)
 
 
@@ -72,20 +72,6 @@ class TestAbelianGroup:
         assert len(N.characters()) == 4
         assert len(N.torsion_elements()) == 4
         assert N.characters()[0].torsion_exponents == (0, 0)
-
-
-class TestPairing:
-    def test_pair_formula(self):
-        N = AbelianGroup(2, (5,))
-        mu = N.dual_element((3, -1))
-        v = N.element((2, 4), (3,))
-        assert pair(mu, v) == 2
-
-    def test_pair_kills_torsion(self):
-        N = AbelianGroup(1, (6,))
-        mu = N.dual_element((7,))
-        for t in N.torsion_elements():
-            assert pair(mu, t) == 0
 
 
 def value(t, m):
@@ -227,7 +213,7 @@ free_data = st.integers(0, 4).flatmap(lambda r: st.tuples(st.just(r), st.lists(
 def outcome(check, N, A):
     """The degree covector that `check` returns, or the class it raises."""
     try:
-        return check(N, A).free_covector
+        return check(N, A)
     except (NoDegreeFunctional, NotSpanning) as err:
         return type(err)
 
@@ -235,7 +221,7 @@ def outcome(check, N, A):
 def degree_covectors():
     """The degree covectors of the fixtures, then 20 seeded primitive ones
     of length 2 to 4."""
-    out = [make_problem(name)[0].deg.free_covector for name in sorted(FIXTURE_BUILDERS)]
+    out = [make_problem(name)[0].deg for name in sorted(FIXTURE_BUILDERS)]
     rng = random.Random(5)
     while len(out) < len(FIXTURE_BUILDERS) + 20:
         h = tuple(rng.randint(-6, 6) for _ in range(rng.randint(2, 4)))
@@ -264,13 +250,13 @@ class TestValidateData:
         N = AbelianGroup(1, (2,))
         A = (N.element((1,), (0,)), N.element((1,), (1,)))
         deg = validate_data(N, A)
-        assert deg.free_covector == (1,)
+        assert deg == (1,)
 
     def test_projective_plane_degree(self):
         N = AbelianGroup(3)
         A = tuple(N.element(v) for v in [(0, 0, 1), (1, 0, 1), (0, 1, 1), (-1, -1, 1)])
         deg = validate_data(N, A)
-        assert all(pair(deg, v) == 1 for v in A)
+        assert all(degree_of(deg, v) == 1 for v in A)
 
     def test_no_degree_functional(self):
         N = AbelianGroup(1)

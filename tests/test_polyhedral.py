@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 from bbgkz import cli
-from bbgkz.abelian import AbelianGroup, NotSpanning, pair
+from bbgkz.abelian import AbelianGroup, NotSpanning
 from bbgkz.polyhedral import GradedSemigroup, NotPointed, build_semigroup, cone_over, k_prim
-from conftest import make_problem, smith_normal_form
+from conftest import degree_of, make_problem, smith_normal_form
 
 
 def contains(cone, w):
@@ -222,6 +222,16 @@ class TestLayers:
         with pytest.raises(ValueError):
             S.layer(-1)
 
+    @pytest.mark.parametrize("deg, error", [((1,), "wrong length"), ((0, 1, 0), "wrong length"),
+                                            ((1, 1), "degree 1")])
+    def test_degree_covector_checked(self, deg, error):
+        """The degree covector has one entry per free coordinate, which the
+        degree-1 test alone would not see of (0, 1, 0), and gives every
+        generator degree 1."""
+        N = AbelianGroup(2)
+        with pytest.raises(ValueError, match=error):
+            GradedSemigroup(N, (N.element((0, 1)), N.element((3, 1))), deg)
+
     def test_torsion_copies(self):
         S, _, _ = make_problem("square_z2")
         for k in range(4):
@@ -235,7 +245,7 @@ def reference_free_layer(S, k, region="full"):
     inside = partial(contains if region == "full" else strictly_contains, S.cone)
     box = [range(k * min(v.free[j] for v in S.A), k * max(v.free[j] for v in S.A) + 1)
            for j in range(S.rank)]
-    deg = S.deg.free_covector
+    deg = S.deg
     return sorted(w for w in itertools.product(*box)
                   if sum(a * b for a, b in zip(deg, w)) == k and inside(w))
 
@@ -331,7 +341,7 @@ class TestKPrim:
         # keeps all Z^2 points, so degree-1 points 1 and 2 are primitive
         N = AbelianGroup(2)
         A = (N.element((0, 1)), N.element((3, 1)))
-        S = GradedSemigroup(N, A, N.dual_element((0, 1)))
+        S = GradedSemigroup(N, A, (0, 1))
         assert set(k_prim(S)) == {N.element((0, 0)), N.element((1, 1)),
                                   N.element((2, 1))}
 
@@ -349,7 +359,7 @@ class TestKPrim:
         r = S.rank
         found = k_prim(S)
         assert max(k for k, _ in S._free) <= r - 1 and max(k for k, _ in S._layers) <= r - 1
-        assert all(pair(S.deg, c) <= r - 1 for c in found)
+        assert all(degree_of(S.deg, c) <= r - 1 for c in found)
         primitive = [(k, c) for k in range(r + 3) for q, c in enumerate(S.layer(k))
                      if not k or q not in set(itertools.chain.from_iterable(S.shift(k - 1)))]
         assert [c for k, c in primitive if k >= r] == []

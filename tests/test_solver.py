@@ -146,14 +146,21 @@ class TestDimensions:
 
 
 class TestKernelRoute:
-    """Germs read off a reduced hat space against the step recursion."""
+    """Germs read off a reduced hat space against the step recursion, with
+    the hat space reduced at the bound the reports use."""
+
+    @staticmethod
+    def analyzed(r, D):
+        """The bound of the hat space, from the rank and the truncation."""
+        return min(D, r + 3)
 
     @pytest.mark.parametrize("offset", [1, 2, 3])
     @pytest.mark.parametrize("at_zero", [False, True])
     def test_equals_step_route(self, named_problem, offset, at_zero, monkeypatch):
         """Once hat_quotient_dims has reduced the space, solve_recursion
-        eliminates no step, returns the step route's germs, list for list
-        and in the same order, and takes the space off S."""
+        eliminates only the steps above its bound, returns the step route's
+        germs, list for list and in the same order, and takes the space off
+        S."""
         _, S, f, beta = named_problem
         if at_zero:
             beta = (Fraction(0),) * S.rank
@@ -177,9 +184,9 @@ class TestKernelRoute:
     @pytest.mark.parametrize("offset", [4, 6])
     @pytest.mark.parametrize("name", ["z2", "ex51", "p1", "repeated", "g3", "square_z2"])
     def test_steps_above_analyzed_bound(self, name, offset, monkeypatch):
-        """Above D0 = rank + 3, the bound analyze reduces its hat spaces at,
-        the germs of degrees 0..D0 come off that space and the steps D0..D
-        extend them: D - D0 eliminations, and the step route's germs."""
+        """Above the bound D0 of the hat space, the germs of degrees 0..D0
+        come off that space and the steps D0..D extend them: D - D0
+        eliminations, and the step route's germs."""
         S, f, beta = make_problem(name)
         self.assert_routes_agree(S, f, beta, S.rank + offset, monkeypatch)
 
@@ -189,10 +196,11 @@ class TestKernelRoute:
         assert is_nondegenerate(f, S)[0]
         self.assert_routes_agree(S, f, beta, S.rank + 5, monkeypatch)
 
-    @staticmethod
-    def assert_routes_agree(S, f, beta, D, monkeypatch):
+    def assert_routes_agree(self, S, f, beta, D, monkeypatch, D0=None):
+        """Reduce the hat space at bound D0, analyzed(rank, D) unless given,
+        and solve at truncation D."""
         step = solve_recursion(f, beta, build_semigroup(S.group, S.A), truncation=D)
-        D0 = min(D, S.rank + 3)
+        D0 = self.analyzed(S.rank, D) if D0 is None else D0
         hat_quotient_dims(f, beta, S, filtration_bound=D0)
         steps, solve_sparse = [], solver.solve_sparse
         monkeypatch.setattr(solver, "solve_sparse",
@@ -207,14 +215,36 @@ class TestKernelRoute:
             assert gcd(den, *chain.from_iterable(P)) == 1
 
     def test_degenerate_point_with_cached_space(self):
-        """At the degenerate z2 point the cached hat space has fewer free
-        columns than the step kernels, so the step route runs and raises."""
+        """At the degenerate z2 point the hat space cached at the bound for
+        truncation 3 has fewer free columns than the step kernels, so the
+        step route runs and raises."""
         S, _, _ = make_problem("z2")
         f, beta = FVector((Fraction(1), Fraction(1))), (Fraction(3, 2),)
-        hat_quotient_dims(f, beta, S, filtration_bound=3)
-        assert ring._hat_key(f, FVector(beta), 3) in S._images
+        bound = self.analyzed(S.rank, 3)
+        hat_quotient_dims(f, beta, S, filtration_bound=bound)
+        assert ring._hat_key(f, FVector(beta), bound) in S._images
         with pytest.raises(InconsistentSystem, match="degree 1"):
             solve_recursion(f, beta, S, truncation=3)
+
+
+class TestKernelRouteAtDefaultBound(TestKernelRoute):
+    """The same cases with the hat space reduced at the library's default
+    bound rank + 1, below most truncations: the solve steps from there."""
+
+    @staticmethod
+    def analyzed(r, D):
+        return r + 1
+
+    @pytest.mark.parametrize("name", ["z2", "p1", "g3", "square_z2"])
+    def test_largest_cached_bound(self, name, monkeypatch):
+        """With hat spaces cached at bounds rank + 1 and rank + 2, a solve at
+        rank + 5 takes the rank + 2 space, steps from there, and leaves the
+        rank + 1 space on S."""
+        S, f, beta = make_problem(name)
+        r = S.rank
+        hat_quotient_dims(f, beta, S, filtration_bound=r + 1)
+        self.assert_routes_agree(S, f, beta, r + 5, monkeypatch, D0=r + 2)
+        assert ring._hat_key(f, FVector(beta), r + 1) in S._images
 
 
 def solve_by(route, S, f, beta, D):
@@ -316,7 +346,7 @@ class TestOneRepresentation:
         assert (z1.m, z2.m) == (3, 3) and z1.galois(2) == z2
         bases = []
         for z in (z1, z2):
-            TestKernelRoute.assert_routes_agree(Q.semigroup, z, beta, D, monkeypatch)
+            TestKernelRoute().assert_routes_agree(Q.semigroup, z, beta, D, monkeypatch)
             monkeypatch.undo()
             step = solve_recursion(z, beta, Q.semigroup, truncation=D)
             assert step.m == 3 and len(step.layers[0][0]) == 2
