@@ -3,13 +3,15 @@
 All computations happen on the degree layers of the semigroup: multiplication
 by the log-derivatives of f = sum x_i [v_i] maps layer k to layer k + 1, and
 every dimension reported here is a difference of exact matrix ranks over the
-field of x (and beta), on the integer numerators that FVector holds.
+field of x (and beta), on the integer numerators that FVector holds.  Each
+space reduces the spanning subset of the operator rows that `_kept_rows` keeps.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from itertools import compress, product
 from math import gcd
 from types import SimpleNamespace
 
@@ -106,11 +108,54 @@ class DimReport:
         return cls(per_degree, sum(per_degree))
 
 
-def _image_rows(f, S, k, region="full"):
-    """Sparse generators of (I C[S])_k: the columns f_j * [c], c in layer k-1,
-    times X = f.den.
+def _least_generator(f, S):
+    """(i, j0) for the generator v = A[i] whose free part is the strict
+    lexicographic least among the elements of A with a nonzero coefficient,
+    equal elements merged and their x summed, and j0 its first coordinate
+    with v.free[j0] != 0; None if two such elements share that free part."""
+    merged = {}
+    for i, v in enumerate(S.A):
+        merged.setdefault((v.free, v.torsion), []).append(i)
+    live = sorted((free, idx[0]) for (free, _), idx in merged.items()
+                  if any(sum(x[i] for i in idx) for x in f.parts))
+    if not live or len(live) > 1 and live[0][0] == live[1][0]:
+        return None
+    free, i = live[0]
+    return i, next(j for j, a in enumerate(free) if a)
 
-    Row r * p + j is X * sum_i x_i * mu_j(v_i) * [c + v_i] for
+
+def _kept_rows(f, S, k, region="full"):
+    """Per row r p + j of the layer operator on the sources layer(k, region),
+    whether a space reduces it: all but the rows (c + v, l), l != j0, for c
+    in layer(k - 1, region) and (i, j0) = `_least_generator`, v = A[i].
+
+    The twisted operators Z^_j[c] = sum_i x_i v_i[j] [c + v_i] +
+    (c_j - beta_j)[c] commute, so
+    sum_i x_i v_i[j0] Z^_l[c + v_i] - sum_i x_i v_i[l] Z^_j0[c + v_i]
+    + (c_j0 - beta_j0) Z^_l[c] - (c_l - beta_l) Z^_j0[c] = 0 (without hats
+    and the last two terms for the layer operator alone).  The row (c + v, l)
+    enters it with the coefficient x v[j0] != 0, every other row is at j0, at
+    a source of greater free part in the same layer or one layer down, so by
+    induction on the degree, then down the free parts, the kept rows span
+    every space the whole operator does, and a step's dropped identities
+    follow from its kept ones and those one layer down.  Rank 1 keeps all."""
+    r = S.rank
+    keep = [True] * (r * len(S.layer(k, region)))
+    least = _least_generator(f, S) if k and r > 1 else None
+    if least is not None:
+        i, j0 = least
+        only = [l == j0 for l in range(r)]
+        for targets in S.shift(k - 1, region):
+            p = r * targets[i]
+            keep[p:p + r] = only
+    return keep
+
+
+def _image_rows(f, S, k, region="full"):
+    """A spanning subset of the sparse generators of (I C[S])_k: the columns
+    f_j * [c], c in layer k-1, times X = f.den, that `_kept_rows` keeps.
+
+    Row r * p + j, if kept, is X * sum_i x_i * mu_j(v_i) * [c + v_i] for
     c = layer(k-1)[p], over the layer-k index, as a tuple of one dict of
     integer numerators per part of x (`RowSpace.add` over Q(zeta_m),
     m = f.m); a zero x_i or cancelling repeated v_i leave no
@@ -118,20 +163,19 @@ def _image_rows(f, S, k, region="full"):
     """
     if k == 0:
         return []
-    per_part = []
+    keep, per_part = _kept_rows(f, S, k - 1, region), []
     for x in f.parts:
         terms = [[(i, x[i] * v.free[j]) for i, v in enumerate(S.A) if v.free[j] and x[i]]
                  for j in range(S.rank)]
         rows = []
-        for targets in S.shift(k - 1, region):
-            for row_terms in terms:
-                row = {}
-                for i, coeff in row_terms:
-                    d = targets[i]
-                    row[d] = row[d] + coeff if d in row else coeff
-                # only terms that meet at one target can cancel
-                rows.append(row if len(row) == len(row_terms) else
-                            {d: v for d, v in row.items() if v})
+        for targets, row_terms in compress(product(S.shift(k - 1, region), terms), keep):
+            row = {}
+            for i, coeff in row_terms:
+                d = targets[i]
+                row[d] = row[d] + coeff if d in row else coeff
+            # only terms that meet at one target can cancel
+            rows.append(row if len(row) == len(row_terms) else
+                        {d: v for d, v in row.items() if v})
         per_part.append(rows)
     return list(zip(*per_part))
 
@@ -176,7 +220,8 @@ def is_nondegenerate(f: FVector, S: GradedSemigroup):
 def _hat_rows(f, beta, S, max_src_degree):
     """Sparse rows mu_j . hat[n] over the point index of degrees 0..D, times
     B * X, as parts over Q(zeta_m) for the field m of x and beta: B = beta.den
-    and X the den of x over that field.
+    and X the den of x over that field; those (n, j) that `_kept_rows` keeps,
+    which span the same space.
 
     Points are indexed in (degree, layer) order; the shift part of each row
     is B times the `_image_rows` row of n, moved to the next layer's
@@ -191,16 +236,15 @@ def _hat_rows(f, beta, S, max_src_degree):
     for k in range(max_src_degree + 1):
         layer = S.layer(k)
         up = start + len(layer)
-        image = iter(_image_rows(f, S, k + 1))
-        for p, n in enumerate(layer):
-            for j in range(S.rank):
-                row = [{up + d: v * B for d, v in part.items()} for part in next(image)]
-                row += [{} for _ in range(len(row), len(bB))]
-                for s, b in enumerate(bB):
-                    diag = ((n.free[j] * B if s == 0 else 0) - b[j]) * X
-                    if diag:
-                        row[s][start + p] = diag
-                rows.append(row)
+        kept = compress(product(enumerate(layer), range(S.rank)), _kept_rows(f, S, k))
+        for ((p, n), j), image in zip(kept, _image_rows(f, S, k + 1)):
+            row = [{up + d: v * B for d, v in part.items()} for part in image]
+            row += [{} for _ in range(len(row), len(bB))]
+            for s, b in enumerate(bB):
+                diag = ((n.free[j] * B if s == 0 else 0) - b[j]) * X
+                if diag:
+                    row[s][start + p] = diag
+            rows.append(row)
         start = up
     return rows
 

@@ -7,11 +7,15 @@ the layer's least common denominator, and each germ's leading degree, which
 the report, the recursion check, the restriction rank and the torsion lift
 read.  Two routes give the same germs.  The step route solves the
 layer-(k+1) linear system whose right-hand side comes from layer k,
-asserting solvability at every step.  The kernel route reads them off the
-hat space `ring.hat_quotient_dims` or `ring.hat_restriction_rank` reduced
-for the same (x, beta) at the largest bound D0 <= D cached on S, and takes
-it off the semigroup.  That kernel is the truncated solution space: a hat
-row mu_j . hat[n] paired with a table is the recursion identity at (n, j).
+asserting solvability at every step.  A step reduces the rows that
+`ring._kept_rows` keeps: their identities imply the dropped ones once those
+one layer down hold, as the previous step or the hat kernel makes them hold
+exactly, so the germs and the verdict are those of every row.  The kernel
+route reads them off the hat space `ring.hat_quotient_dims` or
+`ring.hat_restriction_rank` reduced for the same (x, beta) at the largest
+bound D0 <= D cached on S, and takes it off the semigroup.  That kernel is
+the truncated solution space: a hat row mu_j . hat[n] paired with a table
+is the recursion identity at (n, j).
 The pivots go to the highest degree, then the lowest index, so the germ of
 a free column fc is zero below deg fc and, there, lives on fc and pivots of
 lower index: fc is its last nonzero entry in (degree, index) order, as for
@@ -25,9 +29,9 @@ writes them for the report: a step reads its one layer, the kernel route
 layers 0..D0 in one read of the hat space.  A step's right-hand sides and
 the recursion check form the twist lambda_c (beta_j - c_j) alike
 (`_twist`), one product per covector over the layer's denominator.
-`recursion_defects` tests the recursion identity on every germ of a stack
-at once; `exact_rank` is the one germ rank, of stacks or of their
-restrictions to per-layer point masks.
+`recursion_defects` tests every recursion identity, dropped rows included,
+on every germ of a stack at once; `exact_rank` is the one germ rank, of
+stacks or of their restrictions to per-layer point masks.
 Everything is exact, over the cyclotomic field Q(zeta_m) of x and beta, a
 value as phi(m) integer parts (linalg).
 """
@@ -42,7 +46,7 @@ from types import SimpleNamespace
 from .linalg import RowSpace, degree, embed, field, mul, solve_sparse
 from .polyhedral import GradedSemigroup
 from .ring import (DimReport, FVector, _gaussian, _hat_free_counts, _hat_key, _image_rows,
-                   jacobian_dims)
+                   _kept_rows, jacobian_dims)
 
 
 class InconsistentSystem(RuntimeError):
@@ -165,8 +169,9 @@ def solve_recursion(f, beta, S: GradedSemigroup, truncation) -> GermStack:
         w = len(layer)
         count = len(P[0]) // w
         R = [_twist(P, layer, bB, B, j, X, m) for j in range(r)]
-        rhs = [[list(chain.from_iterable(zip(*(Rj[s][t * w:(t + 1) * w] for Rj in R))))
-                for s in range(n)] for t in range(count)]
+        keep = _kept_rows(fm, S, k)
+        rhs = [[list(compress(chain.from_iterable(zip(*(Rj[s][t * w:(t + 1) * w] for Rj in R))),
+                              keep)) for s in range(n)] for t in range(count)]
         w1 = len(S.layer(k + 1))
         (P1, d1), bad = solve_sparse(_image_rows(fm, S, k + 1), w1, rhs, den * B, m)
         if bad:

@@ -548,3 +548,56 @@ def assert_stacks_equal(a, b):
     assert (a.semigroup.A, a.base_x, a.beta, a.truncation, a.leading, a.m) == \
         (b.semigroup.A, b.base_x, b.beta, b.truncation, b.leading, b.m)
     assert a.layers == b.layers
+
+
+def reference_operator_rows(f, S, k, region="full"):
+    """Every row of the layer operator from layer(k - 1, region) to
+    layer(k, region), r |layer(k - 1)| of them: row r p + j holds
+    sum_i x_i v_i[j] at the index of c + v_i, c = layer(k - 1)[p], as
+    {column: QQI}, built from the layers and group addition alone."""
+    x, index = qqi_entries(f), {c: q for q, c in enumerate(S.layer(k, region))}
+    rows = []
+    for c in S.layer(k - 1, region):
+        for j in range(S.rank):
+            row = {}
+            for xi, v in zip(x, S.A):
+                if v.free[j]:
+                    q = index[c + v]
+                    row[q] = row.get(q, 0) + xi * v.free[j]
+            rows.append({q: a for q, a in row.items() if a})
+    return rows
+
+
+def reference_hat_rows(f, beta, S, D):
+    """Every twisted row mu_j . hat[n], deg n <= D - 1, over the points of
+    degrees 0..D indexed in (degree, layer) order: sum_i x_i v_i[j] at
+    n + v_i and n_j - beta_j at n, as {column: QQI}."""
+    x, b = qqi_entries(f), qqi_entries(beta)
+    index = {c: q for q, c in enumerate(c for k in range(D + 1) for c in S.layer(k))}
+    rows = []
+    for k in range(D):
+        for n in S.layer(k):
+            for j in range(S.rank):
+                row = {index[n]: n.free[j] - b[j]}
+                for xi, v in zip(x, S.A):
+                    if v.free[j]:
+                        q = index[n + v]
+                        row[q] = row.get(q, 0) + xi * v.free[j]
+                rows.append({q: a for q, a in row.items() if a})
+    return rows
+
+
+def reference_space(rows, key=None):
+    """The RowSpace of rows of values, added one by one in the given order."""
+    space = RowSpace(key=key)
+    for row in rows:
+        if row:
+            add_values(space, row)
+    return space
+
+
+def hat_order(S, D):
+    """The pivot order of a hat space at bound D: highest degree, then
+    lowest index."""
+    degrees = [k for k in range(D + 1) for _ in S.layer(k)]
+    return [(D - k) * len(degrees) + c for c, k in enumerate(degrees)].__getitem__

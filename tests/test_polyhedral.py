@@ -275,6 +275,11 @@ PROBLEM_FILES = ([cli.fixture_path(name) for name in FIXTURES]
                  + sorted(glob.glob(os.path.join(GOLDEN, "*.problem.json"))) + BENCH_PROBLEMS)
 
 
+def problem_id(path):
+    """The test id of a problem file: its directory and its name."""
+    return f"{os.path.basename(os.path.dirname(path))}-{os.path.basename(path)}"
+
+
 def seg5_z3():
     """The segment [-2, 2] with Z/3 labels."""
     N = AbelianGroup(2, (3,))
@@ -345,9 +350,7 @@ class TestKPrim:
         assert set(k_prim(S)) == {N.element((0, 0)), N.element((1, 1)),
                                   N.element((2, 1))}
 
-    @pytest.mark.parametrize("path", PROBLEM_FILES,
-                             ids=lambda p: f"{os.path.basename(os.path.dirname(p))}-"
-                                           f"{os.path.basename(p)}")
+    @pytest.mark.parametrize("path", PROBLEM_FILES, ids=problem_id)
     def test_no_primitive_from_degree_rank(self, path):
         """Caratheodory bounds the degree of a primitive element by rank - 1,
         and k_prim scans no further: on a fresh semigroup it builds no layer

@@ -12,13 +12,18 @@ from fractions import Fraction
 import pytest
 
 from bbgkz import cli, ring
+from bbgkz.abelian import AbelianGroup
 from bbgkz.linalg import RowSpace
 from bbgkz.polyhedral import build_semigroup
 from bbgkz.ring import (FVector, NondegeneracyRetriesExhausted, certifies, hat_quotient_dims,
                         hat_restriction_rank, is_nondegenerate, jacobian_dims, r1_dims,
                         random_rational_x, _image_rows)
 from bbgkz.solver import filtration_dims, solve_recursion
-from conftest import QQI, make_problem, qqi_entries, reference_interior_rank, slot_values
+from conftest import (QQI, as_fvector, hat_order, make_problem, qqi_entries, reference_hat_rows,
+                      reference_interior_rank, reference_operator_rows, reference_space,
+                      slot_values)
+from test_polyhedral import PROBLEM_FILES, problem_id
+from test_solver import problem_data
 
 # per-degree dimensions of C[K]_k modulo the log-derivative image,
 # degrees 0..rank+1, at the conftest base points
@@ -74,12 +79,14 @@ class TestImageRows:
                                         ("repeated", (0, Fraction(1, 2), 3))])
     def test_no_explicit_zeros(self, name, x):
         """A zero x_i and the cancelling terms of repeated generators leave no
-        explicit 0 in the operator rows, nor in the hat rows built on them."""
+        explicit 0 in the operator rows, nor in the hat rows built on them;
+        from sources of degree 1 on, the rank - 1 rows off j0 at each source
+        c + v of the least generator v go."""
         S, _, beta = make_problem(name)
         f = FVector(x)
         for k in range(1, S.rank + 3):
             rows = _image_rows(f, S, k)
-            assert len(rows) == S.rank * len(S.layer(k - 1))
+            assert len(rows) == kept_count(S, k)
             assert all(v for row in rows for part in row for v in part.values())
         hat = ring._hat_rows(f, FVector(beta), S, S.rank + 1)
         assert all(v for row in hat for part in row for v in part.values())
@@ -91,8 +98,74 @@ class TestImageRows:
     def test_shape_follows_layers(self):
         S, f, _ = make_problem("ex52")
         rows = _image_rows(f, S, 2)
-        assert len(rows) == S.rank * len(S.layer(1))
+        assert len(rows) == S.rank * len(S.layer(1)) - (S.rank - 1) * len(S.layer(0)) == 10
         assert all(0 <= col < len(S.layer(2)) for row in rows for col in row[0])
+
+
+def kept_count(S, k):
+    """Rows of the layer operator onto layer k once the least generator's
+    rank - 1 rows off j0 go at each source of degree >= 1 it reaches: the
+    shift by it is one to one."""
+    return S.rank * len(S.layer(k - 1)) - (S.rank - 1) * (len(S.layer(k - 2)) if k >= 2 else 0)
+
+
+def assert_spans_every_row(S, f, beta, D, regions=("full", "interior")):
+    """The spaces reduced from the selected rows are those of every row: the
+    layer operators onto degrees 1..rank + 1 of each region, and the beta
+    and beta = 0 hat spaces at bound D, reduced echelon form for form."""
+    for region in regions:
+        for k in range(1, S.rank + 2):
+            assert ring._image_space(f, S, k, region).rows == \
+                reference_space(reference_operator_rows(f, S, k, region)).rows, (region, k)
+    for b in (beta, (0,) * S.rank):
+        assert ring._hat_space(f, as_fvector(b), S, D).rows == \
+            reference_space(reference_hat_rows(f, b, S, D), hat_order(S, D)).rows, b
+
+
+def relabelled(vectors, torsion=()):
+    """A semigroup on the free vectors with the given torsion invariants,
+    each vector a (free, torsion) pair or a free part alone."""
+    N = AbelianGroup(len(vectors[0][0] if torsion else vectors[0]), torsion)
+    return build_semigroup(N, tuple(N.element(*v) if torsion else N.element(v)
+                                    for v in vectors))
+
+
+class TestRowSelection:
+    """The layer operators and the hat spaces reduce a spanning subset of
+    their rows, `ring._kept_rows`: their reduced spaces are those of every
+    row."""
+
+    @pytest.mark.parametrize("path", PROBLEM_FILES, ids=problem_id)
+    def test_problem_files(self, path):
+        S, f, beta, D = problem_data(path)
+        # the hat bound of `cli.run`, D = rank + 3 where the file gives none
+        assert_spans_every_row(S, f, beta, min(D or S.rank + 3, S.rank + 3))
+
+    def test_shared_least_free_part(self):
+        """Two live elements share the least free part under two torsion
+        labels: nothing is dropped, and the spaces are those of every row."""
+        S = relabelled([((0, 1), (0,)), ((0, 1), (1,)), ((1, 1), (0,)), ((2, 1), (1,))], (2,))
+        f = FVector((2, 1, 3, 5))
+        assert ring._least_generator(f, S) is None
+        for k in range(1, S.rank + 3):
+            assert len(_image_rows(f, S, k)) == S.rank * len(S.layer(k - 1))
+        assert_spans_every_row(S, f, (Fraction(1, 2), Fraction(-1, 3)), S.rank + 3)
+
+    @pytest.mark.parametrize("vectors,x,least", [
+        # repeated: the cancelling pair (1, 1) is dead, (0, 1) is least
+        (((1, 1), (1, 1), (0, 1)), (2, -2, 3), (2, 1)),
+        # the least free part is the repeated one: merged it is live, the
+        # rows go at coordinate 1; cancelled it is dead, and (1, 1) is least
+        (((0, 1), (0, 1), (1, 1)), (2, 1, 3), (0, 1)),
+        (((0, 1), (0, 1), (1, 1)), (2, -2, 3), (2, 0)),
+    ], ids=["repeated", "least-repeated", "least-cancelled"])
+    def test_merged_coefficients(self, vectors, x, least):
+        """Equal generators count as one with their x summed."""
+        S, f = relabelled(vectors), FVector(x)
+        assert ring._least_generator(f, S) == least
+        for k in range(1, S.rank + 3):
+            assert len(_image_rows(f, S, k)) == kept_count(S, k)
+        assert_spans_every_row(S, f, (Fraction(1, 2), Fraction(-2, 3)), S.rank + 3)
 
 
 class TestJacobianDims:

@@ -18,6 +18,7 @@ from bbgkz.solver import InconsistentSystem, filtration_dims, recursion_defects,
 from conftest import (FIXTURE_BUILDERS, QQI, LambdaTable, add_values, assert_leading_degrees,
                       assert_stacks_equal, make_problem, qqi_entries, qqi_values,
                       reference_series, replaced, restricted_rank, stack_of, tables_of)
+from test_polyhedral import PROBLEM_FILES, problem_id
 from test_torsion import defect_sets, reference_defect_sets
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -136,6 +137,22 @@ class TestDimensions:
         with pytest.raises(ValueError):
             solve_recursion(f, beta, S, truncation=S.rank)
 
+    @pytest.mark.parametrize("name,x,at", [("p1", (1, -2, 1), 2), ("ex52", (1, -1, -1, 1), 3),
+                                           ("p2", (-2, 0, 1, 1), 3)])
+    def test_degenerate_step_above_one(self, name, x, at, monkeypatch):
+        """Degenerate points of bundled fixtures, found by a seeded search
+        over small integer x, whose first inconsistent step is to degree 2
+        or 3, where sources of degree >= 1 lose rows: the step still raises
+        there, as it does with every row kept."""
+        S, _, beta, _ = problem_data(cli.fixture_path(name))
+        assert not is_nondegenerate(FVector(x), S)[0]
+        assert sum(ring._kept_rows(FVector(x), S, at - 1)) < S.rank * len(S.layer(at - 1))
+        for keep in (ring._kept_rows, all_rows):
+            monkeypatch.setattr(solver, "_kept_rows", keep)
+            monkeypatch.setattr(ring, "_kept_rows", keep)
+            with pytest.raises(InconsistentSystem, match=f"degree {at};"):
+                solve_recursion(x, beta, build_semigroup(S.group, S.A), truncation=S.rank + 3)
+
     def test_degenerate_point_is_inconsistent(self):
         """At x = (1, 1) the Z/2 problem is degenerate (x1 - x2 = 0): both
         degree-0 equations have the same left side, so a germ must take equal
@@ -143,6 +160,27 @@ class TestDimensions:
         S, _, _ = make_problem("z2")
         with pytest.raises(InconsistentSystem, match="degree 1"):
             solve_recursion((Fraction(1), Fraction(1)), (Fraction(3, 2),), S, truncation=3)
+
+
+def all_rows(f, S, k, region="full"):
+    """The row selection that keeps every row of the layer operator."""
+    return [True] * (S.rank * len(S.layer(k, region)))
+
+
+class TestStepRowSelection:
+    """A step reduces only the rows `ring._kept_rows` selects, right-hand
+    sides included, and gives the germs of the step that reduces every
+    row."""
+
+    @pytest.mark.parametrize("path", PROBLEM_FILES, ids=problem_id)
+    def test_problem_files(self, path, monkeypatch):
+        S, f, beta, _ = problem_data(path)
+        D = S.rank + 3
+        selected = solve_recursion(f, beta, S, truncation=D)
+        for module in (ring, solver):
+            monkeypatch.setattr(module, "_kept_rows", all_rows)
+        every = solve_recursion(f, beta, build_semigroup(S.group, S.A), truncation=D)
+        assert_stacks_equal(selected, every)
 
 
 class TestKernelRoute:
